@@ -54,7 +54,6 @@ class Scenario:
     n_max: int
     detectors: list[str]
     epsilon_override: float | None = None
-    seed: int | None = None
 
 
 def _warn(message: str) -> None:
@@ -171,18 +170,22 @@ def load_scenario(path: str) -> Scenario:
         if kind not in DETECTOR_KINDS:
             raise ScenarioError(f"unknown detector kind {kind!r}")
     epsilon_override = raw.get("epsilon_override")
-    if epsilon_override is not None:
-        epsilon_override = float(epsilon_override)
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = int(seed)
+    try:
+        if epsilon_override is not None:
+            epsilon_override = float(epsilon_override)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("epsilon_override must be a number") from exc
+    try:
+        if raw.get("seed") is not None:
+            int(raw["seed"])  # accepted and validated; no sweep is random
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("seed must be an integer") from exc
     return Scenario(
         states=states,
         n_min=n_min,
         n_max=n_max,
         detectors=list(detectors),
         epsilon_override=epsilon_override,
-        seed=seed,
     )
 
 

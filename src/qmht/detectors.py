@@ -119,12 +119,12 @@ def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
 
 
 def classical_ml(prob_matrix) -> np.ndarray:
-    """Iterative maximum-likelihood labeling of sample-space columns.
+    """Maximum-likelihood labeling of sample-space columns.
 
-    Repeatedly takes the largest entry among the not-yet-decided columns
-    (ties resolved to the smallest row, then column, index), records that
-    row as the column's label, and excludes the column. The result satisfies
-    P[label(w), w] == max_i P[i, w] for every column w.
+    Each column w gets the smallest row i with P[i, w] == max_j P[j, w]. This
+    is the labeling the iterative rule produces (repeatedly label the largest
+    entry among the undecided columns, ties to the smallest row, then column,
+    index, and exclude that column), since labels come from exact comparisons.
     """
     probs = np.asarray(prob_matrix, dtype=float)
     if probs.ndim != 2 or probs.size == 0:
@@ -134,15 +134,7 @@ def classical_ml(prob_matrix) -> np.ndarray:
     row_sums = probs.sum(axis=1)
     if float(np.abs(row_sums - 1.0).max()) > PRIOR_ATOL:
         raise ValueError("every row must sum to 1")
-    _, d = probs.shape
-    labels = np.full(d, -1, dtype=int)
-    open_cols = np.ones(d, dtype=bool)
-    for _ in range(d):
-        masked = np.where(open_cols[None, :], probs, -np.inf)
-        row, col = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        labels[col] = row
-        open_cols[col] = False
-    return labels
+    return np.argmax(probs, axis=0)
 
 
 @dataclass
@@ -473,6 +465,14 @@ def embedding_guard(epsilon: float) -> None:
         )
 
 
+def embedding_floor_guard(epsilon: float, lambda_min: float) -> None:
+    """Reject a picked Gram spectrum below the epsilon^2 floor of the embedding."""
+    if lambda_min < epsilon * epsilon * (1.0 - 1e-9) - 1e-12:
+        raise NumericalConsistencyError(
+            "embedded Gram spectrum fell below the perturbation floor"
+        )
+
+
 def epsilon_detector(
     sigma_set: Sequence[DensityMatrix], epsilon: float
 ) -> tuple[Detector, GsDiagnostics]:
@@ -511,9 +511,5 @@ def epsilon_detector(
     )
     blocks = [HermitianMatrix(element.mat[:dim, :dim]) for element in big_det.elements]
     det = Detector(blocks, kind="POVM")
-    floor = epsilon * epsilon
-    if diagnostics.lambda_min_gram < floor * (1.0 - 1e-9) - 1e-12:
-        raise NumericalConsistencyError(
-            "embedded Gram spectrum fell below the perturbation floor"
-        )
+    embedding_floor_guard(epsilon, diagnostics.lambda_min_gram)
     return det, diagnostics

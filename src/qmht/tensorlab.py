@@ -12,15 +12,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .chernoff import MultipleChernoffResult, multiple_qcb
-from .detectors import SELECTION_TIE_ATOL, common_eigenbasis, embedding_guard
+from .detectors import (
+    SELECTION_TIE_ATOL,
+    common_eigenbasis,
+    embedding_floor_guard,
+    embedding_guard,
+)
 from .errors import DimensionLimitError, NumericalConsistencyError
-from .linalg import DensityMatrix, dense_limit, iter_power_eigenpairs
+from .linalg import (
+    DensityMatrix,
+    dense_limit,
+    eigenvalue_zero_threshold,
+    iter_power_eigenpairs,
+)
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
@@ -87,6 +98,18 @@ class PowerHypothesisSet:
         return tuples.reshape(len(positive) ** self.n, self.n)
 
 
+def _copy_product(table: np.ndarray, rows, cols, shape) -> np.ndarray:
+    """prod_t table[rows[t], cols[t]] over the copy index t, as a complex array.
+
+    ``rows[t]`` and ``cols[t]`` are the base indices of copy t: integer arrays
+    that broadcast to ``shape``, or plain ints.
+    """
+    out = np.ones(shape, dtype=complex)
+    for x, y in zip(rows, cols):
+        out *= table[x, y]
+    return out
+
+
 class _ProductOracle:
     """Inner products and quadratic forms between implicit product vectors.
 
@@ -96,7 +119,6 @@ class _ProductOracle:
     """
 
     def __init__(self, phs: PowerHypothesisSet) -> None:
-        self.n = phs.n
         r = phs.r
         decs = phs.spectra
         self.overlap = [
@@ -115,32 +137,23 @@ class _ProductOracle:
         ]
 
     def gram_rows(self, a: int, tuples_a: np.ndarray, b: int, tup_b) -> np.ndarray:
-        out = np.ones(len(tuples_a), dtype=complex)
-        table = self.overlap[a][b]
-        for t in range(self.n):
-            out *= table[tuples_a[:, t], tup_b[t]]
-        return out
+        return _copy_product(self.overlap[a][b], tuples_a.T, tup_b, len(tuples_a))
 
     def gram_block(self, a: int, tuples_a: np.ndarray, b: int, tuples_b: np.ndarray) -> np.ndarray:
-        out = np.ones((len(tuples_a), len(tuples_b)), dtype=complex)
-        table = self.overlap[a][b]
-        for t in range(self.n):
-            out *= table[tuples_a[:, t][:, None], tuples_b[:, t][None, :]]
-        return out
+        return _copy_product(
+            self.overlap[a][b], tuples_a.T[:, :, None], tuples_b.T[:, None, :],
+            (len(tuples_a), len(tuples_b)),
+        )
 
     def qform_block(self, state, a, tuples_a, b, tuples_b) -> np.ndarray:
-        out = np.ones((len(tuples_a), len(tuples_b)), dtype=complex)
-        table = self.qform[state][a][b]
-        for t in range(self.n):
-            out *= table[tuples_a[:, t][:, None], tuples_b[:, t][None, :]]
-        return out
+        return _copy_product(
+            self.qform[state][a][b], tuples_a.T[:, :, None], tuples_b.T[:, None, :],
+            (len(tuples_a), len(tuples_b)),
+        )
 
     def qform_diag(self, state, a, tuples_a) -> np.ndarray:
-        out = np.ones(len(tuples_a), dtype=complex)
         table = self.qform[state][a][a]
-        for t in range(self.n):
-            out *= table[tuples_a[:, t], tuples_a[:, t]]
-        return np.real(out)
+        return np.real(_copy_product(table, tuples_a.T, tuples_a.T, len(tuples_a)))
 
 
 class _EmbeddedOracle:
@@ -154,7 +167,6 @@ class _EmbeddedOracle:
 
     def __init__(self, inner: _ProductOracle, epsilon: float) -> None:
         self.inner = inner
-        self.n = inner.n
         self.eps_sq = epsilon * epsilon
         self.delta_sq = 1.0 - self.eps_sq
 
@@ -165,13 +177,6 @@ class _EmbeddedOracle:
             out = out + self.eps_sq * same
         return out
 
-    def gram_block(self, a, tuples_a, b, tuples_b):
-        out = self.delta_sq * self.inner.gram_block(a, tuples_a, b, tuples_b)
-        if a == b:
-            same = np.all(tuples_a[:, None, :] == tuples_b[None, :, :], axis=2)
-            out = out + self.eps_sq * same
-        return out
-
     def qform_block(self, state, a, tuples_a, b, tuples_b):
         return self.delta_sq * self.inner.qform_block(state, a, tuples_a, b, tuples_b)
 
@@ -179,48 +184,16 @@ class _EmbeddedOracle:
         return self.delta_sq * self.inner.qform_diag(state, a, tuples_a)
 
 
-class _TupleStore:
-    """Append-only (m, n) int array with amortized growth."""
-
-    def __init__(self, n: int) -> None:
-        self._buf = np.empty((16, max(n, 1)), dtype=np.intp)
-        self._size = 0
-
-    def append(self, tup) -> None:
-        if self._size == len(self._buf):
-            bigger = np.empty((2 * len(self._buf), self._buf.shape[1]), dtype=np.intp)
-            bigger[: self._size] = self._buf
-            self._buf = bigger
-        self._buf[self._size] = tup
-        self._size += 1
-
-    def view(self) -> np.ndarray:
-        return self._buf[: self._size]
-
-    def __len__(self) -> int:
-        return self._size
-
-
-class _IntStore:
-    """Append-only 1-D int array with amortized growth."""
-
-    def __init__(self) -> None:
-        self._buf = np.empty(16, dtype=np.intp)
-        self._size = 0
-
-    def append(self, value: int) -> None:
-        if self._size == len(self._buf):
-            bigger = np.empty(2 * len(self._buf), dtype=np.intp)
-            bigger[: self._size] = self._buf
-            self._buf = bigger
-        self._buf[self._size] = value
-        self._size += 1
-
-    def view(self) -> np.ndarray:
-        return self._buf[: self._size]
-
-    def __len__(self) -> int:
-        return self._size
+def _block_matrix(block_fn, tuples, positions) -> np.ndarray:
+    """Square matrix with block ``block_fn(a, tuples[a], b, tuples[b])`` at
+    rows ``positions[a]`` and columns ``positions[b]``; the positions must
+    partition range(size)."""
+    out = np.empty((sum(map(len, positions)),) * 2, dtype=complex)
+    for a, (tuples_a, pos_a) in enumerate(zip(tuples, positions)):
+        for b, (tuples_b, pos_b) in enumerate(zip(tuples, positions)):
+            if len(pos_a) and len(pos_b):
+                out[np.ix_(pos_a, pos_b)] = block_fn(a, tuples_a, b, tuples_b)
+    return out
 
 
 @dataclass
@@ -231,14 +204,13 @@ class _SelectionRun:
     matrix; None means the Gram matrix stayed exactly the identity.
     """
 
-    owners: np.ndarray
     owner_tuples: list[np.ndarray]
     owner_positions: list[np.ndarray]
     cholesky: np.ndarray | None
 
     @property
     def size(self) -> int:
-        return len(self.owners)
+        return sum(map(len, self.owner_positions))
 
     def lambda_min_gram(self) -> float:
         if self.cholesky is None:
@@ -264,19 +236,13 @@ class _GramFactor:
     def is_identity(self) -> bool:
         return self._factor is None
 
-    def factor(self) -> np.ndarray | None:
-        if self._factor is None:
-            return None
+    def factor(self) -> np.ndarray:
         return self._factor[: self.size, : self.size]
 
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            return np.eye(self.size, dtype=complex)
-        return self._gram[: self.size, : self.size]
-
     def bordered_gram(self, gamma: np.ndarray) -> np.ndarray:
+        """Exact Gram bordered by gamma; called only once the factor exists."""
         out = np.empty((self.size + 1, self.size + 1), dtype=complex)
-        out[: self.size, : self.size] = self.gram()
+        out[: self.size, : self.size] = self._gram[: self.size, : self.size]
         out[: self.size, self.size] = gamma
         out[self.size, : self.size] = gamma.conj()
         out[self.size, self.size] = 1.0
@@ -349,9 +315,12 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
     streams = [phs.eigenpair_stream(i) for i in range(r)]
     heads: list[tuple[float, tuple[int, ...]] | None] = [next(s, None) for s in streams]
 
-    owners = _IntStore()
-    owner_tuples = [_TupleStore(phs.n) for _ in range(r)]
-    owner_positions = [_IntStore() for _ in range(r)]
+    # each stream yields a product eigenvector at most once, so d^n bounds
+    # the picks of one state
+    cap = phs.dim**phs.n
+    owner_tuples = [np.empty((cap, phs.n), dtype=np.intp) for _ in range(r)]
+    owner_positions = [np.empty(cap, dtype=np.intp) for _ in range(r)]
+    counts = [0] * r
     state = _GramFactor()
 
     while True:
@@ -371,10 +340,9 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
         size = state.size
         gamma = np.empty(size, dtype=complex)
         for a in range(r):
-            positions = owner_positions[a]
-            if len(positions):
-                gamma[positions.view()] = oracle.gram_rows(
-                    a, owner_tuples[a].view(), best_state, tup
+            if counts[a]:
+                gamma[owner_positions[a][: counts[a]]] = oracle.gram_rows(
+                    a, owner_tuples[a][: counts[a]], best_state, tup
                 )
         z = state.coefficients(gamma)
         residual_sq = 1.0 - float(np.real(np.vdot(z, z)))
@@ -393,14 +361,13 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
                 continue
             state.append_refactored(gamma, bordered)
 
-        owner_positions[best_state].append(size)
-        owner_tuples[best_state].append(tup)
-        owners.append(best_state)
+        owner_positions[best_state][counts[best_state]] = size
+        owner_tuples[best_state][counts[best_state]] = tup
+        counts[best_state] += 1
 
     return _SelectionRun(
-        owners=owners.view().copy(),
-        owner_tuples=[store.view().copy() for store in owner_tuples],
-        owner_positions=[store.view().copy() for store in owner_positions],
+        owner_tuples=[buf[:c].copy() for buf, c in zip(owner_tuples, counts)],
+        owner_positions=[buf[:c].copy() for buf, c in zip(owner_positions, counts)],
         cholesky=None if state.is_identity else state.factor().copy(),
     )
 
@@ -429,14 +396,17 @@ def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun) -> 
         return successes
 
     inverse = solve_triangular(run.cholesky, np.eye(size), lower=False)
-    qforms = [_qform_matrix(oracle, run, i) for i in range(r)]
+    qforms = [
+        _block_matrix(partial(oracle.qform_block, i), run.owner_tuples, run.owner_positions)
+        for i in range(r)
+    ]
     for i in range(1, r):
         cols = inverse[:, run.owner_positions[i]]
         if cols.size:
             successes[i] = float(
                 np.real(np.einsum("ks,kl,ls->", cols.conj(), qforms[i], cols))
             )
-    other = np.concatenate([run.owner_positions[a] for a in range(1, r)]) if r > 1 else np.array([], dtype=np.intp)
+    other = np.concatenate(run.owner_positions[1:])
     cols = inverse[:, np.sort(other)] if other.size else np.empty((size, 0))
     leak = (
         float(np.real(np.einsum("ks,kl,ls->", cols.conj(), qforms[0], cols)))
@@ -447,60 +417,36 @@ def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun) -> 
     return successes
 
 
-def _qform_matrix(oracle, run: _SelectionRun, state: int) -> np.ndarray:
-    size = run.size
-    out = np.empty((size, size), dtype=complex)
-    r = len(run.owner_tuples)
-    for a in range(r):
-        pos_a = run.owner_positions[a]
-        if not pos_a.size:
-            continue
-        for b in range(r):
-            pos_b = run.owner_positions[b]
-            if not pos_b.size:
-                continue
-            block = oracle.qform_block(
-                state, a, run.owner_tuples[a], b, run.owner_tuples[b]
-            )
-            out[np.ix_(pos_a, pos_b)] = block
-    return out
-
-
 def _pairwise_overlap_power_sum(qcb: MultipleChernoffResult, n: int) -> float:
     """Sum over ordered distinct pairs of the n-th power of the overlap infimum."""
     return 2.0 * sum(res.q_star**n for res in qcb.pairwise.values())
 
 
+def _joint_positions(tuples: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive row ranges, one per state, for the stacked tuple families."""
+    bounds = np.cumsum([0] + [len(t) for t in tuples])
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _helstrom_power_error(phs: PowerHypothesisSet, oracle: _ProductOracle) -> float:
     """Optimal binary test on the n-fold powers, computed in the joint support frame."""
     tuples = [phs.positive_index_tuples(i) for i in range(2)]
-    counts = [len(t) for t in tuples]
-    total = sum(counts)
-    gram = np.empty((total, total), dtype=complex)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for a in range(2):
-        for b in range(2):
-            gram[offsets[a] : offsets[a + 1], offsets[b] : offsets[b + 1]] = (
-                oracle.gram_block(a, tuples[a], b, tuples[b])
-            )
+    positions = _joint_positions(tuples)
+    gram = _block_matrix(oracle.gram_block, tuples, positions)
     values, rotation = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    keep = values > 1e-12 * float(values.max())
+    keep = values > eigenvalue_zero_threshold(values)
     frame = rotation[:, keep] / np.sqrt(values[keep])
-    reduced = []
-    for state in range(2):
-        qform = np.empty((total, total), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                qform[offsets[a] : offsets[a + 1], offsets[b] : offsets[b + 1]] = (
-                    oracle.qform_block(state, a, tuples[a], b, tuples[b])
-                )
-        reduced.append(frame.conj().T @ qform @ frame)
+    reduced = [
+        frame.conj().T
+        @ _block_matrix(partial(oracle.qform_block, state), tuples, positions)
+        @ frame
+        for state in range(2)
+    ]
     difference = reduced[1] - reduced[0]
     diff_values, diff_vectors = np.linalg.eigh(
         (difference + difference.conj().T) / 2.0
     )
-    threshold = 1e-12 * float(np.abs(diff_values).max()) if diff_values.size else 0.0
-    plus = diff_vectors[:, diff_values > threshold]
+    plus = diff_vectors[:, diff_values > eigenvalue_zero_threshold(diff_values)]
     trace_0 = float(np.real(np.einsum("ka,kl,la->", plus.conj(), reduced[0], plus)))
     trace_1 = float(np.real(np.einsum("ka,kl,la->", plus.conj(), reduced[1], plus)))
     success_0 = 1.0 - trace_0
@@ -511,8 +457,7 @@ def _helstrom_power_error(phs: PowerHypothesisSet, oracle: _ProductOracle) -> fl
 def _classical_ml_power_error(phs: PowerHypothesisSet) -> float:
     """Maximum-likelihood error on product distributions of a commuting family.
 
-    Labels follow the smallest-maximizing-row rule, which is what the
-    iterative exclusion algorithm produces column by column.
+    Labels follow the smallest-maximizing-row rule of ``classical_ml``.
     """
     basis = common_eigenbasis(phs.base)
     rows = []
@@ -649,12 +594,8 @@ def run_power_experiment(
             run = _run_selection(phs, oracle, (r + 1) * phs.dim**n)
             err = 1.0 - float(np.mean(_evaluate_selection(phs, oracle, run)))
             lam_min = run.lambda_min_gram()
-            floor = eps_n * eps_n
-            if lam_min < floor * (1.0 - 1e-9) - 1e-12:
-                raise NumericalConsistencyError(
-                    "embedded Gram spectrum fell below the perturbation floor"
-                )
-            bound = (2.0 * eps_n + overlap_sum / floor) / r
+            embedding_floor_guard(eps_n, lam_min)
+            bound = (2.0 * eps_n + overlap_sum / (eps_n * eps_n)) / r
         elif kind == "helstrom":
             err = _helstrom_power_error(phs, _ProductOracle(phs))
             lam_min = None
@@ -744,17 +685,8 @@ def gram_convergence_check(
     out = []
     for n in sorted({int(n) for n in n_range}):
         phs = PowerHypothesisSet(states, n)
-        oracle = _ProductOracle(phs)
         tuples = [phs.positive_index_tuples(i) for i in range(phs.r)]
-        counts = [len(t) for t in tuples]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        total = int(offsets[-1])
-        gram = np.empty((total, total), dtype=complex)
-        for a in range(phs.r):
-            for b in range(phs.r):
-                gram[offsets[a] : offsets[a + 1], offsets[b] : offsets[b + 1]] = (
-                    oracle.gram_block(a, tuples[a], b, tuples[b])
-                )
+        gram = _block_matrix(_ProductOracle(phs).gram_block, tuples, _joint_positions(tuples))
         lam_min = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[0])
         out.append((n, lam_min))
     return out

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from qmht.cli import main
 from qmht.linalg import DENSE_LIMIT_ENV
 
@@ -101,6 +103,15 @@ class TestRunCommand:
     def test_unknown_detector_kind_exit_2(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", detectors=["magic"])
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", [1]), ("seed", {"a": 1}), ("epsilon_override", [0.3])],
+    )
+    def test_non_numeric_option_exit_2(self, tmp_path, capsys, key, value):
+        scen = write_scenario(tmp_path / "s.json", **{key: value})
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_json_round_trip_matches_in_memory_report(self, tmp_path):
         from qmht.cli import load_scenario

@@ -133,6 +133,11 @@ class TestClassicalMl:
         probs = np.array([[0.4, 0.6], [0.4, 0.6], [0.4, 0.6]])
         assert classical_ml(probs).tolist() == [0, 0]
 
+    def test_tie_above_first_row_goes_to_smaller_row(self):
+        # column 0: rows 1 and 2 tie at 0.4, above row 0
+        probs = np.array([[0.2, 0.8], [0.4, 0.6], [0.4, 0.6]])
+        assert classical_ml(probs).tolist() == [1, 0]
+
     def test_label_is_columnwise_argmax(self):
         rng = np.random.default_rng(9)
         probs = rng.dirichlet(np.ones(6), size=4)
