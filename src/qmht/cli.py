@@ -135,6 +135,16 @@ def _load_state(spec, index: int) -> DensityMatrix:
     raise ScenarioError(f"{where}: unknown state kind {kind!r}")
 
 
+def _integer(raw: dict, key: str, default) -> int:
+    """``raw[key]`` (or ``default``) as an int; JSON numbers must be integral."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; raises ScenarioError on any defect."""
     try:
@@ -156,30 +166,26 @@ def load_scenario(path: str) -> Scenario:
     dim = states[0].dim
     if any(rho.dim != dim for rho in states):
         raise ScenarioError("states must share one dimension")
-    try:
-        n_min = int(raw.get("n_min", 1))
-        n_max = int(raw.get("n_max", n_min))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("n_min and n_max must be integers") from exc
+    n_min = _integer(raw, "n_min", 1)
+    n_max = _integer(raw, "n_max", n_min)
     if n_min < 1 or n_min > n_max:
         raise ScenarioError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     detectors = raw.get("detectors", [])
     if not isinstance(detectors, list) or not detectors:
         raise ScenarioError("scenario needs a nonempty detectors list")
-    for kind in detectors:
+    for k, kind in enumerate(detectors):
         if kind not in DETECTOR_KINDS:
             raise ScenarioError(f"unknown detector kind {kind!r}")
+        if kind in detectors[:k]:
+            raise ScenarioError(f"detector kind {kind!r} is listed twice")
     epsilon_override = raw.get("epsilon_override")
     try:
         if epsilon_override is not None:
             epsilon_override = float(epsilon_override)
     except (TypeError, ValueError) as exc:
         raise ScenarioError("epsilon_override must be a number") from exc
-    try:
-        if raw.get("seed") is not None:
-            int(raw["seed"])  # accepted and validated; no sweep is random
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("seed must be an integer") from exc
+    if raw.get("seed") is not None:
+        _integer(raw, "seed", None)  # accepted and validated; no sweep is random
     return Scenario(
         states=states,
         n_min=n_min,

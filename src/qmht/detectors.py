@@ -95,8 +95,9 @@ def evaluate_errors(sigma_set: Sequence[DensityMatrix], det: Detector) -> ErrorR
         raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
     if any(rho.dim != det.dim for rho in states):
         raise ValueError("state dimension does not match the detector")
+    # both factors are Hermitian, so tr[rho E] = sum conj(E) * rho = vdot(E, rho)
     successes = tuple(
-        float(np.trace(rho.mat @ element.mat).real)
+        float(np.vdot(element.mat, rho.mat).real)
         for rho, element in zip(states, det.elements)
     )
     errors = tuple(1.0 - s for s in successes)
@@ -142,9 +143,10 @@ class GsDiagnostics:
     """Execution record of the greedy orthonormalization.
 
     ``selection_order`` holds the (state, eigenindex) pairs actually picked,
-    ``basis`` the full orthonormal basis (picked directions first, arbitrary
-    completion after), ``labels`` the hypothesis index of every basis column,
-    and ``gram`` the Gram matrix of the picked source eigenvectors.
+    ``basis`` the full orthonormal basis (picked directions first, their
+    Householder complement after), ``labels`` the hypothesis index of every
+    basis column (0 on the complement), and ``gram`` the Gram matrix of the
+    picked source eigenvectors.
     """
 
     selection_order: list[tuple[int, int]]
@@ -163,7 +165,8 @@ def _greedy_orthonormal_selection(values_rows, vector_mats, dim, zero_threshold)
     the largest remaining eigenvalue (ties to the smallest state, then
     eigenindex) contributes a new orthonormal direction; vectors that fall
     inside the accumulated span are dropped. Stops once only eigenvalues at or
-    below ``zero_threshold`` remain.
+    below ``zero_threshold`` remain. The picked directions come back as the
+    rows of one array.
     """
     r = len(values_rows)
     counts = [len(v) for v in values_rows]
@@ -174,7 +177,7 @@ def _greedy_orthonormal_selection(values_rows, vector_mats, dim, zero_threshold)
     alive = np.ones(offsets[-1], dtype=bool)
     pointers = [0] * r
 
-    basis: list[np.ndarray] = []
+    frame = np.empty((min(offsets[-1], dim), dim), dtype=complex)
     labels: list[int] = []
     selection: list[tuple[int, int]] = []
     chosen: list[np.ndarray] = []
@@ -202,12 +205,15 @@ def _greedy_orthonormal_selection(values_rows, vector_mats, dim, zero_threshold)
                 "it should have been eliminated"
             )
         direction = w / norm
-        if basis:
-            frame = np.array(basis)
-            direction = direction - frame.T @ (frame.conj() @ direction)
+        picks = len(labels)
+        if picks == len(frame):
+            raise NumericalConsistencyError("more orthonormal directions than dimensions")
+        if picks:
+            kept = frame[:picks]
+            direction = direction - kept.T @ (kept.conj() @ direction)
             direction = direction / float(np.linalg.norm(direction))
 
-        basis.append(direction)
+        frame[picks] = direction
         labels.append(best_state)
         selection.append((best_state, best_index))
         chosen.append(np.array(vector_mats[best_state][:, best_index]))
@@ -220,45 +226,24 @@ def _greedy_orthonormal_selection(values_rows, vector_mats, dim, zero_threshold)
             norms = np.linalg.norm(residuals[idx], axis=1)
             alive[idx[norms <= SPAN_RESIDUAL_TOL]] = False
 
-    return selection, basis, labels, chosen
-
-
-def _complete_basis(basis: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend an orthonormal family to a full basis using canonical directions."""
-    have = list(basis)
-    completion: list[np.ndarray] = []
-    for k in range(dim):
-        if len(have) == dim:
-            break
-        candidate = np.zeros(dim, dtype=complex)
-        candidate[k] = 1.0
-        for _ in range(2):
-            for e in have:
-                candidate = candidate - e * np.vdot(e, candidate)
-        norm = float(np.linalg.norm(candidate))
-        if norm > 1e-6:
-            candidate = candidate / norm
-            have.append(candidate)
-            completion.append(candidate)
-    if len(have) != dim:
-        raise NumericalConsistencyError("failed to complete the orthonormal basis")
-    return completion
+    return selection, frame[: len(labels)], labels, chosen
 
 
 def _assemble_pvm(selection, basis, labels, chosen, r, dim):
-    completion = _complete_basis(basis, dim)
-    full_basis = list(basis) + completion
-    full_labels = list(labels) + [0] * len(completion)
-    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(r)]
-    for direction, label in zip(full_basis, full_labels):
-        mats[label] += np.outer(direction, direction.conj())
-    det = Detector([HermitianMatrix(m) for m in mats], kind="PVM")
+    # The completion is the Householder complement of the picked rows B. All of
+    # it carries label 0, so only its projector I - B^T conj(B) enters the
+    # elements, whichever orthonormal basis QR picks for it.
+    q, _ = np.linalg.qr(basis.T, mode="complete")
+    full_basis = np.hstack([basis.T, q[:, len(basis) :]])
+    full_labels = list(labels) + [0] * (dim - len(basis))
+    blocks = [full_basis[:, np.equal(full_labels, i)] for i in range(r)]
+    det = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
     gram, lam_min = gram_min_eigenvalue(chosen)
     if lam_min <= 0.0:
         raise NumericalConsistencyError("picked vectors have a singular Gram matrix")
     diagnostics = GsDiagnostics(
         selection_order=list(selection),
-        basis=np.column_stack(full_basis),
+        basis=full_basis,
         labels=full_labels,
         gram=gram,
         stopping_index=len(selection),

@@ -113,6 +113,42 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_min": 1.9, "n_max": 2.7},
+            {"n_max": 2.7},
+            {"n_max": True},
+            {"n_min": True},
+            {"seed": 7.5},
+            {"seed": False},
+        ],
+    )
+    def test_non_integral_option_exit_2(self, tmp_path, capsys, overrides):
+        scen = write_scenario(tmp_path / "s.json", **overrides)
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_option_runs(self, tmp_path):
+        scen = write_scenario(tmp_path / "s.json", n_max=2.0, seed=7.0)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+        _, rows = parse_csv(out.read_text())
+        assert [row["n"] for row in rows] == ["1", "2"]
+
+    def test_duplicate_detector_kind_exit_2_before_sweep(self, tmp_path, capsys, monkeypatch):
+        import qmht.cli
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("no sweep may run for a rejected scenario")
+
+        monkeypatch.setattr(qmht.cli, "run_power_experiment", sweep)
+        scen = write_scenario(tmp_path / "s.json", detectors=["gs", "helstrom", "gs"])
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert "'gs' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_round_trip_matches_in_memory_report(self, tmp_path):
         from qmht.cli import load_scenario
         from qmht.tensorlab import run_power_experiment

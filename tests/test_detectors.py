@@ -73,6 +73,15 @@ class TestEvaluateErrors:
         for err, succ in zip(report.per_hypothesis, report.successes):
             assert abs(err - (1.0 - succ)) < 1e-10
 
+    def test_success_matches_trace_of_product(self):
+        rng = np.random.default_rng(2)
+        for dim in (2, 5, 16):
+            states = [random_density_matrix(dim, rng) for _ in range(3)]
+            det = pgm(states, [1 / 3] * 3)
+            report = evaluate_errors(states, det)
+            for rho, element, succ in zip(states, det.elements, report.successes):
+                assert abs(succ - np.trace(rho.mat @ element.mat).real) < 1e-14
+
     def test_size_mismatch(self, zero_state):
         det = Detector([HermitianMatrix(np.eye(2))], kind="PVM")
         with pytest.raises(ValueError):
@@ -199,6 +208,13 @@ class TestGsDetector:
     def test_rejects_single_state(self, zero_state):
         with pytest.raises(ValueError):
             gs_detector([zero_state])
+
+    def test_completion_direction_gets_label_zero(self):
+        states = [diagonal([0.7, 0.3, 0.0]), diagonal([0.4, 0.6, 0.0])]
+        _, diag = gs_detector(states)
+        assert diag.stopping_index == 2
+        assert np.abs(np.abs(diag.basis[:, 2]) - [0.0, 0.0, 1.0]).max() < 1e-12
+        assert diag.labels[2] == 0
 
 
 class TestGsErrorBound:
@@ -385,6 +401,20 @@ class TestEpsilonDetector:
         assert det.kind == "POVM"
         element = det.elements[1].mat
         assert np.abs(element @ element - element).max() > 1e-6
+
+    def test_embedded_basis_completion(self):
+        rng = np.random.default_rng(16)
+        states = [random_density_matrix(16, rng, rank=5) for _ in range(3)]
+        _, diag = epsilon_detector(states, 0.3)
+        basis = diag.basis
+        assert basis.shape == (64, 64)
+        assert np.abs(basis.conj().T @ basis - np.eye(64)).max() < 1e-12
+        picked = basis[:, : diag.stopping_index]
+        completion = basis[:, diag.stopping_index :]
+        assert completion.shape[1] > 0
+        assert all(label == 0 for label in diag.labels[diag.stopping_index :])
+        complement = np.eye(64) - picked @ picked.conj().T
+        assert np.abs(completion @ completion.conj().T - complement).max() < 1e-12
 
     def test_epsilon_out_of_range(self, zero_state, plus_state):
         for bad in (0.0, 1.0, 0.9):
