@@ -67,7 +67,10 @@ def _complex_vector(entries, where: str) -> np.ndarray:
     for k, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{where}: entry {k} is not a [re, im] pair")
-        out[k] = complex(float(pair[0]), float(pair[1]))
+        try:
+            out[k] = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{where}: entry {k} is not a numeric [re, im] pair") from exc
     return out
 
 
@@ -101,6 +104,8 @@ def _load_state(spec, index: int) -> DensityMatrix:
         if not isinstance(raw, list) or not raw:
             raise ScenarioError(f"{where}: expected a nonempty probability list")
         probs = np.asarray(raw, dtype=float)
+        if not np.isfinite(probs).all():
+            raise ScenarioError(f"{where}: non-finite probability")
         if float(probs.min()) < -1e-12:
             raise ScenarioError(f"{where}: negative probability")
         probs = np.maximum(probs, 0.0)

@@ -6,6 +6,7 @@ function is pure and instances are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -157,88 +158,71 @@ class GsDiagnostics:
     lambda_min_gram: float
 
 
+def greedy_order(streams):
+    """Merge descending ``(value, item)`` streams into greedy pick order.
+
+    Yields ``(state, value, item)`` triples, the largest head value first; a
+    head that exceeds an earlier state's head by at most ``SELECTION_TIE_ATOL``
+    loses to the smaller state index. Streams are read lazily, one pop at a
+    time, so a consumer may stop early.
+    """
+    iterators = [iter(stream) for stream in streams]
+    heads = [next(it, None) for it in iterators]
+    while True:
+        best_state, best_value = -1, -math.inf
+        for i, head in enumerate(heads):
+            if head is not None and head[0] > best_value + SELECTION_TIE_ATOL:
+                best_state, best_value = i, head[0]
+        if best_state < 0:
+            return
+        value, item = heads[best_state]
+        heads[best_state] = next(iterators[best_state], None)
+        yield best_state, value, item
+
+
 def _greedy_orthonormal_selection(values_rows, vector_mats, dim, zero_threshold):
     """Greedy eigenvalue-ordered selection with on-the-fly Gram-Schmidt.
 
     ``values_rows[i]`` is a descending eigenvalue array for hypothesis i and
-    ``vector_mats[i]`` the matching unit-vector columns in C^dim. At each step
-    the largest remaining eigenvalue (ties to the smallest state, then
-    eigenindex) contributes a new orthonormal direction; vectors that fall
-    inside the accumulated span are dropped. Stops once only eigenvalues at or
-    below ``zero_threshold`` remain. The picked directions come back as the
-    rows of one array.
+    ``vector_mats[i]`` the matching unit-vector columns in C^dim. Vectors are
+    popped in ``greedy_order`` until only eigenvalues at or below
+    ``zero_threshold`` remain; each one's residual against the picked frame
+    (two classical Gram-Schmidt passes) becomes a new orthonormal direction
+    unless its norm is at most ``SPAN_RESIDUAL_TOL``. Returns the picked
+    (state, eigenindex) pairs and the directions as the rows of one array.
     """
-    r = len(values_rows)
-    counts = [len(v) for v in values_rows]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    residuals = np.concatenate(
-        [np.asarray(vector_mats[i]).T for i in range(r)], axis=0
-    ).astype(complex)
-    alive = np.ones(offsets[-1], dtype=bool)
-    pointers = [0] * r
-
-    frame = np.empty((min(offsets[-1], dim), dim), dtype=complex)
-    labels: list[int] = []
+    frame = np.empty((min(sum(map(len, values_rows)), dim), dim), dtype=complex)
     selection: list[tuple[int, int]] = []
-    chosen: list[np.ndarray] = []
-
-    while True:
-        best_state, best_index, best_value = -1, -1, -math.inf
-        for i in range(r):
-            j = pointers[i]
-            while j < counts[i] and not alive[offsets[i] + j]:
-                j += 1
-            pointers[i] = j
-            if j < counts[i]:
-                value = float(values_rows[i][j])
-                if value > best_value + SELECTION_TIE_ATOL:
-                    best_state, best_index, best_value = i, j, value
-        if best_state < 0 or best_value <= zero_threshold:
+    streams = [zip(values, itertools.count()) for values in values_rows]
+    for state, value, index in greedy_order(streams):
+        if value <= zero_threshold:
             break
-
-        flat = offsets[best_state] + best_index
-        w = residuals[flat]
-        norm = float(np.linalg.norm(w))
-        if norm < SPAN_RESIDUAL_TOL:
-            raise NumericalConsistencyError(
-                "selected eigenvector lies inside the current span; "
-                "it should have been eliminated"
-            )
-        direction = w / norm
-        picks = len(labels)
-        if picks == len(frame):
+        kept = frame[: len(selection)]
+        residual = vector_mats[state][:, index].astype(complex)
+        for _ in range(2):
+            residual -= kept.T @ (kept.conj() @ residual)
+        norm = float(np.linalg.norm(residual))
+        if norm <= SPAN_RESIDUAL_TOL:
+            continue
+        if len(selection) == len(frame):
             raise NumericalConsistencyError("more orthonormal directions than dimensions")
-        if picks:
-            kept = frame[:picks]
-            direction = direction - kept.T @ (kept.conj() @ direction)
-            direction = direction / float(np.linalg.norm(direction))
-
-        frame[picks] = direction
-        labels.append(best_state)
-        selection.append((best_state, best_index))
-        chosen.append(np.array(vector_mats[best_state][:, best_index]))
-        alive[flat] = False
-
-        idx = np.flatnonzero(alive)
-        if idx.size:
-            coeff = residuals[idx] @ direction.conj()
-            residuals[idx] -= np.outer(coeff, direction)
-            norms = np.linalg.norm(residuals[idx], axis=1)
-            alive[idx[norms <= SPAN_RESIDUAL_TOL]] = False
-
-    return selection, frame[: len(labels)], labels, chosen
+        frame[len(selection)] = residual / norm
+        selection.append((state, index))
+    return selection, frame[: len(selection)]
 
 
-def _assemble_pvm(selection, basis, labels, chosen, r, dim):
+def _assemble_pvm(selection, basis, vector_mats, r, dim):
     # The completion is the Householder complement of the picked rows B. All of
     # it carries label 0, so only its projector I - B^T conj(B) enters the
     # elements, whichever orthonormal basis QR picks for it.
     q, _ = np.linalg.qr(basis.T, mode="complete")
     full_basis = np.hstack([basis.T, q[:, len(basis) :]])
-    full_labels = list(labels) + [0] * (dim - len(basis))
+    full_labels = [state for state, _ in selection] + [0] * (dim - len(basis))
     blocks = [full_basis[:, np.equal(full_labels, i)] for i in range(r)]
     det = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
-    gram, lam_min = gram_min_eigenvalue(chosen)
+    gram, lam_min = gram_min_eigenvalue(
+        [vector_mats[state][:, index] for state, index in selection]
+    )
     if lam_min <= 0.0:
         raise NumericalConsistencyError("picked vectors have a singular Gram matrix")
     diagnostics = GsDiagnostics(
@@ -268,10 +252,10 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     values_rows = [dec.eigenvalues for dec in decs]
     vector_mats = [dec.vectors for dec in decs]
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
-    selection, basis, labels, chosen = _greedy_orthonormal_selection(
+    selection, basis = _greedy_orthonormal_selection(
         values_rows, vector_mats, dim, zero_threshold
     )
-    return _assemble_pvm(selection, basis, labels, chosen, len(states), dim)
+    return _assemble_pvm(selection, basis, vector_mats, len(states), dim)
 
 
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
@@ -488,12 +472,10 @@ def epsilon_detector(
             columns[(i + 1) * dim + j, j] += epsilon
         perturbed.append(columns)
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
-    selection, basis, labels, chosen = _greedy_orthonormal_selection(
+    selection, basis = _greedy_orthonormal_selection(
         values_rows, perturbed, big_dim, zero_threshold
     )
-    big_det, diagnostics = _assemble_pvm(
-        selection, basis, labels, chosen, len(states), big_dim
-    )
+    big_det, diagnostics = _assemble_pvm(selection, basis, perturbed, len(states), big_dim)
     blocks = [HermitianMatrix(element.mat[:dim, :dim]) for element in big_det.elements]
     det = Detector(blocks, kind="POVM")
     embedding_floor_guard(epsilon, diagnostics.lambda_min_gram)

@@ -41,8 +41,9 @@ def dense_limit() -> int:
 class HermitianMatrix:
     """A square complex matrix equal to its conjugate transpose.
 
-    Construction symmetrizes the input; inputs whose asymmetry exceeds
-    1e-12 (relative to the largest entry) are rejected.
+    Construction symmetrizes the input; inputs with a NaN or infinite entry,
+    or whose asymmetry exceeds 1e-12 (relative to the largest entry), are
+    rejected.
     """
 
     __slots__ = ("mat",)
@@ -51,6 +52,8 @@ class HermitianMatrix:
         arr = np.array(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has a non-finite entry")
         scale = max(1.0, float(np.abs(arr).max()))
         asym = float(np.abs(arr - arr.conj().T).max())
         if asym > HERMITICITY_ATOL * scale:

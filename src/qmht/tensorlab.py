@@ -20,10 +20,10 @@ from scipy.linalg import solve_triangular
 
 from .chernoff import MultipleChernoffResult, multiple_qcb
 from .detectors import (
-    SELECTION_TIE_ATOL,
     common_eigenbasis,
     embedding_floor_guard,
     embedding_guard,
+    greedy_order,
 )
 from .errors import DimensionLimitError, NumericalConsistencyError
 from .linalg import (
@@ -303,18 +303,15 @@ class _GramFactor:
 
 
 def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _SelectionRun:
-    """Greedy eigenvalue-ordered selection over the per-state eigenpair streams.
+    """Greedy selection over the per-state eigenpair streams in ``greedy_order``.
 
     Vectors whose residual against the picked span is numerically zero are
     dropped at pop time, which selects exactly the same set as eliminating
     them eagerly after each step. Residuals inside the uncertainty band are
-    settled by the numerical rank of the exact bordered Gram matrix, and the
-    pick count never exceeds the ambient dimension.
+    settled by the numerical rank of the exact bordered Gram matrix. The loop
+    stops once the picks span the ambient space.
     """
     r = phs.r
-    streams = [phs.eigenpair_stream(i) for i in range(r)]
-    heads: list[tuple[float, tuple[int, ...]] | None] = [next(s, None) for s in streams]
-
     # each stream yields a product eigenvector at most once, so d^n bounds
     # the picks of one state
     cap = phs.dim**phs.n
@@ -323,20 +320,8 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
     counts = [0] * r
     state = _GramFactor()
 
-    while True:
-        best_state, best_value = -1, -math.inf
-        for i in range(r):
-            head = heads[i]
-            if head is not None and head[0] > best_value + SELECTION_TIE_ATOL:
-                best_state, best_value = i, head[0]
-        if best_state < 0:
-            break
-        _, tup = heads[best_state]  # type: ignore[misc]
-        heads[best_state] = next(streams[best_state], None)
-
-        if state.size >= ambient_dim:
-            continue  # the picked span already fills the space
-
+    streams = [phs.eigenpair_stream(i) for i in range(r)]
+    for best_state, _, tup in greedy_order(streams):
         size = state.size
         gamma = np.empty(size, dtype=complex)
         for a in range(r):
@@ -364,6 +349,8 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
         owner_positions[best_state][counts[best_state]] = size
         owner_tuples[best_state][counts[best_state]] = tup
         counts[best_state] += 1
+        if state.size == ambient_dim:
+            break  # every later vector lies in the span
 
     return _SelectionRun(
         owner_tuples=[buf[:c].copy() for buf, c in zip(owner_tuples, counts)],

@@ -86,6 +86,37 @@ class TestRunCommand:
         )
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"kind": "diagonal", "probs": [None, 1.0]},
+            {"kind": "diagonal", "probs": [math.inf, 0.5]},
+            {"kind": "dense", "real": [[None, 0.0], [0.0, 1.0]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
+            {"kind": "pure", "vector": [[math.nan, 0.0], [1.0, 0.0]]},
+        ],
+    )
+    def test_non_finite_state_entry_exit_2(self, tmp_path, capsys, state):
+        scen = write_scenario(
+            tmp_path / "s.json",
+            states=[state, {"kind": "diagonal", "probs": [0.5, 0.5]}],
+            detectors=["gs"],
+        )
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_pure_vector_entry_exit_2(self, tmp_path, capsys):
+        scen = write_scenario(
+            tmp_path / "s.json",
+            states=[
+                {"kind": "pure", "vector": [[None, 0.0], [1.0, 0.0]]},
+                {"kind": "pure", "vector": [[SQ, 0.0], [SQ, 0.0]]},
+            ],
+        )
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "entry 0 is not a numeric [re, im] pair" in capsys.readouterr().err
+
     def test_dense_limit_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DENSE_LIMIT_ENV, "4")
         scen = write_scenario(tmp_path / "s.json", n_max=5)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmht.detectors import (
+    SELECTION_TIE_ATOL,
     Detector,
     bayes_commuting,
     classical_ml,
@@ -15,6 +16,7 @@ from qmht.detectors import (
     evaluate_errors,
     gs_detector,
     gs_error_bound,
+    greedy_order,
     holevo_helstrom,
     pgm,
     verify_bayes_conditions,
@@ -22,7 +24,7 @@ from qmht.detectors import (
 from qmht.errors import NumericalConsistencyError
 from qmht.linalg import DensityMatrix, HermitianMatrix
 from qmht.chernoff import q_overlap
-from qmht.sampling import random_density_matrix
+from qmht.sampling import random_density_matrix, random_orthonormal
 from conftest import diagonal, pure
 
 HELSTROM_ERR_ZERO_PLUS = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
@@ -159,7 +161,71 @@ class TestClassicalMl:
             classical_ml(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
+class TestGreedyOrder:
+    def test_equal_values_go_to_smaller_state(self):
+        streams = [[(0.5, "a"), (0.3, "b")], [(0.5, "c"), (0.3, "d")], [(0.4, "e")]]
+        order = [(state, item) for state, _, item in greedy_order(streams)]
+        assert order == [(0, "a"), (1, "c"), (2, "e"), (0, "b"), (1, "d")]
+
+    def test_values_within_tie_tolerance_go_to_smaller_state(self):
+        close = 0.5 + 0.5 * SELECTION_TIE_ATOL
+        streams = [[(0.5, "a"), (0.1, "b")], [(close, "c")]]
+        assert [item for _, _, item in greedy_order(streams)] == ["a", "c", "b"]
+
+    def test_values_beyond_tie_tolerance_go_first(self):
+        far = 0.5 + 2.0 * SELECTION_TIE_ATOL
+        streams = [[(0.5, "a")], [(far, "c")]]
+        assert list(greedy_order(streams)) == [(1, far, "c"), (0, 0.5, "a")]
+
+    def test_empty_streams_and_lazy_reads(self):
+        rest = iter([(0.9, "x"), (0.8, "y"), (0.7, "z")])
+        order = greedy_order([[], rest])
+        assert next(order) == (1, 0.9, "x")
+        # the head of each stream is read ahead by one pop, no further
+        assert next(rest) == (0.7, "z")
+        assert list(greedy_order([[], []])) == []
+
+
 class TestGsDetector:
+    def test_vector_inside_span_is_skipped_mid_run(self):
+        # state 1's top vector (e1+e2)/sqrt2 puts state 0's e2 (0.3) inside the
+        # picked span; state 1's e4 (0.25) and state 0's e3 (0.2, tied with
+        # state 1's (e1-e2)/sqrt2) are still picked after it. A common unitary
+        # rotation leaves e2 a rounding-sized residual instead of an exact 0.
+        e = np.eye(4)
+        s = 1.0 / math.sqrt(2.0)
+        vectors = [(e[0] + e[1]) * s, e[3], (e[0] - e[1]) * s, e[2]]
+        values = [0.45, 0.25, 0.2, 0.1]
+        rotation = random_orthonormal(4, 4, np.random.default_rng(0))
+        mats = [
+            np.diag([0.5, 0.3, 0.2, 0.0]),
+            sum(v * np.outer(x, x) for v, x in zip(values, vectors)),
+        ]
+        states = [DensityMatrix(rotation @ m @ rotation.conj().T) for m in mats]
+        det, diag = gs_detector(states)
+        assert diag.selection_order == [(0, 0), (1, 0), (1, 1), (0, 2)]
+        assert diag.labels == [0, 1, 1, 0]
+        assert abs(evaluate_errors(states, det).averaged - 0.3625) < 1e-12
+
+    def test_defect_ensemble_matches_high_precision_reference(self):
+        # the r = 3 ensemble on which the implicit path loses 3.2e-4 at n = 6;
+        # the dense span rule reaches the 60-digit mpmath greedy Gram-Schmidt value
+        rng = np.random.default_rng(5)
+        draws = [
+            [random_density_matrix(2, rng) for _ in range(int(rng.integers(2, 4)))]
+            for _ in range(2)
+        ]
+        states = draws[1]
+        assert len(states) == 3
+        powers = []
+        for rho in states:
+            mat = np.ones((1, 1))
+            for _ in range(6):
+                mat = np.kron(mat, rho.mat)
+            powers.append(DensityMatrix(mat))
+        det, _ = gs_detector(powers)
+        assert abs(evaluate_errors(powers, det).averaged - 0.269741190996) < 1e-10
+
     def test_commuting_matches_classical_ml(self):
         states = [diagonal([0.7, 0.3]), diagonal([0.4, 0.6])]
         det, diag = gs_detector(states)

@@ -40,6 +40,16 @@ class TestHermitianMatrix:
             HermitianMatrix(np.zeros((2, 3)))
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_entry(self, bad):
+        mat = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianMatrix(mat)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(mat)
+
+
 class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
