@@ -39,9 +39,7 @@ from .linalg import (
     fractional_power,
     gram_min_eigenvalue,
     iter_power_eigenpairs,
-    kron_power_eigenpairs,
     positive_part_and_support,
-    power_eigenvector,
     spectral_decompose,
 )
 from .tensorlab import (
@@ -90,12 +88,10 @@ __all__ = [
     "gs_error_bound",
     "holevo_helstrom",
     "iter_power_eigenpairs",
-    "kron_power_eigenpairs",
     "multiple_qcb",
     "pairwise_li_check",
     "pgm",
     "positive_part_and_support",
-    "power_eigenvector",
     "q_overlap",
     "run_power_experiment",
     "spectral_decompose",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chernoff import MultipleChernoffResult, multiple_qcb
+from .detectors import embedding_guard
 from .errors import DimensionLimitError, NumericalConsistencyError, ScenarioError
 from .linalg import DensityMatrix, HermitianMatrix
 from .tensorlab import (
@@ -189,6 +190,11 @@ def load_scenario(path: str) -> Scenario:
             epsilon_override = float(epsilon_override)
     except (TypeError, ValueError) as exc:
         raise ScenarioError("epsilon_override must be a number") from exc
+    if epsilon_override is not None and "epsilon" in detectors:
+        try:
+            embedding_guard(epsilon_override)
+        except ValueError as exc:
+            raise ScenarioError(f"epsilon_override: {exc}") from exc
     if raw.get("seed") is not None:
         _integer(raw, "seed", None)  # accepted and validated; no sweep is random
     return Scenario(

@@ -28,6 +28,9 @@ SPAN_RESIDUAL_TOL = 1e-9
 SELECTION_TIE_ATOL = 1e-12
 COMMUTATOR_ATOL = 1e-10
 PRIOR_ATOL = 1e-10
+# Smallest embedding perturbation: the embedded Gram spectrum is floored at
+# epsilon^2, and at 1e-6 that floor stays far above rounding noise.
+EPSILON_FLOOR = 1e-3
 
 
 @dataclass
@@ -180,23 +183,29 @@ def greedy_order(streams):
         yield best_state, value, item
 
 
-def _greedy_orthonormal_selection(values_rows, vector_mats, dim, zero_threshold):
+def _greedy_pops(values_rows, zero_threshold):
+    """(state, eigenindex) pairs in ``greedy_order`` of the descending
+    eigenvalue arrays ``values_rows``, up to the first value at or below
+    ``zero_threshold``."""
+    streams = [zip(values, itertools.count()) for values in values_rows]
+    for state, value, index in greedy_order(streams):
+        if value <= zero_threshold:
+            return
+        yield state, index
+
+
+def _greedy_orthonormal_selection(pops, vector_mats, dim):
     """Greedy eigenvalue-ordered selection with on-the-fly Gram-Schmidt.
 
-    ``values_rows[i]`` is a descending eigenvalue array for hypothesis i and
-    ``vector_mats[i]`` the matching unit-vector columns in C^dim. Vectors are
-    popped in ``greedy_order`` until only eigenvalues at or below
-    ``zero_threshold`` remain; each one's residual against the picked frame
+    ``vector_mats[i]`` holds the unit eigenvectors of hypothesis i as columns
+    in C^dim. The residual of each popped vector against the picked frame
     (two classical Gram-Schmidt passes) becomes a new orthonormal direction
     unless its norm is at most ``SPAN_RESIDUAL_TOL``. Returns the picked
     (state, eigenindex) pairs and the directions as the rows of one array.
     """
-    frame = np.empty((min(sum(map(len, values_rows)), dim), dim), dtype=complex)
+    frame = np.empty((dim, dim), dtype=complex)
     selection: list[tuple[int, int]] = []
-    streams = [zip(values, itertools.count()) for values in values_rows]
-    for state, value, index in greedy_order(streams):
-        if value <= zero_threshold:
-            break
+    for state, index in pops:
         kept = frame[: len(selection)]
         residual = vector_mats[state][:, index].astype(complex)
         for _ in range(2):
@@ -211,18 +220,17 @@ def _greedy_orthonormal_selection(values_rows, vector_mats, dim, zero_threshold)
     return selection, frame[: len(selection)]
 
 
-def _assemble_pvm(selection, basis, vector_mats, r, dim):
-    # The completion is the Householder complement of the picked rows B. All of
-    # it carries label 0, so only its projector I - B^T conj(B) enters the
-    # elements, whichever orthonormal basis QR picks for it.
-    q, _ = np.linalg.qr(basis.T, mode="complete")
-    full_basis = np.hstack([basis.T, q[:, len(basis) :]])
-    full_labels = [state for state, _ in selection] + [0] * (dim - len(basis))
+def _assemble_pvm(selection, columns, sources, r):
+    # One complete QR orthonormalizes the picked columns in order and appends
+    # their Householder complement, all labelled 0: only its projector enters
+    # the elements, whichever basis QR picks. ``sources`` are the picked
+    # vectors whose Gram matrix the diagnostics report.
+    dim, picks = columns.shape
+    full_basis, _ = np.linalg.qr(columns, mode="complete")
+    full_labels = [state for state, _ in selection] + [0] * (dim - picks)
     blocks = [full_basis[:, np.equal(full_labels, i)] for i in range(r)]
     det = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
-    gram, lam_min = gram_min_eigenvalue(
-        [vector_mats[state][:, index] for state, index in selection]
-    )
+    gram, lam_min = gram_min_eigenvalue(sources.T)
     if lam_min <= 0.0:
         raise NumericalConsistencyError("picked vectors have a singular Gram matrix")
     diagnostics = GsDiagnostics(
@@ -252,19 +260,22 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     values_rows = [dec.eigenvalues for dec in decs]
     vector_mats = [dec.vectors for dec in decs]
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
-    selection, basis = _greedy_orthonormal_selection(
-        values_rows, vector_mats, dim, zero_threshold
-    )
-    return _assemble_pvm(selection, basis, vector_mats, len(states), dim)
+    pops = _greedy_pops(values_rows, zero_threshold)
+    selection, frame = _greedy_orthonormal_selection(pops, vector_mats, dim)
+    sources = np.column_stack([vector_mats[state][:, index] for state, index in selection])
+    return _assemble_pvm(selection, frame.T, sources, len(states))
 
 
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
     """Error ceiling for the greedy PVM: summed pairwise overlap infima over
-    (r times the smallest Gram eigenvalue)."""
+    (r times the smallest Gram eigenvalue); infinite when that eigenvalue is
+    at or below the zero threshold of the Gram spectrum (rounding noise)."""
     states = list(sigma_set)
     lam_min = diagnostics.lambda_min_gram
     if lam_min <= 0.0:
         raise NumericalConsistencyError("Gram matrix is numerically singular")
+    if lam_min <= eigenvalue_zero_threshold(np.linalg.eigvalsh(diagnostics.gram.mat)):
+        return math.inf
     total = 0.0
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -418,11 +429,12 @@ def embedding_guard(epsilon: float) -> None:
     """Reject perturbation sizes outside the validity region of the embedding.
 
     The comparison matrix used to dominate the perturbation must be PSD, which
-    pins epsilon to (0, 1/sqrt(2)]. The PSD check runs numerically on the
+    pins epsilon to (0, 1/sqrt(2)]; ``EPSILON_FLOOR`` keeps the epsilon^2 Gram
+    floor far above rounding noise. The PSD check runs numerically on the
     two-dimensional model matrix rather than trusting the closed form.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not EPSILON_FLOOR <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [{EPSILON_FLOOR}, 1), got {epsilon}")
     delta = math.sqrt(1.0 - epsilon * epsilon)
     u = np.array([1.0, 0.0])
     f = np.array([0.0, 1.0])
@@ -449,9 +461,10 @@ def epsilon_detector(
 
     Each eigenvector is embedded in (r+1)d dimensions and mixed with a private
     extra-block direction, which forces all perturbed eigenvectors to be
-    jointly linearly independent (Gram eigenvalues >= epsilon^2). The greedy
-    PVM built there is cut back to the physical upper block, giving a POVM
-    that is generally not projective.
+    jointly linearly independent (Gram eigenvalues >= epsilon^2), so every
+    eigenvector above the zero cut is picked and one QR orthonormalizes them.
+    The PVM built there is cut back to the physical upper block, giving a
+    POVM that is generally not projective.
     """
     states = list(sigma_set)
     if len(states) < 2:
@@ -461,21 +474,15 @@ def epsilon_detector(
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
     delta = math.sqrt(1.0 - epsilon * epsilon)
-    big_dim = (len(states) + 1) * dim
     decs = [rho.spectrum() for rho in states]
     values_rows = [dec.eigenvalues for dec in decs]
-    perturbed = []
-    for i, dec in enumerate(decs):
-        columns = np.zeros((big_dim, dim), dtype=complex)
-        columns[:dim, :] = delta * dec.vectors
-        for j in range(dim):
-            columns[(i + 1) * dim + j, j] += epsilon
-        perturbed.append(columns)
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
-    selection, basis = _greedy_orthonormal_selection(
-        values_rows, perturbed, big_dim, zero_threshold
-    )
-    big_det, diagnostics = _assemble_pvm(selection, basis, perturbed, len(states), big_dim)
+    selection = list(_greedy_pops(values_rows, zero_threshold))
+    columns = np.zeros(((len(states) + 1) * dim, len(selection)), dtype=complex)
+    for k, (state, index) in enumerate(selection):
+        columns[:dim, k] = delta * decs[state].vectors[:, index]
+        columns[(state + 1) * dim + index, k] = epsilon
+    big_det, diagnostics = _assemble_pvm(selection, columns, columns, len(states))
     blocks = [HermitianMatrix(element.mat[:dim, :dim]) for element in big_det.elements]
     det = Detector(blocks, kind="POVM")
     embedding_floor_guard(epsilon, diagnostics.lambda_min_gram)

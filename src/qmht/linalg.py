@@ -14,8 +14,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionLimitError
-
 HERMITICITY_ATOL = 1e-12
 EIGENVALUE_ZERO_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-10
@@ -258,24 +256,6 @@ def iter_power_eigenpairs(eigenvalues: Sequence[float], n: int) -> Iterator[Powe
                 if child not in seen:
                     seen.add(child)
                     heapq.heappush(heap, (-math.prod(values[k] for k in child), child))
-
-
-def kron_power_eigenpairs(
-    rho: DensityMatrix, n: int, limit: int | None = None
-) -> list[PowerEigenpair]:
-    """All eigenpairs of the n-fold tensor power of ``rho``, descending by value."""
-    cap = dense_limit() if limit is None else limit
-    if rho.dim ** n > cap:
-        raise DimensionLimitError(f"{rho.dim}**{n} exceeds the dense limit {cap}")
-    return list(iter_power_eigenpairs(rho.spectrum().eigenvalues, n))
-
-
-def power_eigenvector(dec: SpectralDecomposition, index_tuple: Sequence[int]) -> np.ndarray:
-    """Materialize the Kronecker-product eigenvector for one index tuple."""
-    out = np.ones(1, dtype=complex)
-    for j in index_tuple:
-        out = np.kron(out, dec.vectors[:, j])
-    return out
 
 
 def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix, float]:

@@ -4,7 +4,10 @@ Product eigenvectors of rho^(x n) are handled as index tuples; inner products
 and state quadratic forms factor into products of d x d base tables, so no
 d^n-dimensional vector is ever materialized. The greedy detector runs in Gram
 coordinates (an incremental Cholesky factor of the picked vectors' Gram
-matrix).
+matrix). The embedded (epsilon) detector has no span test: its Gram matrix
+delta^2 V^H V + epsilon^2 I is at least epsilon^2 >= 1e-6, so it takes every
+product eigenvector above the zero cut in greedy order, assembles that Gram
+matrix once and factors it with one Cholesky decomposition.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from scipy.linalg import solve_triangular
 
 from .chernoff import MultipleChernoffResult, multiple_qcb
 from .detectors import (
+    EPSILON_FLOOR,
     common_eigenbasis,
     embedding_floor_guard,
     embedding_guard,
@@ -44,7 +48,6 @@ SPAN_IDENTITY_SQ_TOL = 1e-10
 GRAM_RANK_RTOL = 1e-12
 PRODUCT_ZERO_RTOL = 1e-12
 EPSILON_CLIP = 1.0 / math.sqrt(2.0) - 1e-6
-EPSILON_FLOOR = 1e-3
 LI_WITNESS_TOL = 1e-9
 
 
@@ -156,34 +159,6 @@ class _ProductOracle:
         return np.real(_copy_product(table, tuples_a.T, tuples_a.T, len(tuples_a)))
 
 
-class _EmbeddedOracle:
-    """Product oracle for perturbed embedded vectors.
-
-    Overlaps gain a delta^2 factor plus an epsilon^2 same-vector term (the
-    private extra-block directions are orthonormal and state-disjoint);
-    quadratic forms refer to the unperturbed embedded states, which kills the
-    extra blocks and leaves a flat delta^2 factor.
-    """
-
-    def __init__(self, inner: _ProductOracle, epsilon: float) -> None:
-        self.inner = inner
-        self.eps_sq = epsilon * epsilon
-        self.delta_sq = 1.0 - self.eps_sq
-
-    def gram_rows(self, a, tuples_a, b, tup_b):
-        out = self.delta_sq * self.inner.gram_rows(a, tuples_a, b, tup_b)
-        if a == b:
-            same = np.all(tuples_a == np.asarray(tup_b, dtype=np.intp)[None, :], axis=1)
-            out = out + self.eps_sq * same
-        return out
-
-    def qform_block(self, state, a, tuples_a, b, tuples_b):
-        return self.delta_sq * self.inner.qform_block(state, a, tuples_a, b, tuples_b)
-
-    def qform_diag(self, state, a, tuples_a):
-        return self.delta_sq * self.inner.qform_diag(state, a, tuples_a)
-
-
 def _block_matrix(block_fn, tuples, positions) -> np.ndarray:
     """Square matrix with block ``block_fn(a, tuples[a], b, tuples[b])`` at
     rows ``positions[a]`` and columns ``positions[b]``; the positions must
@@ -198,7 +173,7 @@ def _block_matrix(block_fn, tuples, positions) -> np.ndarray:
 
 @dataclass
 class _SelectionRun:
-    """Outcome of the greedy selection in Gram coordinates.
+    """Picked product vectors, by owner, in Gram coordinates.
 
     ``cholesky`` is the upper-triangular factor of the picked vectors' Gram
     matrix; None means the Gram matrix stayed exactly the identity.
@@ -212,11 +187,12 @@ class _SelectionRun:
     def size(self) -> int:
         return sum(map(len, self.owner_positions))
 
-    def lambda_min_gram(self) -> float:
+    def gram_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the picked vectors' Gram matrix."""
         if self.cholesky is None:
-            return 1.0
+            return np.ones(1)
         gram = self.cholesky.conj().T @ self.cholesky
-        return float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[0])
+        return np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
 
 
 class _GramFactor:
@@ -302,7 +278,7 @@ class _GramFactor:
         self._factor[: self.size, : self.size] = lower.conj().T
 
 
-def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _SelectionRun:
+def _run_selection(phs: PowerHypothesisSet, oracle: _ProductOracle) -> _SelectionRun:
     """Greedy selection over the per-state eigenpair streams in ``greedy_order``.
 
     Vectors whose residual against the picked span is numerically zero are
@@ -313,7 +289,7 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
     """
     r = phs.r
     # each stream yields a product eigenvector at most once, so d^n bounds
-    # the picks of one state
+    # the picks of one state, and d^n picks span the space
     cap = phs.dim**phs.n
     owner_tuples = [np.empty((cap, phs.n), dtype=np.intp) for _ in range(r)]
     owner_positions = [np.empty(cap, dtype=np.intp) for _ in range(r)]
@@ -349,7 +325,7 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
         owner_positions[best_state][counts[best_state]] = size
         owner_tuples[best_state][counts[best_state]] = tup
         counts[best_state] += 1
-        if state.size == ambient_dim:
+        if state.size == cap:
             break  # every later vector lies in the span
 
     return _SelectionRun(
@@ -359,11 +335,35 @@ def _run_selection(phs: PowerHypothesisSet, oracle, ambient_dim: int) -> _Select
     )
 
 
-def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun) -> list[float]:
+def _embedded_selection(
+    phs: PowerHypothesisSet, oracle: _ProductOracle, epsilon: float
+) -> _SelectionRun:
+    """Every product eigenvector above the zero cut, in ``greedy_order``, with
+    one Cholesky factor of the embedded Gram matrix delta^2 V^H V + epsilon^2 I.
+
+    The private epsilon-directions make the embedded vectors linearly
+    independent, so no pick is rejected and no span test runs.
+    """
+    picks = list(greedy_order([phs.eigenpair_stream(i) for i in range(phs.r)]))
+    owners = np.array([state for state, _, _ in picks], dtype=np.intp)
+    tuples = np.array([tup for _, _, tup in picks], dtype=np.intp)
+    owner_positions = [np.flatnonzero(owners == a) for a in range(phs.r)]
+    owner_tuples = [tuples[positions] for positions in owner_positions]
+    gram = _block_matrix(oracle.gram_block, owner_tuples, owner_positions)
+    gram *= 1.0 - epsilon * epsilon
+    # distinct picks share no private direction; each embedded vector is a
+    # unit vector, delta^2 + epsilon^2 = 1
+    np.fill_diagonal(gram, 1.0)
+    return _SelectionRun(owner_tuples, owner_positions, np.linalg.cholesky(gram).conj().T)
+
+
+def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun, scale=1.0):
     """Success probabilities of the PVM encoded by a selection run.
 
     Hypothesis 0 owns the arbitrary completion of the basis, so its success is
     computed as one minus the mass its state leaks into the other labels.
+    ``scale`` multiplies every quadratic form: delta^2 for the embedded
+    detector, whose states never reach the private epsilon-directions.
     """
     r = phs.r
     size = run.size
@@ -373,18 +373,19 @@ def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun) -> 
         for i in range(1, r):
             tuples_i = run.owner_tuples[i]
             if len(tuples_i):
-                successes[i] = float(oracle.qform_diag(i, i, tuples_i).sum())
+                successes[i] = scale * float(oracle.qform_diag(i, i, tuples_i).sum())
         leak = 0.0
         for a in range(1, r):
             tuples_a = run.owner_tuples[a]
             if len(tuples_a):
                 leak += float(oracle.qform_diag(0, a, tuples_a).sum())
-        successes[0] = 1.0 - leak
+        successes[0] = 1.0 - scale * leak
         return successes
 
     inverse = solve_triangular(run.cholesky, np.eye(size), lower=False)
     qforms = [
-        _block_matrix(partial(oracle.qform_block, i), run.owner_tuples, run.owner_positions)
+        scale
+        * _block_matrix(partial(oracle.qform_block, i), run.owner_tuples, run.owner_positions)
         for i in range(r)
     ]
     for i in range(1, r):
@@ -564,12 +565,14 @@ def run_power_experiment(
         eps_n: float | None = None
         if kind == "gs":
             oracle = _ProductOracle(phs)
-            run = _run_selection(phs, oracle, phs.dim**n)
+            run = _run_selection(phs, oracle)
             err = 1.0 - float(np.mean(_evaluate_selection(phs, oracle, run)))
-            lam_min = run.lambda_min_gram()
+            spectrum = run.gram_spectrum()
+            lam_min = float(spectrum[0])
             if lam_min <= 0.0:
                 raise NumericalConsistencyError("picked Gram matrix is singular")
-            bound = overlap_sum / (lam_min * r)
+            noise = lam_min <= eigenvalue_zero_threshold(spectrum)
+            bound = math.inf if noise else overlap_sum / (lam_min * r)
         elif kind == "epsilon":
             eps_n = (
                 epsilon_override
@@ -577,10 +580,11 @@ def run_power_experiment(
                 else _schedule_from_overlap_sum(overlap_sum)
             )
             embedding_guard(eps_n)
-            oracle = _EmbeddedOracle(_ProductOracle(phs), eps_n)
-            run = _run_selection(phs, oracle, (r + 1) * phs.dim**n)
-            err = 1.0 - float(np.mean(_evaluate_selection(phs, oracle, run)))
-            lam_min = run.lambda_min_gram()
+            oracle = _ProductOracle(phs)
+            run = _embedded_selection(phs, oracle, eps_n)
+            successes = _evaluate_selection(phs, oracle, run, 1.0 - eps_n * eps_n)
+            err = 1.0 - float(np.mean(successes))
+            lam_min = float(run.gram_spectrum()[0])
             embedding_floor_guard(eps_n, lam_min)
             bound = (2.0 * eps_n + overlap_sum / (eps_n * eps_n)) / r
         elif kind == "helstrom":

@@ -122,6 +122,19 @@ class TestRunCommand:
         scen = write_scenario(tmp_path / "s.json", n_max=5)
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 3
 
+    def test_epsilon_override_below_floor_exit_2(self, tmp_path, capsys, monkeypatch):
+        import qmht.cli
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("no sweep may run for a rejected scenario")
+
+        monkeypatch.setattr(qmht.cli, "run_power_experiment", sweep)
+        scen = write_scenario(
+            tmp_path / "s.json", detectors=["gs", "epsilon"], epsilon_override=1e-4
+        )
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "epsilon_override: epsilon must lie in" in capsys.readouterr().err
+
     def test_invalid_combination_exit_2(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", detectors=["classical-ml"])
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2

@@ -22,12 +22,30 @@ from qmht.detectors import (
     verify_bayes_conditions,
 )
 from qmht.errors import NumericalConsistencyError
-from qmht.linalg import DensityMatrix, HermitianMatrix
+from qmht.linalg import DensityMatrix, HermitianMatrix, eigenvalue_zero_threshold
 from qmht.chernoff import q_overlap
 from qmht.sampling import random_density_matrix, random_orthonormal
 from conftest import diagonal, pure
 
 HELSTROM_ERR_ZERO_PLUS = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
+
+
+def defect_ensemble_powers(n):
+    """Explicit n-th powers of the ROADMAP defect ensemble (r = 3 qubits)."""
+    rng = np.random.default_rng(5)
+    draws = [
+        [random_density_matrix(2, rng) for _ in range(int(rng.integers(2, 4)))]
+        for _ in range(2)
+    ]
+    states = draws[1]
+    assert len(states) == 3
+    powers = []
+    for rho in states:
+        mat = np.ones((1, 1))
+        for _ in range(n):
+            mat = np.kron(mat, rho.mat)
+        powers.append(DensityMatrix(mat))
+    return powers
 
 
 def projector(vec) -> HermitianMatrix:
@@ -210,19 +228,7 @@ class TestGsDetector:
     def test_defect_ensemble_matches_high_precision_reference(self):
         # the r = 3 ensemble on which the implicit path loses 3.2e-4 at n = 6;
         # the dense span rule reaches the 60-digit mpmath greedy Gram-Schmidt value
-        rng = np.random.default_rng(5)
-        draws = [
-            [random_density_matrix(2, rng) for _ in range(int(rng.integers(2, 4)))]
-            for _ in range(2)
-        ]
-        states = draws[1]
-        assert len(states) == 3
-        powers = []
-        for rho in states:
-            mat = np.ones((1, 1))
-            for _ in range(6):
-                mat = np.kron(mat, rho.mat)
-            powers.append(DensityMatrix(mat))
+        powers = defect_ensemble_powers(6)
         det, _ = gs_detector(powers)
         assert abs(evaluate_errors(powers, det).averaged - 0.269741190996) < 1e-10
 
@@ -308,6 +314,18 @@ class TestGsErrorBound:
         infimum = min(float(np.sum(p ** (1 - s) * q**s)) for s in grid)
         assert abs(bound - infimum) < 1e-6
         assert bound >= 0.35
+
+    def test_noise_level_gram_gives_infinite_bound(self):
+        # the picked Gram of the defect ensemble's n = 6 powers is singular up
+        # to rounding (lambda_min ~ 3e-17 against lambda_max ~ 3): the ceiling
+        # is infinite, and the detector itself is unchanged
+        powers = defect_ensemble_powers(6)
+        det, diag = gs_detector(powers)
+        assert 0.0 < diag.lambda_min_gram <= eigenvalue_zero_threshold(
+            np.linalg.eigvalsh(diag.gram.mat)
+        )
+        assert math.isinf(gs_error_bound(powers, diag))
+        assert abs(evaluate_errors(powers, det).averaged - 0.2697411909957834) < 1e-14
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
@@ -472,6 +490,10 @@ class TestEpsilonDetector:
         rng = np.random.default_rng(16)
         states = [random_density_matrix(16, rng, rank=5) for _ in range(3)]
         _, diag = epsilon_detector(states, 0.3)
+        # the private epsilon-directions make every eigenvector above the zero
+        # cut independent, so each one is picked
+        values = np.concatenate([rho.spectrum().eigenvalues for rho in states])
+        assert diag.stopping_index == int(np.sum(values > eigenvalue_zero_threshold(values)))
         basis = diag.basis
         assert basis.shape == (64, 64)
         assert np.abs(basis.conj().T @ basis - np.eye(64)).max() < 1e-12
@@ -483,7 +505,7 @@ class TestEpsilonDetector:
         assert np.abs(completion @ completion.conj().T - complement).max() < 1e-12
 
     def test_epsilon_out_of_range(self, zero_state, plus_state):
-        for bad in (0.0, 1.0, 0.9):
+        for bad in (0.0, 1.0, 0.9, 1e-4):
             with pytest.raises(ValueError):
                 epsilon_detector([zero_state, plus_state], bad)
 

@@ -188,11 +188,12 @@ class TestRunPowerExperimentOtherKinds:
         # engine: the auxiliary-block rotation freedom never touches the
         # physical blocks
         rng = np.random.default_rng(seed)
-        r = int(rng.integers(2, 4))
+        d = int(rng.integers(2, 4))
+        r = int(rng.integers(2, 5))
         n = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.1, 0.6))
         states = [
-            random_density_matrix(2, rng, rank=int(rng.integers(1, 3))) for _ in range(r)
+            random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))) for _ in range(r)
         ]
         row = run_power_experiment(
             states, [n], "epsilon", epsilon_override=eps
