@@ -1,13 +1,15 @@
 """n-copy experiments on tensor-power hypotheses with implicit eigenstructure.
 
-Product eigenvectors of rho^(x n) are handled as index tuples; inner products
-and state quadratic forms factor into products of d x d base tables, so no
-d^n-dimensional vector is ever materialized. The greedy detector runs in Gram
-coordinates (an incremental Cholesky factor of the picked vectors' Gram
-matrix). The embedded (epsilon) detector has no span test: its Gram matrix
-delta^2 V^H V + epsilon^2 I is at least epsilon^2 >= 1e-6, so it takes every
-product eigenvector above the zero cut in greedy order, assembles that Gram
-matrix once and factors it with one Cholesky decomposition.
+Qubit greedy and Helstrom rows run per Schur-Weyl block (``schurweyl``). For
+d >= 3, product eigenvectors of rho^(x n) are handled as index tuples; inner
+products and state quadratic forms factor into products of d x d base tables,
+so no d^n-dimensional vector is ever materialized, and the greedy detector
+runs in Gram coordinates (an incremental Cholesky factor of the picked
+vectors' Gram matrix). The embedded (epsilon) detector, for every d, has no
+span test: its Gram matrix delta^2 V^H V + epsilon^2 I is at least
+epsilon^2 >= 1e-6, so it takes every product eigenvector above the zero cut
+in greedy order, assembles that Gram matrix once and factors it with one
+Cholesky decomposition.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .linalg import (
     eigenvalue_zero_threshold,
     iter_power_eigenpairs,
 )
+from .schurweyl import qubit_gs, qubit_helstrom
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
@@ -563,7 +566,10 @@ def run_power_experiment(
         bound: float | None
         lam_min: float | None
         eps_n: float | None = None
-        if kind == "gs":
+        if kind == "gs" and phs.dim == 2:
+            err, lam_min = qubit_gs(phs)
+            bound = math.inf if lam_min == 0.0 else overlap_sum / (lam_min * r)
+        elif kind == "gs":
             oracle = _ProductOracle(phs)
             run = _run_selection(phs, oracle)
             err = 1.0 - float(np.mean(_evaluate_selection(phs, oracle, run)))
@@ -588,7 +594,10 @@ def run_power_experiment(
             embedding_floor_guard(eps_n, lam_min)
             bound = (2.0 * eps_n + overlap_sum / (eps_n * eps_n)) / r
         elif kind == "helstrom":
-            err = _helstrom_power_error(phs, _ProductOracle(phs))
+            if phs.dim == 2:
+                err = qubit_helstrom(phs)
+            else:
+                err = _helstrom_power_error(phs, _ProductOracle(phs))
             lam_min = None
             bound = None
         else:  # classical-ml

@@ -1,12 +1,17 @@
+import functools
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
-from qmht.cli import main
-from qmht.linalg import DENSE_LIMIT_ENV
+from qmht.cli import load_scenario, main
+from qmht.detectors import evaluate_errors, gs_detector, holevo_helstrom
+from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 
 SQ = 1.0 / math.sqrt(2.0)
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
 def write_scenario(path, **overrides):
@@ -301,3 +306,25 @@ class TestCheckLiCommand:
         )
         assert main(["check-li", "--scenario", str(scen)]) == 0
         assert "LI fails" in capsys.readouterr().out
+
+
+class TestBundledScenarios:
+    def test_mixed_qubit_pair_matches_dense_kronecker_powers(self, tmp_path):
+        path = os.path.join(SCENARIOS, "mixed_qubit_pair.json")
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", path, "--out", str(out), "--format", "json"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(row["n"], row["detector"]) for row in rows] == [
+            (n, kind) for kind in ("gs", "helstrom") for n in range(1, 8)
+        ]
+        states = load_scenario(path).states
+        for row in rows:
+            powered = [
+                DensityMatrix(functools.reduce(np.kron, [rho.mat] * row["n"]))
+                for rho in states
+            ]
+            if row["detector"] == "gs":
+                det, _ = gs_detector(powered)
+            else:
+                det = holevo_helstrom(*powered)
+            assert abs(row["err"] - evaluate_errors(powered, det).averaged) < 1e-10

@@ -1,0 +1,153 @@
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from qmht.detectors import evaluate_errors, gs_detector, holevo_helstrom
+from qmht.linalg import DensityMatrix
+from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
+from qmht.schurweyl import _blocks, spin_blocks, symmetric_powers
+from qmht.tensorlab import PowerHypothesisSet, run_power_experiment
+
+
+def roadmap_ensembles(count):
+    """The ROADMAP recipe: default_rng(5), each draw 2 or 3 Wishart qubits."""
+    rng = np.random.default_rng(5)
+    return [
+        [random_density_matrix(2, rng) for _ in range(int(rng.integers(2, 4)))]
+        for _ in range(count)
+    ]
+
+
+def defect_ensemble():
+    """The recipe's second draw (r = 3): exact greedy Gram-Schmidt on its
+    powers has picks with residuals down to ~1e-6 and exact zeros."""
+    return roadmap_ensembles(2)[1]
+
+
+def kron_power(rho, n):
+    return DensityMatrix(functools.reduce(np.kron, [rho.mat] * n))
+
+
+# Greedy Gram-Schmidt errors of the defect ensemble from 60-digit mpmath runs
+# on product vectors built from the double base eigenvectors.
+DEFECT_GS_REFERENCE = {
+    5: 0.307874194165615,
+    6: 0.269741190995714,
+    7: 0.246866988686767,
+    8: 0.225768131220222,
+}
+# Smallest eigenvalue of the block line Gram matrices of the same picks, in
+# 60 digits; a double eigvalsh of those Grams returns +-1e-16 noise.
+DEFECT_LAMBDA_REFERENCE = {6: 2.03725005979059e-18, 8: 4.49021910790314e-23}
+# In double precision the n = 8 row is fixed only to ~1e-11: its smallest
+# pick residual is ~1e-6, and relative changes of 2e-16 in the block lines
+# move err with a standard deviation of 1.6e-11. 5e-11 is three of those.
+N8_ATOL = 5e-11
+
+
+class TestSymmetricPowers:
+    def test_unitary_and_multiplicative(self):
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            u = phase * random_orthonormal(2, 2, rng)
+            v = random_orthonormal(2, 2, rng)
+            sym_u = symmetric_powers(u, 14)
+            sym_v = symmetric_powers(v, 14)
+            sym_uv = symmetric_powers(u @ v, 14)
+            for big_n in range(15):
+                eye = np.eye(big_n + 1)
+                assert np.abs(sym_u[big_n].conj().T @ sym_u[big_n] - eye).max() < 1e-13
+                product = sym_u[big_n] @ sym_v[big_n]
+                assert np.abs(sym_uv[big_n] - product).max() < 1e-13
+
+    def test_matches_restricted_kronecker_power(self):
+        rng = np.random.default_rng(1)
+        u = random_orthonormal(2, 2, rng)
+        big_n = 4
+        dicke = np.zeros((2**big_n, big_n + 1))
+        for x in range(2**big_n):
+            dicke[x, bin(x).count("1")] = 1.0
+        dicke /= np.linalg.norm(dicke, axis=0)
+        dense = dicke.T @ functools.reduce(np.kron, [u] * big_n) @ dicke
+        assert np.abs(dense - symmetric_powers(u, big_n)[big_n]).max() < 1e-14
+
+
+class TestSpinBlocks:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_dimensions_add_up(self, n):
+        assert sum(mult * (big_n + 1) for _, big_n, mult in spin_blocks(n)) == 2**n
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_block_spectrum_equals_kronecker_power(self, n):
+        rng = np.random.default_rng(10 + n)
+        for rho in (random_density_matrix(2, rng), random_pure_state(2, rng)):
+            phs = PowerHypothesisSet([rho], n)
+            blocks = []
+            for _, _, mult, [(sym, weights)] in _blocks(phs):
+                pi = (sym * weights) @ sym.conj().T
+                blocks.append(np.repeat(np.linalg.eigvalsh(pi), mult))
+            block_spectrum = np.sort(np.concatenate(blocks))
+            dense_spectrum = np.linalg.eigvalsh(kron_power(rho, n).mat)
+            assert np.abs(block_spectrum - dense_spectrum).max() < 1e-14
+
+
+class TestQubitGs:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_defect_ensemble_matches_high_precision_reference(self, n):
+        # the Gram-coordinate engine was 3.2e-4 off at n = 6 and returned
+        # err = -7624.6 at n = 8
+        row = run_power_experiment(defect_ensemble(), [n], "gs").rows[0]
+        tolerance = N8_ATOL if n == 8 else 1e-12
+        assert abs(row.err - DEFECT_GS_REFERENCE[n]) < tolerance
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_lambda_min_gram_matches_high_precision_reference(self, n):
+        row = run_power_experiment(defect_ensemble(), [n], "gs").rows[0]
+        reference = DEFECT_LAMBDA_REFERENCE[n]
+        assert abs(row.lambda_min_gram - reference) < 1e-4 * reference
+        assert math.isfinite(row.error_bound)
+        assert row.error_bound >= row.err
+
+    def test_recipe_ensemble_36_regression(self):
+        # the Gram-coordinate engine raised "picked Gram matrix is singular"
+        # with one BLAS thread, and printed err 0.27499 with an infinite
+        # bound with two
+        states = roadmap_ensembles(37)[36]
+        row = run_power_experiment(states, [8], "gs").rows[0]
+        r = len(states)
+        assert 0.0 <= row.err <= 1.0 - 1.0 / r
+        assert row.lambda_min_gram > 0.0
+        assert math.isfinite(row.error_bound)
+        assert row.err <= row.error_bound
+        powered = [kron_power(rho, 8) for rho in states]
+        dense = evaluate_errors(powered, gs_detector(powered)[0]).averaged
+        assert abs(row.err - dense) < 1e-12
+
+
+class TestQubitHelstrom:
+    def test_matches_dense_helstrom(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 8):
+            for _ in range(3):
+                states = [
+                    random_density_matrix(2, rng, rank=int(rng.integers(1, 3)))
+                    for _ in range(2)
+                ]
+                row = run_power_experiment(states, [n], "helstrom").rows[0]
+                powered = [kron_power(rho, n) for rho in states]
+                dense = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
+                assert abs(row.err - dense) < 1e-11
+
+    def test_pure_pair_closed_form(self):
+        rng = np.random.default_rng(21)
+        states = [random_pure_state(2, rng) for _ in range(2)]
+        fidelity = float(np.vdot(states[0].mat, states[1].mat).real)
+        report = run_power_experiment(states, range(1, 15), "helstrom")
+        for row in report.rows:
+            overlap = fidelity**row.n
+            # (1/2)(1 - sqrt(1 - F^n)), written without the cancellation
+            expected = 0.5 * overlap / (1.0 + math.sqrt(1.0 - overlap))
+            assert abs(row.err - expected) < 1e-12

@@ -128,6 +128,37 @@ class TestRunPowerExperimentGs:
         tolerance = max(1e-9, 1e-14 / row.lambda_min_gram)
         assert abs(row.err - dense_gs_error(states, n)) < tolerance
 
+    def test_oracle_equivalence_random_qutrit_ensembles(self):
+        # qubit rows take the Schur-Weyl block route; qutrit rows keep the
+        # Gram-coordinate engine, so it keeps its own dense cross-check
+        rng = np.random.default_rng(62)
+        for _ in range(50):
+            r = int(rng.integers(2, 4))
+            n = int(rng.integers(1, 4))
+            states = [
+                random_density_matrix(3, rng, rank=int(rng.integers(1, 4))) for _ in range(r)
+            ]
+            row = run_power_experiment(states, [n], "gs").rows[0]
+            tolerance = max(1e-9, 1e-14 / row.lambda_min_gram)
+            assert abs(row.err - dense_gs_error(states, n)) < tolerance
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the Gram-coordinate span rule picks a different set than the "
+        "dense residual rule: err 0.125940454930 against 0.128066373124, which "
+        "a 40-digit Gram-Schmidt confirms",
+    )
+    def test_qutrit_gram_coordinate_defect(self):
+        rng = np.random.default_rng(3981)
+        r = int(rng.integers(2, 4))
+        n = int(rng.integers(1, 4))
+        states = [
+            random_density_matrix(3, rng, rank=int(rng.integers(1, 4))) for _ in range(r)
+        ]
+        row = run_power_experiment(states, [n], "gs").rows[0]
+        tolerance = max(1e-9, 1e-14 / row.lambda_min_gram)
+        assert abs(row.err - dense_gs_error(states, n)) < tolerance
+
 
 class TestRunPowerExperimentOtherKinds:
     def test_helstrom_single_copy_matches_dense(self):
