@@ -393,18 +393,9 @@ def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun, sca
     ]
     for i in range(1, r):
         cols = inverse[:, run.owner_positions[i]]
-        if cols.size:
-            successes[i] = float(
-                np.real(np.einsum("ks,kl,ls->", cols.conj(), qforms[i], cols))
-            )
-    other = np.concatenate(run.owner_positions[1:])
-    cols = inverse[:, np.sort(other)] if other.size else np.empty((size, 0))
-    leak = (
-        float(np.real(np.einsum("ks,kl,ls->", cols.conj(), qforms[0], cols)))
-        if cols.size
-        else 0.0
-    )
-    successes[0] = 1.0 - leak
+        successes[i] = float(np.real(np.vdot(cols, qforms[i] @ cols)))
+    cols = inverse[:, np.sort(np.concatenate(run.owner_positions[1:]))]
+    successes[0] = 1.0 - float(np.real(np.vdot(cols, qforms[0] @ cols)))
     return successes
 
 
@@ -438,8 +429,8 @@ def _helstrom_power_error(phs: PowerHypothesisSet, oracle: _ProductOracle) -> fl
         (difference + difference.conj().T) / 2.0
     )
     plus = diff_vectors[:, diff_values > eigenvalue_zero_threshold(diff_values)]
-    trace_0 = float(np.real(np.einsum("ka,kl,la->", plus.conj(), reduced[0], plus)))
-    trace_1 = float(np.real(np.einsum("ka,kl,la->", plus.conj(), reduced[1], plus)))
+    trace_0 = float(np.real(np.vdot(plus, reduced[0] @ plus)))
+    trace_1 = float(np.real(np.vdot(plus, reduced[1] @ plus)))
     success_0 = 1.0 - trace_0
     success_1 = trace_1
     return 1.0 - 0.5 * (success_0 + success_1)

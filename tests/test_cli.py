@@ -12,6 +12,7 @@ from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 
 SQ = 1.0 / math.sqrt(2.0)
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+PINNED_REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def write_scenario(path, **overrides):
@@ -308,7 +309,37 @@ class TestCheckLiCommand:
         assert "LI fails" in capsys.readouterr().out
 
 
+def _same_field(mine: str, pinned: str) -> bool:
+    """Printed fields agree exactly, or as numbers to 1e-11 relative."""
+    if mine == pinned:
+        return True
+    if "" in (mine, pinned):
+        return False
+    return math.isclose(float(mine), float(pinned), rel_tol=1e-11, abs_tol=0.0)
+
+
 class TestBundledScenarios:
+    @pytest.mark.parametrize(
+        "name", sorted(f[: -len(".json")] for f in os.listdir(SCENARIOS) if f.endswith(".json"))
+    )
+    def test_report_matches_pinned_csv(self, name, tmp_path):
+        # tests/data pins every printed field of each bundled report; change
+        # a pin only with a stated reason. 1e-11 relative lets a 12-digit
+        # rounding tie (pure_pair helstrom n = 8) fall either way across
+        # BLAS builds
+        out = tmp_path / "report.csv"
+        path = os.path.join(SCENARIOS, f"{name}.json")
+        assert main(["run", "--scenario", path, "--out", str(out), "--format", "csv"]) == 0
+        header, rows = parse_csv(out.read_text())
+        with open(os.path.join(PINNED_REPORTS, f"{name}.csv"), encoding="utf-8") as handle:
+            pinned_header, pinned = parse_csv(handle.read())
+        assert header == pinned_header
+        keys = [(row["n"], row["detector"], row["qcb_pair"]) for row in rows]
+        assert keys == [(row["n"], row["detector"], row["qcb_pair"]) for row in pinned]
+        for mine, ref in zip(rows, pinned):
+            for key in header:
+                assert _same_field(mine[key], ref[key]), (mine["n"], mine["detector"], key)
+
     def test_mixed_qubit_pair_matches_dense_kronecker_powers(self, tmp_path):
         path = os.path.join(SCENARIOS, "mixed_qubit_pair.json")
         out = tmp_path / "report.json"

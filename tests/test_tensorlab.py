@@ -168,6 +168,17 @@ class TestRunPowerExperimentOtherKinds:
         dense = evaluate_errors(states, holevo_helstrom(*states)).averaged
         assert abs(report.rows[0].err - dense) < 1e-10
 
+    def test_helstrom_qutrit_pair_matches_dense(self):
+        # d >= 3 pairs take the joint-support route past one copy too
+        rng = np.random.default_rng(31)
+        for ranks in ((1, 2), (2, 3), (3, 1), (1, 3), (2, 2), (3, 3)):
+            states = [random_density_matrix(3, rng, rank=rank) for rank in ranks]
+            report = run_power_experiment(states, [2, 3], "helstrom")
+            for row in report.rows:
+                powered = [kron_power(rho, row.n) for rho in states]
+                dense = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
+                assert abs(row.err - dense) < 1e-12
+
     def test_helstrom_pure_pair_closed_form(self, zero_state, plus_state):
         report = run_power_experiment([zero_state, plus_state], range(1, 13), "helstrom")
         for row in report.rows:
@@ -234,6 +245,47 @@ class TestRunPowerExperimentOtherKinds:
         dense_err = evaluate_errors(powered, det).averaged
         assert abs(row.err - dense_err) < 1e-9
         assert abs(row.lambda_min_gram - diag.lambda_min_gram) < 1e-9
+
+    def test_cholesky_evaluation_panel_matches_dense(self):
+        # every epsilon row and every qutrit gs row with a picked Gram other
+        # than the identity is scored through the Cholesky factor. The panel
+        # holds epsilon rows well above the epsilon floor (where Gram
+        # coordinates fix err only to ~5e-11) and gs rows whose picked Gram
+        # is well conditioned: below lambda_min ~ 1e-4 input rounding grows
+        # like 1/lambda_min, which the random-ensemble tests above bound.
+        rng = np.random.default_rng(8)
+        epsilon_rows = gs_rows = 0
+        while epsilon_rows < 20 or gs_rows < 20:
+            n = int(rng.integers(1, 4))
+            if epsilon_rows <= gs_rows:
+                d = int(rng.integers(2, 4))
+                r = int(rng.integers(2, 5))
+                eps = float(rng.uniform(0.1, 0.6))
+                states = [
+                    random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
+                    for _ in range(r)
+                ]
+                row = run_power_experiment(
+                    states, [n], "epsilon", epsilon_override=eps
+                ).rows[0]
+                powered = [kron_power(rho, n) for rho in states]
+                det, diag = epsilon_detector(powered, eps)
+                assert abs(row.lambda_min_gram - diag.lambda_min_gram) < 1e-12
+                epsilon_rows += 1
+            else:
+                r = int(rng.integers(2, 4))
+                states = [
+                    random_density_matrix(3, rng, rank=int(rng.integers(1, 4)))
+                    for _ in range(r)
+                ]
+                row = run_power_experiment(states, [n], "gs").rows[0]
+                if row.lambda_min_gram < 1e-4:
+                    continue
+                assert row.lambda_min_gram < 1.0 - 1e-6
+                powered = [kron_power(rho, n) for rho in states]
+                det, _ = gs_detector(powered)
+                gs_rows += 1
+            assert abs(row.err - evaluate_errors(powered, det).averaged) < 1e-12
 
     def test_borderline_residual_is_kept_when_genuinely_independent(self):
         # overlap so close to 1 that the residual lands inside the
