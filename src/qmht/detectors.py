@@ -194,29 +194,31 @@ def _greedy_pops(values_rows, zero_threshold):
         yield state, index
 
 
-def _greedy_orthonormal_selection(pops, vector_mats, dim):
+def _greedy_orthonormal_selection(candidates, dim, count):
     """Greedy eigenvalue-ordered selection with on-the-fly Gram-Schmidt.
 
-    ``vector_mats[i]`` holds the unit eigenvectors of hypothesis i as columns
-    in C^dim. The residual of each popped vector against the picked frame
-    (two classical Gram-Schmidt passes) becomes a new orthonormal direction
-    unless its norm is at most ``SPAN_RESIDUAL_TOL``. Returns the picked
-    (state, eigenindex) pairs and the directions as the rows of one array.
+    ``candidates`` yields at most ``count`` pairs ``(key, vector)`` of unit
+    vectors in C^dim, in pick order. The residual of each vector against the
+    picked frame (two classical Gram-Schmidt passes) becomes a new orthonormal
+    direction unless its norm is at most ``SPAN_RESIDUAL_TOL``; once the frame
+    spans C^dim the remaining candidates are not read. Returns the picked keys
+    and the directions as the rows of one array.
     """
-    frame = np.empty((dim, dim), dtype=complex)
-    selection: list[tuple[int, int]] = []
-    for state, index in pops:
+    frame = np.empty((min(dim, count), dim), dtype=complex)
+    selection = []
+    for key, vector in candidates:
         kept = frame[: len(selection)]
-        residual = vector_mats[state][:, index].astype(complex)
+        residual = vector.astype(complex)
         for _ in range(2):
-            residual -= kept.T @ (kept.conj() @ residual)
+            # conj(K conj(v)) is K^* v without copying the frame
+            residual -= kept.T @ (kept @ residual.conj()).conj()
         norm = float(np.linalg.norm(residual))
         if norm <= SPAN_RESIDUAL_TOL:
             continue
-        if len(selection) == len(frame):
-            raise NumericalConsistencyError("more orthonormal directions than dimensions")
         frame[len(selection)] = residual / norm
-        selection.append((state, index))
+        selection.append(key)
+        if len(selection) == dim:
+            break
     return selection, frame[: len(selection)]
 
 
@@ -260,8 +262,9 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     values_rows = [dec.eigenvalues for dec in decs]
     vector_mats = [dec.vectors for dec in decs]
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
-    pops = _greedy_pops(values_rows, zero_threshold)
-    selection, frame = _greedy_orthonormal_selection(pops, vector_mats, dim)
+    pops = list(_greedy_pops(values_rows, zero_threshold))
+    candidates = (((state, index), vector_mats[state][:, index]) for state, index in pops)
+    selection, frame = _greedy_orthonormal_selection(candidates, dim, len(pops))
     sources = np.column_stack([vector_mats[state][:, index] for state, index in selection])
     return _assemble_pvm(selection, frame.T, sources, len(states))
 

@@ -266,3 +266,12 @@ def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix,
     gram = HermitianMatrix(stacked.conj().T @ stacked)
     lam_min = float(np.linalg.eigvalsh(gram.mat)[0])
     return gram, lam_min
+
+
+def gram_floor(columns: np.ndarray) -> float:
+    """Smallest eigenvalue of the Gram matrix of ``columns``, as sigma_min(R)^2
+    with R from a Householder QR: never negative, and meaningful far below
+    the ~1e-16 rounding noise of an eigensolve of the Gram matrix."""
+    factor = np.linalg.qr(columns, mode="r")
+    sigma_min = float(np.linalg.svd(factor, compute_uv=False)[-1])
+    return sigma_min * sigma_min

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .detectors import _greedy_orthonormal_selection, greedy_order
-from .linalg import eigenvalue_zero_threshold
+from .linalg import eigenvalue_zero_threshold, gram_floor
 
 
 def symmetric_powers(u: np.ndarray, top: int) -> list[np.ndarray]:
@@ -114,16 +114,15 @@ def qubit_gs(phs) -> tuple[float, float]:
     for h, big_n, mult, operators in _blocks(phs):
         syms = [sym for sym, _ in operators]
         block_pops = [(s, k - h) for s, _, k in pops if 0 <= k - h <= big_n]
-        selection, frame = _greedy_orthonormal_selection(block_pops, syms, big_n + 1)
+        candidates = (((s, q), syms[s][:, q]) for s, q in block_pops)
+        selection, frame = _greedy_orthonormal_selection(candidates, big_n + 1, len(block_pops))
         basis, _ = np.linalg.qr(frame.T, mode="complete")
         labels = np.array([s for s, _ in selection] + [0] * (big_n + 1 - len(selection)))
         for i, (sym, weights) in enumerate(operators):
             err += mult * float(_masses(basis, sym, weights)[labels != i].sum())
         if selection:
             lines = np.column_stack([syms[s][:, q] for s, q in selection])
-            factor = np.linalg.qr(lines, mode="r")
-            sigma_min = float(np.linalg.svd(factor, compute_uv=False)[-1])
-            lam_min = min(lam_min, sigma_min * sigma_min)
+            lam_min = min(lam_min, gram_floor(lines))
     return err / phs.r, lam_min
 
 

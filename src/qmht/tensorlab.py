@@ -1,15 +1,21 @@
-"""n-copy experiments on tensor-power hypotheses with implicit eigenstructure.
+"""n-copy experiments on tensor-power hypotheses.
 
 Qubit greedy and Helstrom rows run per Schur-Weyl block (``schurweyl``). For
-d >= 3, product eigenvectors of rho^(x n) are handled as index tuples; inner
-products and state quadratic forms factor into products of d x d base tables,
-so no d^n-dimensional vector is ever materialized, and the greedy detector
-runs in Gram coordinates (an incremental Cholesky factor of the picked
-vectors' Gram matrix). The embedded (epsilon) detector, for every d, has no
-span test: its Gram matrix delta^2 V^H V + epsilon^2 I is at least
-epsilon^2 >= 1e-6, so it takes every product eigenvector above the zero cut
-in greedy order, assembles that Gram matrix once and factors it with one
-Cholesky decomposition.
+d >= 3, product eigenvectors of rho^(x n) are index tuples over the base
+eigenvectors, and inner products and state quadratic forms factor into
+products of d x d base tables. The greedy detector builds each popped
+product vector as a d^n-vector and runs it through the dense selection of
+``gs_detector``, so every greedy row follows one span rule; its frame is
+d^n x m for m picks, and rho^(x n) acts on it by n mode products. When the
+base eigenbases agree up to permutation and phase (commuting families in
+one basis), the product vectors form one orthonormal basis, no frame is
+needed, and picks are scored from the base tables. The embedded (epsilon)
+detector, for every d, has no span test: its Gram matrix
+delta^2 V^H V + epsilon^2 I is at least epsilon^2 >= 1e-6, so it takes every
+product eigenvector above the zero cut in greedy order, assembles that Gram
+matrix once from the base tables and factors it with one Cholesky
+decomposition; the d >= 3 Helstrom test works in the joint-support frame of
+the same tables.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,29 +32,24 @@ from scipy.linalg import solve_triangular
 from .chernoff import MultipleChernoffResult, multiple_qcb
 from .detectors import (
     EPSILON_FLOOR,
+    _greedy_orthonormal_selection,
     common_eigenbasis,
     embedding_floor_guard,
     embedding_guard,
     greedy_order,
 )
-from .errors import DimensionLimitError, NumericalConsistencyError
+from .errors import DimensionLimitError
 from .linalg import (
     DensityMatrix,
     dense_limit,
     eigenvalue_zero_threshold,
+    gram_floor,
     iter_power_eigenpairs,
 )
 from .schurweyl import qubit_gs, qubit_helstrom
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
-# Span tests in Gram coordinates: 1 - |z|^2 loses accuracy like eps/lambda_min
-# of the picked Gram matrix, so small computed residuals cannot be trusted
-# directly. Residuals above the band are accepted outright; residuals inside
-# it are settled by the numerical rank of the exactly assembled bordered Gram.
-SPAN_VERIFY_BAND = 1e-6
-SPAN_IDENTITY_SQ_TOL = 1e-10
-GRAM_RANK_RTOL = 1e-12
 PRODUCT_ZERO_RTOL = 1e-12
 EPSILON_CLIP = 1.0 / math.sqrt(2.0) - 1e-6
 LI_WITNESS_TOL = 1e-9
@@ -56,7 +57,7 @@ LI_WITNESS_TOL = 1e-9
 
 @dataclass
 class PowerHypothesisSet:
-    """r hypotheses raised to the n-th tensor power, never materialized."""
+    """r hypotheses raised to the n-th tensor power, kept as base spectra."""
 
     base: list[DensityMatrix]
     n: int
@@ -142,9 +143,6 @@ class _ProductOracle:
             for i in range(r)
         ]
 
-    def gram_rows(self, a: int, tuples_a: np.ndarray, b: int, tup_b) -> np.ndarray:
-        return _copy_product(self.overlap[a][b], tuples_a.T, tup_b, len(tuples_a))
-
     def gram_block(self, a: int, tuples_a: np.ndarray, b: int, tuples_b: np.ndarray) -> np.ndarray:
         return _copy_product(
             self.overlap[a][b], tuples_a.T[:, :, None], tuples_b.T[:, None, :],
@@ -176,15 +174,12 @@ def _block_matrix(block_fn, tuples, positions) -> np.ndarray:
 
 @dataclass
 class _SelectionRun:
-    """Picked product vectors, by owner, in Gram coordinates.
-
-    ``cholesky`` is the upper-triangular factor of the picked vectors' Gram
-    matrix; None means the Gram matrix stayed exactly the identity.
-    """
+    """Picked product vectors, by owner, with the upper-triangular Cholesky
+    factor of their Gram matrix."""
 
     owner_tuples: list[np.ndarray]
     owner_positions: list[np.ndarray]
-    cholesky: np.ndarray | None
+    cholesky: np.ndarray
 
     @property
     def size(self) -> int:
@@ -192,150 +187,91 @@ class _SelectionRun:
 
     def gram_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of the picked vectors' Gram matrix."""
-        if self.cholesky is None:
-            return np.ones(1)
         gram = self.cholesky.conj().T @ self.cholesky
         return np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
 
 
-class _GramFactor:
-    """Exact Gram matrix of the picked vectors plus its Cholesky factor.
+def _product_vector(phs: PowerHypothesisSet, state: int, tup) -> np.ndarray:
+    """The d^n-vector kron_t v_(tup[t]) of base eigenvectors of one state."""
+    return reduce(np.multiply.outer, phs.spectra[state].vectors.T[list(tup)]).ravel()
 
-    Stays in an implicit exact-identity state while every new Gram column is
-    exactly zero; thereafter both the Gram matrix and the upper-triangular
-    factor are kept in growing buffers.
+
+def _power_rows(mat: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row of ``rows`` (m x d^n) times mat^(x n), by n mode products."""
+    out = rows
+    for _ in range(n):
+        # contract the last tensor factor, then move the result to the front
+        out = (out.reshape(-1, len(mat)) @ mat.T).reshape(len(rows), -1, len(mat))
+        out = out.transpose(0, 2, 1).reshape(len(rows), -1)
+    return out
+
+
+def _base_maps(oracle: _ProductOracle) -> list[list[int]] | None:
+    """For every state a, the column of V_0 that each column of V_a is parallel
+    to; None unless every table V_0^H V_a has exactly one nonzero per column."""
+    maps = [list(range(len(oracle.overlap[0][0])))]
+    for table in oracle.overlap[0][1:]:
+        nonzero = table != 0
+        if np.any(nonzero.sum(axis=0) != 1):
+            return None
+        maps.append(nonzero.argmax(axis=0).tolist())
+    return maps
+
+
+def _commuting_gs(phs: PowerHypothesisSet, oracle: _ProductOracle, maps, pops) -> float:
+    """Greedy error when the product vectors form one orthonormal basis up to
+    phase: a pop has residual 1 if its mapped key is new and 0 otherwise, and
+    each pick scores its diagonal quadratic forms."""
+    seen: set[tuple[int, ...]] = set()
+    picks: list[list] = [[] for _ in range(phs.r)]
+    for state, _, tup in pops:
+        key = tuple(maps[state][t] for t in tup)
+        if key not in seen:
+            seen.add(key)
+            picks[state].append(tup)
+            if len(seen) == phs.dim**phs.n:
+                break
+    tuples = [np.array(p, dtype=np.intp).reshape(len(p), phs.n) for p in picks]
+    successes = [0.0] * phs.r
+    leak = 0.0
+    for a in range(1, phs.r):
+        if len(tuples[a]):
+            successes[a] = float(oracle.qform_diag(a, a, tuples[a]).sum())
+            leak += float(oracle.qform_diag(0, a, tuples[a]).sum())
+    successes[0] = 1.0 - leak
+    return 1.0 - float(np.mean(successes))
+
+
+def _power_gs(phs: PowerHypothesisSet) -> tuple[float, float]:
+    """Greedy Gram-Schmidt error on the n-fold powers, and lambda_min_gram.
+
+    Product eigenpairs are popped in ``greedy_order`` and their d^n-vectors,
+    Kronecker products built at pop time, run through the dense selection of
+    ``gs_detector`` (two Gram-Schmidt passes, ``SPAN_RESIDUAL_TOL``).
+    Hypothesis i >= 1 succeeds with tr[rho_i^(x n) P_i] over the frame rows it
+    owns, and hypothesis 0, which owns the completion of the basis, with one
+    minus its leak into the other rows; rho^(x n) acts on the frame by n mode
+    products. ``lambda_min_gram`` is the Householder-QR Gram floor of the
+    picked product vectors. Families whose base eigenbases agree up to
+    permutation and phase skip the frame (``_commuting_gs``), with
+    ``lambda_min_gram`` 1.
     """
-
-    def __init__(self) -> None:
-        self.size = 0
-        self._gram: np.ndarray | None = None
-        self._factor: np.ndarray | None = None
-
-    @property
-    def is_identity(self) -> bool:
-        return self._factor is None
-
-    def factor(self) -> np.ndarray:
-        return self._factor[: self.size, : self.size]
-
-    def bordered_gram(self, gamma: np.ndarray) -> np.ndarray:
-        """Exact Gram bordered by gamma; called only once the factor exists."""
-        out = np.empty((self.size + 1, self.size + 1), dtype=complex)
-        out[: self.size, : self.size] = self._gram[: self.size, : self.size]
-        out[: self.size, self.size] = gamma
-        out[self.size, : self.size] = gamma.conj()
-        out[self.size, self.size] = 1.0
-        return out
-
-    def coefficients(self, gamma: np.ndarray) -> np.ndarray:
-        if self._factor is None or self.size == 0:
-            return gamma
-        return solve_triangular(
-            self._factor[: self.size, : self.size], gamma, trans="C", lower=False
-        )
-
-    def _materialize(self) -> None:
-        cap = max(2 * (self.size + 1), 16)
-        self._factor = np.zeros((cap, cap), dtype=complex)
-        self._factor[: self.size, : self.size] = np.eye(self.size)
-        self._gram = np.zeros((cap, cap), dtype=complex)
-        self._gram[: self.size, : self.size] = np.eye(self.size)
-
-    def _ensure_capacity(self) -> None:
-        if self._factor is not None and self.size == len(self._factor):
-            for name in ("_factor", "_gram"):
-                old = getattr(self, name)
-                bigger = np.zeros((2 * len(old),) * 2, dtype=complex)
-                bigger[: self.size, : self.size] = old[: self.size, : self.size]
-                setattr(self, name, bigger)
-
-    def append(self, gamma: np.ndarray, z: np.ndarray, pivot: float) -> None:
-        if self._factor is None and (self.size == 0 or (not np.any(gamma) and pivot == 1.0)):
-            self.size += 1
-            return
-        if self._factor is None:
-            self._materialize()
-        self._ensure_capacity()
-        self._factor[: self.size, self.size] = z
-        self._factor[self.size, self.size] = pivot
-        self._gram[: self.size, self.size] = gamma
-        self._gram[self.size, : self.size] = gamma.conj()
-        self._gram[self.size, self.size] = 1.0
-        self.size += 1
-
-    def append_refactored(self, gamma: np.ndarray, bordered: np.ndarray) -> None:
-        """Append a borderline column, refreshing the factor from the exact Gram."""
-        if self._factor is None:
-            self._materialize()
-        self._ensure_capacity()
-        self._gram[: self.size, self.size] = gamma
-        self._gram[self.size, : self.size] = gamma.conj()
-        self._gram[self.size, self.size] = 1.0
-        self.size += 1
-        try:
-            lower = np.linalg.cholesky(bordered)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConsistencyError(
-                "borderline Gram column defeated the Cholesky refresh"
-            ) from exc
-        self._factor[: self.size, : self.size] = lower.conj().T
-
-
-def _run_selection(phs: PowerHypothesisSet, oracle: _ProductOracle) -> _SelectionRun:
-    """Greedy selection over the per-state eigenpair streams in ``greedy_order``.
-
-    Vectors whose residual against the picked span is numerically zero are
-    dropped at pop time, which selects exactly the same set as eliminating
-    them eagerly after each step. Residuals inside the uncertainty band are
-    settled by the numerical rank of the exact bordered Gram matrix. The loop
-    stops once the picks span the ambient space.
-    """
-    r = phs.r
-    # each stream yields a product eigenvector at most once, so d^n bounds
-    # the picks of one state, and d^n picks span the space
-    cap = phs.dim**phs.n
-    owner_tuples = [np.empty((cap, phs.n), dtype=np.intp) for _ in range(r)]
-    owner_positions = [np.empty(cap, dtype=np.intp) for _ in range(r)]
-    counts = [0] * r
-    state = _GramFactor()
-
-    streams = [phs.eigenpair_stream(i) for i in range(r)]
-    for best_state, _, tup in greedy_order(streams):
-        size = state.size
-        gamma = np.empty(size, dtype=complex)
-        for a in range(r):
-            if counts[a]:
-                gamma[owner_positions[a][: counts[a]]] = oracle.gram_rows(
-                    a, owner_tuples[a][: counts[a]], best_state, tup
-                )
-        z = state.coefficients(gamma)
-        residual_sq = 1.0 - float(np.real(np.vdot(z, z)))
-
-        if state.is_identity:
-            # no solve involved, so the residual is accurate to ~size*eps
-            if residual_sq <= SPAN_IDENTITY_SQ_TOL:
-                continue
-            state.append(gamma, z, math.sqrt(residual_sq))
-        elif residual_sq > SPAN_VERIFY_BAND:
-            state.append(gamma, z, math.sqrt(residual_sq))
-        else:
-            bordered = state.bordered_gram(gamma)
-            spectrum = np.linalg.eigvalsh((bordered + bordered.conj().T) / 2.0)
-            if spectrum[0] <= GRAM_RANK_RTOL * max(1.0, float(spectrum[-1])):
-                continue
-            state.append_refactored(gamma, bordered)
-
-        owner_positions[best_state][counts[best_state]] = size
-        owner_tuples[best_state][counts[best_state]] = tup
-        counts[best_state] += 1
-        if state.size == cap:
-            break  # every later vector lies in the span
-
-    return _SelectionRun(
-        owner_tuples=[buf[:c].copy() for buf, c in zip(owner_tuples, counts)],
-        owner_positions=[buf[:c].copy() for buf, c in zip(owner_positions, counts)],
-        cholesky=None if state.is_identity else state.factor().copy(),
-    )
+    oracle = _ProductOracle(phs)
+    pops = greedy_order([phs.eigenpair_stream(i) for i in range(phs.r)])
+    maps = _base_maps(oracle)
+    if maps is not None:
+        return _commuting_gs(phs, oracle, maps, pops), 1.0
+    count = sum(len(dec.positive_indices()) ** phs.n for dec in phs.spectra)
+    candidates = (((state, tup), _product_vector(phs, state, tup)) for state, _, tup in pops)
+    selection, frame = _greedy_orthonormal_selection(candidates, phs.dim**phs.n, count)
+    labels = np.array([state for state, _ in selection])
+    successes = []
+    for i, rho in enumerate(phs.base):
+        rows = frame[labels != 0] if i == 0 else frame[labels == i]
+        successes.append(float(np.real(np.vdot(rows, _power_rows(rho.mat, rows, phs.n)))))
+    successes[0] = 1.0 - successes[0]
+    picked = np.column_stack([_product_vector(phs, state, tup) for state, tup in selection])
+    return 1.0 - float(np.mean(successes)), gram_floor(picked)
 
 
 def _embedded_selection(
@@ -360,32 +296,17 @@ def _embedded_selection(
     return _SelectionRun(owner_tuples, owner_positions, np.linalg.cholesky(gram).conj().T)
 
 
-def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun, scale=1.0):
-    """Success probabilities of the PVM encoded by a selection run.
+def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun, scale: float):
+    """Success probabilities of the embedded detector's PVM.
 
     Hypothesis 0 owns the arbitrary completion of the basis, so its success is
     computed as one minus the mass its state leaks into the other labels.
-    ``scale`` multiplies every quadratic form: delta^2 for the embedded
-    detector, whose states never reach the private epsilon-directions.
+    ``scale`` = delta^2 multiplies every quadratic form, since the states
+    never reach the private epsilon-directions.
     """
     r = phs.r
-    size = run.size
     successes = [0.0] * r
-    if run.cholesky is None:
-        # orthonormal picks: basis directions equal the picked vectors
-        for i in range(1, r):
-            tuples_i = run.owner_tuples[i]
-            if len(tuples_i):
-                successes[i] = scale * float(oracle.qform_diag(i, i, tuples_i).sum())
-        leak = 0.0
-        for a in range(1, r):
-            tuples_a = run.owner_tuples[a]
-            if len(tuples_a):
-                leak += float(oracle.qform_diag(0, a, tuples_a).sum())
-        successes[0] = 1.0 - scale * leak
-        return successes
-
-    inverse = solve_triangular(run.cholesky, np.eye(size), lower=False)
+    inverse = solve_triangular(run.cholesky, np.eye(run.size), lower=False)
     qforms = [
         scale
         * _block_matrix(partial(oracle.qform_block, i), run.owner_tuples, run.owner_positions)
@@ -558,19 +479,9 @@ def run_power_experiment(
         bound: float | None
         lam_min: float | None
         eps_n: float | None = None
-        if kind == "gs" and phs.dim == 2:
-            err, lam_min = qubit_gs(phs)
+        if kind == "gs":
+            err, lam_min = qubit_gs(phs) if phs.dim == 2 else _power_gs(phs)
             bound = math.inf if lam_min == 0.0 else overlap_sum / (lam_min * r)
-        elif kind == "gs":
-            oracle = _ProductOracle(phs)
-            run = _run_selection(phs, oracle)
-            err = 1.0 - float(np.mean(_evaluate_selection(phs, oracle, run)))
-            spectrum = run.gram_spectrum()
-            lam_min = float(spectrum[0])
-            if lam_min <= 0.0:
-                raise NumericalConsistencyError("picked Gram matrix is singular")
-            noise = lam_min <= eigenvalue_zero_threshold(spectrum)
-            bound = math.inf if noise else overlap_sum / (lam_min * r)
         elif kind == "epsilon":
             eps_n = (
                 epsilon_override

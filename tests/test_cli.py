@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmht.cli import load_scenario, main
-from qmht.detectors import evaluate_errors, gs_detector, holevo_helstrom
+from qmht.detectors import epsilon_detector, evaluate_errors, gs_detector, holevo_helstrom
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 
 SQ = 1.0 / math.sqrt(2.0)
@@ -340,13 +340,15 @@ class TestBundledScenarios:
             for key in header:
                 assert _same_field(mine[key], ref[key]), (mine["n"], mine["detector"], key)
 
-    def test_mixed_qubit_pair_matches_dense_kronecker_powers(self, tmp_path):
-        path = os.path.join(SCENARIOS, "mixed_qubit_pair.json")
+    @staticmethod
+    def dense_report_rows(tmp_path, name, detectors, n_max):
+        """The scenario's JSON rows, each with its dense Kronecker-power error."""
+        path = os.path.join(SCENARIOS, f"{name}.json")
         out = tmp_path / "report.json"
         assert main(["run", "--scenario", path, "--out", str(out), "--format", "json"]) == 0
         rows = json.loads(out.read_text())["rows"]
         assert [(row["n"], row["detector"]) for row in rows] == [
-            (n, kind) for kind in ("gs", "helstrom") for n in range(1, 8)
+            (n, kind) for kind in detectors for n in range(1, n_max + 1)
         ]
         states = load_scenario(path).states
         for row in rows:
@@ -356,6 +358,18 @@ class TestBundledScenarios:
             ]
             if row["detector"] == "gs":
                 det, _ = gs_detector(powered)
+            elif row["detector"] == "epsilon":
+                det, _ = epsilon_detector(powered, row["epsilon"])
             else:
                 det = holevo_helstrom(*powered)
-            assert abs(row["err"] - evaluate_errors(powered, det).averaged) < 1e-10
+            yield row, evaluate_errors(powered, det).averaged
+
+    def test_mixed_qubit_pair_matches_dense_kronecker_powers(self, tmp_path):
+        rows = self.dense_report_rows(tmp_path, "mixed_qubit_pair", ("gs", "helstrom"), 7)
+        for row, dense in rows:
+            assert abs(row["err"] - dense) < 1e-10
+
+    def test_mixed_qutrit_triple_matches_dense_kronecker_powers(self, tmp_path):
+        rows = self.dense_report_rows(tmp_path, "mixed_qutrit_triple", ("gs", "epsilon"), 4)
+        for row, dense in rows:
+            assert abs(row["err"] - dense) < 1e-12
