@@ -198,11 +198,13 @@ def _product_vector(phs: PowerHypothesisSet, state: int, tup) -> np.ndarray:
 
 def _power_rows(mat: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """Each row of ``rows`` (m x d^n) times mat^(x n), by n mode products."""
+    d = len(mat)
     out = rows
     for _ in range(n):
-        # contract the last tensor factor, then move the result to the front
-        out = (out.reshape(-1, len(mat)) @ mat.T).reshape(len(rows), -1, len(mat))
-        out = out.transpose(0, 2, 1).reshape(len(rows), -1)
+        # contract the last tensor factor, then move the result to the front;
+        # explicit sizes keep an owner with no rows (m = 0) well defined
+        out = (out.reshape(-1, d) @ mat.T).reshape(len(rows), rows.shape[1] // d, d)
+        out = out.transpose(0, 2, 1).reshape(rows.shape)
     return out
 
 
@@ -261,9 +263,9 @@ def _power_gs(phs: PowerHypothesisSet) -> tuple[float, float]:
     maps = _base_maps(oracle)
     if maps is not None:
         return _commuting_gs(phs, oracle, maps, pops), 1.0
-    count = sum(len(dec.positive_indices()) ** phs.n for dec in phs.spectra)
+    pops = list(pops)
     candidates = (((state, tup), _product_vector(phs, state, tup)) for state, _, tup in pops)
-    selection, frame = _greedy_orthonormal_selection(candidates, phs.dim**phs.n, count)
+    selection, frame = _greedy_orthonormal_selection(candidates, phs.dim**phs.n, len(pops))
     labels = np.array([state for state, _ in selection])
     successes = []
     for i, rho in enumerate(phs.base):

@@ -14,7 +14,7 @@ from qmht.detectors import (
 )
 from qmht.errors import DimensionLimitError
 from qmht.linalg import DensityMatrix
-from qmht.sampling import random_density_matrix, random_pure_state
+from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.tensorlab import (
     EPSILON_CLIP,
     PowerHypothesisSet,
@@ -146,6 +146,15 @@ class TestRunPowerExperimentGs:
             random_density_matrix(3, rng, rank=int(rng.integers(1, 4))) for _ in range(3)
         ]
         for row in run_power_experiment(states, [4, 5], "gs").rows:
+            assert abs(row.err - dense_gs_error(states, row.n)) < 1e-12
+        # at n = 1 the picks 0.5, 0.5, 0.45 of the first two states span C^3
+        # before the third state's top eigenvalue comes up, so it owns no row
+        rng = np.random.default_rng(5)
+        states = []
+        for spectrum in ((0.5, 0.45, 0.05), (0.5, 0.45, 0.05), (0.4, 0.35, 0.25)):
+            basis = random_orthonormal(3, 3, rng)
+            states.append(DensityMatrix(basis @ np.diag(spectrum) @ basis.conj().T))
+        for row in run_power_experiment(states, [1, 2, 3], "gs").rows:
             assert abs(row.err - dense_gs_error(states, row.n)) < 1e-12
 
     def test_qutrit_gram_coordinate_defect(self):
