@@ -226,15 +226,15 @@ def _assemble_pvm(selection, columns, sources, r):
     # One complete QR orthonormalizes the picked columns in order and appends
     # their Householder complement, all labelled 0: only its projector enters
     # the elements, whichever basis QR picks. ``sources`` are the picked
-    # vectors whose Gram matrix the diagnostics report.
+    # vectors whose Gram matrix the diagnostics report; its smallest
+    # eigenvalue is reported as computed, rounding noise of either sign
+    # included (``gs_error_bound`` turns that into an infinite bound).
     dim, picks = columns.shape
     full_basis, _ = np.linalg.qr(columns, mode="complete")
     full_labels = [state for state, _ in selection] + [0] * (dim - picks)
     blocks = [full_basis[:, np.equal(full_labels, i)] for i in range(r)]
     det = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
     gram, lam_min = gram_min_eigenvalue(sources.T)
-    if lam_min <= 0.0:
-        raise NumericalConsistencyError("picked vectors have a singular Gram matrix")
     diagnostics = GsDiagnostics(
         selection_order=list(selection),
         basis=full_basis,
@@ -272,11 +272,10 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
     """Error ceiling for the greedy PVM: summed pairwise overlap infima over
     (r times the smallest Gram eigenvalue); infinite when that eigenvalue is
-    at or below the zero threshold of the Gram spectrum (rounding noise)."""
+    at or below the zero threshold of the Gram spectrum, where it is rounding
+    noise of either sign."""
     states = list(sigma_set)
     lam_min = diagnostics.lambda_min_gram
-    if lam_min <= 0.0:
-        raise NumericalConsistencyError("Gram matrix is numerically singular")
     if lam_min <= eigenvalue_zero_threshold(np.linalg.eigvalsh(diagnostics.gram.mat)):
         return math.inf
     total = 0.0

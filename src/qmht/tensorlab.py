@@ -1,21 +1,33 @@
 """n-copy experiments on tensor-power hypotheses.
 
-Qubit greedy and Helstrom rows run per Schur-Weyl block (``schurweyl``). For
-d >= 3, product eigenvectors of rho^(x n) are index tuples over the base
-eigenvectors, and inner products and state quadratic forms factor into
-products of d x d base tables. The greedy detector builds each popped
-product vector as a d^n-vector and runs it through the dense selection of
-``gs_detector``, so every greedy row follows one span rule; its frame is
-d^n x m for m picks, and rho^(x n) acts on it by n mode products. When the
-base eigenbases agree up to permutation and phase (commuting families in
-one basis), the product vectors form one orthonormal basis, no frame is
-needed, and picks are scored from the base tables. The embedded (epsilon)
-detector, for every d, has no span test: its Gram matrix
-delta^2 V^H V + epsilon^2 I is at least epsilon^2 >= 1e-6, so it takes every
-product eigenvector above the zero cut in greedy order, assembles that Gram
-matrix once from the base tables and factors it with one Cholesky
-decomposition; the d >= 3 Helstrom test works in the joint-support frame of
-the same tables.
+Aligned families come first. When every base overlap table V_0^H V_a has
+exactly one nonzero per column (decided once per call), the base eigenbases
+agree up to permutation and phase, and every row kind runs on probability
+rows p_a[j], state a's eigenvalue on its eigenvector parallel to column j of
+V_0. Each product outcome of a type class (a multiset of n labels) then has
+the likelihood P_a = prod_j p_a[j]^(k_j), so every error is a sum over the
+C(n+d-1, d-1) classes weighted by their sizes n!/prod_j k_j!. The states with
+P_a above the product zero cut claim a class in ``greedy_order``: gs gives it
+to the first claimant (lambda_min_gram 1), and epsilon gives the c-th
+claimant the weight |1^T R^-1 e_c|^2 of its class Gram matrix
+delta^2 J + epsilon^2 I (lambda_min_gram epsilon^2 once some class has two
+claimants, 1 otherwise). classical-ml reads any commuting family from
+``common_eigenbasis`` and labels each class by argmax; helstrom sums
+(1/2) min(P_0, P_1). The d^n cap of ``PowerHypothesisSet`` still applies.
+
+Other families keep their routes. Qubit greedy and Helstrom rows run per
+Schur-Weyl block (``schurweyl``). For d >= 3, product eigenvectors of
+rho^(x n) are index tuples over the base eigenvectors, and inner products
+and state quadratic forms factor into products of d x d base tables. The
+greedy detector builds each popped product vector as a d^n-vector and runs
+it through the dense selection of ``gs_detector``, so every greedy row
+follows one span rule; its frame is d^n x m for m picks, and rho^(x n) acts
+on it by n mode products. The embedded (epsilon) detector, for every d, has
+no span test: its Gram matrix delta^2 V^H V + epsilon^2 I is at least
+epsilon^2 >= 1e-6, so it takes every product eigenvector above the zero cut
+in greedy order, assembles that Gram matrix once from the base tables and
+factors it with one Cholesky decomposition; the d >= 3 Helstrom test works
+in the joint-support frame of the same tables.
 """
 
 from __future__ import annotations
@@ -155,10 +167,6 @@ class _ProductOracle:
             (len(tuples_a), len(tuples_b)),
         )
 
-    def qform_diag(self, state, a, tuples_a) -> np.ndarray:
-        table = self.qform[state][a][a]
-        return np.real(_copy_product(table, tuples_a.T, tuples_a.T, len(tuples_a)))
-
 
 def _block_matrix(block_fn, tuples, positions) -> np.ndarray:
     """Square matrix with block ``block_fn(a, tuples[a], b, tuples[b])`` at
@@ -170,25 +178,6 @@ def _block_matrix(block_fn, tuples, positions) -> np.ndarray:
             if len(pos_a) and len(pos_b):
                 out[np.ix_(pos_a, pos_b)] = block_fn(a, tuples_a, b, tuples_b)
     return out
-
-
-@dataclass
-class _SelectionRun:
-    """Picked product vectors, by owner, with the upper-triangular Cholesky
-    factor of their Gram matrix."""
-
-    owner_tuples: list[np.ndarray]
-    owner_positions: list[np.ndarray]
-    cholesky: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return sum(map(len, self.owner_positions))
-
-    def gram_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of the picked vectors' Gram matrix."""
-        gram = self.cholesky.conj().T @ self.cholesky
-        return np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
 
 
 def _product_vector(phs: PowerHypothesisSet, state: int, tup) -> np.ndarray:
@@ -208,42 +197,6 @@ def _power_rows(mat: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _base_maps(oracle: _ProductOracle) -> list[list[int]] | None:
-    """For every state a, the column of V_0 that each column of V_a is parallel
-    to; None unless every table V_0^H V_a has exactly one nonzero per column."""
-    maps = [list(range(len(oracle.overlap[0][0])))]
-    for table in oracle.overlap[0][1:]:
-        nonzero = table != 0
-        if np.any(nonzero.sum(axis=0) != 1):
-            return None
-        maps.append(nonzero.argmax(axis=0).tolist())
-    return maps
-
-
-def _commuting_gs(phs: PowerHypothesisSet, oracle: _ProductOracle, maps, pops) -> float:
-    """Greedy error when the product vectors form one orthonormal basis up to
-    phase: a pop has residual 1 if its mapped key is new and 0 otherwise, and
-    each pick scores its diagonal quadratic forms."""
-    seen: set[tuple[int, ...]] = set()
-    picks: list[list] = [[] for _ in range(phs.r)]
-    for state, _, tup in pops:
-        key = tuple(maps[state][t] for t in tup)
-        if key not in seen:
-            seen.add(key)
-            picks[state].append(tup)
-            if len(seen) == phs.dim**phs.n:
-                break
-    tuples = [np.array(p, dtype=np.intp).reshape(len(p), phs.n) for p in picks]
-    successes = [0.0] * phs.r
-    leak = 0.0
-    for a in range(1, phs.r):
-        if len(tuples[a]):
-            successes[a] = float(oracle.qform_diag(a, a, tuples[a]).sum())
-            leak += float(oracle.qform_diag(0, a, tuples[a]).sum())
-    successes[0] = 1.0 - leak
-    return 1.0 - float(np.mean(successes))
-
-
 def _power_gs(phs: PowerHypothesisSet) -> tuple[float, float]:
     """Greedy Gram-Schmidt error on the n-fold powers, and lambda_min_gram.
 
@@ -254,16 +207,9 @@ def _power_gs(phs: PowerHypothesisSet) -> tuple[float, float]:
     owns, and hypothesis 0, which owns the completion of the basis, with one
     minus its leak into the other rows; rho^(x n) acts on the frame by n mode
     products. ``lambda_min_gram`` is the Householder-QR Gram floor of the
-    picked product vectors. Families whose base eigenbases agree up to
-    permutation and phase skip the frame (``_commuting_gs``), with
-    ``lambda_min_gram`` 1.
+    picked product vectors.
     """
-    oracle = _ProductOracle(phs)
-    pops = greedy_order([phs.eigenpair_stream(i) for i in range(phs.r)])
-    maps = _base_maps(oracle)
-    if maps is not None:
-        return _commuting_gs(phs, oracle, maps, pops), 1.0
-    pops = list(pops)
+    pops = list(greedy_order([phs.eigenpair_stream(i) for i in range(phs.r)]))
     candidates = (((state, tup), _product_vector(phs, state, tup)) for state, _, tup in pops)
     selection, frame = _greedy_orthonormal_selection(candidates, phs.dim**phs.n, len(pops))
     labels = np.array([state for state, _ in selection])
@@ -276,50 +222,39 @@ def _power_gs(phs: PowerHypothesisSet) -> tuple[float, float]:
     return 1.0 - float(np.mean(successes)), gram_floor(picked)
 
 
-def _embedded_selection(
-    phs: PowerHypothesisSet, oracle: _ProductOracle, epsilon: float
-) -> _SelectionRun:
-    """Every product eigenvector above the zero cut, in ``greedy_order``, with
-    one Cholesky factor of the embedded Gram matrix delta^2 V^H V + epsilon^2 I.
+def _power_epsilon(phs: PowerHypothesisSet, epsilon: float) -> tuple[float, float]:
+    """Embedded detector error on the n-fold powers, and lambda_min_gram.
 
-    The private epsilon-directions make the embedded vectors linearly
-    independent, so no pick is rejected and no span test runs.
+    Every product eigenvector above the zero cut is picked, in
+    ``greedy_order``: the private epsilon-directions make the embedded vectors
+    linearly independent, so no span test runs. Their Gram matrix
+    delta^2 V^H V + epsilon^2 I is assembled once from the base tables and
+    factored with one Cholesky decomposition R^H R; the columns of R^-1 give
+    the orthonormalized picks. Hypothesis 0 owns the arbitrary completion of
+    the basis, so its success is one minus the mass its state leaks into the
+    other labels. delta^2 multiplies every quadratic form, since the states
+    never reach the private directions.
     """
+    oracle = _ProductOracle(phs)
     picks = list(greedy_order([phs.eigenpair_stream(i) for i in range(phs.r)]))
     owners = np.array([state for state, _, _ in picks], dtype=np.intp)
     tuples = np.array([tup for _, _, tup in picks], dtype=np.intp)
-    owner_positions = [np.flatnonzero(owners == a) for a in range(phs.r)]
-    owner_tuples = [tuples[positions] for positions in owner_positions]
-    gram = _block_matrix(oracle.gram_block, owner_tuples, owner_positions)
-    gram *= 1.0 - epsilon * epsilon
+    positions = [np.flatnonzero(owners == a) for a in range(phs.r)]
+    owner_tuples = [tuples[pos] for pos in positions]
+    scale = 1.0 - epsilon * epsilon
+    gram = scale * _block_matrix(oracle.gram_block, owner_tuples, positions)
     # distinct picks share no private direction; each embedded vector is a
     # unit vector, delta^2 + epsilon^2 = 1
     np.fill_diagonal(gram, 1.0)
-    return _SelectionRun(owner_tuples, owner_positions, np.linalg.cholesky(gram).conj().T)
-
-
-def _evaluate_selection(phs: PowerHypothesisSet, oracle, run: _SelectionRun, scale: float):
-    """Success probabilities of the embedded detector's PVM.
-
-    Hypothesis 0 owns the arbitrary completion of the basis, so its success is
-    computed as one minus the mass its state leaks into the other labels.
-    ``scale`` = delta^2 multiplies every quadratic form, since the states
-    never reach the private epsilon-directions.
-    """
-    r = phs.r
-    successes = [0.0] * r
-    inverse = solve_triangular(run.cholesky, np.eye(run.size), lower=False)
-    qforms = [
-        scale
-        * _block_matrix(partial(oracle.qform_block, i), run.owner_tuples, run.owner_positions)
-        for i in range(r)
-    ]
-    for i in range(1, r):
-        cols = inverse[:, run.owner_positions[i]]
-        successes[i] = float(np.real(np.vdot(cols, qforms[i] @ cols)))
-    cols = inverse[:, np.sort(np.concatenate(run.owner_positions[1:]))]
-    successes[0] = 1.0 - float(np.real(np.vdot(cols, qforms[0] @ cols)))
-    return successes
+    lam_min = float(np.linalg.eigvalsh(gram)[0])
+    inverse = solve_triangular(np.linalg.cholesky(gram).conj().T, np.eye(len(picks)), lower=False)
+    masses = []
+    for i in range(phs.r):
+        qform = scale * _block_matrix(partial(oracle.qform_block, i), owner_tuples, positions)
+        cols = inverse[:, owners != 0] if i == 0 else inverse[:, positions[i]]
+        masses.append(float(np.real(np.vdot(cols, qform @ cols))))
+    masses[0] = 1.0 - masses[0]
+    return 1.0 - float(np.mean(masses)), lam_min
 
 
 def _pairwise_overlap_power_sum(qcb: MultipleChernoffResult, n: int) -> float:
@@ -333,8 +268,9 @@ def _joint_positions(tuples: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _helstrom_power_error(phs: PowerHypothesisSet, oracle: _ProductOracle) -> float:
+def _helstrom_power_error(phs: PowerHypothesisSet) -> float:
     """Optimal binary test on the n-fold powers, computed in the joint support frame."""
+    oracle = _ProductOracle(phs)
     tuples = [phs.positive_index_tuples(i) for i in range(2)]
     positions = _joint_positions(tuples)
     gram = _block_matrix(oracle.gram_block, tuples, positions)
@@ -360,26 +296,91 @@ def _helstrom_power_error(phs: PowerHypothesisSet, oracle: _ProductOracle) -> fl
     return 0.5 * float(np.real(miss_0 + miss_1))
 
 
-def _classical_ml_power_error(phs: PowerHypothesisSet) -> float:
-    """Maximum-likelihood error on product distributions of a commuting family.
+def _aligned_rows(states: Sequence[DensityMatrix]) -> np.ndarray | None:
+    """Probability rows of a family whose eigenbases agree up to permutation
+    and phase, or None.
 
-    Labels follow the smallest-maximizing-row rule of ``classical_ml``.
+    Row a holds state a's eigenvalues, each at the column of V_0 that its
+    eigenvector is parallel to. The family is aligned when every base
+    overlap table V_0^H V_a has exactly one nonzero per column.
     """
-    basis = common_eigenbasis(phs.base)
-    rows = []
-    for rho in phs.base:
-        diag = np.real(np.diag(basis.conj().T @ rho.mat @ basis))
-        rows.append(np.maximum(diag, 0.0))
-    product_rows = []
-    for row in rows:
-        acc = np.ones(1)
-        for _ in range(phs.n):
-            acc = np.kron(acc, row)
-        product_rows.append(acc)
-    probs = np.vstack(product_rows)
-    labels = np.argmax(probs, axis=0)
-    successes = [float(probs[i, labels == i].sum()) for i in range(phs.r)]
-    return 1.0 - float(np.mean(successes))
+    spectra = [rho.spectrum() for rho in states]
+    rows = np.empty((len(spectra), spectra[0].dim))
+    rows[0] = spectra[0].eigenvalues
+    for a, dec in enumerate(spectra[1:], start=1):
+        nonzero = spectra[0].vectors.conj().T @ dec.vectors != 0
+        if np.any(nonzero.sum(axis=0) != 1):
+            return None
+        rows[a, nonzero.argmax(axis=0)] = dec.eigenvalues
+    return rows
+
+
+def _commuting_rows(states: Sequence[DensityMatrix]) -> np.ndarray:
+    """Diagonals of a commuting family in ``common_eigenbasis``, clipped at 0;
+    raises ValueError when the family does not commute."""
+    basis = common_eigenbasis(states)
+    return np.array(
+        [np.maximum(np.real(np.diag(basis.conj().T @ rho.mat @ basis)), 0.0) for rho in states]
+    )
+
+
+def _type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label counts k of every type class of n draws from d labels, one class
+    per row, and the class sizes n!/prod_j k_j! (exact integers, as floats)."""
+    draws = itertools.combinations_with_replacement(range(d), n)
+    counts = np.array([np.bincount(draw, minlength=d) for draw in draws])
+    sizes = [
+        math.factorial(n) // math.prod(map(math.factorial, row)) for row in counts.tolist()
+    ]
+    return counts, np.array(sizes, dtype=float)
+
+
+def _claim_weights(claims: int, epsilon: float) -> np.ndarray:
+    """|1^T R^-1 e_c|^2 for c = 1..claims, with R the Cholesky factor of the
+    c x c embedded Gram matrix delta^2 J + epsilon^2 I of one type class:
+    w_1 = 1, w_c = epsilon^2 / ((1 + (c-2) delta^2)(1 + (c-1) delta^2))."""
+    delta_sq = 1.0 - epsilon * epsilon
+    c = np.arange(2, claims + 1)
+    weights = np.ones(claims)
+    weights[1:] = epsilon * epsilon / ((1.0 + (c - 2) * delta_sq) * (1.0 + (c - 1) * delta_sq))
+    return weights
+
+
+def _type_class_error(
+    rows: np.ndarray, n: int, kind: str, zero_threshold: float, epsilon: float
+) -> tuple[float, float | None]:
+    """Detector error on the n-fold powers of an aligned family, and
+    lambda_min_gram, from one term per type class.
+
+    Every product outcome in a type class has the likelihood
+    P_a = prod_j p_a[j]^(k_j) under state a. The states with P_a above
+    ``zero_threshold`` claim the class in ``greedy_order``. gs gives it to its
+    first claimant (``epsilon`` = 0); epsilon gives the c-th claimant the
+    weight ``_claim_weights`` and scales every mass by delta^2. Their
+    lambda_min_gram is epsilon^2 when some class has two weighted claimants
+    and 1 otherwise. classical-ml labels each class by ``np.argmax`` and
+    helstrom (r = 2) sums (1/2) min(P_0, P_1) per outcome.
+    """
+    counts, sizes = _type_classes(rows.shape[1], n)
+    values = np.prod(rows[:, None, :] ** counts, axis=2)
+    if kind == "helstrom":
+        return 0.5 * float(sizes @ values.min(axis=0)), None
+    if kind == "classical-ml":
+        labels = np.argmax(values, axis=0)
+        successes = [float(sizes[labels == i] @ values[i, labels == i]) for i in range(len(rows))]
+        return 1.0 - float(np.mean(successes)), 1.0
+    claim_weights = _claim_weights(len(rows), epsilon)
+    weights = np.zeros_like(values)
+    for m, column in enumerate(values.T):
+        streams = [[(value, None)] if value > zero_threshold else [] for value in column]
+        claimants = [state for state, _, _ in greedy_order(streams)]
+        weights[claimants, m] = claim_weights[: len(claimants)]
+    scale = 1.0 - epsilon * epsilon
+    successes = scale * ((weights * values) @ sizes)
+    # hypothesis 0 owns the completion: its success is one minus its leak
+    successes[0] = 1.0 - scale * float((values[0] * weights[1:].sum(axis=0)) @ sizes)
+    shared = bool(np.any(np.count_nonzero(weights, axis=0) > 1))
+    return 1.0 - float(np.mean(successes)), epsilon * epsilon if shared else 1.0
 
 
 def _schedule_from_overlap_sum(total: float) -> float:
@@ -466,8 +467,8 @@ def run_power_experiment(
         raise ValueError("need at least two hypotheses")
     if kind == "helstrom" and len(states) != 2:
         raise ValueError("helstrom runs on exactly two hypotheses")
-    if kind == "classical-ml":
-        common_eigenbasis(states)  # raises for non-commuting input
+    # one alignment verdict per call; classical-ml reads any commuting family
+    probs = _commuting_rows(states) if kind == "classical-ml" else _aligned_rows(states)
     ns = sorted({int(n) for n in n_range})
     if not ns or ns[0] < 1:
         raise ValueError("copy numbers must be positive integers")
@@ -478,36 +479,33 @@ def run_power_experiment(
     for n in ns:
         phs = PowerHypothesisSet(states, n, limit=limit)
         overlap_sum = _pairwise_overlap_power_sum(qcb, n)
-        bound: float | None
         lam_min: float | None
         eps_n: float | None = None
-        if kind == "gs":
-            err, lam_min = qubit_gs(phs) if phs.dim == 2 else _power_gs(phs)
-            bound = math.inf if lam_min == 0.0 else overlap_sum / (lam_min * r)
-        elif kind == "epsilon":
+        if kind == "epsilon":
             eps_n = (
                 epsilon_override
                 if epsilon_override is not None
                 else _schedule_from_overlap_sum(overlap_sum)
             )
             embedding_guard(eps_n)
-            oracle = _ProductOracle(phs)
-            run = _embedded_selection(phs, oracle, eps_n)
-            successes = _evaluate_selection(phs, oracle, run, 1.0 - eps_n * eps_n)
-            err = 1.0 - float(np.mean(successes))
-            lam_min = float(run.gram_spectrum()[0])
+        if probs is not None:
+            err, lam_min = _type_class_error(probs, n, kind, phs.zero_threshold, eps_n or 0.0)
+        elif kind == "gs":
+            err, lam_min = qubit_gs(phs) if phs.dim == 2 else _power_gs(phs)
+        elif kind == "epsilon":
+            err, lam_min = _power_epsilon(phs, eps_n)
+        else:
+            err = qubit_helstrom(phs) if phs.dim == 2 else _helstrom_power_error(phs)
+            lam_min = None
+        bound: float | None
+        if kind == "gs":
+            bound = math.inf if lam_min == 0.0 else overlap_sum / (lam_min * r)
+        elif kind == "epsilon":
             embedding_floor_guard(eps_n, lam_min)
             bound = (2.0 * eps_n + overlap_sum / (eps_n * eps_n)) / r
         elif kind == "helstrom":
-            if phs.dim == 2:
-                err = qubit_helstrom(phs)
-            else:
-                err = _helstrom_power_error(phs, _ProductOracle(phs))
-            lam_min = None
             bound = None
         else:  # classical-ml
-            err = _classical_ml_power_error(phs)
-            lam_min = 1.0
             bound = overlap_sum / r
         exponent = math.inf if err <= 0.0 else -math.log(err) / n
         ceiling = (

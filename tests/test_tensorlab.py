@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qmht.sampling import random_density_matrix, random_orthonormal, random_pure
 from qmht.tensorlab import (
     EPSILON_CLIP,
     PowerHypothesisSet,
+    _claim_weights,
     epsilon_schedule,
     gram_convergence_check,
     pairwise_li_check,
@@ -40,6 +42,34 @@ def dense_gs_error(states, n):
     powered = [kron_power(rho, n) for rho in states]
     det, _ = gs_detector(powered)
     return evaluate_errors(powered, det).averaged
+
+
+def aligned_families(count, seed):
+    """Diagonal families (d 2-4, r 2-4): state 0 has a zero eigenvalue, state
+    1 is its reversed probability row (so the two tie exactly on symmetric
+    type classes), and the rest are random."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        first = rng.dirichlet(np.ones(d))
+        first[int(rng.integers(d))] = 0.0
+        rows = [first / first.sum(), (first / first.sum())[::-1]]
+        rows += [rng.dirichlet(np.ones(d)) for _ in range(int(rng.integers(0, 3)))]
+        yield [diagonal(row) for row in rows]
+
+
+def classical_ml_power_error(states, n):
+    """Error of the ``classical_ml`` rule on the materialized product distributions."""
+    rows = []
+    for rho in states:
+        p = np.real(np.diag(rho.mat))
+        acc = np.ones(1)
+        for _ in range(n):
+            acc = np.kron(acc, p)
+        rows.append(acc)
+    probs = np.vstack(rows)
+    labels = classical_ml(probs)
+    return 1.0 - np.mean([probs[i, labels == i].sum() for i in range(len(states))])
 
 
 class TestPowerHypothesisSet:
@@ -225,9 +255,9 @@ class TestRunPowerExperimentOtherKinds:
             run_power_experiment([zero_state, plus_state, one_state], [1], "helstrom")
 
     def test_classical_ml_matches_gs_on_commuting(self):
-        # the qutrit triple takes the gs shortcut for base eigenbases equal up
-        # to permutation and phase; no two of its states tie on a product
-        # value at n <= 6, so greedy labels are maximum-likelihood labels
+        # both families are aligned and take the type-class route; no two of
+        # their states tie on a product value at n <= 6, so greedy labels
+        # are maximum-likelihood labels
         qubits = [diagonal([0.7, 0.3]), diagonal([0.4, 0.6])]
         qutrits = [
             diagonal([0.5, 0.3, 0.2]), diagonal([0.15, 0.6, 0.25]), diagonal([0.35, 0.05, 0.6])
@@ -282,11 +312,11 @@ class TestRunPowerExperimentOtherKinds:
         assert abs(row.lambda_min_gram - diag.lambda_min_gram) < 1e-9
 
     def test_cholesky_evaluation_panel_matches_dense(self):
-        # every epsilon row is scored through the Cholesky factor of its
-        # embedded Gram; the panel holds epsilon rows well above the epsilon
-        # floor (where Gram coordinates fix err only to ~5e-11), next to
-        # qutrit gs rows on the explicit frame whose picked Gram is well
-        # conditioned.
+        # epsilon rows of families that are not aligned are scored through
+        # the Cholesky factor of their embedded Gram; the panel holds epsilon
+        # rows well above the epsilon floor (where Gram coordinates fix err
+        # only to ~5e-11), next to qutrit gs rows on the explicit frame whose
+        # picked Gram is well conditioned.
         rng = np.random.default_rng(8)
         epsilon_rows = gs_rows = 0
         while epsilon_rows < 20 or gs_rows < 20:
@@ -337,22 +367,55 @@ class TestRunPowerExperimentOtherKinds:
         assert 0.0 < row.lambda_min_gram < 1e-6
 
     def test_classical_ml_power_matches_dense_rule(self):
-        # the vectorized per-column argmax equals the iterative exclusion rule
-        # on the materialized product distributions
-        states = [diagonal([0.7, 0.3]), diagonal([0.4, 0.6]), diagonal([0.1, 0.9])]
-        n = 3
-        report = run_power_experiment(states, [n], "classical-ml")
-        rows = []
-        for rho in states:
-            p = np.real(np.diag(rho.mat))
-            acc = np.ones(1)
-            for _ in range(n):
-                acc = np.kron(acc, p)
-            rows.append(acc)
-        probs = np.vstack(rows)
-        labels = classical_ml(probs)
-        succ = [probs[i, labels == i].sum() for i in range(len(states))]
-        assert abs(report.rows[0].err - (1.0 - np.mean(succ))) < 1e-12
+        # the per-type-class argmax equals the iterative exclusion rule on the
+        # materialized product distributions
+        panel = [[diagonal([0.7, 0.3]), diagonal([0.4, 0.6]), diagonal([0.1, 0.9])]]
+        panel += list(aligned_families(8, seed=41))
+        for states in panel:
+            n = 4 if states[0].dim == 2 else 3
+            report = run_power_experiment(states, [n], "classical-ml")
+            assert abs(report.rows[0].err - classical_ml_power_error(states, n)) < 1e-12
+
+    def test_aligned_families_match_dense_detectors(self):
+        # aligned families score one term per type class; the references are
+        # the dense detectors on explicit Kronecker powers
+        for states in aligned_families(12, seed=40):
+            d, r = states[0].dim, len(states)
+            for n in range(1, {2: 4, 3: 3, 4: 2}[d] + 1):
+                powered = [kron_power(rho, n) for rho in states]
+                gs_row = run_power_experiment(states, [n], "gs").rows[0]
+                assert abs(gs_row.err - dense_gs_error(states, n)) < 1e-12
+                assert gs_row.lambda_min_gram == 1.0
+                eps_row = run_power_experiment(states, [n], "epsilon", epsilon_override=0.3).rows[0]
+                det, diag = epsilon_detector(powered, 0.3)
+                assert abs(eps_row.err - evaluate_errors(powered, det).averaged) < 1e-12
+                assert abs(eps_row.lambda_min_gram - diag.lambda_min_gram) < 1e-12
+                if r == 2:
+                    row = run_power_experiment(states, [n], "helstrom").rows[0]
+                    dense = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
+                    assert abs(row.err - dense) < 1e-12
+
+    def test_claim_weights_match_class_cholesky(self):
+        # w_c = |1^T R^-1 e_c|^2 for the Cholesky factor R of one type
+        # class's embedded Gram matrix delta^2 J + epsilon^2 I (at these
+        # epsilon the double-precision factor is accurate to ~1e-14)
+        for eps in (0.1, 0.3, EPSILON_CLIP):
+            for c in range(1, 7):
+                gram = (1.0 - eps * eps) * np.ones((c, c)) + eps * eps * np.eye(c)
+                factor = np.linalg.cholesky(gram).T
+                expected = np.abs(np.ones(c) @ np.linalg.inv(factor)) ** 2
+                np.testing.assert_allclose(_claim_weights(c, eps), expected, rtol=1e-12)
+
+    def test_commuting_triple_at_the_dimension_cap(self):
+        # 2^14 = 16384 is the default cap; a Gram matrix over every product
+        # eigenvector would be 49152 x 49152 here
+        states = [diagonal([0.6, 0.4]), diagonal([0.25, 0.75]), diagonal([0.9, 0.1])]
+        for kind in ("gs", "epsilon"):
+            start = time.perf_counter()
+            row = run_power_experiment(states, [14], kind).rows[0]
+            assert time.perf_counter() - start < 1.0
+            assert 0.0 <= row.err <= 1.0 - 1.0 / len(states)
+            assert row.err <= row.error_bound
 
     def test_unknown_kind(self, zero_state, plus_state):
         with pytest.raises(ValueError, match="kind"):
