@@ -73,15 +73,22 @@ def q_overlap(rho: DensityMatrix, sigma: DensityMatrix, s: float) -> float:
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Shrink a bracket around the minimum of a unimodal f; returns the midpoint."""
+    """Shrink a bracket around the minimum of a unimodal f; returns the midpoint.
+
+    The interior point that survives a step is carried with its value into
+    the next, so each step costs one evaluation of f.
+    """
+    left, right = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+    f_left, f_right = f(left), f(right)
     while hi - lo > tol:
-        span = hi - lo
-        left = hi - INV_PHI * span
-        right = lo + INV_PHI * span
-        if f(left) <= f(right):
-            hi = right
+        if f_left <= f_right:
+            hi, right, f_right = right, left, f_left
+            left = hi - INV_PHI * (hi - lo)
+            f_left = f(left)
         else:
-            lo = left
+            lo, left, f_left = left, right, f_right
+            right = lo + INV_PHI * (hi - lo)
+            f_right = f(right)
     return 0.5 * (lo + hi)
 
 

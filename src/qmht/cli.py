@@ -308,6 +308,7 @@ def _cmd_run(args) -> int:
             range(scenario.n_min, scenario.n_max + 1),
             kind,
             epsilon_override=scenario.epsilon_override,
+            qcb=qcb,
         )
         rows.extend(report.rows)
         slopes.update(report.exponent_slopes)

@@ -20,7 +20,6 @@ from .linalg import (
     HermitianMatrix,
     eigenvalue_zero_threshold,
     gram_min_eigenvalue,
-    positive_part_and_support,
 )
 
 POVM_ATOL = 1e-9
@@ -113,14 +112,18 @@ def evaluate_errors(sigma_set: Sequence[DensityMatrix], det: Detector) -> ErrorR
 def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
     """Optimal binary projective test onto the positive part of rho2 - rho1.
 
-    Kernel directions of the difference are assigned to hypothesis 0.
+    The positive part is cut by sign (eigenvalues > 0), not relative to the
+    largest eigenvalue; kernel directions of the difference are assigned to
+    hypothesis 0.
     """
     if rho1.dim != rho2.dim:
         raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    difference = HermitianMatrix(rho2.mat - rho1.mat)
-    _, projector = positive_part_and_support(difference)
-    complement = HermitianMatrix(np.eye(rho1.dim) - projector.mat)
-    return Detector([complement, projector], kind="PVM")
+    difference = rho2.mat - rho1.mat
+    values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
+    plus = vectors[:, values > 0.0]
+    projector = plus @ plus.conj().T
+    complement = HermitianMatrix(np.eye(rho1.dim) - projector)
+    return Detector([complement, HermitianMatrix(projector)], kind="PVM")
 
 
 def classical_ml(prob_matrix) -> np.ndarray:

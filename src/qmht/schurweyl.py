@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .detectors import _greedy_orthonormal_selection, greedy_order
-from .linalg import eigenvalue_zero_threshold, gram_floor
+from .linalg import gram_floor
 
 
 def symmetric_powers(u: np.ndarray, top: int) -> list[np.ndarray]:
@@ -130,20 +130,17 @@ def qubit_helstrom(phs) -> float:
     """Helstrom error on the n-fold powers of a qubit pair.
 
     err = (1/2) sum_j m_j [tr pi_j(rho_0) P_j^+ + tr pi_j(rho_1)(1 - P_j^+)],
-    with P_j^+ the eigenspace of pi_j(rho_1) - pi_j(rho_0) above
-    ``eigenvalue_zero_threshold`` of the whole spectrum, the cut that the
-    dense ``holevo_helstrom`` applies to rho_1^(x n) - rho_0^(x n).
+    with P_j^+ the eigenspace of pi_j(rho_1) - pi_j(rho_0) with eigenvalues
+    > 0, the cut of the dense ``holevo_helstrom``. No relative cut: a block
+    eigenvalue far below the largest can carry a large multiplicity m_j, and
+    an eigenvalue at rounding level costs at most its own size on either side.
     """
-    blocks = []
-    for _, _, mult, operators in _blocks(phs):
-        pi_0, pi_1 = ((sym * weights) @ sym.conj().T for sym, weights in operators)
-        difference = pi_1 - pi_0
-        values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
-        blocks.append((mult, values, vectors, operators))
-    threshold = eigenvalue_zero_threshold(np.concatenate([b[1] for b in blocks]))
     err = 0.0
-    for mult, values, vectors, ((sym_0, w_0), (sym_1, w_1)) in blocks:
-        plus = values > threshold
+    for _, _, mult, operators in _blocks(phs):
+        (sym_0, w_0), (sym_1, w_1) = operators
+        difference = (sym_1 * w_1) @ sym_1.conj().T - (sym_0 * w_0) @ sym_0.conj().T
+        values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
+        plus = values > 0.0
         err += mult * float(
             _masses(vectors, sym_0, w_0)[plus].sum()
             + _masses(vectors, sym_1, w_1)[~plus].sum()

@@ -287,7 +287,7 @@ def _helstrom_power_error(phs: PowerHypothesisSet) -> float:
     diff_values, diff_vectors = np.linalg.eigh(
         (difference + difference.conj().T) / 2.0
     )
-    mask = diff_values > eigenvalue_zero_threshold(diff_values)
+    mask = diff_values > 0.0
     plus, minus = diff_vectors[:, mask], diff_vectors[:, ~mask]
     # rho_1 has no mass outside the frame, so its miss is its mass on the
     # complement of P+ there; summing the two misses avoids 1 - (1 - err)
@@ -453,12 +453,15 @@ def run_power_experiment(
     *,
     epsilon_override: float | None = None,
     limit: int | None = None,
+    qcb: MultipleChernoffResult | None = None,
 ) -> ExperimentReport:
     """Sweep copy numbers, building the requested detector family on each power.
 
     ``kind`` selects the family: "gs" (greedy PVM), "epsilon" (embedded POVM
     with the scheduled or overridden perturbation), "helstrom" (binary optimal
-    test, r = 2 only), or "classical-ml" (commuting families only).
+    test, r = 2 only), or "classical-ml" (commuting families only). ``qcb``
+    is ``multiple_qcb(base)`` from an earlier sweep of the same states; when
+    it is given, it is used as is instead of being recomputed.
     """
     states = list(base)
     if kind not in DETECTOR_KINDS:
@@ -473,7 +476,8 @@ def run_power_experiment(
     if not ns or ns[0] < 1:
         raise ValueError("copy numbers must be positive integers")
 
-    qcb = multiple_qcb(states)
+    if qcb is None:
+        qcb = multiple_qcb(states)
     r = len(states)
     rows: list[ExperimentRow] = []
     for n in ns:

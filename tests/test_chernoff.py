@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from qmht.chernoff import OverlapCurve, binary_qcb, multiple_qcb, q_overlap
 from qmht.sampling import random_density_matrix
@@ -105,6 +106,49 @@ class TestBinaryQcb:
         curve = OverlapCurve(rho, sigma)
         fine = min(curve(s) for s in np.linspace(0.0, 1.0, 10_001))
         assert res.q_star <= fine + 1e-8
+
+
+class TestGoldenSectionPanel:
+    """binary_qcb on 40 seeded full-support diagonal pairs (d = 2-5)."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(40)
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            yield rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+
+    def test_matches_bounded_brent(self, monkeypatch):
+        calls = []
+        plain_call = OverlapCurve.__call__
+
+        def counting_call(curve, s):
+            calls.append(s)
+            return plain_call(curve, s)
+
+        monkeypatch.setattr(OverlapCurve, "__call__", counting_call)
+        for p, q in self.pairs():
+            calls.clear()
+            res = binary_qcb(diagonal(p), diagonal(q))
+            assert len(calls) <= 40
+            ref = minimize_scalar(
+                lambda s: float(np.sum(p ** (1.0 - s) * q**s)),
+                bounds=(0.0, 1.0),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            assert abs(res.q_star - ref.fun) <= 1e-14 * ref.fun
+            # Near its minimum the curve is flat to rounding over a window of
+            # width sqrt(2 eps q* / f''), 7e-7 on the flattest pair here, so
+            # the s_star reference is the root of the derivative, not ref.x.
+            log_ratio = np.log(q / p)
+            root = brentq(
+                lambda s: float(np.sum(p ** (1.0 - s) * q**s * log_ratio)),
+                0.0,
+                1.0,
+                xtol=1e-15,
+            )
+            assert abs(res.s_star - root) <= 1e-7
 
 
 class TestMultipleQcb:

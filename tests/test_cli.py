@@ -9,6 +9,7 @@ import pytest
 from qmht.cli import load_scenario, main
 from qmht.detectors import epsilon_detector, evaluate_errors, gs_detector, holevo_helstrom
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
+from conftest import diagonal
 
 SQ = 1.0 / math.sqrt(2.0)
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -242,6 +243,78 @@ class TestRunCommand:
         payload = json.loads(out.read_text())
         assert payload["qcb"]["xi"] == "inf"
         assert payload["rows"][0]["exponent"] == "inf"
+
+
+class TestOneBoundPerRun:
+    KINDS = ["gs", "helstrom", "classical-ml", "epsilon"]
+    STATES = [
+        {"kind": "diagonal", "probs": [0.6, 0.3, 0.1]},
+        {"kind": "diagonal", "probs": [0.2, 0.3, 0.5]},
+    ]
+
+    @staticmethod
+    def counted_multiple_qcb(monkeypatch):
+        import qmht.tensorlab
+
+        calls = []
+        plain = qmht.tensorlab.multiple_qcb
+
+        def counting(states):
+            calls.append(len(states))
+            return plain(states)
+
+        monkeypatch.setattr(qmht.tensorlab, "multiple_qcb", counting)
+        return calls
+
+    def test_run_computes_one_bound(self, tmp_path, monkeypatch):
+        from qmht.tensorlab import run_power_experiment
+
+        calls = self.counted_multiple_qcb(monkeypatch)
+        scen = write_scenario(
+            tmp_path / "s.json", states=self.STATES, detectors=self.KINDS, n_max=4
+        )
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(scen), "--out", str(out), "--format", "json"]) == 0
+        assert calls == [2]
+
+        states = load_scenario(str(scen)).states
+        separate = [
+            row
+            for kind in self.KINDS
+            for row in run_power_experiment(states, range(1, 5), kind).rows
+        ]
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == len(separate)
+        for row, expected in zip(rows, separate):
+            assert (row["n"], row["detector"]) == (expected.n, expected.detector)
+            for key, value in (
+                ("err", expected.err),
+                ("exponent", expected.exponent),
+                ("lemma3_bound", expected.error_bound),
+                ("lambda_min_gram", expected.lambda_min_gram),
+                ("epsilon", expected.epsilon),
+            ):
+                if value is None:
+                    assert row[key] is None
+                else:
+                    assert abs(row[key] - value) <= 1e-15 * max(1.0, abs(value))
+
+    def test_given_bound_is_used_as_is(self, monkeypatch):
+        from qmht.chernoff import ChernoffResult, MultipleChernoffResult
+        from qmht.tensorlab import run_power_experiment
+
+        calls = self.counted_multiple_qcb(monkeypatch)
+        given = MultipleChernoffResult(
+            xi=math.log(2.0),
+            argmin_pair=(0, 1),
+            pairwise={(0, 1): ChernoffResult(xi=math.log(2.0), s_star=0.5, q_star=0.5)},
+        )
+        states = [diagonal(spec["probs"]) for spec in self.STATES]
+        report = run_power_experiment(states, range(1, 5), "classical-ml", qcb=given)
+        assert calls == []
+        assert report.qcb is given
+        # classical-ml bound = 2 sum_pairs q_star^n / r, here 0.5^n
+        assert [row.error_bound for row in report.rows] == [0.5**n for n in range(1, 5)]
 
 
 class TestChernoffCommand:

@@ -151,3 +151,36 @@ class TestQubitHelstrom:
             # (1/2)(1 - sqrt(1 - F^n)), written without the cancellation
             expected = 0.5 * overlap / (1.0 + math.sqrt(1.0 - overlap))
             assert abs(row.err - expected) < 1e-12
+
+
+# Helstrom errors of the first two states of the defect ensemble, from
+# 50-digit per-block references: (1/2) sum_j m_j [tr pi_j(rho_1) - sum lambda+].
+# A block eigenvalue far below the largest one still carries m_j copies, so a
+# cut relative to the largest eigenvalue drops 2.8e-12 at n = 11 and 7.6e-11
+# at n = 14 (2.3e-6 at n = 40); the sign cut keeps every positive eigenvalue.
+F7_HELSTROM_REFERENCE = {
+    11: 0.031570795959625058,
+    14: 0.018096086977926957,
+    20: 0.0062183521838223576,
+    40: 2.176558547288164e-4,
+}
+
+
+class TestHelstromSignCut:
+    def test_block_route_matches_references(self):
+        pair = defect_ensemble()[:2]
+        # the block route builds no d^n object, so the dense cap is lifted
+        report = run_power_experiment(
+            pair, sorted(F7_HELSTROM_REFERENCE), "helstrom", limit=10**400
+        )
+        for row in report.rows:
+            assert abs(row.err - F7_HELSTROM_REFERENCE[row.n]) < 1e-15
+
+    def test_dense_detector_matches_trace_norm(self):
+        powered = [kron_power(rho, 11) for rho in defect_ensemble()[:2]]
+        err = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
+        trace_norm = float(np.abs(np.linalg.eigvalsh(powered[1].mat - powered[0].mat)).sum())
+        # The explicit 2048 x 2048 projector fixes tr[rho E] only to a few
+        # 1e-15 (-4.1e-15 with one BLAS thread); the relative cut is 2.8e-12 off.
+        assert abs(err - 0.5 * (1.0 - 0.5 * trace_norm)) < 1e-14
+        assert abs(err - F7_HELSTROM_REFERENCE[11]) < 1e-14
