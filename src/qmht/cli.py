@@ -325,10 +325,12 @@ def _cmd_chernoff(args) -> int:
     if len(scenario.states) < 2:
         raise ScenarioError("chernoff needs at least two states")
     qcb = multiple_qcb(scenario.states)
+    # binary_qcb fixes s* to GOLDEN_STEP_TOL = 1e-8, and on a flat curve only
+    # to about 1e-6, so it is printed to six significant digits
     for (i, j), res in sorted(qcb.pairwise.items()):
         print(
             f"pair ({i + 1},{j + 1}): xi={_fmt(res.xi)}  "
-            f"s*={_fmt(res.s_star)}  q*={_fmt(res.q_star)}"
+            f"s*={res.s_star:.6g}  q*={_fmt(res.q_star)}"
         )
     i, j = qcb.argmin_pair
     print(f"minimum: xi={_fmt(qcb.xi)} at pair ({i + 1},{j + 1})")

@@ -225,28 +225,35 @@ def _greedy_orthonormal_selection(candidates, dim, count):
     return selection, frame[: len(selection)]
 
 
-def _assemble_pvm(selection, columns, sources, r):
+def _complete_basis(selection, columns, sources):
     # One complete QR orthonormalizes the picked columns in order and appends
     # their Householder complement, all labelled 0: only its projector enters
-    # the elements, whichever basis QR picks. ``sources`` are the picked
-    # vectors whose Gram matrix the diagnostics report; its smallest
+    # the elements, whichever basis QR picks. The factor is checked unitary,
+    # the one property of it that the elements rely on. ``sources`` are the
+    # picked vectors whose Gram matrix the diagnostics report; its smallest
     # eigenvalue is reported as computed, rounding noise of either sign
     # included (``gs_error_bound`` turns that into an infinite bound).
     dim, picks = columns.shape
     full_basis, _ = np.linalg.qr(columns, mode="complete")
-    full_labels = [state for state, _ in selection] + [0] * (dim - picks)
-    blocks = [full_basis[:, np.equal(full_labels, i)] for i in range(r)]
-    det = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
+    if float(np.abs(full_basis.conj().T @ full_basis - np.eye(dim)).max()) > POVM_ATOL:
+        raise NumericalConsistencyError("complete QR factor is not unitary")
+    full_labels = np.array([state for state, _ in selection] + [0] * (dim - picks))
     gram, lam_min = gram_min_eigenvalue(sources.T)
     diagnostics = GsDiagnostics(
         selection_order=list(selection),
         basis=full_basis,
-        labels=full_labels,
+        labels=full_labels.tolist(),
         gram=gram,
         stopping_index=len(selection),
         lambda_min_gram=lam_min,
     )
-    return det, diagnostics
+    return full_basis, full_labels, diagnostics
+
+
+def _label_elements(rows, labels, r):
+    """Element i is T_i T_i^H with T_i the columns of ``rows`` labelled i."""
+    blocks = [rows[:, labels == i] for i in range(r)]
+    return [HermitianMatrix(b @ b.conj().T) for b in blocks]
 
 
 def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnostics]:
@@ -269,7 +276,8 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     candidates = (((state, index), vector_mats[state][:, index]) for state, index in pops)
     selection, frame = _greedy_orthonormal_selection(candidates, dim, len(pops))
     sources = np.column_stack([vector_mats[state][:, index] for state, index in selection])
-    return _assemble_pvm(selection, frame.T, sources, len(states))
+    basis, labels, diagnostics = _complete_basis(selection, frame.T, sources)
+    return Detector(_label_elements(basis, labels, len(states)), kind="PVM"), diagnostics
 
 
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
@@ -467,9 +475,11 @@ def epsilon_detector(
     Each eigenvector is embedded in (r+1)d dimensions and mixed with a private
     extra-block direction, which forces all perturbed eigenvectors to be
     jointly linearly independent (Gram eigenvalues >= epsilon^2), so every
-    eigenvector above the zero cut is picked and one QR orthonormalizes them.
-    The PVM built there is cut back to the physical upper block, giving a
-    POVM that is generally not projective.
+    eigenvector above the zero cut is picked and one complete QR, checked
+    unitary, orthonormalizes them. Element i is T_i T_i^H, where T_i holds the
+    top d rows of the basis columns labelled i: the upper block of the
+    embedded PVM, which is itself never built. The result is a POVM that is
+    generally not projective.
     """
     states = list(sigma_set)
     if len(states) < 2:
@@ -487,8 +497,7 @@ def epsilon_detector(
     for k, (state, index) in enumerate(selection):
         columns[:dim, k] = delta * decs[state].vectors[:, index]
         columns[(state + 1) * dim + index, k] = epsilon
-    big_det, diagnostics = _assemble_pvm(selection, columns, columns, len(states))
-    blocks = [HermitianMatrix(element.mat[:dim, :dim]) for element in big_det.elements]
-    det = Detector(blocks, kind="POVM")
+    basis, labels, diagnostics = _complete_basis(selection, columns, columns)
+    det = Detector(_label_elements(basis[:dim], labels, len(states)), kind="POVM")
     embedding_floor_guard(epsilon, diagnostics.lambda_min_gram)
     return det, diagnostics

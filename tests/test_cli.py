@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -412,6 +413,21 @@ class TestBundledScenarios:
         for mine, ref in zip(rows, pinned):
             for key in header:
                 assert _same_field(mine[key], ref[key]), (mine["n"], mine["detector"], key)
+
+    @pytest.mark.parametrize(
+        "name", sorted(f[: -len(".json")] for f in os.listdir(SCENARIOS) if f.endswith(".json"))
+    )
+    def test_chernoff_prints_s_star_to_six_digits(self, name, capsys):
+        # s* is fixed to about 1e-8, or 1e-6 on a flat curve, so no more
+        # digits than six are printed
+        path = os.path.join(SCENARIOS, f"{name}.json")
+        assert main(["chernoff", "--scenario", path]) == 0
+        printed = re.findall(r"s\*=(\S+)", capsys.readouterr().out)
+        r = len(load_scenario(path).states)
+        assert len(printed) == r * (r - 1) // 2
+        for text in printed:
+            mantissa = text.split("e")[0].replace(".", "").lstrip("0")
+            assert len(mantissa) <= 6, text
 
     @staticmethod
     def dense_report_rows(tmp_path, name, detectors, n_max):

@@ -509,6 +509,52 @@ class TestEpsilonDetector:
         complement = np.eye(64) - picked @ picked.conj().T
         assert np.abs(completion @ completion.conj().T - complement).max() < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 16, 32])
+    def test_elements_are_upper_blocks_of_embedded_pvm(self, dim):
+        # rebuild the (r+1)d PVM from the reported basis and labels, check it
+        # as a PVM, and cut it back to its upper block
+        rng = np.random.default_rng(100 + dim)
+        for r in (2, 3):
+            states = [
+                random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                for _ in range(r)
+            ]
+            for epsilon in (0.1, 0.3, 0.7):
+                det, diag = epsilon_detector(states, epsilon)
+                labels = np.asarray(diag.labels)
+                blocks = [diag.basis[:, labels == i] for i in range(r)]
+                big = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
+                upper = [HermitianMatrix(e.mat[:dim, :dim]) for e in big.elements]
+                for new, old in zip(det.elements, upper):
+                    assert np.abs(new.mat - old.mat).max() <= 1e-15
+                old_report = evaluate_errors(states, Detector(upper, kind="POVM"))
+                new_report = evaluate_errors(states, det)
+                assert np.abs(
+                    np.subtract(new_report.per_hypothesis, old_report.per_hypothesis)
+                ).max() <= 1e-15
+                assert abs(new_report.averaged - old_report.averaged) <= 1e-15
+
+    @pytest.mark.parametrize("rows", ["all", "extra"])
+    def test_non_unitary_basis_raises(self, monkeypatch, rows):
+        # scaling only the extra-block rows leaves the upper block a valid
+        # POVM, so only the unitarity check on the QR factor can see it
+        rng = np.random.default_rng(17)
+        states = [random_density_matrix(4, rng, rank=2) for _ in range(3)]
+        real_qr = np.linalg.qr
+
+        def skewed_qr(a, mode="reduced"):
+            out = real_qr(a, mode=mode)
+            if mode != "complete":
+                return out
+            q, r = out
+            q = q.copy()
+            q[slice(None) if rows == "all" else slice(4, None)] *= 1.0 + 1e-6
+            return q, r
+
+        monkeypatch.setattr("qmht.detectors.np.linalg.qr", skewed_qr)
+        with pytest.raises(NumericalConsistencyError, match="not unitary"):
+            epsilon_detector(states, 0.3)
+
     def test_epsilon_out_of_range(self, zero_state, plus_state):
         for bad in (0.0, 1.0, 0.9, 1e-4):
             with pytest.raises(ValueError):
