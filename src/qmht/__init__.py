@@ -2,8 +2,8 @@
 
 Detector constructions (greedy Gram-Schmidt PVM, Holevo-Helstrom, pretty good
 measurement, commuting Bayes, embedded POVM), binary and multiple quantum
-Chernoff bounds, and n-copy tensor-power experiments with implicit product
-eigenstructure.
+Chernoff bounds, and n-copy tensor-power experiments that run per type class
+or per Schur-Weyl block, never on d^n-dimensional objects.
 """
 
 from .chernoff import (
@@ -33,12 +33,10 @@ from .errors import DimensionLimitError, NumericalConsistencyError, ScenarioErro
 from .linalg import (
     DensityMatrix,
     HermitianMatrix,
-    PowerEigenpair,
     SpectralDecomposition,
     dense_limit,
     fractional_power,
     gram_min_eigenvalue,
-    iter_power_eigenpairs,
     positive_part_and_support,
     spectral_decompose,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "LiReport",
     "MultipleChernoffResult",
     "NumericalConsistencyError",
-    "PowerEigenpair",
     "PowerHypothesisSet",
     "ScenarioError",
     "SpectralDecomposition",
@@ -87,7 +84,6 @@ __all__ = [
     "gs_detector",
     "gs_error_bound",
     "holevo_helstrom",
-    "iter_power_eigenpairs",
     "multiple_qcb",
     "pairwise_li_check",
     "pgm",

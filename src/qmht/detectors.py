@@ -24,7 +24,7 @@ from .linalg import (
 
 POVM_ATOL = 1e-9
 SPAN_RESIDUAL_TOL = 1e-9
-SELECTION_TIE_ATOL = 1e-12
+SELECTION_TIE_RTOL = 1e-12
 COMMUTATOR_ATOL = 1e-10
 PRIOR_ATOL = 1e-10
 # Smallest embedding perturbation: the embedded Gram spectrum is floored at
@@ -168,16 +168,18 @@ def greedy_order(streams):
     """Merge descending ``(value, item)`` streams into greedy pick order.
 
     Yields ``(state, value, item)`` triples, the largest head value first; a
-    head that exceeds an earlier state's head by at most ``SELECTION_TIE_ATOL``
-    loses to the smaller state index. Streams are read lazily, one pop at a
-    time, so a consumer may stop early.
+    head that exceeds an earlier state's head by at most ``SELECTION_TIE_RTOL``
+    times that head loses to the smaller state index. Streams are read
+    lazily, one pop at a time, so a consumer may stop early.
     """
     iterators = [iter(stream) for stream in streams]
     heads = [next(it, None) for it in iterators]
     while True:
         best_state, best_value = -1, -math.inf
         for i, head in enumerate(heads):
-            if head is not None and head[0] > best_value + SELECTION_TIE_ATOL:
+            if head is not None and (
+                best_state < 0 or head[0] > best_value + SELECTION_TIE_RTOL * abs(best_value)
+            ):
                 best_state, best_value = i, head[0]
         if best_state < 0:
             return

@@ -6,11 +6,9 @@ to share across workers.
 
 from __future__ import annotations
 
-import heapq
-import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,34 +136,33 @@ def eigenvalue_zero_threshold(eigenvalues: np.ndarray) -> float:
     return EIGENVALUE_ZERO_RTOL * top
 
 
-def _normalize_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first component above 1e-12 is real and positive."""
-    nonzero = np.flatnonzero(np.abs(vec) > 1e-12)
-    if nonzero.size:
-        pivot = vec[nonzero[0]]
-        vec = vec * (pivot.conjugate() / abs(pivot))
-    return vec
-
-
-def _lex_key(vec: np.ndarray) -> tuple:
-    return tuple(float(part) for re, im in zip(vec.real, vec.imag) for part in (re, im))
+def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
+    """Rotate every column so its first component above 1e-12 is real and positive."""
+    above = np.abs(vectors) > 1e-12
+    pivots = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
+    pivots = np.where(above.any(axis=0), pivots, 1.0)
+    # hypot, not np.abs: it rounds as the scalar abs() of one pivot does
+    return vectors * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
 
 
 def _tie_break_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Reorder equal-eigenvalue runs by ascending lexicographic key of the vectors."""
+    """Reorder equal-eigenvalue runs by ascending lexicographic key of the
+    vectors, (re, im) of the first component, then of the second, and so on."""
     tol = EIGENVALUE_ZERO_RTOL * max(1.0, float(np.abs(values).max()))
-    order: list[int] = []
+    order = np.arange(len(values))
     start = 0
     while start < len(values):
         stop = start
         while stop + 1 < len(values) and values[start] - values[stop + 1] <= tol:
             stop += 1
-        group = list(range(start, stop + 1))
-        if len(group) > 1:
-            group.sort(key=lambda j: _lex_key(vectors[:, j]))
-        order.extend(group)
+        if stop > start:
+            run = vectors[:, start : stop + 1]
+            keys = np.empty((2 * run.shape[0], run.shape[1]))
+            keys[0::2], keys[1::2] = run.real, run.imag
+            # np.lexsort sorts by its last key first, and stably
+            order[start : stop + 1] = start + np.lexsort(keys[::-1])
         start = stop + 1
-    return np.array(order, dtype=np.intp)
+    return order
 
 
 def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
@@ -177,9 +174,7 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     """
     values, vectors = np.linalg.eigh(h.mat)
     values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    for k in range(vectors.shape[1]):
-        vectors[:, k] = _normalize_phase(vectors[:, k])
+    vectors = _normalize_phases(vectors[:, ::-1])
     order = _tie_break_order(values, vectors)
     values = values[order]
     vectors = vectors[:, order]
@@ -217,45 +212,6 @@ def positive_part_and_support(a: HermitianMatrix) -> tuple[HermitianMatrix, Herm
         positive = np.zeros((dim, dim), dtype=complex)
         support = np.zeros((dim, dim), dtype=complex)
     return HermitianMatrix(positive), HermitianMatrix(support)
-
-
-@dataclass(frozen=True)
-class PowerEigenpair:
-    """One eigenvalue of an n-fold tensor power, stored as a product plus index tuple.
-
-    The implied eigenvector is the Kronecker product of the indexed base
-    eigenvectors and is never materialized here.
-    """
-
-    value: float
-    index_tuple: tuple[int, ...]
-
-
-def iter_power_eigenpairs(eigenvalues: Sequence[float], n: int) -> Iterator[PowerEigenpair]:
-    """Yield all d**n product eigenpairs in descending value order.
-
-    A max-heap merges the index lattice lazily; equal values come out in
-    ascending index-tuple order.
-    """
-    values = np.asarray(eigenvalues, dtype=float)
-    d = len(values)
-    if n < 1:
-        raise ValueError(f"copy number must be positive, got {n}")
-    if d < 1:
-        return
-    start = (0,) * n
-    heap = [(-math.prod(values[j] for j in start), start)]
-    seen = {start}
-    while heap:
-        negative, tup = heapq.heappop(heap)
-        yield PowerEigenpair(-negative, tup)
-        for t in range(n):
-            j = tup[t] + 1
-            if j < d:
-                child = tup[:t] + (j,) + tup[t + 1:]
-                if child not in seen:
-                    seen.add(child)
-                    heapq.heappush(heap, (-math.prod(values[k] for k in child), child))
 
 
 def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix, float]:

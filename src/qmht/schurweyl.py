@@ -1,148 +1,345 @@
-"""Schur-Weyl block route for qubit tensor powers.
+"""Schur-Weyl block route for tensor powers of every dimension.
 
-For qubits, (C^2)^(x n) splits into spin blocks V_j (x) C^(m_j) with
-N = 2j = n - 2h for h = 0..floor(n/2), m_j = C(n, h) - C(n, h - 1), and a
-state rho = U diag(l0, l1) U^H acts there as pi_j(rho) (x) 1_(m_j) with
+(C^d)^(x n) splits into blocks V_lam (x) C^(f_lam) over the partitions lam of
+n with at most d rows, f_lam from the hook-length formula, and a state
+rho = U diag(p) U^H acts there as pi_lam(rho) (x) 1_(f_lam) with
 
-    pi_j(rho) = Sym^N(U) diag(l0^(h+N-q) l1^(h+q)) Sym^N(U)^H,  q = 0..N
+    pi_lam(rho) = pi_lam(U) diag(prod_j p[j]^(w_j)) pi_lam(U)^H
 
-(Bacon, Chuang and Harrow, quant-ph/0407082). The product eigenvectors of
-state s with k ones span the line Sym^N(U_s) e_(k-h) (x) C^(m_j) in every
-block with 0 <= k - h <= N, so the greedy detector runs on one line per
-(type class, block), the greedy PVM is a sum of per-block projectors times
-1_(m_j), and each detector error is a sum of positive per-block masses
-weighted by m_j. Blocks have at most n + 1 rows.
+(Bacon, Chuang and Harrow, quant-ph/0407082). V_lam carries the
+Gelfand-Tsetlin basis, whose patterns are weight vectors with weights w, and
+the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
+(math/0211289). With U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one
+``eigh`` per block and state. The product eigenvectors of state s in type
+class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
+C^(f_lam) in every block, so gs, epsilon and helstrom run per block on those
+columns, and each detector error is a sum of positive per-block masses
+weighted by f_lam.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgees
 
 from .detectors import _greedy_orthonormal_selection, greedy_order
 from .linalg import gram_floor
 
 
-def symmetric_powers(u: np.ndarray, top: int) -> list[np.ndarray]:
-    """Sym^N(U) for N = 0..top: U^(x N) on the symmetric subspace, in the Dicke
-    basis D_0..D_N (D_q has q ones).
+@functools.cache
+def type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label counts k of every type class of n draws from d labels, one class
+    per row, and the class sizes n!/prod_j k_j! (exact integers, as floats)."""
+    draws = itertools.combinations_with_replacement(range(d), n)
+    counts = np.array([np.bincount(draw, minlength=d) for draw in draws])
+    sizes = np.array(
+        [math.factorial(n) // math.prod(map(math.factorial, row)) for row in counts.tolist()],
+        dtype=float,
+    )
+    # cached and shared by every caller, so read-only
+    counts.setflags(write=False)
+    sizes.setflags(write=False)
+    return counts, sizes
 
-    Built by the recursion on N that splits off the first tensor factor,
-    |D_q^N> = sqrt((N-q)/N) |0>|D_q^(N-1)> + sqrt(q/N) |1>|D_(q-1)^(N-1)>; every
-    term has modulus at most 1, so no step cancels large terms.
-    """
-    out = [np.ones((1, 1), dtype=complex)]
-    for m in range(1, top + 1):
-        index = np.arange(m + 1)
-        zeros, ones = m - index, index  # of D_q with its first factor |0>, |1>
-        padded = np.zeros((m + 2, m + 2), dtype=complex)
-        padded[1 : m + 1, 1 : m + 1] = out[-1]
-        same = padded[1:, 1:]  # Sym^(m-1)(U)[p, q]
-        row_down = padded[:-1, 1:]  # [p - 1, q]
-        col_down = padded[1:, :-1]  # [p, q - 1]
-        both_down = padded[:-1, :-1]  # [p - 1, q - 1]
-        # integer products under each square root, one division by m: for a
-        # diagonal U the result stays exactly diagonal with exact entries
-        out.append(
-            (
-                np.sqrt(np.outer(zeros, zeros)) * u[0, 0] * same
-                + np.sqrt(np.outer(ones, zeros)) * u[1, 0] * row_down
-                + np.sqrt(np.outer(zeros, ones)) * u[0, 1] * col_down
-                + np.sqrt(np.outer(ones, ones)) * u[1, 1] * both_down
+
+@functools.cache
+def partitions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions of n into at most d parts, padded with zeros to length d,
+    in descending lexicographic order."""
+    if d == 1:
+        return ((n,),)
+    return tuple(
+        (first,) + rest
+        for first in range(n, -1, -1)
+        for rest in partitions(n - first, d - 1)
+        if rest[0] <= first
+    )
+
+
+@functools.cache
+def multiplicity(lam: tuple[int, ...]) -> int:
+    """f_lam, the dimension of the Specht module, by the hook-length formula."""
+    conjugate = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    hooks = math.prod(
+        part - j + conjugate[j] - i - 1 for i, part in enumerate(lam) for j in range(part)
+    )
+    return math.factorial(sum(lam)) // hooks
+
+
+@dataclass(frozen=True)
+class GtTables:
+    """V_lam in its Gelfand-Tsetlin basis: the weight of every pattern (one row
+    each), the real generators E_ab for a < b (E_ba is the transpose, E_aa is
+    diag(weights[:, a])), and the columns of each weight. E_ab raises a
+    pattern, which comes later in the lexicographic order, so every E_ab with
+    a < b is strictly lower triangular."""
+
+    weights: np.ndarray
+    raising: tuple[tuple[int, int, np.ndarray], ...]
+    columns: dict
+
+
+def _gt_patterns(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every pattern with top row lam, as its rows from row d (lam) down to
+    row 1, in ascending lexicographic order."""
+    patterns = [(lam,)]
+    for _ in range(len(lam) - 1):
+        patterns = [
+            pattern + (row,)
+            for pattern in patterns
+            for row in itertools.product(
+                *(range(low, high + 1) for high, low in zip(pattern[-1], pattern[-1][1:]))
             )
-            / m
-        )
-    return out
+        ]
+    return patterns
 
 
-def spin_blocks(n: int) -> list[tuple[int, int, int]]:
-    """(h, N, m_j) for every spin block of n qubits, largest block first."""
-    return [
-        (h, n - 2 * h, math.comb(n, h) - (math.comb(n, h - 1) if h else 0))
-        for h in range(n // 2 + 1)
-    ]
+def _raising_entry(pattern, k: int, i: int) -> float:
+    """<pattern + delta_(k,i)| E_(k,k+1) |pattern>, for rows k = 1..d-1 and
+    i = 0..k-1: Molev's formula with l_(k,i) = m_(k,i) - i."""
+    d = len(pattern)
+    above, row = pattern[d - k - 1], pattern[d - k]
+    below = pattern[d - k + 1] if k > 1 else ()
+    x = row[i] - i
+    numerator = -math.prod(x - (m - j) for j, m in enumerate(above)) * math.prod(
+        x + 1 - (m - j) for j, m in enumerate(below)
+    )
+    denominator = math.prod(
+        (x - (m - j)) * (x + 1 - (m - j)) for j, m in enumerate(row) if j != i
+    )
+    return math.sqrt(numerator / denominator)
+
+
+@functools.cache
+def gt_tables(lam: tuple[int, ...]) -> GtTables:
+    """The Gelfand-Tsetlin tables of V_lam (cached per lam)."""
+    d = len(lam)
+    patterns = _gt_patterns(lam)
+    index = {pattern: c for c, pattern in enumerate(patterns)}
+    sums = np.array([[0] + [sum(row) for row in reversed(pattern)] for pattern in patterns])
+    weights = np.diff(sums, axis=1)
+    adjacent = []
+    for k in range(1, d):
+        generator = np.zeros((len(patterns), len(patterns)))
+        for c, pattern in enumerate(patterns):
+            for i in range(k):
+                row = list(pattern[d - k])
+                row[i] += 1
+                raised = index.get(pattern[: d - k] + (tuple(row),) + pattern[d - k + 1 :])
+                if raised is not None:
+                    generator[raised, c] = _raising_entry(pattern, k, i)
+        adjacent.append(generator)
+    raising = {(a, a + 1): generator for a, generator in enumerate(adjacent)}
+    for gap in range(2, d):
+        for a in range(d - gap):
+            # E_ab = [E_a(b-1), E_(b-1)b]
+            left, right = raising[(a, a + gap - 1)], raising[(a + gap - 1, a + gap)]
+            raising[(a, a + gap)] = left @ right - right @ left
+    columns: dict = {}
+    for c, weight in enumerate(weights.tolist()):
+        columns.setdefault(tuple(weight), []).append(c)
+    # cached and shared by every caller, so read-only
+    for array in (weights, *raising.values()):
+        array.setflags(write=False)
+    return GtTables(
+        weights=weights,
+        raising=tuple((a, b, generator) for (a, b), generator in raising.items()),
+        columns={weight: tuple(cols) for weight, cols in columns.items()},
+    )
+
+
+def unitary_log(u: np.ndarray) -> np.ndarray:
+    """H, Hermitian up to rounding, with exp(iH) = u, from the complex Schur
+    form u = Z T Z^H (LAPACK zgees, called directly: ``scipy.linalg.schur``
+    adds a workspace query and input checks that cost four times the
+    factorization of a qubit or qutrit unitary)."""
+    t, _, _, z, _, info = zgees(lambda _: None, u, lwork=2 * len(u))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"complex Schur decomposition failed (zgees info {info})")
+    return (z * np.angle(np.diag(t))) @ z.conj().T
+
+
+def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
+    """pi_lam(exp(iH)) = exp(i sum_ab H_ab E_ab), by one ``eigh``, for one H
+    or a stack of them (one result per H).
+
+    Only the lower triangle of the Hermitian generator is built, from the
+    real diagonal of H and its entries H_ab with a < b: ``eigh`` reads no
+    more.
+    """
+    diagonal = np.real(np.diagonal(h, axis1=-2, axis2=-1)) @ tables.weights.T
+    generator = diagonal[..., None] * np.eye(len(tables.weights), dtype=complex)
+    for a, b, raising in tables.raising:
+        generator += h[..., a, b, None, None] * raising
+    phases, vectors = np.linalg.eigh(generator)
+    return (vectors * np.exp(1j * phases)[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
+
+
+class _Block:
+    """One block V_lam (x) C^(f_lam) of the n-fold powers of a family.
+
+    ``values[s]`` holds the eigenvalue of pi_lam(rho_s) on every column of
+    ``unitaries[s]`` = pi_lam(U_s); the unitaries of all states are built in
+    one stacked ``eigh`` on first use, so a block that no row needs costs
+    none.
+    """
+
+    def __init__(self, lam, eigenvalues, logs) -> None:
+        self.mult = multiplicity(lam)
+        self.tables = gt_tables(lam)
+        self.dim = len(self.tables.weights)
+        self.values = np.prod(eigenvalues[:, None, :] ** self.tables.weights, axis=2)
+        self._logs = logs
+
+    @functools.cached_property
+    def unitaries(self) -> np.ndarray:
+        return block_unitary(self.tables, self._logs)
+
+    def columns(self, pops) -> list[tuple[int, int]]:
+        """(state, column) of the popped classes in this block, in pop order."""
+        return [
+            (state, c) for state, _, k in pops for c in self.tables.columns.get(k, ())
+        ]
+
+    def masses(self, vectors: np.ndarray, state: int) -> np.ndarray:
+        """<v|pi_lam(rho_state)|v> for every column v of ``vectors``."""
+        if not self.values[state].any():
+            return np.zeros(vectors.shape[1])
+        return (np.abs(vectors.conj().T @ self.unitaries[state]) ** 2) @ self.values[state]
+
+    def trace(self, state: int) -> float:
+        return float(self.values[state].sum())
 
 
 def _blocks(phs):
-    """Per spin block: (h, N, m_j, [(Sym^N(U_s), eigenvalues of pi_j(rho_s)) per s]).
-
-    Column q of Sym^N(U_s) is the eigenvector of pi_j(rho_s) with eigenvalue
-    l0^(h+N-q) l1^(h+q).
-    """
-    states = [
-        (symmetric_powers(dec.vectors, phs.n), *(float(v) for v in dec.eigenvalues))
-        for dec in phs.spectra
-    ]
-    for h, big_n, mult in spin_blocks(phs.n):
-        q = np.arange(big_n + 1)
-        operators = [
-            (syms[big_n], l0 ** (h + big_n - q) * l1 ** (h + q)) for syms, l0, l1 in states
-        ]
-        yield h, big_n, mult, operators
-
-
-def _masses(basis: np.ndarray, sym: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """<b_c|pi_j(rho)|b_c> for every column b_c of ``basis``."""
-    return (np.abs(basis.conj().T @ sym) ** 2) @ weights
+    eigenvalues = np.array([dec.eigenvalues for dec in phs.spectra])
+    logs = np.array([unitary_log(dec.vectors) for dec in phs.spectra])
+    for lam in partitions(phs.n, phs.dim):
+        yield _Block(lam, eigenvalues, logs)
 
 
 def _class_stream(phs, state: int):
-    """(value, k) of the type classes of one state above the zero cut, descending."""
-    l0, l1 = (float(v) for v in phs.spectra[state].eigenvalues)
-    for k in range(phs.n + 1):
-        value = l0 ** (phs.n - k) * l1**k
-        if value <= phs.zero_threshold:
+    """(value, k) of the type classes of one state with value > 0, descending."""
+    counts, _ = type_classes(phs.dim, phs.n)
+    values = np.prod(phs.spectra[state].eigenvalues ** counts, axis=1)
+    order = np.argsort(-values, kind="stable")
+    for value, k in zip(values[order].tolist(), counts[order].tolist()):
+        if value <= 0.0:
             return
-        yield value, k
+        yield value, tuple(k)
 
 
-def qubit_gs(phs) -> tuple[float, float]:
-    """Greedy Gram-Schmidt error on the n-fold qubit powers, and lambda_min_gram.
+def _pops(phs):
+    return list(greedy_order([_class_stream(phs, s) for s in range(phs.r)]))
 
-    Type classes are popped in ``greedy_order``; in each block the lines of
+
+def block_gs(phs) -> tuple[float, float]:
+    """Greedy Gram-Schmidt error on the n-fold powers, and lambda_min_gram.
+
+    Type classes are popped in ``greedy_order``; in each block the columns of
     the popped classes run through the dense selection (two Gram-Schmidt
     passes, ``SPAN_RESIDUAL_TOL``), the Householder complement goes to
-    hypothesis 0, and the error is (1/r) sum_j m_j [tr pi_j(rho_0) P_j^(!=0)
-    + sum_(i>=1) tr pi_j(rho_i)(1 - P_j^(i))]. ``lambda_min_gram`` is the
-    smallest sigma_min(R_j)^2 over the blocks, with R_j from a Householder QR
-    of block j's picked lines.
+    hypothesis 0, and the error is (1/r) sum_lam f_lam [tr pi(rho_0) P^(!=0)
+    + sum_(i>=1) tr pi(rho_i)(1 - P^(i))]. ``lambda_min_gram`` is the smallest
+    sigma_min(R_lam)^2 over the blocks, with R_lam from a Householder QR of
+    block lam's picked columns.
     """
-    pops = list(greedy_order([_class_stream(phs, s) for s in range(phs.r)]))
+    pops = _pops(phs)
     err = 0.0
     lam_min = math.inf
-    for h, big_n, mult, operators in _blocks(phs):
-        syms = [sym for sym, _ in operators]
-        block_pops = [(s, k - h) for s, _, k in pops if 0 <= k - h <= big_n]
-        candidates = (((s, q), syms[s][:, q]) for s, q in block_pops)
-        selection, frame = _greedy_orthonormal_selection(candidates, big_n + 1, len(block_pops))
+    for block in _blocks(phs):
+        keys = block.columns(pops)
+        candidates = (((s, c), block.unitaries[s, :, c]) for s, c in keys)
+        selection, frame = _greedy_orthonormal_selection(candidates, block.dim, len(keys))
+        if not selection:
+            # every direction goes to hypothesis 0
+            err += block.mult * sum(block.trace(i) for i in range(1, phs.r))
+            continue
         basis, _ = np.linalg.qr(frame.T, mode="complete")
-        labels = np.array([s for s, _ in selection] + [0] * (big_n + 1 - len(selection)))
-        for i, (sym, weights) in enumerate(operators):
-            err += mult * float(_masses(basis, sym, weights)[labels != i].sum())
-        if selection:
-            lines = np.column_stack([syms[s][:, q] for s, q in selection])
-            lam_min = min(lam_min, gram_floor(lines))
+        labels = np.array([s for s, _ in selection] + [0] * (block.dim - len(selection)))
+        for i in range(phs.r):
+            err += block.mult * float(block.masses(basis[:, labels != i], i).sum())
+        picked = np.column_stack([block.unitaries[s, :, c] for s, c in selection])
+        lam_min = min(lam_min, gram_floor(picked))
     return err / phs.r, lam_min
 
 
-def qubit_helstrom(phs) -> float:
-    """Helstrom error on the n-fold powers of a qubit pair.
+def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
+    """Embedded detector error on the n-fold powers, and lambda_min_gram.
 
-    err = (1/2) sum_j m_j [tr pi_j(rho_0) P_j^+ + tr pi_j(rho_1)(1 - P_j^+)],
-    with P_j^+ the eigenspace of pi_j(rho_1) - pi_j(rho_0) with eigenvalues
-    > 0, the cut of the dense ``holevo_helstrom``. No relative cut: a block
-    eigenvalue far below the largest can carry a large multiplicity m_j, and
-    an eigenvalue at rounding level costs at most its own size on either side.
+    Every class with value > 0 is picked, in ``greedy_order``: the private
+    epsilon-directions make the embedded vectors linearly independent, so no
+    span test runs. In each block the picked columns V have the embedded Gram
+    matrix delta^2 V^H V + epsilon^2 I, factored with one Cholesky
+    decomposition R^H R; the columns of V R^-1, times delta, are the physical
+    parts of the orthonormalized picks. Hypothesis 0 owns the completion, so
+    it misses only the mass its state leaks into the other labels; the
+    others miss their block trace less the mass on their own labels.
+    ``lambda_min_gram`` is the smallest eigenvalue over the block Grams.
+    """
+    pops = _pops(phs)
+    scale = 1.0 - epsilon * epsilon
+    err = 0.0
+    lam_min = math.inf
+    for block in _blocks(phs):
+        keys = block.columns(pops)
+        if not keys:
+            err += block.mult * sum(block.trace(i) for i in range(1, phs.r))
+            continue
+        owners = np.array([s for s, _ in keys])
+        picks = np.column_stack([block.unitaries[s, :, c] for s, c in keys])
+        gram = scale * (picks.conj().T @ picks)
+        # distinct picks share no private direction; each embedded vector is a
+        # unit vector, delta^2 + epsilon^2 = 1
+        np.fill_diagonal(gram, 1.0)
+        lam_min = min(lam_min, float(np.linalg.eigvalsh(gram)[0]))
+        physical = picks @ np.linalg.inv(np.linalg.cholesky(gram).conj().T)
+        err += block.mult * scale * float(block.masses(physical[:, owners != 0], 0).sum())
+        for i in range(1, phs.r):
+            own = scale * float(block.masses(physical[:, owners == i], i).sum())
+            err += block.mult * (block.trace(i) - own)
+    return err / phs.r, lam_min
+
+
+def block_helstrom(phs) -> float:
+    """Helstrom error on the n-fold powers of a pair.
+
+    err = (1/2) sum_lam f_lam [tr pi(rho_0) P^+ + tr pi(rho_1)(1 - P^+)],
+    with P^+ the eigenspace of pi(rho_1) - pi(rho_0) with eigenvalues > 0,
+    the cut of the dense ``holevo_helstrom``. No relative cut: a block
+    eigenvalue far below the largest can carry a large multiplicity f_lam,
+    and an eigenvalue at rounding level costs at most its own size on either
+    side.
     """
     err = 0.0
-    for _, _, mult, operators in _blocks(phs):
-        (sym_0, w_0), (sym_1, w_1) = operators
-        difference = (sym_1 * w_1) @ sym_1.conj().T - (sym_0 * w_0) @ sym_0.conj().T
+    for block in _blocks(phs):
+        if not block.values.any():
+            continue
+        u = block.unitaries
+        operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
+        difference = operators[1] - operators[0]
         values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
         plus = values > 0.0
-        err += mult * float(
-            _masses(vectors, sym_0, w_0)[plus].sum()
-            + _masses(vectors, sym_1, w_1)[~plus].sum()
-        )
+        misses = block.masses(vectors[:, plus], 0).sum() + block.masses(vectors[:, ~plus], 1).sum()
+        err += block.mult * float(misses)
     return 0.5 * err
+
+
+def joint_gram_floor(phs) -> float:
+    """Smallest eigenvalue of the Gram matrix of every product eigenvector
+    with a positive eigenvalue, over all states: the joint Gram is
+    sum_lam G_lam (x) 1_(f_lam), with G_lam the Gram of the positive columns
+    of every pi_lam(U_s)."""
+    lam_min = math.inf
+    for block in _blocks(phs):
+        columns = [block.unitaries[s][:, v > 0.0] for s, v in enumerate(block.values) if v.any()]
+        if columns:
+            stacked = np.hstack(columns)
+            gram = stacked.conj().T @ stacked
+            lam_min = min(lam_min, float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[0]))
+    return lam_min

@@ -430,8 +430,9 @@ class TestBundledScenarios:
             assert len(mantissa) <= 6, text
 
     @staticmethod
-    def dense_report_rows(tmp_path, name, detectors, n_max):
-        """The scenario's JSON rows, each with its dense Kronecker-power error."""
+    def dense_report_rows(tmp_path, name, detectors, n_max, dense_max=None):
+        """The scenario's JSON rows up to n = ``dense_max`` (default n_max),
+        each with its dense Kronecker-power error."""
         path = os.path.join(SCENARIOS, f"{name}.json")
         out = tmp_path / "report.json"
         assert main(["run", "--scenario", path, "--out", str(out), "--format", "json"]) == 0
@@ -441,6 +442,8 @@ class TestBundledScenarios:
         ]
         states = load_scenario(path).states
         for row in rows:
+            if row["n"] > (dense_max or n_max):
+                continue
             powered = [
                 DensityMatrix(functools.reduce(np.kron, [rho.mat] * row["n"]))
                 for rho in states
@@ -457,6 +460,18 @@ class TestBundledScenarios:
         rows = self.dense_report_rows(tmp_path, "mixed_qubit_pair", ("gs", "helstrom"), 7)
         for row, dense in rows:
             assert abs(row["err"] - dense) < 1e-10
+
+    def test_mixed_qutrit_pair_matches_dense_kronecker_powers(self, tmp_path):
+        # a full-rank non-commuting qutrit pair: gs, epsilon and helstrom all
+        # run the Gelfand-Tsetlin blocks; dense powers are checked to n = 5
+        rows = self.dense_report_rows(
+            tmp_path, "mixed_qutrit_pair", ("gs", "epsilon", "helstrom"), 7, dense_max=5
+        )
+        checked = 0
+        for row, dense in rows:
+            assert abs(row["err"] - dense) < 1e-12
+            checked += 1
+        assert checked == 15
 
     def test_mixed_qutrit_triple_matches_dense_kronecker_powers(self, tmp_path):
         rows = self.dense_report_rows(tmp_path, "mixed_qutrit_triple", ("gs", "epsilon"), 4)

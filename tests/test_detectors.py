@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmht.detectors import (
-    SELECTION_TIE_ATOL,
+    SELECTION_TIE_RTOL,
     Detector,
     bayes_commuting,
     classical_ml,
@@ -187,14 +187,17 @@ class TestGreedyOrder:
         assert order == [(0, "a"), (1, "c"), (2, "e"), (0, "b"), (1, "d")]
 
     def test_values_within_tie_tolerance_go_to_smaller_state(self):
-        close = 0.5 + 0.5 * SELECTION_TIE_ATOL
+        close = 0.5 * (1.0 + 0.5 * SELECTION_TIE_RTOL)
         streams = [[(0.5, "a"), (0.1, "b")], [(close, "c")]]
         assert [item for _, _, item in greedy_order(streams)] == ["a", "c", "b"]
 
     def test_values_beyond_tie_tolerance_go_first(self):
-        far = 0.5 + 2.0 * SELECTION_TIE_ATOL
+        far = 0.5 * (1.0 + 2.0 * SELECTION_TIE_RTOL)
         streams = [[(0.5, "a")], [(far, "c")]]
         assert list(greedy_order(streams)) == [(1, far, "c"), (0, 0.5, "a")]
+        # the tolerance is relative: values far below 1e-12 still order
+        streams = [[(1e-20, "a")], [(2e-20, "c")]]
+        assert [item for _, _, item in greedy_order(streams)] == ["c", "a"]
 
     def test_empty_streams_and_lazy_reads(self):
         rest = iter([(0.9, "x"), (0.8, "y"), (0.7, "z")])

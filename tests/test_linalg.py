@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -11,15 +10,10 @@ from qmht.linalg import (
     HermitianMatrix,
     fractional_power,
     gram_min_eigenvalue,
-    iter_power_eigenpairs,
     positive_part_and_support,
     spectral_decompose,
 )
 from qmht.sampling import complex_gaussian, random_density_matrix, random_orthonormal
-
-
-def power_pairs(rho, n):
-    return list(iter_power_eigenpairs(rho.spectrum().eigenvalues, n))
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -104,6 +98,58 @@ class TestSpectralDecompose:
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
 
+def loop_spectral_decompose(h):
+    """The per-column reference: each column phase-normalized on its own,
+    each degenerate run sorted by a tuple key."""
+    values, vectors = np.linalg.eigh(h.mat)
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
+    for k in range(vectors.shape[1]):
+        vec = vectors[:, k]
+        nonzero = np.flatnonzero(np.abs(vec) > 1e-12)
+        if nonzero.size:
+            pivot = vec[nonzero[0]]
+            vectors[:, k] = vec * (pivot.conjugate() / abs(pivot))
+    tol = 1e-12 * max(1.0, float(np.abs(values).max()))
+    order = []
+    start = 0
+    while start < len(values):
+        stop = start
+        while stop + 1 < len(values) and values[start] - values[stop + 1] <= tol:
+            stop += 1
+        group = list(range(start, stop + 1))
+        group.sort(
+            key=lambda j: tuple(
+                float(part) for z in vectors[:, j] for part in (z.real, z.imag)
+            )
+        )
+        order.extend(group)
+        start = stop + 1
+    return values[order], vectors[:, order]
+
+
+class TestVectorizedSpectralDecompose:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_loop_reference(self, seed):
+        # random, exactly degenerate (a projector with repeated eigenvalues,
+        # whose eigh columns are arbitrary inside each run) and rank-deficient
+        # inputs at d = 32
+        rng = np.random.default_rng(seed)
+        basis = random_orthonormal(32, 32, rng)
+        spectrum = np.repeat(rng.uniform(0.0, 1.0, 4), 8)
+        inputs = [
+            random_hermitian(32, rng),
+            HermitianMatrix((basis * spectrum) @ basis.conj().T),
+            HermitianMatrix(np.diag(np.repeat([0.5, 0.25, 0.0], [4, 8, 20])).astype(complex)),
+            random_density_matrix(32, rng, rank=5).base,
+        ]
+        for h in inputs:
+            dec = spectral_decompose(h)
+            values, vectors = loop_spectral_decompose(h)
+            assert np.array_equal(dec.eigenvalues, values)
+            assert np.array_equal(dec.vectors, vectors)
+
+
 class TestFractionalPower:
     def test_elementwise_eigenvalue_power(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
@@ -168,61 +214,6 @@ class TestPositivePart:
         diag = np.array([0.4, -0.1, 0.0, 0.2])
         pos, _ = positive_part_and_support(HermitianMatrix(np.diag(diag).astype(complex)))
         assert np.allclose(np.diag(pos.mat).real, np.maximum(diag, 0.0))
-
-
-class TestPowerEigenpairs:
-    def test_binomial_multiplicities(self):
-        p = 0.7
-        rho = DensityMatrix(np.diag([p, 1 - p]).astype(complex))
-        pairs = power_pairs(rho, 3)
-        values = sorted((pair.value for pair in pairs), reverse=True)
-        expected = sorted(
-            (p**k * (1 - p) ** (3 - k) for k in range(4) for _ in range(math.comb(3, k))),
-            reverse=True,
-        )
-        assert np.allclose(values, expected, rtol=1e-12)
-
-    def test_single_copy_matches_spectrum(self):
-        rng = np.random.default_rng(3)
-        rho = random_density_matrix(3, rng)
-        pairs = power_pairs(rho, 1)
-        assert np.allclose(
-            [pair.value for pair in pairs], rho.spectrum().eigenvalues, rtol=1e-12
-        )
-
-    def test_values_sum_to_one(self):
-        rng = np.random.default_rng(11)
-        rho = random_density_matrix(2, rng)
-        for n in (3, 7, 12):
-            total = sum(pair.value for pair in power_pairs(rho, n))
-            assert abs(total - 1.0) < 1e-9
-
-    def test_descending_order_with_tuple_ties(self):
-        values = [0.5, 0.5]
-        pairs = list(iter_power_eigenpairs(values, 2))
-        assert [pair.index_tuple for pair in pairs] == [
-            (0, 0), (0, 1), (1, 0), (1, 1)
-        ]
-
-    def test_matches_explicit_kronecker_oracle(self):
-        rng = np.random.default_rng(21)
-        for n in (2, 3, 4):
-            rho = random_density_matrix(2, rng)
-            pairs = power_pairs(rho, n)
-            dense = rho.mat
-            for _ in range(n - 1):
-                dense = np.kron(dense, rho.mat)
-            oracle = np.sort(np.linalg.eigvalsh(dense))[::-1]
-            assert np.allclose([pair.value for pair in pairs], oracle, atol=1e-9)
-
-    def test_implied_eigenvector_is_kron_product(self):
-        rng = np.random.default_rng(5)
-        rho = random_density_matrix(2, rng)
-        dec = rho.spectrum()
-        for pair in power_pairs(rho, 3)[:4]:
-            vec = functools.reduce(np.kron, [dec.vectors[:, j] for j in pair.index_tuple])
-            dense = np.kron(np.kron(rho.mat, rho.mat), rho.mat)
-            assert np.abs(dense @ vec - pair.value * vec).max() < 1e-9
 
 
 class TestGram:

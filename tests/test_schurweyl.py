@@ -7,8 +7,18 @@ import pytest
 from qmht.detectors import evaluate_errors, gs_detector, holevo_helstrom
 from qmht.linalg import DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
-from qmht.schurweyl import _blocks, spin_blocks, symmetric_powers
+from qmht.schurweyl import (
+    _blocks,
+    _class_stream,
+    block_unitary,
+    gt_tables,
+    multiplicity,
+    partitions,
+    type_classes,
+    unitary_log,
+)
 from qmht.tensorlab import PowerHypothesisSet, run_power_experiment
+from conftest import diagonal
 
 
 def roadmap_ensembles(count):
@@ -47,48 +57,172 @@ DEFECT_LAMBDA_REFERENCE = {6: 2.03725005979059e-18, 8: 4.49021910790314e-23}
 N8_ATOL = 5e-11
 
 
+def dicke_basis(big_n):
+    """Columns D_0..D_N of the symmetric subspace of N qubits (D_q has q ones)."""
+    dicke = np.zeros((2**big_n, big_n + 1))
+    for x in range(2**big_n):
+        dicke[x, bin(x).count("1")] = 1.0
+    return dicke / np.linalg.norm(dicke, axis=0)
+
+
+def block_generators(lam):
+    """Every E_ab of V_lam, from the cached raising tables."""
+    tables = gt_tables(lam)
+    generators = {(a, a): np.diag(tables.weights[:, a]).astype(float) for a in range(len(lam))}
+    for a, b, generator in tables.raising:
+        generators[(a, b)] = generator
+        generators[(b, a)] = generator.T
+    return generators
+
+
 class TestSymmetricPowers:
+    # Sym^N(U) is the one-row block pi_(N,0)(U)
     def test_unitary_and_multiplicative(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             u = phase * random_orthonormal(2, 2, rng)
             v = random_orthonormal(2, 2, rng)
-            sym_u = symmetric_powers(u, 14)
-            sym_v = symmetric_powers(v, 14)
-            sym_uv = symmetric_powers(u @ v, 14)
+            logs = [unitary_log(x) for x in (u, v, u @ v)]
             for big_n in range(15):
+                tables = gt_tables((big_n, 0))
+                sym_u, sym_v, sym_uv = (block_unitary(tables, h) for h in logs)
                 eye = np.eye(big_n + 1)
-                assert np.abs(sym_u[big_n].conj().T @ sym_u[big_n] - eye).max() < 1e-13
-                product = sym_u[big_n] @ sym_v[big_n]
-                assert np.abs(sym_uv[big_n] - product).max() < 1e-13
+                assert np.abs(sym_u.conj().T @ sym_u - eye).max() < 1e-13
+                assert np.abs(sym_uv - sym_u @ sym_v).max() < 1e-13
 
     def test_matches_restricted_kronecker_power(self):
+        # the Gelfand-Tsetlin basis of (N, 0) is the Dicke basis, in the
+        # order of its weights (count of the first label)
         rng = np.random.default_rng(1)
         u = random_orthonormal(2, 2, rng)
         big_n = 4
-        dicke = np.zeros((2**big_n, big_n + 1))
-        for x in range(2**big_n):
-            dicke[x, bin(x).count("1")] = 1.0
-        dicke /= np.linalg.norm(dicke, axis=0)
+        tables = gt_tables((big_n, 0))
+        dicke = dicke_basis(big_n)[:, big_n - tables.weights[:, 0]]
         dense = dicke.T @ functools.reduce(np.kron, [u] * big_n) @ dicke
-        assert np.abs(dense - symmetric_powers(u, big_n)[big_n]).max() < 1e-14
+        assert np.abs(dense - block_unitary(tables, unitary_log(u))).max() < 1e-14
+
+    def test_qubit_blocks_are_det_times_symmetric_power(self):
+        # pi_(N+h, h)(U) = det(U)^h Sym^N(U)
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            u = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * random_orthonormal(2, 2, rng)
+            h = unitary_log(u)
+            for big_n in range(6):
+                sym = block_unitary(gt_tables((big_n, 0)), h)
+                for extra in range(1, 4):
+                    block = block_unitary(gt_tables((big_n + extra, extra)), h)
+                    expected = np.linalg.det(u) ** extra * sym
+                    assert np.abs(block - expected).max() < 1e-13
+
+
+class TestGelfandTsetlinBlocks:
+    @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 2, 0), (3, 1, 1), (2, 1, 1, 0), (3, 3, 0, 0)])
+    def test_generators_satisfy_gl_commutators(self, lam):
+        # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+        generators = block_generators(lam)
+        zero = np.zeros_like(generators[(0, 0)])
+        for (i, j), left in generators.items():
+            for (k, l), right in generators.items():
+                expected = (generators[(i, l)] if j == k else zero) - (
+                    generators[(k, j)] if l == i else zero
+                )
+                assert np.abs(left @ right - right @ left - expected).max() < 1e-13
+
+    @pytest.mark.parametrize("lam", [(2, 1, 0), (4, 2, 1), (2, 1, 1, 0), (3, 3, 0, 0)])
+    def test_block_unitary_is_a_homomorphism(self, lam):
+        rng = np.random.default_rng(sum(lam))
+        d = len(lam)
+        tables = gt_tables(lam)
+        for _ in range(3):
+            u, v = (random_orthonormal(d, d, rng) for _ in range(2))
+            pi_u, pi_v, pi_uv = (block_unitary(tables, unitary_log(x)) for x in (u, v, u @ v))
+            assert np.abs(pi_u @ pi_v - pi_uv).max() < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dimensions_and_purity_add_up(self, d):
+        # sum_lam f_lam dim V_lam = d^n and sum_lam f_lam tr pi_lam(rho)^2 = (tr rho^2)^n
+        rng = np.random.default_rng(30 + d)
+        rho = random_density_matrix(d, rng)
+        purity = float(np.vdot(rho.mat, rho.mat).real)
+        for n in range(1, 9):
+            blocks = list(_blocks(PowerHypothesisSet([rho], n, limit=d**8)))
+            assert sum(block.mult * block.dim for block in blocks) == d**n
+            total = 0.0
+            for block in blocks:
+                pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
+                total += block.mult * float(np.vdot(pi, pi).real)
+            assert abs(total - purity**n) < 1e-13
+
+
+class TestClassStream:
+    def test_binomial_multiplicities(self):
+        # class (n - k, k) of diag(p, 1 - p) has value p^(n-k) (1-p)^k and
+        # size C(n, k)
+        p = 0.7
+        phs = PowerHypothesisSet([diagonal([p, 1 - p])], 3)
+        counts, sizes = type_classes(2, 3)
+        size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
+        for value, k in _class_stream(phs, 0):
+            assert abs(value - p ** k[0] * (1 - p) ** k[1]) < 1e-15
+            assert size_of[k] == math.comb(3, k[1])
+
+    def test_single_copy_matches_spectrum(self):
+        rng = np.random.default_rng(3)
+        rho = random_density_matrix(3, rng)
+        stream = list(_class_stream(PowerHypothesisSet([rho], 1), 0))
+        assert [value for value, _ in stream] == list(rho.spectrum().eigenvalues)
+        assert [k for _, k in stream] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def test_descending_order_with_tuple_ties(self):
+        # equal values keep the order of ``type_classes``; zero-valued
+        # classes are left out
+        phs = PowerHypothesisSet([diagonal([0.5, 0.5, 0.0])], 2)
+        assert list(_class_stream(phs, 0)) == [
+            (0.25, (2, 0, 0)), (0.25, (1, 1, 0)), (0.25, (0, 2, 0))
+        ]
+
+    def test_matches_explicit_kronecker_oracle(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 4):
+            rho = random_density_matrix(3, rng)
+            counts, sizes = type_classes(3, n)
+            size_of = {tuple(row): int(size) for row, size in zip(counts.tolist(), sizes)}
+            stream = _class_stream(PowerHypothesisSet([rho], n), 0)
+            values = np.concatenate([np.full(size_of[k], value) for value, k in stream])
+            oracle = np.sort(np.linalg.eigvalsh(kron_power(rho, n).mat))[::-1]
+            assert np.abs(values - oracle).max() < 1e-15
+
+    def test_class_columns_are_block_eigenvectors(self):
+        # the product eigenvectors of class k span the weight-k columns of
+        # pi_lam(U) in every block, with the class value as eigenvalue
+        rng = np.random.default_rng(5)
+        rho = random_density_matrix(3, rng)
+        phs = PowerHypothesisSet([rho], 4)
+        stream = list(_class_stream(phs, 0))
+        for block in _blocks(phs):
+            pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
+            for value, k in stream:
+                for c in block.tables.columns.get(k, ()):
+                    column = block.unitaries[0][:, c]
+                    assert np.abs(pi @ column - value * column).max() < 1e-15
 
 
 class TestSpinBlocks:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_dimensions_add_up(self, n):
-        assert sum(mult * (big_n + 1) for _, big_n, mult in spin_blocks(n)) == 2**n
+        blocks = [(multiplicity(lam), len(gt_tables(lam).weights)) for lam in partitions(n, 2)]
+        assert len(blocks) == n // 2 + 1
+        assert sum(mult * dim for mult, dim in blocks) == 2**n
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_block_spectrum_equals_kronecker_power(self, n):
         rng = np.random.default_rng(10 + n)
         for rho in (random_density_matrix(2, rng), random_pure_state(2, rng)):
-            phs = PowerHypothesisSet([rho], n)
             blocks = []
-            for _, _, mult, [(sym, weights)] in _blocks(phs):
-                pi = (sym * weights) @ sym.conj().T
-                blocks.append(np.repeat(np.linalg.eigvalsh(pi), mult))
+            for block in _blocks(PowerHypothesisSet([rho], n)):
+                pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
+                blocks.append(np.repeat(np.linalg.eigvalsh(pi), block.mult))
             block_spectrum = np.sort(np.concatenate(blocks))
             dense_spectrum = np.linalg.eigvalsh(kron_power(rho, n).mat)
             assert np.abs(block_spectrum - dense_spectrum).max() < 1e-14

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmht.detectors import (
@@ -20,11 +20,13 @@ from qmht.tensorlab import (
     EPSILON_CLIP,
     PowerHypothesisSet,
     _claim_weights,
+    cut_spectrum,
     epsilon_schedule,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
 )
+from qmht.schurweyl import _blocks, _class_stream, type_classes
 from conftest import diagonal, pure
 
 LOG2 = math.log(2.0)
@@ -74,19 +76,28 @@ def classical_ml_power_error(states, n):
 
 class TestPowerHypothesisSet:
     def test_product_values_sum_to_one(self):
+        # each class value times its size n!/prod_j k_j!, over the classes
+        # with value > 0
         rng = np.random.default_rng(0)
-        base = [random_density_matrix(2, rng) for _ in range(2)]
-        phs = PowerHypothesisSet(base, 8)
-        for i in range(2):
-            total = sum(v for v, _ in phs.eigenpair_stream(i))
-            assert abs(total - 1.0) < 1e-8
+        base = [random_density_matrix(2, rng), random_density_matrix(3, rng, rank=2)]
+        for phs in (PowerHypothesisSet(base[:1], 8), PowerHypothesisSet(base[1:], 5)):
+            counts, sizes = type_classes(phs.dim, phs.n)
+            size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
+            total = sum(size_of[k] * value for value, k in _class_stream(phs, 0))
+            assert abs(total - 1.0) < 1e-13
 
     def test_rank_multiplies(self):
+        # the base spectra are cut once, so sum_lam f_lam rank pi_lam(rho)
+        # is rank(rho)^n
         rng = np.random.default_rng(1)
         base = [random_density_matrix(3, rng, rank=2), random_density_matrix(3, rng, rank=1)]
         phs = PowerHypothesisSet(base, 4)
-        assert len(phs.positive_index_tuples(0)) == 2**4
-        assert len(phs.positive_index_tuples(1)) == 1
+        assert [int(np.count_nonzero(dec.eigenvalues)) for dec in phs.spectra] == [2, 1]
+        for state, rank in enumerate((2, 1)):
+            total = sum(
+                block.mult * np.count_nonzero(block.values[state]) for block in _blocks(phs)
+            )
+            assert total == rank**4
 
     def test_dimension_limit(self):
         base = [diagonal([0.5, 0.5]), diagonal([1.0, 0.0])]
@@ -159,9 +170,8 @@ class TestRunPowerExperimentGs:
         assert abs(row.err - dense_gs_error(states, n)) < tolerance
 
     def test_oracle_equivalence_random_qutrit_ensembles(self):
-        # qubit rows take the Schur-Weyl block route; qutrit rows run the
-        # explicit product vectors through the dense selection, so they keep
-        # their own dense cross-check
+        # qutrit rows take the Gelfand-Tsetlin blocks, where a type class
+        # spans several columns per block, not one line as for qubits
         rng = np.random.default_rng(62)
         for _ in range(50):
             r = int(rng.integers(2, 4))
@@ -187,6 +197,47 @@ class TestRunPowerExperimentGs:
         for row in run_power_experiment(states, [1, 2, 3], "gs").rows:
             assert abs(row.err - dense_gs_error(states, row.n)) < 1e-12
 
+    def test_block_rows_match_dense_kronecker_powers(self):
+        # every non-aligned row kind at d = 3 (n <= 5) and d = 4 (n <= 4),
+        # with random ranks, against the dense detectors on explicit powers.
+        # The dense detectors drop products at or below 1e-12 times the
+        # largest, the block route keeps every class > 0; epsilon picks every
+        # kept vector, so the two agree only on draws with no positive product
+        # below that cut (the draw of seed 64 at d = 4, n = 4 has one, 3.5e-16,
+        # and its epsilon rows differ by 3.5e-5)
+        rng = np.random.default_rng(65)
+        for d, n_max in ((3, 5), (4, 4)):
+            for n in range(1, n_max + 1):
+                states = [
+                    random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
+                    for _ in range(3)
+                ]
+                spectra = [cut_spectrum(rho).eigenvalues for rho in states]
+                lowest = min(float(v[v > 0.0].min()) ** n for v in spectra)
+                assert lowest > 1e-12 * max(float(v[0]) ** n for v in spectra)
+                powered = [kron_power(rho, n) for rho in states]
+                gs = run_power_experiment(states, [n], "gs").rows[0]
+                dense = evaluate_errors(powered, gs_detector(powered)[0]).averaged
+                assert abs(gs.err - dense) < 1e-12
+                eps = run_power_experiment(states, [n], "epsilon", epsilon_override=0.4).rows[0]
+                det, _ = epsilon_detector(powered, 0.4)
+                assert abs(eps.err - evaluate_errors(powered, det).averaged) < 1e-12
+                pair = powered[:2]
+                helstrom = run_power_experiment(states[:2], [n], "helstrom").rows[0]
+                dense = evaluate_errors(pair, holevo_helstrom(*pair)).averaged
+                assert abs(helstrom.err - dense) < 1e-12
+
+    def test_qutrit_pair_past_six_copies(self):
+        # the product-vector route took 28 s at n = 7 and printed
+        # 0.04706157049375426 (two Wishart qutrits after three qubits)
+        rng = np.random.default_rng(11)
+        [random_density_matrix(2, rng) for _ in range(3)]
+        states = [random_density_matrix(3, rng) for _ in range(2)]
+        start = time.perf_counter()
+        row = run_power_experiment(states, [7], "gs").rows[0]
+        assert time.perf_counter() - start < 1.0
+        assert abs(row.err - 0.04706157049375426) < 1e-12
+
     def test_qutrit_gram_coordinate_defect(self):
         # a Gram-coordinate span rule picked a different set here and printed
         # 0.125940454930; the dense residual rule and a 40-digit Gram-Schmidt
@@ -211,7 +262,7 @@ class TestRunPowerExperimentOtherKinds:
         assert abs(report.rows[0].err - dense) < 1e-10
 
     def test_helstrom_qutrit_pair_matches_dense(self):
-        # d >= 3 pairs take the joint-support route past one copy too
+        # d >= 3 pairs take the block route past one copy too
         rng = np.random.default_rng(31)
         for ranks in ((1, 2), (2, 3), (3, 1), (1, 3), (2, 2), (3, 3)):
             states = [random_density_matrix(3, rng, rank=rank) for rank in ranks]
@@ -253,6 +304,29 @@ class TestRunPowerExperimentOtherKinds:
     def test_helstrom_requires_two_states(self, zero_state, plus_state, one_state):
         with pytest.raises(ValueError):
             run_power_experiment([zero_state, plus_state, one_state], [1], "helstrom")
+
+    def test_aligned_gs_equals_classical_ml_far_out(self):
+        # a cut at 1e-12 times the top value to the n dropped whole classes
+        # and an absolute tie tolerance tied every value below 1e-12 to
+        # state 0: gs printed 0.667 = 1 - 1/r at n = 40, classical-ml 0.0353
+        states = [diagonal(row) for row in ([0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5])]
+        gs = run_power_experiment(states, [40], "gs", limit=10**400).rows[0]
+        ml = run_power_experiment(states, [40], "classical-ml", limit=10**400).rows[0]
+        assert abs(gs.err - ml.err) < 1e-12
+        assert abs(ml.err - 0.0353) < 1e-4
+
+    def test_rotated_commuting_family_matches_type_classes(self):
+        # a common rotation leaves the family commuting but not aligned in
+        # the computed eigenbases, so it runs the Gelfand-Tsetlin blocks;
+        # the unrotated family runs the type classes
+        rows = ([0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5])
+        rotation = random_orthonormal(3, 3, np.random.default_rng(7))
+        plain = [diagonal(row) for row in rows]
+        rotated = [DensityMatrix(rotation @ rho.mat @ rotation.conj().T) for rho in plain]
+        for kind, r in (("gs", 3), ("epsilon", 3), ("helstrom", 2)):
+            block = run_power_experiment(rotated[:r], [6], kind).rows[0]
+            classes = run_power_experiment(plain[:r], [6], kind).rows[0]
+            assert abs(block.err - classes.err) < 1e-12
 
     def test_classical_ml_matches_gs_on_commuting(self):
         # both families are aligned and take the type-class route; no two of
@@ -302,6 +376,14 @@ class TestRunPowerExperimentOtherKinds:
         states = [
             random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))) for _ in range(r)
         ]
+        # the dense detector drops products at or below 1e-12 times the
+        # largest, the power rows keep every class > 0, and epsilon picks
+        # every kept vector: the two define the same detector only when no
+        # positive product lies below that cut (8 of the 10001 seeds have
+        # one; seed 576 then differs by 5e-3)
+        spectra = [cut_spectrum(rho).eigenvalues for rho in states]
+        lowest = min(float(v[v > 0.0].min()) ** n for v in spectra)
+        assume(lowest > 1e-12 * max(float(v[0]) ** n for v in spectra))
         row = run_power_experiment(
             states, [n], "epsilon", epsilon_override=eps
         ).rows[0]
@@ -313,10 +395,10 @@ class TestRunPowerExperimentOtherKinds:
 
     def test_cholesky_evaluation_panel_matches_dense(self):
         # epsilon rows of families that are not aligned are scored through
-        # the Cholesky factor of their embedded Gram; the panel holds epsilon
-        # rows well above the epsilon floor (where Gram coordinates fix err
-        # only to ~5e-11), next to qutrit gs rows on the explicit frame whose
-        # picked Gram is well conditioned.
+        # the Cholesky factor of each block's embedded Gram; the panel holds
+        # epsilon rows well above the epsilon floor (where Gram coordinates
+        # fix err only to ~5e-11), next to qutrit gs rows whose picked block
+        # Grams are well conditioned.
         rng = np.random.default_rng(8)
         epsilon_rows = gs_rows = 0
         while epsilon_rows < 20 or gs_rows < 20:
