@@ -174,6 +174,17 @@ class TestClassStream:
         assert [value for value, _ in stream] == list(rho.spectrum().eigenvalues)
         assert [k for _, k in stream] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
+    def test_values_sum_to_one(self):
+        # class values weighted by class sizes n!/prod_j k_j! sum to tr rho^n
+        rng = np.random.default_rng(11)
+        rho = random_density_matrix(2, rng)
+        for n in (3, 7, 12):
+            counts, sizes = type_classes(2, n)
+            size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
+            stream = _class_stream(PowerHypothesisSet([rho], n), 0)
+            total = sum(size_of[k] * value for value, k in stream)
+            assert abs(total - 1.0) < 1e-13
+
     def test_descending_order_with_tuple_ties(self):
         # equal values keep the order of ``type_classes``; zero-valued
         # classes are left out
