@@ -183,10 +183,10 @@ def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
 class _Block:
     """One block V_lam (x) C^(f_lam) of the n-fold powers of a family.
 
-    ``values[s]`` holds the eigenvalue of pi_lam(rho_s) on every column of
-    ``unitaries[s]`` = pi_lam(U_s); the unitaries of all states are built in
-    one stacked ``eigh`` on first use, so a block that no row needs costs
-    none.
+    ``values[s]`` holds the eigenvalue of pi_lam(rho_s), from the uncut base
+    spectrum, on every column of ``unitaries[s]`` = pi_lam(U_s); the
+    unitaries of all states are built in one stacked ``eigh`` on first use,
+    so a block that no row needs costs none.
     """
 
     def __init__(self, lam, eigenvalues, logs) -> None:
@@ -208,8 +208,6 @@ class _Block:
 
     def masses(self, vectors: np.ndarray, state: int) -> np.ndarray:
         """<v|pi_lam(rho_state)|v> for every column v of ``vectors``."""
-        if not self.values[state].any():
-            return np.zeros(vectors.shape[1])
         return (np.abs(vectors.conj().T @ self.unitaries[state]) ** 2) @ self.values[state]
 
     def trace(self, state: int) -> float:
@@ -223,19 +221,21 @@ def _blocks(phs):
         yield _Block(lam, eigenvalues, logs)
 
 
-def _class_stream(phs, state: int):
-    """(value, k) of the type classes of one state with value > 0, descending."""
+def _class_stream(phs, state: int, floor: float = 0.0):
+    """(value, k) of the type classes of one state whose value on the cut
+    spectrum is above ``floor``, descending."""
     counts, _ = type_classes(phs.dim, phs.n)
-    values = np.prod(phs.spectra[state].eigenvalues ** counts, axis=1)
+    values = np.prod(phs.cut_values[state] ** counts, axis=1)
     order = np.argsort(-values, kind="stable")
     for value, k in zip(values[order].tolist(), counts[order].tolist()):
-        if value <= 0.0:
+        if value <= floor:
             return
         yield value, tuple(k)
 
 
-def _pops(phs):
-    return list(greedy_order([_class_stream(phs, s) for s in range(phs.r)]))
+def _pops(phs, kind: str):
+    floor = phs.pick_cut(kind)
+    return list(greedy_order([_class_stream(phs, s, floor) for s in range(phs.r)]))
 
 
 def block_gs(phs) -> tuple[float, float]:
@@ -249,7 +249,7 @@ def block_gs(phs) -> tuple[float, float]:
     sigma_min(R_lam)^2 over the blocks, with R_lam from a Householder QR of
     block lam's picked columns.
     """
-    pops = _pops(phs)
+    pops = _pops(phs, "gs")
     err = 0.0
     lam_min = math.inf
     for block in _blocks(phs):
@@ -272,7 +272,9 @@ def block_gs(phs) -> tuple[float, float]:
 def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
     """Embedded detector error on the n-fold powers, and lambda_min_gram.
 
-    Every class with value > 0 is picked, in ``greedy_order``: the private
+    Every class with value above ``pick_cut("epsilon")`` is picked (the
+    dense detectors' cut: epsilon picks every kept vector, so its error jumps
+    with the support), in ``greedy_order``: the private
     epsilon-directions make the embedded vectors linearly independent, so no
     span test runs. In each block the picked columns V have the embedded Gram
     matrix delta^2 V^H V + epsilon^2 I, factored with one Cholesky
@@ -282,7 +284,7 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
     others miss their block trace less the mass on their own labels.
     ``lambda_min_gram`` is the smallest eigenvalue over the block Grams.
     """
-    pops = _pops(phs)
+    pops = _pops(phs, "epsilon")
     scale = 1.0 - epsilon * epsilon
     err = 0.0
     lam_min = math.inf
@@ -318,8 +320,6 @@ def block_helstrom(phs) -> float:
     """
     err = 0.0
     for block in _blocks(phs):
-        if not block.values.any():
-            continue
         u = block.unitaries
         operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
         difference = operators[1] - operators[0]
@@ -332,12 +332,13 @@ def block_helstrom(phs) -> float:
 
 def joint_gram_floor(phs) -> float:
     """Smallest eigenvalue of the Gram matrix of every product eigenvector
-    with a positive eigenvalue, over all states: the joint Gram is
-    sum_lam G_lam (x) 1_(f_lam), with G_lam the Gram of the positive columns
-    of every pi_lam(U_s)."""
+    with a positive eigenvalue on the cut spectra, over all states: the joint
+    Gram is sum_lam G_lam (x) 1_(f_lam), with G_lam the Gram of the positive
+    columns of every pi_lam(U_s)."""
     lam_min = math.inf
     for block in _blocks(phs):
-        columns = [block.unitaries[s][:, v > 0.0] for s, v in enumerate(block.values) if v.any()]
+        positive = np.prod(phs.cut_values[:, None, :] ** block.tables.weights, axis=2) > 0.0
+        columns = [block.unitaries[s][:, kept] for s, kept in enumerate(positive) if kept.any()]
         if columns:
             stacked = np.hstack(columns)
             gram = stacked.conj().T @ stacked

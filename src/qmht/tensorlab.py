@@ -1,8 +1,12 @@
 """n-copy experiments on tensor-power hypotheses.
 
 Each base spectrum is cut once: eigenvalues at or below
-``eigenvalue_zero_threshold`` become exactly 0, and a product of eigenvalues
-(a type class, k_j copies of label j) counts iff it is > 0.
+``eigenvalue_zero_threshold`` become exactly 0, and a product of those
+(a type class, k_j copies of label j) is a gs pick candidate iff it is > 0.
+epsilon picks every candidate, so its error jumps with the support; it keeps
+the cut the dense detectors make on the explicit powers, 1e-12 times the
+largest n-fold eigenvalue. The cut only decides which classes are picked:
+every mass and every Helstrom minimum is scored with the uncut eigenvalues.
 
 Aligned families come first. When every base overlap table V_0^H V_a has
 exactly one nonzero per column (decided once per call), the base eigenbases
@@ -10,11 +14,12 @@ agree up to permutation and phase, and every row kind runs on probability
 rows p_a[j], state a's eigenvalue on its eigenvector parallel to column j of
 V_0. Each product outcome of a type class then has the likelihood
 P_a = prod_j p_a[j]^(k_j), so every error is a sum over the C(n+d-1, d-1)
-classes weighted by their sizes n!/prod_j k_j!. The states with P_a > 0
-claim a class in ``greedy_order``: gs gives it to the first claimant
-(lambda_min_gram 1), and epsilon gives the c-th claimant the weight
-|1^T R^-1 e_c|^2 of its class Gram matrix delta^2 J + epsilon^2 I
-(lambda_min_gram epsilon^2 once some class has two claimants, 1 otherwise).
+classes weighted by their sizes n!/prod_j k_j!. The states whose cut P_a
+is above the pick cut claim a class in ``greedy_order``: gs gives it to the
+first claimant (lambda_min_gram 1), and epsilon gives the c-th claimant
+the weight |1^T R^-1 e_c|^2 of its class Gram matrix
+delta^2 J + epsilon^2 I (lambda_min_gram epsilon^2 once some class has two
+claimants, 1 otherwise).
 classical-ml reads any commuting family from ``common_eigenbasis`` and
 labels each class by argmax; helstrom sums (1/2) min(P_0, P_1).
 
@@ -42,7 +47,6 @@ from .detectors import (
 from .errors import DimensionLimitError
 from .linalg import (
     DensityMatrix,
-    SpectralDecomposition,
     dense_limit,
     eigenvalue_zero_threshold,
 )
@@ -62,6 +66,7 @@ class PowerHypothesisSet:
     n: int
     limit: int | None = None
     spectra: list = field(init=False, repr=False)
+    cut_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.base = list(self.base)
@@ -75,7 +80,8 @@ class PowerHypothesisSet:
         cap = dense_limit() if self.limit is None else self.limit
         if dim**self.n > cap:
             raise DimensionLimitError(f"{dim}**{self.n} exceeds the dense limit {cap}")
-        self.spectra = [cut_spectrum(rho) for rho in self.base]
+        self.spectra = [rho.spectrum() for rho in self.base]
+        self.cut_values = np.array([_cut(dec.eigenvalues) for dec in self.spectra])
 
     @property
     def r(self) -> int:
@@ -85,15 +91,20 @@ class PowerHypothesisSet:
     def dim(self) -> int:
         return self.base[0].dim
 
+    def pick_cut(self, kind: str) -> float:
+        """A row of this kind picks a class iff its value on ``cut_values`` is
+        above this: 0, except for epsilon, which picks every kept vector and so
+        keeps the dense detectors' cut on the explicit powers, 1e-12 times the
+        largest n-fold eigenvalue."""
+        if kind != "epsilon":
+            return 0.0
+        return eigenvalue_zero_threshold(self.cut_values.max() ** self.n)
 
-def cut_spectrum(rho: DensityMatrix) -> SpectralDecomposition:
-    """rho's spectrum with every eigenvalue at or below ``eigenvalue_zero_threshold``
-    set to exactly 0, so that a product of eigenvalues is kept iff it is > 0."""
-    dec = rho.spectrum()
-    values = dec.eigenvalues
-    return SpectralDecomposition(
-        np.where(values > eigenvalue_zero_threshold(values), values, 0.0), dec.vectors
-    )
+
+def _cut(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues with every one at or below ``eigenvalue_zero_threshold`` set
+    to exactly 0, so that a product of them is > 0 iff no factor was cut."""
+    return np.where(values > eigenvalue_zero_threshold(values), values, 0.0)
 
 
 def _pairwise_overlap_power_sum(qcb: MultipleChernoffResult, n: int) -> float:
@@ -109,7 +120,7 @@ def _aligned_rows(states: Sequence[DensityMatrix]) -> np.ndarray | None:
     eigenvector is parallel to. The family is aligned when every base
     overlap table V_0^H V_a has exactly one nonzero per column.
     """
-    spectra = [cut_spectrum(rho) for rho in states]
+    spectra = [rho.spectrum() for rho in states]
     rows = np.empty((len(spectra), spectra[0].dim))
     rows[0] = spectra[0].eigenvalues
     for a, dec in enumerate(spectra[1:], start=1):
@@ -141,14 +152,15 @@ def _claim_weights(claims: int, epsilon: float) -> np.ndarray:
 
 
 def _type_class_error(
-    rows: np.ndarray, n: int, kind: str, epsilon: float
+    rows: np.ndarray, cut_rows: np.ndarray, n: int, kind: str, floor: float, epsilon: float
 ) -> tuple[float, float | None]:
     """Detector error on the n-fold powers of an aligned family, and
     lambda_min_gram, from one term per type class.
 
     Every product outcome in a type class has the likelihood
-    P_a = prod_j p_a[j]^(k_j) under state a. The states with P_a > 0 claim
-    the class in ``greedy_order``. gs gives it to its
+    P_a = prod_j p_a[j]^(k_j) under state a. The states whose P_a on
+    ``cut_rows`` is above ``floor`` claim the class in ``greedy_order``, and
+    the P_a on ``rows`` score it. gs gives it to its
     first claimant (``epsilon`` = 0); epsilon gives the c-th claimant the
     weight ``_claim_weights`` and scales every mass by delta^2. Their
     lambda_min_gram is epsilon^2 when some class has two weighted claimants
@@ -163,10 +175,11 @@ def _type_class_error(
         labels = np.argmax(values, axis=0)
         successes = [float(sizes[labels == i] @ values[i, labels == i]) for i in range(len(rows))]
         return 1.0 - float(np.mean(successes)), 1.0
+    cut = np.prod(cut_rows[:, None, :] ** counts, axis=2)
     claim_weights = _claim_weights(len(rows), epsilon)
     weights = np.zeros_like(values)
-    for m, column in enumerate(values.T):
-        streams = [[(value, None)] if value > 0.0 else [] for value in column]
+    for m, column in enumerate(cut.T):
+        streams = [[(value, None)] if value > floor else [] for value in column]
         claimants = [state for state, _, _ in greedy_order(streams)]
         weights[claimants, m] = claim_weights[: len(claimants)]
     scale = 1.0 - epsilon * epsilon
@@ -266,6 +279,7 @@ def run_power_experiment(
         raise ValueError("helstrom runs on exactly two hypotheses")
     # one alignment verdict per call; classical-ml reads any commuting family
     probs = _commuting_rows(states) if kind == "classical-ml" else _aligned_rows(states)
+    cut_probs = None if probs is None else np.array([_cut(row) for row in probs])
     ns = sorted({int(n) for n in n_range})
     if not ns or ns[0] < 1:
         raise ValueError("copy numbers must be positive integers")
@@ -287,7 +301,9 @@ def run_power_experiment(
             )
             embedding_guard(eps_n)
         if probs is not None:
-            err, lam_min = _type_class_error(probs, n, kind, eps_n or 0.0)
+            err, lam_min = _type_class_error(
+                probs, cut_probs, n, kind, phs.pick_cut(kind), eps_n or 0.0
+            )
         elif kind == "gs":
             err, lam_min = block_gs(phs)
         elif kind == "epsilon":
