@@ -11,7 +11,6 @@ from .chernoff import (
     MultipleChernoffResult,
     binary_qcb,
     multiple_qcb,
-    q_overlap,
 )
 from .detectors import (
     BayesConditionReport,
@@ -35,7 +34,6 @@ from .linalg import (
     HermitianMatrix,
     SpectralDecomposition,
     dense_limit,
-    fractional_power,
     gram_min_eigenvalue,
     positive_part_and_support,
     spectral_decompose,
@@ -46,7 +44,6 @@ from .tensorlab import (
     LiPairResult,
     LiReport,
     PowerHypothesisSet,
-    epsilon_schedule,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
@@ -76,9 +73,7 @@ __all__ = [
     "common_eigenbasis",
     "dense_limit",
     "epsilon_detector",
-    "epsilon_schedule",
     "evaluate_errors",
-    "fractional_power",
     "gram_convergence_check",
     "gram_min_eigenvalue",
     "gs_detector",
@@ -88,7 +83,6 @@ __all__ = [
     "pairwise_li_check",
     "pgm",
     "positive_part_and_support",
-    "q_overlap",
     "run_power_experiment",
     "spectral_decompose",
     "verify_bayes_conditions",

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgees
 
 from .detectors import _greedy_orthonormal_selection, greedy_order
 from .linalg import gram_floor
@@ -154,14 +153,33 @@ def gt_tables(lam: tuple[int, ...]) -> GtTables:
 
 
 def unitary_log(u: np.ndarray) -> np.ndarray:
-    """H, Hermitian up to rounding, with exp(iH) = u, from the complex Schur
-    form u = Z T Z^H (LAPACK zgees, called directly: ``scipy.linalg.schur``
-    adds a workspace query and input checks that cost four times the
-    factorization of a qubit or qutrit unitary)."""
-    t, _, _, z, _, info = zgees(lambda _: None, u, lwork=2 * len(u))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"complex Schur decomposition failed (zgees info {info})")
-    return (z * np.angle(np.diag(t))) @ z.conj().T
+    """H, Hermitian up to rounding, with exp(iH) = u and spectrum in (-pi, pi],
+    for one unitary or a stack of them (one result per unitary).
+
+    Each u is first turned by a phase e^(i turn) that puts the middle of the
+    widest gap between its eigenvalues at -1; that gap is at least 2 pi / d,
+    so 1 + w is invertible. The Cayley transform K = i (1 - w)(1 + w)^-1 of
+    the turned w is then Hermitian, with eigenvalues tan(alpha / 2) on the
+    eigenvectors where w has e^(i alpha), and ``eigh`` returns an orthonormal
+    eigenbasis of it even where u has repeated eigenvalues. H is that basis
+    with the angles 2 arctan(kappa) - turn, wrapped to (-pi, pi].
+    """
+    angles = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    # the next eigenvalue angle counterclockwise from each one
+    upper = np.concatenate([angles[..., 1:], angles[..., :1] + 2.0 * np.pi], axis=-1)
+    widest = np.argmax(upper - angles, axis=-1)[..., None]
+    turn = np.pi - 0.5 * np.take_along_axis(angles + upper, widest, axis=-1)
+    turned = u * np.exp(1j * turn)[..., None]
+    eye = np.eye(u.shape[-1])
+    kappa, vectors = np.linalg.eigh(1j * np.linalg.solve(eye + turned, eye - turned))
+    theta = np.remainder(2.0 * np.arctan(kappa) - turn - np.pi, -2.0 * np.pi) + np.pi
+    return (vectors * theta[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
+
+
+def eigenbasis_logs(spectra) -> np.ndarray:
+    """``unitary_log`` of the stacked eigenbases of the base spectra, one per
+    state: all that the Schur-Weyl blocks of any n read of the eigenbases."""
+    return unitary_log(np.array([dec.vectors for dec in spectra]))
 
 
 def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
@@ -216,7 +234,7 @@ class _Block:
 
 def _blocks(phs):
     eigenvalues = np.array([dec.eigenvalues for dec in phs.spectra])
-    logs = np.array([unitary_log(dec.vectors) for dec in phs.spectra])
+    logs = eigenbasis_logs(phs.spectra) if phs.logs is None else phs.logs
     for lam in partitions(phs.n, phs.dim):
         yield _Block(lam, eigenvalues, logs)
 

@@ -3,10 +3,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qmht
 from qmht.cli import load_scenario, main
 from qmht.detectors import epsilon_detector, evaluate_errors, gs_detector, holevo_helstrom
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
@@ -477,3 +480,28 @@ class TestBundledScenarios:
         rows = self.dense_report_rows(tmp_path, "mixed_qutrit_triple", ("gs", "epsilon"), 4)
         for row, dense in rows:
             assert abs(row["err"] - dense) < 1e-12
+
+
+class TestRuntimeImports:
+    def test_run_loads_no_scipy(self, tmp_path):
+        # the runtime needs numpy only: a fresh interpreter that imports the
+        # package and runs qutrit and qubit reports on the Schur-Weyl blocks
+        # and a commuting one on the type classes has loaded no scipy module
+        script = "\n".join([
+            "import sys",
+            "import qmht, qmht.cli",
+            "for name in ('mixed_qutrit_pair', 'pure_pair', 'commuting_pair'):",
+            "    scenario = f'{sys.argv[1]}/{name}.json'",
+            "    out = f'{sys.argv[2]}/{name}.csv'",
+            "    assert qmht.cli.main(['run', '--scenario', scenario, '--out', out]) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qmht.__file__)))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-c", script, SCENARIOS, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -1,15 +1,24 @@
 import functools
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from qmht.detectors import evaluate_errors, gs_detector, holevo_helstrom
+from qmht.detectors import (
+    SPAN_RESIDUAL_TOL,
+    evaluate_errors,
+    greedy_order,
+    gs_detector,
+    holevo_helstrom,
+)
 from qmht.linalg import DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.schurweyl import (
     _blocks,
     _class_stream,
+    block_gs,
     block_unitary,
     gt_tables,
     multiplicity,
@@ -57,6 +66,83 @@ DEFECT_LAMBDA_REFERENCE = {6: 2.03725005979059e-18, 8: 4.49021910790314e-23}
 N8_ATOL = 5e-11
 
 
+def t2_pair():
+    """Two Wishart qutrits drawn from default_rng(11) after three Wishart qubits."""
+    rng = np.random.default_rng(11)
+    [random_density_matrix(2, rng) for _ in range(3)]
+    return [random_density_matrix(3, rng) for _ in range(2)]
+
+
+def mp_greedy_gs_error(states, n):
+    """Greedy Gram-Schmidt error on the explicit n-fold powers, in 40 digits.
+
+    The double base eigenvalues and eigenvectors are taken as exact. The
+    candidates are the product eigenvectors a = u_(j_1) (x) ... (x) u_(j_n) of
+    every state, in ``greedy_order`` of their values; the inner products of two
+    of them, and their matrix elements under a power, are products of n base
+    entries. Each frame vector q_k is kept as its coefficients on the picks,
+    and a candidate is picked when its residual norm is above
+    ``SPAN_RESIDUAL_TOL``. Hypothesis 0 owns the completion.
+    """
+    r, d = len(states), states[0].dim
+    with mpmath.workdps(40):
+        values = [[mpmath.mpf(float(x)) for x in rho.spectrum().eigenvalues] for rho in states]
+        bases = [mpmath.matrix(rho.spectrum().vectors.tolist()) for rho in states]
+        # overlap[s][t][j, l] = <u^s_j|u^t_l>
+        overlap = [[bs.H * bt for bt in bases] for bs in bases]
+        # inner[i][s][t][j, l] = <u^s_j|rho_i|u^t_l>, rho_i = V_i diag(p_i) V_i^H
+        inner = [
+            [
+                [overlap[s][i] * mpmath.diag(values[i]) * overlap[i][t] for t in range(r)]
+                for s in range(r)
+            ]
+            for i in range(r)
+        ]
+
+        def element(table, a, b):
+            return mpmath.fprod(table[a[0]][b[0]][j, l] for j, l in zip(a[1], b[1]))
+
+        streams = [
+            sorted(
+                (
+                    (mpmath.fprod(values[s][j] for j in labels), (s, labels))
+                    for labels in itertools.product(range(d), repeat=n)
+                ),
+                key=lambda item: -item[0],
+            )
+            for s in range(r)
+        ]
+        picks, frame = [], []  # frame[k][j]: coefficient of picks[j] in q_k
+        for _, value, b in greedy_order(streams):
+            if value <= 0 or len(picks) == d**n:
+                break
+            g = [element(overlap, a, b) for a in picks]
+            y = [mpmath.fdot(g, x, conjugate=True) for x in frame]
+            norm_sq = element(overlap, b, b) - mpmath.fsum(abs(c) ** 2 for c in y)
+            residual = mpmath.sqrt(max(mpmath.re(norm_sq), 0))
+            if residual <= SPAN_RESIDUAL_TOL:
+                continue
+            k = len(picks)
+            x = [-mpmath.fdot(y[j:], (frame[m][j] for m in range(j, k))) / residual
+                 for j in range(k)]
+            picks.append(b)
+            frame.append(x + [1 / residual])
+        # state 0 misses its mass on the frame of every other label, state
+        # i >= 1 its trace less its mass on its own frame: each q_k of label
+        # i adds q_k^H (rho_0^(x n) - rho_i^(x n)) q_k
+        powers = [[[element(inner[i], a, b) for b in picks] for a in picks] for i in range(r)]
+        err = mpmath.fsum(mpmath.fsum(values[i]) ** n for i in range(1, r))
+        for k, (owner, _) in enumerate(picks):
+            if owner != 0:
+                x = frame[k]
+                rows = (
+                    mpmath.fdot((p - q for p, q in zip(row0[: k + 1], row[: k + 1])), x)
+                    for row0, row in zip(powers[0], powers[owner][: k + 1])
+                )
+                err += mpmath.re(mpmath.fdot(rows, x, conjugate=True))
+        return float(err / r)
+
+
 def dicke_basis(big_n):
     """Columns D_0..D_N of the symmetric subspace of N qubits (D_q has q ones)."""
     dicke = np.zeros((2**big_n, big_n + 1))
@@ -73,6 +159,65 @@ def block_generators(lam):
         generators[(a, b)] = generator
         generators[(b, a)] = generator.T
     return generators
+
+
+def exp_i(h):
+    """exp(iH) for one Hermitian H or a stack of them."""
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(1j * values)[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
+
+
+def adversarial_unitaries(d, rng):
+    """d x d unitaries on which a log is easy to get wrong: -I and I, exactly
+    repeated eigenvalues, a cluster within 1e-9 of -1 (at d = 2 also
+    diag(-1, 1) and the swap), and Wishart eigenbases."""
+    q = random_orthonormal(d, d, rng)
+
+    def with_phases(angles):
+        return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+
+    out = [-np.eye(d, dtype=complex), np.eye(d, dtype=complex)]
+    if d == 2:
+        out += [np.diag([-1.0, 1.0]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)]
+    out.append(with_phases([0.7] * (d - 1) + [-2.1]))
+    out.append(with_phases([math.pi] * (d // 2) + [-0.4] * (d - d // 2)))
+    out.append(with_phases(math.pi + rng.uniform(-1e-9, 1e-9, d)))
+    out.append(with_phases([0.3] + list(math.pi + rng.uniform(-1e-9, 1e-9, d - 1))))
+    out += [random_density_matrix(d, rng).spectrum().vectors for _ in range(20)]
+    out += [random_density_matrix(d, rng, rank=1).spectrum().vectors for _ in range(5)]
+    return out
+
+
+class TestUnitaryLog:
+    @staticmethod
+    def check(u, h):
+        assert np.abs(h - np.swapaxes(h.conj(), -1, -2)).max() < 1e-15
+        assert np.abs(exp_i(h) - u).max() < 1e-14
+        # (-pi, pi], up to the rounding of eigvalsh at the top: a cluster
+        # within 1e-9 of -1 keeps eigenvalues on both sides of pi
+        spectrum = np.linalg.eigvalsh(h)
+        assert spectrum.min() > -math.pi and spectrum.max() < math.pi + 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_matrix(self, d):
+        for u in adversarial_unitaries(d, np.random.default_rng(40 + d)):
+            self.check(u, unitary_log(u))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_matches_one_matrix_at_a_time(self, d):
+        stack = np.array(adversarial_unitaries(d, np.random.default_rng(40 + d)))
+        logs = unitary_log(stack)
+        assert logs.shape == stack.shape
+        self.check(stack, logs)
+        for u, h in zip(stack, logs):
+            assert np.abs(h - unitary_log(u)).max() < 1e-15
+
+    def test_exact_logs_of_reflections(self):
+        # -1 maps to pi, never to -pi
+        assert np.array_equal(unitary_log(-np.eye(3, dtype=complex)), math.pi * np.eye(3))
+        h = unitary_log(np.array([[0, 1], [1, 0]], dtype=complex))
+        expected = 0.5 * math.pi * np.array([[1, -1], [-1, 1]])
+        assert np.abs(h - expected).max() < 1e-15
 
 
 class TestSymmetricPowers:
@@ -270,6 +415,16 @@ class TestQubitGs:
         powered = [kron_power(rho, 8) for rho in states]
         dense = evaluate_errors(powered, gs_detector(powered)[0]).averaged
         assert abs(row.err - dense) < 1e-12
+
+
+class TestQutritGs:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_t2_matches_extended_precision_gram_schmidt(self, n):
+        # the 40-digit greedy Gram-Schmidt on the explicit powers; block_gs
+        # agrees to 6e-16 at n = 3 and 4
+        states = t2_pair()
+        err, _ = block_gs(PowerHypothesisSet(states, n))
+        assert abs(err - mp_greedy_gs_error(states, n)) < 1e-12
 
 
 class TestQubitHelstrom:
