@@ -176,12 +176,6 @@ def unitary_log(u: np.ndarray) -> np.ndarray:
     return (vectors * theta[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
 
 
-def eigenbasis_logs(spectra) -> np.ndarray:
-    """``unitary_log`` of the stacked eigenbases of the base spectra, one per
-    state: all that the Schur-Weyl blocks of any n read of the eigenbases."""
-    return unitary_log(np.array([dec.vectors for dec in spectra]))
-
-
 def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
     """pi_lam(exp(iH)) = exp(i sum_ab H_ab E_ab), by one ``eigh``, for one H
     or a stack of them (one result per H).
@@ -234,7 +228,7 @@ class _Block:
 
 def _blocks(phs):
     eigenvalues = np.array([dec.eigenvalues for dec in phs.spectra])
-    logs = eigenbasis_logs(phs.spectra) if phs.logs is None else phs.logs
+    logs = unitary_log(np.array([dec.vectors for dec in phs.spectra]))
     for lam in partitions(phs.n, phs.dim):
         yield _Block(lam, eigenvalues, logs)
 

@@ -50,14 +50,7 @@ from .linalg import (
     dense_limit,
     eigenvalue_zero_threshold,
 )
-from .schurweyl import (
-    block_epsilon,
-    block_gs,
-    block_helstrom,
-    eigenbasis_logs,
-    joint_gram_floor,
-    type_classes,
-)
+from .schurweyl import block_epsilon, block_gs, block_helstrom, joint_gram_floor, type_classes
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
@@ -67,17 +60,11 @@ LI_WITNESS_TOL = 1e-9
 
 @dataclass
 class PowerHypothesisSet:
-    """r hypotheses raised to the n-th tensor power, kept as base spectra.
-
-    ``logs`` is ``eigenbasis_logs`` of the base spectra, which every n
-    shares: a sweep computes it once and passes it to each set, and the
-    Schur-Weyl blocks of a set built without it compute it on each use.
-    """
+    """r hypotheses raised to the n-th tensor power, kept as base spectra."""
 
     base: list[DensityMatrix]
     n: int
     limit: int | None = None
-    logs: np.ndarray | None = field(default=None, repr=False)
     spectra: list = field(init=False, repr=False)
     cut_values: np.ndarray = field(init=False, repr=False)
 
@@ -299,11 +286,10 @@ def run_power_experiment(
 
     if qcb is None:
         qcb = multiple_qcb(states)
-    logs = None if probs is not None else eigenbasis_logs(rho.spectrum() for rho in states)
     r = len(states)
     rows: list[ExperimentRow] = []
     for n in ns:
-        phs = PowerHypothesisSet(states, n, limit=limit, logs=logs)
+        phs = PowerHypothesisSet(states, n, limit=limit)
         overlap_sum = _pairwise_overlap_power_sum(qcb, n)
         lam_min: float | None
         eps_n: float | None = None
@@ -412,8 +398,7 @@ def gram_convergence_check(
     report = pairwise_li_check(states)
     if not report.all_pass:
         raise ValueError("supports must intersect trivially for every pair")
-    logs = eigenbasis_logs(rho.spectrum() for rho in states)
     out = []
     for n in sorted({int(n) for n in n_range}):
-        out.append((n, joint_gram_floor(PowerHypothesisSet(states, n, logs=logs))))
+        out.append((n, joint_gram_floor(PowerHypothesisSet(states, n))))
     return out
