@@ -11,10 +11,13 @@ import numpy as np
 from .linalg import DensityMatrix
 
 GRID_POINTS = 64
-GOLDEN_STEP_TOL = 1e-8
+GRID = np.linspace(0.0, 1.0, GRID_POINTS)
+GRID.setflags(write=False)
+NEWTON_STEP_TOL = 1e-12
+# bisection alone shrinks a two-cell bracket below NEWTON_STEP_TOL in 35 steps
+NEWTON_MAX_STEPS = 60
 CONSTANT_CURVE_ATOL = 1e-12
 DISTINCT_STATES_ATOL = 1e-10
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,9 @@ class OverlapCurve:
     """tr[rho^(1-s) sigma^s] as a function of s, on the joint support.
 
     Terms with a zero eigenvalue on either side are dropped, which realizes
-    the 0**0 == 0 convention at the endpoints.
+    the 0**0 == 0 convention at the endpoints. The curve is
+    f(s) = sum_jk W_jk lam_j^(1-s) mu_k^s with W_jk = |<v_j|w_k>|^2 >= 0, a
+    positive sum of exponentials in s, hence convex.
     """
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
@@ -51,6 +56,9 @@ class OverlapCurve:
         self._mu = b.eigenvalues[ib]
         cross = a.vectors[:, ia].conj().T @ b.vectors[:, ib]
         self._weights = np.abs(cross) ** 2
+        log_lam, log_mu = np.log(self._lam), np.log(self._mu)
+        self._lam_logs = np.stack([np.ones_like(log_lam), log_lam, log_lam**2])
+        self._mu_logs = np.stack([np.ones_like(log_mu), log_mu, log_mu**2], axis=1)
 
     def __call__(self, s: float) -> float:
         return float(self.on_grid(np.array([s]))[0])
@@ -64,6 +72,18 @@ class OverlapCurve:
         # (g, 1, p) @ (p, q) @ (g, q, 1): one vector-matrix-vector product per point
         return (self._lam ** (1.0 - s) @ self._weights @ self._mu[:, None] ** s)[:, 0, 0]
 
+    def slope_and_curvature(self, s: float) -> tuple[float, float]:
+        """(f'(s), f''(s)) from one (3 x p) W (q x 3) product.
+
+        Entry (a, b) of the product is sum_jk lam_j^(1-s) (log lam_j)^a W_jk
+        mu_k^s (log mu_k)^b; each term of f' carries log mu_k - log lam_j, and
+        each term of f'' its square.
+        """
+        m = (self._lam_logs * self._lam ** (1.0 - s)) @ self._weights @ (
+            self._mu_logs * self._mu[:, None] ** s
+        )
+        return float(m[0, 1] - m[1, 0]), float(m[0, 2] - 2.0 * m[1, 1] + m[2, 0])
+
 
 def q_overlap(rho: DensityMatrix, sigma: DensityMatrix, s: float) -> float:
     """Support-restricted overlap sum_{jk} lam_j^(1-s) mu_k^s |<v_j|w_k>|^2."""
@@ -72,46 +92,52 @@ def q_overlap(rho: DensityMatrix, sigma: DensityMatrix, s: float) -> float:
     return OverlapCurve(rho, sigma)(s)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Shrink a bracket around the minimum of a unimodal f; returns the midpoint.
+def _newton_minimum(curve: OverlapCurve, lo: float, hi: float, start: float) -> float:
+    """Root of f' in [lo, hi] by Newton steps from ``start``, safeguarded by
+    bisection; where f' keeps one sign the iterate closes on that end.
 
-    The interior point that survives a step is carried with its value into
-    the next, so each step costs one evaluation of f.
+    f' is increasing, so its sign at each iterate shrinks the bracket. A step
+    that leaves the bracket, or a curvature that rounding made non-positive,
+    is replaced by the midpoint.
     """
-    left, right = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
-    f_left, f_right = f(left), f(right)
-    while hi - lo > tol:
-        if f_left <= f_right:
-            hi, right, f_right = right, left, f_left
-            left = hi - INV_PHI * (hi - lo)
-            f_left = f(left)
-        else:
-            lo, left, f_left = left, right, f_right
-            right = lo + INV_PHI * (hi - lo)
-            f_right = f(right)
-    return 0.5 * (lo + hi)
+    s = start
+    for _ in range(NEWTON_MAX_STEPS):
+        slope, curvature = curve.slope_and_curvature(s)
+        if slope > 0.0:
+            hi = s
+        elif slope < 0.0:
+            lo = s
+        step = slope / curvature if curvature > 0.0 else math.inf
+        nxt = s - step
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - s) <= NEWTON_STEP_TOL or hi - lo <= NEWTON_STEP_TOL
+        s = nxt
+        if done:
+            break
+    return s
 
 
 def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
     """Minimize the overlap curve on [0, 1].
 
-    A 64-point uniform grid brackets the minimum, golden-section search refines
-    it to 1e-8, and the closed-interval endpoints stay in the candidate set. A
-    curve that is constant over the grid reports s_star = 0.5.
+    A 64-point uniform grid brackets the minimum, a safeguarded Newton
+    iteration on f' refines it to 1e-12, and the closed-interval endpoints
+    stay in the candidate set. A curve that is constant over the grid reports
+    s_star = 0.5.
     """
     curve = OverlapCurve(rho, sigma)
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    values = curve.on_grid(grid)
+    values = curve.on_grid(GRID)
     if float(values.max() - values.min()) <= CONSTANT_CURVE_ATOL:
         s_star = 0.5
         q_star = curve(0.5)
     else:
         k = int(np.argmin(values))
-        lo = float(grid[max(k - 1, 0)])
-        hi = float(grid[min(k + 1, GRID_POINTS - 1)])
-        refined = _golden_section(curve, lo, hi, GOLDEN_STEP_TOL)
-        candidates = sorted({0.0, float(grid[k]), float(refined), 1.0})
-        q_star, s_star = min((curve(s), s) for s in candidates)
+        lo = float(GRID[max(k - 1, 0)])
+        hi = float(GRID[min(k + 1, GRID_POINTS - 1)])
+        refined = _newton_minimum(curve, lo, hi, float(GRID[k]))
+        candidates = sorted({0.0, float(GRID[k]), refined, 1.0})
+        q_star, s_star = min(zip(curve.on_grid(np.array(candidates)).tolist(), candidates))
     xi = math.inf if q_star <= 0.0 else -math.log(q_star)
     return ChernoffResult(xi=xi, s_star=float(s_star), q_star=float(q_star))
 

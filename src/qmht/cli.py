@@ -8,6 +8,7 @@ are printed one-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -325,8 +326,9 @@ def _cmd_chernoff(args) -> int:
     if len(scenario.states) < 2:
         raise ScenarioError("chernoff needs at least two states")
     qcb = multiple_qcb(scenario.states)
-    # binary_qcb fixes s* to GOLDEN_STEP_TOL = 1e-8, and on a flat curve only
-    # to about 1e-6, so it is printed to six significant digits
+    # binary_qcb fixes s* to about NEWTON_STEP_TOL = 1e-12; it is printed to
+    # six significant digits (xi and q* to twelve), and the JSON report's
+    # s_star keeps full precision
     for (i, j), res in sorted(qcb.pairwise.items()):
         print(
             f"pair ({i + 1},{j + 1}): xi={_fmt(res.xi)}  "
@@ -350,6 +352,7 @@ def _cmd_check_li(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmht",

@@ -218,7 +218,10 @@ def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix,
     """Gram matrix of a vector family and its smallest eigenvalue."""
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
-    stacked = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
+    # one vector per row; a 2-D array passed as ``columns.T`` gets its columns
+    # back without a copy, a list of vectors is copied, and both end C-ordered
+    # so the Gram product sees one layout
+    stacked = np.ascontiguousarray(np.asarray(vectors, dtype=complex).T)
     gram = HermitianMatrix(stacked.conj().T @ stacked)
     lam_min = float(np.linalg.eigvalsh(gram.mat)[0])
     return gram, lam_min

@@ -1,5 +1,7 @@
 import math
+import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from qmht.chernoff import OverlapCurve, binary_qcb, multiple_qcb, q_overlap
-from qmht.sampling import random_density_matrix
+from qmht.cli import load_scenario
+from qmht.linalg import DensityMatrix
+from qmht.sampling import random_density_matrix, random_orthonormal, random_state_vector
 from conftest import diagonal
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 LOG2 = math.log(2.0)
 
@@ -108,7 +114,7 @@ class TestBinaryQcb:
         assert res.q_star <= fine + 1e-8
 
 
-class TestGoldenSectionPanel:
+class TestMinimizerPanel:
     """binary_qcb on 40 seeded full-support diagonal pairs (d = 2-5)."""
 
     @staticmethod
@@ -119,18 +125,21 @@ class TestGoldenSectionPanel:
             yield rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
 
     def test_matches_bounded_brent(self, monkeypatch):
+        # every evaluation of the curve or its derivatives is counted; a
+        # single-point call runs through on_grid and counts twice
         calls = []
-        plain_call = OverlapCurve.__call__
+        for name in ("__call__", "on_grid", "slope_and_curvature"):
+            plain = getattr(OverlapCurve, name)
 
-        def counting_call(curve, s):
-            calls.append(s)
-            return plain_call(curve, s)
+            def counting(curve, s, plain=plain, name=name):
+                calls.append(name)
+                return plain(curve, s)
 
-        monkeypatch.setattr(OverlapCurve, "__call__", counting_call)
+            monkeypatch.setattr(OverlapCurve, name, counting)
         for p, q in self.pairs():
             calls.clear()
             res = binary_qcb(diagonal(p), diagonal(q))
-            assert len(calls) <= 40
+            assert len(calls) <= 8, calls
             ref = minimize_scalar(
                 lambda s: float(np.sum(p ** (1.0 - s) * q**s)),
                 bounds=(0.0, 1.0),
@@ -148,7 +157,113 @@ class TestGoldenSectionPanel:
                 1.0,
                 xtol=1e-15,
             )
-            assert abs(res.s_star - root) <= 1e-7
+            assert abs(res.s_star - root) <= 1e-12
+
+
+def mp_reference(rho, sigma):
+    """(s*, q*, f''(s*)) in 50 digits from the double entries of both states.
+
+    Eigenvalues at or below 1e-12 times the largest are dropped, the support
+    rule of OverlapCurve; s* is an endpoint where f' keeps one sign on [0, 1],
+    else the root of f'.
+    """
+    with mpmath.workdps(50):
+
+        def support(mat):
+            values, vectors = mpmath.eighe(mpmath.matrix(mat.tolist()))
+            cut = mpmath.mpf(1e-12) * max(abs(v) for v in values)
+            keep = [i for i in range(len(values)) if values[i] > cut]
+            return [(values[i], vectors[:, i]) for i in keep]
+
+        terms = [
+            (lam, mu, abs(mpmath.fdot(v, w, conjugate=True)) ** 2)
+            for lam, v in support(rho.mat)
+            for mu, w in support(sigma.mat)
+        ]
+
+        def derivative(s, order):
+            return mpmath.fsum(
+                weight * lam ** (1 - s) * mu**s * mpmath.log(mu / lam) ** order
+                for lam, mu, weight in terms
+            )
+
+        if derivative(0, 1) >= 0:
+            s_star = mpmath.mpf(0)
+        elif derivative(1, 1) <= 0:
+            s_star = mpmath.mpf(1)
+        else:
+            s_star = mpmath.findroot(lambda s: derivative(s, 1), (0, 1), solver="anderson")
+        return s_star, derivative(s_star, 0), derivative(s_star, 2)
+
+
+class TestHighPrecisionReferences:
+    """binary_qcb on non-commuting pairs against 50-digit mpmath references."""
+
+    @staticmethod
+    def assert_matches(res, s_ref, q_ref, curvature, q_rtol):
+        assert abs(res.q_star - float(q_ref)) <= q_rtol * float(q_ref)
+        if s_ref in (0, 1):
+            assert res.s_star == float(s_ref)
+        else:
+            # f' is fixed to ~eps, so s* to ~eps / f''(s*)
+            assert curvature > 1e-2
+            assert abs(res.s_star - float(s_ref)) <= 1e-12
+
+    def test_mixed_qubit_pair(self):
+        states = load_scenario(os.path.join(SCENARIOS, "mixed_qubit_pair.json")).states
+        s_ref, q_ref, curvature = mp_reference(*states)
+        assert mpmath.nstr(s_ref, 20) == "0.50717748924034928947"
+        assert mpmath.nstr(q_ref, 20) == "0.85685701249697694049"
+        self.assert_matches(binary_qcb(*states), s_ref, q_ref, curvature, 1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_qutrit_pairs(self, seed):
+        # full-rank and rank-2 Wishart qutrits; several rank-deficient pairs
+        # have their minimum at an endpoint. The double eigensolve alone moves
+        # q* by up to 1.9e-15 relative on these pairs, hence 4e-15.
+        rng = np.random.default_rng(seed)
+        for ranks in ((3, 3), (2, 3), (3, 2), (2, 2)):
+            rho = random_density_matrix(3, rng, rank=ranks[0])
+            sigma = random_density_matrix(3, rng, rank=ranks[1])
+            self.assert_matches(binary_qcb(rho, sigma), *mp_reference(rho, sigma), 4e-15)
+
+    def test_monotone_curve_ends_at_an_endpoint(self):
+        # rho: rank 2 with eigenvalues 1/2; sigma: full rank, eigenvalues all
+        # below 1/2 in another basis. f'(1) < 0, so the curve falls on all of
+        # [0, 1]: s* = 1 with q* = tr(P_rho sigma), and s* = 0 reversed.
+        rng = np.random.default_rng(8)
+        u, v = random_orthonormal(3, 3, rng), random_orthonormal(3, 3, rng)
+        rho = DensityMatrix(u @ np.diag([0.5, 0.5, 0.0]) @ u.conj().T)
+        sigma = DensityMatrix(v @ np.diag([0.45, 0.35, 0.2]) @ v.conj().T)
+        for pair in ((rho, sigma), (sigma, rho)):
+            s_ref, q_ref, curvature = mp_reference(*pair)
+            assert s_ref == (1 if pair[0] is rho else 0)
+            self.assert_matches(binary_qcb(*pair), s_ref, q_ref, curvature, 1e-15)
+
+    def test_pure_against_mixed(self):
+        # one-eigenvalue support: f(s) = sum_k |<psi|w_k>|^2 mu_k^s falls from
+        # 1 to <psi|sigma|psi> at s = 1
+        rng = np.random.default_rng(9)
+        psi = random_state_vector(3, rng)
+        pure = DensityMatrix(np.outer(psi, psi.conj()))
+        sigma = random_density_matrix(3, rng)
+        expected = float(np.vdot(psi, sigma.mat @ psi).real)
+        for pair, s_end in (((pure, sigma), 1.0), ((sigma, pure), 0.0)):
+            s_ref, q_ref, curvature = mp_reference(*pair)
+            assert s_ref == s_end
+            res = binary_qcb(*pair)
+            self.assert_matches(res, s_ref, q_ref, curvature, 1e-15)
+            assert abs(res.q_star - expected) <= 1e-15
+
+    def test_constant_curve(self):
+        # two pure qutrits: f(s) = |<psi|phi>|^2 for every s
+        rng = np.random.default_rng(10)
+        psi, phi = random_state_vector(3, rng), random_state_vector(3, rng)
+        with mpmath.workdps(50):
+            q_ref = abs(mpmath.fdot(psi.tolist(), phi.tolist(), conjugate=True)) ** 2
+        res = binary_qcb(*(DensityMatrix(np.outer(x, x.conj())) for x in (psi, phi)))
+        assert res.s_star == 0.5
+        assert abs(res.q_star - float(q_ref)) <= 1e-15 * float(q_ref)
 
 
 class TestMultipleQcb:

@@ -18,6 +18,7 @@ from conftest import diagonal
 SQ = 1.0 / math.sqrt(2.0)
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 PINNED_REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+BUNDLED = sorted(f[: -len(".json")] for f in os.listdir(SCENARIOS) if f.endswith(".json"))
 
 
 def write_scenario(path, **overrides):
@@ -396,9 +397,7 @@ def _same_field(mine: str, pinned: str) -> bool:
 
 
 class TestBundledScenarios:
-    @pytest.mark.parametrize(
-        "name", sorted(f[: -len(".json")] for f in os.listdir(SCENARIOS) if f.endswith(".json"))
-    )
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_report_matches_pinned_csv(self, name, tmp_path):
         # tests/data pins every printed field of each bundled report; change
         # a pin only with a stated reason. 1e-11 relative lets a 12-digit
@@ -417,12 +416,17 @@ class TestBundledScenarios:
             for key in header:
                 assert _same_field(mine[key], ref[key]), (mine["n"], mine["detector"], key)
 
-    @pytest.mark.parametrize(
-        "name", sorted(f[: -len(".json")] for f in os.listdir(SCENARIOS) if f.endswith(".json"))
-    )
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_chernoff_matches_pinned_stdout(self, name, capsys):
+        # tests/data/<name>_chernoff.txt pins the whole `qmht chernoff` output
+        path = os.path.join(SCENARIOS, f"{name}.json")
+        assert main(["chernoff", "--scenario", path]) == 0
+        with open(os.path.join(PINNED_REPORTS, f"{name}_chernoff.txt"), "rb") as handle:
+            assert capsys.readouterr().out.encode("utf-8") == handle.read()
+
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_chernoff_prints_s_star_to_six_digits(self, name, capsys):
-        # s* is fixed to about 1e-8, or 1e-6 on a flat curve, so no more
-        # digits than six are printed
+        # s* is fixed to about 1e-12 but printed to six significant digits
         path = os.path.join(SCENARIOS, f"{name}.json")
         assert main(["chernoff", "--scenario", path]) == 0
         printed = re.findall(r"s\*=(\S+)", capsys.readouterr().out)

@@ -240,3 +240,13 @@ class TestGram:
         gram, lam = gram_min_eigenvalue(vectors)
         assert lam > -1e-10
         assert np.abs(gram.mat - gram.mat.conj().T).max() == 0.0
+
+    def test_rows_of_an_array_or_a_list_give_the_stacked_gram(self):
+        # reference: the vectors stacked as columns one at a time
+        rng = np.random.default_rng(3)
+        columns = complex_gaussian(rng, (32, 20))
+        stacked = np.column_stack([np.asarray(v, dtype=complex) for v in columns.T])
+        reference = HermitianMatrix(stacked.conj().T @ stacked).mat
+        for vectors in (columns.T, list(columns.T)):
+            gram, _ = gram_min_eigenvalue(vectors)
+            assert np.array_equal(gram.mat, reference)
