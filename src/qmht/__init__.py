@@ -35,7 +35,6 @@ from .linalg import (
     SpectralDecomposition,
     dense_limit,
     gram_min_eigenvalue,
-    positive_part_and_support,
     spectral_decompose,
 )
 from .tensorlab import (
@@ -82,7 +81,6 @@ __all__ = [
     "multiple_qcb",
     "pairwise_li_check",
     "pgm",
-    "positive_part_and_support",
     "run_power_experiment",
     "spectral_decompose",
     "verify_bayes_conditions",

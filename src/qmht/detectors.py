@@ -6,8 +6,10 @@ function is pure and instances are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +21,7 @@ from .linalg import (
     DensityMatrix,
     HermitianMatrix,
     eigenvalue_zero_threshold,
-    gram_min_eigenvalue,
+    gram_spectrum,
 )
 
 POVM_ATOL = 1e-9
@@ -32,54 +34,112 @@ PRIOR_ATOL = 1e-10
 EPSILON_FLOOR = 1e-3
 
 
-@dataclass
 class Detector:
     """An r-outcome measurement: PSD elements that sum to the identity.
 
     ``kind == "PVM"`` additionally demands idempotent, mutually orthogonal
-    elements. Invariants are checked on construction.
+    elements. A detector is given either by its elements,
+    ``Detector(elements, kind=...)``, or as a labelled frame,
+    ``Detector(kind=..., frame=T, labels=labels, outcomes=r)``: T is d x m
+    with orthonormal rows and column c belongs to outcome ``labels[c]``, so
+    element i is T_i T_i^H over the columns labelled i, built on first read
+    of ``elements``. Invariants are checked on construction: elementwise for
+    an element list, and for a frame by the one condition T T^H = I (m = d
+    for a PVM), which makes every element PSD, the elements sum to the
+    identity and, for a square T, projective and mutually orthogonal.
     """
 
-    elements: list[HermitianMatrix]
-    kind: str = "POVM"
+    def __init__(
+        self,
+        elements: Sequence[HermitianMatrix] | None = None,
+        kind: str = "POVM",
+        *,
+        frame: np.ndarray | None = None,
+        labels: Sequence[int] | None = None,
+        outcomes: int | None = None,
+    ) -> None:
+        if kind not in ("PVM", "POVM"):
+            raise ValueError(f"kind must be PVM or POVM, got {kind!r}")
+        self.kind = kind
+        if frame is None:
+            if not elements:
+                raise ValueError("detector needs at least one element")
+            self.frame = self.labels = None
+            self.elements = list(elements)
+            self.dim = self.elements[0].dim
+            self.outcomes = len(self.elements)
+            self._check_elements()
+        else:
+            if elements is not None:
+                raise ValueError("give a detector its elements or its frame, not both")
+            self.frame = _read_only(np.asarray(frame))
+            self.labels = _read_only(np.asarray(labels))
+            self.dim = self.frame.shape[0]
+            if outcomes is None:
+                raise ValueError("a frame detector needs its number of outcomes")
+            self.outcomes = operator.index(outcomes)
+            self._check_frame()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("PVM", "POVM"):
-            raise ValueError(f"kind must be PVM or POVM, got {self.kind!r}")
-        if not self.elements:
-            raise ValueError("detector needs at least one element")
-        dim = self.elements[0].dim
-        if any(e.dim != dim for e in self.elements):
+    def _check_elements(self) -> None:
+        if any(e.dim != self.dim for e in self.elements):
             raise ValueError("detector elements must share one dimension")
-        total = sum(e.mat for e in self.elements)
-        if float(np.abs(total - np.eye(dim)).max()) > POVM_ATOL:
+        stack = np.stack([e.mat for e in self.elements])
+        if float(np.abs(stack.sum(axis=0) - np.eye(self.dim)).max()) > POVM_ATOL:
             raise NumericalConsistencyError("detector elements do not sum to the identity")
-        for k, element in enumerate(self.elements):
-            low = float(np.linalg.eigvalsh(element.mat)[0])
-            if low < -POVM_ATOL:
-                raise NumericalConsistencyError(
-                    f"element {k} is not positive semidefinite (eigenvalue {low:.3e})"
-                )
-        if self.kind == "PVM":
-            for k, element in enumerate(self.elements):
-                gap = float(np.abs(element.mat @ element.mat - element.mat).max())
-                if gap > POVM_ATOL:
-                    raise NumericalConsistencyError(f"element {k} is not idempotent")
-            for k in range(len(self.elements)):
-                for l in range(k + 1, len(self.elements)):
-                    cross = float(np.abs(self.elements[k].mat @ self.elements[l].mat).max())
-                    if cross > POVM_ATOL:
-                        raise NumericalConsistencyError(
-                            f"elements {k} and {l} are not orthogonal"
-                        )
+        lows = np.linalg.eigvalsh(stack)[:, 0]
+        negative = np.flatnonzero(lows < -POVM_ATOL)
+        if negative.size:
+            k = negative[0]
+            raise NumericalConsistencyError(
+                f"element {k} is not positive semidefinite (eigenvalue {lows[k]:.3e})"
+            )
+        if self.kind != "PVM":
+            return
+        gaps = np.abs(stack @ stack - stack).max(axis=(1, 2))
+        if (gaps > POVM_ATOL).any():
+            raise NumericalConsistencyError(
+                f"element {np.argmax(gaps > POVM_ATOL)} is not idempotent"
+            )
+        first, second = np.triu_indices(self.outcomes, 1)
+        cross = np.abs(stack[first] @ stack[second]).max(axis=(1, 2))
+        if (cross > POVM_ATOL).any():
+            pair = np.argmax(cross > POVM_ATOL)
+            raise NumericalConsistencyError(
+                f"elements {first[pair]} and {second[pair]} are not orthogonal"
+            )
 
-    @property
-    def dim(self) -> int:
-        return self.elements[0].dim
+    def _check_frame(self) -> None:
+        frame, labels = self.frame, self.labels
+        if frame.ndim != 2 or frame.shape[0] < 1:
+            raise ValueError(f"expected a nonempty d x m frame, got shape {frame.shape}")
+        if self.outcomes < 1:
+            raise ValueError(f"a detector needs at least one outcome, got {self.outcomes}")
+        if labels.shape != frame.shape[1:] or labels.dtype.kind not in "iu":
+            raise ValueError("a frame needs one integer label per column")
+        if labels.size and not 0 <= labels.min() <= labels.max() < self.outcomes:
+            raise ValueError(f"frame labels must lie in [0, {self.outcomes})")
+        if self.kind == "PVM" and frame.shape[1] != self.dim:
+            raise NumericalConsistencyError(
+                f"a PVM frame must be square, got shape {frame.shape}"
+            )
+        gap = float(np.abs(frame @ frame.conj().T - np.eye(self.dim)).max())
+        if not gap <= POVM_ATOL:  # also catches a NaN
+            raise NumericalConsistencyError(
+                f"frame rows are not orthonormal (max deviation {gap:.3e})"
+            )
 
-    @property
-    def outcomes(self) -> int:
-        return len(self.elements)
+    @functools.cached_property
+    def elements(self) -> list[HermitianMatrix]:
+        # only reached for a frame detector: an element list is stored on the
+        # instance, which shadows this property
+        blocks = (self.frame[:, self.labels == i] for i in range(self.outcomes))
+        return [HermitianMatrix(b @ b.conj().T) for b in blocks]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -92,18 +152,34 @@ class ErrorReport:
 
 
 def evaluate_errors(sigma_set: Sequence[DensityMatrix], det: Detector) -> ErrorReport:
-    """Succ_i = tr[rho_i E_i]; errors are their complements, averaged uniformly."""
+    """Success and error probability of each hypothesis, errors averaged uniformly.
+
+    A frame detector is scored column by column: with q_ic = <t_c|rho_i|t_c>,
+    Succ_i sums q_ic over the columns labelled i and err_i over all the
+    others, its summed misses, from one stacked product of the states with
+    the frame. A small err is then fixed relative to itself, not only to
+    rounding of 1. A detector given by its elements has Succ_i = tr[rho_i E_i]
+    and err_i = 1 - Succ_i.
+    """
     states = list(sigma_set)
     if len(states) != det.outcomes:
         raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
     if any(rho.dim != det.dim for rho in states):
         raise ValueError("state dimension does not match the detector")
-    # both factors are Hermitian, so tr[rho E] = sum conj(E) * rho = vdot(E, rho)
-    successes = tuple(
-        float(np.vdot(element.mat, rho.mat).real)
-        for rho, element in zip(states, det.elements)
-    )
-    errors = tuple(1.0 - s for s in successes)
+    if det.frame is None:
+        # both factors are Hermitian, so tr[rho E] = sum conj(E) * rho = vdot(E, rho)
+        successes = tuple(
+            float(np.vdot(element.mat, rho.mat).real)
+            for rho, element in zip(states, det.elements)
+        )
+        errors = tuple(1.0 - s for s in successes)
+    else:
+        frame = det.frame
+        stack = np.stack([rho.mat for rho in states])
+        overlaps = (frame.conj() * (stack @ frame)).sum(axis=1).real
+        hits = det.labels == np.arange(len(states))[:, None]
+        successes = tuple(np.where(hits, overlaps, 0.0).sum(axis=1).tolist())
+        errors = tuple(np.where(hits, 0.0, overlaps).sum(axis=1).tolist())
     return ErrorReport(
         successes=successes, per_hypothesis=errors, averaged=float(np.mean(errors))
     )
@@ -120,10 +196,7 @@ def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
         raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
     difference = rho2.mat - rho1.mat
     values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
-    plus = vectors[:, values > 0.0]
-    projector = plus @ plus.conj().T
-    complement = HermitianMatrix(np.eye(rho1.dim) - projector)
-    return Detector([complement, HermitianMatrix(projector)], kind="PVM")
+    return Detector(kind="PVM", frame=vectors, labels=(values > 0.0).astype(int), outcomes=2)
 
 
 def classical_ml(prob_matrix) -> np.ndarray:
@@ -153,7 +226,9 @@ class GsDiagnostics:
     ``basis`` the full orthonormal basis (picked directions first, their
     Householder complement after), ``labels`` the hypothesis index of every
     basis column (0 on the complement), and ``gram`` the Gram matrix of the
-    picked source eigenvectors.
+    picked source eigenvectors, with ``lambda_min_gram`` its smallest
+    eigenvalue and ``gram_zero_threshold`` the zero threshold of its
+    spectrum (``eigenvalue_zero_threshold``), both from one eigensolve.
     """
 
     selection_order: list[tuple[int, int]]
@@ -162,6 +237,7 @@ class GsDiagnostics:
     gram: HermitianMatrix
     stopping_index: int
     lambda_min_gram: float
+    gram_zero_threshold: float
 
 
 def greedy_order(streams):
@@ -240,22 +316,17 @@ def _complete_basis(selection, columns, sources):
     if float(np.abs(full_basis.conj().T @ full_basis - np.eye(dim)).max()) > POVM_ATOL:
         raise NumericalConsistencyError("complete QR factor is not unitary")
     full_labels = np.array([state for state, _ in selection] + [0] * (dim - picks))
-    gram, lam_min = gram_min_eigenvalue(sources.T)
+    gram, gram_values = gram_spectrum(sources.T)
     diagnostics = GsDiagnostics(
         selection_order=list(selection),
         basis=full_basis,
         labels=full_labels.tolist(),
         gram=gram,
         stopping_index=len(selection),
-        lambda_min_gram=lam_min,
+        lambda_min_gram=float(gram_values[0]),
+        gram_zero_threshold=eigenvalue_zero_threshold(gram_values),
     )
     return full_basis, full_labels, diagnostics
-
-
-def _label_elements(rows, labels, r):
-    """Element i is T_i T_i^H with T_i the columns of ``rows`` labelled i."""
-    blocks = [rows[:, labels == i] for i in range(r)]
-    return [HermitianMatrix(b @ b.conj().T) for b in blocks]
 
 
 def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnostics]:
@@ -279,7 +350,8 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     selection, frame = _greedy_orthonormal_selection(candidates, dim, len(pops))
     sources = np.column_stack([vector_mats[state][:, index] for state, index in selection])
     basis, labels, diagnostics = _complete_basis(selection, frame.T, sources)
-    return Detector(_label_elements(basis, labels, len(states)), kind="PVM"), diagnostics
+    det = Detector(kind="PVM", frame=basis, labels=labels, outcomes=len(states))
+    return det, diagnostics
 
 
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
@@ -289,7 +361,7 @@ def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostic
     noise of either sign."""
     states = list(sigma_set)
     lam_min = diagnostics.lambda_min_gram
-    if lam_min <= eigenvalue_zero_threshold(np.linalg.eigvalsh(diagnostics.gram.mat)):
+    if lam_min <= diagnostics.gram_zero_threshold:
         return math.inf
     total = 0.0
     for i in range(len(states)):
@@ -427,11 +499,8 @@ def bayes_commuting(
     slot_max = probs.max(axis=0)
     mu = float(slot_max.sum())
     certificate = HermitianMatrix(basis @ np.diag(slot_max) @ basis.conj().T)
-    elements = []
-    for i in range(len(states)):
-        indicator = (winners == i).astype(float)
-        elements.append(HermitianMatrix(basis @ np.diag(indicator) @ basis.conj().T))
-    det = Detector(elements, kind="PVM")
+    # the Detector's frame check is the one check that the basis is unitary
+    det = Detector(kind="PVM", frame=basis, labels=winners, outcomes=len(states))
     report = verify_bayes_conditions(states, det, tol=1e-9)
     if not report.passed:
         raise NumericalConsistencyError(
@@ -500,6 +569,6 @@ def epsilon_detector(
         columns[:dim, k] = delta * decs[state].vectors[:, index]
         columns[(state + 1) * dim + index, k] = epsilon
     basis, labels, diagnostics = _complete_basis(selection, columns, columns)
-    det = Detector(_label_elements(basis[:dim], labels, len(states)), kind="POVM")
+    det = Detector(kind="POVM", frame=basis[:dim], labels=labels, outcomes=len(states))
     embedding_floor_guard(epsilon, diagnostics.lambda_min_gram)
     return det, diagnostics

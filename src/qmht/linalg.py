@@ -183,39 +183,14 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(values, vectors)
 
 
-def fractional_power(rho: DensityMatrix, t: float) -> HermitianMatrix:
-    """Support-restricted matrix power: eigenvalues map to lam**t with 0**t == 0.
-
-    The convention holds for every t in [0, 1]; at t == 0 the result is the
-    support projection.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"exponent must lie in [0, 1], got {t}")
-    dec = rho.spectrum()
-    threshold = eigenvalue_zero_threshold(dec.eigenvalues)
-    powered = np.zeros_like(dec.eigenvalues)
-    positive = dec.eigenvalues > threshold
-    powered[positive] = dec.eigenvalues[positive] ** t
-    return HermitianMatrix((dec.vectors * powered) @ dec.vectors.conj().T)
-
-
-def positive_part_and_support(a: HermitianMatrix) -> tuple[HermitianMatrix, HermitianMatrix]:
-    """Strictly positive spectral part of ``a`` and the projector onto its eigenspace."""
-    dec = spectral_decompose(a)
-    threshold = eigenvalue_zero_threshold(dec.eigenvalues)
-    keep = dec.eigenvalues > threshold
-    kept = dec.vectors[:, keep]
-    positive = (kept * dec.eigenvalues[keep]) @ kept.conj().T
-    support = kept @ kept.conj().T
-    dim = a.dim
-    if not keep.any():
-        positive = np.zeros((dim, dim), dtype=complex)
-        support = np.zeros((dim, dim), dtype=complex)
-    return HermitianMatrix(positive), HermitianMatrix(support)
-
-
 def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix, float]:
     """Gram matrix of a vector family and its smallest eigenvalue."""
+    gram, values = gram_spectrum(vectors)
+    return gram, float(values[0])
+
+
+def gram_spectrum(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix, np.ndarray]:
+    """Gram matrix of a vector family and its eigenvalues in ascending order."""
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
     # one vector per row; a 2-D array passed as ``columns.T`` gets its columns
@@ -223,8 +198,7 @@ def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix,
     # so the Gram product sees one layout
     stacked = np.ascontiguousarray(np.asarray(vectors, dtype=complex).T)
     gram = HermitianMatrix(stacked.conj().T @ stacked)
-    lam_min = float(np.linalg.eigvalsh(gram.mat)[0])
-    return gram, lam_min
+    return gram, np.linalg.eigvalsh(gram.mat)
 
 
 def gram_floor(columns: np.ndarray) -> float:

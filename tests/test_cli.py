@@ -489,15 +489,29 @@ class TestBundledScenarios:
 class TestRuntimeImports:
     def test_run_loads_no_scipy(self, tmp_path):
         # the runtime needs numpy only: a fresh interpreter that imports the
-        # package and runs qutrit and qubit reports on the Schur-Weyl blocks
-        # and a commuting one on the type classes has loaded no scipy module
+        # package, runs qutrit and qubit reports on the Schur-Weyl blocks and
+        # a commuting one on the type classes, and builds and scores every
+        # dense detector has loaded no scipy module
         script = "\n".join([
             "import sys",
+            "import numpy as np",
             "import qmht, qmht.cli",
+            "from qmht import detectors",
+            "from qmht.sampling import random_density_matrix",
             "for name in ('mixed_qutrit_pair', 'pure_pair', 'commuting_pair'):",
             "    scenario = f'{sys.argv[1]}/{name}.json'",
             "    out = f'{sys.argv[2]}/{name}.csv'",
             "    assert qmht.cli.main(['run', '--scenario', scenario, '--out', out]) == 0",
+            "states = [random_density_matrix(4, np.random.default_rng(k)) for k in range(3)]",
+            "diagonal = [qmht.DensityMatrix(np.diag(np.diag(rho.mat))) for rho in states]",
+            "for family, det in [",
+            "    (states, detectors.gs_detector(states)[0]),",
+            "    (states, detectors.epsilon_detector(states, 0.3)[0]),",
+            "    (states, detectors.pgm(states, [1 / 3] * 3)),",
+            "    (states[:2], detectors.holevo_helstrom(*states[:2])),",
+            "    (diagonal, detectors.bayes_commuting(diagonal)[0]),",
+            "]:",
+            "    detectors.evaluate_errors(family, det)",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ])
         src = os.path.dirname(os.path.dirname(os.path.abspath(qmht.__file__)))

@@ -72,6 +72,69 @@ class TestDetectorInvariants:
             Detector([HermitianMatrix(up), HermitianMatrix(down)], kind="POVM")
 
 
+class TestFrameDetectors:
+    @given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_frames_pass_the_elementwise_check_and_score_alike(self, dim, r, seed):
+        # every frame detector's lazily built elements pass the full
+        # elementwise check, summed-miss scoring agrees with 1 - tr[rho E],
+        # and scaling the frame off a co-isometry is caught by the one check
+        rng = np.random.default_rng(seed)
+        states = [
+            random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+            for _ in range(r)
+        ]
+        rotation = random_orthonormal(dim, dim, rng)
+        commuting = [
+            DensityMatrix(rotation @ np.diag(rng.dirichlet(np.ones(dim))) @ rotation.conj().T)
+            for _ in range(r)
+        ]
+        epsilon_det = epsilon_detector(states, float(rng.uniform(0.05, 0.7)))[0]
+        cases = [
+            (states, gs_detector(states)[0]),
+            (states, epsilon_det),
+            (states[:2], holevo_helstrom(*states[:2])),
+            (commuting, bayes_commuting(commuting)[0]),
+        ]
+        for family, det in cases:
+            explicit = Detector(det.elements, kind=det.kind)
+            for old, new in zip(
+                evaluate_errors(family, explicit).per_hypothesis,
+                evaluate_errors(family, det).per_hypothesis,
+            ):
+                assert abs(new - old) <= 1e-13
+            with pytest.raises(NumericalConsistencyError, match="orthonormal"):
+                Detector(
+                    kind=det.kind, frame=0.9 * det.frame, labels=det.labels,
+                    outcomes=det.outcomes,
+                )
+        with pytest.raises(NumericalConsistencyError, match="square"):
+            Detector(
+                kind="PVM", frame=epsilon_det.frame, labels=epsilon_det.labels, outcomes=r
+            )
+
+    def test_rejects_malformed_frames(self):
+        with pytest.raises(NumericalConsistencyError, match="orthonormal"):
+            Detector(kind="POVM", frame=0.9 * np.eye(3), labels=[0, 1, 1], outcomes=2)
+        with pytest.raises(NumericalConsistencyError, match="square"):
+            Detector(kind="PVM", frame=np.eye(2, 3), labels=[0, 1, 1], outcomes=2)
+        with pytest.raises(ValueError, match="lie in"):
+            Detector(kind="PVM", frame=np.eye(2), labels=[0, 2], outcomes=2)
+        with pytest.raises(ValueError, match="one integer label"):
+            Detector(kind="PVM", frame=np.eye(2), labels=[0], outcomes=2)
+        with pytest.raises(ValueError, match="outcomes"):
+            Detector(kind="PVM", frame=np.eye(2), labels=[0, 1])
+        with pytest.raises(ValueError, match="not both"):
+            Detector([projector([1, 0]), projector([0, 1])], frame=np.eye(2), labels=[0, 1])
+
+    def test_elements_of_a_frame_are_its_labelled_projectors(self):
+        det = Detector(kind="PVM", frame=np.eye(3)[:, [2, 0, 1]], labels=[1, 0, 1], outcomes=3)
+        assert np.array_equal(det.elements[0].mat, np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(det.elements[1].mat, np.diag([0.0, 1.0, 1.0]))
+        assert np.array_equal(det.elements[2].mat, np.zeros((3, 3)))
+        assert det.elements is det.elements
+
+
 class TestEvaluateErrors:
     def test_orthogonal_pvm_is_exact(self, zero_state, one_state):
         det = Detector([projector([1, 0]), projector([0, 1])], kind="PVM")

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from qmht.linalg import (
     DensityMatrix,
     HermitianMatrix,
-    fractional_power,
     gram_min_eigenvalue,
-    positive_part_and_support,
     spectral_decompose,
 )
 from qmht.sampling import complex_gaussian, random_density_matrix, random_orthonormal
@@ -148,72 +146,6 @@ class TestVectorizedSpectralDecompose:
             values, vectors = loop_spectral_decompose(h)
             assert np.array_equal(dec.eigenvalues, values)
             assert np.array_equal(dec.vectors, vectors)
-
-
-class TestFractionalPower:
-    def test_elementwise_eigenvalue_power(self):
-        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        out = fractional_power(rho, 0.5)
-        assert np.allclose(np.sort(np.diag(out.mat).real), [0.5, math.sqrt(0.75)])
-
-    def test_pure_state_idempotent(self):
-        vec = np.array([1.0, 1.0j]) / math.sqrt(2)
-        rho = DensityMatrix(np.outer(vec, vec.conj()))
-        for t in (0.3, 0.5, 1.0):
-            assert np.abs(fractional_power(rho, t).mat - rho.mat).max() < 1e-12
-
-    def test_zero_exponent_gives_support_projection(self):
-        rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
-        out = fractional_power(rho, 0.0)
-        assert np.allclose(out.mat, np.diag([1.0, 1.0, 0.0]))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_exponent_one_is_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        rho = random_density_matrix(4, rng)
-        assert np.abs(fractional_power(rho, 1.0).mat - rho.mat).max() < 1e-10
-
-    def test_rejects_out_of_range_exponent(self):
-        rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(ValueError):
-            fractional_power(rho, 1.5)
-
-
-class TestPositivePart:
-    def test_diagonal_examples(self):
-        pos, supp = positive_part_and_support(
-            HermitianMatrix(np.diag([0.5, -0.3]).astype(complex))
-        )
-        assert np.allclose(pos.mat, np.diag([0.5, 0.0]))
-        assert np.allclose(supp.mat, np.diag([1.0, 0.0]))
-        pos, supp = positive_part_and_support(
-            HermitianMatrix(np.diag([1.0, -1.0]).astype(complex))
-        )
-        assert np.allclose(pos.mat, np.diag([1.0, 0.0]))
-        assert np.allclose(supp.mat, np.diag([1.0, 0.0]))
-
-    def test_nonpositive_input_gives_zero(self):
-        pos, supp = positive_part_and_support(
-            HermitianMatrix(np.diag([-1.0, 0.0]).astype(complex))
-        )
-        assert np.abs(pos.mat).max() == 0.0
-        assert np.abs(supp.mat).max() == 0.0
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_positive_part_dominates(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_hermitian(5, rng)
-        pos, supp = positive_part_and_support(a)
-        assert np.linalg.eigvalsh(pos.mat)[0] > -1e-12
-        assert np.linalg.eigvalsh(pos.mat - a.mat)[0] > -1e-10
-        assert np.abs(supp.mat @ supp.mat - supp.mat).max() < 1e-10
-
-    def test_commuting_case_matches_entrywise_formula(self):
-        diag = np.array([0.4, -0.1, 0.0, 0.2])
-        pos, _ = positive_part_and_support(HermitianMatrix(np.diag(diag).astype(complex)))
-        assert np.allclose(np.diag(pos.mat).real, np.maximum(diag, 0.0))
 
 
 class TestGram:
