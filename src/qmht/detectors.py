@@ -224,7 +224,9 @@ class GsDiagnostics:
 
     ``selection_order`` holds the (state, eigenindex) pairs actually picked,
     ``basis`` the full orthonormal basis (picked directions first, their
-    Householder complement after), ``labels`` the hypothesis index of every
+    Householder complement after): d x d for gs, and for epsilon the
+    (d + m) x (d + m) unitary of the embedding with m picks, whose top d rows
+    are the detector's frame. ``labels`` holds the hypothesis index of every
     basis column (0 on the complement), and ``gram`` the Gram matrix of the
     picked source eigenvectors, with ``lambda_min_gram`` its smallest
     eigenvalue and ``gram_zero_threshold`` the zero threshold of its
@@ -304,17 +306,18 @@ def _greedy_orthonormal_selection(candidates, dim, count):
 
 
 def _complete_basis(selection, columns, sources):
-    # One complete QR orthonormalizes the picked columns in order and appends
-    # their Householder complement, all labelled 0: only its projector enters
-    # the elements, whichever basis QR picks. The factor is checked unitary,
-    # the one property of it that the elements rely on. ``sources`` are the
-    # picked vectors whose Gram matrix the diagnostics report; its smallest
-    # eigenvalue is reported as computed, rounding noise of either sign
-    # included (``gs_error_bound`` turns that into an infinite bound).
+    # One complete QR of the D x m ``columns`` orthonormalizes them in pick
+    # order and appends their Householder complement, D x D in all, with the
+    # picks labelled by state and the D - m completion columns labelled 0:
+    # only the complement's projector enters the elements, whichever basis
+    # QR picks. The factor is not checked here: gs hands it whole to a PVM
+    # frame, whose check is the same condition, and epsilon checks it before
+    # it keeps the top rows. ``sources`` are the picked vectors whose Gram
+    # matrix the diagnostics report; its smallest eigenvalue is reported as
+    # computed, rounding noise of either sign included (``gs_error_bound``
+    # turns that into an infinite bound).
     dim, picks = columns.shape
     full_basis, _ = np.linalg.qr(columns, mode="complete")
-    if float(np.abs(full_basis.conj().T @ full_basis - np.eye(dim)).max()) > POVM_ATOL:
-        raise NumericalConsistencyError("complete QR factor is not unitary")
     full_labels = np.array([state for state, _ in selection] + [0] * (dim - picks))
     gram, gram_values = gram_spectrum(sources.T)
     diagnostics = GsDiagnostics(
@@ -458,20 +461,28 @@ def verify_bayes_conditions(
     """Check the optimality certificate of a candidate detector.
 
     With M = sum_i rho_i E_i, a success-maximizing detector has M Hermitian,
-    M >= rho_i for every hypothesis, and (M - rho_i) E_i = 0.
+    M >= rho_i for every hypothesis, and (M - rho_i) E_i = 0. A PVM frame is
+    read through its columns T_i labelled i, without building E_i = T_i T_i^H:
+    M = sum_i (rho_i T_i) T_i^H, and since T_i has orthonormal columns,
+    ||(M - rho_i) E_i||_2 = ||(M - rho_i) T_i||_2.
     """
     states = list(sigma_set)
     if len(states) != det.outcomes:
         raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
-    m_raw = sum(rho.mat @ element.mat for rho, element in zip(states, det.elements))
+    if det.frame is not None and det.kind == "PVM":
+        factors = [det.frame[:, det.labels == i] for i in range(det.outcomes)]
+        m_raw = sum((rho.mat @ t) @ t.conj().T for rho, t in zip(states, factors))
+    else:
+        factors = [element.mat for element in det.elements]
+        m_raw = sum(rho.mat @ element for rho, element in zip(states, factors))
     hermitian = float(np.abs(m_raw - m_raw.conj().T).max()) <= tol
     m_sym = (m_raw + m_raw.conj().T) / 2.0
     dominates = tuple(
         float(np.linalg.eigvalsh(m_sym - rho.mat)[0]) >= -tol for rho in states
     )
     annihilates = tuple(
-        float(np.linalg.norm((m_sym - rho.mat) @ element.mat, 2)) <= tol
-        for rho, element in zip(states, det.elements)
+        float(np.linalg.norm((m_sym - rho.mat) @ t, 2)) <= tol
+        for rho, t in zip(states, factors)
     )
     return BayesConditionReport(
         m_hermitian=hermitian, dominates=dominates, annihilates=annihilates
@@ -543,13 +554,20 @@ def epsilon_detector(
 ) -> tuple[Detector, GsDiagnostics]:
     """POVM distilled from a projective detector on perturbed embedded states.
 
-    Each eigenvector is embedded in (r+1)d dimensions and mixed with a private
-    extra-block direction, which forces all perturbed eigenvectors to be
-    jointly linearly independent (Gram eigenvalues >= epsilon^2), so every
-    eigenvector above the zero cut is picked and one complete QR, checked
-    unitary, orthonormalizes them. Element i is T_i T_i^H, where T_i holds the
-    top d rows of the basis columns labelled i: the upper block of the
-    embedded PVM, which is itself never built. The result is a POVM that is
+    The paper embeds each eigenvector in (r+1)d dimensions and mixes it with a
+    private extra-block direction, which forces all perturbed eigenvectors to
+    be jointly linearly independent (Gram eigenvalues >= epsilon^2), so every
+    eigenvector above the zero cut is picked. Only the m picked eigenvectors
+    ever use a private direction, so the embedding keeps just those: the
+    (d + m) x m matrix X = [delta V; epsilon I_m] holds the picks' eigenvectors
+    V in pick order over one private row per pick. One complete QR of X,
+    checked unitary, orthonormalizes the picks and completes the basis.
+    Element i is T_i T_i^H, where T_i holds the top d rows of the basis columns
+    labelled i: the upper block of the embedded PVM, which is itself never
+    built. This is the paper's POVM: the other rd - m embedded rows are zero
+    in X, so they are zero in its orthonormalized picks X R^-1 too, and the
+    completion's top block projects onto the complement of the picks' top
+    block, I - T_p T_p^H, in either space. The result is a POVM that is
     generally not projective.
     """
     states = list(sigma_set)
@@ -564,11 +582,16 @@ def epsilon_detector(
     values_rows = [dec.eigenvalues for dec in decs]
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
     selection = list(_greedy_pops(values_rows, zero_threshold))
-    columns = np.zeros(((len(states) + 1) * dim, len(selection)), dtype=complex)
-    for k, (state, index) in enumerate(selection):
-        columns[:dim, k] = delta * decs[state].vectors[:, index]
-        columns[(state + 1) * dim + index, k] = epsilon
+    picks = len(selection)
+    columns = np.zeros((dim + picks, picks), dtype=complex)
+    columns[:dim] = delta * np.column_stack(
+        [decs[state].vectors[:, index] for state, index in selection]
+    )
+    columns[dim:] = epsilon * np.eye(picks)
     basis, labels, diagnostics = _complete_basis(selection, columns, columns)
+    # the frame check sees only the top d rows, so it does not imply this
+    if float(np.abs(basis.conj().T @ basis - np.eye(dim + picks)).max()) > POVM_ATOL:
+        raise NumericalConsistencyError("complete QR factor is not unitary")
     det = Detector(kind="POVM", frame=basis[:dim], labels=labels, outcomes=len(states))
     embedding_floor_guard(epsilon, diagnostics.lambda_min_gram)
     return det, diagnostics

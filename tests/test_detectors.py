@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmht.detectors import (
+    EPSILON_FLOOR,
     SELECTION_TIE_RTOL,
     Detector,
     bayes_commuting,
@@ -26,6 +27,7 @@ from qmht.errors import NumericalConsistencyError
 from qmht.linalg import DensityMatrix, HermitianMatrix, eigenvalue_zero_threshold
 from qmht.chernoff import q_overlap
 from qmht.sampling import random_density_matrix, random_orthonormal
+from qmht.tensorlab import run_power_experiment
 from conftest import diagonal, pure
 
 HELSTROM_ERR_ZERO_PLUS = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
@@ -355,6 +357,26 @@ class TestGsDetector:
         assert np.abs(np.abs(diag.basis[:, 2]) - [0.0, 0.0, 1.0]).max() < 1e-12
         assert diag.labels[2] == 0
 
+    def test_non_unitary_basis_raises(self, monkeypatch):
+        # scaling only the completion columns leaves every picked direction
+        # intact, so only the frame check on the whole square factor sees it
+        rng = np.random.default_rng(17)
+        states = [random_density_matrix(4, rng, rank=1) for _ in range(3)]
+        real_qr = np.linalg.qr
+
+        def skewed_qr(a, mode="reduced"):
+            out = real_qr(a, mode=mode)
+            if mode != "complete":
+                return out
+            q, r = out
+            q = q.copy()
+            q[:, a.shape[1] :] *= 1.0 + 1e-6
+            return q, r
+
+        monkeypatch.setattr("qmht.detectors.np.linalg.qr", skewed_qr)
+        with pytest.raises(NumericalConsistencyError, match="orthonormal"):
+            gs_detector(states)
+
 
 class TestGsErrorBound:
     def test_zero_plus_components(self, zero_state, plus_state):
@@ -505,6 +527,51 @@ class TestVerifyBayesConditions:
         )
         assert verify_bayes_conditions([rho, rho, rho], det, tol=1e-8).passed
 
+    @given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_pvm_frame_reports_as_its_elements(self, dim, r, seed):
+        # reading a PVM frame through its labelled columns gives the same
+        # verdicts as its explicit elements, for detectors that pass the
+        # certificate and for ones that fail it
+        rng = np.random.default_rng(seed)
+        states = [random_density_matrix(dim, rng) for _ in range(r)]
+        rotation = random_orthonormal(dim, dim, rng)
+        commuting = [
+            DensityMatrix(rotation @ np.diag(rng.dirichlet(np.ones(dim))) @ rotation.conj().T)
+            for _ in range(r)
+        ]
+        bayes = bayes_commuting(commuting)[0]
+        permuted = Detector(
+            kind="PVM", frame=bayes.frame, labels=(bayes.labels + 1) % r, outcomes=r
+        )
+        cases = [
+            (commuting, bayes),
+            (commuting, permuted),
+            (states[:2], holevo_helstrom(*states[:2])),
+            (states, gs_detector(states)[0]),
+        ]
+        for family, det in cases:
+            explicit = Detector(det.elements, kind="PVM")
+            for tol in (1e-9, 1e-8):
+                assert verify_bayes_conditions(family, det, tol) == verify_bayes_conditions(
+                    family, explicit, tol
+                )
+
+    def test_annihilation_reads_every_labelled_column(self):
+        # label 0 owns a slot where the family is diagonal, which annihilates,
+        # and then a direction of a non-commuting block, which does not
+        a = np.zeros((3, 3), dtype=complex)
+        b = np.zeros((3, 3), dtype=complex)
+        a[0, 0], a[1:, 1:] = 0.5, 0.5 * pure([1, 0]).mat
+        b[0, 0], b[1:, 1:] = 0.1, 0.9 * pure([1, 1]).mat
+        states = [DensityMatrix(a), DensityMatrix(b)]
+        det = Detector(kind="PVM", frame=np.eye(3), labels=[0, 0, 1], outcomes=2)
+        report = verify_bayes_conditions(states, det, tol=1e-9)
+        assert report.annihilates == (False, False)
+        assert report == verify_bayes_conditions(
+            states, Detector(det.elements, kind="PVM"), tol=1e-9
+        )
+
 
 class TestEpsilonDetector:
     def test_trace_identity_under_perturbation(self):
@@ -566,18 +633,19 @@ class TestEpsilonDetector:
         values = np.concatenate([rho.spectrum().eigenvalues for rho in states])
         assert diag.stopping_index == int(np.sum(values > eigenvalue_zero_threshold(values)))
         basis = diag.basis
-        assert basis.shape == (64, 64)
-        assert np.abs(basis.conj().T @ basis - np.eye(64)).max() < 1e-12
+        size = 16 + diag.stopping_index
+        assert basis.shape == (size, size)
+        assert np.abs(basis.conj().T @ basis - np.eye(size)).max() < 1e-12
         picked = basis[:, : diag.stopping_index]
         completion = basis[:, diag.stopping_index :]
         assert completion.shape[1] > 0
         assert all(label == 0 for label in diag.labels[diag.stopping_index :])
-        complement = np.eye(64) - picked @ picked.conj().T
+        complement = np.eye(size) - picked @ picked.conj().T
         assert np.abs(completion @ completion.conj().T - complement).max() < 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 16, 32])
     def test_elements_are_upper_blocks_of_embedded_pvm(self, dim):
-        # rebuild the (r+1)d PVM from the reported basis and labels, check it
+        # rebuild the embedded PVM from the reported basis and labels, check it
         # as a PVM, and cut it back to its upper block
         rng = np.random.default_rng(100 + dim)
         for r in (2, 3):
@@ -599,6 +667,51 @@ class TestEpsilonDetector:
                     np.subtract(new_report.per_hypothesis, old_report.per_hypothesis)
                 ).max() <= 1e-15
                 assert abs(new_report.averaged - old_report.averaged) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 32])
+    def test_matches_the_full_embedding(self, dim):
+        # the paper's (r+1)d embedding, each pick's private direction at row
+        # (state + 1) d + index, gives the same POVM as the d + m one
+        rng = np.random.default_rng(200 + dim)
+        for r in (2, 3):
+            states = [
+                random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                for _ in range(r)
+            ]
+            for epsilon in (1e-3, 0.1, 0.3, 0.7):
+                det, diag = epsilon_detector(states, epsilon)
+                selection = diag.selection_order
+                columns = np.zeros(((r + 1) * dim, len(selection)), dtype=complex)
+                for k, (state, index) in enumerate(selection):
+                    vector = states[state].spectrum().vectors[:, index]
+                    columns[:dim, k] = math.sqrt(1.0 - epsilon**2) * vector
+                    columns[(state + 1) * dim + index, k] = epsilon
+                full_basis, _ = np.linalg.qr(columns, mode="complete")
+                labels = [state for state, _ in selection]
+                labels += [0] * ((r + 1) * dim - len(selection))
+                full = Detector(kind="POVM", frame=full_basis[:dim], labels=labels, outcomes=r)
+                for new, old in zip(det.elements, full.elements):
+                    assert np.abs(new.mat - old.mat).max() <= 1e-14
+                assert np.abs(
+                    np.subtract(
+                        evaluate_errors(states, det).per_hypothesis,
+                        evaluate_errors(states, full).per_hypothesis,
+                    )
+                ).max() <= 1e-15
+
+    def test_floor_matches_high_precision_reference(self):
+        # the defect ensemble's n = 4 powers at the epsilon floor, where the
+        # 1/epsilon^2 = 1e6 conditioning of the embedded Gram amplifies input
+        # rounding; the reference is a 40-digit mpmath Gram-Schmidt of the
+        # same double eigenvectors, and the block route must reach it too
+        reference = 0.345395214050463
+        powers = defect_ensemble_powers(4)
+        det, _ = epsilon_detector(powers, EPSILON_FLOOR)
+        assert abs(evaluate_errors(powers, det).averaged - reference) <= 1e-13
+        (row,) = run_power_experiment(
+            defect_ensemble_powers(1), [4], "epsilon", epsilon_override=EPSILON_FLOOR
+        ).rows
+        assert abs(row.err - reference) <= 1e-13
 
     @pytest.mark.parametrize("rows", ["all", "extra"])
     def test_non_unitary_basis_raises(self, monkeypatch, rows):
