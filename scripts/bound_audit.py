@@ -3,9 +3,11 @@
 
 Samples mixed-state ensembles, builds the greedy PVM, and reports the
 distribution of bound / error ratios (the bound should never be undercut).
+Exits 1 when any trial's error exceeds its bound by more than 1e-9.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -13,7 +15,7 @@ from qmht.detectors import evaluate_errors, gs_detector, gs_error_bound
 from qmht.sampling import random_density_matrix
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--dim", type=int, default=4)
@@ -43,7 +45,8 @@ def main() -> None:
         f"bound/err ratio: min {ratios.min():.3f}, median {np.median(ratios):.3f}, "
         f"max {ratios.max():.3f}"
     )
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -34,7 +34,7 @@ from .linalg import (
     HermitianMatrix,
     SpectralDecomposition,
     dense_limit,
-    gram_min_eigenvalue,
+    gram_floor,
     spectral_decompose,
 )
 from .tensorlab import (
@@ -74,7 +74,7 @@ __all__ = [
     "epsilon_detector",
     "evaluate_errors",
     "gram_convergence_check",
-    "gram_min_eigenvalue",
+    "gram_floor",
     "gs_detector",
     "gs_error_bound",
     "holevo_helstrom",

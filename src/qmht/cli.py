@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chernoff import MultipleChernoffResult, multiple_qcb
-from .detectors import embedding_guard
+from .detectors import NONNEGATIVE_FLOOR, embedding_guard
 from .errors import DimensionLimitError, NumericalConsistencyError, ScenarioError
 from .linalg import DensityMatrix, HermitianMatrix
 from .tensorlab import (
@@ -29,6 +29,9 @@ from .tensorlab import (
 
 SCHEMA_VERSION = 1
 NORM_WARN_ATOL = 1e-8
+# an input this close to normalization is used as given, not divided by its
+# norm, sum or trace
+RENORMALIZE_ATOL = 1e-15
 CSV_COLUMNS = (
     "n",
     "detector",
@@ -98,7 +101,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
             raise ScenarioError(f"{where}: zero vector")
         if abs(norm - 1.0) > NORM_WARN_ATOL:
             _warn(f"{where}: renormalizing vector with norm {norm:.12g}")
-        if abs(norm - 1.0) > 1e-15:
+        if abs(norm - 1.0) > RENORMALIZE_ATOL:
             vec = vec / norm
         return DensityMatrix(np.outer(vec, vec.conj()))
     if kind == "diagonal":
@@ -108,7 +111,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
         probs = np.asarray(raw, dtype=float)
         if not np.isfinite(probs).all():
             raise ScenarioError(f"{where}: non-finite probability")
-        if float(probs.min()) < -1e-12:
+        if float(probs.min()) < NONNEGATIVE_FLOOR:
             raise ScenarioError(f"{where}: negative probability")
         probs = np.maximum(probs, 0.0)
         total = float(probs.sum())
@@ -116,7 +119,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
             raise ScenarioError(f"{where}: probabilities sum to zero")
         if abs(total - 1.0) > NORM_WARN_ATOL:
             _warn(f"{where}: renormalizing probabilities with sum {total:.12g}")
-        if abs(total - 1.0) > 1e-15:
+        if abs(total - 1.0) > RENORMALIZE_ATOL:
             probs = probs / total
         return DensityMatrix(np.diag(probs).astype(complex))
     if kind == "dense":
@@ -134,7 +137,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
             raise ScenarioError(f"{where}: nonpositive trace")
         if abs(trace - 1.0) > NORM_WARN_ATOL:
             _warn(f"{where}: renormalizing matrix with trace {trace:.12g}")
-        scaled = herm.mat / trace if abs(trace - 1.0) > 1e-15 else herm.mat
+        scaled = herm.mat / trace if abs(trace - 1.0) > RENORMALIZE_ATOL else herm.mat
         try:
             return DensityMatrix(scaled)
         except ValueError as exc:

@@ -17,18 +17,17 @@ import numpy as np
 
 from .chernoff import binary_qcb
 from .errors import NumericalConsistencyError
-from .linalg import (
-    DensityMatrix,
-    HermitianMatrix,
-    eigenvalue_zero_threshold,
-    gram_spectrum,
-)
+from .linalg import DensityMatrix, HermitianMatrix, eigenvalue_zero_threshold, gram_floor
 
 POVM_ATOL = 1e-9
 SPAN_RESIDUAL_TOL = 1e-9
 SELECTION_TIE_RTOL = 1e-12
 COMMUTATOR_ATOL = 1e-10
+COMMON_BASIS_ATOL = 1e-9
 PRIOR_ATOL = 1e-10
+# A probability, a prior or an eigenvalue that must be nonnegative may fall
+# this far below 0 by rounding.
+NONNEGATIVE_FLOOR = -1e-12
 # Smallest embedding perturbation: the embedded Gram spectrum is floored at
 # epsilon^2, and at 1e-6 that floor stays far above rounding noise.
 EPSILON_FLOOR = 1e-3
@@ -210,7 +209,7 @@ def classical_ml(prob_matrix) -> np.ndarray:
     probs = np.asarray(prob_matrix, dtype=float)
     if probs.ndim != 2 or probs.size == 0:
         raise ValueError(f"expected a nonempty r x d matrix, got shape {probs.shape}")
-    if float(probs.min()) < -1e-12:
+    if float(probs.min()) < NONNEGATIVE_FLOOR:
         raise ValueError("probabilities must be nonnegative")
     row_sums = probs.sum(axis=1)
     if float(np.abs(row_sums - 1.0).max()) > PRIOR_ATOL:
@@ -226,20 +225,16 @@ class GsDiagnostics:
     ``basis`` the full orthonormal basis (picked directions first, their
     Householder complement after): d x d for gs, and for epsilon the
     (d + m) x (d + m) unitary of the embedding with m picks, whose top d rows
-    are the detector's frame. ``labels`` holds the hypothesis index of every
-    basis column (0 on the complement), and ``gram`` the Gram matrix of the
-    picked source eigenvectors, with ``lambda_min_gram`` its smallest
-    eigenvalue and ``gram_zero_threshold`` the zero threshold of its
-    spectrum (``eigenvalue_zero_threshold``), both from one eigensolve.
+    are the detector's frame. The detector's ``labels`` hold the hypothesis
+    index of every basis column (0 on the complement). ``lambda_min_gram`` is
+    the smallest eigenvalue of the picked Gram matrix by ``gram_floor``: of
+    the picked eigenvectors V for gs, and of the embedded
+    delta^2 V^H V + epsilon^2 I for epsilon, epsilon^2 + delta^2 gram_floor(V).
     """
 
     selection_order: list[tuple[int, int]]
     basis: np.ndarray
-    labels: list[int]
-    gram: HermitianMatrix
-    stopping_index: int
     lambda_min_gram: float
-    gram_zero_threshold: float
 
 
 def greedy_order(streams):
@@ -305,31 +300,17 @@ def _greedy_orthonormal_selection(candidates, dim, count):
     return selection, frame[: len(selection)]
 
 
-def _complete_basis(selection, columns, sources):
+def _complete_basis(selection, columns):
     # One complete QR of the D x m ``columns`` orthonormalizes them in pick
     # order and appends their Householder complement, D x D in all, with the
     # picks labelled by state and the D - m completion columns labelled 0:
     # only the complement's projector enters the elements, whichever basis
     # QR picks. The factor is not checked here: gs hands it whole to a PVM
     # frame, whose check is the same condition, and epsilon checks it before
-    # it keeps the top rows. ``sources`` are the picked vectors whose Gram
-    # matrix the diagnostics report; its smallest eigenvalue is reported as
-    # computed, rounding noise of either sign included (``gs_error_bound``
-    # turns that into an infinite bound).
+    # it keeps the top rows.
     dim, picks = columns.shape
     full_basis, _ = np.linalg.qr(columns, mode="complete")
-    full_labels = np.array([state for state, _ in selection] + [0] * (dim - picks))
-    gram, gram_values = gram_spectrum(sources.T)
-    diagnostics = GsDiagnostics(
-        selection_order=list(selection),
-        basis=full_basis,
-        labels=full_labels.tolist(),
-        gram=gram,
-        stopping_index=len(selection),
-        lambda_min_gram=float(gram_values[0]),
-        gram_zero_threshold=eigenvalue_zero_threshold(gram_values),
-    )
-    return full_basis, full_labels, diagnostics
+    return full_basis, np.array([state for state, _ in selection] + [0] * (dim - picks))
 
 
 def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnostics]:
@@ -351,26 +332,27 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     pops = list(_greedy_pops(values_rows, zero_threshold))
     candidates = (((state, index), vector_mats[state][:, index]) for state, index in pops)
     selection, frame = _greedy_orthonormal_selection(candidates, dim, len(pops))
-    sources = np.column_stack([vector_mats[state][:, index] for state, index in selection])
-    basis, labels, diagnostics = _complete_basis(selection, frame.T, sources)
+    basis, labels = _complete_basis(selection, frame.T)
     det = Detector(kind="PVM", frame=basis, labels=labels, outcomes=len(states))
-    return det, diagnostics
+    sources = np.column_stack([vector_mats[state][:, index] for state, index in selection])
+    return det, GsDiagnostics(selection, basis, gram_floor(sources))
+
+
+def lemma3_bound(overlap_sum: float, lambda_min: float, r: int) -> float:
+    """Error ceiling for the greedy PVM on r hypotheses: the summed pairwise
+    overlap infima over (r times the smallest picked Gram eigenvalue),
+    infinite iff that eigenvalue is 0 (``gram_floor`` is never negative)."""
+    return math.inf if lambda_min <= 0.0 else overlap_sum / (lambda_min * r)
 
 
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
-    """Error ceiling for the greedy PVM: summed pairwise overlap infima over
-    (r times the smallest Gram eigenvalue); infinite when that eigenvalue is
-    at or below the zero threshold of the Gram spectrum, where it is rounding
-    noise of either sign."""
+    """``lemma3_bound`` of a single-copy greedy PVM."""
     states = list(sigma_set)
-    lam_min = diagnostics.lambda_min_gram
-    if lam_min <= diagnostics.gram_zero_threshold:
-        return math.inf
     total = 0.0
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             total += 2.0 * binary_qcb(states[i], states[j]).q_star
-    return total / (lam_min * len(states))
+    return lemma3_bound(total, diagnostics.lambda_min_gram, len(states))
 
 
 def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector:
@@ -384,7 +366,7 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
     weights = np.asarray(priors, dtype=float)
     if len(states) != len(weights):
         raise ValueError("one prior per state required")
-    if float(weights.min()) < -1e-12:
+    if float(weights.min()) < NONNEGATIVE_FLOOR:
         raise ValueError("priors must be nonnegative")
     if abs(float(weights.sum()) - 1.0) > PRIOR_ATOL:
         raise ValueError("priors must sum to 1")
@@ -435,7 +417,7 @@ def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
     for k, rho in enumerate(states):
         rotated = basis.conj().T @ rho.mat @ basis
         off = rotated - np.diag(np.diag(rotated))
-        if float(np.abs(off).max()) > 1e-9:
+        if float(np.abs(off).max()) > COMMON_BASIS_ATOL:
             raise NumericalConsistencyError(
                 f"state {k} is not diagonal in the refined common basis"
             )
@@ -512,7 +494,7 @@ def bayes_commuting(
     certificate = HermitianMatrix(basis @ np.diag(slot_max) @ basis.conj().T)
     # the Detector's frame check is the one check that the basis is unitary
     det = Detector(kind="PVM", frame=basis, labels=winners, outcomes=len(states))
-    report = verify_bayes_conditions(states, det, tol=1e-9)
+    report = verify_bayes_conditions(states, det, tol=POVM_ATOL)
     if not report.passed:
         raise NumericalConsistencyError(
             "commuting Bayes candidate fails its optimality certificate"
@@ -535,17 +517,9 @@ def embedding_guard(epsilon: float) -> None:
     f = np.array([0.0, 1.0])
     comparison = (delta * epsilon - epsilon**2) * (np.outer(u, u) + np.outer(f, f))
     comparison = comparison + 2.0 * epsilon**2 * np.outer(u, u)
-    if float(np.linalg.eigvalsh(comparison)[0]) < -1e-12:
+    if float(np.linalg.eigvalsh(comparison)[0]) < NONNEGATIVE_FLOOR:
         raise ValueError(
             f"epsilon={epsilon} is too large for the embedding positivity guarantee"
-        )
-
-
-def embedding_floor_guard(epsilon: float, lambda_min: float) -> None:
-    """Reject a picked Gram spectrum below the epsilon^2 floor of the embedding."""
-    if lambda_min < epsilon * epsilon * (1.0 - 1e-9) - 1e-12:
-        raise NumericalConsistencyError(
-            "embedded Gram spectrum fell below the perturbation floor"
         )
 
 
@@ -583,15 +557,15 @@ def epsilon_detector(
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
     selection = list(_greedy_pops(values_rows, zero_threshold))
     picks = len(selection)
+    vectors = np.column_stack([decs[state].vectors[:, index] for state, index in selection])
     columns = np.zeros((dim + picks, picks), dtype=complex)
-    columns[:dim] = delta * np.column_stack(
-        [decs[state].vectors[:, index] for state, index in selection]
-    )
+    columns[:dim] = delta * vectors
     columns[dim:] = epsilon * np.eye(picks)
-    basis, labels, diagnostics = _complete_basis(selection, columns, columns)
+    basis, labels = _complete_basis(selection, columns)
     # the frame check sees only the top d rows, so it does not imply this
     if float(np.abs(basis.conj().T @ basis - np.eye(dim + picks)).max()) > POVM_ATOL:
         raise NumericalConsistencyError("complete QR factor is not unitary")
     det = Detector(kind="POVM", frame=basis[:dim], labels=labels, outcomes=len(states))
-    embedding_floor_guard(epsilon, diagnostics.lambda_min_gram)
-    return det, diagnostics
+    # the smallest eigenvalue of the Gram matrix X^H X = delta^2 V^H V + epsilon^2 I
+    lambda_min = epsilon * epsilon + (1.0 - epsilon * epsilon) * gram_floor(vectors)
+    return det, GsDiagnostics(selection, basis, lambda_min)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -16,6 +15,7 @@ HERMITICITY_ATOL = 1e-12
 EIGENVALUE_ZERO_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
+PHASE_PIVOT_ATOL = 1e-12
 DEFAULT_DENSE_LIMIT = 16384
 DENSE_LIMIT_ENV = "QMHT_DENSE_LIMIT"
 
@@ -137,8 +137,9 @@ def eigenvalue_zero_threshold(eigenvalues: np.ndarray) -> float:
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate every column so its first component above 1e-12 is real and positive."""
-    above = np.abs(vectors) > 1e-12
+    """Rotate every column so its first component above ``PHASE_PIVOT_ATOL``
+    in magnitude is real and positive."""
+    above = np.abs(vectors) > PHASE_PIVOT_ATOL
     pivots = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
     pivots = np.where(above.any(axis=0), pivots, 1.0)
     # hypot, not np.abs: it rounds as the scalar abs() of one pivot does
@@ -183,28 +184,14 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(values, vectors)
 
 
-def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix, float]:
-    """Gram matrix of a vector family and its smallest eigenvalue."""
-    gram, values = gram_spectrum(vectors)
-    return gram, float(values[0])
-
-
-def gram_spectrum(vectors: Sequence[np.ndarray]) -> tuple[HermitianMatrix, np.ndarray]:
-    """Gram matrix of a vector family and its eigenvalues in ascending order."""
-    if len(vectors) == 0:
-        raise ValueError("need at least one vector")
-    # one vector per row; a 2-D array passed as ``columns.T`` gets its columns
-    # back without a copy, a list of vectors is copied, and both end C-ordered
-    # so the Gram product sees one layout
-    stacked = np.ascontiguousarray(np.asarray(vectors, dtype=complex).T)
-    gram = HermitianMatrix(stacked.conj().T @ stacked)
-    return gram, np.linalg.eigvalsh(gram.mat)
-
-
 def gram_floor(columns: np.ndarray) -> float:
-    """Smallest eigenvalue of the Gram matrix of ``columns``, as sigma_min(R)^2
-    with R from a Householder QR: never negative, and meaningful far below
-    the ~1e-16 rounding noise of an eigensolve of the Gram matrix."""
+    """Smallest eigenvalue of the Gram matrix of the m columns of a D x m
+    array, as sigma_min(R)^2 with R from a Householder QR: exactly 0 when
+    m > D, never negative, and meaningful far below the ~1e-16 rounding noise
+    of an eigensolve of the Gram matrix."""
+    rows, count = columns.shape
+    if count > rows:
+        return 0.0
     factor = np.linalg.qr(columns, mode="r")
     sigma_min = float(np.linalg.svd(factor, compute_uv=False)[-1])
     return sigma_min * sigma_min

@@ -258,8 +258,7 @@ def block_gs(phs) -> tuple[float, float]:
     passes, ``SPAN_RESIDUAL_TOL``), the Householder complement goes to
     hypothesis 0, and the error is (1/r) sum_lam f_lam [tr pi(rho_0) P^(!=0)
     + sum_(i>=1) tr pi(rho_i)(1 - P^(i))]. ``lambda_min_gram`` is the smallest
-    sigma_min(R_lam)^2 over the blocks, with R_lam from a Householder QR of
-    block lam's picked columns.
+    ``gram_floor`` of the blocks' picked columns.
     """
     pops = _pops(phs, "gs")
     err = 0.0
@@ -294,7 +293,9 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
     parts of the orthonormalized picks. Hypothesis 0 owns the completion, so
     it misses only the mass its state leaks into the other labels; the
     others miss their block trace less the mass on their own labels.
-    ``lambda_min_gram`` is the smallest eigenvalue over the block Grams.
+    ``lambda_min_gram`` is the smallest eigenvalue over the block Grams,
+    epsilon^2 + delta^2 gram_floor(V) in each: exactly epsilon^2 in a block
+    with more picks than dimensions.
     """
     pops = _pops(phs, "epsilon")
     scale = 1.0 - epsilon * epsilon
@@ -311,7 +312,7 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
         # distinct picks share no private direction; each embedded vector is a
         # unit vector, delta^2 + epsilon^2 = 1
         np.fill_diagonal(gram, 1.0)
-        lam_min = min(lam_min, float(np.linalg.eigvalsh(gram)[0]))
+        lam_min = min(lam_min, epsilon * epsilon + scale * gram_floor(picks))
         physical = picks @ np.linalg.inv(np.linalg.cholesky(gram).conj().T)
         err += block.mult * scale * float(block.masses(physical[:, owners != 0], 0).sum())
         for i in range(1, phs.r):
@@ -346,13 +347,12 @@ def joint_gram_floor(phs) -> float:
     """Smallest eigenvalue of the Gram matrix of every product eigenvector
     with a positive eigenvalue on the cut spectra, over all states: the joint
     Gram is sum_lam G_lam (x) 1_(f_lam), with G_lam the Gram of the positive
-    columns of every pi_lam(U_s)."""
+    columns of every pi_lam(U_s), whose smallest eigenvalue is the
+    ``gram_floor`` of those columns."""
     lam_min = math.inf
     for block in _blocks(phs):
         positive = np.prod(phs.cut_values[:, None, :] ** block.tables.weights, axis=2) > 0.0
         columns = [block.unitaries[s][:, kept] for s, kept in enumerate(positive) if kept.any()]
         if columns:
-            stacked = np.hstack(columns)
-            gram = stacked.conj().T @ stacked
-            lam_min = min(lam_min, float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[0]))
+            lam_min = min(lam_min, gram_floor(np.hstack(columns)))
     return lam_min

@@ -40,9 +40,9 @@ from .chernoff import MultipleChernoffResult, multiple_qcb
 from .detectors import (
     EPSILON_FLOOR,
     common_eigenbasis,
-    embedding_floor_guard,
     embedding_guard,
     greedy_order,
+    lemma3_bound,
 )
 from .errors import DimensionLimitError
 from .linalg import (
@@ -60,11 +60,11 @@ LI_WITNESS_TOL = 1e-9
 
 @dataclass
 class PowerHypothesisSet:
-    """r hypotheses raised to the n-th tensor power, kept as base spectra."""
+    """r hypotheses raised to the n-th tensor power, kept as base spectra;
+    d^n may not exceed ``dense_limit()``, which ``QMHT_DENSE_LIMIT`` sets."""
 
     base: list[DensityMatrix]
     n: int
-    limit: int | None = None
     spectra: list = field(init=False, repr=False)
     cut_values: np.ndarray = field(init=False, repr=False)
 
@@ -77,8 +77,7 @@ class PowerHypothesisSet:
         dim = self.base[0].dim
         if any(rho.dim != dim for rho in self.base):
             raise ValueError("states must share one dimension")
-        cap = dense_limit() if self.limit is None else self.limit
-        if dim**self.n > cap:
+        if dim**self.n > (cap := dense_limit()):
             raise DimensionLimitError(f"{dim}**{self.n} exceeds the dense limit {cap}")
         self.spectra = [rho.spectrum() for rho in self.base]
         self.cut_values = np.array([_cut(dec.eigenvalues) for dec in self.spectra])
@@ -259,7 +258,6 @@ def run_power_experiment(
     kind: str,
     *,
     epsilon_override: float | None = None,
-    limit: int | None = None,
     qcb: MultipleChernoffResult | None = None,
 ) -> ExperimentReport:
     """Sweep copy numbers, building the requested detector family on each power.
@@ -289,7 +287,7 @@ def run_power_experiment(
     r = len(states)
     rows: list[ExperimentRow] = []
     for n in ns:
-        phs = PowerHypothesisSet(states, n, limit=limit)
+        phs = PowerHypothesisSet(states, n)
         overlap_sum = _pairwise_overlap_power_sum(qcb, n)
         lam_min: float | None
         eps_n: float | None = None
@@ -312,9 +310,8 @@ def run_power_experiment(
             err, lam_min = block_helstrom(phs), None
         bound: float | None
         if kind == "gs":
-            bound = math.inf if lam_min == 0.0 else overlap_sum / (lam_min * r)
+            bound = lemma3_bound(overlap_sum, lam_min, r)
         elif kind == "epsilon":
-            embedding_floor_guard(eps_n, lam_min)
             bound = (2.0 * eps_n + overlap_sum / (eps_n * eps_n)) / r
         elif kind == "helstrom":
             bound = None

@@ -291,7 +291,7 @@ class TestGsDetector:
         states = [DensityMatrix(rotation @ m @ rotation.conj().T) for m in mats]
         det, diag = gs_detector(states)
         assert diag.selection_order == [(0, 0), (1, 0), (1, 1), (0, 2)]
-        assert diag.labels == [0, 1, 1, 0]
+        assert det.labels.tolist() == [0, 1, 1, 0]
         assert abs(evaluate_errors(states, det).averaged - 0.3625) < 1e-12
 
     def test_defect_ensemble_matches_high_precision_reference(self):
@@ -309,14 +309,14 @@ class TestGsDetector:
         probs = np.array([[0.7, 0.3], [0.4, 0.6]])
         ml_labels = classical_ml(probs)
         # identify basis columns with canonical slots and compare labels
-        for col, label in zip(diag.basis.T, diag.labels):
+        for col, label in zip(diag.basis.T, det.labels):
             slot = int(np.argmax(np.abs(col)))
             assert ml_labels[slot] == label
 
     def test_zero_plus_pinned_example(self, zero_state, plus_state):
         det, diag = gs_detector([zero_state, plus_state])
         assert diag.selection_order == [(0, 0), (1, 0)]
-        assert diag.labels == [0, 1]
+        assert det.labels.tolist() == [0, 1]
         assert np.allclose(np.abs(diag.basis[:, 0]), [1.0, 0.0])
         assert np.allclose(np.abs(diag.basis[:, 1]), [0.0, 1.0])
         report = evaluate_errors([zero_state, plus_state], det)
@@ -352,10 +352,10 @@ class TestGsDetector:
 
     def test_completion_direction_gets_label_zero(self):
         states = [diagonal([0.7, 0.3, 0.0]), diagonal([0.4, 0.6, 0.0])]
-        _, diag = gs_detector(states)
-        assert diag.stopping_index == 2
+        det, diag = gs_detector(states)
+        assert len(diag.selection_order) == 2
         assert np.abs(np.abs(diag.basis[:, 2]) - [0.0, 0.0, 1.0]).max() < 1e-12
-        assert diag.labels[2] == 0
+        assert det.labels[2] == 0
 
     def test_non_unitary_basis_raises(self, monkeypatch):
         # scaling only the completion columns leaves every picked direction
@@ -404,21 +404,26 @@ class TestGsErrorBound:
         assert abs(bound - infimum) < 1e-6
         assert bound >= 0.35
 
-    def test_noise_level_gram_gives_infinite_bound(self):
-        # the picked Gram of the defect ensemble's n = 6 powers is singular up
-        # to rounding (lambda_min ~ 3e-17 against lambda_max ~ 3): the ceiling
-        # is infinite, and the detector itself is unchanged
-        powers = defect_ensemble_powers(6)
-        det, diag = gs_detector(powers)
-        assert 0.0 < diag.lambda_min_gram <= eigenvalue_zero_threshold(
-            np.linalg.eigvalsh(diag.gram.mat)
-        )
-        assert math.isinf(gs_error_bound(powers, diag))
-        # the same noise may come out negative (one BLAS thread does so on
-        # other ensembles); the ceiling is infinite then too, not an error
-        negative = dataclasses.replace(diag, lambda_min_gram=-diag.lambda_min_gram)
-        assert math.isinf(gs_error_bound(powers, negative))
-        assert abs(evaluate_errors(powers, det).averaged - 0.2697411909957834) < 1e-14
+    def test_defect_ensemble_floor_matches_high_precision_reference(self):
+        # the picked Gram of the defect ensemble's explicit powers has its
+        # floor at or below the ~1e-16 noise of an eigensolve of that Gram.
+        # References: the Gram matrix V^H V of the same double picks V (the
+        # columns ``selection_order`` names, from each power's ``spectrum()``),
+        # formed and solved by ``mpmath.eighe`` at 40 digits; its smallest
+        # eigenvalue.
+        for n, reference in ((5, 2.75655655887e-14), (6, 1.94198146678e-18)):
+            powers = defect_ensemble_powers(n)
+            det, diag = gs_detector(powers)
+            assert abs(diag.lambda_min_gram - reference) <= 1e-4 * reference
+            err = evaluate_errors(powers, det).averaged
+            bound = gs_error_bound(powers, diag)
+            assert math.isfinite(bound) and bound >= err
+        # the n = 6 err, pinned as before
+        assert abs(err - 0.2697411909957834) < 1e-14
+        # a Gram floor at or below 0 has no ceiling
+        for floor in (0.0, -diag.lambda_min_gram):
+            singular = dataclasses.replace(diag, lambda_min_gram=floor)
+            assert math.isinf(gs_error_bound(powers, singular))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
@@ -612,11 +617,21 @@ class TestEpsilonDetector:
         assert report.averaged <= 1.0
 
     def test_gram_floor(self):
+        # lambda_min_gram is the smallest eigenvalue of the embedded Gram
+        # delta^2 V^H V + epsilon^2 I, which is well conditioned enough here
+        # for an eigensolve to check it, with fewer and more picks than d
         rng = np.random.default_rng(15)
-        states = [random_density_matrix(2, rng) for _ in range(2)]
-        for epsilon in (0.2, 0.5):
-            _, diag = epsilon_detector(states, epsilon)
-            assert diag.lambda_min_gram >= epsilon**2 * (1 - 1e-9)
+        for dim, rank in ((2, 2), (4, 1), (6, 2), (4, 3)):
+            states = [random_density_matrix(dim, rng, rank=rank) for _ in range(2)]
+            for epsilon in (0.2, 0.5):
+                _, diag = epsilon_detector(states, epsilon)
+                assert diag.lambda_min_gram >= epsilon**2 * (1 - 1e-9)
+                vectors = np.column_stack(
+                    [states[s].spectrum().vectors[:, i] for s, i in diag.selection_order]
+                )
+                gram = (1 - epsilon**2) * (vectors.conj().T @ vectors)
+                gram += epsilon**2 * np.eye(len(diag.selection_order))
+                assert abs(diag.lambda_min_gram - np.linalg.eigvalsh(gram)[0]) < 1e-14
 
     def test_generally_not_projective(self, zero_state, plus_state):
         det, _ = epsilon_detector([zero_state, plus_state], 0.5)
@@ -627,19 +642,20 @@ class TestEpsilonDetector:
     def test_embedded_basis_completion(self):
         rng = np.random.default_rng(16)
         states = [random_density_matrix(16, rng, rank=5) for _ in range(3)]
-        _, diag = epsilon_detector(states, 0.3)
+        det, diag = epsilon_detector(states, 0.3)
         # the private epsilon-directions make every eigenvector above the zero
         # cut independent, so each one is picked
         values = np.concatenate([rho.spectrum().eigenvalues for rho in states])
-        assert diag.stopping_index == int(np.sum(values > eigenvalue_zero_threshold(values)))
+        picks = len(diag.selection_order)
+        assert picks == int(np.sum(values > eigenvalue_zero_threshold(values)))
         basis = diag.basis
-        size = 16 + diag.stopping_index
+        size = 16 + picks
         assert basis.shape == (size, size)
         assert np.abs(basis.conj().T @ basis - np.eye(size)).max() < 1e-12
-        picked = basis[:, : diag.stopping_index]
-        completion = basis[:, diag.stopping_index :]
+        picked = basis[:, :picks]
+        completion = basis[:, picks:]
         assert completion.shape[1] > 0
-        assert all(label == 0 for label in diag.labels[diag.stopping_index :])
+        assert all(label == 0 for label in det.labels[picks:])
         complement = np.eye(size) - picked @ picked.conj().T
         assert np.abs(completion @ completion.conj().T - complement).max() < 1e-12
 
@@ -655,8 +671,7 @@ class TestEpsilonDetector:
             ]
             for epsilon in (0.1, 0.3, 0.7):
                 det, diag = epsilon_detector(states, epsilon)
-                labels = np.asarray(diag.labels)
-                blocks = [diag.basis[:, labels == i] for i in range(r)]
+                blocks = [diag.basis[:, det.labels == i] for i in range(r)]
                 big = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
                 upper = [HermitianMatrix(e.mat[:dim, :dim]) for e in big.elements]
                 for new, old in zip(det.elements, upper):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qmht.linalg import (
     DensityMatrix,
     HermitianMatrix,
-    gram_min_eigenvalue,
+    gram_floor,
     spectral_decompose,
 )
 from qmht.sampling import complex_gaussian, random_density_matrix, random_orthonormal
@@ -150,35 +150,37 @@ class TestVectorizedSpectralDecompose:
 
 class TestGram:
     def test_two_vectors_with_real_overlap(self):
+        # a 60 degree pair: the Gram matrix [[1, 1/2], [1/2, 1]] has floor 1/2
         v1 = np.array([1.0, 0.0], dtype=complex)
         v2 = np.array([0.5, math.sqrt(0.75)], dtype=complex)
-        _, lam = gram_min_eigenvalue([v1, v2])
-        assert abs(lam - 0.5) < 1e-12
+        assert abs(gram_floor(np.column_stack([v1, v2])) - 0.5) < 1e-12
 
     def test_orthonormal_family(self):
-        _, lam = gram_min_eigenvalue(list(np.eye(3, dtype=complex)))
-        assert abs(lam - 1.0) < 1e-12
+        assert abs(gram_floor(np.eye(3, dtype=complex)) - 1.0) < 1e-12
 
     def test_repeated_vector_is_singular(self):
         v = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2)
-        _, lam = gram_min_eigenvalue([v, v])
-        assert abs(lam) < 1e-12
+        assert abs(gram_floor(np.column_stack([v, v]))) < 1e-12
 
-    @given(st.integers(0, 10_000), st.integers(1, 5))
+    def test_more_columns_than_rows_is_exactly_singular(self):
+        rng = np.random.default_rng(2)
+        assert gram_floor(complex_gaussian(rng, (3, 4))) == 0.0
+
+    @given(st.integers(0, 10_000), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_gram_is_psd(self, seed, count):
+        # never negative, with or without more columns than rows
         rng = np.random.default_rng(seed)
-        vectors = [random_orthonormal(6, 1, rng)[:, 0] for _ in range(count)]
-        gram, lam = gram_min_eigenvalue(vectors)
-        assert lam > -1e-10
-        assert np.abs(gram.mat - gram.mat.conj().T).max() == 0.0
+        columns = np.column_stack([random_orthonormal(6, 1, rng)[:, 0] for _ in range(count)])
+        assert gram_floor(columns) >= 0.0
 
-    def test_rows_of_an_array_or_a_list_give_the_stacked_gram(self):
-        # reference: the vectors stacked as columns one at a time
-        rng = np.random.default_rng(3)
-        columns = complex_gaussian(rng, (32, 20))
-        stacked = np.column_stack([np.asarray(v, dtype=complex) for v in columns.T])
-        reference = HermitianMatrix(stacked.conj().T @ stacked).mat
-        for vectors in (columns.T, list(columns.T)):
-            gram, _ = gram_min_eigenvalue(vectors)
-            assert np.array_equal(gram.mat, reference)
+    def test_resolves_a_floor_far_below_eigensolve_noise(self):
+        # the orthonormal columns of a 6 x 4 matrix scaled by phases times
+        # sigma = (1, 0.5, 1e-3, 1e-12) and permuted: each entry is exact to
+        # relative rounding, so sigma_min^2 = 1e-24 is fixed to about 1e-16
+        # relative, where an eigensolve of the Gram matrix returns +-1e-16
+        rng = np.random.default_rng(0)
+        phases = np.exp(2j * np.pi * rng.random(4))
+        scaled = random_orthonormal(6, 4, rng) * (np.array([1.0, 0.5, 1e-3, 1e-12]) * phases)
+        columns = scaled[:, [2, 0, 3, 1]]
+        assert abs(gram_floor(columns) - 1e-24) <= 1e-6 * 1e-24

@@ -13,7 +13,7 @@ from qmht.detectors import (
     gs_detector,
     holevo_helstrom,
 )
-from qmht.linalg import DensityMatrix
+from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.schurweyl import (
     _blocks,
@@ -285,13 +285,14 @@ class TestGelfandTsetlinBlocks:
             assert np.abs(pi_u @ pi_v - pi_uv).max() < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_dimensions_and_purity_add_up(self, d):
+    def test_dimensions_and_purity_add_up(self, d, monkeypatch):
         # sum_lam f_lam dim V_lam = d^n and sum_lam f_lam tr pi_lam(rho)^2 = (tr rho^2)^n
         rng = np.random.default_rng(30 + d)
         rho = random_density_matrix(d, rng)
         purity = float(np.vdot(rho.mat, rho.mat).real)
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(d**8))
         for n in range(1, 9):
-            blocks = list(_blocks(PowerHypothesisSet([rho], n, limit=d**8)))
+            blocks = list(_blocks(PowerHypothesisSet([rho], n)))
             assert sum(block.mult * block.dim for block in blocks) == d**n
             total = 0.0
             for block in blocks:
@@ -467,12 +468,11 @@ F7_HELSTROM_REFERENCE = {
 
 
 class TestHelstromSignCut:
-    def test_block_route_matches_references(self):
+    def test_block_route_matches_references(self, monkeypatch):
         pair = defect_ensemble()[:2]
         # the block route builds no d^n object, so the dense cap is lifted
-        report = run_power_experiment(
-            pair, sorted(F7_HELSTROM_REFERENCE), "helstrom", limit=10**400
-        )
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+        report = run_power_experiment(pair, sorted(F7_HELSTROM_REFERENCE), "helstrom")
         for row in report.rows:
             assert abs(row.err - F7_HELSTROM_REFERENCE[row.n]) < 1e-15
 

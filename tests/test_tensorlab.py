@@ -14,7 +14,7 @@ from qmht.detectors import (
     holevo_helstrom,
 )
 from qmht.errors import DimensionLimitError
-from qmht.linalg import DensityMatrix
+from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.tensorlab import (
     EPSILON_CLIP,
@@ -97,10 +97,11 @@ class TestPowerHypothesisSet:
         for state, rank in enumerate((2, 1)):
             assert sum(size_of[k] for _, k in _class_stream(phs, state)) == rank**4
 
-    def test_dimension_limit(self):
+    def test_dimension_limit(self, monkeypatch):
+        monkeypatch.setenv(DENSE_LIMIT_ENV, "16")
         base = [diagonal([0.5, 0.5]), diagonal([1.0, 0.0])]
         with pytest.raises(DimensionLimitError):
-            PowerHypothesisSet(base, 5, limit=16)
+            PowerHypothesisSet(base, 5)
 
 
 class TestRunPowerExperimentGs:
@@ -320,14 +321,15 @@ class TestRunPowerExperimentOtherKinds:
         with pytest.raises(ValueError):
             run_power_experiment([zero_state, plus_state, one_state], [1], "helstrom")
 
-    def test_aligned_gs_equals_classical_ml_far_out(self):
+    def test_aligned_gs_equals_classical_ml_far_out(self, monkeypatch):
         # an absolute tie tolerance tied every value below 1e-12 to state 0,
         # so gs printed 0.667 = 1 - 1/r at n = 40, where classical-ml gives
         # 0.0353; at n = 200 a pick cut at 1e-12 times the top value to the
         # n also drops every class of some outcomes and gives 0.667 alone
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
         states = [diagonal(row) for row in ([0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5])]
-        gs = run_power_experiment(states, [40, 200], "gs", limit=10**400).rows
-        ml = run_power_experiment(states, [40, 200], "classical-ml", limit=10**400).rows
+        gs = run_power_experiment(states, [40, 200], "gs").rows
+        ml = run_power_experiment(states, [40, 200], "classical-ml").rows
         for gs_row, ml_row in zip(gs, ml, strict=True):
             assert abs(gs_row.err - ml_row.err) < 1e-12 * ml_row.err
         assert abs(ml[0].err - 0.0353) < 1e-4
