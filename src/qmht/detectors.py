@@ -193,9 +193,15 @@ def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
     """
     if rho1.dim != rho2.dim:
         raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    difference = rho2.mat - rho1.mat
+    frame, labels = _helstrom_frame(rho2.mat - rho1.mat)
+    return Detector(kind="PVM", frame=frame, labels=labels, outcomes=2)
+
+
+def _helstrom_frame(difference):
+    """The eigenbasis of the Hermitian part of ``difference`` (rho_1 - rho_0),
+    each column labelled 1 iff its eigenvalue is > 0."""
     values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
-    return Detector(kind="PVM", frame=vectors, labels=(values > 0.0).astype(int), outcomes=2)
+    return vectors, (values > 0.0).astype(int)
 
 
 def classical_ml(prob_matrix) -> np.ndarray:
@@ -272,17 +278,20 @@ def _greedy_pops(values_rows, zero_threshold):
         yield state, index
 
 
-def _greedy_orthonormal_selection(candidates, dim, count):
-    """Greedy eigenvalue-ordered selection with on-the-fly Gram-Schmidt.
+def _gs_frame(candidates, dim, count):
+    """The greedy PVM's labelled frame on C^dim, by eigenvalue-ordered
+    selection with on-the-fly Gram-Schmidt.
 
-    ``candidates`` yields at most ``count`` pairs ``(key, vector)`` of unit
-    vectors in C^dim, in pick order. The residual of each vector against the
+    ``candidates`` yields at most ``count`` pairs ``((state, index), vector)``
+    of unit vectors, in pick order. The residual of each vector against the
     picked frame (two classical Gram-Schmidt passes) becomes a new orthonormal
     direction unless its norm is at most ``SPAN_RESIDUAL_TOL``; once the frame
-    spans C^dim the remaining candidates are not read. Returns the picked keys
-    and the directions as the rows of one array.
+    spans C^dim the remaining candidates are not read. Returns the picked
+    keys, the dim x dim basis of ``_complete_basis`` with its labels, and the
+    ``gram_floor`` of the picked vectors.
     """
     frame = np.empty((min(dim, count), dim), dtype=complex)
+    sources = np.empty_like(frame)
     selection = []
     for key, vector in candidates:
         kept = frame[: len(selection)]
@@ -294,10 +303,12 @@ def _greedy_orthonormal_selection(candidates, dim, count):
         if norm <= SPAN_RESIDUAL_TOL:
             continue
         frame[len(selection)] = residual / norm
+        sources[len(selection)] = vector
         selection.append(key)
         if len(selection) == dim:
             break
-    return selection, frame[: len(selection)]
+    basis, labels = _complete_basis(selection, frame[: len(selection)].T)
+    return selection, basis, labels, gram_floor(sources[: len(selection)].T)
 
 
 def _complete_basis(selection, columns):
@@ -311,6 +322,11 @@ def _complete_basis(selection, columns):
     dim, picks = columns.shape
     full_basis, _ = np.linalg.qr(columns, mode="complete")
     return full_basis, np.array([state for state, _ in selection] + [0] * (dim - picks))
+
+
+def _embedded_gram_floor(vectors, epsilon):
+    """Smallest eigenvalue of the embedded Gram delta^2 V^H V + epsilon^2 I."""
+    return epsilon * epsilon + (1.0 - epsilon * epsilon) * gram_floor(vectors)
 
 
 def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnostics]:
@@ -331,11 +347,9 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
     pops = list(_greedy_pops(values_rows, zero_threshold))
     candidates = (((state, index), vector_mats[state][:, index]) for state, index in pops)
-    selection, frame = _greedy_orthonormal_selection(candidates, dim, len(pops))
-    basis, labels = _complete_basis(selection, frame.T)
+    selection, basis, labels, lambda_min = _gs_frame(candidates, dim, len(pops))
     det = Detector(kind="PVM", frame=basis, labels=labels, outcomes=len(states))
-    sources = np.column_stack([vector_mats[state][:, index] for state, index in selection])
-    return det, GsDiagnostics(selection, basis, gram_floor(sources))
+    return det, GsDiagnostics(selection, basis, lambda_min)
 
 
 def lemma3_bound(overlap_sum: float, lambda_min: float, r: int) -> float:
@@ -505,19 +519,15 @@ def bayes_commuting(
 def embedding_guard(epsilon: float) -> None:
     """Reject perturbation sizes outside the validity region of the embedding.
 
-    The comparison matrix used to dominate the perturbation must be PSD, which
-    pins epsilon to (0, 1/sqrt(2)]; ``EPSILON_FLOOR`` keeps the epsilon^2 Gram
-    floor far above rounding noise. The PSD check runs numerically on the
-    two-dimensional model matrix rather than trusting the closed form.
+    The comparison matrix used to dominate the perturbation must be PSD: its
+    smallest eigenvalue delta epsilon - epsilon^2 pins epsilon to
+    (0, 1/sqrt(2)]. ``EPSILON_FLOOR`` keeps the epsilon^2 Gram floor far above
+    rounding noise.
     """
     if not EPSILON_FLOOR <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [{EPSILON_FLOOR}, 1), got {epsilon}")
     delta = math.sqrt(1.0 - epsilon * epsilon)
-    u = np.array([1.0, 0.0])
-    f = np.array([0.0, 1.0])
-    comparison = (delta * epsilon - epsilon**2) * (np.outer(u, u) + np.outer(f, f))
-    comparison = comparison + 2.0 * epsilon**2 * np.outer(u, u)
-    if float(np.linalg.eigvalsh(comparison)[0]) < NONNEGATIVE_FLOOR:
+    if delta * epsilon - epsilon**2 < NONNEGATIVE_FLOOR:
         raise ValueError(
             f"epsilon={epsilon} is too large for the embedding positivity guarantee"
         )
@@ -566,6 +576,4 @@ def epsilon_detector(
     if float(np.abs(basis.conj().T @ basis - np.eye(dim + picks)).max()) > POVM_ATOL:
         raise NumericalConsistencyError("complete QR factor is not unitary")
     det = Detector(kind="POVM", frame=basis[:dim], labels=labels, outcomes=len(states))
-    # the smallest eigenvalue of the Gram matrix X^H X = delta^2 V^H V + epsilon^2 I
-    lambda_min = epsilon * epsilon + (1.0 - epsilon * epsilon) * gram_floor(vectors)
-    return det, GsDiagnostics(selection, basis, lambda_min)
+    return det, GsDiagnostics(selection, basis, _embedded_gram_floor(vectors, epsilon))

@@ -12,9 +12,10 @@ the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
 (math/0211289). With U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one
 ``eigh`` per block and state. The product eigenvectors of state s in type
 class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
-C^(f_lam) in every block, so gs, epsilon and helstrom run per block on those
-columns, and each detector error is a sum of positive per-block masses
-weighted by f_lam.
+C^(f_lam) in every block. gs and helstrom build the dense detectors' own
+labelled frames per block (``_gs_frame`` on those columns,
+``_helstrom_frame``), epsilon its Cholesky frame, and each error sums the
+blocks' misses weighted by f_lam.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import _greedy_orthonormal_selection, greedy_order
+from .detectors import _embedded_gram_floor, _gs_frame, _helstrom_frame, greedy_order
 from .linalg import gram_floor
 
 
@@ -222,6 +223,12 @@ class _Block:
         """<v|pi_lam(rho_state)|v> for every column v of ``vectors``."""
         return (np.abs(vectors.conj().T @ self.unitaries[state]) ** 2) @ self.values[state]
 
+    def misses(self, frame: np.ndarray, labels: np.ndarray) -> float:
+        """Summed misses of a labelled frame of V_lam: every state's mass on
+        the columns not labelled with its index."""
+        states = range(len(self.values))
+        return sum(float(self.masses(frame[:, labels != i], i).sum()) for i in states)
+
     def trace(self, state: int) -> float:
         return float(self.values[state].sum())
 
@@ -254,10 +261,10 @@ def block_gs(phs) -> tuple[float, float]:
     """Greedy Gram-Schmidt error on the n-fold powers, and lambda_min_gram.
 
     Type classes are popped in ``greedy_order``; in each block the columns of
-    the popped classes run through the dense selection (two Gram-Schmidt
-    passes, ``SPAN_RESIDUAL_TOL``), the Householder complement goes to
-    hypothesis 0, and the error is (1/r) sum_lam f_lam [tr pi(rho_0) P^(!=0)
-    + sum_(i>=1) tr pi(rho_i)(1 - P^(i))]. ``lambda_min_gram`` is the smallest
+    the popped classes build the labelled frame of the dense ``gs_detector``
+    (``_gs_frame``: two Gram-Schmidt passes, ``SPAN_RESIDUAL_TOL``, the
+    Householder complement labelled 0), and the error is (1/r) sum_lam f_lam
+    times the block's summed misses. ``lambda_min_gram`` is the smallest
     ``gram_floor`` of the blocks' picked columns.
     """
     pops = _pops(phs, "gs")
@@ -265,18 +272,14 @@ def block_gs(phs) -> tuple[float, float]:
     lam_min = math.inf
     for block in _blocks(phs):
         keys = block.columns(pops)
-        candidates = (((s, c), block.unitaries[s, :, c]) for s, c in keys)
-        selection, frame = _greedy_orthonormal_selection(candidates, block.dim, len(keys))
-        if not selection:
+        if not keys:
             # every direction goes to hypothesis 0
             err += block.mult * sum(block.trace(i) for i in range(1, phs.r))
             continue
-        basis, _ = np.linalg.qr(frame.T, mode="complete")
-        labels = np.array([s for s, _ in selection] + [0] * (block.dim - len(selection)))
-        for i in range(phs.r):
-            err += block.mult * float(block.masses(basis[:, labels != i], i).sum())
-        picked = np.column_stack([block.unitaries[s, :, c] for s, c in selection])
-        lam_min = min(lam_min, gram_floor(picked))
+        candidates = (((s, c), block.unitaries[s, :, c]) for s, c in keys)
+        _, basis, labels, floor = _gs_frame(candidates, block.dim, len(keys))
+        err += block.mult * block.misses(basis, labels)
+        lam_min = min(lam_min, floor)
     return err / phs.r, lam_min
 
 
@@ -293,9 +296,9 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
     parts of the orthonormalized picks. Hypothesis 0 owns the completion, so
     it misses only the mass its state leaks into the other labels; the
     others miss their block trace less the mass on their own labels.
-    ``lambda_min_gram`` is the smallest eigenvalue over the block Grams,
-    epsilon^2 + delta^2 gram_floor(V) in each: exactly epsilon^2 in a block
-    with more picks than dimensions.
+    ``lambda_min_gram`` is the smallest over the blocks of the dense
+    ``epsilon_detector``'s epsilon^2 + delta^2 gram_floor(V): exactly
+    epsilon^2 in a block with more picks than dimensions.
     """
     pops = _pops(phs, "epsilon")
     scale = 1.0 - epsilon * epsilon
@@ -312,7 +315,7 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
         # distinct picks share no private direction; each embedded vector is a
         # unit vector, delta^2 + epsilon^2 = 1
         np.fill_diagonal(gram, 1.0)
-        lam_min = min(lam_min, epsilon * epsilon + scale * gram_floor(picks))
+        lam_min = min(lam_min, _embedded_gram_floor(picks, epsilon))
         physical = picks @ np.linalg.inv(np.linalg.cholesky(gram).conj().T)
         err += block.mult * scale * float(block.masses(physical[:, owners != 0], 0).sum())
         for i in range(1, phs.r):
@@ -324,9 +327,10 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
 def block_helstrom(phs) -> float:
     """Helstrom error on the n-fold powers of a pair.
 
-    err = (1/2) sum_lam f_lam [tr pi(rho_0) P^+ + tr pi(rho_1)(1 - P^+)],
-    with P^+ the eigenspace of pi(rho_1) - pi(rho_0) with eigenvalues > 0,
-    the cut of the dense ``holevo_helstrom``. No relative cut: a block
+    In each block the labelled frame of the dense ``holevo_helstrom``
+    (``_helstrom_frame``: the eigenbasis of pi(rho_1) - pi(rho_0), labelled 1
+    on eigenvalues > 0) is scored by its summed misses, and
+    err = (1/2) sum_lam f_lam times those. No relative cut: a block
     eigenvalue far below the largest can carry a large multiplicity f_lam,
     and an eigenvalue at rounding level costs at most its own size on either
     side.
@@ -335,11 +339,8 @@ def block_helstrom(phs) -> float:
     for block in _blocks(phs):
         u = block.unitaries
         operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
-        difference = operators[1] - operators[0]
-        values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
-        plus = values > 0.0
-        misses = block.masses(vectors[:, plus], 0).sum() + block.masses(vectors[:, ~plus], 1).sum()
-        err += block.mult * float(misses)
+        frame, labels = _helstrom_frame(operators[1] - operators[0])
+        err += block.mult * block.misses(frame, labels)
     return 0.5 * err
 
 

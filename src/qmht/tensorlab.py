@@ -14,14 +14,13 @@ agree up to permutation and phase, and every row kind runs on probability
 rows p_a[j], state a's eigenvalue on its eigenvector parallel to column j of
 V_0. Each product outcome of a type class then has the likelihood
 P_a = prod_j p_a[j]^(k_j), so every error is a sum over the C(n+d-1, d-1)
-classes weighted by their sizes n!/prod_j k_j!. The states whose cut P_a
-is above the pick cut claim a class in ``greedy_order``: gs gives it to the
-first claimant (lambda_min_gram 1), and epsilon gives the c-th claimant
-the weight |1^T R^-1 e_c|^2 of its class Gram matrix
-delta^2 J + epsilon^2 I (lambda_min_gram epsilon^2 once some class has two
-claimants, 1 otherwise).
-classical-ml reads any commuting family from ``common_eigenbasis`` and
-labels each class by argmax; helstrom sums (1/2) min(P_0, P_1).
+classes weighted by their sizes n!/prod_j k_j!. State i claims each class
+with a weight w_i: classical-ml and helstrom give the class to its argmax
+label, and gs and epsilon to the states whose cut P_a is above the pick
+cut, in ``greedy_order``, the c-th claimant with the weight |1^T R^-1 e_c|^2
+of the class Gram matrix delta^2 J + epsilon^2 I (gs is epsilon = 0).
+Every kind then scores its summed misses by one rule, and classical-ml
+reads any commuting family from ``common_eigenbasis``.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl``). The d^n cap
@@ -152,57 +151,44 @@ def _claim_weights(claims: int, epsilon: float) -> np.ndarray:
 
 def _type_class_error(
     rows: np.ndarray, cut_rows: np.ndarray, n: int, kind: str, floor: float, epsilon: float
-) -> tuple[float, float | None]:
+) -> tuple[float, float]:
     """Detector error on the n-fold powers of an aligned family, and
     lambda_min_gram, from one term per type class.
 
     Every product outcome in a type class has the likelihood
-    P_a = prod_j p_a[j]^(k_j) under state a. The states whose P_a on
-    ``cut_rows`` is above ``floor`` claim the class in ``greedy_order``, and
-    the P_a on ``rows`` score it. gs gives it to its
-    first claimant (``epsilon`` = 0); epsilon gives the c-th claimant the
-    weight ``_claim_weights`` and scales every mass by delta^2. Their
-    lambda_min_gram is epsilon^2 when some class has two weighted claimants
-    and 1 otherwise. classical-ml labels each class by ``np.argmax`` and
-    helstrom (r = 2) sums (1/2) min(P_0, P_1) per outcome.
+    P_a = prod_j p_a[j]^(k_j) under state a. classical-ml and helstrom give
+    the class weight w = 1 to the state ``np.argmax`` labels it with (for
+    r = 2 the misses are then min(P_0, P_1), Helstrom's). For gs and
+    epsilon the states whose P_a on ``cut_rows`` is above ``floor`` claim it
+    in ``greedy_order``, the c-th with ``_claim_weights`` (gs: epsilon = 0).
+    The P_a on ``rows`` score it: hypothesis 0 owns the completion and misses
+    delta^2 P_0 sum_(i>=1) w_i; state i >= 1 misses P_i ((1 - w_i) +
+    epsilon^2 w_i). lambda_min_gram is epsilon^2 when some class has two
+    weighted claimants and 1 otherwise.
     """
     counts, sizes = type_classes(rows.shape[1], n)
     values = np.prod(rows[:, None, :] ** counts, axis=2)
-    if kind == "helstrom":
-        return 0.5 * float(sizes @ values.min(axis=0)), None
-    if kind == "classical-ml":
-        labels = np.argmax(values, axis=0)
-        successes = [float(sizes[labels == i] @ values[i, labels == i]) for i in range(len(rows))]
-        return 1.0 - float(np.mean(successes)), 1.0
-    cut = np.prod(cut_rows[:, None, :] ** counts, axis=2)
-    claim_weights = _claim_weights(len(rows), epsilon)
-    weights = np.zeros_like(values)
-    for m, column in enumerate(cut.T):
-        streams = [[(value, None)] if value > floor else [] for value in column]
-        claimants = [state for state, _, _ in greedy_order(streams)]
-        weights[claimants, m] = claim_weights[: len(claimants)]
-    scale = 1.0 - epsilon * epsilon
-    successes = scale * ((weights * values) @ sizes)
-    # hypothesis 0 owns the completion: its success is one minus its leak
-    successes[0] = 1.0 - scale * float((values[0] * weights[1:].sum(axis=0)) @ sizes)
+    if kind in ("classical-ml", "helstrom"):
+        weights = (np.argmax(values, axis=0) == np.arange(len(rows))[:, None]).astype(float)
+    else:
+        cut = np.prod(cut_rows[:, None, :] ** counts, axis=2)
+        claim_weights = _claim_weights(len(rows), epsilon)
+        weights = np.zeros_like(values)
+        for m, column in enumerate(cut.T):
+            streams = [[(value, None)] if value > floor else [] for value in column]
+            claimants = [state for state, _, _ in greedy_order(streams)]
+            weights[claimants, m] = claim_weights[: len(claimants)]
+    eps_sq = epsilon * epsilon
+    misses = values * (1.0 - weights + eps_sq * weights)
+    misses[0] = (1.0 - eps_sq) * values[0] * weights[1:].sum(axis=0)
     shared = bool(np.any(np.count_nonzero(weights, axis=0) > 1))
-    return 1.0 - float(np.mean(successes)), epsilon * epsilon if shared else 1.0
+    return float(np.mean([math.fsum(row) for row in misses * sizes])), eps_sq if shared else 1.0
 
 
 def _schedule_from_overlap_sum(total: float) -> float:
+    """The scheduled epsilon at copy number n: the cube root of ``total``, the
+    summed n-th-power pairwise overlaps, clipped to [EPSILON_FLOOR, EPSILON_CLIP]."""
     return min(max(total ** (1.0 / 3.0), EPSILON_FLOOR), EPSILON_CLIP)
-
-
-def epsilon_schedule(sigma_set: Sequence[DensityMatrix], n: int) -> float:
-    """Perturbation size for the embedded detector at copy number n.
-
-    The cube root of the summed n-th-power pairwise overlaps, clipped to the
-    validity region (and floored away from zero for orthogonal ensembles).
-    """
-    if n < 1:
-        raise ValueError(f"copy number must be positive, got {n}")
-    qcb = multiple_qcb(sigma_set)
-    return _schedule_from_overlap_sum(_pairwise_overlap_power_sum(qcb, n))
 
 
 @dataclass(frozen=True)
@@ -307,14 +293,14 @@ def run_power_experiment(
         elif kind == "epsilon":
             err, lam_min = block_epsilon(phs, eps_n)
         else:
-            err, lam_min = block_helstrom(phs), None
+            err = block_helstrom(phs)
         bound: float | None
         if kind == "gs":
             bound = lemma3_bound(overlap_sum, lam_min, r)
         elif kind == "epsilon":
             bound = (2.0 * eps_n + overlap_sum / (eps_n * eps_n)) / r
         elif kind == "helstrom":
-            bound = None
+            bound = lam_min = None
         else:  # classical-ml
             bound = overlap_sum / r
         exponent = math.inf if err <= 0.0 else -math.log(err) / n

@@ -14,6 +14,7 @@ from qmht.detectors import (
     bayes_commuting,
     classical_ml,
     common_eigenbasis,
+    embedding_guard,
     epsilon_detector,
     evaluate_errors,
     gs_detector,
@@ -27,7 +28,7 @@ from qmht.errors import NumericalConsistencyError
 from qmht.linalg import DensityMatrix, HermitianMatrix, eigenvalue_zero_threshold
 from qmht.chernoff import q_overlap
 from qmht.sampling import random_density_matrix, random_orthonormal
-from qmht.tensorlab import run_power_experiment
+from qmht.tensorlab import EPSILON_CLIP, run_power_experiment
 from conftest import diagonal, pure
 
 HELSTROM_ERR_ZERO_PLUS = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
@@ -753,6 +754,12 @@ class TestEpsilonDetector:
         for bad in (0.0, 1.0, 0.9, 1e-4):
             with pytest.raises(ValueError):
                 epsilon_detector([zero_state, plus_state], bad)
+        # the validity region [EPSILON_FLOOR, 1/sqrt(2)] at both of its ends
+        for good in (EPSILON_CLIP, EPSILON_FLOOR):
+            embedding_guard(good)
+        for bad in (1.0 / math.sqrt(2.0) + 1e-9, EPSILON_FLOOR / 2):
+            with pytest.raises(ValueError):
+                embedding_guard(bad)
 
 
 class TestCommonEigenbasis:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from qmht.tensorlab import (
     EPSILON_CLIP,
     PowerHypothesisSet,
     _claim_weights,
-    epsilon_schedule,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
@@ -43,6 +44,23 @@ def dense_gs_error(states, n):
     powered = [kron_power(rho, n) for rho in states]
     det, _ = gs_detector(powered)
     return evaluate_errors(powered, det).averaged
+
+
+def exact_aligned_pair_error(rows, n):
+    """(1/2) sum_k C(n, k) min(P_0, P_1) over the n + 1 type classes of an
+    aligned qubit pair, P_a = p_a[0]^k p_a[1]^(n-k), as a Fraction. Each
+    double is an integer over a power of two, so every product is kept as an
+    integer over one common power of two."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    shift = n * max(den.bit_length() - 1 for row in ratios for _, den in row)
+    total = 0
+    for k in range(n + 1):
+        total += math.comb(n, k) * min(
+            (num0**k * num1 ** (n - k))
+            << (shift - (den0.bit_length() - 1) * k - (den1.bit_length() - 1) * (n - k))
+            for (num0, den0), (num1, den1) in ratios
+        )
+    return Fraction(total, 2 << shift)
 
 
 def aligned_families(count, seed):
@@ -334,6 +352,26 @@ class TestRunPowerExperimentOtherKinds:
             assert abs(gs_row.err - ml_row.err) < 1e-12 * ml_row.err
         assert abs(ml[0].err - 0.0353) < 1e-4
 
+    def test_aligned_rows_keep_their_digits_far_out(self, monkeypatch):
+        # scored as one minus the mean success, these rows lost the error
+        # itself: gs and classical-ml printed 6.127364996722e-06 at n = 200
+        # (9.1e-10 relative off) and 3.62e-14 at n = 600 (85 % off)
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+        rows = ((0.6, 0.4), (0.3, 0.7))
+        states = [diagonal(row) for row in rows]
+        by_kind = {
+            kind: run_power_experiment(states, [200, 600], kind).rows
+            for kind in ("gs", "classical-ml", "helstrom")
+        }
+        for index, n in enumerate((200, 600)):
+            exact = exact_aligned_pair_error(rows, n)
+            for kind_rows in by_kind.values():
+                assert abs(kind_rows[index].err - exact) <= 1e-13 * exact
+        assert by_kind["helstrom"] == [
+            dataclasses.replace(row, detector="helstrom", error_bound=None, lambda_min_gram=None)
+            for row in by_kind["classical-ml"]
+        ]
+
     def test_rotated_commuting_family_matches_type_classes(self):
         # a common rotation leaves the family commuting but not aligned in
         # the computed eigenbases, so it runs the Gelfand-Tsetlin blocks;
@@ -368,10 +406,13 @@ class TestRunPowerExperimentOtherKinds:
             run_power_experiment([zero_state, plus_state], [1], "classical-ml")
 
     def test_epsilon_rows_carry_schedule_and_floor(self, zero_state, plus_state):
+        # the pure pair's overlap sum is 2 (1/2)^n; its cube root is clipped
+        # at EPSILON_CLIP for n <= 2
         states = [zero_state, plus_state]
         report = run_power_experiment(states, range(1, 7), "epsilon")
         for row in report.rows:
-            assert row.epsilon == pytest.approx(epsilon_schedule(states, row.n))
+            expected = min((2.0 * 0.5**row.n) ** (1.0 / 3.0), EPSILON_CLIP)
+            assert row.epsilon == pytest.approx(expected)
             assert row.lambda_min_gram >= row.epsilon**2 * (1 - 1e-9)
             assert row.err <= row.error_bound + 1e-12
 
@@ -536,18 +577,22 @@ class TestRunPowerExperimentOtherKinds:
 
 
 class TestEpsilonSchedule:
+    @staticmethod
+    def scheduled(states, n):
+        return run_power_experiment(states, [n], "epsilon").rows[0].epsilon
+
     def test_cube_root_values(self, zero_state, plus_state):
         # overlap sum for the pure pair is K_n = 2 * (1/2)^n
         states = [zero_state, plus_state]
         for n in (4, 7):
             expected = (2.0 * 0.5**n) ** (1.0 / 3.0)
-            assert abs(epsilon_schedule(states, n) - expected) < 1e-12
+            assert abs(self.scheduled(states, n) - expected) < 1e-12
 
     def test_clip_at_validity_boundary(self, zero_state, plus_state):
-        assert epsilon_schedule([zero_state, plus_state], 1) == EPSILON_CLIP
+        assert self.scheduled([zero_state, plus_state], 1) == EPSILON_CLIP
 
     def test_orthogonal_ensemble_floors(self, zero_state, one_state):
-        assert epsilon_schedule([zero_state, one_state], 3) == 1e-3
+        assert self.scheduled([zero_state, one_state], 3) == 1e-3
 
     def test_pinned_cube_roots(self):
         from qmht.tensorlab import _schedule_from_overlap_sum
