@@ -39,12 +39,14 @@ def main() -> int:
         if err > 1e-12:
             ratios.append(bound / err)
 
-    ratios = np.array(ratios)
     print(f"trials: {args.trials}, violations: {violations}")
-    print(
-        f"bound/err ratio: min {ratios.min():.3f}, median {np.median(ratios):.3f}, "
-        f"max {ratios.max():.3f}"
-    )
+    if ratios:
+        print(
+            f"bound/err ratio: min {min(ratios):.3f}, median {np.median(ratios):.3f}, "
+            f"max {max(ratios):.3f}"
+        )
+    else:
+        print("bound/err ratio: no trial has err > 1e-12")
     return 1 if violations else 0
 
 

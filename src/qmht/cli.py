@@ -89,6 +89,14 @@ def _real_matrix(entries, where: str) -> np.ndarray:
     return mat
 
 
+def _normalized(value, total: float, what: str, where: str):
+    """``value`` over its norm, sum or trace ``total``: warned beyond
+    ``NORM_WARN_ATOL`` and used as given within ``RENORMALIZE_ATOL`` of 1."""
+    if abs(total - 1.0) > NORM_WARN_ATOL:
+        _warn(f"{where}: renormalizing {what} {total:.12g}")
+    return value / total if abs(total - 1.0) > RENORMALIZE_ATOL else value
+
+
 def _load_state(spec, index: int) -> DensityMatrix:
     where = f"state {index + 1}"
     if not isinstance(spec, dict):
@@ -99,10 +107,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ScenarioError(f"{where}: zero vector")
-        if abs(norm - 1.0) > NORM_WARN_ATOL:
-            _warn(f"{where}: renormalizing vector with norm {norm:.12g}")
-        if abs(norm - 1.0) > RENORMALIZE_ATOL:
-            vec = vec / norm
+        vec = _normalized(vec, norm, "vector with norm", where)
         return DensityMatrix(np.outer(vec, vec.conj()))
     if kind == "diagonal":
         raw = spec.get("probs")
@@ -117,10 +122,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
         total = float(probs.sum())
         if total <= 0.0:
             raise ScenarioError(f"{where}: probabilities sum to zero")
-        if abs(total - 1.0) > NORM_WARN_ATOL:
-            _warn(f"{where}: renormalizing probabilities with sum {total:.12g}")
-        if abs(total - 1.0) > RENORMALIZE_ATOL:
-            probs = probs / total
+        probs = _normalized(probs, total, "probabilities with sum", where)
         return DensityMatrix(np.diag(probs).astype(complex))
     if kind == "dense":
         real = _real_matrix(spec.get("real"), f"{where} (real part)")
@@ -135,9 +137,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
         trace = float(np.trace(herm.mat).real)
         if trace <= 0.0:
             raise ScenarioError(f"{where}: nonpositive trace")
-        if abs(trace - 1.0) > NORM_WARN_ATOL:
-            _warn(f"{where}: renormalizing matrix with trace {trace:.12g}")
-        scaled = herm.mat / trace if abs(trace - 1.0) > RENORMALIZE_ATOL else herm.mat
+        scaled = _normalized(herm.mat, trace, "matrix with trace", where)
         try:
             return DensityMatrix(scaled)
         except ValueError as exc:
@@ -299,10 +299,16 @@ def render_json(report: ExperimentReport) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _cmd_run(args) -> int:
+def _load_states_to_compare(args) -> Scenario:
+    """The scenario of ``args.command``, which compares states: at least two."""
     scenario = load_scenario(args.scenario)
     if len(scenario.states) < 2:
-        raise ScenarioError("run needs at least two states")
+        raise ScenarioError(f"{args.command} needs at least two states")
+    return scenario
+
+
+def _cmd_run(args) -> int:
+    scenario = _load_states_to_compare(args)
     rows = []
     slopes: dict[str, float | None] = {}
     qcb = None
@@ -325,9 +331,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_chernoff(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if len(scenario.states) < 2:
-        raise ScenarioError("chernoff needs at least two states")
+    scenario = _load_states_to_compare(args)
     qcb = multiple_qcb(scenario.states)
     # binary_qcb fixes s* to about NEWTON_STEP_TOL = 1e-12; it is printed to
     # six significant digits (xi and q* to twelve), and the JSON report's
@@ -343,9 +347,7 @@ def _cmd_chernoff(args) -> int:
 
 
 def _cmd_check_li(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if len(scenario.states) < 2:
-        raise ScenarioError("check-li needs at least two states")
+    scenario = _load_states_to_compare(args)
     report = pairwise_li_check(scenario.states)
     for entry in report.pairs:
         i, j = entry.pair

@@ -34,18 +34,18 @@ EPSILON_FLOOR = 1e-3
 
 
 class Detector:
-    """An r-outcome measurement: PSD elements that sum to the identity.
+    """An r-outcome measurement, held as a labelled frame.
 
-    ``kind == "PVM"`` additionally demands idempotent, mutually orthogonal
-    elements. A detector is given either by its elements,
-    ``Detector(elements, kind=...)``, or as a labelled frame,
-    ``Detector(kind=..., frame=T, labels=labels, outcomes=r)``: T is d x m
-    with orthonormal rows and column c belongs to outcome ``labels[c]``, so
-    element i is T_i T_i^H over the columns labelled i, built on first read
-    of ``elements``. Invariants are checked on construction: elementwise for
-    an element list, and for a frame by the one condition T T^H = I (m = d
-    for a PVM), which makes every element PSD, the elements sum to the
-    identity and, for a square T, projective and mutually orthogonal.
+    The frame T is d x m with orthonormal rows, and column c belongs to
+    outcome ``labels[c]``: element i is T_i T_i^H over the columns labelled i,
+    built on first read of ``elements``. The one check, T T^H = I (m = d for
+    a PVM), makes every element PSD, the elements sum to the identity and,
+    for a square T, projective and mutually orthogonal. A detector is given
+    as ``Detector(kind=..., frame=T, labels=labels, outcomes=r)`` or by its
+    elements, ``Detector(elements, kind=...)``: one stacked ``eigh`` factors
+    element i = W diag(w) W^H into the columns W sqrt(w), labelled i, where
+    every w must be >= -POVM_ATOL, and for a PVM within POVM_ATOL of 0 or 1,
+    keeping only its eigenvalue-1 columns. ``elements`` returns a given list.
     """
 
     def __init__(
@@ -63,49 +63,18 @@ class Detector:
         if frame is None:
             if not elements:
                 raise ValueError("detector needs at least one element")
-            self.frame = self.labels = None
             self.elements = list(elements)
-            self.dim = self.elements[0].dim
-            self.outcomes = len(self.elements)
-            self._check_elements()
-        else:
-            if elements is not None:
-                raise ValueError("give a detector its elements or its frame, not both")
-            self.frame = _read_only(np.asarray(frame))
-            self.labels = _read_only(np.asarray(labels))
-            self.dim = self.frame.shape[0]
-            if outcomes is None:
-                raise ValueError("a frame detector needs its number of outcomes")
-            self.outcomes = operator.index(outcomes)
-            self._check_frame()
-
-    def _check_elements(self) -> None:
-        if any(e.dim != self.dim for e in self.elements):
-            raise ValueError("detector elements must share one dimension")
-        stack = np.stack([e.mat for e in self.elements])
-        if float(np.abs(stack.sum(axis=0) - np.eye(self.dim)).max()) > POVM_ATOL:
-            raise NumericalConsistencyError("detector elements do not sum to the identity")
-        lows = np.linalg.eigvalsh(stack)[:, 0]
-        negative = np.flatnonzero(lows < -POVM_ATOL)
-        if negative.size:
-            k = negative[0]
-            raise NumericalConsistencyError(
-                f"element {k} is not positive semidefinite (eigenvalue {lows[k]:.3e})"
-            )
-        if self.kind != "PVM":
-            return
-        gaps = np.abs(stack @ stack - stack).max(axis=(1, 2))
-        if (gaps > POVM_ATOL).any():
-            raise NumericalConsistencyError(
-                f"element {np.argmax(gaps > POVM_ATOL)} is not idempotent"
-            )
-        first, second = np.triu_indices(self.outcomes, 1)
-        cross = np.abs(stack[first] @ stack[second]).max(axis=(1, 2))
-        if (cross > POVM_ATOL).any():
-            pair = np.argmax(cross > POVM_ATOL)
-            raise NumericalConsistencyError(
-                f"elements {first[pair]} and {second[pair]} are not orthogonal"
-            )
+            frame, labels = _element_frame(self.elements, kind)
+            outcomes = len(self.elements)
+        elif elements is not None:
+            raise ValueError("give a detector its elements or its frame, not both")
+        self.frame = _read_only(np.asarray(frame))
+        self.labels = _read_only(np.asarray(labels))
+        self.dim = self.frame.shape[0]
+        if outcomes is None:
+            raise ValueError("a frame detector needs its number of outcomes")
+        self.outcomes = operator.index(outcomes)
+        self._check_frame()
 
     def _check_frame(self) -> None:
         frame, labels = self.frame, self.labels
@@ -117,22 +86,43 @@ class Detector:
             raise ValueError("a frame needs one integer label per column")
         if labels.size and not 0 <= labels.min() <= labels.max() < self.outcomes:
             raise ValueError(f"frame labels must lie in [0, {self.outcomes})")
+        gap = float(np.abs(frame @ frame.conj().T - np.eye(self.dim)).max())
+        if not gap <= POVM_ATOL:  # also catches a NaN
+            raise NumericalConsistencyError(
+                "frame rows are not orthonormal, so the elements do not sum to the "
+                f"identity (max deviation {gap:.3e})"
+            )
         if self.kind == "PVM" and frame.shape[1] != self.dim:
             raise NumericalConsistencyError(
                 f"a PVM frame must be square, got shape {frame.shape}"
             )
-        gap = float(np.abs(frame @ frame.conj().T - np.eye(self.dim)).max())
-        if not gap <= POVM_ATOL:  # also catches a NaN
-            raise NumericalConsistencyError(
-                f"frame rows are not orthonormal (max deviation {gap:.3e})"
-            )
 
     @functools.cached_property
     def elements(self) -> list[HermitianMatrix]:
-        # only reached for a frame detector: an element list is stored on the
-        # instance, which shadows this property
+        # only reached for a detector given by its frame: a given element list
+        # is stored on the instance, which shadows this property
         blocks = (self.frame[:, self.labels == i] for i in range(self.outcomes))
         return [HermitianMatrix(b @ b.conj().T) for b in blocks]
+
+
+def _element_frame(elements, kind):
+    """The labelled frame of an element list: the columns W sqrt(w) of each
+    element W diag(w) W^H in turn, those with w > 0 (w ~ 1 for a PVM)."""
+    if any(e.dim != elements[0].dim for e in elements):
+        raise ValueError("detector elements must share one dimension")
+    values, vectors = np.linalg.eigh(np.stack([e.mat for e in elements]))
+    if kind == "PVM":  # how far each spectrum strays from {0, 1}
+        off, what = np.minimum(np.abs(values), np.abs(values - 1.0)).max(axis=1), "idempotent"
+    else:
+        off, what = -values[:, 0], "positive semidefinite"
+    bad = np.flatnonzero(off > POVM_ATOL)
+    if bad.size:
+        raise NumericalConsistencyError(
+            f"element {bad[0]} is not {what} (an eigenvalue is off by {off[bad[0]]:.3e})"
+        )
+    keep = values > (0.5 if kind == "PVM" else 0.0)
+    # (element, row, column) -> row x (element, column), element-major
+    return vectors.transpose(1, 0, 2)[:, keep] * np.sqrt(values[keep]), np.nonzero(keep)[0]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -153,32 +143,23 @@ class ErrorReport:
 def evaluate_errors(sigma_set: Sequence[DensityMatrix], det: Detector) -> ErrorReport:
     """Success and error probability of each hypothesis, errors averaged uniformly.
 
-    A frame detector is scored column by column: with q_ic = <t_c|rho_i|t_c>,
-    Succ_i sums q_ic over the columns labelled i and err_i over all the
-    others, its summed misses, from one stacked product of the states with
-    the frame. A small err is then fixed relative to itself, not only to
-    rounding of 1. A detector given by its elements has Succ_i = tr[rho_i E_i]
-    and err_i = 1 - Succ_i.
+    Every detector is scored column by column of its frame: with
+    q_ic = <t_c|rho_i|t_c>, Succ_i = tr[rho_i E_i] sums q_ic over the columns
+    labelled i and err_i over all the others, its summed misses, from one
+    stacked product of the states with the frame. A small err is then fixed
+    relative to itself, not only to rounding of 1.
     """
     states = list(sigma_set)
     if len(states) != det.outcomes:
         raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
     if any(rho.dim != det.dim for rho in states):
         raise ValueError("state dimension does not match the detector")
-    if det.frame is None:
-        # both factors are Hermitian, so tr[rho E] = sum conj(E) * rho = vdot(E, rho)
-        successes = tuple(
-            float(np.vdot(element.mat, rho.mat).real)
-            for rho, element in zip(states, det.elements)
-        )
-        errors = tuple(1.0 - s for s in successes)
-    else:
-        frame = det.frame
-        stack = np.stack([rho.mat for rho in states])
-        overlaps = (frame.conj() * (stack @ frame)).sum(axis=1).real
-        hits = det.labels == np.arange(len(states))[:, None]
-        successes = tuple(np.where(hits, overlaps, 0.0).sum(axis=1).tolist())
-        errors = tuple(np.where(hits, 0.0, overlaps).sum(axis=1).tolist())
+    frame = det.frame
+    stack = np.stack([rho.mat for rho in states])
+    overlaps = (frame.conj() * (stack @ frame)).sum(axis=1).real
+    hits = det.labels == np.arange(len(states))[:, None]
+    successes = tuple(np.where(hits, overlaps, 0.0).sum(axis=1).tolist())
+    errors = tuple(np.where(hits, 0.0, overlaps).sum(axis=1).tolist())
     return ErrorReport(
         successes=successes, per_hypothesis=errors, averaged=float(np.mean(errors))
     )
@@ -372,9 +353,13 @@ def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostic
 def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector:
     """Square-root ("pretty good") measurement for prior-weighted hypotheses.
 
-    The averaged state's inverse square root is taken on its support only; the
-    off-support deficit is added to the first element so the tuple is a POVM
-    on the full space.
+    Element i is A^(-1/2) p_i rho_i A^(-1/2) with A = sum_i p_i rho_i, built
+    as its frame: with rho_i = V_i diag(lambda_i) V_i^H from the cached
+    ``spectrum()``, outcome i owns the columns
+    A^(-1/2) sqrt(p_i) V_i diag(sqrt(lambda_i)). The inverse square root is
+    taken on the support of A only, and the kernel of A is labelled 0: the
+    off-support deficit goes to the first element, so the tuple is a POVM on
+    the full space. Priors a rounding below 0 count as 0.
     """
     states = list(sigma_set)
     weights = np.asarray(priors, dtype=float)
@@ -384,17 +369,24 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
         raise ValueError("priors must be nonnegative")
     if abs(float(weights.sum()) - 1.0) > PRIOR_ATOL:
         raise ValueError("priors must sum to 1")
-    dim = states[0].dim
+    weights = np.maximum(weights, 0.0)
     average = sum(p * rho.mat for p, rho in zip(weights, states))
     values, vectors = np.linalg.eigh(average)
-    threshold = eigenvalue_zero_threshold(values)
-    keep = values > threshold
+    keep = values > eigenvalue_zero_threshold(values)
     kept = vectors[:, keep]
     inv_sqrt = (kept * values[keep] ** -0.5) @ kept.conj().T
-    deficit = np.eye(dim) - kept @ kept.conj().T
-    elements = [inv_sqrt @ (p * rho.mat) @ inv_sqrt for p, rho in zip(weights, states)]
-    elements[0] = elements[0] + deficit
-    return Detector([HermitianMatrix(e) for e in elements], kind="POVM")
+    blocks = [
+        inv_sqrt @ (dec.vectors * np.sqrt(p * dec.eigenvalues))
+        for p, dec in zip(weights, (rho.spectrum() for rho in states))
+    ]
+    blocks.append(vectors[:, ~keep])
+    frame = np.hstack(blocks)
+    # A^(-1/2) is rounded relative to the largest eigenvalue of A, so T T^H
+    # misses I by up to cond(A) times that; one Newton-Schulz step takes T
+    # back to a co-isometry to rounding
+    frame += 0.5 * ((np.eye(len(frame)) - frame @ frame.conj().T) @ frame)
+    labels = np.repeat([*range(len(states)), 0], [b.shape[1] for b in blocks])
+    return Detector(kind="POVM", frame=frame, labels=labels, outcomes=len(states))
 
 
 def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
@@ -457,27 +449,23 @@ def verify_bayes_conditions(
     """Check the optimality certificate of a candidate detector.
 
     With M = sum_i rho_i E_i, a success-maximizing detector has M Hermitian,
-    M >= rho_i for every hypothesis, and (M - rho_i) E_i = 0. A PVM frame is
-    read through its columns T_i labelled i, without building E_i = T_i T_i^H:
-    M = sum_i (rho_i T_i) T_i^H, and since T_i has orthonormal columns,
-    ||(M - rho_i) E_i||_2 = ||(M - rho_i) T_i||_2.
+    M >= rho_i for every hypothesis, and (M - rho_i) E_i = 0. The frame is
+    read through its columns T_i labelled i, without building E_i = T_i T_i^H
+    first: M = sum_i (rho_i T_i) T_i^H, and the annihilation residual is
+    ||((M - rho_i) T_i) T_i^H||_2 = ||(M - rho_i) E_i||_2.
     """
     states = list(sigma_set)
     if len(states) != det.outcomes:
         raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
-    if det.frame is not None and det.kind == "PVM":
-        factors = [det.frame[:, det.labels == i] for i in range(det.outcomes)]
-        m_raw = sum((rho.mat @ t) @ t.conj().T for rho, t in zip(states, factors))
-    else:
-        factors = [element.mat for element in det.elements]
-        m_raw = sum(rho.mat @ element for rho, element in zip(states, factors))
+    factors = [det.frame[:, det.labels == i] for i in range(det.outcomes)]
+    m_raw = sum((rho.mat @ t) @ t.conj().T for rho, t in zip(states, factors))
     hermitian = float(np.abs(m_raw - m_raw.conj().T).max()) <= tol
     m_sym = (m_raw + m_raw.conj().T) / 2.0
     dominates = tuple(
         float(np.linalg.eigvalsh(m_sym - rho.mat)[0]) >= -tol for rho in states
     )
     annihilates = tuple(
-        float(np.linalg.norm((m_sym - rho.mat) @ t, 2)) <= tol
+        float(np.linalg.norm(((m_sym - rho.mat) @ t) @ t.conj().T, 2)) <= tol
         for rho, t in zip(states, factors)
     )
     return BayesConditionReport(

@@ -387,6 +387,64 @@ class TestCheckLiCommand:
         assert "LI fails" in capsys.readouterr().out
 
 
+class TestStateLoading:
+    @pytest.mark.parametrize(
+        "state, message, expected",
+        [
+            (
+                {"kind": "pure", "vector": [[0.6, 0.0], [0.0, 0.6]]},
+                "vector with norm 0.848528137424",
+                [[0.5, -0.5j], [0.5j, 0.5]],
+            ),
+            (
+                {"kind": "diagonal", "probs": [0.2, 0.6]},
+                "probabilities with sum 0.8",
+                [[0.25, 0.0], [0.0, 0.75]],
+            ),
+            (
+                {
+                    "kind": "dense",
+                    "real": [[0.3, 0.1], [0.1, 0.5]],
+                    "imag": [[0.0, 0.2], [-0.2, 0.0]],
+                },
+                "matrix with trace 0.8",
+                [[0.375, 0.125 + 0.25j], [0.125 - 0.25j, 0.625]],
+            ),
+        ],
+    )
+    def test_each_kind_warns_and_renormalizes(self, tmp_path, capsys, state, message, expected):
+        scen = write_scenario(tmp_path / "s.json", states=[state, state])
+        states = load_scenario(str(scen)).states
+        warnings = capsys.readouterr().err.splitlines()
+        assert warnings == [f"warning: state {k}: renormalizing {message}" for k in (1, 2)]
+        for rho in states:
+            assert np.abs(rho.mat - np.array(expected)).max() <= 1e-15
+
+    def test_small_deviations_are_divided_without_a_warning(self, tmp_path, capsys):
+        scen = write_scenario(
+            tmp_path / "s.json",
+            states=[
+                {"kind": "diagonal", "probs": [0.5, 0.5 + 1e-9]},
+                {"kind": "diagonal", "probs": [0.5, 0.5 + 1e-16]},
+            ],
+        )
+        states = load_scenario(str(scen)).states
+        assert capsys.readouterr().err == ""
+        probs = np.array([0.5, 0.5 + 1e-9])
+        assert np.array_equal(np.diag(states[0].mat).real, probs / probs.sum())
+        assert states[1].mat[1, 1] == 0.5 + 1e-16
+
+    @pytest.mark.parametrize("command", ["run", "chernoff", "check-li"])
+    def test_one_state_exit_2(self, tmp_path, capsys, command):
+        one = [{"kind": "diagonal", "probs": [0.5, 0.5]}]
+        scen = write_scenario(tmp_path / "s.json", states=one)
+        argv = [command, "--scenario", str(scen)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {command} needs at least two states\n"
+
+
 def _same_field(mine: str, pinned: str) -> bool:
     """Printed fields agree exactly, or as numbers to 1e-11 relative."""
     if mine == pinned:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qmht.detectors import (
     EPSILON_FLOOR,
+    POVM_ATOL,
     SELECTION_TIE_RTOL,
     Detector,
     bayes_commuting,
@@ -74,14 +75,57 @@ class TestDetectorInvariants:
         with pytest.raises(NumericalConsistencyError, match="positive"):
             Detector([HermitianMatrix(up), HermitianMatrix(down)], kind="POVM")
 
+    def test_element_eigenvalue_boundaries(self):
+        # element 0 has eigenvalue 1 + off, so the elements sum to the
+        # identity within ``off``; the spectral checks decide first
+        def elements(off):
+            return [
+                HermitianMatrix(np.diag([1.0 + off, 0.0])),
+                HermitianMatrix(np.diag([0.0, 1.0])),
+            ]
+
+        det = Detector(elements(0.5 * POVM_ATOL), kind="PVM")
+        assert det.frame.shape == (2, 2) and det.labels.tolist() == [0, 1]
+        with pytest.raises(NumericalConsistencyError, match="idempotent"):
+            Detector(elements(2.0 * POVM_ATOL), kind="PVM")
+        with pytest.raises(NumericalConsistencyError, match="idempotent"):
+            Detector(elements(-1.0 - 2.0 * POVM_ATOL), kind="PVM")
+        low = [
+            HermitianMatrix(np.diag([1.0 + 2.0 * POVM_ATOL, 0.5])),
+            HermitianMatrix(np.diag([-2.0 * POVM_ATOL, 0.5])),
+        ]
+        with pytest.raises(NumericalConsistencyError, match="positive"):
+            Detector(low, kind="POVM")
+        for kind in ("PVM", "POVM"):
+            with pytest.raises(NumericalConsistencyError, match="identity"):
+                Detector([projector([1, 0]), projector([1, 1])], kind=kind)
+        with pytest.raises(NumericalConsistencyError, match="identity"):
+            Detector([projector([1, 0]), HermitianMatrix(np.zeros((2, 2)))], kind="PVM")
+
+    def test_projector_elements_give_a_square_frame(self):
+        # a rank-1 and a rank-2 projector in d = 3, in a rotated basis
+        basis = random_orthonormal(3, 3, np.random.default_rng(3))
+        one = HermitianMatrix(basis[:, :1] @ basis[:, :1].conj().T)
+        two = HermitianMatrix(basis[:, 1:] @ basis[:, 1:].conj().T)
+        det = Detector([one, two], kind="PVM")
+        assert det.frame.shape == (3, 3)
+        assert det.labels.tolist() == [0, 1, 1]
+        assert det.elements[0] is one and det.elements[1] is two
+        assert np.abs(det.frame.conj().T @ det.frame - np.eye(3)).max() < 1e-14
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            Detector([projector([1, 0]), HermitianMatrix(np.eye(3))], kind="POVM")
+
 
 class TestFrameDetectors:
     @given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_frames_pass_the_elementwise_check_and_score_alike(self, dim, r, seed):
-        # every frame detector's lazily built elements pass the full
-        # elementwise check, summed-miss scoring agrees with 1 - tr[rho E],
-        # and scaling the frame off a co-isometry is caught by the one check
+        # every frame detector's lazily built elements pass the check of an
+        # element list, summed-miss scoring agrees with 1 - tr[rho E] read
+        # off those elements, and scaling the frame off a co-isometry is
+        # caught by the one check
         rng = np.random.default_rng(seed)
         states = [
             random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
@@ -98,14 +142,14 @@ class TestFrameDetectors:
             (states, epsilon_det),
             (states[:2], holevo_helstrom(*states[:2])),
             (commuting, bayes_commuting(commuting)[0]),
+            (states, pgm(states, rng.dirichlet(np.ones(r)))),
         ]
         for family, det in cases:
-            explicit = Detector(det.elements, kind=det.kind)
-            for old, new in zip(
-                evaluate_errors(family, explicit).per_hypothesis,
-                evaluate_errors(family, det).per_hypothesis,
-            ):
-                assert abs(new - old) <= 1e-13
+            Detector(det.elements, kind=det.kind)
+            errors = evaluate_errors(family, det).per_hypothesis
+            for rho, element, err in zip(family, det.elements, errors):
+                # both factors are Hermitian, so tr[rho E] = vdot(E, rho)
+                assert abs(err - (1.0 - np.vdot(element.mat, rho.mat).real)) <= 1e-13
             with pytest.raises(NumericalConsistencyError, match="orthonormal"):
                 Detector(
                     kind=det.kind, frame=0.9 * det.frame, labels=det.labels,
@@ -458,15 +502,36 @@ class TestPgm:
     def test_degenerate_priors_complete_first_element(self):
         rng = np.random.default_rng(6)
         rho = random_density_matrix(3, rng)
-        det = pgm([rho, rho], [1.0, 0.0])
-        assert np.allclose(det.elements[0].mat, np.eye(3), atol=1e-9)
-        assert np.abs(det.elements[1].mat).max() < 1e-12
+        # a prior a rounding below 0 counts as 0
+        for priors in ([1.0, 0.0], [1.0 + 5e-13, -5e-13]):
+            det = pgm([rho, rho], priors)
+            assert np.allclose(det.elements[0].mat, np.eye(3), atol=1e-9)
+            assert np.abs(det.elements[1].mat).max() < 1e-12
+
+    def test_ill_conditioned_averages(self):
+        # d = 32 Wishart states of ranks 12, 8 and 12, whose average has its
+        # smallest eigenvalue near 2e-8 and whose element A^(-1/2) p rho
+        # A^(-1/2) rounds 9e-12 off Hermitian; and two nearly parallel pure
+        # qubit states (smallest eigenvalue of A 1.3e-6), where the rounding
+        # of A^(-1/2) alone put the two readings of err 1.3e-13 apart
+        rng = np.random.default_rng(35)
+        families = [[random_density_matrix(32, rng, rank=rank) for rank in (12, 8, 12)]]
+        rng = np.random.default_rng(8931)
+        families.append(
+            [random_density_matrix(2, rng, rank=int(rng.integers(1, 3))) for _ in range(2)]
+        )
+        for states in families:
+            det = pgm(states, [1 / len(states)] * len(states))
+            errors = evaluate_errors(states, det).per_hypothesis
+            for rho, element, err in zip(states, det.elements, errors):
+                assert abs(err - (1.0 - np.trace(rho.mat @ element.mat).real)) <= 1e-14
 
     def test_rank_deficient_average_still_povm(self):
         states = [pure([1, 0, 0]), pure([0, 1, 0])]
         det = pgm(states, [0.5, 0.5])  # average has a kernel; completion goes to element 0
         total = det.elements[0].mat + det.elements[1].mat
         assert np.abs(total - np.eye(3)).max() < 1e-9
+        assert np.abs(det.elements[0].mat - np.diag([1.0, 0.0, 1.0])).max() < 1e-12
 
 
 class TestBayesCommuting:
@@ -562,6 +627,21 @@ class TestVerifyBayesConditions:
                 assert verify_bayes_conditions(family, det, tol) == verify_bayes_conditions(
                     family, explicit, tol
                 )
+
+    def test_povm_annihilation_is_read_off_its_elements(self):
+        # a POVM frame's T_i is no isometry, so ||(M - rho_i) T_i||_2 would
+        # differ from the certificate's ||(M - rho_i) E_i||_2; verdicts just
+        # either side of the elementwise residual tell the two apart
+        rng = np.random.default_rng(23)
+        states = [random_density_matrix(3, rng) for _ in range(3)]
+        for det in (pgm(states, [0.2, 0.3, 0.5]), epsilon_detector(states, 0.4)[0]):
+            elements = [e.mat for e in det.elements]
+            m = sum(rho.mat @ e for rho, e in zip(states, elements))
+            m = (m + m.conj().T) / 2.0
+            for i, (rho, e) in enumerate(zip(states, elements)):
+                residual = np.linalg.norm((m - rho.mat) @ e, 2)
+                assert verify_bayes_conditions(states, det, 1.001 * residual).annihilates[i]
+                assert not verify_bayes_conditions(states, det, 0.999 * residual).annihilates[i]
 
     def test_annihilation_reads_every_labelled_column(self):
         # label 0 owns a slot where the family is diagonal, which annihilates,
