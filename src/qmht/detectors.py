@@ -70,29 +70,30 @@ class Detector:
             raise ValueError("give a detector its elements or its frame, not both")
         self.frame = _read_only(np.asarray(frame))
         self.labels = _read_only(np.asarray(labels))
-        self.dim = self.frame.shape[0]
         if outcomes is None:
             raise ValueError("a frame detector needs its number of outcomes")
         self.outcomes = operator.index(outcomes)
         self._check_frame()
+        self.dim = self.frame.shape[0]
 
     def _check_frame(self) -> None:
         frame, labels = self.frame, self.labels
         if frame.ndim != 2 or frame.shape[0] < 1:
             raise ValueError(f"expected a nonempty d x m frame, got shape {frame.shape}")
+        dim = frame.shape[0]
         if self.outcomes < 1:
             raise ValueError(f"a detector needs at least one outcome, got {self.outcomes}")
         if labels.shape != frame.shape[1:] or labels.dtype.kind not in "iu":
             raise ValueError("a frame needs one integer label per column")
         if labels.size and not 0 <= labels.min() <= labels.max() < self.outcomes:
             raise ValueError(f"frame labels must lie in [0, {self.outcomes})")
-        gap = float(np.abs(frame @ frame.conj().T - np.eye(self.dim)).max())
+        gap = float(np.abs(frame @ frame.conj().T - np.eye(dim)).max())
         if not gap <= POVM_ATOL:  # also catches a NaN
             raise NumericalConsistencyError(
                 "frame rows are not orthonormal, so the elements do not sum to the "
                 f"identity (max deviation {gap:.3e})"
             )
-        if self.kind == "PVM" and frame.shape[1] != self.dim:
+        if self.kind == "PVM" and frame.shape[1] != dim:
             raise NumericalConsistencyError(
                 f"a PVM frame must be square, got shape {frame.shape}"
             )
@@ -224,22 +225,28 @@ class GsDiagnostics:
     lambda_min_gram: float
 
 
+def _takes_lead(value, best):
+    """Whether a later state's head ``value`` takes the lead from ``best``, the
+    head of an earlier state: only by more than ``SELECTION_TIE_RTOL`` times
+    |best|, so a near-tie goes to the smaller state index. Elementwise on
+    arrays."""
+    return value > best + SELECTION_TIE_RTOL * abs(best)
+
+
 def greedy_order(streams):
     """Merge descending ``(value, item)`` streams into greedy pick order.
 
     Yields ``(state, value, item)`` triples, the largest head value first; a
     head that exceeds an earlier state's head by at most ``SELECTION_TIE_RTOL``
-    times that head loses to the smaller state index. Streams are read
-    lazily, one pop at a time, so a consumer may stop early.
+    times that head loses to the smaller state index (``_takes_lead``).
+    Streams are read lazily, one pop at a time, so a consumer may stop early.
     """
     iterators = [iter(stream) for stream in streams]
     heads = [next(it, None) for it in iterators]
     while True:
         best_state, best_value = -1, -math.inf
         for i, head in enumerate(heads):
-            if head is not None and (
-                best_state < 0 or head[0] > best_value + SELECTION_TIE_RTOL * abs(best_value)
-            ):
+            if head is not None and (best_state < 0 or _takes_lead(head[0], best_value)):
                 best_state, best_value = i, head[0]
         if best_state < 0:
             return
@@ -248,15 +255,52 @@ def greedy_order(streams):
         yield best_state, value, item
 
 
-def _greedy_pops(values_rows, zero_threshold):
-    """(state, eigenindex) pairs in ``greedy_order`` of the descending
-    eigenvalue arrays ``values_rows``, up to the first value at or below
-    ``zero_threshold``."""
-    streams = [zip(values, itertools.count()) for values in values_rows]
+def greedy_ranks(values, present):
+    """``greedy_order`` of single-value streams, one stream set per column.
+
+    Column m of the r x M ``values`` gives state i the stream
+    [values[i, m]] where ``present[i, m]`` holds, and an empty one elsewhere.
+    Returns the r x M position of every state in its column's pick order,
+    -1 for an empty stream. Each of the r passes is one scan over the states,
+    across all columns at once: the first state not yet picked leads, and a later one
+    takes the lead by ``_takes_lead``, as in ``greedy_order``.
+    """
+    values = np.asarray(values, dtype=float)
+    left = np.array(present, dtype=bool)
+    ranks = np.full(values.shape, -1)
+    states = np.arange(len(values))[:, None]
+    for position in range(len(values)):
+        best = np.full(values.shape[1], -1)
+        best_value = np.zeros(values.shape[1])
+        for i, row in enumerate(values):
+            lead = left[i] & ((best < 0) | _takes_lead(row, best_value))
+            best = np.where(lead, i, best)
+            best_value = np.where(lead, row, best_value)
+        chosen = states == best
+        ranks[chosen] = position
+        left &= ~chosen
+    return ranks
+
+
+def _greedy_pops(sigma_set):
+    """The states, their spectra, and the (state, eigenindex) pairs in
+    ``greedy_order`` of their eigenvalues, up to the first value at or below
+    the ``eigenvalue_zero_threshold`` of them all. Needs at least two states,
+    of one dimension."""
+    states = list(sigma_set)
+    if len(states) < 2:
+        raise ValueError("need at least two hypotheses")
+    if any(rho.dim != states[0].dim for rho in states):
+        raise ValueError("states must share one dimension")
+    decs = [rho.spectrum() for rho in states]
+    zero_threshold = eigenvalue_zero_threshold(np.concatenate([d.eigenvalues for d in decs]))
+    streams = [zip(dec.eigenvalues, itertools.count()) for dec in decs]
+    pops = []
     for state, value, index in greedy_order(streams):
         if value <= zero_threshold:
-            return
-        yield state, index
+            break
+        pops.append((state, index))
+    return states, decs, pops
 
 
 def _gs_frame(candidates, dim, count):
@@ -316,19 +360,9 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     Spectral decompositions feed the greedy selection; leftover directions
     after the positive eigenvalues run out complete the basis with label 0.
     """
-    states = list(sigma_set)
-    if len(states) < 2:
-        raise ValueError("need at least two hypotheses")
-    dim = states[0].dim
-    if any(rho.dim != dim for rho in states):
-        raise ValueError("states must share one dimension")
-    decs = [rho.spectrum() for rho in states]
-    values_rows = [dec.eigenvalues for dec in decs]
-    vector_mats = [dec.vectors for dec in decs]
-    zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
-    pops = list(_greedy_pops(values_rows, zero_threshold))
-    candidates = (((state, index), vector_mats[state][:, index]) for state, index in pops)
-    selection, basis, labels, lambda_min = _gs_frame(candidates, dim, len(pops))
+    states, decs, pops = _greedy_pops(sigma_set)
+    candidates = (((state, index), decs[state].vectors[:, index]) for state, index in pops)
+    selection, basis, labels, lambda_min = _gs_frame(candidates, states[0].dim, len(pops))
     det = Detector(kind="PVM", frame=basis, labels=labels, outcomes=len(states))
     return det, GsDiagnostics(selection, basis, lambda_min)
 
@@ -542,18 +576,10 @@ def epsilon_detector(
     block, I - T_p T_p^H, in either space. The result is a POVM that is
     generally not projective.
     """
-    states = list(sigma_set)
-    if len(states) < 2:
-        raise ValueError("need at least two hypotheses")
+    states, decs, selection = _greedy_pops(sigma_set)
     embedding_guard(epsilon)
     dim = states[0].dim
-    if any(rho.dim != dim for rho in states):
-        raise ValueError("states must share one dimension")
     delta = math.sqrt(1.0 - epsilon * epsilon)
-    decs = [rho.spectrum() for rho in states]
-    values_rows = [dec.eigenvalues for dec in decs]
-    zero_threshold = eigenvalue_zero_threshold(np.concatenate(values_rows))
-    selection = list(_greedy_pops(values_rows, zero_threshold))
     picks = len(selection)
     vectors = np.column_stack([decs[state].vectors[:, index] for state, index in selection])
     columns = np.zeros((dim + picks, picks), dtype=complex)

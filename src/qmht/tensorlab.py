@@ -17,14 +17,19 @@ P_a = prod_j p_a[j]^(k_j), so every error is a sum over the C(n+d-1, d-1)
 classes weighted by their sizes n!/prod_j k_j!. State i claims each class
 with a weight w_i: classical-ml and helstrom give the class to its argmax
 label, and gs and epsilon to the states whose cut P_a is above the pick
-cut, in ``greedy_order``, the c-th claimant with the weight |1^T R^-1 e_c|^2
-of the class Gram matrix delta^2 J + epsilon^2 I (gs is epsilon = 0).
-Every kind then scores its summed misses by one rule, and classical-ml
-reads any commuting family from ``common_eigenbasis``.
+cut, in the order ``detectors.greedy_ranks`` gives (``greedy_order`` on
+one-value streams, for every class at once), the c-th claimant with the
+weight |1^T R^-1 e_c|^2 of the class Gram matrix delta^2 J + epsilon^2 I
+(gs is epsilon = 0). Every kind then scores its summed misses by one rule,
+and classical-ml reads any commuting family from ``common_eigenbasis``. A
+sweep is scored in groups of consecutive n, up to ``CLASS_GROUP_LIMIT``
+classes each, as whole arrays; each state's misses at each n are summed on
+their own, so a row does not depend on the sweep it came in.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl``). The d^n cap
-of ``PowerHypothesisSet`` applies to both routes.
+(``check_dense_limit``) applies to both routes, and a sweep that reaches
+past it raises before any row is scored.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .detectors import (
     EPSILON_FLOOR,
     common_eigenbasis,
     embedding_guard,
-    greedy_order,
+    greedy_ranks,
     lemma3_bound,
 )
 from .errors import DimensionLimitError
@@ -55,6 +60,10 @@ DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
 EPSILON_CLIP = 1.0 / math.sqrt(2.0) - 1e-6
 LI_WITNESS_TOL = 1e-9
+# An aligned sweep scores its consecutive n in groups of at most this many
+# type classes (one n alone may exceed it), so a far-out sweep never holds
+# the arrays of all its classes at once.
+CLASS_GROUP_LIMIT = 1 << 14
 
 
 @dataclass
@@ -76,8 +85,7 @@ class PowerHypothesisSet:
         dim = self.base[0].dim
         if any(rho.dim != dim for rho in self.base):
             raise ValueError("states must share one dimension")
-        if dim**self.n > (cap := dense_limit()):
-            raise DimensionLimitError(f"{dim}**{self.n} exceeds the dense limit {cap}")
+        check_dense_limit(dim, [self.n])
         self.spectra = [rho.spectrum() for rho in self.base]
         self.cut_values = np.array([_cut(dec.eigenvalues) for dec in self.spectra])
 
@@ -90,13 +98,27 @@ class PowerHypothesisSet:
         return self.base[0].dim
 
     def pick_cut(self, kind: str) -> float:
-        """A row of this kind picks a class iff its value on ``cut_values`` is
-        above this: 0, except for epsilon, which picks every kept vector and so
-        keeps the dense detectors' cut on the explicit powers, 1e-12 times the
-        largest n-fold eigenvalue."""
-        if kind != "epsilon":
-            return 0.0
-        return eigenvalue_zero_threshold(self.cut_values.max() ** self.n)
+        """``class_pick_cut`` of this power."""
+        return class_pick_cut(self.cut_values, self.n, kind)
+
+
+def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
+    """Raise DimensionLimitError, naming the smallest n in ``ns`` with dim^n
+    above ``dense_limit()``, if there is one."""
+    cap = dense_limit()
+    over = [n for n in ns if dim**n > cap]
+    if over:
+        raise DimensionLimitError(f"{dim}**{min(over)} exceeds the dense limit {cap}")
+
+
+def class_pick_cut(cut_values: np.ndarray, n: int, kind: str) -> float:
+    """A row of this kind at copy number n picks a type class iff its value on
+    the cut spectra ``cut_values`` is above this: 0, except for epsilon, which
+    picks every kept vector and so keeps the dense detectors' cut on the
+    explicit powers, 1e-12 times the largest n-fold eigenvalue."""
+    if kind != "epsilon":
+        return 0.0
+    return eigenvalue_zero_threshold(cut_values.max() ** n)
 
 
 def _cut(values: np.ndarray) -> np.ndarray:
@@ -138,51 +160,124 @@ def _commuting_rows(states: Sequence[DensityMatrix]) -> np.ndarray:
     )
 
 
-def _claim_weights(claims: int, epsilon: float) -> np.ndarray:
+def _claim_weights(claims: int, epsilon: float | np.ndarray) -> np.ndarray:
     """|1^T R^-1 e_c|^2 for c = 1..claims, with R the Cholesky factor of the
     c x c embedded Gram matrix delta^2 J + epsilon^2 I of one type class:
-    w_1 = 1, w_c = epsilon^2 / ((1 + (c-2) delta^2)(1 + (c-1) delta^2))."""
-    delta_sq = 1.0 - epsilon * epsilon
+    w_1 = 1, w_c = epsilon^2 / ((1 + (c-2) delta^2)(1 + (c-1) delta^2)).
+    An array of epsilons gives one row of weights per epsilon."""
+    eps = np.asarray(epsilon, dtype=float)
+    eps_sq = (eps * eps)[..., None]
+    delta_sq = 1.0 - eps_sq
     c = np.arange(2, claims + 1)
-    weights = np.ones(claims)
-    weights[1:] = epsilon * epsilon / ((1.0 + (c - 2) * delta_sq) * (1.0 + (c - 1) * delta_sq))
-    return weights
+    later = eps_sq / ((1.0 + (c - 2) * delta_sq) * (1.0 + (c - 1) * delta_sq))
+    return np.concatenate([np.ones(eps.shape + (1,)), later], axis=-1)
 
 
-def _type_class_error(
-    rows: np.ndarray, cut_rows: np.ndarray, n: int, kind: str, floor: float, epsilon: float
-) -> tuple[float, float]:
+def _class_groups(dim: int, ns: Sequence[int]):
+    """Slices of ``ns`` into runs of consecutive n with at most
+    ``CLASS_GROUP_LIMIT`` type classes in all, or one n alone."""
+    start = classes = 0
+    for stop, n in enumerate(ns):
+        count = math.comb(n + dim - 1, dim - 1)
+        if stop > start and classes + count > CLASS_GROUP_LIMIT:
+            yield slice(start, stop)
+            start, classes = stop, 0
+        classes += count
+    yield slice(start, len(ns))
+
+
+def _type_class_scores(
+    rows: np.ndarray, ns: Sequence[int], kind: str, epsilons: Sequence[float]
+):
     """Detector error on the n-fold powers of an aligned family, and
-    lambda_min_gram, from one term per type class.
+    lambda_min_gram, for every n of ``ns`` in turn: ``_class_group_scores``
+    of each of the ``_class_groups``, whose arrays are freed before the next
+    group's classes are built."""
+    cut_rows = np.array([_cut(row) for row in rows])
+    for group in _class_groups(rows.shape[1], ns):
+        yield from _class_group_scores(rows, cut_rows, ns[group], kind, epsilons[group])
+
+
+def _class_group_scores(
+    rows: np.ndarray,
+    cut_rows: np.ndarray,
+    ns: Sequence[int],
+    kind: str,
+    epsilons: Sequence[float],
+) -> list[tuple[float, float]]:
+    """(err, lambda_min_gram) at every n of ``ns``, from one term per type
+    class, all classes of all n in one set of arrays.
 
     Every product outcome in a type class has the likelihood
     P_a = prod_j p_a[j]^(k_j) under state a. classical-ml and helstrom give
     the class weight w = 1 to the state ``np.argmax`` labels it with (for
     r = 2 the misses are then min(P_0, P_1), Helstrom's). For gs and
-    epsilon the states whose P_a on ``cut_rows`` is above ``floor`` claim it
-    in ``greedy_order``, the c-th with ``_claim_weights`` (gs: epsilon = 0).
-    The P_a on ``rows`` score it: hypothesis 0 owns the completion and misses
-    delta^2 P_0 sum_(i>=1) w_i; state i >= 1 misses P_i ((1 - w_i) +
-    epsilon^2 w_i). lambda_min_gram is epsilon^2 when some class has two
-    weighted claimants and 1 otherwise.
+    epsilon the states whose P_a on ``cut_rows`` is above ``class_pick_cut``
+    claim it in ``greedy_ranks`` order, the c-th with ``_claim_weights`` of
+    that n's epsilon (gs: 0). The P_a on ``rows`` score it: hypothesis 0 owns
+    the completion and misses delta^2 P_0 sum_(i>=1) w_i; state i >= 1
+    misses P_i ((1 - w_i) + epsilon^2 w_i). lambda_min_gram is epsilon^2
+    when some class has two weighted claimants and 1 otherwise. Each
+    state's misses at each n are summed by ``math.fsum``, so every row is
+    the row of that n scored alone, bit for bit.
     """
-    counts, sizes = type_classes(rows.shape[1], n)
-    values = np.prod(rows[:, None, :] ** counts, axis=2)
+    r, dim = rows.shape
+    classes = [type_classes(dim, n) for n in ns]
+    widths = [len(sizes) for _, sizes in classes]
+    starts = np.cumsum([0] + widths)
+    eps = np.array(epsilons)
+    values = _class_values(rows, classes)
     if kind in ("classical-ml", "helstrom"):
-        weights = (np.argmax(values, axis=0) == np.arange(len(rows))[:, None]).astype(float)
+        weights = (np.argmax(values, axis=0) == np.arange(r)[:, None]).astype(float)
     else:
-        cut = np.prod(cut_rows[:, None, :] ** counts, axis=2)
-        claim_weights = _claim_weights(len(rows), epsilon)
-        weights = np.zeros_like(values)
-        for m, column in enumerate(cut.T):
-            streams = [[(value, None)] if value > floor else [] for value in column]
-            claimants = [state for state, _, _ in greedy_order(streams)]
-            weights[claimants, m] = claim_weights[: len(claimants)]
-    eps_sq = epsilon * epsilon
-    misses = values * (1.0 - weights + eps_sq * weights)
+        weights = _greedy_claims(
+            _class_values(cut_rows, classes),
+            np.repeat([class_pick_cut(cut_rows, n, kind) for n in ns], widths),
+            np.repeat(_claim_weights(r, eps), widths, axis=0),
+        )
+    eps_sq = np.repeat(eps * eps, widths)
+    # in place, so that few arrays of the group's size are alive at once
+    misses = eps_sq * weights
+    misses += 1.0 - weights
+    misses *= values
     misses[0] = (1.0 - eps_sq) * values[0] * weights[1:].sum(axis=0)
-    shared = bool(np.any(np.count_nonzero(weights, axis=0) > 1))
-    return float(np.mean([math.fsum(row) for row in misses * sizes])), eps_sq if shared else 1.0
+    misses *= np.concatenate([sizes for _, sizes in classes])
+    shared = np.logical_or.reduceat(np.count_nonzero(weights, axis=0) > 1, starts[:-1])
+    scored = [memoryview(row) for row in misses]
+    sums = [[math.fsum(row[lo:hi]) for row in scored] for lo, hi in zip(starts, starts[1:])]
+    errs = np.mean(sums, axis=1).tolist()
+    return [(err, e * e if many else 1.0) for err, e, many in zip(errs, epsilons, shared)]
+
+
+def _class_values(rows: np.ndarray, classes) -> np.ndarray:
+    """P_a = prod_j rows[a, j]^(k_j) of every state a on every class of the
+    ``type_classes`` results ``classes``, one column per class in turn."""
+    return np.hstack([np.prod(rows[:, None, :] ** counts, axis=2) for counts, _ in classes])
+
+
+def _greedy_claims(cut: np.ndarray, floors: np.ndarray, claim_weights: np.ndarray) -> np.ndarray:
+    """Weight of every state's claim on every class m: ``claim_weights[m, c]``
+    for the c-th claimant in ``greedy_ranks`` order of the states whose
+    ``cut`` value is above ``floors[m]``, and 0 for the others."""
+    ranks = greedy_ranks(cut, cut > floors)
+    weights = np.take_along_axis(claim_weights.T, np.maximum(ranks, 0), axis=0)
+    weights[ranks < 0] = 0.0
+    return weights
+
+
+def _block_scores(
+    states: Sequence[DensityMatrix], ns: Sequence[int], kind: str, epsilons: Sequence[float]
+):
+    """Detector error and lambda_min_gram (None for helstrom) for every n of
+    ``ns`` in turn, from the Schur-Weyl blocks of each power."""
+    for n, eps in zip(ns, epsilons):
+        phs = PowerHypothesisSet(states, n)
+        if kind == "gs":
+            yield block_gs(phs)
+        elif kind == "epsilon":
+            yield block_epsilon(phs, eps)
+        else:
+            yield block_helstrom(phs), None
 
 
 def _schedule_from_overlap_sum(total: float) -> float:
@@ -263,42 +358,36 @@ def run_power_experiment(
         raise ValueError("helstrom runs on exactly two hypotheses")
     # one alignment verdict per call; classical-ml reads any commuting family
     probs = _commuting_rows(states) if kind == "classical-ml" else _aligned_rows(states)
-    cut_probs = None if probs is None else np.array([_cut(row) for row in probs])
     ns = sorted({int(n) for n in n_range})
     if not ns or ns[0] < 1:
         raise ValueError("copy numbers must be positive integers")
+    check_dense_limit(states[0].dim, ns)
 
     if qcb is None:
         qcb = multiple_qcb(states)
     r = len(states)
+    overlap_sums = [_pairwise_overlap_power_sum(qcb, n) for n in ns]
+    epsilons = [0.0] * len(ns)
+    if kind == "epsilon":
+        epsilons = [
+            epsilon_override
+            if epsilon_override is not None
+            else _schedule_from_overlap_sum(total)
+            for total in overlap_sums
+        ]
+        for eps in epsilons:
+            embedding_guard(eps)
+    if probs is not None:
+        scores = _type_class_scores(probs, ns, kind, epsilons)
+    else:
+        scores = _block_scores(states, ns, kind, epsilons)
     rows: list[ExperimentRow] = []
-    for n in ns:
-        phs = PowerHypothesisSet(states, n)
-        overlap_sum = _pairwise_overlap_power_sum(qcb, n)
-        lam_min: float | None
-        eps_n: float | None = None
-        if kind == "epsilon":
-            eps_n = (
-                epsilon_override
-                if epsilon_override is not None
-                else _schedule_from_overlap_sum(overlap_sum)
-            )
-            embedding_guard(eps_n)
-        if probs is not None:
-            err, lam_min = _type_class_error(
-                probs, cut_probs, n, kind, phs.pick_cut(kind), eps_n or 0.0
-            )
-        elif kind == "gs":
-            err, lam_min = block_gs(phs)
-        elif kind == "epsilon":
-            err, lam_min = block_epsilon(phs, eps_n)
-        else:
-            err = block_helstrom(phs)
+    for n, overlap_sum, eps, (err, lam_min) in zip(ns, overlap_sums, epsilons, scores):
         bound: float | None
         if kind == "gs":
             bound = lemma3_bound(overlap_sum, lam_min, r)
         elif kind == "epsilon":
-            bound = (2.0 * eps_n + overlap_sum / (eps_n * eps_n)) / r
+            bound = (2.0 * eps + overlap_sum / (eps * eps)) / r
         elif kind == "helstrom":
             bound = lam_min = None
         else:  # classical-ml
@@ -317,7 +406,7 @@ def run_power_experiment(
                 exponent=float(exponent),
                 error_bound=bound,
                 lambda_min_gram=lam_min,
-                epsilon=eps_n,
+                epsilon=eps if kind == "epsilon" else None,
                 exceeds_qcb_ceiling=ceiling,
             )
         )

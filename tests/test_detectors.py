@@ -21,6 +21,7 @@ from qmht.detectors import (
     gs_detector,
     gs_error_bound,
     greedy_order,
+    greedy_ranks,
     holevo_helstrom,
     pgm,
     verify_bayes_conditions,
@@ -173,6 +174,9 @@ class TestFrameDetectors:
             Detector(kind="PVM", frame=np.eye(2), labels=[0, 1])
         with pytest.raises(ValueError, match="not both"):
             Detector([projector([1, 0]), projector([0, 1])], frame=np.eye(2), labels=[0, 1])
+        for frame in (np.float64(1.0), np.ones(2)):
+            with pytest.raises(ValueError, match="nonempty d x m frame"):
+                Detector(kind="POVM", frame=frame, labels=[], outcomes=1)
 
     def test_elements_of_a_frame_are_its_labelled_projectors(self):
         det = Detector(kind="PVM", frame=np.eye(3)[:, [2, 0, 1]], labels=[1, 0, 1], outcomes=3)
@@ -316,6 +320,37 @@ class TestGreedyOrder:
         # the head of each stream is read ahead by one pop, no further
         assert next(rest) == (0.7, "z")
         assert list(greedy_order([[], []])) == []
+
+    def test_column_ranks_match_greedy_order(self):
+        # each column is a set of one-value streams: exact ties, ties at
+        # 1e-13 (inside SELECTION_TIE_RTOL) and 3e-12 (outside) relative,
+        # zeros, values at the floor and columns with no claimant
+        rng = np.random.default_rng(2024)
+        floor = 1e-12
+        for r in range(2, 6):
+            values = np.empty((r, 600))
+            for column in values.T:
+                for i in range(r):
+                    pick = rng.integers(7) if i else 0
+                    earlier = column[rng.integers(i)] if i else 0.0
+                    column[i] = (
+                        rng.uniform(0.0, 1.0) * 10.0 ** -rng.integers(0, 20),
+                        earlier,
+                        earlier * (1.0 + rng.choice([-1.0, 1.0]) * 1e-13),
+                        earlier * (1.0 + rng.choice([-1.0, 1.0]) * 3e-12),
+                        0.0,
+                        floor,
+                        rng.uniform(0.0, 1.0),
+                    )[pick]
+            present = values > floor
+            present[:, rng.random(600) < 0.05] = False
+            ranks = greedy_ranks(values, present)
+            for m, (column, shown) in enumerate(zip(values.T, present.T)):
+                streams = [[(v, None)] if keep else [] for v, keep in zip(column, shown)]
+                expected = np.full(r, -1)
+                for position, (state, _, _) in enumerate(greedy_order(streams)):
+                    expected[state] = position
+                assert ranks[:, m].tolist() == expected.tolist(), column
 
 
 class TestGsDetector:

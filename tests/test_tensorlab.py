@@ -19,9 +19,12 @@ from qmht.errors import DimensionLimitError
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.tensorlab import (
+    DETECTOR_KINDS,
     EPSILON_CLIP,
     PowerHypothesisSet,
+    _aligned_rows,
     _claim_weights,
+    _class_groups,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
@@ -75,6 +78,29 @@ def aligned_families(count, seed):
         rows = [first / first.sum(), (first / first.sum())[::-1]]
         rows += [rng.dirichlet(np.ones(d)) for _ in range(int(rng.integers(0, 3)))]
         yield [diagonal(row) for row in rows]
+
+
+def sweep_families(count, seed):
+    """Families with d 2-4 and r 2-4, some zero eigenvalues, and ties planted:
+    state 1 is state 0 reversed, so the two tie on every symmetric class,
+    exactly or, scaled by 1 + 1e-13, by n 1e-13 relative at copy number n,
+    inside SELECTION_TIE_RTOL below n = 10 and outside above it. Each is
+    diagonal, turned by one common phased permutation (still aligned), or by
+    one common random rotation (not aligned: the block route)."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        d = int(rng.integers(2, 5))
+        rows = [rng.dirichlet(np.ones(d)) for _ in range(int(rng.integers(2, 5)))]
+        rows[0][int(rng.integers(d))] = 0.0
+        rows[0] /= rows[0].sum()
+        rows[1] = rows[0][::-1] * (1.0 + 1e-13 if rng.random() < 0.5 else 1.0)
+        if index % 3 == 0:
+            turn = np.eye(d)
+        elif index % 3 == 1:
+            turn = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+        else:
+            turn = random_orthonormal(d, d, rng)
+        yield [DensityMatrix(turn @ np.diag(row) @ turn.conj().T) for row in rows]
 
 
 def classical_ml_power_error(states, n):
@@ -539,6 +565,48 @@ class TestRunPowerExperimentOtherKinds:
                 factor = np.linalg.cholesky(gram).T
                 expected = np.abs(np.ones(c) @ np.linalg.inv(factor)) ** 2
                 np.testing.assert_allclose(_claim_weights(c, eps), expected, rtol=1e-12)
+
+    def test_sweep_rows_equal_single_copy_number_rows(self, monkeypatch):
+        # a sweep scores its classes in groups of consecutive n; each of its
+        # rows must be the row of a sweep of that n alone, field by field
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+
+        def check(states, ns, kind, **options):
+            sweep = run_power_experiment(states, ns, kind, **options)
+            for row in sweep.rows:
+                alone = run_power_experiment(states, [row.n], kind, qcb=sweep.qcb, **options)
+                assert dataclasses.asdict(row) == dataclasses.asdict(alone.rows[0])
+
+        aligned = 0
+        for states in sweep_families(24, seed=60):
+            if _aligned_rows(states) is None:
+                ns = range(1, 4)
+            else:
+                ns = range(1, {2: 24, 3: 12, 4: 8}[states[0].dim] + 1)
+                aligned += 1
+            for kind in ("gs", "epsilon", "classical-ml"):
+                check(states, ns, kind)
+            check(states, ns, "epsilon", epsilon_override=0.2)
+            if len(states) == 2:
+                check(states, ns, "helstrom")
+        assert aligned == 16
+        # one sweep past one class group
+        states = [
+            diagonal([0.6, 0.4]),
+            diagonal(np.array([0.4, 0.6]) * (1.0 + 1e-13)),
+            diagonal([0.75, 0.25]),
+        ]
+        assert len(list(_class_groups(2, range(1, 401)))) > 1
+        for kind in ("gs", "epsilon"):
+            check(states, range(1, 401), kind)
+
+    def test_sweep_over_the_dimension_cap_raises(self, monkeypatch):
+        # the cap names the smallest n over it, before any row is scored
+        monkeypatch.setenv(DENSE_LIMIT_ENV, "16")
+        states = [diagonal([0.6, 0.4]), diagonal([0.3, 0.7])]
+        for kind in DETECTOR_KINDS:
+            with pytest.raises(DimensionLimitError, match=r"2\*\*5 exceeds the dense limit 16"):
+                run_power_experiment(states, range(1, 7), kind)
 
     def test_commuting_triple_at_the_dimension_cap(self):
         # 2^14 = 16384 is the default cap; a Gram matrix over every product
