@@ -17,10 +17,18 @@ import numpy as np
 
 from .chernoff import binary_qcb
 from .errors import NumericalConsistencyError
-from .linalg import DensityMatrix, HermitianMatrix, eigenvalue_zero_threshold, gram_floor
+# SPAN_RESIDUAL_TOL, gs's span rule, is read by ``greedy_span`` and named here
+from .linalg import (
+    SPAN_RESIDUAL_TOL,
+    DensityMatrix,
+    HermitianMatrix,
+    eigenvalue_zero_threshold,
+    factor_floor,
+    gram_floor,
+    greedy_span,
+)
 
 POVM_ATOL = 1e-9
-SPAN_RESIDUAL_TOL = 1e-9
 SELECTION_TIE_RTOL = 1e-12
 COMMUTATOR_ATOL = 1e-10
 COMMON_BASIS_ATOL = 1e-9
@@ -210,14 +218,17 @@ class GsDiagnostics:
     """Execution record of the greedy orthonormalization.
 
     ``selection_order`` holds the (state, eigenindex) pairs actually picked,
-    ``basis`` the full orthonormal basis (picked directions first, their
-    Householder complement after): d x d for gs, and for epsilon the
-    (d + m) x (d + m) unitary of the embedding with m picks, whose top d rows
-    are the detector's frame. The detector's ``labels`` hold the hypothesis
-    index of every basis column (0 on the complement). ``lambda_min_gram`` is
-    the smallest eigenvalue of the picked Gram matrix by ``gram_floor``: of
-    the picked eigenvectors V for gs, and of the embedded
-    delta^2 V^H V + epsilon^2 I for epsilon, epsilon^2 + delta^2 gram_floor(V).
+    in pick order (for gs, the candidates whose distance to the span of the
+    earlier picks is above ``SPAN_RESIDUAL_TOL``), ``basis`` the full
+    orthonormal basis from one complete QR of the picks (picked directions
+    first, their Householder complement after): d x d for gs, and for
+    epsilon the (d + m) x (d + m) unitary of the embedding with m picks,
+    whose top d rows are the detector's frame. The detector's ``labels`` hold
+    the hypothesis index of every basis column (0 on the complement).
+    ``lambda_min_gram`` is the smallest eigenvalue of the picked Gram matrix,
+    sigma_min(R)^2 of a Householder R: for gs, the R of that same QR of the
+    picked eigenvectors V (their ``gram_floor``); for epsilon, of the
+    embedded delta^2 V^H V + epsilon^2 I, epsilon^2 + delta^2 gram_floor(V).
     """
 
     selection_order: list[tuple[int, int]]
@@ -283,10 +294,11 @@ def greedy_ranks(values, present):
 
 
 def _greedy_pops(sigma_set):
-    """The states, their spectra, and the (state, eigenindex) pairs in
-    ``greedy_order`` of their eigenvalues, up to the first value at or below
-    the ``eigenvalue_zero_threshold`` of them all. Needs at least two states,
-    of one dimension."""
+    """The states, the (state, eigenindex) pairs in ``greedy_order`` of their
+    eigenvalues, up to the first value at or below the
+    ``eigenvalue_zero_threshold`` of them all, and those eigenvectors as the
+    columns of one d x m array, in that order. Needs at least two states, of
+    one dimension."""
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
@@ -300,40 +312,19 @@ def _greedy_pops(sigma_set):
         if value <= zero_threshold:
             break
         pops.append((state, index))
-    return states, decs, pops
+    vectors = np.column_stack([decs[state].vectors[:, index] for state, index in pops])
+    return states, pops, vectors
 
 
-def _gs_frame(candidates, dim, count):
-    """The greedy PVM's labelled frame on C^dim, by eigenvalue-ordered
-    selection with on-the-fly Gram-Schmidt.
-
-    ``candidates`` yields at most ``count`` pairs ``((state, index), vector)``
-    of unit vectors, in pick order. The residual of each vector against the
-    picked frame (two classical Gram-Schmidt passes) becomes a new orthonormal
-    direction unless its norm is at most ``SPAN_RESIDUAL_TOL``; once the frame
-    spans C^dim the remaining candidates are not read. Returns the picked
-    keys, the dim x dim basis of ``_complete_basis`` with its labels, and the
-    ``gram_floor`` of the picked vectors.
-    """
-    frame = np.empty((min(dim, count), dim), dtype=complex)
-    sources = np.empty_like(frame)
-    selection = []
-    for key, vector in candidates:
-        kept = frame[: len(selection)]
-        residual = vector.astype(complex)
-        for _ in range(2):
-            # conj(K conj(v)) is K^* v without copying the frame
-            residual -= kept.T @ (kept @ residual.conj()).conj()
-        norm = float(np.linalg.norm(residual))
-        if norm <= SPAN_RESIDUAL_TOL:
-            continue
-        frame[len(selection)] = residual / norm
-        sources[len(selection)] = vector
-        selection.append(key)
-        if len(selection) == dim:
-            break
-    basis, labels = _complete_basis(selection, frame[: len(selection)].T)
-    return selection, basis, labels, gram_floor(sources[: len(selection)].T)
+def _gs_frame(keys, vectors):
+    """The greedy PVM's labelled frame on C^D, by ``greedy_span`` of the
+    D x K unit candidates ``vectors`` in pick order, column k keyed by
+    ``keys[k]`` = (state, index). Returns the picked keys, the D x D basis of
+    the picks' complete QR with its labels (as ``_complete_basis``), and
+    sigma_min(R)^2 of its R, the ``gram_floor`` of the picks."""
+    picked, basis, factor = greedy_span(vectors)
+    selection = [keys[k] for k in picked]
+    return selection, basis, _labels(selection, len(basis)), factor_floor(factor)
 
 
 def _complete_basis(selection, columns):
@@ -341,12 +332,15 @@ def _complete_basis(selection, columns):
     # order and appends their Householder complement, D x D in all, with the
     # picks labelled by state and the D - m completion columns labelled 0:
     # only the complement's projector enters the elements, whichever basis
-    # QR picks. The factor is not checked here: gs hands it whole to a PVM
-    # frame, whose check is the same condition, and epsilon checks it before
-    # it keeps the top rows.
-    dim, picks = columns.shape
+    # QR picks. The factor is not checked here: epsilon checks it before it
+    # keeps the top rows (gs hands its basis whole to a PVM frame, whose check
+    # is the same condition).
     full_basis, _ = np.linalg.qr(columns, mode="complete")
-    return full_basis, np.array([state for state, _ in selection] + [0] * (dim - picks))
+    return full_basis, _labels(selection, len(columns))
+
+
+def _labels(selection, dim):
+    return np.array([state for state, _ in selection] + [0] * (dim - len(selection)))
 
 
 def _embedded_gram_floor(vectors, epsilon):
@@ -360,9 +354,8 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     Spectral decompositions feed the greedy selection; leftover directions
     after the positive eigenvalues run out complete the basis with label 0.
     """
-    states, decs, pops = _greedy_pops(sigma_set)
-    candidates = (((state, index), decs[state].vectors[:, index]) for state, index in pops)
-    selection, basis, labels, lambda_min = _gs_frame(candidates, states[0].dim, len(pops))
+    states, pops, vectors = _greedy_pops(sigma_set)
+    selection, basis, labels, lambda_min = _gs_frame(pops, vectors)
     det = Detector(kind="PVM", frame=basis, labels=labels, outcomes=len(states))
     return det, GsDiagnostics(selection, basis, lambda_min)
 
@@ -576,12 +569,11 @@ def epsilon_detector(
     block, I - T_p T_p^H, in either space. The result is a POVM that is
     generally not projective.
     """
-    states, decs, selection = _greedy_pops(sigma_set)
+    states, selection, vectors = _greedy_pops(sigma_set)
     embedding_guard(epsilon)
     dim = states[0].dim
     delta = math.sqrt(1.0 - epsilon * epsilon)
     picks = len(selection)
-    vectors = np.column_stack([decs[state].vectors[:, index] for state, index in selection])
     columns = np.zeros((dim + picks, picks), dtype=complex)
     columns[:dim] = delta * vectors
     columns[dim:] = epsilon * np.eye(picks)

@@ -6,6 +6,7 @@ to share across workers.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ EIGENVALUE_ZERO_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 PHASE_PIVOT_ATOL = 1e-12
+SPAN_RESIDUAL_TOL = 1e-9
 DEFAULT_DENSE_LIMIT = 16384
 DENSE_LIMIT_ENV = "QMHT_DENSE_LIMIT"
 
@@ -48,9 +50,11 @@ class HermitianMatrix:
         arr = np.array(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        # the largest magnitude is NaN or inf iff some entry is
+        top = float(np.abs(arr).max())
+        if not math.isfinite(top):
             raise ValueError("matrix has a non-finite entry")
-        scale = max(1.0, float(np.abs(arr).max()))
+        scale = max(1.0, top)
         asym = float(np.abs(arr - arr.conj().T).max())
         if asym > HERMITICITY_ATOL * scale:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
@@ -67,7 +71,14 @@ class HermitianMatrix:
 
 
 class DensityMatrix:
-    """Unit-trace positive semidefinite Hermitian matrix: one hypothesis state."""
+    """Unit-trace positive semidefinite Hermitian matrix: one hypothesis state.
+
+    Positivity is proved by one Cholesky factorization of
+    rho - DENSITY_EIG_FLOOR * I. Only a matrix that fails it pays for an
+    eigensolve: it names the eigenvalue below the floor in the error, or
+    accepts a matrix whose smallest eigenvalue is at the floor, where
+    rounding can fail the factorization.
+    """
 
     __slots__ = ("base", "_spectrum")
 
@@ -76,9 +87,12 @@ class DensityMatrix:
         trace = float(np.trace(base.mat).real)
         if abs(trace - 1.0) > DENSITY_TRACE_ATOL:
             raise ValueError(f"trace must equal 1 within {DENSITY_TRACE_ATOL}, got {trace!r}")
-        low = float(np.linalg.eigvalsh(base.mat)[0])
-        if low < DENSITY_EIG_FLOOR:
-            raise ValueError(f"matrix has negative eigenvalue {low:.3e}")
+        try:
+            np.linalg.cholesky(base.mat - DENSITY_EIG_FLOOR * np.eye(base.dim))
+        except np.linalg.LinAlgError:
+            low = float(np.linalg.eigvalsh(base.mat)[0])
+            if low < DENSITY_EIG_FLOOR:
+                raise ValueError(f"matrix has negative eigenvalue {low:.3e}") from None
         self.base = base
         self._spectrum = None
 
@@ -192,6 +206,62 @@ def gram_floor(columns: np.ndarray) -> float:
     rows, count = columns.shape
     if count > rows:
         return 0.0
-    factor = np.linalg.qr(columns, mode="r")
+    return factor_floor(np.linalg.qr(columns, mode="r"))
+
+
+def factor_floor(factor: np.ndarray) -> float:
+    """sigma_min(R)^2 of the m x m triangular factor R of a QR of m columns:
+    the smallest eigenvalue of their Gram matrix R^H R."""
     sigma_min = float(np.linalg.svd(factor, compute_uv=False)[-1])
     return sigma_min * sigma_min
+
+
+def greedy_span(vectors: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Greedy column selection by a windowed span test, and the complete QR
+    of the picks.
+
+    Column k of the D x K ``vectors`` is picked unless its distance to the
+    span of the earlier picks is at most ``SPAN_RESIDUAL_TOL``; once the picks
+    span C^D the remaining columns are not read. Columns are read in windows
+    of as many as the picks still lack: each window is projected off the
+    picks' orthonormal frame by two block Gram-Schmidt passes and factored by
+    one Householder QR, whose |R_kk| is that distance for every column up to
+    the first rejection. After a rejection at window column b, the residuals
+    of the later columns against the grown span are Q[:, b:] R[b:, b + 1:];
+    they are factored next, through one QR of the small R block (a QR column
+    deletion), without reading them again. Returns the picked column indices
+    and one complete QR of the m picks in pick order: Q, D x D, and R, m x m.
+    A first window with no rejection is itself that QR.
+    """
+    dim, count = vectors.shape
+    width = min(dim, count)
+    basis, factor = np.linalg.qr(vectors[:, :width], mode="complete")
+    accepted = np.abs(factor.diagonal()) > SPAN_RESIDUAL_TOL
+    if accepted.all():
+        return list(range(width)), basis, factor[:width]
+    frame = np.empty((dim, dim), dtype=complex)
+    picked: list[int] = []
+    window, q, r = range(width), basis[:, :width], factor[:width]
+    while True:
+        b = int(np.argmin(accepted)) if not accepted.all() else len(window)
+        frame[:, len(picked) : len(picked) + b] = q[:, :b]
+        picked.extend(window[:b])
+        if len(picked) == dim:
+            break
+        if b + 1 < len(window):
+            window, (small_q, r) = window[b + 1 :], np.linalg.qr(r[b:, b + 1 :])
+            q = q[:, b:] @ small_q
+        else:
+            start = window[-1] + 1
+            if start == count:
+                break
+            window = range(start, min(count, start + dim - len(picked)))
+            kept = frame[:, : len(picked)]
+            residual = vectors[:, window]
+            for _ in range(2):
+                # conj(K^T conj(W)) is K^H W without copying the frame
+                residual = residual - kept @ (kept.T @ residual.conj()).conj()
+            q, r = np.linalg.qr(residual)
+        accepted = np.abs(r.diagonal()) > SPAN_RESIDUAL_TOL
+    basis, factor = np.linalg.qr(vectors[:, picked], mode="complete")
+    return picked, basis, factor[: len(picked)]

@@ -13,9 +13,10 @@ the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
 ``eigh`` per block and state. The product eigenvectors of state s in type
 class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
 C^(f_lam) in every block. gs and helstrom build the dense detectors' own
-labelled frames per block (``_gs_frame`` on those columns,
-``_helstrom_frame``), epsilon its Cholesky frame, and each error sums the
-blocks' misses weighted by f_lam.
+labelled frames per block (``_gs_frame``, the windowed Householder
+selection, on the matrix of those columns; ``_helstrom_frame``), epsilon
+its Cholesky frame, and each error sums the blocks' misses weighted by
+f_lam.
 """
 
 from __future__ import annotations
@@ -225,9 +226,11 @@ class _Block:
 
     def misses(self, frame: np.ndarray, labels: np.ndarray) -> float:
         """Summed misses of a labelled frame of V_lam: every state's mass on
-        the columns not labelled with its index."""
-        states = range(len(self.values))
-        return sum(float(self.masses(frame[:, labels != i], i).sum()) for i in states)
+        the columns not labelled with its index, from one stacked product
+        |F^H pi_lam(U_s)|^2 values_s over all states."""
+        masses = (np.abs(frame.conj().T @ self.unitaries) ** 2) @ self.values[:, :, None]
+        own = labels == np.arange(len(self.values))[:, None]
+        return float(np.where(own, 0.0, masses[:, :, 0]).sum())
 
     def trace(self, state: int) -> float:
         return float(self.values[state].sum())
@@ -261,11 +264,13 @@ def block_gs(phs) -> tuple[float, float]:
     """Greedy Gram-Schmidt error on the n-fold powers, and lambda_min_gram.
 
     Type classes are popped in ``greedy_order``; in each block the columns of
-    the popped classes build the labelled frame of the dense ``gs_detector``
-    (``_gs_frame``: two Gram-Schmidt passes, ``SPAN_RESIDUAL_TOL``, the
+    the popped classes, gathered by one index into ``unitaries``, build the
+    labelled frame of the dense ``gs_detector`` (``_gs_frame``: windows
+    factored by one Householder QR each, ``SPAN_RESIDUAL_TOL``, the
     Householder complement labelled 0), and the error is (1/r) sum_lam f_lam
-    times the block's summed misses. ``lambda_min_gram`` is the smallest
-    ``gram_floor`` of the blocks' picked columns.
+    times the block's summed misses. ``lambda_min_gram`` is the smallest Gram
+    floor of the blocks' picked columns, sigma_min(R)^2 of the R of each
+    block's complete QR.
     """
     pops = _pops(phs, "gs")
     err = 0.0
@@ -276,8 +281,8 @@ def block_gs(phs) -> tuple[float, float]:
             # every direction goes to hypothesis 0
             err += block.mult * sum(block.trace(i) for i in range(1, phs.r))
             continue
-        candidates = (((s, c), block.unitaries[s, :, c]) for s, c in keys)
-        _, basis, labels, floor = _gs_frame(candidates, block.dim, len(keys))
+        states, columns = np.array(keys).T
+        _, basis, labels, floor = _gs_frame(keys, block.unitaries[states, :, columns].T)
         err += block.mult * block.misses(basis, labels)
         lam_min = min(lam_min, floor)
     return err / phs.r, lam_min

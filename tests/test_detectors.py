@@ -1,16 +1,20 @@
 import dataclasses
+import functools
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmht.cli import load_scenario
 from qmht.detectors import (
     EPSILON_FLOOR,
     POVM_ATOL,
     SELECTION_TIE_RTOL,
+    SPAN_RESIDUAL_TOL,
     Detector,
     bayes_commuting,
     classical_ml,
@@ -25,15 +29,25 @@ from qmht.detectors import (
     holevo_helstrom,
     pgm,
     verify_bayes_conditions,
+    _greedy_pops,
+    _gs_frame,
 )
 from qmht.errors import NumericalConsistencyError
-from qmht.linalg import DensityMatrix, HermitianMatrix, eigenvalue_zero_threshold
+from qmht.linalg import (
+    DENSE_LIMIT_ENV,
+    DensityMatrix,
+    HermitianMatrix,
+    eigenvalue_zero_threshold,
+    gram_floor,
+)
 from qmht.chernoff import q_overlap
-from qmht.sampling import random_density_matrix, random_orthonormal
-from qmht.tensorlab import EPSILON_CLIP, run_power_experiment
+from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
+from qmht.schurweyl import _blocks, _pops
+from qmht.tensorlab import EPSILON_CLIP, PowerHypothesisSet, run_power_experiment
 from conftest import diagonal, pure
 
 HELSTROM_ERR_ZERO_PLUS = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
 def defect_ensemble_powers(n):
@@ -458,6 +472,124 @@ class TestGsDetector:
             gs_detector(states)
 
 
+def sequential_gs_frame(vectors):
+    """The sequential reference selection: each candidate column in turn is
+    projected off the frame by two classical Gram-Schmidt passes and picked
+    when its residual norm is above ``SPAN_RESIDUAL_TOL``, until the frame
+    spans C^D. Returns the picked columns, the frame of normalized
+    residuals, the smallest picked residual and the number of candidates
+    rejected."""
+    dim, count = vectors.shape
+    frame = np.empty((dim, 0), dtype=complex)
+    picked, smallest, read = [], math.inf, count
+    for k in range(count):
+        residual = vectors[:, k].astype(complex)
+        for _ in range(2):
+            residual -= frame @ (frame.conj().T @ residual)
+        norm = float(np.linalg.norm(residual))
+        if norm <= SPAN_RESIDUAL_TOL:
+            continue
+        frame = np.column_stack([frame, residual / norm])
+        picked.append(k)
+        smallest = min(smallest, norm)
+        if len(picked) == dim:
+            read = k + 1
+            break
+    return picked, frame, smallest, read - len(picked)
+
+
+class TestGsFrameOracle:
+    """``_gs_frame`` against ``sequential_gs_frame``: the same picks, the
+    same lambda_min (both read sigma_min from the Householder R of the same
+    picks) and the same elements to 1e-12. Every family here has its picks'
+    residuals above 1e-3, so rounding fixes each picked direction, and with
+    it each element, to ~1e-13."""
+
+    @staticmethod
+    def assert_matches(keys, vectors):
+        picked, frame, smallest, rejected = sequential_gs_frame(vectors)
+        selection, basis, labels, floor = _gs_frame(keys, vectors)
+        assert selection == [keys[k] for k in picked]
+        assert floor == gram_floor(vectors[:, picked])
+        assert smallest > 1e-3
+        owners = np.array([keys[k][0] for k in picked])
+        complement = np.eye(len(frame)) - frame @ frame.conj().T
+        for i in range(max(labels.max(), owners.max()) + 1):
+            ours = basis[:, labels == i]
+            theirs = frame[:, owners == i]
+            expected = theirs @ theirs.conj().T + (complement if i == 0 else 0.0)
+            assert np.abs(ours @ ours.conj().T - expected).max() < 1e-12
+        return rejected, len(picked) + rejected
+
+    def test_windows_by_hand(self):
+        rng = np.random.default_rng(3)
+        a, b, c, e, f, g = random_orthonormal(6, 6, rng).T
+        cases = {
+            # a dependent candidate mid-window, then independent ones: the
+            # rest of the window continues as the residuals Q[:, b:] R[b:, b+1:]
+            "column deletion": [a, b, (a + b) / math.sqrt(2.0), c, e, f, g],
+            # two dependent candidates in a row, then one that fills the frame
+            # from a later window
+            "two rejections": [a, (a - 1j * b) / math.sqrt(2.0), b, c, -a, e, f],
+            # fewer candidates than dimensions, with and without a rejection
+            "K < D": [a, b, c],
+            "K < D, rejection": [a, b, (b - a) / math.sqrt(2.0), c],
+            # the frame fills before the candidates run out
+            "fills early": [a, b, c, e, f, g, (a + c) / math.sqrt(2.0)],
+        }
+        rejections = {}
+        for name, columns in cases.items():
+            vectors = np.column_stack(columns)
+            keys = [(k % 3, k) for k in range(vectors.shape[1])]
+            rejections[name] = self.assert_matches(keys, vectors)[0]
+        assert rejections == {
+            "column deletion": 1, "two rejections": 2, "K < D": 0, "K < D, rejection": 1,
+            "fills early": 0,
+        }
+
+    def test_dense_rank_deficient_and_pure_families(self):
+        rng = np.random.default_rng(8)
+        rejected = 0
+        for _ in range(3):
+            # rank-2 qutrits: 24 candidates of the cubes in C^27
+            rank2 = [random_density_matrix(3, rng, rank=2) for _ in range(3)]
+            # pure qubits and a pure state in the span of the first two
+            psi, phi = random_orthonormal(3, 2, rng).T
+            mixed = [
+                pure(psi), pure(phi), pure(psi + 0.5j * phi), pure(random_orthonormal(3, 1, rng)[:, 0])
+            ]
+            for states, n in ((rank2, 3), (mixed, 1), (mixed, 2)):
+                powers = [DensityMatrix(functools.reduce(np.kron, [s.mat] * n)) for s in states]
+                _, pops, vectors = _greedy_pops(powers)
+                rejected += self.assert_matches(pops, vectors)[0]
+        assert rejected >= 6
+
+    def test_block_rank_deficient_pure_and_qutrit_families(self, monkeypatch):
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(3**12))
+        rng = np.random.default_rng(9)
+        scenario = load_scenario(os.path.join(SCENARIOS, "mixed_qutrit_pair.json"))
+        families = [
+            ([random_density_matrix(3, rng, rank=2) for _ in range(3)], 4),
+            ([random_pure_state(3, rng) for _ in range(3)], 6),
+            (scenario.states, 12),
+        ]
+        for states, n in families:
+            phs = PowerHypothesisSet(states, n)
+            pops = _pops(phs, "gs")
+            counts = np.zeros(2, dtype=int)
+            for block in _blocks(phs):
+                keys = block.columns(pops)
+                if keys:
+                    owners, columns = np.array(keys).T
+                    counts += self.assert_matches(keys, block.unitaries[owners, :, columns].T)
+            rejected, read = counts
+            if n == 12:
+                # 238 of the 1,456 candidates read are rejected; in each of
+                # the 18 blocks with a rejection, the first comes after 60 %
+                # of the block's reads
+                assert 0.1 * read < rejected < 0.3 * read
+
+
 class TestGsErrorBound:
     def test_zero_plus_components(self, zero_state, plus_state):
         det, diag = gs_detector([zero_state, plus_state])
@@ -498,8 +630,20 @@ class TestGsErrorBound:
             err = evaluate_errors(powers, det).averaged
             bound = gs_error_bound(powers, diag)
             assert math.isfinite(bound) and bound >= err
-        # the n = 6 err, pinned as before
-        assert abs(err - 0.2697411909957834) < 1e-14
+        # the n = 6 err against two 60-digit references. (1) The test's own
+        # recipe: the same double picks, and the double powers, taken exact,
+        # Gram-Schmidt-ed and scored in mpmath: 0.26974119099576236. The
+        # row's smallest pick residual is 1.1e-5 (lambda_min 1.9e-18), and
+        # err moves by at most 34 times a perturbation of the picks' unit
+        # columns (to first order, over random perturbations of 1e-12 and
+        # 1e-11); a Householder QR of the 64 picks perturbs them by about
+        # sqrt(64) u = 8.9e-16, so 34 * 8.9e-16 = 3e-14. (2) ROADMAP F2,
+        # ``mp_greedy_gs_error`` of test_schurweyl on the product
+        # eigenvectors: 0.26974119099571358. The dense spectra differ from
+        # those by rounding, which moves err by 4.8e-14 between the two
+        # references (a column perturbation of 13 u); 1e-13 allows twice that.
+        assert abs(err - 0.26974119099576236) < 3e-14
+        assert abs(err - 0.26974119099571358) < 1e-13
         # a Gram floor at or below 0 has no ceiling
         for floor in (0.0, -diag.lambda_min_gram):
             singular = dataclasses.replace(diag, lambda_min_gram=floor)

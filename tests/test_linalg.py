@@ -53,6 +53,26 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_eigenvalue_floor_boundary(self, dim):
+        # positivity is proved by a Cholesky factor of rho + 1e-10 I: an
+        # eigenvalue of -2e-10 fails it and is named by the eigensolve, one of
+        # -5e-11 passes; in a random basis, so no diagonal shortcut decides
+        basis = random_orthonormal(dim, dim, np.random.default_rng(dim))
+        for low, accepted in ((-2e-10, False), (-5e-11, True)):
+            values = np.full(dim, 1.0 / (dim - 1))
+            values[0] -= low
+            values[-1] = low
+            mat = (basis * values) @ basis.conj().T
+            if accepted:
+                assert DensityMatrix(mat).spectrum().eigenvalues.min() == 0.0
+            else:
+                with pytest.raises(ValueError, match=r"negative eigenvalue -2\.0\d\de-10"):
+                    DensityMatrix(mat)
+            mat[0, dim - 1] = math.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityMatrix(mat)
+
     def test_clamps_tiny_negative_eigenvalues(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
         assert rho.spectrum().eigenvalues.min() == 0.0
