@@ -18,6 +18,9 @@ DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 PHASE_PIVOT_ATOL = 1e-12
 SPAN_RESIDUAL_TOL = 1e-9
+# A d x d state is rank 1 up to rounding when its eigenvalues below the
+# largest sum to at most d times this times the largest (``is_rank_one``).
+RANK_ONE_TAIL_RTOL = float(np.finfo(float).eps)
 DEFAULT_DENSE_LIMIT = 16384
 DENSE_LIMIT_ENV = "QMHT_DENSE_LIMIT"
 
@@ -148,6 +151,14 @@ def eigenvalue_zero_threshold(eigenvalues: np.ndarray) -> float:
     arr = np.asarray(eigenvalues, dtype=float)
     top = float(np.abs(arr).max()) if arr.size else 0.0
     return EIGENVALUE_ZERO_RTOL * top
+
+
+def is_rank_one(eigenvalues: np.ndarray) -> bool:
+    """Whether a descending spectrum of d eigenvalues is rank 1 up to
+    ``eigh``'s rounding: those below the largest sum to at most
+    d ``RANK_ONE_TAIL_RTOL`` times the largest."""
+    tail = float(eigenvalues[1:].sum())
+    return tail <= RANK_ONE_TAIL_RTOL * len(eigenvalues) * float(eigenvalues[0])
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:

@@ -16,7 +16,9 @@ C^(f_lam) in every block. gs and helstrom build the dense detectors' own
 labelled frames per block (``_gs_frame``, the windowed Householder
 selection, on the matrix of those columns; ``_helstrom_frame``), epsilon
 its Cholesky frame, and each error sums the blocks' misses weighted by
-f_lam.
+f_lam. The per-block scorers (``frame_misses``, ``gs_misses``,
+``epsilon_misses``) take any states given as weighted columns, and
+``tensorlab``'s pure route calls the same ones on Dicke coordinates.
 """
 
 from __future__ import annotations
@@ -220,18 +222,6 @@ class _Block:
             (state, c) for state, _, k in pops for c in self.tables.columns.get(k, ())
         ]
 
-    def masses(self, vectors: np.ndarray, state: int) -> np.ndarray:
-        """<v|pi_lam(rho_state)|v> for every column v of ``vectors``."""
-        return (np.abs(vectors.conj().T @ self.unitaries[state]) ** 2) @ self.values[state]
-
-    def misses(self, frame: np.ndarray, labels: np.ndarray) -> float:
-        """Summed misses of a labelled frame of V_lam: every state's mass on
-        the columns not labelled with its index, from one stacked product
-        |F^H pi_lam(U_s)|^2 values_s over all states."""
-        masses = (np.abs(frame.conj().T @ self.unitaries) ** 2) @ self.values[:, :, None]
-        own = labels == np.arange(len(self.values))[:, None]
-        return float(np.where(own, 0.0, masses[:, :, 0]).sum())
-
     def trace(self, state: int) -> float:
         return float(self.values[state].sum())
 
@@ -260,17 +250,66 @@ def _pops(phs, kind: str):
     return list(greedy_order([_class_stream(phs, s, floor) for s in range(phs.r)]))
 
 
+def frame_misses(frame, labels, columns, values) -> float:
+    """Summed misses of a labelled frame of C^D: every state's mass on the
+    frame columns not labelled with its index. State s is
+    sum_c values[s, c] |u_c><u_c| over the columns u_c of ``columns[s]``, and
+    the masses come from one stacked product |F^H U_s|^2 values_s over all
+    states."""
+    masses = (np.abs(frame.conj().T @ columns) ** 2) @ values[:, :, None]
+    own = labels == np.arange(len(values))[:, None]
+    return float(np.where(own, 0.0, masses[:, :, 0]).sum())
+
+
+def gs_misses(keys, candidates, columns, values) -> tuple[float, float]:
+    """``frame_misses`` of the greedy PVM frame that ``_gs_frame`` builds on
+    the D x K unit ``candidates`` keyed by ``keys`` (windowed Householder
+    selection, ``SPAN_RESIDUAL_TOL``, the Householder complement labelled
+    0), and its Gram floor sigma_min(R)^2."""
+    _, basis, labels, floor = _gs_frame(keys, candidates)
+    return frame_misses(basis, labels, columns, values), floor
+
+
+def epsilon_misses(owners, picks, columns, values, epsilon: float, weight=1):
+    """The embedded detector's misses on C^D, as the terms of their sum, each
+    times ``weight`` (a block's f_lam), and its Gram floor (states as in
+    ``frame_misses``).
+
+    The D x m unit picks V, of the states ``owners``, have the embedded Gram
+    matrix delta^2 V^H V + epsilon^2 I, factored with one Cholesky
+    decomposition R^H R; the columns of V R^-1, times delta, are the physical
+    parts of the orthonormalized picks. Hypothesis 0 owns the completion, so
+    it misses only the mass its state leaks into the other labels; the
+    others miss their trace less the mass on their own labels. The floor is
+    the dense ``epsilon_detector``'s epsilon^2 + delta^2 gram_floor(V):
+    exactly epsilon^2 with more picks than dimensions.
+    """
+    scale = 1.0 - epsilon * epsilon
+    gram = scale * (picks.conj().T @ picks)
+    # distinct picks share no private direction; each embedded vector is a
+    # unit vector, delta^2 + epsilon^2 = 1
+    np.fill_diagonal(gram, 1.0)
+    physical = picks @ np.linalg.inv(np.linalg.cholesky(gram).conj().T)
+
+    def mass(state, kept):
+        vectors = physical[:, kept]
+        return float(((np.abs(vectors.conj().T @ columns[state]) ** 2) @ values[state]).sum())
+
+    terms = [weight * scale * mass(0, owners != 0)]
+    for i in range(1, len(values)):
+        terms.append(weight * (float(values[i].sum()) - scale * mass(i, owners == i)))
+    return terms, _embedded_gram_floor(picks, epsilon)
+
+
 def block_gs(phs) -> tuple[float, float]:
     """Greedy Gram-Schmidt error on the n-fold powers, and lambda_min_gram.
 
     Type classes are popped in ``greedy_order``; in each block the columns of
-    the popped classes, gathered by one index into ``unitaries``, build the
-    labelled frame of the dense ``gs_detector`` (``_gs_frame``: windows
-    factored by one Householder QR each, ``SPAN_RESIDUAL_TOL``, the
-    Householder complement labelled 0), and the error is (1/r) sum_lam f_lam
-    times the block's summed misses. ``lambda_min_gram`` is the smallest Gram
-    floor of the blocks' picked columns, sigma_min(R)^2 of the R of each
-    block's complete QR.
+    the popped classes, gathered by one index into ``unitaries``, are the
+    candidates of ``gs_misses``, the dense ``gs_detector``'s frame, and the
+    error is (1/r) sum_lam f_lam times the block's summed misses.
+    ``lambda_min_gram`` is the smallest Gram floor of the blocks' picked
+    columns, sigma_min(R)^2 of the R of each block's complete QR.
     """
     pops = _pops(phs, "gs")
     err = 0.0
@@ -282,8 +321,9 @@ def block_gs(phs) -> tuple[float, float]:
             err += block.mult * sum(block.trace(i) for i in range(1, phs.r))
             continue
         states, columns = np.array(keys).T
-        _, basis, labels, floor = _gs_frame(keys, block.unitaries[states, :, columns].T)
-        err += block.mult * block.misses(basis, labels)
+        candidates = block.unitaries[states, :, columns].T
+        misses, floor = gs_misses(keys, candidates, block.unitaries, block.values)
+        err += block.mult * misses
         lam_min = min(lam_min, floor)
     return err / phs.r, lam_min
 
@@ -295,18 +335,11 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
     dense detectors' cut: epsilon picks every kept vector, so its error jumps
     with the support), in ``greedy_order``: the private
     epsilon-directions make the embedded vectors linearly independent, so no
-    span test runs. In each block the picked columns V have the embedded Gram
-    matrix delta^2 V^H V + epsilon^2 I, factored with one Cholesky
-    decomposition R^H R; the columns of V R^-1, times delta, are the physical
-    parts of the orthonormalized picks. Hypothesis 0 owns the completion, so
-    it misses only the mass its state leaks into the other labels; the
-    others miss their block trace less the mass on their own labels.
-    ``lambda_min_gram`` is the smallest over the blocks of the dense
-    ``epsilon_detector``'s epsilon^2 + delta^2 gram_floor(V): exactly
-    epsilon^2 in a block with more picks than dimensions.
+    span test runs. Each block's picked columns are scored by
+    ``epsilon_misses``, weighted by f_lam, and ``lambda_min_gram`` is the
+    smallest of the blocks' floors.
     """
     pops = _pops(phs, "epsilon")
-    scale = 1.0 - epsilon * epsilon
     err = 0.0
     lam_min = math.inf
     for block in _blocks(phs):
@@ -316,16 +349,11 @@ def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
             continue
         owners = np.array([s for s, _ in keys])
         picks = np.column_stack([block.unitaries[s, :, c] for s, c in keys])
-        gram = scale * (picks.conj().T @ picks)
-        # distinct picks share no private direction; each embedded vector is a
-        # unit vector, delta^2 + epsilon^2 = 1
-        np.fill_diagonal(gram, 1.0)
-        lam_min = min(lam_min, _embedded_gram_floor(picks, epsilon))
-        physical = picks @ np.linalg.inv(np.linalg.cholesky(gram).conj().T)
-        err += block.mult * scale * float(block.masses(physical[:, owners != 0], 0).sum())
-        for i in range(1, phs.r):
-            own = scale * float(block.masses(physical[:, owners == i], i).sum())
-            err += block.mult * (block.trace(i) - own)
+        terms, floor = epsilon_misses(
+            owners, picks, block.unitaries, block.values, epsilon, block.mult
+        )
+        err = sum(terms, err)
+        lam_min = min(lam_min, floor)
     return err / phs.r, lam_min
 
 
@@ -334,7 +362,7 @@ def block_helstrom(phs) -> float:
 
     In each block the labelled frame of the dense ``holevo_helstrom``
     (``_helstrom_frame``: the eigenbasis of pi(rho_1) - pi(rho_0), labelled 1
-    on eigenvalues > 0) is scored by its summed misses, and
+    on eigenvalues > 0) is scored by its ``frame_misses``, and
     err = (1/2) sum_lam f_lam times those. No relative cut: a block
     eigenvalue far below the largest can carry a large multiplicity f_lam,
     and an eigenvalue at rounding level costs at most its own size on either
@@ -345,7 +373,7 @@ def block_helstrom(phs) -> float:
         u = block.unitaries
         operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
         frame, labels = _helstrom_frame(operators[1] - operators[0])
-        err += block.mult * block.misses(frame, labels)
+        err += block.mult * frame_misses(frame, labels, u, block.values)
     return 0.5 * err
 
 

@@ -26,9 +26,20 @@ sweep is scored in groups of consecutive n, up to ``CLASS_GROUP_LIMIT``
 classes each, as whole arrays; each state's misses at each n are summed on
 their own, so a row does not depend on the sweep it came in.
 
+Pure families come next (decided once per call, after alignment): every
+state whose eigenvalues below the largest sum to at most d eps lambda_top
+(``linalg.is_rank_one``, eigh's rounding of an exactly rank-1 matrix). State
+s then counts as lambda_top^n times the n-fold power of its top eigenvector
+psi_s, which drops at most n times its tail mass from each row. All of that
+mass lies on r vectors of the symmetric power of span{psi_s}, so gs and
+epsilon are scored on their Dicke coordinates (``_pure_scores``) by the same
+per-block scorers as the blocks (``schurweyl.gs_misses``: the span rule of
+``greedy_span`` and its Householder Gram floor; ``epsilon_misses``), and
+helstrom by its two-state closed form.
+
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl``). The d^n cap
-(``check_dense_limit``) applies to both routes, and a sweep that reaches
+(``check_dense_limit``) applies to every route, and a sweep that reaches
 past it raises before any row is scored.
 """
 
@@ -45,6 +56,7 @@ from .detectors import (
     EPSILON_FLOOR,
     common_eigenbasis,
     embedding_guard,
+    greedy_order,
     greedy_ranks,
     lemma3_bound,
 )
@@ -53,8 +65,17 @@ from .linalg import (
     DensityMatrix,
     dense_limit,
     eigenvalue_zero_threshold,
+    is_rank_one,
 )
-from .schurweyl import block_epsilon, block_gs, block_helstrom, joint_gram_floor, type_classes
+from .schurweyl import (
+    block_epsilon,
+    block_gs,
+    block_helstrom,
+    epsilon_misses,
+    gs_misses,
+    joint_gram_floor,
+    type_classes,
+)
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
@@ -252,7 +273,8 @@ def _class_group_scores(
 def _class_values(rows: np.ndarray, classes) -> np.ndarray:
     """P_a = prod_j rows[a, j]^(k_j) of every state a on every class of the
     ``type_classes`` results ``classes``, one column per class in turn."""
-    return np.hstack([np.prod(rows[:, None, :] ** counts, axis=2) for counts, _ in classes])
+    counts = np.vstack([counts for counts, _ in classes])
+    return np.prod(rows[:, None, :] ** counts, axis=2)
 
 
 def _greedy_claims(cut: np.ndarray, floors: np.ndarray, claim_weights: np.ndarray) -> np.ndarray:
@@ -278,6 +300,61 @@ def _block_scores(
             yield block_epsilon(phs, eps)
         else:
             yield block_helstrom(phs), None
+
+
+def _pure_tops(states: Sequence[DensityMatrix]) -> np.ndarray | None:
+    """The largest eigenvalue of every state of a family whose states are
+    all rank 1 up to rounding (``is_rank_one``), or None."""
+    spectra = [rho.spectrum().eigenvalues for rho in states]
+    if not all(is_rank_one(values) for values in spectra):
+        return None
+    return np.array([values[0] for values in spectra])
+
+
+def _pure_scores(
+    states: Sequence[DensityMatrix],
+    tops: np.ndarray,
+    ns: Sequence[int],
+    kind: str,
+    epsilons: Sequence[float],
+):
+    """Detector error and lambda_min_gram (None for helstrom) for every n of
+    ``ns`` in turn, of a pure family, on the coordinates of r product vectors.
+
+    State s counts as a_s |psi_s><psi_s|^(x n), with a_s = ``tops[s]``^n and
+    psi_s its unit top eigenvector: this drops at most n times the state's
+    tail mass. The reduced QR [psi_0 ... psi_(r-1)] = Q C, C k x r with
+    k = min(d, r), puts psi_s^(x n) on the Dicke basis of the classes kappa
+    of ``type_classes(k, n)``, at sqrt(n!/prod_j kappa_j!) prod_j C_js^kappa_j,
+    scaled back to unit norm. There gs and epsilon score one candidate per
+    state, in ``greedy_order`` of a_s, by the blocks' ``gs_misses`` and
+    ``epsilon_misses``. helstrom is half the summed misses of the pair,
+    a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
+    g = |<psi_0|psi_1>|^(2n), which has no cancellation.
+    """
+    vectors = np.column_stack([rho.spectrum().vectors[:, 0] for rho in states])
+    vectors /= np.linalg.norm(vectors, axis=0)
+    coefficients = np.linalg.qr(vectors, mode="r").T
+    for n, eps in zip(ns, epsilons):
+        weights = tops**n
+        if kind == "helstrom":
+            a, b = weights
+            # rounding can put the overlap of nearly parallel vectors above 1
+            g = min(abs(np.vdot(vectors[:, 0], vectors[:, 1])) ** 2, 1.0) ** n
+            root = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - g))
+            yield a * b * g / (a + b + root), None
+            continue
+        counts, sizes = type_classes(coefficients.shape[1], n)
+        coordinates = np.sqrt(sizes) * np.prod(coefficients[:, None, :] ** counts, axis=2)
+        unit = coordinates / np.linalg.norm(coordinates, axis=1)[:, None]
+        order = [s for s, _, _ in greedy_order([[(w, None)] for w in weights])]
+        picks, columns, values = unit[order].T, unit[:, :, None], weights[:, None]
+        if kind == "gs":
+            misses, floor = gs_misses([(s, 0) for s in order], picks, columns, values)
+        else:
+            terms, floor = epsilon_misses(np.array(order), picks, columns, values, eps)
+            misses = sum(terms)
+        yield misses / len(states), floor
 
 
 def _schedule_from_overlap_sum(total: float) -> float:
@@ -327,10 +404,10 @@ def _fit_exponent_slope(rows: Sequence[ExperimentRow]) -> float | None:
     ]
     if len(points) < 2:
         return None
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope
+    x_mean = math.fsum(x for x, _ in points) / len(points)
+    y_mean = math.fsum(y for _, y in points) / len(points)
+    spread = math.fsum((x - x_mean) * (y - y_mean) for x, y in points)
+    return spread / math.fsum((x - x_mean) ** 2 for x, _ in points)
 
 
 def run_power_experiment(
@@ -379,6 +456,8 @@ def run_power_experiment(
             embedding_guard(eps)
     if probs is not None:
         scores = _type_class_scores(probs, ns, kind, epsilons)
+    elif (tops := _pure_tops(states)) is not None:
+        scores = _pure_scores(states, tops, ns, kind, epsilons)
     else:
         scores = _block_scores(states, ns, kind, epsilons)
     rows: list[ExperimentRow] = []

@@ -1,13 +1,16 @@
 import dataclasses
+import itertools
 import math
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmht import schurweyl
 from qmht.detectors import (
     classical_ml,
     epsilon_detector,
@@ -16,15 +19,22 @@ from qmht.detectors import (
     holevo_helstrom,
 )
 from qmht.errors import DimensionLimitError
-from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
-from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
+from qmht.linalg import DENSE_LIMIT_ENV, RANK_ONE_TAIL_RTOL, SPAN_RESIDUAL_TOL, DensityMatrix
+from qmht.sampling import (
+    random_density_matrix,
+    random_orthonormal,
+    random_pure_state,
+    random_state_vector,
+)
 from qmht.tensorlab import (
     DETECTOR_KINDS,
     EPSILON_CLIP,
     PowerHypothesisSet,
     _aligned_rows,
+    _block_scores,
     _claim_weights,
     _class_groups,
+    _pure_tops,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
@@ -117,6 +127,62 @@ def classical_ml_power_error(states, n):
     return 1.0 - np.mean([probs[i, labels == i].sum() for i in range(len(states))])
 
 
+def pure_families(count, seed):
+    """Families of random pure states, d 2-4 and r 2-4 (r > d included)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d, r = (int(x) for x in rng.integers(2, 5, size=2))
+        yield [random_pure_state(d, rng) for _ in range(r)]
+
+
+def largest_tail(states):
+    """The largest sum, over the states, of the eigenvalues below the top one."""
+    return max(float(rho.spectrum().eigenvalues[1:].sum()) for rho in states)
+
+
+def mp_pure_error(states, n, kind, epsilon=0.0):
+    """Error of a gs, epsilon or helstrom row on the states
+    a_s |psi_s><psi_s|^(x n), a_s = lambda_top^n, with psi_s the double top
+    eigenvector normalized, in 50 digits from the Gram matrix G^(o n).
+
+    Random pure states tie on a_s, so they pop in index order; gs skips a
+    state whose residual is at most ``SPAN_RESIDUAL_TOL``. The orthonormalized
+    picks P are (up to delta) Psi_P L^-H for the Cholesky factor L of
+    delta^2 G_PP with unit diagonal (gs: delta = 1), so their amplitudes on
+    psi_s are (L^-1 G_P,s). helstrom is the two-state closed form.
+    """
+    r = len(states)
+    with mpmath.workdps(50):
+        vectors = [mpmath.matrix(rho.spectrum().vectors[:, 0].tolist()) for rho in states]
+        vectors = [v / mpmath.norm(v) for v in vectors]
+        a = [mpmath.mpf(float(rho.spectrum().eigenvalues[0])) ** n for rho in states]
+        gram = [[(vectors[i].H * vectors[j])[0] ** n for j in range(r)] for i in range(r)]
+        if kind == "helstrom":
+            g, total = abs(gram[0][1]) ** 2, a[0] + a[1]
+            return float(a[0] * a[1] * g / (total + mpmath.sqrt(total**2 - 4 * a[0] * a[1] * g)))
+
+        def amplitudes(picks, scale):
+            embedded = [[1 if i == j else scale * gram[i][j] for j in picks] for i in picks]
+            factor = mpmath.cholesky(mpmath.matrix(embedded))
+            return mpmath.inverse(factor) * mpmath.matrix([gram[i] for i in picks])
+
+        picks = []
+        for s in range(r):
+            if kind == "gs" and picks:
+                amp = amplitudes(picks, 1)
+                residual = 1 - mpmath.fsum(abs(amp[k, s]) ** 2 for k in range(len(picks)))
+                if residual <= SPAN_RESIDUAL_TOL**2:
+                    continue
+            picks.append(s)
+        scale = 1 - mpmath.mpf(epsilon) ** 2
+        amp = amplitudes(picks, scale)
+        err = scale * a[0] * mpmath.fsum(abs(amp[k, 0]) ** 2 for k, p in enumerate(picks) if p)
+        for s in range(1, r):
+            own = mpmath.fsum(abs(amp[k, s]) ** 2 for k, p in enumerate(picks) if p == s)
+            err += a[s] * (1 - scale * own)
+        return float(err / r)
+
+
 class TestPowerHypothesisSet:
     def test_product_values_sum_to_one(self):
         # each class value times its size n!/prod_j k_j!, over the classes
@@ -169,7 +235,9 @@ class TestRunPowerExperimentGs:
             assert abs(row.lambda_min_gram - 1.0) < 1e-12
 
     def test_pure_pair_sweep(self, zero_state, plus_state):
+        # pure and not aligned: the pure route
         states = [zero_state, plus_state]
+        assert _aligned_rows(states) is None and _pure_tops(states) is not None
         report = run_power_experiment(states, range(1, 13), "gs")
         for n in (1, 2, 3, 4, 5):
             assert abs(dense_gs_error(states, n) - 0.5 ** (n + 1)) < 1e-12
@@ -180,6 +248,7 @@ class TestRunPowerExperimentGs:
 
     def test_three_state_sweep_closed_form(self, zero_state, plus_state, one_state):
         states = [zero_state, plus_state, one_state]
+        assert _aligned_rows(states) is None and _pure_tops(states) is not None
         report = run_power_experiment(states, range(1, 11), "gs")
         for row in report.rows:
             c2 = 0.5**row.n
@@ -590,6 +659,13 @@ class TestRunPowerExperimentOtherKinds:
             if len(states) == 2:
                 check(states, ns, "helstrom")
         assert aligned == 16
+        for states in pure_families(6, seed=61):
+            assert _aligned_rows(states) is None and _pure_tops(states) is not None
+            for kind in ("gs", "epsilon"):
+                check(states, range(1, 7), kind)
+            check(states, range(1, 7), "epsilon", epsilon_override=0.2)
+            if len(states) == 2:
+                check(states, range(1, 7), "helstrom")
         # one sweep past one class group
         states = [
             diagonal([0.6, 0.4]),
@@ -642,6 +718,108 @@ class TestRunPowerExperimentOtherKinds:
             assert math.isinf(row.exponent)
             assert not row.exceeds_qcb_ceiling
         assert report.exponent_slopes["gs"] is None
+
+
+class TestPureRoute:
+    def test_rows_match_the_block_route(self, monkeypatch):
+        # same picks and lambda_min_gram to 1e-12 relative. Each row is within
+        # n 1e-15 of a 50-digit evaluation (n 5.6e-16 on 280 such families),
+        # and the block row within the mass the route drops, n max_s tail_s,
+        # plus the blocks' own rounding, n 3e-15 (up to n 1.8e-15 beyond the
+        # dropped mass on the 280 families, most in epsilon's trace - own)
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(4**8))
+        picks = []
+        gs_frame = schurweyl._gs_frame
+
+        def recording(keys, vectors):
+            selection, *rest = gs_frame(keys, vectors)
+            picks.append([state for state, _ in selection])
+            return selection, *rest
+
+        monkeypatch.setattr(schurweyl, "_gs_frame", recording)
+        ns = range(1, 9)
+        for states in pure_families(16, seed=80):
+            assert _aligned_rows(states) is None and _pure_tops(states) is not None
+            tail = largest_tail(states)
+            for kind in ("gs", "epsilon", "helstrom")[: 2 if len(states) > 2 else 3]:
+                eps = 0.3 if kind == "epsilon" else 0.0
+                picks.clear()
+                blocks = list(_block_scores(states, ns, kind, [eps] * len(ns)))
+                block_picks = picks[:]
+                picks.clear()
+                options = {"epsilon_override": eps} if kind == "epsilon" else {}
+                rows = run_power_experiment(states, ns, kind, **options).rows
+                assert picks == block_picks
+                assert len(picks) == (len(ns) if kind == "gs" else 0)
+                for row, (err, lam_min) in zip(rows, blocks, strict=True):
+                    reference = mp_pure_error(states, row.n, kind, eps)
+                    assert abs(row.err - reference) <= row.n * 1e-15, (kind, row.n)
+                    assert abs(row.err - err) <= row.n * (tail + 3e-15), (kind, row.n)
+                    if lam_min is not None:
+                        assert abs(row.lambda_min_gram - lam_min) <= 1e-12 * lam_min
+
+    def test_rows_match_dense_kronecker_powers(self):
+        # every d^n <= 729, on (d, r) = (2, 3), (2, 4), (4, 4), (3, 3), (4, 2)
+        for states in pure_families(5, seed=81):
+            d = states[0].dim
+            for n in itertools.takewhile(lambda n: d**n <= 729, itertools.count(1)):
+                powered = [kron_power(rho, n) for rho in states]
+                gs = run_power_experiment(states, [n], "gs").rows[0]
+                dense = evaluate_errors(powered, gs_detector(powered)[0]).averaged
+                assert abs(gs.err - dense) < 1e-12
+                eps = run_power_experiment(states, [n], "epsilon", epsilon_override=0.3).rows[0]
+                det, diag = epsilon_detector(powered, 0.3)
+                assert abs(eps.err - evaluate_errors(powered, det).averaged) < 1e-12
+                assert abs(eps.lambda_min_gram - diag.lambda_min_gram) < 1e-12
+                if len(states) == 2:
+                    row = run_power_experiment(states, [n], "helstrom").rows[0]
+                    dense = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
+                    assert abs(row.err - dense) < 1e-12
+
+    def test_helstrom_closed_form(self):
+        # (1/2)(1 - sqrt(1 - g)), g = |<psi_0|psi_1>|^(2n), on random pairs
+        rng = np.random.default_rng(82)
+        for d in (2, 3, 4):
+            vectors = [random_state_vector(d, rng) for _ in range(2)]
+            states = [pure(v) for v in vectors]
+            overlap = abs(np.vdot(*vectors)) ** 2
+            for row in run_power_experiment(states, range(1, 7), "helstrom").rows:
+                expected = 0.5 * (1.0 - math.sqrt(1.0 - overlap**row.n))
+                assert abs(row.err - expected) < 1e-15
+        # nearly parallel pairs, 1 - g ~ 1e-17, whose computed overlap can
+        # round above 1: err is 1/2 up to its own conditioning, sqrt(eps)
+        for _ in range(20):
+            vector, turn = random_orthonormal(3, 2, rng).T
+            states = [pure(vector), pure(vector + 3e-9 * turn)]
+            assert _aligned_rows(states) is None and _pure_tops(states) is not None
+            for row in run_power_experiment(states, [1, 2], "helstrom").rows:
+                assert abs(row.err - 0.5) < 1e-7
+
+    def test_dependent_vectors_are_rejected(self):
+        # the triple.json states |0>, |1>, |+> in a random 2-plane of C^3: at
+        # n = 1 the third lies in the span of the first two, and both routes
+        # reject it, err = 1/3 with orthonormal picks
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            plane = random_orthonormal(3, 2, rng)
+            states = [pure(plane @ np.array(v)) for v in ([1, 0], [0, 1], [1, 1])]
+            assert _aligned_rows(states) is None and _pure_tops(states) is not None
+            row = run_power_experiment(states, [1], "gs").rows[0]
+            err, lam_min = next(_block_scores(states, [1], "gs", [0.0]))
+            for value in (row.err, err):
+                assert abs(value - 1.0 / 3.0) < 1e-15
+            for value in (row.lambda_min_gram, lam_min):
+                assert abs(value - 1.0) < 1e-12
+
+    def test_selection_boundary(self):
+        # a tail of exactly d eps lambda_top is still rank 1; one ulp more,
+        # or the 1e-13 of test_helstrom_scores_eigenvalues_below_the_cut, is not
+        top = 1.0 - 2.0**-51
+        edge = 2 * RANK_ONE_TAIL_RTOL * top
+        for tail, route in ((edge, True), (np.nextafter(edge, 1.0), False), (1e-13, False)):
+            states = [diagonal([1.0 - tail if tail == 1e-13 else top, tail]), pure([1, 1])]
+            assert _aligned_rows(states) is None
+            assert (_pure_tops(states) is not None) is route
 
 
 class TestEpsilonSchedule:
