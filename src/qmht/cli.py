@@ -76,6 +76,8 @@ def _complex_vector(entries, where: str) -> np.ndarray:
             out[k] = complex(float(pair[0]), float(pair[1]))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: entry {k} is not a numeric [re, im] pair") from exc
+        if not np.isfinite(out[k]):
+            raise ScenarioError(f"{where}: entry {k} is non-finite")
     return out
 
 
@@ -189,16 +191,16 @@ def load_scenario(path: str) -> Scenario:
         if kind in detectors[:k]:
             raise ScenarioError(f"detector kind {kind!r} is listed twice")
     epsilon_override = raw.get("epsilon_override")
-    try:
-        if epsilon_override is not None:
-            epsilon_override = float(epsilon_override)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("epsilon_override must be a number") from exc
-    if epsilon_override is not None and "epsilon" in detectors:
-        try:
-            embedding_guard(epsilon_override)
-        except ValueError as exc:
-            raise ScenarioError(f"epsilon_override: {exc}") from exc
+    if epsilon_override is not None:
+        # a JSON number only: not a string, and not true or false
+        if isinstance(epsilon_override, bool) or not isinstance(epsilon_override, (int, float)):
+            raise ScenarioError(f"epsilon_override must be a number, got {epsilon_override!r}")
+        epsilon_override = float(epsilon_override)
+        if "epsilon" in detectors:
+            try:
+                embedding_guard(epsilon_override)
+            except ValueError as exc:
+                raise ScenarioError(f"epsilon_override: {exc}") from exc
     if raw.get("seed") is not None:
         _integer(raw, "seed", None)  # accepted and validated; no sweep is random
     return Scenario(

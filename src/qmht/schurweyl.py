@@ -12,12 +12,14 @@ the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
 (math/0211289). With U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one
 ``eigh`` per block and state. The product eigenvectors of state s in type
 class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
-C^(f_lam) in every block. gs and helstrom build the dense detectors' own
-labelled frames per block (``_gs_frame``, the windowed Householder
-selection, on the matrix of those columns; ``_helstrom_frame``), epsilon
-its Cholesky frame, and each error sums the blocks' misses weighted by
-f_lam. The per-block scorers (``frame_misses``, ``gs_misses``,
-``epsilon_misses``) take any states given as weighted columns, and
+C^(f_lam) in every block. One function, ``block_scores``, scores every kind
+as a labelled frame per block: the dense detectors' own frames for gs
+(``_gs_frame``, the windowed Householder selection, on the matrix of those
+columns) and helstrom (``_helstrom_frame``), and for epsilon the closed-form
+frame of the embedded detector (``_epsilon_frame``). Each error is
+(1/r) sum_lam f_lam times the block's ``frame_misses``, every state's mass
+on the frame columns of the other labels. ``pick_frame`` and
+``frame_misses`` take any states given as weighted columns, and
 ``tensorlab``'s pure route calls the same ones on Dicke coordinates.
 """
 
@@ -30,8 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import _embedded_gram_floor, _gs_frame, _helstrom_frame, greedy_order
-from .linalg import gram_floor
+from .detectors import (
+    _embedded_gram_floor,
+    _gs_frame,
+    _helstrom_frame,
+    _labels,
+    greedy_order,
+)
+from .linalg import gram_floor, solve_lower
 
 
 @functools.cache
@@ -222,9 +230,6 @@ class _Block:
             (state, c) for state, _, k in pops for c in self.tables.columns.get(k, ())
         ]
 
-    def trace(self, state: int) -> float:
-        return float(self.values[state].sum())
-
 
 def _blocks(phs):
     eigenvalues = np.array([dec.eigenvalues for dec in phs.spectra])
@@ -261,120 +266,94 @@ def frame_misses(frame, labels, columns, values) -> float:
     return float(np.where(own, 0.0, masses[:, :, 0]).sum())
 
 
-def gs_misses(keys, candidates, columns, values) -> tuple[float, float]:
-    """``frame_misses`` of the greedy PVM frame that ``_gs_frame`` builds on
-    the D x K unit ``candidates`` keyed by ``keys`` (windowed Householder
-    selection, ``SPAN_RESIDUAL_TOL``, the Householder complement labelled
-    0), and its Gram floor sigma_min(R)^2."""
-    _, basis, labels, floor = _gs_frame(keys, candidates)
-    return frame_misses(basis, labels, columns, values), floor
+def _epsilon_frame(keys, picks, epsilon: float):
+    """The embedded detector's labelled frame on C^D, in closed form, and its
+    Gram floor.
 
-
-def epsilon_misses(owners, picks, columns, values, epsilon: float, weight=1):
-    """The embedded detector's misses on C^D, as the terms of their sum, each
-    times ``weight`` (a block's f_lam), and its Gram floor (states as in
-    ``frame_misses``).
-
-    The D x m unit picks V, of the states ``owners``, have the embedded Gram
-    matrix delta^2 V^H V + epsilon^2 I, factored with one Cholesky
-    decomposition R^H R; the columns of V R^-1, times delta, are the physical
-    parts of the orthonormalized picks. Hypothesis 0 owns the completion, so
-    it misses only the mass its state leaks into the other labels; the
-    others miss their trace less the mass on their own labels. The floor is
-    the dense ``epsilon_detector``'s epsilon^2 + delta^2 gram_floor(V):
-    exactly epsilon^2 with more picks than dimensions.
+    The D x m unit ``picks`` V, column c keyed by ``keys[c]`` = (state,
+    index), embed as X = [delta V; epsilon I_m]. Their Gram matrix
+    delta^2 V^H V + epsilon^2 I is R^H R, one Cholesky decomposition, and
+    the top D rows of the orthonormalized picks X R^-1 are P = delta V R^-1,
+    each column labelled with its state. The complement of the picks in
+    C^(D+m) is spanned by [I; -(delta/epsilon) V^H], whose Gram matrix is
+    L L^H = I + (delta/epsilon)^2 V V^H, so its orthonormalized top rows
+    are C = L^-H, labelled 0. Together they are the top rows of the dense
+    ``epsilon_detector``'s complete QR, up to a unitary within each label,
+    so every state's misses are masses, none a difference. The floor is the
+    dense detector's epsilon^2 + delta^2 gram_floor(V): exactly epsilon^2
+    with more picks than dimensions.
     """
-    scale = 1.0 - epsilon * epsilon
-    gram = scale * (picks.conj().T @ picks)
+    delta_sq = 1.0 - epsilon * epsilon
+    gram = delta_sq * (picks.conj().T @ picks)
     # distinct picks share no private direction; each embedded vector is a
     # unit vector, delta^2 + epsilon^2 = 1
     np.fill_diagonal(gram, 1.0)
-    physical = picks @ np.linalg.inv(np.linalg.cholesky(gram).conj().T)
+    # V R^-1 = (R^-H V^H)^H, with R^H the lower Cholesky factor
+    lower = np.linalg.cholesky(gram)
+    physical = math.sqrt(delta_sq) * solve_lower(lower, picks.conj().T).conj().T
+    spread = (delta_sq / (epsilon * epsilon)) * (picks @ picks.conj().T)
+    spread[np.diag_indices_from(spread)] += 1.0
+    completion = solve_lower(np.linalg.cholesky(spread), np.eye(len(picks))).conj().T
+    # (delta/epsilon)^2 V V^H is rounded relative to its size, so on the
+    # directions that V misses, where C is ~I, P P^H + C C^H misses I by up
+    # to (delta/epsilon)^2 eps (7e-11 at EPSILON_FLOOR); one Newton-Schulz
+    # step on C takes it back to rounding
+    gap = np.eye(len(picks)) - physical @ physical.conj().T - completion @ completion.conj().T
+    completion += 0.5 * (gap @ completion)
+    frame = np.hstack([physical, completion])
+    return frame, _labels(keys, frame.shape[1]), _embedded_gram_floor(picks, epsilon)
 
-    def mass(state, kept):
-        vectors = physical[:, kept]
-        return float(((np.abs(vectors.conj().T @ columns[state]) ** 2) @ values[state]).sum())
 
-    terms = [weight * scale * mass(0, owners != 0)]
-    for i in range(1, len(values)):
-        terms.append(weight * (float(values[i].sum()) - scale * mass(i, owners == i)))
-    return terms, _embedded_gram_floor(picks, epsilon)
+def pick_frame(kind: str, keys, picks, epsilon: float):
+    """The labelled frame of a gs or epsilon detector on C^D, from the D x m
+    unit ``picks`` keyed by ``keys`` in pick order, and its Gram floor: gs is
+    ``_gs_frame`` (windowed Householder selection, ``SPAN_RESIDUAL_TOL``, the
+    Householder complement labelled 0, floor sigma_min(R)^2), epsilon
+    ``_epsilon_frame``."""
+    if kind == "gs":
+        _, basis, labels, floor = _gs_frame(keys, picks)
+        return basis, labels, floor
+    return _epsilon_frame(keys, picks, epsilon)
 
 
-def block_gs(phs) -> tuple[float, float]:
-    """Greedy Gram-Schmidt error on the n-fold powers, and lambda_min_gram.
+def block_scores(phs, kind: str, epsilon: float) -> tuple[float, float | None]:
+    """Detector error of a gs, epsilon or helstrom row on the n-fold powers,
+    and lambda_min_gram (None for helstrom).
 
-    Type classes are popped in ``greedy_order``; in each block the columns of
-    the popped classes, gathered by one index into ``unitaries``, are the
-    candidates of ``gs_misses``, the dense ``gs_detector``'s frame, and the
-    error is (1/r) sum_lam f_lam times the block's summed misses.
-    ``lambda_min_gram`` is the smallest Gram floor of the blocks' picked
-    columns, sigma_min(R)^2 of the R of each block's complete QR.
+    Each block is scored as a labelled frame of V_lam: err is
+    (1/r) sum_lam f_lam times the block's ``frame_misses`` (helstrom's 1/2 is
+    1/r). helstrom's frame is the dense ``holevo_helstrom``'s,
+    ``_helstrom_frame`` of pi(rho_1) - pi(rho_0), with no relative cut: a
+    block eigenvalue far below the largest can carry a large multiplicity
+    f_lam, and an eigenvalue at rounding level costs at most its own size on
+    either side. gs and epsilon pop type classes in ``greedy_order``
+    (epsilon down to ``pick_cut("epsilon")``, the dense detectors' cut: it
+    picks every kept vector, so its error jumps with the support), and each
+    block's ``pick_frame`` is built on the columns of the popped classes,
+    gathered by one index into ``unitaries``; lambda_min_gram is the
+    smallest of the blocks' floors. A block with no popped class goes to
+    hypothesis 0 whole, and builds no pi_lam(U).
     """
-    pops = _pops(phs, "gs")
+    pops = None if kind == "helstrom" else _pops(phs, kind)
     err = 0.0
     lam_min = math.inf
     for block in _blocks(phs):
-        keys = block.columns(pops)
-        if not keys:
-            # every direction goes to hypothesis 0
-            err += block.mult * sum(block.trace(i) for i in range(1, phs.r))
-            continue
-        states, columns = np.array(keys).T
-        candidates = block.unitaries[states, :, columns].T
-        misses, floor = gs_misses(keys, candidates, block.unitaries, block.values)
-        err += block.mult * misses
-        lam_min = min(lam_min, floor)
-    return err / phs.r, lam_min
-
-
-def block_epsilon(phs, epsilon: float) -> tuple[float, float]:
-    """Embedded detector error on the n-fold powers, and lambda_min_gram.
-
-    Every class with value above ``pick_cut("epsilon")`` is picked (the
-    dense detectors' cut: epsilon picks every kept vector, so its error jumps
-    with the support), in ``greedy_order``: the private
-    epsilon-directions make the embedded vectors linearly independent, so no
-    span test runs. Each block's picked columns are scored by
-    ``epsilon_misses``, weighted by f_lam, and ``lambda_min_gram`` is the
-    smallest of the blocks' floors.
-    """
-    pops = _pops(phs, "epsilon")
-    err = 0.0
-    lam_min = math.inf
-    for block in _blocks(phs):
-        keys = block.columns(pops)
-        if not keys:
-            err += block.mult * sum(block.trace(i) for i in range(1, phs.r))
-            continue
-        owners = np.array([s for s, _ in keys])
-        picks = np.column_stack([block.unitaries[s, :, c] for s, c in keys])
-        terms, floor = epsilon_misses(
-            owners, picks, block.unitaries, block.values, epsilon, block.mult
-        )
-        err = sum(terms, err)
-        lam_min = min(lam_min, floor)
-    return err / phs.r, lam_min
-
-
-def block_helstrom(phs) -> float:
-    """Helstrom error on the n-fold powers of a pair.
-
-    In each block the labelled frame of the dense ``holevo_helstrom``
-    (``_helstrom_frame``: the eigenbasis of pi(rho_1) - pi(rho_0), labelled 1
-    on eigenvalues > 0) is scored by its ``frame_misses``, and
-    err = (1/2) sum_lam f_lam times those. No relative cut: a block
-    eigenvalue far below the largest can carry a large multiplicity f_lam,
-    and an eigenvalue at rounding level costs at most its own size on either
-    side.
-    """
-    err = 0.0
-    for block in _blocks(phs):
-        u = block.unitaries
-        operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
-        frame, labels = _helstrom_frame(operators[1] - operators[0])
-        err += block.mult * frame_misses(frame, labels, u, block.values)
-    return 0.5 * err
+        if pops is None:
+            u = block.unitaries
+            operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
+            frame, labels = _helstrom_frame(operators[1] - operators[0])
+        else:
+            keys = block.columns(pops)
+            if not keys:
+                # every direction goes to hypothesis 0
+                err += block.mult * sum(float(row.sum()) for row in block.values[1:])
+                continue
+            states, columns = np.array(keys).T
+            picks = block.unitaries[states, :, columns].T
+            frame, labels, floor = pick_frame(kind, keys, picks, epsilon)
+            lam_min = min(lam_min, floor)
+        err += block.mult * frame_misses(frame, labels, block.unitaries, block.values)
+    return err / phs.r, (None if pops is None else lam_min)
 
 
 def joint_gram_floor(phs) -> float:

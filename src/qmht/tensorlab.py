@@ -32,13 +32,15 @@ state whose eigenvalues below the largest sum to at most d eps lambda_top
 s then counts as lambda_top^n times the n-fold power of its top eigenvector
 psi_s, which drops at most n times its tail mass from each row. All of that
 mass lies on r vectors of the symmetric power of span{psi_s}, so gs and
-epsilon are scored on their Dicke coordinates (``_pure_scores``) by the same
-per-block scorers as the blocks (``schurweyl.gs_misses``: the span rule of
-``greedy_span`` and its Householder Gram floor; ``epsilon_misses``), and
-helstrom by its two-state closed form.
+epsilon are scored on their Dicke coordinates (``_pure_scores``) by the
+blocks' own frame and scorer (``schurweyl.pick_frame``: the span
+rule of ``greedy_span`` and its Householder Gram floor, or the embedded
+detector's closed-form frame; ``frame_misses``), and helstrom by its
+two-state closed form.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
-Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl``). The d^n cap
+Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl.block_scores``:
+a labelled frame per block, scored by its summed misses). The d^n cap
 (``check_dense_limit``) applies to every route, and a sweep that reaches
 past it raises before any row is scored.
 """
@@ -67,15 +69,7 @@ from .linalg import (
     eigenvalue_zero_threshold,
     is_rank_one,
 )
-from .schurweyl import (
-    block_epsilon,
-    block_gs,
-    block_helstrom,
-    epsilon_misses,
-    gs_misses,
-    joint_gram_floor,
-    type_classes,
-)
+from .schurweyl import block_scores, frame_misses, joint_gram_floor, pick_frame, type_classes
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
@@ -293,13 +287,7 @@ def _block_scores(
     """Detector error and lambda_min_gram (None for helstrom) for every n of
     ``ns`` in turn, from the Schur-Weyl blocks of each power."""
     for n, eps in zip(ns, epsilons):
-        phs = PowerHypothesisSet(states, n)
-        if kind == "gs":
-            yield block_gs(phs)
-        elif kind == "epsilon":
-            yield block_epsilon(phs, eps)
-        else:
-            yield block_helstrom(phs), None
+        yield block_scores(PowerHypothesisSet(states, n), kind, eps)
 
 
 def _pure_tops(states: Sequence[DensityMatrix]) -> np.ndarray | None:
@@ -326,9 +314,9 @@ def _pure_scores(
     tail mass. The reduced QR [psi_0 ... psi_(r-1)] = Q C, C k x r with
     k = min(d, r), puts psi_s^(x n) on the Dicke basis of the classes kappa
     of ``type_classes(k, n)``, at sqrt(n!/prod_j kappa_j!) prod_j C_js^kappa_j,
-    scaled back to unit norm. There gs and epsilon score one candidate per
-    state, in ``greedy_order`` of a_s, by the blocks' ``gs_misses`` and
-    ``epsilon_misses``. helstrom is half the summed misses of the pair,
+    scaled back to unit norm. There gs and epsilon pick one candidate per
+    state, in ``greedy_order`` of a_s, and score the blocks' ``pick_frame``
+    by its ``frame_misses``. helstrom is half the summed misses of the pair,
     a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
     g = |<psi_0|psi_1>|^(2n), which has no cancellation.
     """
@@ -348,13 +336,8 @@ def _pure_scores(
         coordinates = np.sqrt(sizes) * np.prod(coefficients[:, None, :] ** counts, axis=2)
         unit = coordinates / np.linalg.norm(coordinates, axis=1)[:, None]
         order = [s for s, _, _ in greedy_order([[(w, None)] for w in weights])]
-        picks, columns, values = unit[order].T, unit[:, :, None], weights[:, None]
-        if kind == "gs":
-            misses, floor = gs_misses([(s, 0) for s in order], picks, columns, values)
-        else:
-            terms, floor = epsilon_misses(np.array(order), picks, columns, values, eps)
-            misses = sum(terms)
-        yield misses / len(states), floor
+        frame, labels, floor = pick_frame(kind, [(s, 0) for s in order], unit[order].T, eps)
+        yield frame_misses(frame, labels, unit[:, :, None], weights[:, None]) / len(states), floor
 
 
 def _schedule_from_overlap_sum(total: float) -> float:

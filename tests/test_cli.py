@@ -129,6 +129,23 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
         assert "entry 0 is not a numeric [re, im] pair" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 0.0]])
+    def test_non_finite_pure_vector_entry_names_the_state(self, tmp_path, capsys, entry):
+        # Infinity used to reach the renormalization, inf / inf
+        scen = write_scenario(
+            tmp_path / "s.json",
+            states=[
+                {"kind": "pure", "vector": [[SQ, 0.0], [SQ, 0.0]]},
+                {"kind": "pure", "vector": [[1.0, 0.0], entry]},
+            ],
+        )
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: state 2: entry 1 is non-finite" in err
+        assert "renormalizing" not in err
+        assert not out.exists()
+
     def test_dense_limit_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DENSE_LIMIT_ENV, "4")
         scen = write_scenario(tmp_path / "s.json", n_max=5)
@@ -144,6 +161,28 @@ class TestRunCommand:
         scen = write_scenario(
             tmp_path / "s.json", detectors=["gs", "epsilon"], epsilon_override=1e-4
         )
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "epsilon_override: epsilon must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.3", True, False])
+    def test_epsilon_override_must_be_a_json_number(self, tmp_path, capsys, monkeypatch, value):
+        # a string or a bool is rejected as given, never read as float(value)
+        import qmht.cli
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("no sweep may run for a rejected scenario")
+
+        monkeypatch.setattr(qmht.cli, "run_power_experiment", sweep)
+        scen = write_scenario(
+            tmp_path / "s.json", detectors=["gs", "epsilon"], epsilon_override=value
+        )
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        expected = f"error: epsilon_override must be a number, got {value!r}"
+        assert expected in capsys.readouterr().err
+
+    def test_integral_epsilon_override_is_a_number(self, tmp_path, capsys):
+        # a JSON integer is a number; 0 then fails the embedding guard
+        scen = write_scenario(tmp_path / "s.json", detectors=["epsilon"], epsilon_override=0)
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
         assert "epsilon_override: epsilon must lie in" in capsys.readouterr().err
 

@@ -7,18 +7,24 @@ import numpy as np
 import pytest
 
 from qmht.detectors import (
+    EPSILON_FLOOR,
+    POVM_ATOL,
     SPAN_RESIDUAL_TOL,
+    Detector,
+    epsilon_detector,
     evaluate_errors,
     greedy_order,
     gs_detector,
     holevo_helstrom,
+    _greedy_pops,
 )
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.schurweyl import (
     _blocks,
     _class_stream,
-    block_gs,
+    _epsilon_frame,
+    block_scores,
     block_unitary,
     gt_tables,
     multiplicity,
@@ -26,7 +32,7 @@ from qmht.schurweyl import (
     type_classes,
     unitary_log,
 )
-from qmht.tensorlab import PowerHypothesisSet, run_power_experiment
+from qmht.tensorlab import PowerHypothesisSet, _aligned_rows, _pure_tops, run_power_experiment
 from conftest import diagonal
 
 
@@ -140,6 +146,63 @@ def mp_greedy_gs_error(states, n):
                     for row0, row in zip(powers[0], powers[owner][: k + 1])
                 )
                 err += mpmath.re(mpmath.fdot(rows, x, conjugate=True))
+        return float(err / r)
+
+
+def mp_epsilon_error(states, n, epsilon):
+    """Embedded detector error on the explicit n-fold powers, in 40 digits,
+    when every product eigenvector is picked.
+
+    The double base eigenvalues and eigenvectors are taken as exact, and the
+    candidates, inner products and matrix elements are those of
+    ``mp_greedy_gs_error``. The m picks V, in ``greedy_order`` of their
+    values, have the embedded Gram matrix delta^2 V^H V + epsilon^2 I = R^H R;
+    the physical part of the k-th orthonormalized pick is delta V x_k, with
+    x_k column k of R^-1. State 0 misses its mass on the picks of every other
+    label, and state i >= 1 its trace less its mass on its own picks.
+    """
+    r, d = len(states), states[0].dim
+    with mpmath.workdps(40):
+        values = [[mpmath.mpf(float(x)) for x in rho.spectrum().eigenvalues] for rho in states]
+        bases = [mpmath.matrix(rho.spectrum().vectors.tolist()) for rho in states]
+        overlap = [[bs.H * bt for bt in bases] for bs in bases]
+        inner = [
+            [
+                [overlap[s][i] * mpmath.diag(values[i]) * overlap[i][t] for t in range(r)]
+                for s in range(r)
+            ]
+            for i in range(r)
+        ]
+
+        def element(table, a, b):
+            return mpmath.fprod(table[a[0]][b[0]][j, l] for j, l in zip(a[1], b[1]))
+
+        streams = [
+            sorted(
+                (
+                    (mpmath.fprod(values[s][j] for j in labels), (s, labels))
+                    for labels in itertools.product(range(d), repeat=n)
+                ),
+                key=lambda item: -item[0],
+            )
+            for s in range(r)
+        ]
+        picks = [b for _, _, b in greedy_order(streams)]
+        delta_sq = 1 - mpmath.mpf(epsilon) ** 2
+        gram = mpmath.matrix([[delta_sq * element(overlap, a, b) for b in picks] for a in picks])
+        for k in range(len(picks)):
+            gram[k, k] = 1
+        # R = L^H, so column k of R^-1 is the conjugate of row k of L^-1
+        inverse = mpmath.inverse(mpmath.cholesky(gram))
+        err = mpmath.fsum(mpmath.fsum(values[i]) ** n for i in range(1, r))
+        for i in range(r):
+            power = [[element(inner[i], a, b) for b in picks] for a in picks]
+            for k, (owner, _) in enumerate(picks):
+                if (owner != 0) if i == 0 else (owner == i):
+                    x = [mpmath.conj(inverse[k, j]) for j in range(k + 1)]
+                    rows = (mpmath.fdot(power[p][: k + 1], x) for p in range(k + 1))
+                    mass = delta_sq * mpmath.re(mpmath.fdot(rows, x, conjugate=True))
+                    err += mass if i == 0 else -mass
         return float(err / r)
 
 
@@ -421,11 +484,53 @@ class TestQubitGs:
 class TestQutritGs:
     @pytest.mark.parametrize("n", [3, 4])
     def test_t2_matches_extended_precision_gram_schmidt(self, n):
-        # the 40-digit greedy Gram-Schmidt on the explicit powers; block_gs
-        # agrees to 6e-16 at n = 3 and 4
+        # the 40-digit greedy Gram-Schmidt on the explicit powers; the block
+        # row agrees to 6e-16 at n = 3 and 4
         states = t2_pair()
-        err, _ = block_gs(PowerHypothesisSet(states, n))
+        err, _ = block_scores(PowerHypothesisSet(states, n), "gs", 0.0)
         assert abs(err - mp_greedy_gs_error(states, n)) < 1e-12
+
+
+class TestEpsilonFrame:
+    def test_elements_match_the_dense_detector(self):
+        # [delta V R^-1, L^-H] is the top of the dense detector's complete QR
+        # up to a unitary within each label, so the elements agree; the
+        # Detector checks T T^H = I to POVM_ATOL
+        rng = np.random.default_rng(70)
+        for _ in range(24):
+            d, r = int(rng.integers(2, 17)), int(rng.integers(2, 4))
+            states = [
+                random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))) for _ in range(r)
+            ]
+            _, pops, vectors = _greedy_pops(states)
+            for eps in (EPSILON_FLOOR, 0.3, 0.7):
+                dense, diagnostics = epsilon_detector(states, eps)
+                frame, labels, floor = _epsilon_frame(pops, vectors, eps)
+                det = Detector(kind="POVM", frame=frame, labels=labels, outcomes=r)
+                gap = np.abs(frame @ frame.conj().T - np.eye(d)).max()
+                assert gap <= POVM_ATOL
+                for ours, theirs in zip(det.elements, dense.elements, strict=True):
+                    assert np.abs(ours.mat - theirs.mat).max() < 1e-13
+                assert floor == diagnostics.lambda_min_gram
+
+
+class TestBlockEpsilon:
+    def test_matches_extended_precision_reference(self):
+        # full-rank Wishart families, so every product eigenvector is picked,
+        # with r d^n <= 60; the blocks agree to 2.7e-14 relative here. Other
+        # d = 4 pairs at n = 2 and EPSILON_FLOOR reach 5e-13, as the trace
+        # less own mass did: their frame on the explicit product vectors
+        # agrees to 4e-14, so the rest is lost in pi_lam(U), whose entries
+        # are fixed only to absolute ~1e-16
+        rng = np.random.default_rng(90)
+        for d, r, n in ((2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 2, 2), (4, 3, 1)):
+            states = [random_density_matrix(d, rng) for _ in range(r)]
+            assert _aligned_rows(states) is None and _pure_tops(states) is None
+            for eps in (0.3, EPSILON_FLOOR):
+                err, lam_min = block_scores(PowerHypothesisSet(states, n), "epsilon", eps)
+                reference = mp_epsilon_error(states, n, eps)
+                assert abs(err - reference) <= 5e-14 * reference, (d, r, n, eps)
+                assert lam_min == pytest.approx(eps * eps, rel=1e-12)
 
 
 class TestQubitHelstrom:

@@ -725,18 +725,23 @@ class TestPureRoute:
         # same picks and lambda_min_gram to 1e-12 relative. Each row is within
         # n 1e-15 of a 50-digit evaluation (n 5.6e-16 on 280 such families),
         # and the block row within the mass the route drops, n max_s tail_s,
-        # plus the blocks' own rounding, n 3e-15 (up to n 1.8e-15 beyond the
-        # dropped mass on the 280 families, most in epsilon's trace - own)
+        # plus the blocks' own rounding, n 1.5e-15 (up to n 1e-15 beyond the
+        # dropped mass on 140 families, seed 80)
         monkeypatch.setenv(DENSE_LIMIT_ENV, str(4**8))
         picks = []
-        gs_frame = schurweyl._gs_frame
+        gs_frame, epsilon_frame = schurweyl._gs_frame, schurweyl._epsilon_frame
 
-        def recording(keys, vectors):
+        def recording_gs(keys, vectors):
             selection, *rest = gs_frame(keys, vectors)
             picks.append([state for state, _ in selection])
             return selection, *rest
 
-        monkeypatch.setattr(schurweyl, "_gs_frame", recording)
+        def recording_epsilon(keys, vectors, epsilon):
+            picks.append([state for state, _ in keys])
+            return epsilon_frame(keys, vectors, epsilon)
+
+        monkeypatch.setattr(schurweyl, "_gs_frame", recording_gs)
+        monkeypatch.setattr(schurweyl, "_epsilon_frame", recording_epsilon)
         ns = range(1, 9)
         for states in pure_families(16, seed=80):
             assert _aligned_rows(states) is None and _pure_tops(states) is not None
@@ -750,11 +755,11 @@ class TestPureRoute:
                 options = {"epsilon_override": eps} if kind == "epsilon" else {}
                 rows = run_power_experiment(states, ns, kind, **options).rows
                 assert picks == block_picks
-                assert len(picks) == (len(ns) if kind == "gs" else 0)
+                assert len(picks) == (0 if kind == "helstrom" else len(ns))
                 for row, (err, lam_min) in zip(rows, blocks, strict=True):
                     reference = mp_pure_error(states, row.n, kind, eps)
                     assert abs(row.err - reference) <= row.n * 1e-15, (kind, row.n)
-                    assert abs(row.err - err) <= row.n * (tail + 3e-15), (kind, row.n)
+                    assert abs(row.err - err) <= row.n * (tail + 1.5e-15), (kind, row.n)
                     if lam_min is not None:
                         assert abs(row.lambda_min_gram - lam_min) <= 1e-12 * lam_min
 
