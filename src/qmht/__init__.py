@@ -42,7 +42,6 @@ from .tensorlab import (
     ExperimentRow,
     LiPairResult,
     LiReport,
-    PowerHypothesisSet,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
@@ -63,7 +62,6 @@ __all__ = [
     "LiReport",
     "MultipleChernoffResult",
     "NumericalConsistencyError",
-    "PowerHypothesisSet",
     "ScenarioError",
     "SpectralDecomposition",
     "bayes_commuting",

@@ -65,6 +65,17 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _number(value) -> float | None:
+    """A JSON number (an int or a float, not true or false) as a float, with
+    an int past the float range as inf; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _complex_vector(entries, where: str) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise ScenarioError(f"{where}: expected a nonempty list of [re, im] pairs")
@@ -72,23 +83,32 @@ def _complex_vector(entries, where: str) -> np.ndarray:
     for k, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{where}: entry {k} is not a [re, im] pair")
-        try:
-            out[k] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: entry {k} is not a numeric [re, im] pair") from exc
-        if not np.isfinite(out[k]):
+        re, im = map(_number, pair)
+        if re is None or im is None:
+            raise ScenarioError(f"{where}: entry {k} is not a numeric [re, im] pair")
+        if not (math.isfinite(re) and math.isfinite(im)):
             raise ScenarioError(f"{where}: entry {k} is non-finite")
+        out[k] = complex(re, im)
     return out
 
 
+def _real_list(entries, where: str, what: str) -> np.ndarray:
+    """A nonempty flat list of finite JSON numbers, as floats."""
+    if not isinstance(entries, list) or not entries:
+        raise ScenarioError(f"{where}: expected a nonempty list of numbers")
+    values = [_number(value) for value in entries]
+    for k, value in enumerate(values):
+        if value is None or not math.isfinite(value):
+            raise ScenarioError(f"{where}: {what} {k} is non-finite or not a number: {entries[k]!r}")
+    return np.array(values)
+
+
 def _real_matrix(entries, where: str) -> np.ndarray:
-    try:
-        mat = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: not a numeric matrix") from exc
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ScenarioError(f"{where}: expected a square matrix, got shape {mat.shape}")
-    return mat
+    if not isinstance(entries, list) or not entries or not all(
+        isinstance(row, list) and len(row) == len(entries) for row in entries
+    ):
+        raise ScenarioError(f"{where}: expected a nonempty square list of rows")
+    return np.array([_real_list(row, f"{where} row {i}", "entry") for i, row in enumerate(entries)])
 
 
 def _normalized(value, total: float, what: str, where: str):
@@ -112,12 +132,7 @@ def _load_state(spec, index: int) -> DensityMatrix:
         vec = _normalized(vec, norm, "vector with norm", where)
         return DensityMatrix(np.outer(vec, vec.conj()))
     if kind == "diagonal":
-        raw = spec.get("probs")
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(f"{where}: expected a nonempty probability list")
-        probs = np.asarray(raw, dtype=float)
-        if not np.isfinite(probs).all():
-            raise ScenarioError(f"{where}: non-finite probability")
+        probs = _real_list(spec.get("probs"), where, "probability")
         if float(probs.min()) < NONNEGATIVE_FLOOR:
             raise ScenarioError(f"{where}: negative probability")
         probs = np.maximum(probs, 0.0)
@@ -193,9 +208,9 @@ def load_scenario(path: str) -> Scenario:
     epsilon_override = raw.get("epsilon_override")
     if epsilon_override is not None:
         # a JSON number only: not a string, and not true or false
-        if isinstance(epsilon_override, bool) or not isinstance(epsilon_override, (int, float)):
+        if _number(epsilon_override) is None:
             raise ScenarioError(f"epsilon_override must be a number, got {epsilon_override!r}")
-        epsilon_override = float(epsilon_override)
+        epsilon_override = _number(epsilon_override)
         if "epsilon" in detectors:
             try:
                 embedding_guard(epsilon_override)

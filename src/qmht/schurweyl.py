@@ -12,7 +12,9 @@ the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
 (math/0211289). With U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one
 ``eigh`` per block and state. The product eigenvectors of state s in type
 class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
-C^(f_lam) in every block. One function, ``block_scores``, scores every kind
+C^(f_lam) in every block; ``cut_spectrum`` and ``class_pick_cut``, the cut
+rule of every route, decide which classes are picked. ``block_scores``
+scores a whole sweep of n from one ``base_spectra`` per call, and every kind
 as a labelled frame per block: the dense detectors' own frames for gs
 (``_gs_frame``, the windowed Householder selection, on the matrix of those
 columns) and helstrom (``_helstrom_frame``), and for epsilon the closed-form
@@ -39,7 +41,7 @@ from .detectors import (
     _labels,
     greedy_order,
 )
-from .linalg import gram_floor, solve_lower
+from .linalg import eigenvalue_zero_threshold, gram_floor, solve_lower
 
 
 @functools.cache
@@ -56,6 +58,23 @@ def type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     counts.setflags(write=False)
     sizes.setflags(write=False)
     return counts, sizes
+
+
+def cut_spectrum(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues with every one at or below ``eigenvalue_zero_threshold`` set
+    to exactly 0, so that a product of them (a type class) is > 0 iff no
+    factor was cut."""
+    return np.where(values > eigenvalue_zero_threshold(values), values, 0.0)
+
+
+def class_pick_cut(cut: np.ndarray, n: int, kind: str) -> float:
+    """A row of this kind at copy number n picks a type class iff its value on
+    the cut spectra ``cut`` is above this: 0, except for epsilon, which picks
+    every kept vector and so keeps the dense detectors' cut on the explicit
+    powers, 1e-12 times the largest n-fold eigenvalue."""
+    if kind != "epsilon":
+        return 0.0
+    return eigenvalue_zero_threshold(cut.max() ** n)
 
 
 @functools.cache
@@ -207,10 +226,10 @@ def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
 class _Block:
     """One block V_lam (x) C^(f_lam) of the n-fold powers of a family.
 
-    ``values[s]`` holds the eigenvalue of pi_lam(rho_s), from the uncut base
-    spectrum, on every column of ``unitaries[s]`` = pi_lam(U_s); the
-    unitaries of all states are built in one stacked ``eigh`` on first use,
-    so a block that no row needs costs none.
+    ``values[s]`` holds the eigenvalue of pi_lam(rho_s), from the base
+    spectrum ``eigenvalues[s]``, on every column of ``unitaries[s]`` =
+    pi_lam(U_s); the unitaries of all states are built in one stacked
+    ``eigh`` on first use, so a block that no row needs costs none.
     """
 
     def __init__(self, lam, eigenvalues, logs) -> None:
@@ -231,18 +250,26 @@ class _Block:
         ]
 
 
-def _blocks(phs):
-    eigenvalues = np.array([dec.eigenvalues for dec in phs.spectra])
-    logs = unitary_log(np.array([dec.vectors for dec in phs.spectra]))
-    for lam in partitions(phs.n, phs.dim):
+def base_spectra(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base eigenvalues of a family, one row per state, the same rows
+    after ``cut_spectrum``, and the ``unitary_log`` of every eigenbasis in
+    one stacked call: all that the blocks of every n take from the states."""
+    spectra = [rho.spectrum() for rho in states]
+    eigenvalues = np.array([dec.eigenvalues for dec in spectra])
+    cut = np.array([cut_spectrum(row) for row in eigenvalues])
+    return eigenvalues, cut, unitary_log(np.array([dec.vectors for dec in spectra]))
+
+
+def _blocks(n: int, eigenvalues: np.ndarray, logs: np.ndarray):
+    for lam in partitions(n, eigenvalues.shape[1]):
         yield _Block(lam, eigenvalues, logs)
 
 
-def _class_stream(phs, state: int, floor: float = 0.0):
-    """(value, k) of the type classes of one state whose value on the cut
-    spectrum is above ``floor``, descending."""
-    counts, _ = type_classes(phs.dim, phs.n)
-    values = np.prod(phs.cut_values[state] ** counts, axis=1)
+def _class_stream(n: int, cut_values: np.ndarray, floor: float = 0.0):
+    """(value, k) of the type classes at copy number n whose value on one
+    state's cut spectrum ``cut_values`` is above ``floor``, descending."""
+    counts, _ = type_classes(len(cut_values), n)
+    values = np.prod(cut_values**counts, axis=1)
     order = np.argsort(-values, kind="stable")
     for value, k in zip(values[order].tolist(), counts[order].tolist()):
         if value <= floor:
@@ -250,9 +277,9 @@ def _class_stream(phs, state: int, floor: float = 0.0):
         yield value, tuple(k)
 
 
-def _pops(phs, kind: str):
-    floor = phs.pick_cut(kind)
-    return list(greedy_order([_class_stream(phs, s, floor) for s in range(phs.r)]))
+def _pops(n: int, cut: np.ndarray, kind: str):
+    floor = class_pick_cut(cut, n, kind)
+    return list(greedy_order([_class_stream(n, row, floor) for row in cut]))
 
 
 def frame_misses(frame, labels, columns, values) -> float:
@@ -316,9 +343,10 @@ def pick_frame(kind: str, keys, picks, epsilon: float):
     return _epsilon_frame(keys, picks, epsilon)
 
 
-def block_scores(phs, kind: str, epsilon: float) -> tuple[float, float | None]:
+def block_scores(states, ns, kind: str, epsilons):
     """Detector error of a gs, epsilon or helstrom row on the n-fold powers,
-    and lambda_min_gram (None for helstrom).
+    and lambda_min_gram (None for helstrom), for every n of ``ns`` in turn,
+    from one ``base_spectra`` of the states.
 
     Each block is scored as a labelled frame of V_lam: err is
     (1/r) sum_lam f_lam times the block's ``frame_misses`` (helstrom's 1/2 is
@@ -327,44 +355,46 @@ def block_scores(phs, kind: str, epsilon: float) -> tuple[float, float | None]:
     block eigenvalue far below the largest can carry a large multiplicity
     f_lam, and an eigenvalue at rounding level costs at most its own size on
     either side. gs and epsilon pop type classes in ``greedy_order``
-    (epsilon down to ``pick_cut("epsilon")``, the dense detectors' cut: it
-    picks every kept vector, so its error jumps with the support), and each
+    (epsilon down to ``class_pick_cut``, the dense detectors' cut: it picks
+    every kept vector, so its error jumps with the support), and each
     block's ``pick_frame`` is built on the columns of the popped classes,
     gathered by one index into ``unitaries``; lambda_min_gram is the
     smallest of the blocks' floors. A block with no popped class goes to
     hypothesis 0 whole, and builds no pi_lam(U).
     """
-    pops = None if kind == "helstrom" else _pops(phs, kind)
-    err = 0.0
-    lam_min = math.inf
-    for block in _blocks(phs):
-        if pops is None:
-            u = block.unitaries
-            operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
-            frame, labels = _helstrom_frame(operators[1] - operators[0])
-        else:
-            keys = block.columns(pops)
-            if not keys:
-                # every direction goes to hypothesis 0
-                err += block.mult * sum(float(row.sum()) for row in block.values[1:])
-                continue
-            states, columns = np.array(keys).T
-            picks = block.unitaries[states, :, columns].T
-            frame, labels, floor = pick_frame(kind, keys, picks, epsilon)
-            lam_min = min(lam_min, floor)
-        err += block.mult * frame_misses(frame, labels, block.unitaries, block.values)
-    return err / phs.r, (None if pops is None else lam_min)
+    eigenvalues, cut, logs = base_spectra(states)
+    for n, epsilon in zip(ns, epsilons):
+        pops = None if kind == "helstrom" else _pops(n, cut, kind)
+        err = 0.0
+        lam_min = math.inf
+        for block in _blocks(n, eigenvalues, logs):
+            if pops is None:
+                u = block.unitaries
+                operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
+                frame, labels = _helstrom_frame(operators[1] - operators[0])
+            else:
+                keys = block.columns(pops)
+                if not keys:
+                    # every direction goes to hypothesis 0
+                    err += block.mult * sum(float(row.sum()) for row in block.values[1:])
+                    continue
+                owners, columns = np.array(keys).T
+                picks = block.unitaries[owners, :, columns].T
+                frame, labels, floor = pick_frame(kind, keys, picks, epsilon)
+                lam_min = min(lam_min, floor)
+            err += block.mult * frame_misses(frame, labels, block.unitaries, block.values)
+        yield err / len(eigenvalues), (None if pops is None else lam_min)
 
 
-def joint_gram_floor(phs) -> float:
-    """Smallest eigenvalue of the Gram matrix of every product eigenvector
-    with a positive eigenvalue on the cut spectra, over all states: the joint
-    Gram is sum_lam G_lam (x) 1_(f_lam), with G_lam the Gram of the positive
-    columns of every pi_lam(U_s), whose smallest eigenvalue is the
-    ``gram_floor`` of those columns."""
+def joint_gram_floor(n: int, cut: np.ndarray, logs: np.ndarray) -> float:
+    """Smallest eigenvalue of the Gram matrix at copy number n of every
+    product eigenvector with a positive value on the cut spectra, over all
+    states: the joint Gram is sum_lam G_lam (x) 1_(f_lam), with G_lam the
+    Gram of the positive columns of every pi_lam(U_s), whose smallest
+    eigenvalue is the ``gram_floor`` of those columns."""
     lam_min = math.inf
-    for block in _blocks(phs):
-        positive = np.prod(phs.cut_values[:, None, :] ** block.tables.weights, axis=2) > 0.0
+    for block in _blocks(n, cut, logs):
+        positive = block.values > 0.0
         columns = [block.unitaries[s][:, kept] for s, kept in enumerate(positive) if kept.any()]
         if columns:
             lam_min = min(lam_min, gram_floor(np.hstack(columns)))

@@ -1,12 +1,12 @@
 """n-copy experiments on tensor-power hypotheses.
 
-Each base spectrum is cut once: eigenvalues at or below
-``eigenvalue_zero_threshold`` become exactly 0, and a product of those
-(a type class, k_j copies of label j) is a gs pick candidate iff it is > 0.
-epsilon picks every candidate, so its error jumps with the support; it keeps
-the cut the dense detectors make on the explicit powers, 1e-12 times the
-largest n-fold eigenvalue. The cut only decides which classes are picked:
-every mass and every Helstrom minimum is scored with the uncut eigenvalues.
+Each base spectrum is cut once (``schurweyl.cut_spectrum``, for every
+route): eigenvalues at or below ``eigenvalue_zero_threshold`` become exactly
+0, and a type class (k_j copies of label j) is a gs pick candidate iff its
+product of those is > 0. epsilon picks every candidate, so its error jumps
+with the support; it keeps the dense detectors' cut on the explicit powers,
+1e-12 times the largest n-fold eigenvalue (``class_pick_cut``). The cut only
+decides the picks: every mass and Helstrom minimum uses the uncut values.
 
 Aligned families come first. When every base overlap table V_0^H V_a has
 exactly one nonzero per column (decided once per call), the base eigenbases
@@ -40,15 +40,15 @@ two-state closed form.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl.block_scores``:
-a labelled frame per block, scored by its summed misses). The d^n cap
-(``check_dense_limit``) applies to every route, and a sweep that reaches
-past it raises before any row is scored.
+a labelled frame per block, from one ``base_spectra`` per sweep). The d^n
+cap (``check_dense_limit``) applies to every route and to
+``gram_convergence_check``: a sweep past it raises before any row is scored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,10 +66,18 @@ from .errors import DimensionLimitError
 from .linalg import (
     DensityMatrix,
     dense_limit,
-    eigenvalue_zero_threshold,
     is_rank_one,
 )
-from .schurweyl import block_scores, frame_misses, joint_gram_floor, pick_frame, type_classes
+from .schurweyl import (
+    base_spectra,
+    block_scores,
+    class_pick_cut,
+    cut_spectrum,
+    frame_misses,
+    joint_gram_floor,
+    pick_frame,
+    type_classes,
+)
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 QCB_CEILING_SLACK = 0.02
@@ -81,42 +89,6 @@ LI_WITNESS_TOL = 1e-9
 CLASS_GROUP_LIMIT = 1 << 14
 
 
-@dataclass
-class PowerHypothesisSet:
-    """r hypotheses raised to the n-th tensor power, kept as base spectra;
-    d^n may not exceed ``dense_limit()``, which ``QMHT_DENSE_LIMIT`` sets."""
-
-    base: list[DensityMatrix]
-    n: int
-    spectra: list = field(init=False, repr=False)
-    cut_values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.base = list(self.base)
-        if self.n < 1:
-            raise ValueError(f"copy number must be positive, got {self.n}")
-        if not self.base:
-            raise ValueError("need at least one hypothesis")
-        dim = self.base[0].dim
-        if any(rho.dim != dim for rho in self.base):
-            raise ValueError("states must share one dimension")
-        check_dense_limit(dim, [self.n])
-        self.spectra = [rho.spectrum() for rho in self.base]
-        self.cut_values = np.array([_cut(dec.eigenvalues) for dec in self.spectra])
-
-    @property
-    def r(self) -> int:
-        return len(self.base)
-
-    @property
-    def dim(self) -> int:
-        return self.base[0].dim
-
-    def pick_cut(self, kind: str) -> float:
-        """``class_pick_cut`` of this power."""
-        return class_pick_cut(self.cut_values, self.n, kind)
-
-
 def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
     """Raise DimensionLimitError, naming the smallest n in ``ns`` with dim^n
     above ``dense_limit()``, if there is one."""
@@ -124,22 +96,6 @@ def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
     over = [n for n in ns if dim**n > cap]
     if over:
         raise DimensionLimitError(f"{dim}**{min(over)} exceeds the dense limit {cap}")
-
-
-def class_pick_cut(cut_values: np.ndarray, n: int, kind: str) -> float:
-    """A row of this kind at copy number n picks a type class iff its value on
-    the cut spectra ``cut_values`` is above this: 0, except for epsilon, which
-    picks every kept vector and so keeps the dense detectors' cut on the
-    explicit powers, 1e-12 times the largest n-fold eigenvalue."""
-    if kind != "epsilon":
-        return 0.0
-    return eigenvalue_zero_threshold(cut_values.max() ** n)
-
-
-def _cut(values: np.ndarray) -> np.ndarray:
-    """Eigenvalues with every one at or below ``eigenvalue_zero_threshold`` set
-    to exactly 0, so that a product of them is > 0 iff no factor was cut."""
-    return np.where(values > eigenvalue_zero_threshold(values), values, 0.0)
 
 
 def _pairwise_overlap_power_sum(qcb: MultipleChernoffResult, n: int) -> float:
@@ -208,7 +164,7 @@ def _type_class_scores(
     lambda_min_gram, for every n of ``ns`` in turn: ``_class_group_scores``
     of each of the ``_class_groups``, whose arrays are freed before the next
     group's classes are built."""
-    cut_rows = np.array([_cut(row) for row in rows])
+    cut_rows = np.array([cut_spectrum(row) for row in rows])
     for group in _class_groups(rows.shape[1], ns):
         yield from _class_group_scores(rows, cut_rows, ns[group], kind, epsilons[group])
 
@@ -279,15 +235,6 @@ def _greedy_claims(cut: np.ndarray, floors: np.ndarray, claim_weights: np.ndarra
     weights = np.take_along_axis(claim_weights.T, np.maximum(ranks, 0), axis=0)
     weights[ranks < 0] = 0.0
     return weights
-
-
-def _block_scores(
-    states: Sequence[DensityMatrix], ns: Sequence[int], kind: str, epsilons: Sequence[float]
-):
-    """Detector error and lambda_min_gram (None for helstrom) for every n of
-    ``ns`` in turn, from the Schur-Weyl blocks of each power."""
-    for n, eps in zip(ns, epsilons):
-        yield block_scores(PowerHypothesisSet(states, n), kind, eps)
 
 
 def _pure_tops(states: Sequence[DensityMatrix]) -> np.ndarray | None:
@@ -416,6 +363,8 @@ def run_power_experiment(
         raise ValueError("need at least two hypotheses")
     if kind == "helstrom" and len(states) != 2:
         raise ValueError("helstrom runs on exactly two hypotheses")
+    if any(rho.dim != states[0].dim for rho in states):
+        raise ValueError("states must share one dimension")
     # one alignment verdict per call; classical-ml reads any commuting family
     probs = _commuting_rows(states) if kind == "classical-ml" else _aligned_rows(states)
     ns = sorted({int(n) for n in n_range})
@@ -442,7 +391,7 @@ def run_power_experiment(
     elif (tops := _pure_tops(states)) is not None:
         scores = _pure_scores(states, tops, ns, kind, epsilons)
     else:
-        scores = _block_scores(states, ns, kind, epsilons)
+        scores = block_scores(states, ns, kind, epsilons)
     rows: list[ExperimentRow] = []
     for n, overlap_sum, eps, (err, lam_min) in zip(ns, overlap_sums, epsilons, scores):
         bound: float | None
@@ -502,6 +451,8 @@ def pairwise_li_check(sigma_set: Sequence[DensityMatrix]) -> LiReport:
     projectors; it reaches 1 exactly when the supports share a direction.
     """
     states = list(sigma_set)
+    if any(rho.dim != states[0].dim for rho in states):
+        raise ValueError("states must share one dimension")
     projectors = []
     for rho in states:
         dec = rho.spectrum()
@@ -526,13 +477,18 @@ def gram_convergence_check(
     """Minimal Gram eigenvalue of the joint positive eigenvector family per n.
 
     Requires pairwise trivially intersecting supports; the sequence then
-    climbs toward 1 as the cross-state overlaps decay.
+    climbs toward 1 as the cross-state overlaps decay. The whole sweep is
+    checked against the d^n cap before any n is scored, and the base
+    spectra are taken once for all of it (``schurweyl.joint_gram_floor``).
     """
     states = list(base)
-    report = pairwise_li_check(states)
-    if not report.all_pass:
+    if not states:
+        raise ValueError("need at least one hypothesis")
+    if not pairwise_li_check(states).all_pass:
         raise ValueError("supports must intersect trivially for every pair")
-    out = []
-    for n in sorted({int(n) for n in n_range}):
-        out.append((n, joint_gram_floor(PowerHypothesisSet(states, n))))
-    return out
+    ns = sorted({int(n) for n in n_range})
+    if ns and ns[0] < 1:
+        raise ValueError("copy numbers must be positive integers")
+    check_dense_limit(states[0].dim, ns)
+    _, cut, logs = base_spectra(states)
+    return [(n, joint_gram_floor(n, cut, logs)) for n in ns]

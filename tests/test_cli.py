@@ -105,6 +105,14 @@ class TestRunCommand:
             {"kind": "diagonal", "probs": [math.inf, 0.5]},
             {"kind": "dense", "real": [[None, 0.0], [0.0, 1.0]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
             {"kind": "pure", "vector": [[math.nan, 0.0], [1.0, 0.0]]},
+            # a JSON string or bool is not a number, and probs is a flat list
+            {"kind": "diagonal", "probs": ["0.5", "0.5"]},
+            {"kind": "diagonal", "probs": [True, False]},
+            {"kind": "diagonal", "probs": [[0.5, 0.5]]},
+            {"kind": "dense", "real": [["0.5", "0"], ["0", "0.5"]], "imag": [[0, 0], [0, 0]]},
+            {"kind": "dense", "real": [[0.5, 0], [0, 0.5]], "imag": [[0, False], [False, 0]]},
+            # an integer past the float range is non-finite, not an OverflowError
+            {"kind": "diagonal", "probs": [10**400, 1]},
         ],
     )
     def test_non_finite_state_entry_exit_2(self, tmp_path, capsys, state):
@@ -115,7 +123,24 @@ class TestRunCommand:
         )
         out = tmp_path / "r.csv"
         assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "error: state 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vector", [[["1", "0"], ["0", "0"]], [[True, False], [False, False]]])
+    def test_non_number_pure_vector_entry_exit_2(self, tmp_path, capsys, vector):
+        # never read as float("1") or float(True)
+        scen = write_scenario(
+            tmp_path / "s.json",
+            states=[
+                {"kind": "pure", "vector": vector},
+                {"kind": "pure", "vector": [[SQ, 0.0], [SQ, 0.0]]},
+            ],
+        )
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert "error: state 1: entry 0 is not a numeric [re, im] pair" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_pure_vector_entry_exit_2(self, tmp_path, capsys):
@@ -129,7 +154,9 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
         assert "entry 0 is not a numeric [re, im] pair" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 0.0]])
+    @pytest.mark.parametrize(
+        "entry", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 0.0], [0, -(10**400)]]
+    )
     def test_non_finite_pure_vector_entry_names_the_state(self, tmp_path, capsys, entry):
         # Infinity used to reach the renormalization, inf / inf
         scen = write_scenario(

@@ -34,7 +34,6 @@ from qmht.detectors import (
 )
 from qmht.errors import NumericalConsistencyError
 from qmht.linalg import (
-    DENSE_LIMIT_ENV,
     DensityMatrix,
     HermitianMatrix,
     eigenvalue_zero_threshold,
@@ -42,8 +41,8 @@ from qmht.linalg import (
 )
 from qmht.chernoff import q_overlap
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
-from qmht.schurweyl import _blocks, _pops
-from qmht.tensorlab import EPSILON_CLIP, PowerHypothesisSet, run_power_experiment
+from qmht.schurweyl import _blocks, _pops, base_spectra
+from qmht.tensorlab import EPSILON_CLIP, run_power_experiment
 from conftest import diagonal, pure
 
 HELSTROM_ERR_ZERO_PLUS = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
@@ -564,8 +563,7 @@ class TestGsFrameOracle:
                 rejected += self.assert_matches(pops, vectors)[0]
         assert rejected >= 6
 
-    def test_block_rank_deficient_pure_and_qutrit_families(self, monkeypatch):
-        monkeypatch.setenv(DENSE_LIMIT_ENV, str(3**12))
+    def test_block_rank_deficient_pure_and_qutrit_families(self):
         rng = np.random.default_rng(9)
         scenario = load_scenario(os.path.join(SCENARIOS, "mixed_qutrit_pair.json"))
         families = [
@@ -574,10 +572,10 @@ class TestGsFrameOracle:
             (scenario.states, 12),
         ]
         for states, n in families:
-            phs = PowerHypothesisSet(states, n)
-            pops = _pops(phs, "gs")
+            eigenvalues, cut, logs = base_spectra(states)
+            pops = _pops(n, cut, "gs")
             counts = np.zeros(2, dtype=int)
-            for block in _blocks(phs):
+            for block in _blocks(n, eigenvalues, logs):
                 keys = block.columns(pops)
                 if keys:
                     owners, columns = np.array(keys).T

@@ -24,6 +24,7 @@ from qmht.schurweyl import (
     _blocks,
     _class_stream,
     _epsilon_frame,
+    base_spectra,
     block_scores,
     block_unitary,
     gt_tables,
@@ -32,7 +33,7 @@ from qmht.schurweyl import (
     type_classes,
     unitary_log,
 )
-from qmht.tensorlab import PowerHypothesisSet, _aligned_rows, _pure_tops, run_power_experiment
+from qmht.tensorlab import _aligned_rows, _pure_tops, run_power_experiment
 from conftest import diagonal
 
 
@@ -348,14 +349,14 @@ class TestGelfandTsetlinBlocks:
             assert np.abs(pi_u @ pi_v - pi_uv).max() < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_dimensions_and_purity_add_up(self, d, monkeypatch):
+    def test_dimensions_and_purity_add_up(self, d):
         # sum_lam f_lam dim V_lam = d^n and sum_lam f_lam tr pi_lam(rho)^2 = (tr rho^2)^n
         rng = np.random.default_rng(30 + d)
         rho = random_density_matrix(d, rng)
         purity = float(np.vdot(rho.mat, rho.mat).real)
-        monkeypatch.setenv(DENSE_LIMIT_ENV, str(d**8))
         for n in range(1, 9):
-            blocks = list(_blocks(PowerHypothesisSet([rho], n)))
+            eigenvalues, _, logs = base_spectra([rho])
+            blocks = list(_blocks(n, eigenvalues, logs))
             assert sum(block.mult * block.dim for block in blocks) == d**n
             total = 0.0
             for block in blocks:
@@ -369,17 +370,17 @@ class TestClassStream:
         # class (n - k, k) of diag(p, 1 - p) has value p^(n-k) (1-p)^k and
         # size C(n, k)
         p = 0.7
-        phs = PowerHypothesisSet([diagonal([p, 1 - p])], 3)
+        _, cut, _ = base_spectra([diagonal([p, 1 - p])])
         counts, sizes = type_classes(2, 3)
         size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-        for value, k in _class_stream(phs, 0):
+        for value, k in _class_stream(3, cut[0]):
             assert abs(value - p ** k[0] * (1 - p) ** k[1]) < 1e-15
             assert size_of[k] == math.comb(3, k[1])
 
     def test_single_copy_matches_spectrum(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(3, rng)
-        stream = list(_class_stream(PowerHypothesisSet([rho], 1), 0))
+        stream = list(_class_stream(1, base_spectra([rho])[1][0]))
         assert [value for value, _ in stream] == list(rho.spectrum().eigenvalues)
         assert [k for _, k in stream] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -390,15 +391,15 @@ class TestClassStream:
         for n in (3, 7, 12):
             counts, sizes = type_classes(2, n)
             size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-            stream = _class_stream(PowerHypothesisSet([rho], n), 0)
+            stream = _class_stream(n, base_spectra([rho])[1][0])
             total = sum(size_of[k] * value for value, k in stream)
             assert abs(total - 1.0) < 1e-13
 
     def test_descending_order_with_tuple_ties(self):
         # equal values keep the order of ``type_classes``; zero-valued
         # classes are left out
-        phs = PowerHypothesisSet([diagonal([0.5, 0.5, 0.0])], 2)
-        assert list(_class_stream(phs, 0)) == [
+        _, cut, _ = base_spectra([diagonal([0.5, 0.5, 0.0])])
+        assert list(_class_stream(2, cut[0])) == [
             (0.25, (2, 0, 0)), (0.25, (1, 1, 0)), (0.25, (0, 2, 0))
         ]
 
@@ -408,7 +409,7 @@ class TestClassStream:
             rho = random_density_matrix(3, rng)
             counts, sizes = type_classes(3, n)
             size_of = {tuple(row): int(size) for row, size in zip(counts.tolist(), sizes)}
-            stream = _class_stream(PowerHypothesisSet([rho], n), 0)
+            stream = _class_stream(n, base_spectra([rho])[1][0])
             values = np.concatenate([np.full(size_of[k], value) for value, k in stream])
             oracle = np.sort(np.linalg.eigvalsh(kron_power(rho, n).mat))[::-1]
             assert np.abs(values - oracle).max() < 1e-15
@@ -418,9 +419,9 @@ class TestClassStream:
         # pi_lam(U) in every block, with the class value as eigenvalue
         rng = np.random.default_rng(5)
         rho = random_density_matrix(3, rng)
-        phs = PowerHypothesisSet([rho], 4)
-        stream = list(_class_stream(phs, 0))
-        for block in _blocks(phs):
+        eigenvalues, cut, logs = base_spectra([rho])
+        stream = list(_class_stream(4, cut[0]))
+        for block in _blocks(4, eigenvalues, logs):
             pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
             for value, k in stream:
                 for c in block.tables.columns.get(k, ()):
@@ -440,7 +441,8 @@ class TestSpinBlocks:
         rng = np.random.default_rng(10 + n)
         for rho in (random_density_matrix(2, rng), random_pure_state(2, rng)):
             blocks = []
-            for block in _blocks(PowerHypothesisSet([rho], n)):
+            eigenvalues, _, logs = base_spectra([rho])
+            for block in _blocks(n, eigenvalues, logs):
                 pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
                 blocks.append(np.repeat(np.linalg.eigvalsh(pi), block.mult))
             block_spectrum = np.sort(np.concatenate(blocks))
@@ -487,7 +489,7 @@ class TestQutritGs:
         # the 40-digit greedy Gram-Schmidt on the explicit powers; the block
         # row agrees to 6e-16 at n = 3 and 4
         states = t2_pair()
-        err, _ = block_scores(PowerHypothesisSet(states, n), "gs", 0.0)
+        err, _ = next(block_scores(states, [n], "gs", [0.0]))
         assert abs(err - mp_greedy_gs_error(states, n)) < 1e-12
 
 
@@ -527,7 +529,7 @@ class TestBlockEpsilon:
             states = [random_density_matrix(d, rng) for _ in range(r)]
             assert _aligned_rows(states) is None and _pure_tops(states) is None
             for eps in (0.3, EPSILON_FLOOR):
-                err, lam_min = block_scores(PowerHypothesisSet(states, n), "epsilon", eps)
+                err, lam_min = next(block_scores(states, [n], "epsilon", [eps]))
                 reference = mp_epsilon_error(states, n, eps)
                 assert abs(err - reference) <= 5e-14 * reference, (d, r, n, eps)
                 assert lam_min == pytest.approx(eps * eps, rel=1e-12)

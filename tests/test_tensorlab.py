@@ -29,9 +29,7 @@ from qmht.sampling import (
 from qmht.tensorlab import (
     DETECTOR_KINDS,
     EPSILON_CLIP,
-    PowerHypothesisSet,
     _aligned_rows,
-    _block_scores,
     _claim_weights,
     _class_groups,
     _pure_tops,
@@ -39,7 +37,7 @@ from qmht.tensorlab import (
     pairwise_li_check,
     run_power_experiment,
 )
-from qmht.schurweyl import _class_stream, type_classes
+from qmht.schurweyl import _class_stream, base_spectra, block_scores, type_classes
 from conftest import diagonal, pure
 
 LOG2 = math.log(2.0)
@@ -113,6 +111,20 @@ def sweep_families(count, seed):
         yield [DensityMatrix(turn @ np.diag(row) @ turn.conj().T) for row in rows]
 
 
+def count_unitary_logs(monkeypatch):
+    """The shape of every stack that ``schurweyl.unitary_log`` is called on,
+    appended as the calls come."""
+    calls = []
+    log = schurweyl.unitary_log
+
+    def counting(u):
+        calls.append(u.shape)
+        return log(u)
+
+    monkeypatch.setattr(schurweyl, "unitary_log", counting)
+    return calls
+
+
 def classical_ml_power_error(states, n):
     """Error of the ``classical_ml`` rule on the materialized product distributions."""
     rows = []
@@ -183,16 +195,17 @@ def mp_pure_error(states, n, kind, epsilon=0.0):
         return float(err / r)
 
 
-class TestPowerHypothesisSet:
+class TestBaseSpectra:
     def test_product_values_sum_to_one(self):
         # each class value times its size n!/prod_j k_j!, over the classes
         # with value > 0
         rng = np.random.default_rng(0)
         base = [random_density_matrix(2, rng), random_density_matrix(3, rng, rank=2)]
-        for phs in (PowerHypothesisSet(base[:1], 8), PowerHypothesisSet(base[1:], 5)):
-            counts, sizes = type_classes(phs.dim, phs.n)
+        for state, n in ((base[0], 8), (base[1], 5)):
+            _, cut, _ = base_spectra([state])
+            counts, sizes = type_classes(state.dim, n)
             size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-            total = sum(size_of[k] * value for value, k in _class_stream(phs, 0))
+            total = sum(size_of[k] * value for value, k in _class_stream(n, cut[0]))
             assert abs(total - 1.0) < 1e-13
 
     def test_rank_multiplies(self):
@@ -200,18 +213,23 @@ class TestPowerHypothesisSet:
         # value cover rank(rho)^n product outcomes
         rng = np.random.default_rng(1)
         base = [random_density_matrix(3, rng, rank=2), random_density_matrix(3, rng, rank=1)]
-        phs = PowerHypothesisSet(base, 4)
-        assert [int(np.count_nonzero(row)) for row in phs.cut_values] == [2, 1]
-        counts, sizes = type_classes(phs.dim, phs.n)
+        _, cut, _ = base_spectra(base)
+        assert [int(np.count_nonzero(row)) for row in cut] == [2, 1]
+        counts, sizes = type_classes(3, 4)
         size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
         for state, rank in enumerate((2, 1)):
-            assert sum(size_of[k] for _, k in _class_stream(phs, state)) == rank**4
+            assert sum(size_of[k] for _, k in _class_stream(4, cut[state])) == rank**4
 
     def test_dimension_limit(self, monkeypatch):
+        # on the aligned route and on the blocks
         monkeypatch.setenv(DENSE_LIMIT_ENV, "16")
         base = [diagonal([0.5, 0.5]), diagonal([1.0, 0.0])]
-        with pytest.raises(DimensionLimitError):
-            PowerHypothesisSet(base, 5)
+        turn = random_orthonormal(2, 2, np.random.default_rng(2))
+        turned = [base[0], DensityMatrix(turn @ base[1].mat @ turn.conj().T)]
+        assert _aligned_rows(turned) is None and _pure_tops(turned) is None
+        for states in (base, turned):
+            with pytest.raises(DimensionLimitError):
+                run_power_experiment(states, [5], "gs")
 
 
 class TestRunPowerExperimentGs:
@@ -666,6 +684,12 @@ class TestRunPowerExperimentOtherKinds:
             check(states, range(1, 7), "epsilon", epsilon_override=0.2)
             if len(states) == 2:
                 check(states, range(1, 7), "helstrom")
+        # a non-aligned qutrit pair, on the blocks past n = 3
+        rng = np.random.default_rng(62)
+        states = [random_density_matrix(3, rng) for _ in range(2)]
+        assert _aligned_rows(states) is None and _pure_tops(states) is None
+        for kind in ("gs", "epsilon", "helstrom"):
+            check(states, range(1, 6), kind)
         # one sweep past one class group
         states = [
             diagonal([0.6, 0.4]),
@@ -683,6 +707,24 @@ class TestRunPowerExperimentOtherKinds:
         for kind in DETECTOR_KINDS:
             with pytest.raises(DimensionLimitError, match=r"2\*\*5 exceeds the dense limit 16"):
                 run_power_experiment(states, range(1, 7), kind)
+
+    def test_block_sweep_takes_one_unitary_log(self, monkeypatch):
+        # the base eigenbases' logarithms are taken once per call, not per n
+        calls = count_unitary_logs(monkeypatch)
+        rng = np.random.default_rng(63)
+        states = [random_density_matrix(3, rng, rank=int(rng.integers(2, 4))) for _ in range(2)]
+        assert _aligned_rows(states) is None and _pure_tops(states) is None
+        for kind in ("gs", "epsilon", "helstrom"):
+            calls.clear()
+            run_power_experiment(states, range(1, 5), kind)
+            assert calls == [(2, 3, 3)]
+
+    def test_mixed_dimensions_are_rejected(self):
+        # before any route reads the spectra
+        states = [diagonal([0.6, 0.4]), diagonal([0.2, 0.3, 0.5])]
+        for kind in DETECTOR_KINDS:
+            with pytest.raises(ValueError, match="states must share one dimension"):
+                run_power_experiment(states, [1, 2], kind)
 
     def test_commuting_triple_at_the_dimension_cap(self):
         # 2^14 = 16384 is the default cap; a Gram matrix over every product
@@ -749,7 +791,7 @@ class TestPureRoute:
             for kind in ("gs", "epsilon", "helstrom")[: 2 if len(states) > 2 else 3]:
                 eps = 0.3 if kind == "epsilon" else 0.0
                 picks.clear()
-                blocks = list(_block_scores(states, ns, kind, [eps] * len(ns)))
+                blocks = list(block_scores(states, ns, kind, [eps] * len(ns)))
                 block_picks = picks[:]
                 picks.clear()
                 options = {"epsilon_override": eps} if kind == "epsilon" else {}
@@ -810,7 +852,7 @@ class TestPureRoute:
             states = [pure(plane @ np.array(v)) for v in ([1, 0], [0, 1], [1, 1])]
             assert _aligned_rows(states) is None and _pure_tops(states) is not None
             row = run_power_experiment(states, [1], "gs").rows[0]
-            err, lam_min = next(_block_scores(states, [1], "gs", [0.0]))
+            err, lam_min = next(block_scores(states, [1], "gs", [0.0]))
             for value in (row.err, err):
                 assert abs(value - 1.0 / 3.0) < 1e-15
             for value in (row.lambda_min_gram, lam_min):
@@ -876,6 +918,10 @@ class TestLiCheck:
         report = pairwise_li_check([rho, sigma])
         assert not report.pairs[0].holds
 
+    def test_mixed_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match="states must share one dimension"):
+            pairwise_li_check([pure([1.0, 0.0]), pure([0.0, 0.0, 1.0])])
+
 
 class TestGramConvergence:
     def test_zero_plus_closed_form(self, zero_state, plus_state):
@@ -911,3 +957,36 @@ class TestGramConvergence:
         sigma = diagonal([0.3, 0.7, 0.0])
         with pytest.raises(ValueError):
             gram_convergence_check([rho, sigma], range(1, 3))
+
+    def test_mixed_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match="states must share one dimension"):
+            gram_convergence_check([pure([1.0, 0.0]), pure([0.0, 0.0, 1.0])], [1])
+
+    def test_sweep_over_the_cap_raises_before_any_block(self, zero_state, plus_state, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("no block may be built for a sweep over the cap")
+
+        monkeypatch.setattr(schurweyl, "_blocks", no_blocks)
+        monkeypatch.setenv(DENSE_LIMIT_ENV, "16")
+        with pytest.raises(DimensionLimitError, match=r"2\*\*5 exceeds the dense limit 16"):
+            gram_convergence_check([zero_state, plus_state], range(1, 7))
+
+    def test_sweep_values_equal_single_copy_number_values(self, zero_state, plus_state):
+        # bit for bit, on the zero-plus pair and on mixed pairwise-LI
+        # families in C^4 and C^6
+        rng = np.random.default_rng(3)
+        pair = [random_density_matrix(4, rng, rank=2) for _ in range(2)]
+        triple = [random_density_matrix(6, rng, rank=2) for _ in range(3)]
+        families = [([zero_state, plus_state], range(1, 9))]
+        families += [(pair, range(1, 5)), (triple, range(1, 4))]
+        for states, ns in families:
+            assert pairwise_li_check(states).all_pass
+            sweep = gram_convergence_check(states, ns)
+            assert sweep == [gram_convergence_check(states, [n])[0] for n in ns]
+
+    def test_one_unitary_log_per_sweep(self, monkeypatch):
+        calls = count_unitary_logs(monkeypatch)
+        rng = np.random.default_rng(3)
+        states = [random_density_matrix(4, rng, rank=2) for _ in range(2)]
+        gram_convergence_check(states, range(1, 5))
+        assert calls == [(2, 4, 4)]
