@@ -27,7 +27,9 @@ from .tensorlab import (
     run_power_experiment,
 )
 
-SCHEMA_VERSION = 1
+# the scenario files read and the JSON reports written are versioned apart
+SCENARIO_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 NORM_WARN_ATOL = 1e-8
 # an input this close to normalization is used as given, not divided by its
 # norm, sum or trace
@@ -184,7 +186,7 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be an object")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version!r}")
     specs = raw.get("states")
     if not isinstance(specs, list) or len(specs) < 1:
@@ -288,7 +290,7 @@ def _qcb_payload(qcb: MultipleChernoffResult) -> dict:
 
 def render_json(report: ExperimentReport) -> str:
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "qcb": _qcb_payload(report.qcb),
         "rows": [
             {
@@ -304,14 +306,9 @@ def render_json(report: ExperimentReport) -> str:
                     report.qcb.argmin_pair[0] + 1,
                     report.qcb.argmin_pair[1] + 1,
                 ],
-                "exceeds_qcb_ceiling": row.exceeds_qcb_ceiling,
             }
             for row in report.rows
         ],
-        "exponent_slopes": {
-            kind: _jsonable_float(slope)
-            for kind, slope in report.exponent_slopes.items()
-        },
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -327,7 +324,6 @@ def _load_states_to_compare(args) -> Scenario:
 def _cmd_run(args) -> int:
     scenario = _load_states_to_compare(args)
     rows = []
-    slopes: dict[str, float | None] = {}
     qcb = None
     for kind in scenario.detectors:
         report = run_power_experiment(
@@ -338,9 +334,8 @@ def _cmd_run(args) -> int:
             qcb=qcb,
         )
         rows.extend(report.rows)
-        slopes.update(report.exponent_slopes)
         qcb = report.qcb
-    combined = ExperimentReport(rows=rows, qcb=qcb, exponent_slopes=slopes)
+    combined = ExperimentReport(rows=rows, qcb=qcb)
     text = render_csv(combined) if args.format == "csv" else render_json(combined)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)

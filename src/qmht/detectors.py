@@ -205,6 +205,8 @@ def classical_ml(prob_matrix) -> np.ndarray:
     probs = np.asarray(prob_matrix, dtype=float)
     if probs.ndim != 2 or probs.size == 0:
         raise ValueError(f"expected a nonempty r x d matrix, got shape {probs.shape}")
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities must be finite")
     if float(probs.min()) < NONNEGATIVE_FLOOR:
         raise ValueError("probabilities must be nonnegative")
     row_sums = probs.sum(axis=1)
@@ -392,6 +394,8 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
     weights = np.asarray(priors, dtype=float)
     if len(states) != len(weights):
         raise ValueError("one prior per state required")
+    if not np.isfinite(weights).all():
+        raise ValueError("priors must be finite")
     if float(weights.min()) < NONNEGATIVE_FLOOR:
         raise ValueError("priors must be nonnegative")
     if abs(float(weights.sum()) - 1.0) > PRIOR_ATOL:

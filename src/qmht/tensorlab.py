@@ -48,6 +48,7 @@ cap (``check_dense_limit``) applies to every route and to
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,7 +81,6 @@ from .schurweyl import (
 )
 
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
-QCB_CEILING_SLACK = 0.02
 EPSILON_CLIP = 1.0 / math.sqrt(2.0) - 1e-6
 LI_WITNESS_TOL = 1e-9
 # An aligned sweep scores its consecutive n in groups of at most this many
@@ -96,6 +96,18 @@ def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
     over = [n for n in ns if dim**n > cap]
     if over:
         raise DimensionLimitError(f"{dim}**{min(over)} exceeds the dense limit {cap}")
+
+
+def _copy_numbers(n_range: Iterable[int]) -> list[int]:
+    """The distinct copy numbers in ``n_range``, sorted. Each must be a
+    positive Python or numpy integer: a float or a bool raises ValueError
+    instead of being truncated to one."""
+    ns = set()
+    for n in n_range:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"copy numbers must be positive integers, got {n!r}")
+        ns.add(int(n))
+    return sorted(ns)
 
 
 def _pairwise_overlap_power_sum(qcb: MultipleChernoffResult, n: int) -> float:
@@ -304,40 +316,19 @@ class ExperimentRow:
     error_bound: float | None
     lambda_min_gram: float | None
     epsilon: float | None
-    exceeds_qcb_ceiling: bool
 
 
 @dataclass
 class ExperimentReport:
-    """Sweep records plus the base-set Chernoff data and slope diagnostics."""
+    """Sweep records plus the base-set Chernoff data."""
 
     rows: list[ExperimentRow]
     qcb: MultipleChernoffResult
-    exponent_slopes: dict[str, float | None]
 
     def __post_init__(self) -> None:
         keys = [(row.n, row.detector) for row in self.rows]
         if len(keys) != len(set(keys)):
             raise ValueError("rows must be keyed uniquely by (n, detector)")
-
-
-def _fit_exponent_slope(rows: Sequence[ExperimentRow]) -> float | None:
-    """Least-squares slope of -log(err) vs n over the top half of the range."""
-    ns = [row.n for row in rows]
-    if not ns:
-        return None
-    midpoint = 0.5 * (min(ns) + max(ns))
-    points = [
-        (row.n, -math.log(row.err))
-        for row in rows
-        if row.n >= midpoint and row.err > 0.0 and math.isfinite(row.exponent)
-    ]
-    if len(points) < 2:
-        return None
-    x_mean = math.fsum(x for x, _ in points) / len(points)
-    y_mean = math.fsum(y for _, y in points) / len(points)
-    spread = math.fsum((x - x_mean) * (y - y_mean) for x, y in points)
-    return spread / math.fsum((x - x_mean) ** 2 for x, _ in points)
 
 
 def run_power_experiment(
@@ -367,9 +358,9 @@ def run_power_experiment(
         raise ValueError("states must share one dimension")
     # one alignment verdict per call; classical-ml reads any commuting family
     probs = _commuting_rows(states) if kind == "classical-ml" else _aligned_rows(states)
-    ns = sorted({int(n) for n in n_range})
-    if not ns or ns[0] < 1:
-        raise ValueError("copy numbers must be positive integers")
+    ns = _copy_numbers(n_range)
+    if not ns:
+        raise ValueError("need at least one copy number")
     check_dense_limit(states[0].dim, ns)
 
     if qcb is None:
@@ -404,11 +395,6 @@ def run_power_experiment(
         else:  # classical-ml
             bound = overlap_sum / r
         exponent = math.inf if err <= 0.0 else -math.log(err) / n
-        ceiling = (
-            math.isfinite(qcb.xi)
-            and math.isfinite(exponent)
-            and exponent > qcb.xi + QCB_CEILING_SLACK
-        )
         rows.append(
             ExperimentRow(
                 n=n,
@@ -418,12 +404,9 @@ def run_power_experiment(
                 error_bound=bound,
                 lambda_min_gram=lam_min,
                 epsilon=eps if kind == "epsilon" else None,
-                exceeds_qcb_ceiling=ceiling,
             )
         )
-    return ExperimentReport(
-        rows=rows, qcb=qcb, exponent_slopes={kind: _fit_exponent_slope(rows)}
-    )
+    return ExperimentReport(rows=rows, qcb=qcb)
 
 
 @dataclass(frozen=True)
@@ -486,9 +469,7 @@ def gram_convergence_check(
         raise ValueError("need at least one hypothesis")
     if not pairwise_li_check(states).all_pass:
         raise ValueError("supports must intersect trivially for every pair")
-    ns = sorted({int(n) for n in n_range})
-    if ns and ns[0] < 1:
-        raise ValueError("copy numbers must be positive integers")
+    ns = _copy_numbers(n_range)
     check_dense_limit(states[0].dim, ns)
     _, cut, logs = base_spectra(states)
     return [(n, joint_gram_floor(n, cut, logs)) for n in ns]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qmht
-from qmht.cli import load_scenario, main
+from qmht.cli import CSV_COLUMNS, load_scenario, main
 from qmht.detectors import epsilon_detector, evaluate_errors, gs_detector, holevo_helstrom
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from conftest import diagonal
@@ -222,6 +222,12 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.csv")]) == 2
 
+    def test_report_schema_version_is_not_a_scenario_version(self, tmp_path, capsys):
+        # version 2 is the JSON report's; a scenario file is version 1
+        scen = write_scenario(tmp_path / "s.json", schema_version=2)
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "unsupported schema_version 2" in capsys.readouterr().err
+
     def test_unknown_detector_kind_exit_2(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", detectors=["magic"])
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
@@ -281,7 +287,9 @@ class TestRunCommand:
         out = tmp_path / "report.json"
         main(["run", "--scenario", str(scen), "--out", str(out), "--format", "json"])
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        # the report schema is 2 (it dropped keys) while scenarios stay at 1
+        assert payload["schema_version"] == 2
+        assert set(payload) == {"schema_version", "qcb", "rows"}
         assert payload["qcb"]["argmin_pair"] == [1, 2]
 
         scenario = load_scenario(str(scen))
@@ -295,6 +303,8 @@ class TestRunCommand:
             expected = memory[(row["n"], row["detector"])]
             assert abs(row["err"] - expected.err) <= 1e-12
             assert abs(row["exponent"] - expected.exponent) <= 1e-12
+            # report schema 2: each row carries the CSV columns and no more
+            assert set(row) == set(CSV_COLUMNS)
             if expected.error_bound is None:
                 assert row["lemma3_bound"] is None
             else:

@@ -306,6 +306,12 @@ class TestClassicalMl:
         with pytest.raises(ValueError):
             classical_ml(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        # every comparison with NaN is False, so the row checks alone let it pass
+        with pytest.raises(ValueError, match="finite"):
+            classical_ml([[bad, 1.0], [0.5, 0.5]])
+
 
 class TestGreedyOrder:
     def test_equal_values_go_to_smaller_state(self):
@@ -702,6 +708,13 @@ class TestPgm:
             errors = evaluate_errors(states, det).per_hypothesis
             for rho, element, err in zip(states, det.elements, errors):
                 assert abs(err - (1.0 - np.trace(rho.mat @ element.mat).real)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_priors(self, zero_state, plus_state, bad):
+        # a ValueError, not the NumericalConsistencyError of the frame check,
+        # which stands for an internal failure
+        with pytest.raises(ValueError, match="finite"):
+            pgm([zero_state, plus_state], [bad, 1.0])
 
     def test_rank_deficient_average_still_povm(self):
         states = [pure([1, 0, 0]), pure([0, 1, 0])]

@@ -253,16 +253,27 @@ class TestRunPowerExperimentGs:
             assert abs(row.lambda_min_gram - 1.0) < 1e-12
 
     def test_pure_pair_sweep(self, zero_state, plus_state):
-        # pure and not aligned: the pure route
+        # pure and not aligned: the pure route, up to n = 14, the largest
+        # qubit n under the default d^n cap
         states = [zero_state, plus_state]
         assert _aligned_rows(states) is None and _pure_tops(states) is not None
-        report = run_power_experiment(states, range(1, 13), "gs")
+        ns = range(1, 15)
+        report = run_power_experiment(states, ns, "gs")
         for n in (1, 2, 3, 4, 5):
             assert abs(dense_gs_error(states, n) - 0.5 ** (n + 1)) < 1e-12
+        assert [row.n for row in report.rows] == list(ns)
         for row in report.rows:
             assert abs(row.err - 0.5 ** (row.n + 1)) < 1e-10
             assert abs(row.lambda_min_gram - (1.0 - 2.0 ** (-row.n / 2))) < 1e-10
             assert row.err <= row.error_bound + 1e-12
+        # |<0|+>|^(2n) = 2^-n, so Helstrom's error is (1 - sqrt(1 - 2^-n)) / 2
+        helstrom = run_power_experiment(states, ns, "helstrom", qcb=report.qcb)
+        for row in helstrom.rows:
+            assert abs(row.err - 0.5 * (1.0 - math.sqrt(1.0 - 2.0**-row.n))) < 1e-12
+        epsilon = run_power_experiment(states, ns, "epsilon", qcb=report.qcb)
+        assert [row.n for row in epsilon.rows] == list(ns)
+        for row in epsilon.rows:
+            assert row.err <= row.error_bound
 
     def test_three_state_sweep_closed_form(self, zero_state, plus_state, one_state):
         states = [zero_state, plus_state, one_state]
@@ -277,12 +288,6 @@ class TestRunPowerExperimentGs:
             assert abs(row.err - expected) < 1e-10
         for n in (1, 2, 3, 4):
             assert abs(dense_gs_error(states, n) - report.rows[n - 1].err) < 1e-10
-
-    def test_exponent_slope_tracks_rate(self):
-        states = [pure([1, 0]), pure([1, 1])]
-        report = run_power_experiment(states, range(1, 13), "gs")
-        slope = report.exponent_slopes["gs"]
-        assert abs(slope - LOG2) < 0.01
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -745,21 +750,33 @@ class TestRunPowerExperimentOtherKinds:
         report = run_power_experiment([zero_state, plus_state], [1, 2, 2, 3], "gs")
         assert [row.n for row in report.rows] == [1, 2, 3]
 
-    def test_ceiling_overshoot_is_flagged_not_failed(self, zero_state, plus_state):
-        # finite-n exponents of a sub-unit-prefactor error sit above the
-        # asymptotic bound; rows record that as a flag
-        report = run_power_experiment([zero_state, plus_state], [1, 2], "gs")
-        for row in report.rows:
-            assert row.exponent > report.qcb.xi + 0.02
-            assert row.exceeds_qcb_ceiling
-
     def test_orthogonal_pair_reports_infinite_exponent(self, zero_state, one_state):
         report = run_power_experiment([zero_state, one_state], [1, 2], "gs")
         for row in report.rows:
             assert row.err == 0.0
             assert math.isinf(row.exponent)
-            assert not row.exceeds_qcb_ceiling
-        assert report.exponent_slopes["gs"] is None
+
+    @pytest.mark.parametrize(
+        "n_range",
+        [[2.5], [np.float64(3.9)], [3.0], [True, 3], [np.bool_(True)], [0], [-1]],
+    )
+    @pytest.mark.parametrize("entry", ["run_power_experiment", "gram_convergence_check"])
+    def test_copy_numbers_must_be_positive_integers(self, zero_state, plus_state, entry, n_range):
+        # a float or a bool is rejected rather than truncated to an int
+        states = [zero_state, plus_state]
+        with pytest.raises(ValueError, match="positive integers"):
+            if entry == "run_power_experiment":
+                run_power_experiment(states, n_range, "gs")
+            else:
+                gram_convergence_check(states, n_range)
+
+    def test_numpy_integer_copy_numbers(self, zero_state, plus_state):
+        states = [zero_state, plus_state]
+        ns = np.arange(1, 4)
+        report = run_power_experiment(states, ns, "gs")
+        assert [row.n for row in report.rows] == [1, 2, 3]
+        assert all(type(row.n) is int for row in report.rows)
+        assert gram_convergence_check(states, ns) == gram_convergence_check(states, [1, 2, 3])
 
 
 class TestPureRoute:
