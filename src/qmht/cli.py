@@ -323,20 +323,13 @@ def _load_states_to_compare(args) -> Scenario:
 
 def _cmd_run(args) -> int:
     scenario = _load_states_to_compare(args)
-    rows = []
-    qcb = None
-    for kind in scenario.detectors:
-        report = run_power_experiment(
-            scenario.states,
-            range(scenario.n_min, scenario.n_max + 1),
-            kind,
-            epsilon_override=scenario.epsilon_override,
-            qcb=qcb,
-        )
-        rows.extend(report.rows)
-        qcb = report.qcb
-    combined = ExperimentReport(rows=rows, qcb=qcb)
-    text = render_csv(combined) if args.format == "csv" else render_json(combined)
+    report = run_power_experiment(
+        scenario.states,
+        range(scenario.n_min, scenario.n_max + 1),
+        *scenario.detectors,
+        epsilon_override=scenario.epsilon_override,
+    )
+    text = render_csv(report) if args.format == "csv" else render_json(report)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     return EXIT_OK

@@ -47,17 +47,32 @@ from .linalg import eigenvalue_zero_threshold, gram_floor, solve_lower
 @functools.cache
 def type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Label counts k of every type class of n draws from d labels, one class
-    per row, and the class sizes n!/prod_j k_j! (exact integers, as floats)."""
-    draws = itertools.combinations_with_replacement(range(d), n)
-    counts = np.array([np.bincount(draw, minlength=d) for draw in draws])
-    sizes = np.array(
-        [math.factorial(n) // math.prod(map(math.factorial, row)) for row in counts.tolist()],
-        dtype=float,
-    )
+    per row, and the class sizes n!/prod_j k_j! (exact integers, as floats),
+    in the order of ``itertools.combinations_with_replacement(range(d), n)``."""
+    counts, sizes = _exact_classes(d, n)
+    sizes = np.array(sizes, dtype=float)
     # cached and shared by every caller, so read-only
     counts.setflags(write=False)
     sizes.setflags(write=False)
     return counts, sizes
+
+
+def _exact_classes(d: int, n: int) -> tuple[np.ndarray, list[int]]:
+    """``type_classes`` with the sizes as exact ints: k_0 from n down, each
+    followed by the classes of the other d - 1 labels, of size
+    C(n, k_0) times theirs."""
+    if d == 1:
+        return np.array([[n]]), [1]
+    if d == 2:
+        first = np.arange(n, -1, -1)
+        return np.column_stack([first, n - first]), [math.comb(n, k) for k in first.tolist()]
+    parts, sizes = [], []
+    for first in range(n, -1, -1):
+        rest, rest_sizes = _exact_classes(d - 1, n - first)
+        parts.append(np.column_stack([np.full(len(rest), first), rest]))
+        ways = math.comb(n, first)
+        sizes += [ways * size for size in rest_sizes]
+    return np.vstack(parts), sizes
 
 
 def cut_spectrum(values: np.ndarray) -> np.ndarray:
@@ -343,10 +358,11 @@ def pick_frame(kind: str, keys, picks, epsilon: float):
     return _epsilon_frame(keys, picks, epsilon)
 
 
-def block_scores(states, ns, kind: str, epsilons):
-    """Detector error of a gs, epsilon or helstrom row on the n-fold powers,
-    and lambda_min_gram (None for helstrom), for every n of ``ns`` in turn,
-    from one ``base_spectra`` of the states.
+def block_scores(states, ns, kinds, epsilons):
+    """For every n of ``ns`` in turn, the detector error and lambda_min_gram
+    (None for helstrom) on the n-fold powers of each gs, epsilon or helstrom
+    row of ``kinds`` (epsilons ``epsilons[kind]``), from one ``base_spectra``
+    of the states, one block at a time, each pi_lam(U) built once for all.
 
     Each block is scored as a labelled frame of V_lam: err is
     (1/r) sum_lam f_lam times the block's ``frame_misses`` (helstrom's 1/2 is
@@ -363,27 +379,28 @@ def block_scores(states, ns, kind: str, epsilons):
     hypothesis 0 whole, and builds no pi_lam(U).
     """
     eigenvalues, cut, logs = base_spectra(states)
-    for n, epsilon in zip(ns, epsilons):
-        pops = None if kind == "helstrom" else _pops(n, cut, kind)
-        err = 0.0
-        lam_min = math.inf
+    for i, n in enumerate(ns):
+        pops = [None if kind == "helstrom" else _pops(n, cut, kind) for kind in kinds]
+        errs = [0.0] * len(kinds)
+        lam_mins = [None if kind == "helstrom" else math.inf for kind in kinds]
         for block in _blocks(n, eigenvalues, logs):
-            if pops is None:
-                u = block.unitaries
-                operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
-                frame, labels = _helstrom_frame(operators[1] - operators[0])
-            else:
-                keys = block.columns(pops)
-                if not keys:
-                    # every direction goes to hypothesis 0
-                    err += block.mult * sum(float(row.sum()) for row in block.values[1:])
-                    continue
-                owners, columns = np.array(keys).T
-                picks = block.unitaries[owners, :, columns].T
-                frame, labels, floor = pick_frame(kind, keys, picks, epsilon)
-                lam_min = min(lam_min, floor)
-            err += block.mult * frame_misses(frame, labels, block.unitaries, block.values)
-        yield err / len(eigenvalues), (None if pops is None else lam_min)
+            for k, kind in enumerate(kinds):
+                if pops[k] is None:
+                    u = block.unitaries
+                    operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
+                    frame, labels = _helstrom_frame(operators[1] - operators[0])
+                else:
+                    keys = block.columns(pops[k])
+                    if not keys:
+                        # every direction goes to hypothesis 0
+                        errs[k] += block.mult * sum(float(row.sum()) for row in block.values[1:])
+                        continue
+                    owners, columns = np.array(keys).T
+                    picks = block.unitaries[owners, :, columns].T
+                    frame, labels, floor = pick_frame(kind, keys, picks, epsilons[kind][i])
+                    lam_mins[k] = min(lam_mins[k], floor)
+                errs[k] += block.mult * frame_misses(frame, labels, block.unitaries, block.values)
+        yield [(err / len(eigenvalues), lam_min) for err, lam_min in zip(errs, lam_mins)]
 
 
 def joint_gram_floor(n: int, cut: np.ndarray, logs: np.ndarray) -> float:

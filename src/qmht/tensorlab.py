@@ -20,11 +20,12 @@ label, and gs and epsilon to the states whose cut P_a is above the pick
 cut, in the order ``detectors.greedy_ranks`` gives (``greedy_order`` on
 one-value streams, for every class at once), the c-th claimant with the
 weight |1^T R^-1 e_c|^2 of the class Gram matrix delta^2 J + epsilon^2 I
-(gs is epsilon = 0). Every kind then scores its summed misses by one rule,
-and classical-ml reads any commuting family from ``common_eigenbasis``. A
-sweep is scored in groups of consecutive n, up to ``CLASS_GROUP_LIMIT``
-classes each, as whole arrays; each state's misses at each n are summed on
-their own, so a row does not depend on the sweep it came in.
+(gs is epsilon = 0). Every kind then scores its summed misses by one rule;
+classical-ml reads a commuting family that is not aligned from
+``common_eigenbasis``. A sweep is scored in groups of consecutive n, up to
+``CLASS_GROUP_LIMIT`` classes each, as whole arrays shared by every kind;
+each state's misses at each n are summed on their own, so a row does not
+depend on the sweep or the other kinds it came with.
 
 Pure families come next (decided once per call, after alignment): every
 state whose eigenvalues below the largest sum to at most d eps lambda_top
@@ -91,22 +92,33 @@ CLASS_GROUP_LIMIT = 1 << 14
 
 def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
     """Raise DimensionLimitError, naming the smallest n in ``ns`` with dim^n
-    above ``dense_limit()``, if there is one."""
+    above ``dense_limit()``, if there is one. No power is taken per n, and a
+    range with a positive step is read from its bounds, not walked."""
     cap = dense_limit()
-    over = [n for n in ns if dim**n > cap]
-    if over:
-        raise DimensionLimitError(f"{dim}**{min(over)} exceeds the dense limit {cap}")
+    if dim < 2:
+        return
+    first, power = 1, dim  # the smallest n with dim**n > cap
+    while power <= cap:
+        first, power = first + 1, power * dim
+    if isinstance(ns, range) and ns.step > 0:
+        ns = ns[max(0, -((ns.start - first) // ns.step)) :][:1]
+    over = min((n for n in ns if n >= first), default=None)
+    if over is not None:
+        raise DimensionLimitError(f"{dim}**{over} exceeds the dense limit {cap}")
 
 
-def _copy_numbers(n_range: Iterable[int]) -> list[int]:
-    """The distinct copy numbers in ``n_range``, sorted. Each must be a
-    positive Python or numpy integer: a float or a bool raises ValueError
-    instead of being truncated to one."""
+def _copy_numbers(n_range: Iterable[int], dim: int) -> list[int]:
+    """The distinct copy numbers in ``n_range``, sorted and under the cap (a
+    range is checked before it is walked). Each must be a positive Python or
+    numpy integer: a float or a bool raises ValueError, not truncated."""
+    if isinstance(n_range, range):
+        check_dense_limit(dim, n_range)
     ns = set()
     for n in n_range:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"copy numbers must be positive integers, got {n!r}")
         ns.add(int(n))
+    check_dense_limit(dim, ns)
     return sorted(ns)
 
 
@@ -169,27 +181,28 @@ def _class_groups(dim: int, ns: Sequence[int]):
     yield slice(start, len(ns))
 
 
-def _type_class_scores(
-    rows: np.ndarray, ns: Sequence[int], kind: str, epsilons: Sequence[float]
-):
-    """Detector error on the n-fold powers of an aligned family, and
-    lambda_min_gram, for every n of ``ns`` in turn: ``_class_group_scores``
-    of each of the ``_class_groups``, whose arrays are freed before the next
-    group's classes are built."""
+def _type_class_scores(rows: np.ndarray, ns: Sequence[int], kinds: Sequence[str], epsilons: dict):
+    """For every n of ``ns`` in turn, the detector error and lambda_min_gram
+    of each row of ``kinds`` (epsilons ``epsilons[kind]``) on the n-fold
+    powers of an aligned family: ``_class_group_scores`` of each of the
+    ``_class_groups``, whose arrays are freed before the next group's
+    classes are built."""
     cut_rows = np.array([cut_spectrum(row) for row in rows])
     for group in _class_groups(rows.shape[1], ns):
-        yield from _class_group_scores(rows, cut_rows, ns[group], kind, epsilons[group])
+        group_epsilons = {kind: epsilons[kind][group] for kind in kinds}
+        yield from _class_group_scores(rows, cut_rows, ns[group], kinds, group_epsilons)
 
 
 def _class_group_scores(
     rows: np.ndarray,
     cut_rows: np.ndarray,
     ns: Sequence[int],
-    kind: str,
-    epsilons: Sequence[float],
-) -> list[tuple[float, float]]:
-    """(err, lambda_min_gram) at every n of ``ns``, from one term per type
-    class, all classes of all n in one set of arrays.
+    kinds: Sequence[str],
+    epsilons: dict,
+) -> list[tuple[tuple[float, float], ...]]:
+    """(err, lambda_min_gram) of each of ``kinds`` at every n of ``ns``, one
+    tuple per n, from one term per type class, all classes of all n in one
+    set of arrays that every kind shares.
 
     Every product outcome in a type class has the likelihood
     P_a = prod_j p_a[j]^(k_j) under state a. classical-ml and helstrom give
@@ -202,34 +215,41 @@ def _class_group_scores(
     misses P_i ((1 - w_i) + epsilon^2 w_i). lambda_min_gram is epsilon^2
     when some class has two weighted claimants and 1 otherwise. Each
     state's misses at each n are summed by ``math.fsum``, so every row is
-    the row of that n scored alone, bit for bit.
+    the row of that n and kind scored alone, bit for bit.
     """
     r, dim = rows.shape
     classes = [type_classes(dim, n) for n in ns]
     widths = [len(sizes) for _, sizes in classes]
     starts = np.cumsum([0] + widths)
-    eps = np.array(epsilons)
+    sizes = np.concatenate([sizes for _, sizes in classes])
     values = _class_values(rows, classes)
-    if kind in ("classical-ml", "helstrom"):
-        weights = (np.argmax(values, axis=0) == np.arange(r)[:, None]).astype(float)
-    else:
-        weights = _greedy_claims(
-            _class_values(cut_rows, classes),
-            np.repeat([class_pick_cut(cut_rows, n, kind) for n in ns], widths),
-            np.repeat(_claim_weights(r, eps), widths, axis=0),
-        )
-    eps_sq = np.repeat(eps * eps, widths)
-    # in place, so that few arrays of the group's size are alive at once
-    misses = eps_sq * weights
-    misses += 1.0 - weights
-    misses *= values
-    misses[0] = (1.0 - eps_sq) * values[0] * weights[1:].sum(axis=0)
-    misses *= np.concatenate([sizes for _, sizes in classes])
-    shared = np.logical_or.reduceat(np.count_nonzero(weights, axis=0) > 1, starts[:-1])
-    scored = [memoryview(row) for row in misses]
-    sums = [[math.fsum(row[lo:hi]) for row in scored] for lo, hi in zip(starts, starts[1:])]
-    errs = np.mean(sums, axis=1).tolist()
-    return [(err, e * e if many else 1.0) for err, e, many in zip(errs, epsilons, shared)]
+    cut_values = _class_values(cut_rows, classes)
+    ranks = {}  # by pick mask: gs and epsilon share one unless epsilon's cut drops a class
+    scores = []
+    for kind in kinds:
+        eps = np.array(epsilons[kind])
+        if kind in ("classical-ml", "helstrom"):
+            weights = (np.argmax(values, axis=0) == np.arange(r)[:, None]).astype(float)
+        else:
+            floors = np.repeat([class_pick_cut(cut_rows, n, kind) for n in ns], widths)
+            present = cut_values > floors
+            if (mask := present.tobytes()) not in ranks:
+                ranks[mask] = greedy_ranks(cut_values, present)
+            weights = _greedy_claims(ranks[mask], np.repeat(_claim_weights(r, eps), widths, axis=0))
+        eps_sq = np.repeat(eps * eps, widths)
+        # in place, so that few arrays of the group's size are alive at once
+        misses = eps_sq * weights
+        misses += 1.0 - weights
+        misses *= values
+        misses[0] = (1.0 - eps_sq) * values[0] * weights[1:].sum(axis=0)
+        misses *= sizes
+        shared = np.logical_or.reduceat(np.count_nonzero(weights, axis=0) > 1, starts[:-1])
+        scored = [memoryview(row) for row in misses]
+        sums = [[math.fsum(row[lo:hi]) for row in scored] for lo, hi in zip(starts, starts[1:])]
+        errs = np.mean(sums, axis=1).tolist()
+        lam_mins = [e * e if many else 1.0 for e, many in zip(epsilons[kind], shared)]
+        scores.append(list(zip(errs, lam_mins)))
+    return list(zip(*scores))
 
 
 def _class_values(rows: np.ndarray, classes) -> np.ndarray:
@@ -239,11 +259,10 @@ def _class_values(rows: np.ndarray, classes) -> np.ndarray:
     return np.prod(rows[:, None, :] ** counts, axis=2)
 
 
-def _greedy_claims(cut: np.ndarray, floors: np.ndarray, claim_weights: np.ndarray) -> np.ndarray:
+def _greedy_claims(ranks: np.ndarray, claim_weights: np.ndarray) -> np.ndarray:
     """Weight of every state's claim on every class m: ``claim_weights[m, c]``
-    for the c-th claimant in ``greedy_ranks`` order of the states whose
-    ``cut`` value is above ``floors[m]``, and 0 for the others."""
-    ranks = greedy_ranks(cut, cut > floors)
+    for the state at position c of column m of the ``greedy_ranks`` result
+    ``ranks``, and 0 for a state ranked -1."""
     weights = np.take_along_axis(claim_weights.T, np.maximum(ranks, 0), axis=0)
     weights[ranks < 0] = 0.0
     return weights
@@ -262,11 +281,12 @@ def _pure_scores(
     states: Sequence[DensityMatrix],
     tops: np.ndarray,
     ns: Sequence[int],
-    kind: str,
-    epsilons: Sequence[float],
+    kinds: Sequence[str],
+    epsilons: dict,
 ):
-    """Detector error and lambda_min_gram (None for helstrom) for every n of
-    ``ns`` in turn, of a pure family, on the coordinates of r product vectors.
+    """For every n of ``ns`` in turn, the detector error and lambda_min_gram
+    (None for helstrom) of each row of ``kinds`` (epsilons ``epsilons[kind]``)
+    of a pure family, on the coordinates of r product vectors.
 
     State s counts as a_s |psi_s><psi_s|^(x n), with a_s = ``tops[s]``^n and
     psi_s its unit top eigenvector: this drops at most n times the state's
@@ -282,21 +302,26 @@ def _pure_scores(
     vectors = np.column_stack([rho.spectrum().vectors[:, 0] for rho in states])
     vectors /= np.linalg.norm(vectors, axis=0)
     coefficients = np.linalg.qr(vectors, mode="r").T
-    for n, eps in zip(ns, epsilons):
+    for i, n in enumerate(ns):
         weights = tops**n
-        if kind == "helstrom":
-            a, b = weights
-            # rounding can put the overlap of nearly parallel vectors above 1
-            g = min(abs(np.vdot(vectors[:, 0], vectors[:, 1])) ** 2, 1.0) ** n
-            root = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - g))
-            yield a * b * g / (a + b + root), None
-            continue
         counts, sizes = type_classes(coefficients.shape[1], n)
         coordinates = np.sqrt(sizes) * np.prod(coefficients[:, None, :] ** counts, axis=2)
         unit = coordinates / np.linalg.norm(coordinates, axis=1)[:, None]
         order = [s for s, _, _ in greedy_order([[(w, None)] for w in weights])]
-        frame, labels, floor = pick_frame(kind, [(s, 0) for s in order], unit[order].T, eps)
-        yield frame_misses(frame, labels, unit[:, :, None], weights[:, None]) / len(states), floor
+        scores = []
+        for kind in kinds:
+            if kind == "helstrom":
+                a, b = weights
+                # rounding can put the overlap of nearly parallel vectors above 1
+                g = min(abs(np.vdot(vectors[:, 0], vectors[:, 1])) ** 2, 1.0) ** n
+                root = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - g))
+                scores.append((a * b * g / (a + b + root), None))
+                continue
+            keys = [(s, 0) for s in order]
+            frame, labels, floor = pick_frame(kind, keys, unit[order].T, epsilons[kind][i])
+            misses = frame_misses(frame, labels, unit[:, :, None], weights[:, None])
+            scores.append((misses / len(states), floor))
+        yield scores
 
 
 def _schedule_from_overlap_sum(total: float) -> float:
@@ -334,78 +359,84 @@ class ExperimentReport:
 def run_power_experiment(
     base: Sequence[DensityMatrix],
     n_range: Iterable[int],
-    kind: str,
-    *,
+    *kinds: str,
     epsilon_override: float | None = None,
-    qcb: MultipleChernoffResult | None = None,
 ) -> ExperimentReport:
-    """Sweep copy numbers, building the requested detector family on each power.
+    """Sweep copy numbers, scoring every requested detector family on each
+    power in one pass; rows come out kind by kind, in the order given.
 
-    ``kind`` selects the family: "gs" (greedy PVM), "epsilon" (embedded POVM
+    Each kind selects a family: "gs" (greedy PVM), "epsilon" (embedded POVM
     with the scheduled or overridden perturbation), "helstrom" (binary optimal
-    test, r = 2 only), or "classical-ml" (commuting families only). ``qcb``
-    is ``multiple_qcb(base)`` from an earlier sweep of the same states; when
-    it is given, it is used as is instead of being recomputed.
+    test, r = 2 only), or "classical-ml" (commuting families only). Every
+    kind is checked before any row is scored; the route, the Chernoff bound
+    and each route's per-family data are shared by all of them.
     """
     states = list(base)
-    if kind not in DETECTOR_KINDS:
-        raise ValueError(f"unknown detector kind {kind!r}")
+    if not kinds:
+        raise ValueError("need at least one detector kind")
+    for k, kind in enumerate(kinds):
+        if kind not in DETECTOR_KINDS:
+            raise ValueError(f"unknown detector kind {kind!r}")
+        if kind in kinds[:k]:
+            raise ValueError(f"detector kind {kind!r} is listed twice")
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
-    if kind == "helstrom" and len(states) != 2:
+    if "helstrom" in kinds and len(states) != 2:
         raise ValueError("helstrom runs on exactly two hypotheses")
     if any(rho.dim != states[0].dim for rho in states):
         raise ValueError("states must share one dimension")
-    # one alignment verdict per call; classical-ml reads any commuting family
-    probs = _commuting_rows(states) if kind == "classical-ml" else _aligned_rows(states)
-    ns = _copy_numbers(n_range)
+    ns = _copy_numbers(n_range, states[0].dim)
     if not ns:
         raise ValueError("need at least one copy number")
-    check_dense_limit(states[0].dim, ns)
+    # one alignment verdict per call; classical-ml reads the aligned rows, or
+    # else any commuting family's rows in ``common_eigenbasis``
+    aligned = _aligned_rows(states)
+    ml_rows = aligned
+    if aligned is None and "classical-ml" in kinds:
+        ml_rows = _commuting_rows(states)
 
-    if qcb is None:
-        qcb = multiple_qcb(states)
+    qcb = multiple_qcb(states)
     r = len(states)
     overlap_sums = [_pairwise_overlap_power_sum(qcb, n) for n in ns]
-    epsilons = [0.0] * len(ns)
-    if kind == "epsilon":
-        epsilons = [
-            epsilon_override
-            if epsilon_override is not None
-            else _schedule_from_overlap_sum(total)
+    epsilons = {kind: [0.0] * len(ns) for kind in kinds}
+    if "epsilon" in kinds:
+        epsilons["epsilon"] = [
+            _schedule_from_overlap_sum(total) if epsilon_override is None else epsilon_override
             for total in overlap_sums
         ]
-        for eps in epsilons:
+        for eps in epsilons["epsilon"]:
             embedding_guard(eps)
-    if probs is not None:
-        scores = _type_class_scores(probs, ns, kind, epsilons)
-    elif (tops := _pure_tops(states)) is not None:
-        scores = _pure_scores(states, tops, ns, kind, epsilons)
-    else:
-        scores = block_scores(states, ns, kind, epsilons)
+
+    # each route yields, per n, a score for each of its kinds
+    class_kinds = kinds if aligned is not None else tuple(k for k in kinds if k == "classical-ml")
+    others = tuple(kind for kind in kinds if kind not in class_kinds)
+    routes = []
+    if class_kinds:
+        routes.append((class_kinds, _type_class_scores(ml_rows, ns, class_kinds, epsilons)))
+    if others and (tops := _pure_tops(states)) is not None:
+        routes.append((others, _pure_scores(states, tops, ns, others, epsilons)))
+    elif others:
+        routes.append((others, block_scores(states, ns, others, epsilons)))
+    scores = {}
+    for route_kinds, per_n in routes:
+        scores.update(zip(route_kinds, zip(*per_n)))
     rows: list[ExperimentRow] = []
-    for n, overlap_sum, eps, (err, lam_min) in zip(ns, overlap_sums, epsilons, scores):
-        bound: float | None
-        if kind == "gs":
-            bound = lemma3_bound(overlap_sum, lam_min, r)
-        elif kind == "epsilon":
-            bound = (2.0 * eps + overlap_sum / (eps * eps)) / r
-        elif kind == "helstrom":
-            bound = lam_min = None
-        else:  # classical-ml
-            bound = overlap_sum / r
-        exponent = math.inf if err <= 0.0 else -math.log(err) / n
-        rows.append(
-            ExperimentRow(
-                n=n,
-                detector=kind,
-                err=float(err),
-                exponent=float(exponent),
-                error_bound=bound,
-                lambda_min_gram=lam_min,
-                epsilon=eps if kind == "epsilon" else None,
-            )
-        )
+    for kind in kinds:
+        for n, overlap_sum, eps, (err, lam_min) in zip(
+            ns, overlap_sums, epsilons[kind], scores[kind]
+        ):
+            bound: float | None
+            if kind == "gs":
+                bound = lemma3_bound(overlap_sum, lam_min, r)
+            elif kind == "epsilon":
+                bound = (2.0 * eps + overlap_sum / (eps * eps)) / r
+            elif kind == "helstrom":
+                bound = lam_min = None
+            else:  # classical-ml
+                bound = overlap_sum / r
+            exponent = math.inf if err <= 0.0 else -math.log(err) / n
+            eps = eps if kind == "epsilon" else None
+            rows.append(ExperimentRow(n, kind, float(err), float(exponent), bound, lam_min, eps))
     return ExperimentReport(rows=rows, qcb=qcb)
 
 
@@ -469,7 +500,6 @@ def gram_convergence_check(
         raise ValueError("need at least one hypothesis")
     if not pairwise_li_check(states).all_pass:
         raise ValueError("supports must intersect trivially for every pair")
-    ns = _copy_numbers(n_range)
-    check_dense_limit(states[0].dim, ns)
+    ns = _copy_numbers(n_range, states[0].dim)
     _, cut, logs = base_spectra(states)
     return [(n, joint_gram_floor(n, cut, logs)) for n in ns]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +178,36 @@ class TestRunCommand:
         monkeypatch.setenv(DENSE_LIMIT_ENV, "4")
         scen = write_scenario(tmp_path / "s.json", n_max=5)
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 3
+
+    @pytest.mark.parametrize("n_max", [100000, 1e300])
+    def test_far_dense_limit_exit_3_at_once(self, tmp_path, capsys, monkeypatch, n_max):
+        # the smallest n over the cap is found from the range's bounds, with
+        # no power per n and no walk over the range
+        monkeypatch.delenv(DENSE_LIMIT_ENV, raising=False)
+        scen = write_scenario(tmp_path / "s.json", detectors=["gs", "helstrom"], n_max=n_max)
+        start = time.perf_counter()
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "error: 2**15 exceeds the dense limit 16384" in capsys.readouterr().err
+
+    def test_one_sweep_per_run(self, tmp_path, monkeypatch):
+        import qmht.cli
+
+        calls = []
+        plain = qmht.cli.run_power_experiment
+
+        def counting(states, n_range, *kinds, **options):
+            calls.append(kinds)
+            return plain(states, n_range, *kinds, **options)
+
+        monkeypatch.setattr(qmht.cli, "run_power_experiment", counting)
+        kinds = ["epsilon", "gs", "helstrom"]
+        scen = write_scenario(tmp_path / "s.json", detectors=kinds, n_max=3)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert calls == [tuple(kinds)]
+        _, rows = parse_csv(out.read_text())
+        assert [row["detector"] for row in rows] == [kind for kind in kinds for _ in range(3)]
 
     def test_epsilon_override_below_floor_exit_2(self, tmp_path, capsys, monkeypatch):
         import qmht.cli
@@ -380,22 +411,19 @@ class TestOneBoundPerRun:
                 else:
                     assert abs(row[key] - value) <= 1e-15 * max(1.0, abs(value))
 
-    def test_given_bound_is_used_as_is(self, monkeypatch):
-        from qmht.chernoff import ChernoffResult, MultipleChernoffResult
+    def test_classical_ml_bound_is_the_overlap_sum(self, monkeypatch):
         from qmht.tensorlab import run_power_experiment
 
         calls = self.counted_multiple_qcb(monkeypatch)
-        given = MultipleChernoffResult(
-            xi=math.log(2.0),
-            argmin_pair=(0, 1),
-            pairwise={(0, 1): ChernoffResult(xi=math.log(2.0), s_star=0.5, q_star=0.5)},
-        )
         states = [diagonal(spec["probs"]) for spec in self.STATES]
-        report = run_power_experiment(states, range(1, 5), "classical-ml", qcb=given)
-        assert calls == []
-        assert report.qcb is given
-        # classical-ml bound = 2 sum_pairs q_star^n / r, here 0.5^n
-        assert [row.error_bound for row in report.rows] == [0.5**n for n in range(1, 5)]
+        report = run_power_experiment(states, range(1, 5), "classical-ml")
+        assert calls == [2]
+        # classical-ml bound = 2 sum_pairs q_star^n / r, from the bound computed
+        q_star = report.qcb.pairwise[(0, 1)].q_star
+        assert 0.0 < q_star < 1.0
+        assert [row.error_bound for row in report.rows] == [
+            2.0 * q_star**n / 2 for n in range(1, 5)
+        ]
 
 
 class TestChernoffCommand:

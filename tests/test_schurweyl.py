@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -377,6 +378,29 @@ class TestClassStream:
             assert abs(value - p ** k[0] * (1 - p) ** k[1]) < 1e-15
             assert size_of[k] == math.comb(3, k[1])
 
+    def test_type_classes_follow_combinations_with_replacement(self):
+        # bit for bit the classes of the draws in that order, one bincount
+        # and one exact size each, as ``_class_stream``'s stable sort needs
+        for d, n in ((1, 4), (2, 1), (2, 9), (3, 1), (3, 6), (4, 5), (5, 3)):
+            draws = itertools.combinations_with_replacement(range(d), n)
+            counts = np.array([np.bincount(draw, minlength=d) for draw in draws])
+            sizes = [
+                math.factorial(n) // math.prod(map(math.factorial, row)) for row in counts.tolist()
+            ]
+            built_counts, built_sizes = type_classes(d, n)
+            assert built_counts.dtype == counts.dtype
+            assert np.array_equal(built_counts, counts)
+            assert built_sizes.tobytes() == np.array(sizes, dtype=float).tobytes()
+
+    def test_cold_type_classes_build(self):
+        # 80601 classes, with sizes up to 3^400 / 1e5, exact before rounding
+        start = time.perf_counter()
+        counts, sizes = type_classes.__wrapped__(3, 400)
+        assert time.perf_counter() - start < 1.5
+        assert counts.shape == (80601, 3) and np.all(counts.sum(axis=1) == 400)
+        # sum_k n!/prod k_j! = 3^n, to the rounding of 80601 addends
+        assert abs(math.fsum(sizes) / 3.0**400 - 1.0) < 1e-12
+
     def test_single_copy_matches_spectrum(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(3, rng)
@@ -489,7 +513,7 @@ class TestQutritGs:
         # the 40-digit greedy Gram-Schmidt on the explicit powers; the block
         # row agrees to 6e-16 at n = 3 and 4
         states = t2_pair()
-        err, _ = next(block_scores(states, [n], "gs", [0.0]))
+        ((err, _),) = next(block_scores(states, [n], ["gs"], {"gs": [0.0]}))
         assert abs(err - mp_greedy_gs_error(states, n)) < 1e-12
 
 
@@ -529,7 +553,7 @@ class TestBlockEpsilon:
             states = [random_density_matrix(d, rng) for _ in range(r)]
             assert _aligned_rows(states) is None and _pure_tops(states) is None
             for eps in (0.3, EPSILON_FLOOR):
-                err, lam_min = next(block_scores(states, [n], "epsilon", [eps]))
+                ((err, lam_min),) = next(block_scores(states, [n], ["epsilon"], {"epsilon": [eps]}))
                 reference = mp_epsilon_error(states, n, eps)
                 assert abs(err - reference) <= 5e-14 * reference, (d, r, n, eps)
                 assert lam_min == pytest.approx(eps * eps, rel=1e-12)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmht import schurweyl
+from qmht import schurweyl, tensorlab
 from qmht.detectors import (
     classical_ml,
     epsilon_detector,
@@ -33,6 +34,7 @@ from qmht.tensorlab import (
     _claim_weights,
     _class_groups,
     _pure_tops,
+    check_dense_limit,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
@@ -267,12 +269,12 @@ class TestRunPowerExperimentGs:
             assert abs(row.lambda_min_gram - (1.0 - 2.0 ** (-row.n / 2))) < 1e-10
             assert row.err <= row.error_bound + 1e-12
         # |<0|+>|^(2n) = 2^-n, so Helstrom's error is (1 - sqrt(1 - 2^-n)) / 2
-        helstrom = run_power_experiment(states, ns, "helstrom", qcb=report.qcb)
-        for row in helstrom.rows:
+        others = run_power_experiment(states, ns, "helstrom", "epsilon").rows
+        helstrom, epsilon = others[: len(ns)], others[len(ns) :]
+        for row in helstrom:
             assert abs(row.err - 0.5 * (1.0 - math.sqrt(1.0 - 2.0**-row.n))) < 1e-12
-        epsilon = run_power_experiment(states, ns, "epsilon", qcb=report.qcb)
-        assert [row.n for row in epsilon.rows] == list(ns)
-        for row in epsilon.rows:
+        assert [row.n for row in epsilon] == list(ns)
+        for row in epsilon:
             assert row.err <= row.error_bound
 
     def test_three_state_sweep_closed_form(self, zero_state, plus_state, one_state):
@@ -666,7 +668,7 @@ class TestRunPowerExperimentOtherKinds:
         def check(states, ns, kind, **options):
             sweep = run_power_experiment(states, ns, kind, **options)
             for row in sweep.rows:
-                alone = run_power_experiment(states, [row.n], kind, qcb=sweep.qcb, **options)
+                alone = run_power_experiment(states, [row.n], kind, **options)
                 assert dataclasses.asdict(row) == dataclasses.asdict(alone.rows[0])
 
         aligned = 0
@@ -712,6 +714,25 @@ class TestRunPowerExperimentOtherKinds:
         for kind in DETECTOR_KINDS:
             with pytest.raises(DimensionLimitError, match=r"2\*\*5 exceeds the dense limit 16"):
                 run_power_experiment(states, range(1, 7), kind)
+
+    def test_dense_limit_names_the_smallest_n_over_the_cap(self, monkeypatch):
+        # a range with a positive step is read from its bounds, any other
+        # iterable walked; both name the same n as a walk over dim**n
+        monkeypatch.setenv(DENSE_LIMIT_ENV, "100")
+        shapes = itertools.product((2, 3), range(-2, 9), range(0, 12), (1, 2, 3))
+        for dim, start, stop, step in shapes:
+            ns = range(start, stop, step)
+            over = [n for n in ns if dim**n > 100]
+            for given in (ns, list(ns)[::-1]):
+                if over:
+                    message = rf"^{dim}\*\*{min(over)} exceeds the dense limit 100$"
+                    with pytest.raises(DimensionLimitError, match=message):
+                        check_dense_limit(dim, given)
+                else:
+                    check_dense_limit(dim, given)
+        for far in (range(1, 10**300), range(3, 10**300, 4)):
+            with pytest.raises(DimensionLimitError, match=r"2\*\*7 exceeds the dense limit 100"):
+                check_dense_limit(2, far)
 
     def test_block_sweep_takes_one_unitary_log(self, monkeypatch):
         # the base eigenbases' logarithms are taken once per call, not per n
@@ -779,6 +800,106 @@ class TestRunPowerExperimentOtherKinds:
         assert gram_convergence_check(states, ns) == gram_convergence_check(states, [1, 2, 3])
 
 
+class TestManyKindsInOnePass:
+    @staticmethod
+    def check(states, ns, kinds, **options):
+        """One call on ``kinds`` gives, kind by kind in the order given, the
+        rows of each kind alone, field by field."""
+        together = run_power_experiment(states, ns, *kinds, **options)
+        alone = [
+            row for kind in kinds for row in run_power_experiment(states, ns, kind, **options).rows
+        ]
+        assert [row.detector for row in together.rows] == [kind for kind in kinds for _ in ns]
+        assert [dataclasses.asdict(row) for row in together.rows] == [
+            dataclasses.asdict(row) for row in alone
+        ]
+
+    def check_all_orders(self, states, ns, kinds, rng):
+        for options in ({}, {"epsilon_override": 0.2}):
+            self.check(states, ns, [kinds[k] for k in rng.permutation(len(kinds))], **options)
+
+    def test_rows_equal_single_kind_rows_on_every_route(self):
+        rng = np.random.default_rng(90)
+        every = ("gs", "epsilon", "helstrom", "classical-ml")
+        # aligned: diagonal, and turned by one common phased permutation
+        for states in aligned_families(6, seed=91):
+            kinds = every if len(states) == 2 else every[:2] + every[3:]
+            self.check_all_orders(states, range(1, 7), kinds, rng)
+            turn = np.eye(states[0].dim)[rng.permutation(states[0].dim)]
+            turned = [DensityMatrix(turn @ rho.mat @ turn.T) for rho in states]
+            assert _aligned_rows(turned) is not None
+            self.check_all_orders(turned, range(1, 7), kinds, rng)
+        # epsilon's pick cut drops classes that gs picks, so their ranks differ
+        steep = [diagonal([0.4, 0.6]), diagonal([1.0 - 1e-7, 1e-7]), diagonal([0.7, 0.3])]
+        self.check_all_orders(steep, range(1, 7), every[:2] + every[3:], rng)
+        # commuting, not aligned: classical-ml on the common eigenbasis, the
+        # other kinds on the blocks, or on the pure route
+        rows = ([0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5])
+        rotation = random_orthonormal(3, 3, rng)
+        rotated = [DensityMatrix(rotation @ np.diag(row) @ rotation.conj().T) for row in rows]
+        orthogonal = [
+            DensityMatrix(rotation @ np.diag(row) @ rotation.conj().T) for row in np.eye(3)[:2]
+        ]
+        for states in (rotated, rotated[:2], orthogonal):
+            assert _aligned_rows(states) is None
+            kinds = every if len(states) == 2 else every[:2] + every[3:]
+            self.check_all_orders(states, range(1, 5), kinds, rng)
+        assert _pure_tops(rotated) is None and _pure_tops(orthogonal) is not None
+        # pure, not commuting
+        for states in pure_families(4, seed=92):
+            assert _aligned_rows(states) is None and _pure_tops(states) is not None
+            kinds = every[:3] if len(states) == 2 else every[:2]
+            self.check_all_orders(states, range(1, 7), kinds, rng)
+        # the blocks
+        pair = [random_density_matrix(3, rng) for _ in range(2)]
+        triple = [random_density_matrix(2, rng) for _ in range(3)]
+        for states, kinds in ((pair, every[:3]), (triple, every[:2])):
+            assert _aligned_rows(states) is None and _pure_tops(states) is None
+            self.check_all_orders(states, range(1, 5), kinds, rng)
+
+    @pytest.mark.parametrize(
+        ("family", "kinds", "message"),
+        [
+            ("triple", ("gs", "helstrom"), "helstrom runs on exactly two hypotheses"),
+            ("pure pair", ("gs", "epsilon", "classical-ml"), "do not commute"),
+            ("pure pair", ("gs", "epsilon", "gs"), "'gs' is listed twice"),
+            ("pure pair", ("helstrom", "bogus"), "unknown detector kind 'bogus'"),
+            ("pure pair", (), "at least one detector kind"),
+        ],
+    )
+    def test_every_kind_is_checked_before_any_row(
+        self, zero_state, plus_state, one_state, monkeypatch, family, kinds, message
+    ):
+        def no_scores(*args):
+            raise AssertionError("no row may be scored for a rejected call")
+
+        for name in ("_type_class_scores", "_pure_scores", "block_scores"):
+            monkeypatch.setattr(tensorlab, name, no_scores)
+        monkeypatch.setattr(schurweyl, "_blocks", no_scores)
+        states = [zero_state, plus_state] + ([one_state] if family == "triple" else [])
+        with pytest.raises(ValueError, match=message):
+            run_power_experiment(states, range(1, 4), *kinds)
+
+    def test_block_run_builds_each_unitary_once(self, monkeypatch):
+        # gs, epsilon and helstrom share every pi_lam(U); helstrom needs all
+        built = collections.Counter()
+        plain = schurweyl.block_unitary
+
+        def counting(tables, h):
+            built[id(tables)] += 1
+            return plain(tables, h)
+
+        monkeypatch.setattr(schurweyl, "block_unitary", counting)
+        rng = np.random.default_rng(93)
+        states = [random_density_matrix(3, rng) for _ in range(2)]
+        assert _aligned_rows(states) is None and _pure_tops(states) is None
+        ns = range(1, 6)
+        run_power_experiment(states, ns, "gs", "epsilon", "helstrom")
+        blocks = {id(schurweyl.gt_tables(lam)) for n in ns for lam in schurweyl.partitions(n, 3)}
+        assert len(blocks) == 1 + 2 + 3 + 4 + 5
+        assert built == collections.Counter(blocks)
+
+
 class TestPureRoute:
     def test_rows_match_the_block_route(self, monkeypatch):
         # same picks and lambda_min_gram to 1e-12 relative. Each row is within
@@ -808,7 +929,8 @@ class TestPureRoute:
             for kind in ("gs", "epsilon", "helstrom")[: 2 if len(states) > 2 else 3]:
                 eps = 0.3 if kind == "epsilon" else 0.0
                 picks.clear()
-                blocks = list(block_scores(states, ns, kind, [eps] * len(ns)))
+                scores = block_scores(states, ns, [kind], {kind: [eps] * len(ns)})
+                blocks = [score for (score,) in scores]
                 block_picks = picks[:]
                 picks.clear()
                 options = {"epsilon_override": eps} if kind == "epsilon" else {}
@@ -869,7 +991,7 @@ class TestPureRoute:
             states = [pure(plane @ np.array(v)) for v in ([1, 0], [0, 1], [1, 1])]
             assert _aligned_rows(states) is None and _pure_tops(states) is not None
             row = run_power_experiment(states, [1], "gs").rows[0]
-            err, lam_min = next(block_scores(states, [1], "gs", [0.0]))
+            ((err, lam_min),) = next(block_scores(states, [1], ["gs"], {"gs": [0.0]}))
             for value in (row.err, err):
                 assert abs(value - 1.0 / 3.0) < 1e-15
             for value in (row.lambda_min_gram, lam_min):
@@ -987,6 +1109,17 @@ class TestGramConvergence:
         monkeypatch.setenv(DENSE_LIMIT_ENV, "16")
         with pytest.raises(DimensionLimitError, match=r"2\*\*5 exceeds the dense limit 16"):
             gram_convergence_check([zero_state, plus_state], range(1, 7))
+
+    def test_far_sweep_over_the_cap_raises_at_once(self, zero_state, plus_state, monkeypatch):
+        monkeypatch.delenv(DENSE_LIMIT_ENV, raising=False)
+        for entry in ("run_power_experiment", "gram_convergence_check"):
+            start = time.perf_counter()
+            with pytest.raises(DimensionLimitError, match=r"2\*\*15 exceeds the dense limit 16384"):
+                if entry == "run_power_experiment":
+                    run_power_experiment([zero_state, plus_state], range(1, 10**300), "gs")
+                else:
+                    gram_convergence_check([zero_state, plus_state], range(1, 10**300))
+            assert time.perf_counter() - start < 1.0
 
     def test_sweep_values_equal_single_copy_number_values(self, zero_state, plus_state):
         # bit for bit, on the zero-plus pair and on mixed pairwise-LI
