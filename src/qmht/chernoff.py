@@ -142,6 +142,15 @@ def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
     return ChernoffResult(xi=xi, s_star=float(s_star), q_star=float(q_star))
 
 
+def check_distinct(states: Sequence[DensityMatrix]) -> None:
+    """Raise ValueError naming the first pair of states of one dimension that
+    agree entrywise within ``DISTINCT_STATES_ATOL``."""
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            if float(np.abs(states[i].mat - states[j].mat).max()) <= DISTINCT_STATES_ATOL:
+                raise ValueError(f"states {i} and {j} are duplicates")
+
+
 def multiple_qcb(sigma_set: Sequence[DensityMatrix]) -> MultipleChernoffResult:
     """All pairwise bounds, their minimum, and the (lexicographically first) argmin pair."""
     states = list(sigma_set)
@@ -150,10 +159,7 @@ def multiple_qcb(sigma_set: Sequence[DensityMatrix]) -> MultipleChernoffResult:
     dim = states[0].dim
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if float(np.abs(states[i].mat - states[j].mat).max()) <= DISTINCT_STATES_ATOL:
-                raise ValueError(f"states {i} and {j} are duplicates")
+    check_distinct(states)
     pairwise: dict[tuple[int, int], ChernoffResult] = {}
     for i in range(len(states)):
         for j in range(i + 1, len(states)):

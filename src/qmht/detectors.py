@@ -1,7 +1,12 @@
 """Construction and evaluation of multiple-hypothesis quantum detectors.
 
 All detectors are built from spectral data of the hypothesis states; every
-function is pure and instances are immutable after construction.
+function is pure and instances are immutable after construction. gs and
+epsilon pop the eigenvectors in one greedy order, from a stable sort of the
+stacked spectra wherever that is sure to equal the ``greedy_order`` merge
+(``_greedy_pops``). The Bayes certificate is proved by a Cholesky factor
+and a Frobenius norm, and decided by ``eigvalsh`` and the 2-norm only where
+those fail (``verify_bayes_conditions``).
 """
 
 from __future__ import annotations
@@ -299,23 +304,55 @@ def _greedy_pops(sigma_set):
     """The states, the (state, eigenindex) pairs in ``greedy_order`` of their
     eigenvalues, up to the first value at or below the
     ``eigenvalue_zero_threshold`` of them all, and those eigenvectors as the
-    columns of one d x m array, in that order. Needs at least two states, of
-    one dimension."""
+    columns of one d x m array, in that order. The order comes from one
+    stable sort (``_sorted_pops``), or from the ``greedy_order`` merge where
+    the sort could differ from it. Needs at least two states, of one
+    dimension."""
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
     if any(rho.dim != states[0].dim for rho in states):
         raise ValueError("states must share one dimension")
     decs = [rho.spectrum() for rho in states]
-    zero_threshold = eigenvalue_zero_threshold(np.concatenate([d.eigenvalues for d in decs]))
-    streams = [zip(dec.eigenvalues, itertools.count()) for dec in decs]
-    pops = []
-    for state, value, index in greedy_order(streams):
-        if value <= zero_threshold:
-            break
-        pops.append((state, index))
-    vectors = np.column_stack([decs[state].vectors[:, index] for state, index in pops])
-    return states, pops, vectors
+    values = np.stack([dec.eigenvalues for dec in decs])
+    dim = values.shape[1]
+    zero_threshold = eigenvalue_zero_threshold(values)
+    picks = _sorted_pops(values, zero_threshold)
+    if picks is None:
+        picks = []
+        for state, value, index in greedy_order(zip(row, itertools.count()) for row in values):
+            if value <= zero_threshold:
+                break
+            picks.append(state * dim + index)
+    # a pick's flat index state * d + index is its column of the stacked bases
+    vectors = np.take(np.concatenate([dec.vectors for dec in decs], axis=1), picks, axis=1)
+    return states, [divmod(k, dim) for k in picks], vectors
+
+
+def _sorted_pops(values, zero_threshold):
+    """The flat indices state * d + index of the r x d descending ``values``
+    above ``zero_threshold``, in ``greedy_order``, by one stable sort of the
+    stacked spectra (ties to the smaller state, then index), or None where
+    the sort could differ from the merge.
+
+    The merge reads each stream in index order and pops the largest head,
+    so the sort gives its order unless a kept value rises above the one
+    before it in its stream, or ``_takes_lead`` decides a head comparison
+    otherwise than an exact one would. That takes two distinct values within
+    ``SELECTION_TIE_RTOL`` of each other, one of them kept, and then the
+    kept values and the first cut one, sorted, hold two distinct neighbours
+    within twice that: the test. Exact ties sort as the merge pops them."""
+    kept = values > zero_threshold
+    if (kept[:, 1:] & (values[:, 1:] > values[:, :-1])).any():
+        return None
+    flat = values.ravel()
+    order = np.argsort(-flat, kind="stable")
+    count = np.count_nonzero(kept)
+    heads = flat[order[: count + 1]]
+    gaps = heads[:-1] - heads[1:]
+    if ((gaps > 0.0) & (gaps <= 2.0 * SELECTION_TIE_RTOL * heads[1:])).any():
+        return None
+    return order[:count].tolist()
 
 
 def _gs_frame(keys, vectors):
@@ -426,39 +463,79 @@ def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
     Diagonalizes the first state, then refines each degenerate block with the
     next states in turn. Raises ValueError when the family does not commute.
     """
+    return _common_diagonals(sigma_set)[0]
+
+
+def _common_diagonals(sigma_set):
+    """``common_eigenbasis`` of a commuting family and the r x d real
+    diagonals of its states in that basis, read off the one rotation of each
+    state that checks it is diagonal there.
+
+    Each pair's commutator is C - C^H with C = rho_i rho_j, one product. A
+    block whose state is already exactly diagonal is sorted, not
+    eigensolved (``_diagonal_order``), and only runs of tied values in a
+    block are refined by the next states.
+    """
     states = list(sigma_set)
     dim = states[0].dim
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            comm = states[i].mat @ states[j].mat - states[j].mat @ states[i].mat
-            if float(np.abs(comm).max()) > COMMUTATOR_ATOL:
+            product = states[i].mat @ states[j].mat
+            if float(np.abs(product - product.conj().T).max()) > COMMUTATOR_ATOL:
                 raise ValueError(f"states {i} and {j} do not commute")
     basis = np.eye(dim, dtype=complex)
+    # while every block has been sorted, basis is the identity's columns
+    # ``columns``, and a state rotates into it by indexing
+    columns = np.arange(dim)
     blocks = [np.arange(dim)]
     for rho in states:
         refined: list[np.ndarray] = []
         for block in blocks:
-            if block.size == 1:
-                refined.append(block)
-                continue
             sub = basis[:, block].conj().T @ rho.mat @ basis[:, block]
-            values, rotation = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-            basis[:, block] = basis[:, block] @ rotation
-            cut = 0
-            for t in range(1, block.size):
-                if values[t] - values[t - 1] > COMMUTATOR_ATOL:
-                    refined.append(block[cut:t])
-                    cut = t
-            refined.append(block[cut:])
+            order = _diagonal_order(sub)
+            if order is not None:
+                values = sub.diagonal().real[order]
+                basis[:, block] = basis[:, block[order]]
+                if columns is not None:
+                    columns[block] = columns[block[order]]
+            else:
+                columns = None
+                values, rotation = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+                basis[:, block] = basis[:, block] @ rotation
+            ties = np.diff(values) <= COMMUTATOR_ATOL
+            if ties.any():  # only runs of tied values are left to refine
+                runs = np.split(block, np.flatnonzero(~ties) + 1)
+                refined.extend(run for run in runs if run.size > 1)
         blocks = refined
+    diagonals = np.empty((len(states), dim))
     for k, rho in enumerate(states):
-        rotated = basis.conj().T @ rho.mat @ basis
-        off = rotated - np.diag(np.diag(rotated))
-        if float(np.abs(off).max()) > COMMON_BASIS_ATOL:
+        if columns is None:
+            rotated = basis.conj().T @ rho.mat @ basis
+        else:  # the products' entries, up to the sign of a zero
+            rotated = rho.mat[np.ix_(columns, columns)]
+        diagonals[k] = rotated.diagonal().real
+        np.fill_diagonal(rotated, 0.0)
+        if float(np.abs(rotated).max()) > COMMON_BASIS_ATOL:
             raise NumericalConsistencyError(
                 f"state {k} is not diagonal in the refined common basis"
             )
-    return basis
+    return basis, diagonals
+
+
+def _diagonal_order(sub):
+    """The column order ``eigh`` gives an exactly diagonal ``sub``, whose
+    eigenvectors are then unit vectors, or None. LAPACK sorts the values by
+    a selection sort, which moves tied values past each other, so the order
+    is taken only where a stable sort is sure to match it: values already in
+    ascending order, or distinct ones."""
+    diagonal = sub.diagonal()
+    if np.count_nonzero(sub) != np.count_nonzero(diagonal):
+        return None
+    values = diagonal.real
+    order = np.argsort(values, kind="stable")
+    if (np.diff(values) >= 0.0).all() or (np.diff(values[order]) > 0.0).all():
+        return order
+    return None
 
 
 @dataclass(frozen=True)
@@ -483,7 +560,11 @@ def verify_bayes_conditions(
     M >= rho_i for every hypothesis, and (M - rho_i) E_i = 0. The frame is
     read through its columns T_i labelled i, without building E_i = T_i T_i^H
     first: M = sum_i (rho_i T_i) T_i^H, and the annihilation residual is
-    ||((M - rho_i) T_i) T_i^H||_2 = ||(M - rho_i) E_i||_2.
+    ||((M - rho_i) T_i) T_i^H||_2 = ||(M - rho_i) E_i||_2. Each condition is
+    proved cheaply where it holds, and only a failed proof pays for the exact
+    test: M - rho_i >= -tol by one Cholesky of M - rho_i + tol I, else by its
+    smallest eigenvalue; the residual by ||(M - rho_i) T_i||_F times the
+    bound on ||T_i||_2, else by its 2-norm.
     """
     states = list(sigma_set)
     if len(states) != det.outcomes:
@@ -492,15 +573,24 @@ def verify_bayes_conditions(
     m_raw = sum((rho.mat @ t) @ t.conj().T for rho, t in zip(states, factors))
     hermitian = float(np.abs(m_raw - m_raw.conj().T).max()) <= tol
     m_sym = (m_raw + m_raw.conj().T) / 2.0
-    dominates = tuple(
-        float(np.linalg.eigvalsh(m_sym - rho.mat)[0]) >= -tol for rho in states
-    )
-    annihilates = tuple(
-        float(np.linalg.norm(((m_sym - rho.mat) @ t) @ t.conj().T, 2)) <= tol
-        for rho, t in zip(states, factors)
-    )
+    shift = tol * np.eye(det.dim)
+    # ||T_i||_2^2 <= ||T T^H||_2 <= 1 + d POVM_ATOL by the frame check
+    frame_norm = math.sqrt(1.0 + det.dim * POVM_ATOL)
+    dominates, annihilates = [], []
+    for rho, t in zip(states, factors):
+        gap = m_sym - rho.mat
+        try:
+            np.linalg.cholesky(gap + shift)
+            dominates.append(True)
+        except np.linalg.LinAlgError:
+            dominates.append(float(np.linalg.eigvalsh(gap)[0]) >= -tol)
+        residual = gap @ t
+        annihilates.append(
+            float(np.linalg.norm(residual)) * frame_norm <= tol
+            or float(np.linalg.norm(residual @ t.conj().T, 2)) <= tol
+        )
     return BayesConditionReport(
-        m_hermitian=hermitian, dominates=dominates, annihilates=annihilates
+        m_hermitian=hermitian, dominates=tuple(dominates), annihilates=tuple(annihilates)
     )
 
 
@@ -517,14 +607,11 @@ def bayes_commuting(
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
-    basis = common_eigenbasis(states)
-    probs = np.array(
-        [np.real(np.diag(basis.conj().T @ rho.mat @ basis)) for rho in states]
-    )
+    basis, probs = _common_diagonals(states)
     winners = np.argmax(probs, axis=0)
     slot_max = probs.max(axis=0)
     mu = float(slot_max.sum())
-    certificate = HermitianMatrix(basis @ np.diag(slot_max) @ basis.conj().T)
+    certificate = HermitianMatrix((basis * slot_max) @ basis.conj().T)
     # the Detector's frame check is the one check that the basis is unitary
     det = Detector(kind="PVM", frame=basis, labels=winners, outcomes=len(states))
     report = verify_bayes_conditions(states, det, tol=POVM_ATOL)

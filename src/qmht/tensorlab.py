@@ -55,10 +55,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chernoff import MultipleChernoffResult, multiple_qcb
+from .chernoff import MultipleChernoffResult, check_distinct, multiple_qcb
 from .detectors import (
     EPSILON_FLOOR,
-    common_eigenbasis,
+    _common_diagonals,
     embedding_guard,
     greedy_order,
     greedy_ranks,
@@ -149,10 +149,7 @@ def _aligned_rows(states: Sequence[DensityMatrix]) -> np.ndarray | None:
 def _commuting_rows(states: Sequence[DensityMatrix]) -> np.ndarray:
     """Diagonals of a commuting family in ``common_eigenbasis``, clipped at 0;
     raises ValueError when the family does not commute."""
-    basis = common_eigenbasis(states)
-    return np.array(
-        [np.maximum(np.real(np.diag(basis.conj().T @ rho.mat @ basis)), 0.0) for rho in states]
-    )
+    return np.maximum(_common_diagonals(states)[1], 0.0)
 
 
 def _claim_weights(claims: int, epsilon: float | np.ndarray) -> np.ndarray:
@@ -385,6 +382,9 @@ def run_power_experiment(
         raise ValueError("helstrom runs on exactly two hypotheses")
     if any(rho.dim != states[0].dim for rho in states):
         raise ValueError("states must share one dimension")
+    # before the copy numbers: a family of 1 x 1 states, all duplicates, has
+    # no n over the cap, so a far range would be walked in full
+    check_distinct(states)
     ns = _copy_numbers(n_range, states[0].dim)
     if not ns:
         raise ValueError("need at least one copy number")

@@ -190,6 +190,16 @@ class TestRunCommand:
         assert time.perf_counter() - start < 1.0
         assert "error: 2**15 exceeds the dense limit 16384" in capsys.readouterr().err
 
+    def test_far_sweep_of_one_by_one_states_exit_2_at_once(self, tmp_path, capsys):
+        one = {"kind": "pure", "vector": [[1, 0]]}
+        scen = write_scenario(
+            tmp_path / "s.json", states=[one, one], detectors=["gs"], n_max=1e300
+        )
+        start = time.perf_counter()
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "error: states 0 and 1 are duplicates" in capsys.readouterr().err
+
     def test_one_sweep_per_run(self, tmp_path, monkeypatch):
         import qmht.cli
 

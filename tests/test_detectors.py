@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -29,6 +30,7 @@ from qmht.detectors import (
     holevo_helstrom,
     pgm,
     verify_bayes_conditions,
+    _common_diagonals,
     _greedy_pops,
     _gs_frame,
 )
@@ -370,6 +372,98 @@ class TestGreedyOrder:
                 for position, (state, _, _) in enumerate(greedy_order(streams)):
                     expected[state] = position
                 assert ranks[:, m].tolist() == expected.tolist(), column
+
+
+def merged_pops(states):
+    """The (state, eigenindex) pops of ``greedy_order`` down to the zero cut,
+    and their eigenvectors, column by column: the merge itself."""
+    decs = [rho.spectrum() for rho in states]
+    cut = eigenvalue_zero_threshold(np.concatenate([dec.eigenvalues for dec in decs]))
+    pops = []
+    streams = [zip(dec.eigenvalues, itertools.count()) for dec in decs]
+    for state, value, index in greedy_order(streams):
+        if value <= cut:
+            break
+        pops.append((state, index))
+    return pops, np.column_stack([decs[state].vectors[:, index] for state, index in pops])
+
+
+class TestGreedyPops:
+    def test_sorted_pops_equal_the_merge(self, monkeypatch):
+        # Wishart states of random rank; permuted diagonals with exact ties
+        # and zeros; explicit tensor powers, whose runs of equal products
+        # come out of eigh as near ties; diagonals a 1e-13 or 3e-12 relative
+        # step from a permutation of each other; two close small values that
+        # rise along their stream; and tails a few ulps either side of the
+        # zero cut
+        import qmht.detectors
+
+        merges = []
+
+        def counted(streams):
+            merges.append(1)
+            return greedy_order(streams)
+
+        monkeypatch.setattr(qmht.detectors, "greedy_order", counted)
+        rng = np.random.default_rng(31)
+        families = 3000
+        for k in range(families):
+            r, dim = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+            kind = k % 6
+            if kind == 0:
+                states = [
+                    random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                    for _ in range(r)
+                ]
+            elif kind == 1:
+                levels = np.append(rng.random(int(rng.integers(1, 4))), 0.0)
+                row = levels[rng.integers(len(levels), size=dim)]
+                row[0] = row[0] or 1.0
+                states = [diagonal(rng.permutation(row / row.sum())) for _ in range(r)]
+            elif kind == 2:
+                base = [
+                    random_density_matrix(2, rng, rank=int(rng.integers(1, 3))) for _ in range(r)
+                ]
+                if rng.random() < 0.5:  # a mirror image shares every product
+                    base[1] = DensityMatrix(base[0].mat[::-1, ::-1])
+                n = int(rng.integers(2, 4))
+                states = [DensityMatrix(functools.reduce(np.kron, [s.mat] * n)) for s in base]
+            elif kind == 3:
+                row = rng.dirichlet(np.ones(dim))
+                steps = rng.choice([0.0, 1e-15, 1e-13, 3e-12], size=(r - 1, dim))
+                rows = [row] + [
+                    row[rng.permutation(dim)] * (1.0 + rng.choice([-1.0, 1.0], size=dim) * step)
+                    for step in steps
+                ]
+                states = [diagonal(q / q.sum()) for q in rows]
+            elif kind == 4:
+                # 1e-4 and 1e-4 + 5e-13 are 5e-9 apart relative, far past the
+                # tie tolerance, but inside the spectral tie-break's absolute
+                # 1e-12, which puts them in rising order
+                rows = []
+                for _ in range(r):
+                    row = np.empty(dim + 1)
+                    row[:2] = 1e-4 + 5e-13, 1e-4
+                    row[2:] = rng.dirichlet(np.ones(dim - 1)) * (1.0 - row[:2].sum())
+                    rows.append(row)
+                states = [diagonal(q) for q in rows]
+            else:
+                cut = 0.5 * 1e-12
+                rows = []
+                for _ in range(r):
+                    tail = cut + np.spacing(cut) * rng.integers(-3, 4, size=dim)
+                    tail[0], tail[1] = 0.5, 0.5 - tail[2:].sum()
+                    rows.append(tail)
+                states = [diagonal(q) for q in rows]
+            before = len(merges)
+            _, pops, vectors = _greedy_pops(states)
+            assert len(merges) - before in (0, 1)
+            expected_pops, expected_vectors = merged_pops(states)
+            assert pops == expected_pops
+            assert np.array_equal(vectors, expected_vectors)
+            assert vectors.flags.c_contiguous
+        # both the sort and the merge it falls back to were exercised
+        assert 0.2 * families < len(merges) < 0.8 * families
 
 
 class TestGsDetector:
@@ -848,6 +942,95 @@ class TestVerifyBayesConditions:
             states, Detector(det.elements, kind="PVM"), tol=1e-9
         )
 
+    @staticmethod
+    def exact_verdicts(states, det, tol):
+        """The certificate by eigvalsh and 2-norms, as written in the conditions."""
+        factors = [det.frame[:, det.labels == i] for i in range(det.outcomes)]
+        m = sum((rho.mat @ t) @ t.conj().T for rho, t in zip(states, factors))
+        hermitian = float(np.abs(m - m.conj().T).max()) <= tol
+        m = (m + m.conj().T) / 2.0
+        return (
+            hermitian,
+            tuple(float(np.linalg.eigvalsh(m - rho.mat)[0]) >= -tol for rho in states),
+            tuple(
+                float(np.linalg.norm((m - rho.mat) @ t @ t.conj().T, 2)) <= tol
+                for rho, t in zip(states, factors)
+            ),
+        )
+
+    def assert_exact(self, states, det, tol):
+        report = verify_bayes_conditions(states, det, tol)
+        verdicts = (report.m_hermitian, report.dominates, report.annihilates)
+        assert verdicts == self.exact_verdicts(states, det, tol)
+        return report
+
+    def test_factorization_verdicts_equal_the_exact_ones(self):
+        # the Cholesky and Frobenius tests decide only where they prove the
+        # condition; every other verdict comes from eigvalsh or the 2-norm
+        rng = np.random.default_rng(41)
+        tol = 1e-9
+        outcomes = collections.Counter()
+        for _ in range(40):
+            dim, r = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+            rotation = random_orthonormal(dim, dim, rng)
+            rows = rng.dirichlet(np.ones(dim), size=r)
+            commuting = [DensityMatrix(rotation @ np.diag(p) @ rotation.conj().T) for p in rows]
+            bayes = bayes_commuting(commuting)[0]
+            relabelled = bayes.labels.copy()
+            slot = int(rng.integers(dim))
+            relabelled[slot] = (relabelled[slot] + 1) % r  # a wrong label
+            wrong = Detector(kind="PVM", frame=bayes.frame, labels=relabelled, outcomes=r)
+            states = [
+                random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                for _ in range(r)
+            ]
+            cases = [
+                (commuting, bayes),
+                (commuting, wrong),
+                (states[:2], holevo_helstrom(*states[:2])),
+                (states, gs_detector(states)[0]),
+                (states, pgm(states, [1.0 / r] * r)),
+            ]
+            for family, det in cases:
+                outcomes[self.assert_exact(family, det, tol).passed] += 1
+        assert outcomes[True] >= 80 and outcomes[False] >= 80
+
+    @pytest.mark.parametrize("excess", [0.5, 2.0])
+    def test_dominance_within_and_past_the_tolerance(self, excess):
+        # slot 0 goes to state 0, whose probability there is excess * tol
+        # below state 1's: M - rho_1 has that as its smallest eigenvalue
+        tol = 1e-8
+        rows = [[0.4, 0.3, 0.3], [0.4 + excess * tol, 0.1, 0.5 - excess * tol]]
+        states = [diagonal(p) for p in rows]
+        det = Detector(kind="PVM", frame=np.eye(3), labels=[0, 0, 1], outcomes=2)
+        report = self.assert_exact(states, det, tol)
+        assert report.dominates == (True, excess < 1.0)
+        assert all(report.annihilates)
+
+    def test_annihilation_between_the_frobenius_and_the_2_norm(self):
+        # a coupling between slots of different labels leaves M a little off
+        # Hermitian; state 0's residual over its three columns has a
+        # Frobenius norm above its 2-norm, and tolerances below, between and
+        # above the two decide as the 2-norm does
+        rng = np.random.default_rng(42)
+        dim = 6
+        for _ in range(10):
+            rows = 0.5 * rng.dirichlet(np.ones(dim), size=2) + 0.5 / dim
+            coupling = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            coupling = 1e-4 * (coupling + coupling.conj().T)
+            np.fill_diagonal(coupling, 0.0)
+            states = [DensityMatrix(np.diag(rows[0]) + coupling), diagonal(rows[1])]
+            det = Detector(kind="PVM", frame=np.eye(dim), labels=[0, 0, 0, 1, 1, 1], outcomes=2)
+            factors = [det.frame[:, det.labels == i] for i in range(2)]
+            m = sum((rho.mat @ t) @ t.conj().T for rho, t in zip(states, factors))
+            residual = ((m + m.conj().T) / 2.0 - states[0].mat) @ factors[0]
+            frobenius = float(np.linalg.norm(residual))
+            spectral = float(np.linalg.norm(residual @ factors[0].conj().T, 2))
+            assert frobenius > 1.01 * spectral
+            between = math.sqrt(frobenius * spectral)
+            for tol, holds in ((0.99 * spectral, False), (between, True), (1.01 * frobenius, True)):
+                assert self.assert_exact(states, det, tol).annihilates[0] is holds
+
 
 class TestEpsilonDetector:
     def test_trace_identity_under_perturbation(self):
@@ -1041,3 +1224,53 @@ class TestCommonEigenbasis:
             rotated = basis.conj().T @ rho.mat @ basis
             off = rotated - np.diag(np.diag(rotated))
             assert np.abs(off).max() < 1e-10
+
+    @staticmethod
+    def eigh_refined_basis(states):
+        """The refinement with an ``eigh`` of every block, diagonal or not."""
+        dim = states[0].dim
+        basis = np.eye(dim, dtype=complex)
+        blocks = [np.arange(dim)]
+        for rho in states:
+            refined = []
+            for block in blocks:
+                if block.size > 1:
+                    sub = basis[:, block].conj().T @ rho.mat @ basis[:, block]
+                    values, rotation = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+                    basis[:, block] = basis[:, block] @ rotation
+                    cuts = [t for t in range(1, block.size) if values[t] - values[t - 1] > 1e-10]
+                    refined.extend(np.split(block, cuts))
+                else:
+                    refined.append(block)
+            blocks = refined
+        return basis
+
+    def test_sorted_diagonal_blocks_equal_the_eigh_refinement(self):
+        # exactly diagonal blocks are sorted, not eigensolved: with distinct
+        # values, with ties already in order, and with ties out of order
+        # (eigh's selection sort moves those, so they keep the eigh); up to
+        # d = 40, past the size where LAPACK divides and conquers; and
+        # commuting families whose later states are not diagonal
+        rng = np.random.default_rng(43)
+        for k in range(120):
+            dim, r = int(rng.integers(2, 41)), int(rng.integers(2, 4))
+            levels = rng.random(int(rng.integers(1, 4)))
+            rows = []
+            for _ in range(r):
+                row = rng.random(dim) if k % 3 == 0 else levels[rng.integers(len(levels), size=dim)]
+                rows.append(np.sort(row) if k % 3 == 1 else row)
+            states = [diagonal(row / row.sum()) for row in rows]
+            if k % 4 == 3:
+                rotation = np.eye(dim, dtype=complex)
+                rotation[:2, :2] = random_orthonormal(2, 2, rng)
+                states[1:] = [
+                    DensityMatrix(rotation @ rho.mat @ rotation.conj().T) for rho in states[1:]
+                ]
+                states[0] = diagonal(np.r_[0.5, 0.5, np.zeros(dim - 2)] if dim > 2 else [0.5, 0.5])
+            basis, diagonals = _common_diagonals(states)
+            expected = self.eigh_refined_basis(states)
+            assert np.array_equal(basis, expected)
+            assert np.array_equal(common_eigenbasis(states), expected)
+            # the diagonals equal the products' also where the basis rotates by indexing
+            rotated = [(expected.conj().T @ rho.mat @ expected).diagonal().real for rho in states]
+            assert np.array_equal(diagonals, rotated)

@@ -1121,6 +1121,15 @@ class TestGramConvergence:
                     gram_convergence_check([zero_state, plus_state], range(1, 10**300))
             assert time.perf_counter() - start < 1.0
 
+    def test_far_sweep_of_one_by_one_states_raises_at_once(self):
+        # no n is over the cap for d = 1, so the family, whose 1 x 1 states
+        # are all duplicates, is rejected before the range is read
+        states = [DensityMatrix([[1.0]]), DensityMatrix([[1.0]])]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="states 0 and 1 are duplicates"):
+            run_power_experiment(states, range(1, 10**300), "gs")
+        assert time.perf_counter() - start < 1.0
+
     def test_sweep_values_equal_single_copy_number_values(self, zero_state, plus_state):
         # bit for bit, on the zero-plus pair and on mixed pairwise-LI
         # families in C^4 and C^6
