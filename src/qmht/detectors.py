@@ -1,10 +1,11 @@
 """Construction and evaluation of multiple-hypothesis quantum detectors.
 
 All detectors are built from spectral data of the hypothesis states; every
-function is pure and instances are immutable after construction. gs and
-epsilon pop the eigenvectors in one greedy order, from a stable sort of the
-stacked spectra wherever that is sure to equal the ``greedy_order`` merge
-(``_greedy_pops``). The Bayes certificate is proved by a Cholesky factor
+function is pure and instances are immutable after construction. Every
+route pops its pick candidates through one engine, ``pop_order``: a stable
+sort of the stacked candidate streams wherever that is sure to equal the
+``greedy_order`` merge, and that merge elsewhere; ``greedy_ranks`` is its form
+for one value per column. The Bayes certificate is proved by a Cholesky factor
 and a Frobenius norm, and decided by ``eigvalsh`` and the 2-norm only where
 those fail (``verify_bayes_conditions``).
 """
@@ -300,14 +301,41 @@ def greedy_ranks(values, present):
     return ranks
 
 
+def pop_order(values, floor):
+    """The flat indices s * K + k of the r x K ``values``, row s state s's
+    candidate stream, in ``greedy_order``, up to the first popped value at
+    or below ``floor``: the one pick-order engine of every route.
+
+    One stable sort of the stacked streams (ties to the smaller state, then
+    index) gives that order unless a kept value rises above the one before
+    it in its stream, or ``_takes_lead`` decides a head comparison otherwise
+    than an exact one would. That takes two distinct values within
+    ``SELECTION_TIE_RTOL`` of each other, one of them kept, and then the
+    kept values and the first cut one, sorted, hold two distinct neighbours
+    within twice that. Exact ties sort as the merge pops them. Otherwise the
+    ``greedy_order`` merge itself runs."""
+    kept = values > floor
+    if not (kept[:, 1:] & (values[:, 1:] > values[:, :-1])).any():
+        flat = values.ravel()
+        order = np.argsort(-flat, kind="stable")
+        count = np.count_nonzero(kept)
+        heads = flat[order[: count + 1]]
+        gaps = heads[:-1] - heads[1:]
+        if not ((gaps > 0.0) & (gaps <= 2.0 * SELECTION_TIE_RTOL * heads[1:])).any():
+            return order[:count]
+    pops = []
+    for state, value, index in greedy_order(zip(row, itertools.count()) for row in values):
+        if value <= floor:
+            break
+        pops.append(state * values.shape[1] + index)
+    return np.array(pops, dtype=int)
+
+
 def _greedy_pops(sigma_set):
-    """The states, the (state, eigenindex) pairs in ``greedy_order`` of their
-    eigenvalues, up to the first value at or below the
-    ``eigenvalue_zero_threshold`` of them all, and those eigenvectors as the
-    columns of one d x m array, in that order. The order comes from one
-    stable sort (``_sorted_pops``), or from the ``greedy_order`` merge where
-    the sort could differ from it. Needs at least two states, of one
-    dimension."""
+    """The states, the (state, eigenindex) pairs that ``pop_order`` pops from
+    their stacked spectra down to the ``eigenvalue_zero_threshold`` of them
+    all, and those eigenvectors as the columns of one d x m array, in that
+    order. Needs at least two states, of one dimension."""
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
@@ -315,71 +343,36 @@ def _greedy_pops(sigma_set):
         raise ValueError("states must share one dimension")
     decs = [rho.spectrum() for rho in states]
     values = np.stack([dec.eigenvalues for dec in decs])
-    dim = values.shape[1]
-    zero_threshold = eigenvalue_zero_threshold(values)
-    picks = _sorted_pops(values, zero_threshold)
-    if picks is None:
-        picks = []
-        for state, value, index in greedy_order(zip(row, itertools.count()) for row in values):
-            if value <= zero_threshold:
-                break
-            picks.append(state * dim + index)
+    picks = pop_order(values, eigenvalue_zero_threshold(values))
     # a pick's flat index state * d + index is its column of the stacked bases
     vectors = np.take(np.concatenate([dec.vectors for dec in decs], axis=1), picks, axis=1)
-    return states, [divmod(k, dim) for k in picks], vectors
+    return states, [divmod(k, values.shape[1]) for k in picks.tolist()], vectors
 
 
-def _sorted_pops(values, zero_threshold):
-    """The flat indices state * d + index of the r x d descending ``values``
-    above ``zero_threshold``, in ``greedy_order``, by one stable sort of the
-    stacked spectra (ties to the smaller state, then index), or None where
-    the sort could differ from the merge.
-
-    The merge reads each stream in index order and pops the largest head,
-    so the sort gives its order unless a kept value rises above the one
-    before it in its stream, or ``_takes_lead`` decides a head comparison
-    otherwise than an exact one would. That takes two distinct values within
-    ``SELECTION_TIE_RTOL`` of each other, one of them kept, and then the
-    kept values and the first cut one, sorted, hold two distinct neighbours
-    within twice that: the test. Exact ties sort as the merge pops them."""
-    kept = values > zero_threshold
-    if (kept[:, 1:] & (values[:, 1:] > values[:, :-1])).any():
-        return None
-    flat = values.ravel()
-    order = np.argsort(-flat, kind="stable")
-    count = np.count_nonzero(kept)
-    heads = flat[order[: count + 1]]
-    gaps = heads[:-1] - heads[1:]
-    if ((gaps > 0.0) & (gaps <= 2.0 * SELECTION_TIE_RTOL * heads[1:])).any():
-        return None
-    return order[:count].tolist()
-
-
-def _gs_frame(keys, vectors):
+def _gs_frame(owners, vectors):
     """The greedy PVM's labelled frame on C^D, by ``greedy_span`` of the
-    D x K unit candidates ``vectors`` in pick order, column k keyed by
-    ``keys[k]`` = (state, index). Returns the picked keys, the D x D basis of
-    the picks' complete QR with its labels (as ``_complete_basis``), and
+    D x K unit candidates ``vectors`` in pick order, column k owned by state
+    ``owners[k]``. Returns the picked column indices, the D x D basis of the
+    picks' complete QR with its labels (as ``_complete_basis``), and
     sigma_min(R)^2 of its R, the ``gram_floor`` of the picks."""
     picked, basis, factor = greedy_span(vectors)
-    selection = [keys[k] for k in picked]
-    return selection, basis, _labels(selection, len(basis)), factor_floor(factor)
+    return picked, basis, _labels(owners[picked], len(basis)), factor_floor(factor)
 
 
-def _complete_basis(selection, columns):
+def _complete_basis(owners, columns):
     # One complete QR of the D x m ``columns`` orthonormalizes them in pick
     # order and appends their Householder complement, D x D in all, with the
-    # picks labelled by state and the D - m completion columns labelled 0:
-    # only the complement's projector enters the elements, whichever basis
-    # QR picks. The factor is not checked here: epsilon checks it before it
-    # keeps the top rows (gs hands its basis whole to a PVM frame, whose check
-    # is the same condition).
+    # picks labelled by their ``owners`` and the D - m completion columns
+    # labelled 0: only the complement's projector enters the elements,
+    # whichever basis QR picks. The factor is not checked here: epsilon
+    # checks it before it keeps the top rows (gs hands its basis whole to a
+    # PVM frame, whose check is the same condition).
     full_basis, _ = np.linalg.qr(columns, mode="complete")
-    return full_basis, _labels(selection, len(columns))
+    return full_basis, _labels(owners, len(columns))
 
 
-def _labels(selection, dim):
-    return np.array([state for state, _ in selection] + [0] * (dim - len(selection)))
+def _labels(owners, dim):
+    return np.concatenate([owners, np.zeros(dim - len(owners), dtype=int)])
 
 
 def _embedded_gram_floor(vectors, epsilon):
@@ -394,9 +387,10 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     after the positive eigenvalues run out complete the basis with label 0.
     """
     states, pops, vectors = _greedy_pops(sigma_set)
-    selection, basis, labels, lambda_min = _gs_frame(pops, vectors)
+    owners = np.array([state for state, _ in pops])
+    picked, basis, labels, lambda_min = _gs_frame(owners, vectors)
     det = Detector(kind="PVM", frame=basis, labels=labels, outcomes=len(states))
-    return det, GsDiagnostics(selection, basis, lambda_min)
+    return det, GsDiagnostics([pops[k] for k in picked], basis, lambda_min)
 
 
 def lemma3_bound(overlap_sum: float, lambda_min: float, r: int) -> float:
@@ -461,7 +455,8 @@ def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
     """Unitary whose columns simultaneously diagonalize a commuting family.
 
     Diagonalizes the first state, then refines each degenerate block with the
-    next states in turn. Raises ValueError when the family does not commute.
+    next states in turn. Raises ValueError when the family is empty, its
+    states differ in dimension, or they do not commute.
     """
     return _common_diagonals(sigma_set)[0]
 
@@ -477,7 +472,11 @@ def _common_diagonals(sigma_set):
     block are refined by the next states.
     """
     states = list(sigma_set)
+    if not states:
+        raise ValueError("need at least one state")
     dim = states[0].dim
+    if any(rho.dim != dim for rho in states):
+        raise ValueError("states must share one dimension")
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             product = states[i].mat @ states[j].mat
@@ -668,7 +667,7 @@ def epsilon_detector(
     columns = np.zeros((dim + picks, picks), dtype=complex)
     columns[:dim] = delta * vectors
     columns[dim:] = epsilon * np.eye(picks)
-    basis, labels = _complete_basis(selection, columns)
+    basis, labels = _complete_basis(np.array([state for state, _ in selection]), columns)
     # the frame check sees only the top d rows, so it does not imply this
     if float(np.abs(basis.conj().T @ basis - np.eye(dim + picks)).max()) > POVM_ATOL:
         raise NumericalConsistencyError("complete QR factor is not unitary")

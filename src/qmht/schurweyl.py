@@ -13,7 +13,9 @@ the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
 ``eigh`` per block and state. The product eigenvectors of state s in type
 class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
 C^(f_lam) in every block; ``cut_spectrum`` and ``class_pick_cut``, the cut
-rule of every route, decide which classes are picked. ``block_scores``
+rule of every route, decide which classes are picked, and gs and epsilon pop
+them through ``detectors.pop_order``, the one pick-order engine, from one
+array of every state's class values per n (``_class_pops``). ``block_scores``
 scores a whole sweep of n from one ``base_spectra`` per call, and every kind
 as a labelled frame per block: the dense detectors' own frames for gs
 (``_gs_frame``, the windowed Householder selection, on the matrix of those
@@ -39,7 +41,7 @@ from .detectors import (
     _gs_frame,
     _helstrom_frame,
     _labels,
-    greedy_order,
+    pop_order,
 )
 from .linalg import eigenvalue_zero_threshold, gram_floor, solve_lower
 
@@ -119,14 +121,13 @@ def multiplicity(lam: tuple[int, ...]) -> int:
 @dataclass(frozen=True)
 class GtTables:
     """V_lam in its Gelfand-Tsetlin basis: the weight of every pattern (one row
-    each), the real generators E_ab for a < b (E_ba is the transpose, E_aa is
-    diag(weights[:, a])), and the columns of each weight. E_ab raises a
-    pattern, which comes later in the lexicographic order, so every E_ab with
-    a < b is strictly lower triangular."""
+    each) and the real generators E_ab for a < b (E_ba is the transpose, E_aa
+    is diag(weights[:, a])). E_ab raises a pattern, which comes later in the
+    lexicographic order, so every E_ab with a < b is strictly lower
+    triangular."""
 
     weights: np.ndarray
     raising: tuple[tuple[int, int, np.ndarray], ...]
-    columns: dict
 
 
 def _gt_patterns(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -185,16 +186,12 @@ def gt_tables(lam: tuple[int, ...]) -> GtTables:
             # E_ab = [E_a(b-1), E_(b-1)b]
             left, right = raising[(a, a + gap - 1)], raising[(a + gap - 1, a + gap)]
             raising[(a, a + gap)] = left @ right - right @ left
-    columns: dict = {}
-    for c, weight in enumerate(weights.tolist()):
-        columns.setdefault(tuple(weight), []).append(c)
     # cached and shared by every caller, so read-only
     for array in (weights, *raising.values()):
         array.setflags(write=False)
     return GtTables(
         weights=weights,
         raising=tuple((a, b, generator) for (a, b), generator in raising.items()),
-        columns={weight: tuple(cols) for weight, cols in columns.items()},
     )
 
 
@@ -258,11 +255,12 @@ class _Block:
     def unitaries(self) -> np.ndarray:
         return block_unitary(self.tables, self._logs)
 
-    def columns(self, pops) -> list[tuple[int, int]]:
-        """(state, column) of the popped classes in this block, in pop order."""
-        return [
-            (state, c) for state, _, k in pops for c in self.tables.columns.get(k, ())
-        ]
+    def columns(self, owners, counts) -> tuple[np.ndarray, np.ndarray]:
+        """The owner and column index arrays of this block's columns of the
+        popped classes, in pop order: pop j, label counts ``counts[j]``
+        popped by state ``owners[j]``, owns the columns of that weight."""
+        pop, column = np.nonzero((self.tables.weights == counts[:, None, :]).all(axis=2))
+        return owners[pop], column
 
 
 def base_spectra(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,21 +278,21 @@ def _blocks(n: int, eigenvalues: np.ndarray, logs: np.ndarray):
         yield _Block(lam, eigenvalues, logs)
 
 
-def _class_stream(n: int, cut_values: np.ndarray, floor: float = 0.0):
-    """(value, k) of the type classes at copy number n whose value on one
-    state's cut spectrum ``cut_values`` is above ``floor``, descending."""
-    counts, _ = type_classes(len(cut_values), n)
-    values = np.prod(cut_values**counts, axis=1)
-    order = np.argsort(-values, kind="stable")
-    for value, k in zip(values[order].tolist(), counts[order].tolist()):
-        if value <= floor:
-            return
-        yield value, tuple(k)
-
-
-def _pops(n: int, cut: np.ndarray, kind: str):
-    floor = class_pick_cut(cut, n, kind)
-    return list(greedy_order([_class_stream(n, row, floor) for row in cut]))
+def _class_pops(n: int, cut: np.ndarray, kinds):
+    """The popped type classes at copy number n of each gs or epsilon kind of
+    ``kinds``, as the owner array and the label counts of every pop, in
+    ``pop_order`` of one r x C array that all kinds share: row s holds state
+    s's values on the cut spectra ``cut``, sorted descending (ties in
+    ``type_classes`` order), popped down to ``class_pick_cut``."""
+    counts, _ = type_classes(cut.shape[1], n)
+    values = np.prod(cut[:, None, :] ** counts, axis=2)
+    order = np.argsort(-values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    pops = {}
+    for kind in kinds:
+        flat = pop_order(ranked, class_pick_cut(cut, n, kind))
+        pops[kind] = flat // len(counts), counts[order.ravel()[flat]]
+    return pops
 
 
 def frame_misses(frame, labels, columns, values) -> float:
@@ -308,12 +306,12 @@ def frame_misses(frame, labels, columns, values) -> float:
     return float(np.where(own, 0.0, masses[:, :, 0]).sum())
 
 
-def _epsilon_frame(keys, picks, epsilon: float):
+def _epsilon_frame(owners, picks, epsilon: float):
     """The embedded detector's labelled frame on C^D, in closed form, and its
     Gram floor.
 
-    The D x m unit ``picks`` V, column c keyed by ``keys[c]`` = (state,
-    index), embed as X = [delta V; epsilon I_m]. Their Gram matrix
+    The D x m unit ``picks`` V, column c owned by state ``owners[c]``,
+    embed as X = [delta V; epsilon I_m]. Their Gram matrix
     delta^2 V^H V + epsilon^2 I is R^H R, one Cholesky decomposition, and
     the top D rows of the orthonormalized picks X R^-1 are P = delta V R^-1,
     each column labelled with its state. The complement of the picks in
@@ -343,19 +341,19 @@ def _epsilon_frame(keys, picks, epsilon: float):
     gap = np.eye(len(picks)) - physical @ physical.conj().T - completion @ completion.conj().T
     completion += 0.5 * (gap @ completion)
     frame = np.hstack([physical, completion])
-    return frame, _labels(keys, frame.shape[1]), _embedded_gram_floor(picks, epsilon)
+    return frame, _labels(owners, frame.shape[1]), _embedded_gram_floor(picks, epsilon)
 
 
-def pick_frame(kind: str, keys, picks, epsilon: float):
+def pick_frame(kind: str, owners, picks, epsilon: float):
     """The labelled frame of a gs or epsilon detector on C^D, from the D x m
-    unit ``picks`` keyed by ``keys`` in pick order, and its Gram floor: gs is
-    ``_gs_frame`` (windowed Householder selection, ``SPAN_RESIDUAL_TOL``, the
-    Householder complement labelled 0, floor sigma_min(R)^2), epsilon
-    ``_epsilon_frame``."""
+    unit ``picks`` in pick order, owned by the states ``owners``, and its
+    Gram floor: gs is ``_gs_frame`` (windowed Householder selection,
+    ``SPAN_RESIDUAL_TOL``, the Householder complement labelled 0, floor
+    sigma_min(R)^2), epsilon ``_epsilon_frame``."""
     if kind == "gs":
-        _, basis, labels, floor = _gs_frame(keys, picks)
+        _, basis, labels, floor = _gs_frame(owners, picks)
         return basis, labels, floor
-    return _epsilon_frame(keys, picks, epsilon)
+    return _epsilon_frame(owners, picks, epsilon)
 
 
 def block_scores(states, ns, kinds, epsilons):
@@ -370,7 +368,7 @@ def block_scores(states, ns, kinds, epsilons):
     ``_helstrom_frame`` of pi(rho_1) - pi(rho_0), with no relative cut: a
     block eigenvalue far below the largest can carry a large multiplicity
     f_lam, and an eigenvalue at rounding level costs at most its own size on
-    either side. gs and epsilon pop type classes in ``greedy_order``
+    either side. gs and epsilon pop type classes by ``_class_pops``
     (epsilon down to ``class_pick_cut``, the dense detectors' cut: it picks
     every kept vector, so its error jumps with the support), and each
     block's ``pick_frame`` is built on the columns of the popped classes,
@@ -379,25 +377,25 @@ def block_scores(states, ns, kinds, epsilons):
     hypothesis 0 whole, and builds no pi_lam(U).
     """
     eigenvalues, cut, logs = base_spectra(states)
+    picking = [kind for kind in kinds if kind != "helstrom"]
     for i, n in enumerate(ns):
-        pops = [None if kind == "helstrom" else _pops(n, cut, kind) for kind in kinds]
+        pops = _class_pops(n, cut, picking) if picking else {}
         errs = [0.0] * len(kinds)
         lam_mins = [None if kind == "helstrom" else math.inf for kind in kinds]
         for block in _blocks(n, eigenvalues, logs):
             for k, kind in enumerate(kinds):
-                if pops[k] is None:
+                if kind == "helstrom":
                     u = block.unitaries
                     operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
                     frame, labels = _helstrom_frame(operators[1] - operators[0])
                 else:
-                    keys = block.columns(pops[k])
-                    if not keys:
+                    owners, columns = block.columns(*pops[kind])
+                    if not owners.size:
                         # every direction goes to hypothesis 0
                         errs[k] += block.mult * sum(float(row.sum()) for row in block.values[1:])
                         continue
-                    owners, columns = np.array(keys).T
                     picks = block.unitaries[owners, :, columns].T
-                    frame, labels, floor = pick_frame(kind, keys, picks, epsilons[kind][i])
+                    frame, labels, floor = pick_frame(kind, owners, picks, epsilons[kind][i])
                     lam_mins[k] = min(lam_mins[k], floor)
                 errs[k] += block.mult * frame_misses(frame, labels, block.unitaries, block.values)
         yield [(err / len(eigenvalues), lam_min) for err, lam_min in zip(errs, lam_mins)]

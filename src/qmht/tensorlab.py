@@ -17,12 +17,12 @@ P_a = prod_j p_a[j]^(k_j), so every error is a sum over the C(n+d-1, d-1)
 classes weighted by their sizes n!/prod_j k_j!. State i claims each class
 with a weight w_i: classical-ml and helstrom give the class to its argmax
 label, and gs and epsilon to the states whose cut P_a is above the pick
-cut, in the order ``detectors.greedy_ranks`` gives (``greedy_order`` on
-one-value streams, for every class at once), the c-th claimant with the
-weight |1^T R^-1 e_c|^2 of the class Gram matrix delta^2 J + epsilon^2 I
-(gs is epsilon = 0). Every kind then scores its summed misses by one rule;
-classical-ml reads a commuting family that is not aligned from
-``common_eigenbasis``. A sweep is scored in groups of consecutive n, up to
+cut, in the order ``detectors.greedy_ranks`` gives (the form of the one
+pick-order engine, ``pop_order``, for one value per class, every class at
+once), the c-th claimant with the weight |1^T R^-1 e_c|^2 of the class
+Gram matrix delta^2 J + epsilon^2 I (gs is epsilon = 0). Every kind then
+scores its summed misses by one rule; classical-ml reads a commuting family
+that is not aligned from ``common_eigenbasis``. A sweep is scored in groups of consecutive n, up to
 ``CLASS_GROUP_LIMIT`` classes each, as whole arrays shared by every kind;
 each state's misses at each n are summed on their own, so a row does not
 depend on the sweep or the other kinds it came with.
@@ -33,11 +33,11 @@ state whose eigenvalues below the largest sum to at most d eps lambda_top
 s then counts as lambda_top^n times the n-fold power of its top eigenvector
 psi_s, which drops at most n times its tail mass from each row. All of that
 mass lies on r vectors of the symmetric power of span{psi_s}, so gs and
-epsilon are scored on their Dicke coordinates (``_pure_scores``) by the
-blocks' own frame and scorer (``schurweyl.pick_frame``: the span
-rule of ``greedy_span`` and its Householder Gram floor, or the embedded
-detector's closed-form frame; ``frame_misses``), and helstrom by its
-two-state closed form.
+epsilon pop the states in ``pop_order`` of lambda_top^n and are scored on
+their Dicke coordinates (``_pure_scores``) by the blocks' own frame and
+scorer (``schurweyl.pick_frame``: the span rule of ``greedy_span`` and its
+Householder Gram floor, or the embedded detector's closed-form frame;
+``frame_misses``), and helstrom by its two-state closed form.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl.block_scores``:
@@ -60,9 +60,9 @@ from .detectors import (
     EPSILON_FLOOR,
     _common_diagonals,
     embedding_guard,
-    greedy_order,
     greedy_ranks,
     lemma3_bound,
+    pop_order,
 )
 from .errors import DimensionLimitError
 from .linalg import (
@@ -93,14 +93,15 @@ CLASS_GROUP_LIMIT = 1 << 14
 def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
     """Raise DimensionLimitError, naming the smallest n in ``ns`` with dim^n
     above ``dense_limit()``, if there is one. No power is taken per n, and a
-    range with a positive step is read from its bounds, not walked."""
+    range is read from its bounds, not walked."""
     cap = dense_limit()
     if dim < 2:
         return
     first, power = 1, dim  # the smallest n with dim**n > cap
     while power <= cap:
         first, power = first + 1, power * dim
-    if isinstance(ns, range) and ns.step > 0:
+    if isinstance(ns, range):
+        ns = ns if ns.step > 0 else ns[::-1]
         ns = ns[max(0, -((ns.start - first) // ns.step)) :][:1]
     over = min((n for n in ns if n >= first), default=None)
     if over is not None:
@@ -110,7 +111,8 @@ def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
 def _copy_numbers(n_range: Iterable[int], dim: int) -> list[int]:
     """The distinct copy numbers in ``n_range``, sorted and under the cap (a
     range is checked before it is walked). Each must be a positive Python or
-    numpy integer: a float or a bool raises ValueError, not truncated."""
+    numpy integer: a float or a bool raises ValueError, not truncated, and
+    so does an empty sweep."""
     if isinstance(n_range, range):
         check_dense_limit(dim, n_range)
     ns = set()
@@ -118,6 +120,8 @@ def _copy_numbers(n_range: Iterable[int], dim: int) -> list[int]:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"copy numbers must be positive integers, got {n!r}")
         ns.add(int(n))
+    if not ns:
+        raise ValueError("need at least one copy number")
     check_dense_limit(dim, ns)
     return sorted(ns)
 
@@ -291,8 +295,8 @@ def _pure_scores(
     k = min(d, r), puts psi_s^(x n) on the Dicke basis of the classes kappa
     of ``type_classes(k, n)``, at sqrt(n!/prod_j kappa_j!) prod_j C_js^kappa_j,
     scaled back to unit norm. There gs and epsilon pick one candidate per
-    state, in ``greedy_order`` of a_s, and score the blocks' ``pick_frame``
-    by its ``frame_misses``. helstrom is half the summed misses of the pair,
+    state, in ``pop_order`` of the r x 1 array of the a_s, and score the
+    blocks' ``pick_frame`` by its ``frame_misses``. helstrom is half the summed misses of the pair,
     a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
     g = |<psi_0|psi_1>|^(2n), which has no cancellation.
     """
@@ -304,7 +308,7 @@ def _pure_scores(
         counts, sizes = type_classes(coefficients.shape[1], n)
         coordinates = np.sqrt(sizes) * np.prod(coefficients[:, None, :] ** counts, axis=2)
         unit = coordinates / np.linalg.norm(coordinates, axis=1)[:, None]
-        order = [s for s, _, _ in greedy_order([[(w, None)] for w in weights])]
+        order = pop_order(weights[:, None], -math.inf)
         scores = []
         for kind in kinds:
             if kind == "helstrom":
@@ -314,8 +318,7 @@ def _pure_scores(
                 root = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - g))
                 scores.append((a * b * g / (a + b + root), None))
                 continue
-            keys = [(s, 0) for s in order]
-            frame, labels, floor = pick_frame(kind, keys, unit[order].T, epsilons[kind][i])
+            frame, labels, floor = pick_frame(kind, order, unit[order].T, epsilons[kind][i])
             misses = frame_misses(frame, labels, unit[:, :, None], weights[:, None])
             scores.append((misses / len(states), floor))
         yield scores
@@ -386,8 +389,6 @@ def run_power_experiment(
     # no n over the cap, so a far range would be walked in full
     check_distinct(states)
     ns = _copy_numbers(n_range, states[0].dim)
-    if not ns:
-        raise ValueError("need at least one copy number")
     # one alignment verdict per call; classical-ml reads the aligned rows, or
     # else any commuting family's rows in ``common_eigenbasis``
     aligned = _aligned_rows(states)

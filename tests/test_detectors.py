@@ -43,7 +43,7 @@ from qmht.linalg import (
 )
 from qmht.chernoff import q_overlap
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
-from qmht.schurweyl import _blocks, _pops, base_spectra
+from qmht.schurweyl import _blocks, _class_pops, base_spectra
 from qmht.tensorlab import EPSILON_CLIP, run_power_experiment
 from conftest import diagonal, pure
 
@@ -605,13 +605,13 @@ class TestGsFrameOracle:
     it each element, to ~1e-13."""
 
     @staticmethod
-    def assert_matches(keys, vectors):
+    def assert_matches(owners, vectors):
         picked, frame, smallest, rejected = sequential_gs_frame(vectors)
-        selection, basis, labels, floor = _gs_frame(keys, vectors)
-        assert selection == [keys[k] for k in picked]
+        chosen, basis, labels, floor = _gs_frame(owners, vectors)
+        assert chosen == picked
         assert floor == gram_floor(vectors[:, picked])
         assert smallest > 1e-3
-        owners = np.array([keys[k][0] for k in picked])
+        owners = owners[picked]
         complement = np.eye(len(frame)) - frame @ frame.conj().T
         for i in range(max(labels.max(), owners.max()) + 1):
             ours = basis[:, labels == i]
@@ -639,8 +639,8 @@ class TestGsFrameOracle:
         rejections = {}
         for name, columns in cases.items():
             vectors = np.column_stack(columns)
-            keys = [(k % 3, k) for k in range(vectors.shape[1])]
-            rejections[name] = self.assert_matches(keys, vectors)[0]
+            owners = np.arange(vectors.shape[1]) % 3
+            rejections[name] = self.assert_matches(owners, vectors)[0]
         assert rejections == {
             "column deletion": 1, "two rejections": 2, "K < D": 0, "K < D, rejection": 1,
             "fills early": 0,
@@ -660,7 +660,7 @@ class TestGsFrameOracle:
             for states, n in ((rank2, 3), (mixed, 1), (mixed, 2)):
                 powers = [DensityMatrix(functools.reduce(np.kron, [s.mat] * n)) for s in states]
                 _, pops, vectors = _greedy_pops(powers)
-                rejected += self.assert_matches(pops, vectors)[0]
+                rejected += self.assert_matches(np.array(pops)[:, 0], vectors)[0]
         assert rejected >= 6
 
     def test_block_rank_deficient_pure_and_qutrit_families(self):
@@ -673,13 +673,12 @@ class TestGsFrameOracle:
         ]
         for states, n in families:
             eigenvalues, cut, logs = base_spectra(states)
-            pops = _pops(n, cut, "gs")
+            pops = _class_pops(n, cut, ["gs"])["gs"]
             counts = np.zeros(2, dtype=int)
             for block in _blocks(n, eigenvalues, logs):
-                keys = block.columns(pops)
-                if keys:
-                    owners, columns = np.array(keys).T
-                    counts += self.assert_matches(keys, block.unitaries[owners, :, columns].T)
+                owners, columns = block.columns(*pops)
+                if owners.size:
+                    counts += self.assert_matches(owners, block.unitaries[owners, :, columns].T)
             rejected, read = counts
             if n == 12:
                 # 238 of the 1,456 candidates read are rejected; in each of
@@ -852,6 +851,11 @@ class TestBayesCommuting:
     def test_rejects_noncommuting(self, zero_state, plus_state):
         with pytest.raises(ValueError, match="commute"):
             bayes_commuting([zero_state, plus_state])
+
+    def test_rejects_mixed_dimensions(self):
+        # before any product of the states is taken
+        with pytest.raises(ValueError, match="^states must share one dimension$"):
+            bayes_commuting([diagonal([0.6, 0.4]), diagonal([0.2, 0.3, 0.5])])
 
 
 class TestVerifyBayesConditions:
@@ -1216,6 +1220,10 @@ class TestEpsilonDetector:
 
 
 class TestCommonEigenbasis:
+    def test_rejects_an_empty_family(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            common_eigenbasis([])
+
     def test_refines_degenerate_blocks(self):
         a = diagonal([0.5, 0.5])
         b = diagonal([0.3, 0.7])

@@ -23,11 +23,13 @@ from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.schurweyl import (
     _blocks,
-    _class_stream,
+    _class_pops,
     _epsilon_frame,
     base_spectra,
     block_scores,
     block_unitary,
+    class_pick_cut,
+    cut_spectrum,
     gt_tables,
     multiplicity,
     partitions,
@@ -366,6 +368,31 @@ class TestGelfandTsetlinBlocks:
             assert abs(total - purity**n) < 1e-13
 
 
+def popped_stream(n, cut, kind="gs"):
+    """(value, k) of every type class that ``_class_pops`` pops for ``kind``
+    from the cut spectrum ``cut`` (1 x d) of one state, in pop order: k the
+    label counts and the value prod_j cut_j^(k_j)."""
+    owners, counts = _class_pops(n, cut, [kind])[kind]
+    assert not owners.any()
+    return [(float(np.prod(cut[0] ** np.array(k))), tuple(k)) for k in counts.tolist()]
+
+
+def merged_class_pops(n, cut, kind):
+    """The (state, label counts) pops of the ``greedy_order`` merge of every
+    state's class stream on the cut spectra ``cut``: its values sorted
+    descending, ties in ``type_classes`` order, truncated at
+    ``class_pick_cut``. The merge itself, of the truncated streams."""
+    counts, _ = type_classes(cut.shape[1], n)
+    floor = class_pick_cut(cut, n, kind)
+    streams = []
+    for row in cut:
+        values = np.prod(row**counts, axis=1)
+        order = np.argsort(-values, kind="stable")
+        ranked = zip(values[order].tolist(), counts[order].tolist())
+        streams.append([(value, tuple(k)) for value, k in ranked if value > floor])
+    return [(state, k) for state, _, k in greedy_order(streams)]
+
+
 class TestClassStream:
     def test_binomial_multiplicities(self):
         # class (n - k, k) of diag(p, 1 - p) has value p^(n-k) (1-p)^k and
@@ -374,13 +401,13 @@ class TestClassStream:
         _, cut, _ = base_spectra([diagonal([p, 1 - p])])
         counts, sizes = type_classes(2, 3)
         size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-        for value, k in _class_stream(3, cut[0]):
+        for value, k in popped_stream(3, cut):
             assert abs(value - p ** k[0] * (1 - p) ** k[1]) < 1e-15
             assert size_of[k] == math.comb(3, k[1])
 
     def test_type_classes_follow_combinations_with_replacement(self):
         # bit for bit the classes of the draws in that order, one bincount
-        # and one exact size each, as ``_class_stream``'s stable sort needs
+        # and one exact size each, as ``_class_pops``'s stable sort needs
         for d, n in ((1, 4), (2, 1), (2, 9), (3, 1), (3, 6), (4, 5), (5, 3)):
             draws = itertools.combinations_with_replacement(range(d), n)
             counts = np.array([np.bincount(draw, minlength=d) for draw in draws])
@@ -404,7 +431,7 @@ class TestClassStream:
     def test_single_copy_matches_spectrum(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(3, rng)
-        stream = list(_class_stream(1, base_spectra([rho])[1][0]))
+        stream = popped_stream(1, base_spectra([rho])[1])
         assert [value for value, _ in stream] == list(rho.spectrum().eigenvalues)
         assert [k for _, k in stream] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -415,7 +442,7 @@ class TestClassStream:
         for n in (3, 7, 12):
             counts, sizes = type_classes(2, n)
             size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-            stream = _class_stream(n, base_spectra([rho])[1][0])
+            stream = popped_stream(n, base_spectra([rho])[1])
             total = sum(size_of[k] * value for value, k in stream)
             assert abs(total - 1.0) < 1e-13
 
@@ -423,7 +450,7 @@ class TestClassStream:
         # equal values keep the order of ``type_classes``; zero-valued
         # classes are left out
         _, cut, _ = base_spectra([diagonal([0.5, 0.5, 0.0])])
-        assert list(_class_stream(2, cut[0])) == [
+        assert popped_stream(2, cut) == [
             (0.25, (2, 0, 0)), (0.25, (1, 1, 0)), (0.25, (0, 2, 0))
         ]
 
@@ -433,7 +460,7 @@ class TestClassStream:
             rho = random_density_matrix(3, rng)
             counts, sizes = type_classes(3, n)
             size_of = {tuple(row): int(size) for row, size in zip(counts.tolist(), sizes)}
-            stream = _class_stream(n, base_spectra([rho])[1][0])
+            stream = popped_stream(n, base_spectra([rho])[1])
             values = np.concatenate([np.full(size_of[k], value) for value, k in stream])
             oracle = np.sort(np.linalg.eigvalsh(kron_power(rho, n).mat))[::-1]
             assert np.abs(values - oracle).max() < 1e-15
@@ -444,13 +471,80 @@ class TestClassStream:
         rng = np.random.default_rng(5)
         rho = random_density_matrix(3, rng)
         eigenvalues, cut, logs = base_spectra([rho])
-        stream = list(_class_stream(4, cut[0]))
+        stream = popped_stream(4, cut)
+        counts = np.array([k for _, k in stream])
         for block in _blocks(4, eigenvalues, logs):
             pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
-            for value, k in stream:
-                for c in block.tables.columns.get(k, ()):
-                    column = block.unitaries[0][:, c]
-                    assert np.abs(pi @ column - value * column).max() < 1e-15
+            # each pop's index as its owner names the pop of every column
+            pops, columns = block.columns(np.arange(len(stream)), counts)
+            for j, c in zip(pops.tolist(), columns.tolist()):
+                assert np.array_equal(block.tables.weights[c], counts[j])
+                column = block.unitaries[0][:, c]
+                assert np.abs(pi @ column - stream[j][0] * column).max() < 1e-15
+            # every column of a popped class, in pop order
+            assert np.array_equal(np.sort(columns), np.arange(block.dim))
+            assert (np.diff(pops) >= 0).all()
+
+    def test_epsilon_pops_stop_at_the_pick_cut(self):
+        # epsilon leaves out the classes at or below 1e-12 times the largest
+        # class value, gs only the zero-valued ones
+        _, cut, _ = base_spectra([diagonal([0.999, 1e-3, 0.0])])
+        for n in (3, 4, 5):
+            floor = class_pick_cut(cut, n, "epsilon")
+            gs, epsilon = popped_stream(n, cut, "gs"), popped_stream(n, cut, "epsilon")
+            assert epsilon == [(value, k) for value, k in gs if value > floor]
+            assert all(value > 0.0 for value, _ in gs)
+            assert len(gs) == n + 1
+        assert len(epsilon) < len(gs)
+
+    def test_pops_equal_the_merge_of_truncated_streams(self, monkeypatch):
+        # state 0 has a small eigenvalue, so class values straddle epsilon's
+        # cut, and at times a zero or tied larger ones (up to 36 classes, past
+        # the size below which an unstable sort may still keep the order of
+        # ties); every other state is a permutation of it,
+        # exact or a 1e-13 (inside SELECTION_TIE_RTOL) or 3e-12 (outside)
+        # relative step off, or a spectrum of its own
+        import qmht.detectors
+
+        merges = []
+
+        def counted(streams):
+            merges.append(1)
+            return greedy_order(streams)
+
+        monkeypatch.setattr(qmht.detectors, "greedy_order", counted)
+        rng = np.random.default_rng(32)
+        pops = straddling = 0
+        for _ in range(300):
+            d, r = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            n = int(rng.integers(1, 9 if d == 2 else 8))
+            row = rng.random(d)
+            row[-1] = 10.0 ** -rng.uniform(1.5, 6.0)
+            if rng.random() < 0.3:
+                row[0] = 0.0
+            elif rng.random() < 0.3:  # many classes of one value
+                row[:-1] = row[0]
+            rows = [row]
+            for _ in range(r - 1):
+                step = rng.choice([0.0, 1e-13, 3e-12, np.nan])
+                if np.isnan(step):
+                    rows.append(rng.random(d))
+                else:
+                    signs = rng.choice([-1.0, 1.0], size=d)
+                    rows.append(row[rng.permutation(d)] * (1.0 + signs * step))
+            cut = np.array([cut_spectrum(q / q.sum()) for q in rows])
+            before = len(merges)
+            popped = _class_pops(n, cut, ["gs", "epsilon"])
+            assert len(merges) - before in (0, 1, 2)
+            for kind, (owners, counts) in popped.items():
+                got = list(zip(owners.tolist(), map(tuple, counts.tolist())))
+                assert got == merged_class_pops(n, cut, kind)
+                pops += 1
+            straddling += len(popped["epsilon"][0]) < len(popped["gs"][0])
+        # both the sort and the merge it falls back to were exercised, and
+        # epsilon's cut dropped classes that gs pops
+        assert 0.1 * pops < len(merges) < 0.9 * pops
+        assert straddling > 50
 
 
 class TestSpinBlocks:
@@ -531,7 +625,7 @@ class TestEpsilonFrame:
             _, pops, vectors = _greedy_pops(states)
             for eps in (EPSILON_FLOOR, 0.3, 0.7):
                 dense, diagnostics = epsilon_detector(states, eps)
-                frame, labels, floor = _epsilon_frame(pops, vectors, eps)
+                frame, labels, floor = _epsilon_frame(np.array(pops)[:, 0], vectors, eps)
                 det = Detector(kind="POVM", frame=frame, labels=labels, outcomes=r)
                 gap = np.abs(frame @ frame.conj().T - np.eye(d)).max()
                 assert gap <= POVM_ATOL

@@ -39,7 +39,7 @@ from qmht.tensorlab import (
     pairwise_li_check,
     run_power_experiment,
 )
-from qmht.schurweyl import _class_stream, base_spectra, block_scores, type_classes
+from qmht.schurweyl import _class_pops, base_spectra, block_scores, type_classes
 from conftest import diagonal, pure
 
 LOG2 = math.log(2.0)
@@ -207,7 +207,11 @@ class TestBaseSpectra:
             _, cut, _ = base_spectra([state])
             counts, sizes = type_classes(state.dim, n)
             size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-            total = sum(size_of[k] * value for value, k in _class_stream(n, cut[0]))
+            _, popped = _class_pops(n, cut, ["gs"])["gs"]
+            values = np.prod(cut[0] ** popped, axis=1)
+            # popped in descending order of their values
+            assert (np.diff(values) <= 0.0).all()
+            total = sum(size_of[tuple(k)] * value for k, value in zip(popped.tolist(), values))
             assert abs(total - 1.0) < 1e-13
 
     def test_rank_multiplies(self):
@@ -219,8 +223,10 @@ class TestBaseSpectra:
         assert [int(np.count_nonzero(row)) for row in cut] == [2, 1]
         counts, sizes = type_classes(3, 4)
         size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
+        owners, popped = _class_pops(4, cut, ["gs"])["gs"]
         for state, rank in enumerate((2, 1)):
-            assert sum(size_of[k] for _, k in _class_stream(4, cut[state])) == rank**4
+            classes = popped[owners == state].tolist()
+            assert sum(size_of[tuple(k)] for k in classes) == rank**4
 
     def test_dimension_limit(self, monkeypatch):
         # on the aligned route and on the blocks
@@ -716,14 +722,14 @@ class TestRunPowerExperimentOtherKinds:
                 run_power_experiment(states, range(1, 7), kind)
 
     def test_dense_limit_names_the_smallest_n_over_the_cap(self, monkeypatch):
-        # a range with a positive step is read from its bounds, any other
-        # iterable walked; both name the same n as a walk over dim**n
+        # a range of either step direction is read from its bounds, any
+        # other iterable walked; all name the same n as a walk over dim**n
         monkeypatch.setenv(DENSE_LIMIT_ENV, "100")
         shapes = itertools.product((2, 3), range(-2, 9), range(0, 12), (1, 2, 3))
         for dim, start, stop, step in shapes:
             ns = range(start, stop, step)
             over = [n for n in ns if dim**n > 100]
-            for given in (ns, list(ns)[::-1]):
+            for given in (ns, ns[::-1], list(ns)[::-1]):
                 if over:
                     message = rf"^{dim}\*\*{min(over)} exceeds the dense limit 100$"
                     with pytest.raises(DimensionLimitError, match=message):
@@ -911,14 +917,14 @@ class TestPureRoute:
         picks = []
         gs_frame, epsilon_frame = schurweyl._gs_frame, schurweyl._epsilon_frame
 
-        def recording_gs(keys, vectors):
-            selection, *rest = gs_frame(keys, vectors)
-            picks.append([state for state, _ in selection])
-            return selection, *rest
+        def recording_gs(owners, vectors):
+            picked, *rest = gs_frame(owners, vectors)
+            picks.append(owners[picked].tolist())
+            return picked, *rest
 
-        def recording_epsilon(keys, vectors, epsilon):
-            picks.append([state for state, _ in keys])
-            return epsilon_frame(keys, vectors, epsilon)
+        def recording_epsilon(owners, vectors, epsilon):
+            picks.append(owners.tolist())
+            return epsilon_frame(owners, vectors, epsilon)
 
         monkeypatch.setattr(schurweyl, "_gs_frame", recording_gs)
         monkeypatch.setattr(schurweyl, "_epsilon_frame", recording_epsilon)
@@ -1111,15 +1117,40 @@ class TestGramConvergence:
             gram_convergence_check([zero_state, plus_state], range(1, 7))
 
     def test_far_sweep_over_the_cap_raises_at_once(self, zero_state, plus_state, monkeypatch):
+        # ascending or descending, a range is read from its bounds; the
+        # last one's terms are 1 mod 11, so the first over the cap is 23
         monkeypatch.delenv(DENSE_LIMIT_ENV, raising=False)
-        for entry in ("run_power_experiment", "gram_convergence_check"):
+        far_ranges = {
+            range(1, 10**300): 15, range(10**12, 0, -1): 15, range(10**300, 0, -11): 23
+        }
+        for entry, (far, over) in itertools.product(
+            ("run_power_experiment", "gram_convergence_check"), far_ranges.items()
+        ):
             start = time.perf_counter()
-            with pytest.raises(DimensionLimitError, match=r"2\*\*15 exceeds the dense limit 16384"):
+            message = rf"2\*\*{over} exceeds the dense limit 16384"
+            with pytest.raises(DimensionLimitError, match=message):
                 if entry == "run_power_experiment":
-                    run_power_experiment([zero_state, plus_state], range(1, 10**300), "gs")
+                    run_power_experiment([zero_state, plus_state], far, "gs")
                 else:
-                    gram_convergence_check([zero_state, plus_state], range(1, 10**300))
+                    gram_convergence_check([zero_state, plus_state], far)
             assert time.perf_counter() - start < 1.0
+
+    def test_descending_range_gives_the_ascending_rows(self, zero_state, plus_state):
+        states = [zero_state, plus_state]
+        for kind in ("gs", "epsilon", "helstrom"):
+            down = run_power_experiment(states, range(5, 0, -1), kind).rows
+            assert down == run_power_experiment(states, range(1, 6), kind).rows
+        down = gram_convergence_check(states, range(5, 0, -1))
+        assert down == gram_convergence_check(states, range(1, 6))
+
+    @pytest.mark.parametrize("n_range", [[], range(0), range(3, 1), iter(())])
+    @pytest.mark.parametrize("entry", ["run_power_experiment", "gram_convergence_check"])
+    def test_empty_sweep_raises(self, zero_state, plus_state, entry, n_range):
+        with pytest.raises(ValueError, match="need at least one copy number"):
+            if entry == "run_power_experiment":
+                run_power_experiment([zero_state, plus_state], n_range, "gs")
+            else:
+                gram_convergence_check([zero_state, plus_state], n_range)
 
     def test_far_sweep_of_one_by_one_states_raises_at_once(self):
         # no n is over the cap for d = 1, so the family, whose 1 x 1 states
