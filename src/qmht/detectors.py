@@ -5,7 +5,9 @@ function is pure and instances are immutable after construction. Every
 route pops its pick candidates through one engine, ``pop_order``: a stable
 sort of the stacked candidate streams wherever that is sure to equal the
 ``greedy_order`` merge, and that merge elsewhere; ``greedy_ranks`` is its form
-for one value per column. The Bayes certificate is proved by a Cholesky factor
+for one value per column, a sort of every column and the merge only on the
+columns that hold near ties (``_near_ties`` states that guard for both
+forms). The Bayes certificate is proved by a Cholesky factor
 and a Frobenius norm, and decided by ``eigvalsh`` and the 2-norm only where
 those fail (``verify_bayes_conditions``).
 """
@@ -274,30 +276,59 @@ def greedy_order(streams):
         yield best_state, value, item
 
 
+def _near_ties(higher, lower):
+    """Whether sorted neighbours ``higher`` >= ``lower`` (elementwise on
+    arrays) are distinct yet within twice ``SELECTION_TIE_RTOL`` times |lower|:
+    where a sorted candidate list holds no such pair, ``_takes_lead`` decides
+    every head comparison as an exact one would, so a stable sort gives the
+    ``greedy_order`` merge. ``pop_order`` and ``greedy_ranks`` sort unless
+    this holds."""
+    gaps = higher - lower
+    return (gaps > 0.0) & (gaps <= 2.0 * SELECTION_TIE_RTOL * np.abs(lower))
+
+
 def greedy_ranks(values, present):
     """``greedy_order`` of single-value streams, one stream set per column.
 
     Column m of the r x M ``values`` gives state i the stream
     [values[i, m]] where ``present[i, m]`` holds, and an empty one elsewhere.
     Returns the r x M position of every state in its column's pick order,
-    -1 for an empty stream. Each of the r passes is one scan over the states,
-    across all columns at once: the first state not yet picked leads, and a later one
-    takes the lead by ``_takes_lead``, as in ``greedy_order``.
+    -1 for an empty stream. One stable sort per column (present states
+    first, by descending value, ties to the smaller state) gives the
+    positions; only the columns whose sorted present values hold
+    ``_near_ties`` run the merge: r passes, each one scan over the states
+    of those columns, in which the first state not yet picked leads and a
+    later one takes the lead by ``_takes_lead``, as in ``greedy_order``.
     """
     values = np.asarray(values, dtype=float)
-    left = np.array(present, dtype=bool)
-    ranks = np.full(values.shape, -1)
-    states = np.arange(len(values))[:, None]
-    for position in range(len(values)):
-        best = np.full(values.shape[1], -1)
-        best_value = np.zeros(values.shape[1])
+    present = np.asarray(present, dtype=bool)
+    r = len(values)
+    # absent states sort last by their key alone: no value of theirs is compared
+    order = np.argsort(np.where(present, -values, np.inf), axis=0, kind="stable")
+    columns = np.arange(values.shape[1])
+    ranks = np.empty(values.shape, dtype=int)
+    ranks[order, columns] = np.arange(r)[:, None]
+    ranks[~present] = -1
+    ranked = values[order, columns]
+    # where the lower neighbour is present, so is the higher one
+    both = present[order[1:], columns]
+    ties = np.flatnonzero((both & _near_ties(ranked[:-1], ranked[1:])).any(axis=0))
+    if not ties.size:
+        return ranks
+    values, left = values[:, ties], present[:, ties]
+    merged = np.full(values.shape, -1)
+    states = np.arange(r)[:, None]
+    for position in range(r):
+        best = np.full(len(ties), -1)
+        best_value = np.zeros(len(ties))
         for i, row in enumerate(values):
             lead = left[i] & ((best < 0) | _takes_lead(row, best_value))
             best = np.where(lead, i, best)
             best_value = np.where(lead, row, best_value)
         chosen = states == best
-        ranks[chosen] = position
+        merged[chosen] = position
         left &= ~chosen
+    ranks[:, ties] = merged
     return ranks
 
 
@@ -311,17 +342,16 @@ def pop_order(values, floor):
     it in its stream, or ``_takes_lead`` decides a head comparison otherwise
     than an exact one would. That takes two distinct values within
     ``SELECTION_TIE_RTOL`` of each other, one of them kept, and then the
-    kept values and the first cut one, sorted, hold two distinct neighbours
-    within twice that. Exact ties sort as the merge pops them. Otherwise the
-    ``greedy_order`` merge itself runs."""
+    kept values and the first cut one, sorted, hold ``_near_ties``. Exact
+    ties sort as the merge pops them. Otherwise the ``greedy_order`` merge
+    itself runs."""
     kept = values > floor
     if not (kept[:, 1:] & (values[:, 1:] > values[:, :-1])).any():
         flat = values.ravel()
         order = np.argsort(-flat, kind="stable")
         count = np.count_nonzero(kept)
         heads = flat[order[: count + 1]]
-        gaps = heads[:-1] - heads[1:]
-        if not ((gaps > 0.0) & (gaps <= 2.0 * SELECTION_TIE_RTOL * heads[1:])).any():
+        if not _near_ties(heads[:-1], heads[1:]).any():
             return order[:count]
     pops = []
     for state, value, index in greedy_order(zip(row, itertools.count()) for row in values):

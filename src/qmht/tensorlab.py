@@ -18,14 +18,16 @@ classes weighted by their sizes n!/prod_j k_j!. State i claims each class
 with a weight w_i: classical-ml and helstrom give the class to its argmax
 label, and gs and epsilon to the states whose cut P_a is above the pick
 cut, in the order ``detectors.greedy_ranks`` gives (the form of the one
-pick-order engine, ``pop_order``, for one value per class, every class at
-once), the c-th claimant with the weight |1^T R^-1 e_c|^2 of the class
-Gram matrix delta^2 J + epsilon^2 I (gs is epsilon = 0). Every kind then
-scores its summed misses by one rule; classical-ml reads a commuting family
-that is not aligned from ``common_eigenbasis``. A sweep is scored in groups of consecutive n, up to
-``CLASS_GROUP_LIMIT`` classes each, as whole arrays shared by every kind;
-each state's misses at each n are summed on their own, so a row does not
-depend on the sweep or the other kinds it came with.
+pick-order engine, ``pop_order``, for one value per class: a sort of every
+class column, the merge only where one holds near ties), the c-th claimant
+with the weight |1^T R^-1 e_c|^2 of the class Gram matrix
+delta^2 J + epsilon^2 I (gs is epsilon = 0). Every kind then scores its
+summed misses by one rule; classical-ml reads a commuting family that is
+not aligned from ``common_eigenbasis``. A sweep is scored in groups of
+consecutive n, up to ``CLASS_GROUP_LIMIT`` (kind, class) terms each, every
+kind of a group in one stacked kinds x r x classes pass; each kind's misses
+of each state at each n are summed on their own, so a row does not depend
+on the sweep or the other kinds it came with.
 
 Pure families come next (decided once per call, after alignment): every
 state whose eigenvalues below the largest sum to at most d eps lambda_top
@@ -85,8 +87,8 @@ DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 EPSILON_CLIP = 1.0 / math.sqrt(2.0) - 1e-6
 LI_WITNESS_TOL = 1e-9
 # An aligned sweep scores its consecutive n in groups of at most this many
-# type classes (one n alone may exceed it), so a far-out sweep never holds
-# the arrays of all its classes at once.
+# terms, one per requested kind and type class (one n alone may exceed it),
+# so a far-out sweep never holds the arrays of all its classes at once.
 CLASS_GROUP_LIMIT = 1 << 14
 
 
@@ -169,12 +171,13 @@ def _claim_weights(claims: int, epsilon: float | np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(eps.shape + (1,)), later], axis=-1)
 
 
-def _class_groups(dim: int, ns: Sequence[int]):
+def _class_groups(dim: int, ns: Sequence[int], kinds: int = 1):
     """Slices of ``ns`` into runs of consecutive n with at most
-    ``CLASS_GROUP_LIMIT`` type classes in all, or one n alone."""
+    ``CLASS_GROUP_LIMIT`` terms in all, one per kind of ``kinds`` and type
+    class, or one n alone."""
     start = classes = 0
     for stop, n in enumerate(ns):
-        count = math.comb(n + dim - 1, dim - 1)
+        count = kinds * math.comb(n + dim - 1, dim - 1)
         if stop > start and classes + count > CLASS_GROUP_LIMIT:
             yield slice(start, stop)
             start, classes = stop, 0
@@ -189,7 +192,7 @@ def _type_class_scores(rows: np.ndarray, ns: Sequence[int], kinds: Sequence[str]
     ``_class_groups``, whose arrays are freed before the next group's
     classes are built."""
     cut_rows = np.array([cut_spectrum(row) for row in rows])
-    for group in _class_groups(rows.shape[1], ns):
+    for group in _class_groups(rows.shape[1], ns, len(kinds)):
         group_epsilons = {kind: epsilons[kind][group] for kind in kinds}
         yield from _class_group_scores(rows, cut_rows, ns[group], kinds, group_epsilons)
 
@@ -202,55 +205,70 @@ def _class_group_scores(
     epsilons: dict,
 ) -> list[tuple[tuple[float, float], ...]]:
     """(err, lambda_min_gram) of each of ``kinds`` at every n of ``ns``, one
-    tuple per n, from one term per type class, all classes of all n in one
-    set of arrays that every kind shares.
+    tuple per n, from one term per type class: all classes of all n, for
+    every kind at once, in one stacked kinds x r x classes pass.
 
     Every product outcome in a type class has the likelihood
     P_a = prod_j p_a[j]^(k_j) under state a. classical-ml and helstrom give
-    the class weight w = 1 to the state ``np.argmax`` labels it with (for
-    r = 2 the misses are then min(P_0, P_1), Helstrom's). For gs and
-    epsilon the states whose P_a on ``cut_rows`` is above ``class_pick_cut``
-    claim it in ``greedy_ranks`` order, the c-th with ``_claim_weights`` of
-    that n's epsilon (gs: 0). The P_a on ``rows`` score it: hypothesis 0 owns
-    the completion and misses delta^2 P_0 sum_(i>=1) w_i; state i >= 1
-    misses P_i ((1 - w_i) + epsilon^2 w_i). lambda_min_gram is epsilon^2
-    when some class has two weighted claimants and 1 otherwise. Each
-    state's misses at each n are summed by ``math.fsum``, so every row is
-    the row of that n and kind scored alone, bit for bit.
+    the class weight w = 1 to the state one shared ``np.argmax`` labels it
+    with (for r = 2 the misses are then min(P_0, P_1), Helstrom's). For gs
+    and epsilon the states whose P_a on ``cut_rows`` is above
+    ``class_pick_cut`` claim it in ``greedy_ranks`` order, the c-th with
+    ``_claim_weights`` of that n's epsilon (gs: 0). The P_a on ``rows`` score
+    it, by one expression for every kind: hypothesis 0 owns the completion
+    and misses delta^2 P_0 sum_(i>=1) w_i; state i >= 1 misses
+    P_i ((1 - w_i) + epsilon^2 w_i). lambda_min_gram is epsilon^2 when some
+    class has two weighted claimants and 1 otherwise. Each kind's misses of
+    each state at each n are summed by ``math.fsum``, so every row is the row
+    of that n and kind scored alone, bit for bit.
     """
     r, dim = rows.shape
     classes = [type_classes(dim, n) for n in ns]
     widths = [len(sizes) for _, sizes in classes]
     starts = np.cumsum([0] + widths)
+    slots = np.repeat(np.arange(len(ns)), widths)  # the position in ns of each class's n
     sizes = np.concatenate([sizes for _, sizes in classes])
-    values = _class_values(rows, classes)
-    cut_values = _class_values(cut_rows, classes)
-    ranks = {}  # by pick mask: gs and epsilon share one unless epsilon's cut drops a class
-    scores = []
-    for kind in kinds:
-        eps = np.array(epsilons[kind])
-        if kind in ("classical-ml", "helstrom"):
-            weights = (np.argmax(values, axis=0) == np.arange(r)[:, None]).astype(float)
-        else:
-            floors = np.repeat([class_pick_cut(cut_rows, n, kind) for n in ns], widths)
-            present = cut_values > floors
+    values = _class_values(np.vstack([rows, cut_rows]), classes)
+    values, cut_values = values[:r], values[r:]
+    eps = np.array([epsilons[kind] for kind in kinds], dtype=float)
+    weights = np.empty((len(kinds),) + values.shape)
+    labelled = [k for k, kind in enumerate(kinds) if kind in ("classical-ml", "helstrom")]
+    if labelled:
+        weights[labelled] = np.argmax(values, axis=0) == np.arange(r)[:, None]
+    if greedy := [k for k in range(len(kinds)) if k not in labelled]:
+        ranks = {}  # by pick mask: gs and epsilon share one unless epsilon's cut drops a class
+        picks = []
+        for k in greedy:
+            floors = np.array([class_pick_cut(cut_rows, n, kinds[k]) for n in ns])
+            present = cut_values > floors[slots]
             if (mask := present.tobytes()) not in ranks:
                 ranks[mask] = greedy_ranks(cut_values, present)
-            weights = _greedy_claims(ranks[mask], np.repeat(_claim_weights(r, eps), widths, axis=0))
-        eps_sq = np.repeat(eps * eps, widths)
-        # in place, so that few arrays of the group's size are alive at once
-        misses = eps_sq * weights
-        misses += 1.0 - weights
-        misses *= values
-        misses[0] = (1.0 - eps_sq) * values[0] * weights[1:].sum(axis=0)
-        misses *= sizes
-        shared = np.logical_or.reduceat(np.count_nonzero(weights, axis=0) > 1, starts[:-1])
-        scored = [memoryview(row) for row in misses]
-        sums = [[math.fsum(row[lo:hi]) for row in scored] for lo, hi in zip(starts, starts[1:])]
-        errs = np.mean(sums, axis=1).tolist()
-        lam_mins = [e * e if many else 1.0 for e, many in zip(epsilons[kind], shared)]
-        scores.append(list(zip(errs, lam_mins)))
-    return list(zip(*scores))
+            picks.append(ranks[mask])
+        # the state at position c of class m's pick order claims weight c of
+        # that class's n; a state ranked -1 claims nothing
+        picks = np.array(picks)
+        claims = _claim_weights(r, eps[greedy])[np.arange(len(greedy))[:, None, None], slots, picks]
+        weights[greedy] = np.where(picks < 0, 0.0, claims)
+    shared = np.logical_or.reduceat(np.count_nonzero(weights, axis=1) > 1, starts[:-1], axis=1)
+    eps_sq = (eps * eps)[:, None, slots]
+    first = (1.0 - eps_sq[:, 0]) * values[0] * weights[:, 1:].sum(axis=1)
+    # the weights become the misses in place, so that few arrays of the
+    # group's size are alive at once
+    unclaimed = 1.0 - weights
+    misses = weights
+    misses *= eps_sq
+    misses += unclaimed
+    misses *= values
+    misses[:, 0] = first
+    misses *= sizes
+    scored = [memoryview(row) for row in misses.reshape(-1, len(sizes))]
+    sums = [[math.fsum(row[lo:hi]) for row in scored] for lo, hi in zip(starts, starts[1:])]
+    errs = np.mean(np.reshape(sums, (len(ns), len(kinds), r)), axis=2).tolist()
+    lam_mins = [
+        [e * e if many else 1.0 for e, many in zip(epsilons[kind], shared_k)]
+        for kind, shared_k in zip(kinds, shared.tolist())
+    ]
+    return [tuple(zip(errs_n, lams_n)) for errs_n, lams_n in zip(errs, zip(*lam_mins))]
 
 
 def _class_values(rows: np.ndarray, classes) -> np.ndarray:
@@ -258,15 +276,6 @@ def _class_values(rows: np.ndarray, classes) -> np.ndarray:
     ``type_classes`` results ``classes``, one column per class in turn."""
     counts = np.vstack([counts for counts, _ in classes])
     return np.prod(rows[:, None, :] ** counts, axis=2)
-
-
-def _greedy_claims(ranks: np.ndarray, claim_weights: np.ndarray) -> np.ndarray:
-    """Weight of every state's claim on every class m: ``claim_weights[m, c]``
-    for the state at position c of column m of the ``greedy_ranks`` result
-    ``ranks``, and 0 for a state ranked -1."""
-    weights = np.take_along_axis(claim_weights.T, np.maximum(ranks, 0), axis=0)
-    weights[ranks < 0] = 0.0
-    return weights
 
 
 def _pure_tops(states: Sequence[DensityMatrix]) -> np.ndarray | None:
@@ -495,10 +504,13 @@ def gram_convergence_check(
     climbs toward 1 as the cross-state overlaps decay. The whole sweep is
     checked against the d^n cap before any n is scored, and the base
     spectra are taken once for all of it (``schurweyl.joint_gram_floor``).
+    A family of fewer than two states raises ValueError before the copy
+    numbers are read: one 1 x 1 state has no n over the cap and no pair to
+    reject, so a far range would be walked in full.
     """
     states = list(base)
-    if not states:
-        raise ValueError("need at least one hypothesis")
+    if len(states) < 2:
+        raise ValueError("need at least two hypotheses")
     if not pairwise_li_check(states).all_pass:
         raise ValueError("supports must intersect trivially for every pair")
     ns = _copy_numbers(n_range, states[0].dim)

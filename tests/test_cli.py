@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 
 import qmht
-from qmht.cli import CSV_COLUMNS, load_scenario, main
+from qmht.cli import CSV_COLUMNS, load_scenario, main, render_json
 from qmht.detectors import epsilon_detector, evaluate_errors, gs_detector, holevo_helstrom
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
+from qmht.sampling import random_density_matrix, random_pure_state
+from qmht.tensorlab import run_power_experiment
 from conftest import diagonal
 
 SQ = 1.0 / math.sqrt(2.0)
@@ -365,6 +368,163 @@ class TestRunCommand:
         payload = json.loads(out.read_text())
         assert payload["qcb"]["xi"] == "inf"
         assert payload["rows"][0]["exponent"] == "inf"
+
+
+def dumped_report(report):
+    """The JSON report as the json module writes its payload:
+    ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline, with the
+    payload built field by field (None as null, an infinite bound, exponent,
+    xi, lambda_min_gram or epsilon as "inf"), the oracle of ``render_json``."""
+
+    def number(value):
+        if value is None:
+            return None
+        if math.isinf(value):
+            return "inf"
+        return float(value)
+
+    qcb = report.qcb
+    pair = [qcb.argmin_pair[0] + 1, qcb.argmin_pair[1] + 1]
+    payload = {
+        "schema_version": 2,
+        "qcb": {
+            "xi": number(qcb.xi),
+            "argmin_pair": pair,
+            "pairwise": [
+                {
+                    "pair": [i + 1, j + 1],
+                    "xi": number(res.xi),
+                    "s_star": res.s_star,
+                    "q_star": res.q_star,
+                }
+                for (i, j), res in sorted(qcb.pairwise.items())
+            ],
+        },
+        "rows": [
+            {
+                "n": row.n,
+                "detector": row.detector,
+                "err": row.err,
+                "exponent": number(row.exponent),
+                "lemma3_bound": number(row.error_bound),
+                "lambda_min_gram": number(row.lambda_min_gram),
+                "epsilon": number(row.epsilon),
+                "qcb_xi": number(qcb.xi),
+                "qcb_pair": pair,
+            }
+            for row in report.rows
+        ],
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+class TestJsonTemplate:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_reports_equal_the_dumped_payload(self, name, tmp_path):
+        path = os.path.join(SCENARIOS, f"{name}.json")
+        scenario = load_scenario(path)
+        report = run_power_experiment(
+            scenario.states,
+            range(scenario.n_min, scenario.n_max + 1),
+            *scenario.detectors,
+            epsilon_override=scenario.epsilon_override,
+        )
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", path, "--out", str(out), "--format", "json"]) == 0
+        assert out.read_text(encoding="utf-8") == render_json(report) == dumped_report(report)
+
+    @staticmethod
+    def random_reports(rng):
+        """Reports of aligned, pure and block families with r = 2 and 3, one
+        with no rows, and twenty copies of one report with its fields set at
+        random to inf, -inf, None or floats of every size."""
+        every = ("gs", "epsilon", "helstrom", "classical-ml")
+        for r in (2, 3):
+            kinds = every if r == 2 else every[:2]
+            aligned = [diagonal(rng.dirichlet(np.ones(3))) for _ in range(r)]
+            pure = [random_pure_state(3, rng) for _ in range(r)]
+            block = [random_density_matrix(2, rng) for _ in range(r)]
+            yield run_power_experiment(aligned, range(1, 5), *kinds[:2], *kinds[3:])
+            yield run_power_experiment(pure, range(1, 4), *kinds[:3])
+            yield run_power_experiment(block, range(1, 4), *kinds[:3])
+        # an orthogonal pair: err 0, an inf exponent and an inf xi
+        yield run_power_experiment([diagonal([1.0, 0.0]), diagonal([0.0, 1.0])], [1, 2], "gs")
+        pair = [diagonal([0.6, 0.4]), diagonal([0.3, 0.7])]
+        base = run_power_experiment(pair, range(1, 4), "gs", "epsilon", "helstrom")
+        yield dataclasses.replace(base, rows=[])
+
+        def scalar():
+            sign = rng.choice([-1.0, 1.0])
+            return float(sign * rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(-320, 300))
+
+        def field():
+            return [None, math.inf, -math.inf, scalar(), 0.0, 1.0][rng.integers(6)]
+
+        for _ in range(20):
+            rows = [
+                dataclasses.replace(
+                    row, err=scalar(), exponent=field(), error_bound=field(),
+                    lambda_min_gram=field(), epsilon=field(),
+                )
+                for row in base.rows
+            ]
+            pairwise = {
+                pair: dataclasses.replace(res, xi=field() or 0.5, s_star=scalar(), q_star=scalar())
+                for pair, res in base.qcb.pairwise.items()
+            }
+            qcb = dataclasses.replace(base.qcb, xi=field() or 0.5, pairwise=pairwise)
+            yield dataclasses.replace(base, rows=rows, qcb=qcb)
+
+    def test_random_reports_equal_the_dumped_payload(self):
+        rng = np.random.default_rng(33)
+        reports = list(self.random_reports(rng))
+        assert len(reports) == 28
+        kinds = {row.detector for report in reports for row in report.rows}
+        assert kinds == {"gs", "epsilon", "helstrom", "classical-ml"}
+        for report in reports:
+            assert render_json(report) == dumped_report(report)
+        # every field that may be unset or infinite was written both ways
+        for name in ("exponent", "error_bound", "lambda_min_gram", "epsilon"):
+            fields = [getattr(row, name) for report in reports for row in report.rows]
+            assert None in fields and math.inf in fields and -math.inf in fields, name
+
+    @pytest.mark.parametrize(
+        ("where", "value"),
+        [
+            ("err", math.nan),
+            ("err", math.inf),
+            ("exponent", math.nan),
+            ("s_star", math.nan),
+            ("q_star", -math.inf),
+        ],
+    )
+    def test_non_finite_raw_floats_raise_as_json_dumps_does(
+        self, where, value, tmp_path, monkeypatch, capsys
+    ):
+        import qmht.cli
+
+        report = run_power_experiment([diagonal([0.6, 0.4]), diagonal([0.3, 0.7])], [1, 2], "gs")
+        if where in ("s_star", "q_star"):
+            qcb = report.qcb
+            pairwise = {
+                pair: dataclasses.replace(res, **{where: value})
+                for pair, res in qcb.pairwise.items()
+            }
+            report = dataclasses.replace(report, qcb=dataclasses.replace(qcb, pairwise=pairwise))
+        else:
+            row = dataclasses.replace(report.rows[0], **{where: value})
+            report = dataclasses.replace(report, rows=[row])
+        with pytest.raises(ValueError) as dumped:
+            dumped_report(report)
+        with pytest.raises(ValueError, match=re.escape(str(dumped.value))):
+            render_json(report)
+        # so `qmht run` still exits 2 and writes no report
+        monkeypatch.setattr(qmht.cli, "run_power_experiment", lambda *args, **options: report)
+        scen = write_scenario(tmp_path / "s.json", detectors=["gs"])
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(scen), "--out", str(out), "--format", "json"]) == 2
+        assert capsys.readouterr().err == f"error: {dumped.value}\n"
+        assert not out.exists()
 
 
 class TestOneBoundPerRun:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmht.detectors
 from qmht.cli import load_scenario
 from qmht.detectors import (
     EPSILON_FLOOR,
@@ -342,7 +343,64 @@ class TestGreedyOrder:
         assert next(rest) == (0.7, "z")
         assert list(greedy_order([[], []])) == []
 
-    def test_column_ranks_match_greedy_order(self):
+    @staticmethod
+    def merged_columns(values, present, monkeypatch):
+        """``greedy_ranks`` of the panel, asserted column by column to be the
+        positions of ``greedy_order`` on its one-value streams; returns how
+        many columns ran the merge (the columns ``_takes_lead`` was given)."""
+        expected = np.full(values.shape, -1)
+        for m, (column, shown) in enumerate(zip(values.T, present.T)):
+            streams = [[(v, None)] if keep else [] for v, keep in zip(column, shown)]
+            for position, (state, _, _) in enumerate(greedy_order(streams)):
+                expected[state, m] = position
+        merged = set()
+        plain = qmht.detectors._takes_lead
+
+        def recording(value, best):
+            merged.add(np.shape(value))
+            return plain(value, best)
+
+        monkeypatch.setattr(qmht.detectors, "_takes_lead", recording)
+        ranks = greedy_ranks(values, present)
+        monkeypatch.undo()
+        for m, column in enumerate(values.T):
+            assert ranks[:, m].tolist() == expected[:, m].tolist(), column
+        assert len(merged) <= 1
+        return merged.pop()[0] if merged else 0
+
+    def test_columns_without_near_ties_take_the_sort(self, monkeypatch):
+        # random values over twenty decades, exact ties, zeros and absent
+        # states: no column holds two distinct present values within 2e-12
+        # relative
+        rng = np.random.default_rng(2025)
+        for r in range(2, 6):
+            values = rng.uniform(0.0, 1.0, (r, 800)) * 10.0 ** -rng.integers(0, 20, (r, 800))
+            values[1, ::7] = values[0, ::7]
+            values[rng.random(values.shape) < 0.1] = 0.0
+            present = (values > 1e-12) & (rng.random(values.shape) > 0.1)
+            # an absent state sorts last and its value is never compared, so
+            # one just below a present value is no near tie
+            values[r - 1, ::5] = values[0, ::5] * (1.0 - 1e-13)
+            present[r - 1, ::5] = False
+            assert self.merged_columns(values, present, monkeypatch) == 0
+
+    def test_only_near_tie_columns_take_the_merge(self, monkeypatch):
+        # a few columns get a later state 1e-13 (inside SELECTION_TIE_RTOL)
+        # above or below an earlier one; one more pair at 3e-12 is outside
+        # the guard's 2e-12 and takes the sort
+        rng = np.random.default_rng(2026)
+        for r in range(2, 6):
+            values = rng.uniform(0.1, 1.0, (r, 800))
+            present = np.ones(values.shape, dtype=bool)
+            present[:, ::11] = rng.random((r, len(range(0, 800, 11)))) > 0.3
+            ties = rng.choice(800, 12, replace=False)
+            values[r - 1, ties] = values[0, ties] * (1.0 + rng.choice([-1.0, 1.0], 12) * 1e-13)
+            present[0, ties] = present[r - 1, ties] = True
+            values[1, 5] = values[0, 5] * (1.0 + 3e-12)
+            assert 5 not in ties
+            assert self.merged_columns(values, present, monkeypatch) == 12
+
+    def test_column_ranks_match_greedy_order(self, monkeypatch):
         # each column is a set of one-value streams: exact ties, ties at
         # 1e-13 (inside SELECTION_TIE_RTOL) and 3e-12 (outside) relative,
         # zeros, values at the floor and columns with no claimant
@@ -365,13 +423,8 @@ class TestGreedyOrder:
                     )[pick]
             present = values > floor
             present[:, rng.random(600) < 0.05] = False
-            ranks = greedy_ranks(values, present)
-            for m, (column, shown) in enumerate(zip(values.T, present.T)):
-                streams = [[(v, None)] if keep else [] for v, keep in zip(column, shown)]
-                expected = np.full(r, -1)
-                for position, (state, _, _) in enumerate(greedy_order(streams)):
-                    expected[state] = position
-                assert ranks[:, m].tolist() == expected.tolist(), column
+            merged = self.merged_columns(values, present, monkeypatch)
+            assert 0 < merged < 600
 
 
 def merged_pops(states):

@@ -28,6 +28,7 @@ from qmht.sampling import (
     random_state_vector,
 )
 from qmht.tensorlab import (
+    CLASS_GROUP_LIMIT,
     DETECTOR_KINDS,
     EPSILON_CLIP,
     _aligned_rows,
@@ -863,6 +864,42 @@ class TestManyKindsInOnePass:
             assert _aligned_rows(states) is None and _pure_tops(states) is None
             self.check_all_orders(states, range(1, 5), kinds, rng)
 
+    def test_aligned_rows_equal_single_kind_rows_for_every_kind_list(self):
+        # every subset of the kinds in every order, on aligned families with
+        # a zero eigenvalue and exact ties, scored in one stacked pass
+        for states in aligned_families(4, seed=94):
+            every = ("gs", "epsilon", "helstrom", "classical-ml")
+            every = every if len(states) == 2 else every[:2] + every[3:]
+            for count in range(1, len(every) + 1):
+                for kinds in itertools.permutations(every, count):
+                    self.check(states, range(1, 6), kinds)
+                    if "epsilon" in kinds:
+                        self.check(states, range(1, 6), kinds, epsilon_override=0.2)
+
+    def test_groups_bound_the_stacked_terms(self, monkeypatch):
+        # every kind of a group is scored in one stacked pass, so a group of
+        # several n holds at most CLASS_GROUP_LIMIT (kind, type class) terms
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+        seen = []
+        plain = tensorlab._class_group_scores
+
+        def recording(rows, cut_rows, ns, kinds, epsilons):
+            seen.append((list(ns), len(kinds)))
+            return plain(rows, cut_rows, ns, kinds, epsilons)
+
+        monkeypatch.setattr(tensorlab, "_class_group_scores", recording)
+        states = [diagonal([0.6, 0.4]), diagonal([0.3, 0.7])]
+        groups = []
+        for kinds in (("gs",), DETECTOR_KINDS):
+            seen.clear()
+            run_power_experiment(states, range(1, 401), *kinds)
+            assert [n for ns, _ in seen for n in ns] == list(range(1, 401))
+            for ns, count in seen:
+                assert count == len(kinds)
+                assert len(ns) == 1 or count * sum(n + 1 for n in ns) <= CLASS_GROUP_LIMIT
+            groups.append(len(seen))
+        assert groups[1] > 3 * groups[0]
+
     @pytest.mark.parametrize(
         ("family", "kinds", "message"),
         [
@@ -1160,6 +1197,18 @@ class TestGramConvergence:
         with pytest.raises(ValueError, match="states 0 and 1 are duplicates"):
             run_power_experiment(states, range(1, 10**300), "gs")
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_state_raises_before_the_range_is_read(self, dim):
+        # one 1 x 1 state has no n over the cap and no pair to reject, so the
+        # family is rejected before the copy numbers are read
+        states = [DensityMatrix(np.eye(dim) / dim)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="need at least two hypotheses"):
+            gram_convergence_check(states, range(1, 10**300))
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError, match="need at least two hypotheses"):
+            gram_convergence_check([], [1])
 
     def test_sweep_values_equal_single_copy_number_values(self, zero_state, plus_state):
         # bit for bit, on the zero-plus pair and on mixed pairwise-LI
