@@ -1,13 +1,12 @@
 """Construction and evaluation of multiple-hypothesis quantum detectors.
 
 All detectors are built from spectral data of the hypothesis states; every
-function is pure and instances are immutable after construction. Every
-route pops its pick candidates through one engine, ``pop_order``: a stable
-sort of the stacked candidate streams wherever that is sure to equal the
-``greedy_order`` merge, and that merge elsewhere; ``greedy_ranks`` is its form
-for one value per column, a sort of every column and the merge only on the
-columns that hold near ties (``_near_ties`` states that guard for both
-forms). The Bayes certificate is proved by a Cholesky factor
+function is pure and a detector owns read-only copies of its arrays.
+Every route pops its pick candidates through one engine, ``pop_order``: a
+stable sort of the stacked candidate streams wherever that is sure to equal
+the ``greedy_order`` merge (``_near_ties`` states that guard), and that merge
+elsewhere. ``greedy_ranks`` sorts one value per column and flags the columns
+the guard fails on. The Bayes certificate is proved by a Cholesky factor
 and a Frobenius norm, and decided by ``eigvalsh`` and the 2-norm only where
 those fail (``verify_bayes_conditions``).
 """
@@ -62,6 +61,8 @@ class Detector:
     element i = W diag(w) W^H into the columns W sqrt(w), labelled i, where
     every w must be >= -POVM_ATOL, and for a PVM within POVM_ATOL of 0 or 1,
     keeping only its eigenvalue-1 columns. ``elements`` returns a given list.
+    The detector keeps read-only copies of the frame and labels, so a later
+    write to the caller's arrays does not change it.
     """
 
     def __init__(
@@ -84,8 +85,9 @@ class Detector:
             outcomes = len(self.elements)
         elif elements is not None:
             raise ValueError("give a detector its elements or its frame, not both")
-        self.frame = _read_only(np.asarray(frame))
-        self.labels = _read_only(np.asarray(labels))
+        self.frame, self.labels = np.array(frame), np.array(labels)
+        self.frame.setflags(write=False)
+        self.labels.setflags(write=False)
         if outcomes is None:
             raise ValueError("a frame detector needs its number of outcomes")
         self.outcomes = operator.index(outcomes)
@@ -140,12 +142,6 @@ def _element_frame(elements, kind):
     keep = values > (0.5 if kind == "PVM" else 0.0)
     # (element, row, column) -> row x (element, column), element-major
     return vectors.transpose(1, 0, 2)[:, keep] * np.sqrt(values[keep]), np.nonzero(keep)[0]
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.setflags(write=False)
-    return view
 
 
 @dataclass(frozen=True)
@@ -229,28 +225,23 @@ class GsDiagnostics:
 
     ``selection_order`` holds the (state, eigenindex) pairs actually picked,
     in pick order (for gs, the candidates whose distance to the span of the
-    earlier picks is above ``SPAN_RESIDUAL_TOL``), ``basis`` the full
-    orthonormal basis from one complete QR of the picks (picked directions
-    first, their Householder complement after): d x d for gs, and for
-    epsilon the (d + m) x (d + m) unitary of the embedding with m picks,
-    whose top d rows are the detector's frame. The detector's ``labels`` hold
-    the hypothesis index of every basis column (0 on the complement).
+    earlier picks is above ``SPAN_RESIDUAL_TOL``), whose orthonormalized
+    directions come first in the detector's frame, labelled by their states.
     ``lambda_min_gram`` is the smallest eigenvalue of the picked Gram matrix,
-    sigma_min(R)^2 of a Householder R: for gs, the R of that same QR of the
-    picked eigenvectors V (their ``gram_floor``); for epsilon, of the
-    embedded delta^2 V^H V + epsilon^2 I, epsilon^2 + delta^2 gram_floor(V).
+    sigma_min(R)^2 of a Householder R: for gs, the R of the complete QR of
+    the picked eigenvectors V that builds the frame (their ``gram_floor``);
+    for epsilon, of the embedded delta^2 V^H V + epsilon^2 I,
+    epsilon^2 + delta^2 gram_floor(V).
     """
 
     selection_order: list[tuple[int, int]]
-    basis: np.ndarray
     lambda_min_gram: float
 
 
 def _takes_lead(value, best):
     """Whether a later state's head ``value`` takes the lead from ``best``, the
     head of an earlier state: only by more than ``SELECTION_TIE_RTOL`` times
-    |best|, so a near-tie goes to the smaller state index. Elementwise on
-    arrays."""
+    |best|, so a near-tie goes to the smaller state index."""
     return value > best + SELECTION_TIE_RTOL * abs(best)
 
 
@@ -281,55 +272,34 @@ def _near_ties(higher, lower):
     arrays) are distinct yet within twice ``SELECTION_TIE_RTOL`` times |lower|:
     where a sorted candidate list holds no such pair, ``_takes_lead`` decides
     every head comparison as an exact one would, so a stable sort gives the
-    ``greedy_order`` merge. ``pop_order`` and ``greedy_ranks`` sort unless
-    this holds."""
+    ``greedy_order`` merge. ``pop_order`` sorts unless this holds, and
+    ``greedy_ranks`` flags the columns where it does."""
     gaps = higher - lower
     return (gaps > 0.0) & (gaps <= 2.0 * SELECTION_TIE_RTOL * np.abs(lower))
 
 
 def greedy_ranks(values, present):
-    """``greedy_order`` of single-value streams, one stream set per column.
+    """Pick positions of single-value streams by one stable sort per column,
+    and the columns where the sort may differ from ``greedy_order``.
 
     Column m of the r x M ``values`` gives state i the stream
     [values[i, m]] where ``present[i, m]`` holds, and an empty one elsewhere.
-    Returns the r x M position of every state in its column's pick order,
-    -1 for an empty stream. One stable sort per column (present states
-    first, by descending value, ties to the smaller state) gives the
-    positions; only the columns whose sorted present values hold
-    ``_near_ties`` run the merge: r passes, each one scan over the states
-    of those columns, in which the first state not yet picked leads and a
-    later one takes the lead by ``_takes_lead``, as in ``greedy_order``.
+    Returns the r x M position of every state in its column's sort (present
+    states first, by descending value, ties to the smaller state), -1 for an
+    empty stream, and the columns whose sorted present values hold
+    ``_near_ties``. Any merge of streams that holds the values of another
+    column orders them as the sort does.
     """
-    values = np.asarray(values, dtype=float)
-    present = np.asarray(present, dtype=bool)
-    r = len(values)
     # absent states sort last by their key alone: no value of theirs is compared
     order = np.argsort(np.where(present, -values, np.inf), axis=0, kind="stable")
     columns = np.arange(values.shape[1])
     ranks = np.empty(values.shape, dtype=int)
-    ranks[order, columns] = np.arange(r)[:, None]
+    ranks[order, columns] = np.arange(len(values))[:, None]
     ranks[~present] = -1
     ranked = values[order, columns]
     # where the lower neighbour is present, so is the higher one
     both = present[order[1:], columns]
-    ties = np.flatnonzero((both & _near_ties(ranked[:-1], ranked[1:])).any(axis=0))
-    if not ties.size:
-        return ranks
-    values, left = values[:, ties], present[:, ties]
-    merged = np.full(values.shape, -1)
-    states = np.arange(r)[:, None]
-    for position in range(r):
-        best = np.full(len(ties), -1)
-        best_value = np.zeros(len(ties))
-        for i, row in enumerate(values):
-            lead = left[i] & ((best < 0) | _takes_lead(row, best_value))
-            best = np.where(lead, i, best)
-            best_value = np.where(lead, row, best_value)
-        chosen = states == best
-        merged[chosen] = position
-        left &= ~chosen
-    ranks[:, ties] = merged
-    return ranks
+    return ranks, np.flatnonzero((both & _near_ties(ranked[:-1], ranked[1:])).any(axis=0))
 
 
 def pop_order(values, floor):
@@ -420,7 +390,7 @@ def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnos
     owners = np.array([state for state, _ in pops])
     picked, basis, labels, lambda_min = _gs_frame(owners, vectors)
     det = Detector(kind="PVM", frame=basis, labels=labels, outcomes=len(states))
-    return det, GsDiagnostics([pops[k] for k in picked], basis, lambda_min)
+    return det, GsDiagnostics([pops[k] for k in picked], lambda_min)
 
 
 def lemma3_bound(overlap_sum: float, lambda_min: float, r: int) -> float:
@@ -702,4 +672,4 @@ def epsilon_detector(
     if float(np.abs(basis.conj().T @ basis - np.eye(dim + picks)).max()) > POVM_ATOL:
         raise NumericalConsistencyError("complete QR factor is not unitary")
     det = Detector(kind="POVM", frame=basis[:dim], labels=labels, outcomes=len(states))
-    return det, GsDiagnostics(selection, basis, _embedded_gram_floor(vectors, epsilon))
+    return det, GsDiagnostics(selection, _embedded_gram_floor(vectors, epsilon))

@@ -118,9 +118,6 @@ class DensityMatrix:
             self._spectrum = SpectralDecomposition(vals, dec.vectors)
         return self._spectrum
 
-    def rank(self) -> int:
-        return len(self.spectrum().positive_indices())
-
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
 

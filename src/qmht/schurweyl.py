@@ -9,8 +9,9 @@ rho = U diag(p) U^H acts there as pi_lam(rho) (x) 1_(f_lam) with
 (Bacon, Chuang and Harrow, quant-ph/0407082). V_lam carries the
 Gelfand-Tsetlin basis, whose patterns are weight vectors with weights w, and
 the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
-(math/0211289). With U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one
-``eigh`` per block and state. The product eigenvectors of state s in type
+(math/0211289), shared by every lam with one reduced shape (``gt_tables``).
+With U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one ``eigh`` per
+block and state. The product eigenvectors of state s in type
 class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
 C^(f_lam) in every block; ``cut_spectrum`` and ``class_pick_cut``, the cut
 rule of every route, decide which classes are picked, and gs and epsilon pop
@@ -43,7 +44,7 @@ from .detectors import (
     _labels,
     pop_order,
 )
-from .linalg import eigenvalue_zero_threshold, gram_floor, solve_lower
+from .linalg import EIGENVALUE_ZERO_RTOL, eigenvalue_zero_threshold, gram_floor, solve_lower
 
 
 @functools.cache
@@ -84,14 +85,13 @@ def cut_spectrum(values: np.ndarray) -> np.ndarray:
     return np.where(values > eigenvalue_zero_threshold(values), values, 0.0)
 
 
-def class_pick_cut(cut: np.ndarray, n: int, kind: str) -> float:
-    """A row of this kind at copy number n picks a type class iff its value on
-    the cut spectra ``cut`` is above this: 0, except for epsilon, which picks
-    every kept vector and so keeps the dense detectors' cut on the explicit
-    powers, 1e-12 times the largest n-fold eigenvalue."""
-    if kind != "epsilon":
-        return 0.0
-    return eigenvalue_zero_threshold(cut.max() ** n)
+def class_pick_cut(cut: np.ndarray, ns, kind: str) -> np.ndarray:
+    """A row of this kind at copy number n of ``ns`` picks a type class iff its
+    value on the cut spectra ``cut`` is above n's floor: 0, except for epsilon,
+    which picks every kept vector and so keeps the dense detectors' cut on the
+    explicit powers, 1e-12 times the largest n-fold eigenvalue."""
+    top = float(cut.max()) if kind == "epsilon" else 0.0
+    return np.array([EIGENVALUE_ZERO_RTOL * top**n for n in ns])
 
 
 @functools.cache
@@ -163,7 +163,19 @@ def _raising_entry(pattern, k: int, i: int) -> float:
 
 @functools.cache
 def gt_tables(lam: tuple[int, ...]) -> GtTables:
-    """The Gelfand-Tsetlin tables of V_lam (cached per lam)."""
+    """The Gelfand-Tsetlin tables of V_lam (cached per lam): those of
+    lam - lam_d (1, ..., 1), whose patterns are lam's less lam_d in order, with
+    the same generators (Molev's formula reads entry differences only)."""
+    low = lam[-1]
+    reduced = _reduced_tables(tuple(part - low for part in lam))
+    weights = reduced.weights + low
+    weights.setflags(write=False)
+    return GtTables(weights=weights, raising=reduced.raising)
+
+
+@functools.cache
+def _reduced_tables(lam: tuple[int, ...]) -> GtTables:
+    """``gt_tables`` of a reduced shape, built from its patterns."""
     d = len(lam)
     patterns = _gt_patterns(lam)
     index = {pattern: c for c, pattern in enumerate(patterns)}
@@ -278,21 +290,18 @@ def _blocks(n: int, eigenvalues: np.ndarray, logs: np.ndarray):
         yield _Block(lam, eigenvalues, logs)
 
 
-def _class_pops(n: int, cut: np.ndarray, kinds):
-    """The popped type classes at copy number n of each gs or epsilon kind of
-    ``kinds``, as the owner array and the label counts of every pop, in
-    ``pop_order`` of one r x C array that all kinds share: row s holds state
+def _class_pops(n: int, cut: np.ndarray, floors):
+    """The popped type classes at copy number n for each pick floor of
+    ``floors``, as the owner and ``type_classes`` index of every pop, in
+    ``pop_order`` of one r x C array that all floors share: row s holds state
     s's values on the cut spectra ``cut``, sorted descending (ties in
-    ``type_classes`` order), popped down to ``class_pick_cut``."""
+    ``type_classes`` order), popped down to the floor."""
     counts, _ = type_classes(cut.shape[1], n)
     values = np.prod(cut[:, None, :] ** counts, axis=2)
     order = np.argsort(-values, axis=1, kind="stable")
     ranked = np.take_along_axis(values, order, axis=1)
-    pops = {}
-    for kind in kinds:
-        flat = pop_order(ranked, class_pick_cut(cut, n, kind))
-        pops[kind] = flat // len(counts), counts[order.ravel()[flat]]
-    return pops
+    flats = [pop_order(ranked, floor) for floor in floors]
+    return [(flat // len(counts), order.ravel()[flat]) for flat in flats]
 
 
 def frame_misses(frame, labels, columns, values) -> float:
@@ -378,8 +387,11 @@ def block_scores(states, ns, kinds, epsilons):
     """
     eigenvalues, cut, logs = base_spectra(states)
     picking = [kind for kind in kinds if kind != "helstrom"]
+    floors = [class_pick_cut(cut, ns, kind) for kind in picking]
     for i, n in enumerate(ns):
-        pops = _class_pops(n, cut, picking) if picking else {}
+        counts, _ = type_classes(cut.shape[1], n)
+        popped = _class_pops(n, cut, [floor[i] for floor in floors]) if picking else []
+        pops = {kind: (owners, counts[index]) for kind, (owners, index) in zip(picking, popped)}
         errs = [0.0] * len(kinds)
         lam_mins = [None if kind == "helstrom" else math.inf for kind in kinds]
         for block in _blocks(n, eigenvalues, logs):

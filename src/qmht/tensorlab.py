@@ -17,11 +17,11 @@ P_a = prod_j p_a[j]^(k_j), so every error is a sum over the C(n+d-1, d-1)
 classes weighted by their sizes n!/prod_j k_j!. State i claims each class
 with a weight w_i: classical-ml and helstrom give the class to its argmax
 label, and gs and epsilon to the states whose cut P_a is above the pick
-cut, in the order ``detectors.greedy_ranks`` gives (the form of the one
-pick-order engine, ``pop_order``, for one value per class: a sort of every
-class column, the merge only where one holds near ties), the c-th claimant
-with the weight |1^T R^-1 e_c|^2 of the class Gram matrix
-delta^2 J + epsilon^2 I (gs is epsilon = 0). Every kind then scores its
+cut, in ``pop_order``, the one pick-order engine (``_pick_ranks``: a sort
+of every class column, and on an n with near ties the blocks' per-n pass,
+``schurweyl._class_pops``), the c-th claimant with the weight
+|1^T R^-1 e_c|^2 of the class Gram matrix delta^2 J + epsilon^2 I (gs is
+epsilon = 0). Every kind then scores its
 summed misses by one rule; classical-ml reads a commuting family that is
 not aligned from ``common_eigenbasis``. A sweep is scored in groups of
 consecutive n, up to ``CLASS_GROUP_LIMIT`` (kind, class) terms each, every
@@ -73,6 +73,7 @@ from .linalg import (
     is_rank_one,
 )
 from .schurweyl import (
+    _class_pops,
     base_spectra,
     block_scores,
     class_pick_cut,
@@ -190,11 +191,12 @@ def _type_class_scores(rows: np.ndarray, ns: Sequence[int], kinds: Sequence[str]
     of each row of ``kinds`` (epsilons ``epsilons[kind]``) on the n-fold
     powers of an aligned family: ``_class_group_scores`` of each of the
     ``_class_groups``, whose arrays are freed before the next group's
-    classes are built."""
+    classes are built, with each kind's pick cuts taken once."""
     cut_rows = np.array([cut_spectrum(row) for row in rows])
+    floors = {kind: class_pick_cut(cut_rows, ns, kind) for kind in kinds}
     for group in _class_groups(rows.shape[1], ns, len(kinds)):
-        group_epsilons = {kind: epsilons[kind][group] for kind in kinds}
-        yield from _class_group_scores(rows, cut_rows, ns[group], kinds, group_epsilons)
+        sliced = ({kind: table[kind][group] for kind in kinds} for table in (epsilons, floors))
+        yield from _class_group_scores(rows, cut_rows, ns[group], kinds, *sliced)
 
 
 def _class_group_scores(
@@ -203,6 +205,7 @@ def _class_group_scores(
     ns: Sequence[int],
     kinds: Sequence[str],
     epsilons: dict,
+    floors: dict,
 ) -> list[tuple[tuple[float, float], ...]]:
     """(err, lambda_min_gram) of each of ``kinds`` at every n of ``ns``, one
     tuple per n, from one term per type class: all classes of all n, for
@@ -212,8 +215,8 @@ def _class_group_scores(
     P_a = prod_j p_a[j]^(k_j) under state a. classical-ml and helstrom give
     the class weight w = 1 to the state one shared ``np.argmax`` labels it
     with (for r = 2 the misses are then min(P_0, P_1), Helstrom's). For gs
-    and epsilon the states whose P_a on ``cut_rows`` is above
-    ``class_pick_cut`` claim it in ``greedy_ranks`` order, the c-th with
+    and epsilon the states whose P_a on ``cut_rows`` is above that n's
+    ``floors[kind]`` claim it in ``_pick_ranks`` order, the c-th with
     ``_claim_weights`` of that n's epsilon (gs: 0). The P_a on ``rows`` score
     it, by one expression for every kind: hypothesis 0 owns the completion
     and misses delta^2 P_0 sum_(i>=1) w_i; state i >= 1 misses
@@ -238,11 +241,10 @@ def _class_group_scores(
     if greedy := [k for k in range(len(kinds)) if k not in labelled]:
         ranks = {}  # by pick mask: gs and epsilon share one unless epsilon's cut drops a class
         picks = []
-        for k in greedy:
-            floors = np.array([class_pick_cut(cut_rows, n, kinds[k]) for n in ns])
-            present = cut_values > floors[slots]
+        for floor in (floors[kinds[k]] for k in greedy):
+            present = cut_values > floor[slots]
             if (mask := present.tobytes()) not in ranks:
-                ranks[mask] = greedy_ranks(cut_values, present)
+                ranks[mask] = _pick_ranks(cut_rows, ns, floor, cut_values, present, starts)
             picks.append(ranks[mask])
         # the state at position c of class m's pick order claims weight c of
         # that class's n; a state ranked -1 claims nothing
@@ -269,6 +271,22 @@ def _class_group_scores(
         for kind, shared_k in zip(kinds, shared.tolist())
     ]
     return [tuple(zip(errs_n, lams_n)) for errs_n, lams_n in zip(errs, zip(*lam_mins))]
+
+
+def _pick_ranks(cut_rows, ns, floors, cut_values, present, starts) -> np.ndarray:
+    """The claim position of every state on the classes of ``ns`` (columns
+    ``starts[i]:starts[i + 1]`` of ``cut_values`` for ``ns[i]``, claimed
+    where ``present``, above ``floors[i]``), -1 where it claims none: the
+    ``greedy_ranks`` sort, but on each n that owns a column it flags, each
+    state's place among the pops of the class in ``_class_pops``."""
+    ranks, flagged = greedy_ranks(cut_values, present)
+    for i in np.unique(np.searchsorted(starts, flagged, side="right") - 1).tolist():
+        [(owners, classes)] = _class_pops(ns[i], cut_rows, [floors[i]])
+        grouped = np.argsort(classes, kind="stable")
+        first = np.searchsorted(classes[grouped], classes[grouped])
+        ranks[:, starts[i] : starts[i + 1]] = -1
+        ranks[owners[grouped], starts[i] + classes[grouped]] = np.arange(len(first)) - first
+    return ranks
 
 
 def _class_values(rows: np.ndarray, classes) -> np.ndarray:

@@ -44,7 +44,7 @@ from qmht.linalg import (
 )
 from qmht.chernoff import q_overlap
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
-from qmht.schurweyl import _blocks, _class_pops, base_spectra
+from qmht.schurweyl import _blocks, _class_pops, base_spectra, type_classes
 from qmht.tensorlab import EPSILON_CLIP, run_power_experiment
 from conftest import diagonal, pure
 
@@ -201,6 +201,23 @@ class TestFrameDetectors:
         assert np.array_equal(det.elements[2].mat, np.zeros((3, 3)))
         assert det.elements is det.elements
 
+    def test_writes_to_the_given_arrays_do_not_reach_the_detector(self):
+        # a detector keeps read-only copies of its frame and labels, so the
+        # caller's arrays stay writable and writing them moves nothing
+        rng = np.random.default_rng(0)
+        states = [random_density_matrix(3, rng) for _ in range(2)]
+        built, _ = gs_detector(states)
+        frame, labels = np.array(built.frame), np.array(built.labels)
+        det = Detector(kind="PVM", frame=frame, labels=labels, outcomes=2)
+        before = evaluate_errors(states, det)
+        frame[:, 0] *= 2.0
+        labels[:] = 1 - labels
+        assert np.array_equal(det.frame, built.frame)
+        assert np.array_equal(det.labels, built.labels)
+        assert not det.frame.flags.writeable and not det.labels.flags.writeable
+        assert evaluate_errors(states, det) == before
+        assert det.elements[1].mat.tobytes() == built.elements[1].mat.tobytes()
+
 
 class TestEvaluateErrors:
     def test_orthogonal_pvm_is_exact(self, zero_state, one_state):
@@ -344,29 +361,36 @@ class TestGreedyOrder:
         assert list(greedy_order([[], []])) == []
 
     @staticmethod
-    def merged_columns(values, present, monkeypatch):
+    def flagged_columns(values, present, monkeypatch):
         """``greedy_ranks`` of the panel, asserted column by column to be the
-        positions of ``greedy_order`` on its one-value streams; returns how
-        many columns ran the merge (the columns ``_takes_lead`` was given)."""
+        positions of ``greedy_order`` on its one-value streams wherever it
+        does not flag the column, with every flagged column holding two
+        distinct present values within 2 ``SELECTION_TIE_RTOL`` of each
+        other; returns how many columns it flagged. It sorts only: it makes
+        no ``greedy_order`` call."""
         expected = np.full(values.shape, -1)
         for m, (column, shown) in enumerate(zip(values.T, present.T)):
             streams = [[(v, None)] if keep else [] for v, keep in zip(column, shown)]
             for position, (state, _, _) in enumerate(greedy_order(streams)):
                 expected[state, m] = position
-        merged = set()
-        plain = qmht.detectors._takes_lead
+        merges = []
 
-        def recording(value, best):
-            merged.add(np.shape(value))
-            return plain(value, best)
+        def counted(streams):
+            merges.append(1)
+            return greedy_order(streams)
 
-        monkeypatch.setattr(qmht.detectors, "_takes_lead", recording)
-        ranks = greedy_ranks(values, present)
+        monkeypatch.setattr(qmht.detectors, "greedy_order", counted)
+        ranks, flagged = greedy_ranks(values, present)
         monkeypatch.undo()
+        assert not merges
         for m, column in enumerate(values.T):
-            assert ranks[:, m].tolist() == expected[:, m].tolist(), column
-        assert len(merged) <= 1
-        return merged.pop()[0] if merged else 0
+            if m not in flagged:
+                assert ranks[:, m].tolist() == expected[:, m].tolist(), column
+        for m in flagged.tolist():
+            kept = np.sort(values[present[:, m], m])
+            gaps = np.diff(kept)
+            assert ((gaps > 0.0) & (gaps <= 2.0 * SELECTION_TIE_RTOL * kept[:-1])).any()
+        return len(flagged)
 
     def test_columns_without_near_ties_take_the_sort(self, monkeypatch):
         # random values over twenty decades, exact ties, zeros and absent
@@ -382,9 +406,9 @@ class TestGreedyOrder:
             # one just below a present value is no near tie
             values[r - 1, ::5] = values[0, ::5] * (1.0 - 1e-13)
             present[r - 1, ::5] = False
-            assert self.merged_columns(values, present, monkeypatch) == 0
+            assert self.flagged_columns(values, present, monkeypatch) == 0
 
-    def test_only_near_tie_columns_take_the_merge(self, monkeypatch):
+    def test_only_near_tie_columns_are_flagged(self, monkeypatch):
         # a few columns get a later state 1e-13 (inside SELECTION_TIE_RTOL)
         # above or below an earlier one; one more pair at 3e-12 is outside
         # the guard's 2e-12 and takes the sort
@@ -398,7 +422,7 @@ class TestGreedyOrder:
             present[0, ties] = present[r - 1, ties] = True
             values[1, 5] = values[0, 5] * (1.0 + 3e-12)
             assert 5 not in ties
-            assert self.merged_columns(values, present, monkeypatch) == 12
+            assert self.flagged_columns(values, present, monkeypatch) == 12
 
     def test_column_ranks_match_greedy_order(self, monkeypatch):
         # each column is a set of one-value streams: exact ties, ties at
@@ -423,8 +447,8 @@ class TestGreedyOrder:
                     )[pick]
             present = values > floor
             present[:, rng.random(600) < 0.05] = False
-            merged = self.merged_columns(values, present, monkeypatch)
-            assert 0 < merged < 600
+            flagged = self.flagged_columns(values, present, monkeypatch)
+            assert 0 < flagged < 600
 
 
 def merged_pops(states):
@@ -549,13 +573,13 @@ class TestGsDetector:
 
     def test_commuting_matches_classical_ml(self):
         states = [diagonal([0.7, 0.3]), diagonal([0.4, 0.6])]
-        det, diag = gs_detector(states)
+        det, _ = gs_detector(states)
         report = evaluate_errors(states, det)
         assert abs(report.averaged - 0.35) < 1e-12
         probs = np.array([[0.7, 0.3], [0.4, 0.6]])
         ml_labels = classical_ml(probs)
-        # identify basis columns with canonical slots and compare labels
-        for col, label in zip(diag.basis.T, det.labels):
+        # identify frame columns with canonical slots and compare labels
+        for col, label in zip(det.frame.T, det.labels):
             slot = int(np.argmax(np.abs(col)))
             assert ml_labels[slot] == label
 
@@ -563,8 +587,8 @@ class TestGsDetector:
         det, diag = gs_detector([zero_state, plus_state])
         assert diag.selection_order == [(0, 0), (1, 0)]
         assert det.labels.tolist() == [0, 1]
-        assert np.allclose(np.abs(diag.basis[:, 0]), [1.0, 0.0])
-        assert np.allclose(np.abs(diag.basis[:, 1]), [0.0, 1.0])
+        assert np.allclose(np.abs(det.frame[:, 0]), [1.0, 0.0])
+        assert np.allclose(np.abs(det.frame[:, 1]), [0.0, 1.0])
         report = evaluate_errors([zero_state, plus_state], det)
         assert abs(report.averaged - 0.25) < 1e-12
 
@@ -587,9 +611,9 @@ class TestGsDetector:
     def test_output_is_projective(self):
         rng = np.random.default_rng(5)
         states = [random_density_matrix(4, rng, rank=2) for _ in range(3)]
-        det, diag = gs_detector(states)
+        det, _ = gs_detector(states)
         assert det.kind == "PVM"
-        basis = diag.basis
+        basis = det.frame
         assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() < 1e-9
 
     def test_rejects_single_state(self, zero_state):
@@ -600,7 +624,7 @@ class TestGsDetector:
         states = [diagonal([0.7, 0.3, 0.0]), diagonal([0.4, 0.6, 0.0])]
         det, diag = gs_detector(states)
         assert len(diag.selection_order) == 2
-        assert np.abs(np.abs(diag.basis[:, 2]) - [0.0, 0.0, 1.0]).max() < 1e-12
+        assert np.abs(np.abs(det.frame[:, 2]) - [0.0, 0.0, 1.0]).max() < 1e-12
         assert det.labels[2] == 0
 
     def test_non_unitary_basis_raises(self, monkeypatch):
@@ -726,7 +750,8 @@ class TestGsFrameOracle:
         ]
         for states, n in families:
             eigenvalues, cut, logs = base_spectra(states)
-            pops = _class_pops(n, cut, ["gs"])["gs"]
+            [(owners, index)] = _class_pops(n, cut, [0.0])
+            pops = owners, type_classes(cut.shape[1], n)[0][index]
             counts = np.zeros(2, dtype=int)
             for block in _blocks(n, eigenvalues, logs):
                 owners, columns = block.columns(*pops)
@@ -1159,21 +1184,25 @@ class TestEpsilonDetector:
         values = np.concatenate([rho.spectrum().eigenvalues for rho in states])
         picks = len(diag.selection_order)
         assert picks == int(np.sum(values > eigenvalue_zero_threshold(values)))
-        basis = diag.basis
+        # the frame is the top 16 rows of the embedding's (16 + m)-dimensional
+        # unitary: its rows are orthonormal, the picks come first, labelled by
+        # their states, and the completion projects onto the rest of C^16
+        frame = det.frame
         size = 16 + picks
-        assert basis.shape == (size, size)
-        assert np.abs(basis.conj().T @ basis - np.eye(size)).max() < 1e-12
-        picked = basis[:, :picks]
-        completion = basis[:, picks:]
+        assert frame.shape == (16, size)
+        assert np.abs(frame @ frame.conj().T - np.eye(16)).max() < 1e-12
+        picked = frame[:, :picks]
+        completion = frame[:, picks:]
         assert completion.shape[1] > 0
+        assert det.labels[:picks].tolist() == [state for state, _ in diag.selection_order]
         assert all(label == 0 for label in det.labels[picks:])
-        complement = np.eye(size) - picked @ picked.conj().T
+        complement = np.eye(16) - picked @ picked.conj().T
         assert np.abs(completion @ completion.conj().T - complement).max() < 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 16, 32])
     def test_elements_are_upper_blocks_of_embedded_pvm(self, dim):
-        # rebuild the embedded PVM from the reported basis and labels, check it
-        # as a PVM, and cut it back to its upper block
+        # rebuild the embedded PVM from the reported picks and labels, check
+        # it as a PVM, and cut it back to its upper block
         rng = np.random.default_rng(100 + dim)
         for r in (2, 3):
             states = [
@@ -1182,7 +1211,14 @@ class TestEpsilonDetector:
             ]
             for epsilon in (0.1, 0.3, 0.7):
                 det, diag = epsilon_detector(states, epsilon)
-                blocks = [diag.basis[:, det.labels == i] for i in range(r)]
+                selection = diag.selection_order
+                columns = np.zeros((dim + len(selection), len(selection)), dtype=complex)
+                for k, (state, index) in enumerate(selection):
+                    vector = states[state].spectrum().vectors[:, index]
+                    columns[:dim, k] = math.sqrt(1.0 - epsilon * epsilon) * vector
+                    columns[dim + k, k] = epsilon
+                basis, _ = np.linalg.qr(columns, mode="complete")
+                blocks = [basis[:, det.labels == i] for i in range(r)]
                 big = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
                 upper = [HermitianMatrix(e.mat[:dim, :dim]) for e in big.elements]
                 for new, old in zip(det.elements, upper):

@@ -19,7 +19,8 @@ from qmht.detectors import (
     holevo_helstrom,
     _greedy_pops,
 )
-from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
+from qmht import schurweyl
+from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix, eigenvalue_zero_threshold
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.schurweyl import (
     _blocks,
@@ -367,12 +368,39 @@ class TestGelfandTsetlinBlocks:
                 total += block.mult * float(np.vdot(pi, pi).real)
             assert abs(total - purity**n) < 1e-13
 
+    def test_shapes_share_the_generators_of_their_reduced_shape(self):
+        # lam and lam - lam_d (1, ..., 1) hold the same generator arrays, bit
+        # for bit those built from lam's own patterns, and weights that
+        # differ by lam_d
+        built = 0
+        for d, top in ((2, 12), (3, 12), (4, 8)):
+            for n in range(1, top + 1):
+                for lam in partitions(n, d):
+                    low = lam[-1]
+                    if not low:
+                        continue
+                    tables = gt_tables(lam)
+                    reduced = gt_tables(tuple(part - low for part in lam))
+                    own = schurweyl._reduced_tables.__wrapped__(lam)
+                    assert np.array_equal(tables.weights, reduced.weights + low)
+                    assert tables.weights.tobytes() == own.weights.tobytes()
+                    for (a, b, shared), (c, e, generator), (f, g, kept) in zip(
+                        tables.raising, own.raising, reduced.raising
+                    ):
+                        assert (a, b) == (c, e) == (f, g)
+                        assert shared is kept
+                        assert shared.tobytes() == generator.tobytes()
+                    built += 1
+        assert built > 100
+
 
 def popped_stream(n, cut, kind="gs"):
     """(value, k) of every type class that ``_class_pops`` pops for ``kind``
     from the cut spectrum ``cut`` (1 x d) of one state, in pop order: k the
     label counts and the value prod_j cut_j^(k_j)."""
-    owners, counts = _class_pops(n, cut, [kind])[kind]
+    counts, _ = type_classes(cut.shape[1], n)
+    [(owners, classes)] = _class_pops(n, cut, class_pick_cut(cut, [n], kind))
+    counts = counts[classes]
     assert not owners.any()
     return [(float(np.prod(cut[0] ** np.array(k))), tuple(k)) for k in counts.tolist()]
 
@@ -383,7 +411,7 @@ def merged_class_pops(n, cut, kind):
     descending, ties in ``type_classes`` order, truncated at
     ``class_pick_cut``. The merge itself, of the truncated streams."""
     counts, _ = type_classes(cut.shape[1], n)
-    floor = class_pick_cut(cut, n, kind)
+    (floor,) = class_pick_cut(cut, [n], kind)
     streams = []
     for row in cut:
         values = np.prod(row**counts, axis=1)
@@ -490,12 +518,25 @@ class TestClassStream:
         # class value, gs only the zero-valued ones
         _, cut, _ = base_spectra([diagonal([0.999, 1e-3, 0.0])])
         for n in (3, 4, 5):
-            floor = class_pick_cut(cut, n, "epsilon")
+            (floor,) = class_pick_cut(cut, [n], "epsilon")
             gs, epsilon = popped_stream(n, cut, "gs"), popped_stream(n, cut, "epsilon")
             assert epsilon == [(value, k) for value, k in gs if value > floor]
             assert all(value > 0.0 for value, _ in gs)
             assert len(gs) == n + 1
         assert len(epsilon) < len(gs)
+
+    def test_pick_cuts_equal_the_per_n_threshold(self):
+        # one floor per n, taken once per sweep, bit for bit the threshold of
+        # the largest n-fold eigenvalue that each n once took on its own
+        rng = np.random.default_rng(33)
+        ns = range(1, 400)
+        for d in (2, 3, 4):
+            for _ in range(5):
+                _, cut, _ = base_spectra([random_density_matrix(d, rng) for _ in range(3)])
+                expected = [eigenvalue_zero_threshold(cut.max() ** n) for n in ns]
+                floors = class_pick_cut(cut, ns, "epsilon")
+                assert floors.tobytes() == np.array(expected).tobytes()
+                assert class_pick_cut(cut, ns, "gs").tobytes() == bytes(8 * len(ns))
 
     def test_pops_equal_the_merge_of_truncated_streams(self, monkeypatch):
         # state 0 has a small eigenvalue, so class values straddle epsilon's
@@ -534,10 +575,13 @@ class TestClassStream:
                     rows.append(row[rng.permutation(d)] * (1.0 + signs * step))
             cut = np.array([cut_spectrum(q / q.sum()) for q in rows])
             before = len(merges)
-            popped = _class_pops(n, cut, ["gs", "epsilon"])
+            kinds = ("gs", "epsilon")
+            floors = [class_pick_cut(cut, [n], kind)[0] for kind in kinds]
+            popped = dict(zip(kinds, _class_pops(n, cut, floors)))
             assert len(merges) - before in (0, 1, 2)
-            for kind, (owners, counts) in popped.items():
-                got = list(zip(owners.tolist(), map(tuple, counts.tolist())))
+            counts, _ = type_classes(d, n)
+            for kind, (owners, classes) in popped.items():
+                got = list(zip(owners.tolist(), map(tuple, counts[classes].tolist())))
                 assert got == merged_class_pops(n, cut, kind)
                 pops += 1
             straddling += len(popped["epsilon"][0]) < len(popped["gs"][0])

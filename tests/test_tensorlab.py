@@ -16,6 +16,8 @@ from qmht.detectors import (
     classical_ml,
     epsilon_detector,
     evaluate_errors,
+    greedy_order,
+    greedy_ranks,
     gs_detector,
     holevo_helstrom,
 )
@@ -34,13 +36,22 @@ from qmht.tensorlab import (
     _aligned_rows,
     _claim_weights,
     _class_groups,
+    _class_values,
+    _pick_ranks,
     _pure_tops,
     check_dense_limit,
     gram_convergence_check,
     pairwise_li_check,
     run_power_experiment,
 )
-from qmht.schurweyl import _class_pops, base_spectra, block_scores, type_classes
+from qmht.schurweyl import (
+    _class_pops,
+    base_spectra,
+    block_scores,
+    class_pick_cut,
+    cut_spectrum,
+    type_classes,
+)
 from conftest import diagonal, pure
 
 LOG2 = math.log(2.0)
@@ -208,7 +219,8 @@ class TestBaseSpectra:
             _, cut, _ = base_spectra([state])
             counts, sizes = type_classes(state.dim, n)
             size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-            _, popped = _class_pops(n, cut, ["gs"])["gs"]
+            [(_, index)] = _class_pops(n, cut, [0.0])
+            popped = counts[index]
             values = np.prod(cut[0] ** popped, axis=1)
             # popped in descending order of their values
             assert (np.diff(values) <= 0.0).all()
@@ -224,7 +236,8 @@ class TestBaseSpectra:
         assert [int(np.count_nonzero(row)) for row in cut] == [2, 1]
         counts, sizes = type_classes(3, 4)
         size_of = {tuple(row): size for row, size in zip(counts.tolist(), sizes)}
-        owners, popped = _class_pops(4, cut, ["gs"])["gs"]
+        [(owners, index)] = _class_pops(4, cut, [0.0])
+        popped = counts[index]
         for state, rank in enumerate((2, 1)):
             classes = popped[owners == state].tolist()
             assert sum(size_of[tuple(k)] for k in classes) == rank**4
@@ -883,9 +896,9 @@ class TestManyKindsInOnePass:
         seen = []
         plain = tensorlab._class_group_scores
 
-        def recording(rows, cut_rows, ns, kinds, epsilons):
+        def recording(rows, cut_rows, ns, kinds, epsilons, floors):
             seen.append((list(ns), len(kinds)))
-            return plain(rows, cut_rows, ns, kinds, epsilons)
+            return plain(rows, cut_rows, ns, kinds, epsilons, floors)
 
         monkeypatch.setattr(tensorlab, "_class_group_scores", recording)
         states = [diagonal([0.6, 0.4]), diagonal([0.3, 0.7])]
@@ -941,6 +954,87 @@ class TestManyKindsInOnePass:
         blocks = {id(schurweyl.gt_tables(lam)) for n in ns for lam in schurweyl.partitions(n, 3)}
         assert len(blocks) == 1 + 2 + 3 + 4 + 5
         assert built == collections.Counter(blocks)
+
+
+class TestNearTies:
+    def test_three_state_near_tie_matches_the_dense_detectors(self):
+        # state 2's class-0 value is 0.5e-12 above state 1's, and state 0's
+        # head of class 1 lies 0.8e-12 below both: within class 0 alone
+        # state 1 leads, but in the global merge state 0's head lets state 2
+        # pop first, as in the dense detectors
+        y = 0.6 * (1.0 - 0.8e-12)
+        states = [
+            diagonal([0.3, y, 0.7 - y]),
+            diagonal([0.6, 0.3, 0.1]),
+            diagonal([0.6 * (1.0 + 0.5e-12), 0.1, 0.3 - 0.3e-12]),
+        ]
+        assert _aligned_rows(states) is not None
+        for n in (1, 2, 3):
+            powers = [kron_power(rho, n) for rho in states]
+            gs = evaluate_errors(powers, gs_detector(powers)[0]).averaged
+            epsilon = evaluate_errors(powers, epsilon_detector(powers, 0.3)[0]).averaged
+            (gs_row,) = run_power_experiment(states, [n], "gs").rows
+            (epsilon_row,) = run_power_experiment(
+                states, [n], "epsilon", epsilon_override=0.3
+            ).rows
+            assert abs(gs_row.err - gs) <= 1e-15
+            assert abs(epsilon_row.err - epsilon) <= 1e-15
+        # the column's own merge gave 0.50000000000026 and 0.5175342542054165
+        (gs_row,) = run_power_experiment(states, [1], "gs").rows
+        assert gs_row.err == evaluate_errors(states, gs_detector(states)[0]).averaged
+
+    def test_flagged_classes_take_the_pop_order(self, monkeypatch):
+        # r = 3-4 diagonal rows, the later ones permutations of row 0 each
+        # entry a 1e-13 (inside SELECTION_TIE_RTOL) or 3e-12 (outside)
+        # relative step off, or exact: on every class the sort flags, the
+        # ranks are each state's place among that class's pops in
+        # ``_class_pops``, which merges once per flagged n; every other
+        # column keeps the sort's ranks
+        import qmht.detectors
+
+        merges = []
+
+        def counted(streams):
+            merges.append(1)
+            return greedy_order(streams)
+
+        monkeypatch.setattr(qmht.detectors, "greedy_order", counted)
+        rng = np.random.default_rng(34)
+        flagged_total = reordered = 0
+        for _ in range(60):
+            d, r = int(rng.integers(2, 5)), int(rng.integers(3, 5))
+            row = rng.dirichlet(np.ones(d))
+            rows = [row]
+            for _ in range(r - 1):
+                steps = rng.choice([0.0, 1e-13, -1e-13, 3e-12], size=d)
+                rows.append(row[rng.permutation(d)] * (1.0 + steps))
+            cut_rows = np.array([cut_spectrum(q / q.sum()) for q in rows])
+            ns = list(range(1, 6))
+            classes = [type_classes(d, n) for n in ns]
+            starts = np.cumsum([0] + [len(sizes) for _, sizes in classes])
+            slots = np.repeat(np.arange(len(ns)), np.diff(starts))
+            cut_values = _class_values(cut_rows, classes)
+            for kind in ("gs", "epsilon"):
+                floors = class_pick_cut(cut_rows, ns, kind)
+                present = cut_values > floors[slots]
+                sorted_ranks, flagged = greedy_ranks(cut_values, present)
+                before = len(merges)
+                ranks = _pick_ranks(cut_rows, ns, floors, cut_values, present, starts)
+                assert len(merges) - before == len(set(slots[flagged].tolist()))
+                for m in range(cut_values.shape[1]):
+                    if m not in flagged:
+                        assert ranks[:, m].tolist() == sorted_ranks[:, m].tolist()
+                        continue
+                    i = slots[m]
+                    [(owners, index)] = _class_pops(ns[i], cut_rows, [floors[i]])
+                    expected = np.full(r, -1)
+                    claimants = owners[index == m - starts[i]]
+                    expected[claimants] = np.arange(len(claimants))
+                    assert ranks[:, m].tolist() == expected.tolist()
+                    reordered += expected.tolist() != sorted_ranks[:, m].tolist()
+                flagged_total += len(flagged)
+        assert flagged_total > 100
+        assert reordered > 0
 
 
 class TestPureRoute:
