@@ -10,15 +10,20 @@ rho = U diag(p) U^H acts there as pi_lam(rho) (x) 1_(f_lam) with
 Gelfand-Tsetlin basis, whose patterns are weight vectors with weights w, and
 the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
 (math/0211289), shared by every lam with one reduced shape (``gt_tables``).
-With U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one ``eigh`` per
-block and state. The product eigenvectors of state s in type
+For qubits, pi_(n-h,h)(U) = det(U)^h Sym^N(U) with N = n - 2h, and one
+recursion per call builds Sym^N for N = 0..max(n), one at a time
+(``symmetric_powers``), with no logarithm and no eigensolve. For d >= 3,
+with U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one stacked ``eigh``
+per block. ``_sweep_blocks`` yields the blocks of a whole sweep, by N for
+qubits and by (n, lam) otherwise. The product eigenvectors of state s in type
 class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
 C^(f_lam) in every block; ``cut_spectrum`` and ``class_pick_cut``, the cut
 rule of every route, decide which classes are picked, and gs and epsilon pop
 them through ``detectors.pop_order``, the one pick-order engine, from one
 array of every state's class values per n (``_class_pops``). ``block_scores``
 scores a whole sweep of n from one ``base_spectra`` per call, and every kind
-as a labelled frame per block: the dense detectors' own frames for gs
+as a labelled frame per block, each n's terms summed in ``partitions``
+order whatever order its blocks came in: the dense detectors' own frames for gs
 (``_gs_frame``, the windowed Householder selection, on the matrix of those
 columns) and helstrom (``_helstrom_frame``), and for epsilon the closed-form
 frame of the embedded detector (``_epsilon_frame``). Each error is
@@ -30,6 +35,7 @@ on the frame columns of the other labels. ``pick_frame`` and
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -124,10 +130,15 @@ class GtTables:
     each) and the real generators E_ab for a < b (E_ba is the transpose, E_aa
     is diag(weights[:, a])). E_ab raises a pattern, which comes later in the
     lexicographic order, so every E_ab with a < b is strictly lower
-    triangular."""
+    triangular. The generators are those of the reduced shape, built on
+    first use: the qubit blocks read only the weights."""
 
     weights: np.ndarray
-    raising: tuple[tuple[int, int, np.ndarray], ...]
+    reduced: tuple[int, ...]
+
+    @property
+    def raising(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        return _reduced_raising(self.reduced)
 
 
 def _gt_patterns(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -167,20 +178,29 @@ def gt_tables(lam: tuple[int, ...]) -> GtTables:
     lam - lam_d (1, ..., 1), whose patterns are lam's less lam_d in order, with
     the same generators (Molev's formula reads entry differences only)."""
     low = lam[-1]
-    reduced = _reduced_tables(tuple(part - low for part in lam))
-    weights = reduced.weights + low
+    reduced = tuple(part - low for part in lam)
+    weights = _reduced_weights(reduced) + low
     weights.setflags(write=False)
-    return GtTables(weights=weights, raising=reduced.raising)
+    return GtTables(weights=weights, reduced=reduced)
 
 
 @functools.cache
-def _reduced_tables(lam: tuple[int, ...]) -> GtTables:
-    """``gt_tables`` of a reduced shape, built from its patterns."""
+def _reduced_weights(lam: tuple[int, ...]) -> np.ndarray:
+    """The weights of the patterns of a reduced shape, one row each."""
+    sums = np.array([[0] + [sum(row) for row in reversed(pattern)] for pattern in _gt_patterns(lam)])
+    weights = np.diff(sums, axis=1)
+    # cached and shared by every caller, so read-only
+    weights.setflags(write=False)
+    return weights
+
+
+@functools.cache
+def _reduced_raising(lam: tuple[int, ...]) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The generators E_ab (a < b) of a reduced shape, built from its
+    patterns."""
     d = len(lam)
     patterns = _gt_patterns(lam)
     index = {pattern: c for c, pattern in enumerate(patterns)}
-    sums = np.array([[0] + [sum(row) for row in reversed(pattern)] for pattern in patterns])
-    weights = np.diff(sums, axis=1)
     adjacent = []
     for k in range(1, d):
         generator = np.zeros((len(patterns), len(patterns)))
@@ -199,12 +219,9 @@ def _reduced_tables(lam: tuple[int, ...]) -> GtTables:
             left, right = raising[(a, a + gap - 1)], raising[(a + gap - 1, a + gap)]
             raising[(a, a + gap)] = left @ right - right @ left
     # cached and shared by every caller, so read-only
-    for array in (weights, *raising.values()):
-        array.setflags(write=False)
-    return GtTables(
-        weights=weights,
-        raising=tuple((a, b, generator) for (a, b), generator in raising.items()),
-    )
+    for generator in raising.values():
+        generator.setflags(write=False)
+    return tuple((a, b, generator) for (a, b), generator in raising.items())
 
 
 def unitary_log(u: np.ndarray) -> np.ndarray:
@@ -247,47 +264,126 @@ def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
     return (vectors * np.exp(1j * phases)[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
 
 
+def symmetric_powers(u: np.ndarray, top: int):
+    """Sym^N(U) for N = 0..top in turn, for one 2 x 2 unitary or a stack of
+    them (one result per unitary): U^(x N) on the symmetric subspace, in the
+    Dicke basis D_0..D_N (D_q has q ones). Only Sym^(N-1) is held to build
+    Sym^N, with four (top + 1) x (top + 1) tables of coefficients per
+    unitary.
+
+    Built by the recursion on N that splits off the first tensor factor,
+    |D_q^N> = sqrt((N-q)/N) |0>|D_q^(N-1)> + sqrt(q/N) |1>|D_(q-1)^(N-1)>; every
+    term has modulus at most 1, so no step cancels large terms.
+    """
+    stack = u.shape[:-2]
+    # integer products under each square root, one division by N: for a
+    # diagonal U the result stays exactly diagonal with exact entries.
+    # scaled[a, b][..., i, j] is sqrt(i j) <a|U|b>
+    roots = np.sqrt(np.multiply.outer(np.arange(top + 1), np.arange(top + 1)))
+    scaled = {(a, b): roots * u[..., a, b, None, None] for a in range(2) for b in range(2)}
+    power = np.ones(stack + (1, 1), dtype=complex)
+    yield power
+    for m in range(1, top + 1):
+        # [p, q] of Sym^m takes [k, l] = [p - a, q - b] of Sym^(m-1) times
+        # <a|U|b> for first labels a and b, and the square roots of the
+        # counts of those labels in D_p and D_q: m - k for label 0, k + 1
+        # for label 1
+        index = (slice(m, 0, -1), slice(1, m + 1))
+        nxt = np.zeros(stack + (m + 1, m + 1), dtype=complex)
+        for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            nxt[..., a : a + m, b : b + m] += scaled[a, b][..., index[a], index[b]] * power
+        nxt /= m
+        power = nxt
+        yield power
+
+
 class _Block:
     """One block V_lam (x) C^(f_lam) of the n-fold powers of a family.
 
     ``values[s]`` holds the eigenvalue of pi_lam(rho_s), from the base
     spectrum ``eigenvalues[s]``, on every column of ``unitaries[s]`` =
-    pi_lam(U_s); the unitaries of all states are built in one stacked
-    ``eigh`` on first use, so a block that no row needs costs none.
+    pi_lam(U_s); ``build`` makes the unitaries of all states at once, on
+    first use, so a block that no row needs costs none.
     """
 
-    def __init__(self, lam, eigenvalues, logs) -> None:
+    def __init__(self, lam, eigenvalues, build) -> None:
         self.mult = multiplicity(lam)
-        self.tables = gt_tables(lam)
-        self.dim = len(self.tables.weights)
-        self.values = np.prod(eigenvalues[:, None, :] ** self.tables.weights, axis=2)
-        self._logs = logs
+        self.weights = gt_tables(lam).weights
+        self.dim = len(self.weights)
+        self.values = np.prod(eigenvalues[:, None, :] ** self.weights, axis=2)
+        self._build = build
+        self._unitaries = None
 
-    @functools.cached_property
+    @property
     def unitaries(self) -> np.ndarray:
-        return block_unitary(self.tables, self._logs)
+        if self._unitaries is None:
+            self._unitaries = self._build()
+        return self._unitaries
 
     def columns(self, owners, counts) -> tuple[np.ndarray, np.ndarray]:
         """The owner and column index arrays of this block's columns of the
         popped classes, in pop order: pop j, label counts ``counts[j]``
         popped by state ``owners[j]``, owns the columns of that weight."""
-        pop, column = np.nonzero((self.tables.weights == counts[:, None, :]).all(axis=2))
+        pop, column = np.nonzero((self.weights == counts[:, None, :]).all(axis=2))
         return owners[pop], column
 
 
 def base_spectra(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The base eigenvalues of a family, one row per state, the same rows
-    after ``cut_spectrum``, and the ``unitary_log`` of every eigenbasis in
-    one stacked call: all that the blocks of every n take from the states."""
+    after ``cut_spectrum``, and the stack of eigenbases: all that the blocks
+    of every n take from the states."""
     spectra = [rho.spectrum() for rho in states]
     eigenvalues = np.array([dec.eigenvalues for dec in spectra])
     cut = np.array([cut_spectrum(row) for row in eigenvalues])
-    return eigenvalues, cut, unitary_log(np.array([dec.vectors for dec in spectra]))
+    return eigenvalues, cut, np.array([dec.vectors for dec in spectra])
 
 
-def _blocks(n: int, eigenvalues: np.ndarray, logs: np.ndarray):
-    for lam in partitions(n, eigenvalues.shape[1]):
-        yield _Block(lam, eigenvalues, logs)
+def _qubit_unitaries(det: np.ndarray, h: int, power: np.ndarray) -> np.ndarray:
+    """pi_(N+h,h)(U) = det(U)^h Sym^N(U) in the GT basis, for every state,
+    from ``power``, Sym^N(U) in that basis."""
+    return power if h == 0 else (det**h)[:, None, None] * power
+
+
+def _sweep_blocks(ns, eigenvalues: np.ndarray, vectors: np.ndarray):
+    """Every block of the n-fold powers for every n of the ascending ``ns``,
+    as (i, slot, block): n = ns[i], and the block's lam the slot-th of
+    ``partitions(n, d)``. Each block builds its unitaries from the
+    eigenbases ``vectors`` on first use.
+
+    For d = 2 the blocks come by N = n - 2h, from one walk over
+    N = 0..max(ns) that holds one ``symmetric_powers`` at a time:
+    pi_(n-h,h)(U) is det(U)^h Sym^N(U), with det in closed form, so no
+    block takes a logarithm or an eigensolve. The GT weights of (n - h, h)
+    count the first label, so GT order is the Dicke order with the labels
+    swapped: Sym^N(XUX) for X the swap. Every other d comes n by n, from one
+    stacked ``unitary_log`` per call and one ``block_unitary`` per (n, lam).
+    """
+    d = eigenvalues.shape[1]
+    if d == 2:
+        det = vectors[:, 0, 0] * vectors[:, 1, 1] - vectors[:, 0, 1] * vectors[:, 1, 0]
+        for big_n, power in enumerate(symmetric_powers(vectors[:, ::-1, ::-1], ns[-1])):
+            for i in range(bisect.bisect_left(ns, big_n), len(ns)):
+                h, odd = divmod(ns[i] - big_n, 2)
+                if not odd:
+                    build = functools.partial(_qubit_unitaries, det, h, power)
+                    yield i, h, _Block((big_n + h, h), eigenvalues, build)
+        return
+    logs = unitary_log(vectors)
+    for i, n in enumerate(ns):
+        for slot, lam in enumerate(partitions(n, d)):
+            build = functools.partial(block_unitary, gt_tables(lam), logs)
+            yield i, slot, _Block(lam, eigenvalues, build)
+
+
+def _score_sweep(ns, eigenvalues: np.ndarray, vectors: np.ndarray, score) -> list[list]:
+    """``score(i, block)`` of every block of every n = ns[i] of
+    ``_sweep_blocks``, listed per n in ``partitions(n, d)`` order, whatever
+    order the blocks came in."""
+    d = eigenvalues.shape[1]
+    scores = [[None] * len(partitions(n, d)) for n in ns]
+    for i, slot, block in _sweep_blocks(ns, eigenvalues, vectors):
+        scores[i][slot] = score(i, block)
+    return scores
 
 
 def _class_pops(n: int, cut: np.ndarray, floors):
@@ -366,63 +462,78 @@ def pick_frame(kind: str, owners, picks, epsilon: float):
 
 
 def block_scores(states, ns, kinds, epsilons):
-    """For every n of ``ns`` in turn, the detector error and lambda_min_gram
-    (None for helstrom) on the n-fold powers of each gs, epsilon or helstrom
-    row of ``kinds`` (epsilons ``epsilons[kind]``), from one ``base_spectra``
-    of the states, one block at a time, each pi_lam(U) built once for all.
+    """For every n of the ascending ``ns`` in turn, the detector error and
+    lambda_min_gram (None for helstrom) on the n-fold powers of each gs,
+    epsilon or helstrom row of ``kinds`` (epsilons ``epsilons[kind]``), from
+    one ``base_spectra`` of the states, one block at a time
+    (``_score_sweep``), each pi_lam(U) built once for all.
 
     Each block is scored as a labelled frame of V_lam: err is
     (1/r) sum_lam f_lam times the block's ``frame_misses`` (helstrom's 1/2 is
-    1/r). helstrom's frame is the dense ``holevo_helstrom``'s,
-    ``_helstrom_frame`` of pi(rho_1) - pi(rho_0), with no relative cut: a
-    block eigenvalue far below the largest can carry a large multiplicity
-    f_lam, and an eigenvalue at rounding level costs at most its own size on
-    either side. gs and epsilon pop type classes by ``_class_pops``
-    (epsilon down to ``class_pick_cut``, the dense detectors' cut: it picks
-    every kept vector, so its error jumps with the support), and each
-    block's ``pick_frame`` is built on the columns of the popped classes,
-    gathered by one index into ``unitaries``; lambda_min_gram is the
-    smallest of the blocks' floors. A block with no popped class goes to
-    hypothesis 0 whole, and builds no pi_lam(U).
+    1/r), summed per n in ``partitions`` order. helstrom's frame is the
+    dense ``holevo_helstrom``'s, ``_helstrom_frame`` of
+    pi(rho_1) - pi(rho_0), with no relative cut: a block eigenvalue far below
+    the largest can carry a large multiplicity f_lam, and an eigenvalue at
+    rounding level costs at most its own size on either side. gs and epsilon
+    pop type classes by ``_class_pops`` (epsilon down to ``class_pick_cut``,
+    the dense detectors' cut: it picks every kept vector, so its error jumps
+    with the support), and each block's ``pick_frame`` is built on the
+    columns of the popped classes, gathered by one index into
+    ``unitaries``; lambda_min_gram is the smallest of the blocks' floors. A
+    block with no popped class goes to hypothesis 0 whole, and builds no
+    pi_lam(U).
     """
-    eigenvalues, cut, logs = base_spectra(states)
+    eigenvalues, cut, vectors = base_spectra(states)
     picking = [kind for kind in kinds if kind != "helstrom"]
     floors = [class_pick_cut(cut, ns, kind) for kind in picking]
-    for i, n in enumerate(ns):
-        counts, _ = type_classes(cut.shape[1], n)
-        popped = _class_pops(n, cut, [floor[i] for floor in floors]) if picking else []
-        pops = {kind: (owners, counts[index]) for kind, (owners, index) in zip(picking, popped)}
+    pops = {}  # per index of n, each picking kind's owners and label counts
+
+    def score(i, block):
+        if picking and i not in pops:
+            counts, _ = type_classes(cut.shape[1], ns[i])
+            popped = _class_pops(ns[i], cut, [floor[i] for floor in floors])
+            pops[i] = {kind: (owners, counts[index]) for kind, (owners, index) in zip(picking, popped)}
+        terms = []
+        for kind in kinds:
+            floor = None
+            if kind == "helstrom":
+                u = block.unitaries
+                operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
+                frame, labels = _helstrom_frame(operators[1] - operators[0])
+            else:
+                owners, columns = block.columns(*pops[i][kind])
+                if not owners.size:
+                    # every direction goes to hypothesis 0
+                    terms.append((block.mult * sum(float(row.sum()) for row in block.values[1:]), None))
+                    continue
+                picks = block.unitaries[owners, :, columns].T
+                frame, labels, floor = pick_frame(kind, owners, picks, epsilons[kind][i])
+            terms.append((block.mult * frame_misses(frame, labels, block.unitaries, block.values), floor))
+        return terms
+
+    for blocks in _score_sweep(ns, eigenvalues, vectors, score):
         errs = [0.0] * len(kinds)
         lam_mins = [None if kind == "helstrom" else math.inf for kind in kinds]
-        for block in _blocks(n, eigenvalues, logs):
-            for k, kind in enumerate(kinds):
-                if kind == "helstrom":
-                    u = block.unitaries
-                    operators = (u * block.values[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
-                    frame, labels = _helstrom_frame(operators[1] - operators[0])
-                else:
-                    owners, columns = block.columns(*pops[kind])
-                    if not owners.size:
-                        # every direction goes to hypothesis 0
-                        errs[k] += block.mult * sum(float(row.sum()) for row in block.values[1:])
-                        continue
-                    picks = block.unitaries[owners, :, columns].T
-                    frame, labels, floor = pick_frame(kind, owners, picks, epsilons[kind][i])
+        for terms in blocks:
+            for k, (term, floor) in enumerate(terms):
+                errs[k] += term
+                if floor is not None:
                     lam_mins[k] = min(lam_mins[k], floor)
-                errs[k] += block.mult * frame_misses(frame, labels, block.unitaries, block.values)
         yield [(err / len(eigenvalues), lam_min) for err, lam_min in zip(errs, lam_mins)]
 
 
-def joint_gram_floor(n: int, cut: np.ndarray, logs: np.ndarray) -> float:
-    """Smallest eigenvalue of the Gram matrix at copy number n of every
-    product eigenvector with a positive value on the cut spectra, over all
-    states: the joint Gram is sum_lam G_lam (x) 1_(f_lam), with G_lam the
-    Gram of the positive columns of every pi_lam(U_s), whose smallest
-    eigenvalue is the ``gram_floor`` of those columns."""
-    lam_min = math.inf
-    for block in _blocks(n, cut, logs):
+def joint_gram_floors(ns, cut: np.ndarray, vectors: np.ndarray) -> list[float]:
+    """Smallest eigenvalue of the Gram matrix at each copy number n of the
+    ascending ``ns`` of every product eigenvector with a positive value on the
+    cut spectra, over all states: the joint Gram is
+    sum_lam G_lam (x) 1_(f_lam), with G_lam the Gram of the positive columns
+    of every pi_lam(U_s), whose smallest eigenvalue is the ``gram_floor`` of
+    those columns; the minimum over the blocks does not depend on their
+    order."""
+
+    def score(_, block):
         positive = block.values > 0.0
         columns = [block.unitaries[s][:, kept] for s, kept in enumerate(positive) if kept.any()]
-        if columns:
-            lam_min = min(lam_min, gram_floor(np.hstack(columns)))
-    return lam_min
+        return gram_floor(np.hstack(columns)) if columns else math.inf
+
+    return [min(floors) for floors in _score_sweep(ns, cut, vectors, score)]

@@ -79,7 +79,7 @@ from .schurweyl import (
     class_pick_cut,
     cut_spectrum,
     frame_misses,
-    joint_gram_floor,
+    joint_gram_floors,
     pick_frame,
     type_classes,
 )
@@ -521,7 +521,7 @@ def gram_convergence_check(
     Requires pairwise trivially intersecting supports; the sequence then
     climbs toward 1 as the cross-state overlaps decay. The whole sweep is
     checked against the d^n cap before any n is scored, and the base
-    spectra are taken once for all of it (``schurweyl.joint_gram_floor``).
+    spectra are taken once for all of it (``schurweyl.joint_gram_floors``).
     A family of fewer than two states raises ValueError before the copy
     numbers are read: one 1 x 1 state has no n over the cap and no pair to
     reject, so a far range would be walked in full.
@@ -532,5 +532,5 @@ def gram_convergence_check(
     if not pairwise_li_check(states).all_pass:
         raise ValueError("supports must intersect trivially for every pair")
     ns = _copy_numbers(n_range, states[0].dim)
-    _, cut, logs = base_spectra(states)
-    return [(n, joint_gram_floor(n, cut, logs)) for n in ns]
+    _, cut, vectors = base_spectra(states)
+    return list(zip(ns, joint_gram_floors(ns, cut, vectors)))

@@ -23,9 +23,9 @@ from qmht import schurweyl
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix, eigenvalue_zero_threshold
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.schurweyl import (
-    _blocks,
     _class_pops,
     _epsilon_frame,
+    _sweep_blocks,
     base_spectra,
     block_scores,
     block_unitary,
@@ -34,10 +34,11 @@ from qmht.schurweyl import (
     gt_tables,
     multiplicity,
     partitions,
+    symmetric_powers,
     type_classes,
     unitary_log,
 )
-from qmht.tensorlab import _aligned_rows, _pure_tops, run_power_experiment
+from qmht.tensorlab import _aligned_rows, _pure_tops, gram_convergence_check, run_power_experiment
 from conftest import diagonal
 
 
@@ -73,8 +74,10 @@ DEFECT_GS_REFERENCE = {
 DEFECT_LAMBDA_REFERENCE = {6: 2.03725005979059e-18, 8: 4.49021910790314e-23}
 # In double precision the n = 8 row is fixed only to ~1e-11: its smallest
 # pick residual is ~1e-6, and relative changes of 2e-16 in the block lines
-# move err with a standard deviation of 1.6e-11. 5e-11 is three of those.
-N8_ATOL = 5e-11
+# move err with a standard deviation of 1.6e-11. Lines built by an eigh of
+# the block generator put it 2.3e-11 off, and by the Sym^N recursion, whose
+# entries carry errors relative to their own terms, 8.5e-12 off.
+N8_ATOL = 1e-11
 
 
 def t2_pair():
@@ -219,6 +222,29 @@ def dicke_basis(big_n):
     return dicke / np.linalg.norm(dicke, axis=0)
 
 
+def mp_symmetric_power(u, big_n):
+    """Sym^N(U) in the Dicke basis, from the closed form
+    <D_p|U^(x N)|D_q> = sqrt(C(N,q) / C(N,p)) sum_k C(q,k) C(N-q,p-k)
+    u00^(N-q-p+k) u01^(q-k) u10^(p-k) u11^k, at the working precision: k of
+    the q ones of a string of D_q and p - k of its zeros turn into ones."""
+    u00, u01, u10, u11 = (mpmath.mpmathify(complex(u[a, b])) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    out = mpmath.matrix(big_n + 1, big_n + 1)
+    for p in range(big_n + 1):
+        for q in range(big_n + 1):
+            total = mpmath.fsum(
+                math.comb(q, k) * math.comb(big_n - q, p - k)
+                * u00 ** (big_n - q - p + k) * u01 ** (q - k) * u10 ** (p - k) * u11**k
+                for k in range(max(0, p + q - big_n), min(p, q) + 1)
+            )
+            out[p, q] = mpmath.sqrt(mpmath.mpf(math.comb(big_n, q)) / math.comb(big_n, p)) * total
+    return out
+
+
+def blocks_of(n, eigenvalues, vectors):
+    """Every block of the n-fold powers, in the order the sweep builds them."""
+    return [block for _, _, block in _sweep_blocks([n], eigenvalues, vectors)]
+
+
 def block_generators(lam):
     """Every E_ab of V_lam, from the cached raising tables."""
     tables = gt_tables(lam)
@@ -289,7 +315,81 @@ class TestUnitaryLog:
 
 
 class TestSymmetricPowers:
-    # Sym^N(U) is the one-row block pi_(N,0)(U)
+    # Sym^N(U) is the one-row block pi_(N,0)(U). The qubit blocks come from
+    # ``symmetric_powers``; the Gelfand-Tsetlin route (``block_unitary`` on
+    # ``unitary_log``) stays here as their oracle
+    def test_recursion_matches_extended_precision(self):
+        # 40 digits of the closed form; each entry of Sym^N(U) is a sum of
+        # products of N entries of U, so its error is bounded relative to the
+        # same sum on |U| (elementwise relative error grows near the zeros
+        # of an entry: 2.3e-12 here), and 0.41 N eps of it was seen
+        rng = np.random.default_rng(6)
+        tiny = math.sqrt(1.0 - 1e-12)
+        us = [
+            np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * random_orthonormal(2, 2, rng),
+            random_density_matrix(2, rng).spectrum().vectors,
+            np.array([[1e-6, -tiny], [tiny, 1e-6]], dtype=complex),
+        ]
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for big_n, power in enumerate(symmetric_powers(np.array(us), 20)):
+                assert power.shape == (len(us), big_n + 1, big_n + 1)
+                for s, u in enumerate(us):
+                    reference = mp_symmetric_power(u, big_n)
+                    sizes = mp_symmetric_power(np.abs(u), big_n)
+                    for (p, q), entry in np.ndenumerate(power[s]):
+                        error = float(abs(mpmath.mpmathify(complex(entry)) - reference[p, q]))
+                        assert error <= 1e-15
+                        assert error <= 2.0 * max(big_n, 1) * eps * float(abs(sizes[p, q]))
+
+    def test_recursion_stays_unitary(self):
+        rng = np.random.default_rng(7)
+        us = np.array([random_orthonormal(2, 2, rng) for _ in range(3)])
+        *_, power = symmetric_powers(us, 200)
+        assert power.shape == (3, 201, 201)
+        assert np.abs(power.conj().transpose(0, 2, 1) @ power - np.eye(201)).max() < 1e-13
+
+    def test_one_unitary_equals_its_stack_entry(self):
+        rng = np.random.default_rng(8)
+        us = np.array([random_orthonormal(2, 2, rng) for _ in range(3)])
+        for stacked, *alone in zip(*(symmetric_powers(x, 12) for x in (us, *us))):
+            for s, power in enumerate(alone):
+                assert np.array_equal(stacked[s], power)
+
+    def test_qubit_blocks_match_the_gelfand_tsetlin_route(self):
+        # pi_(N+h,h)(U) = det(U)^h Sym^N(U) with its Dicke order reversed
+        # into GT order, for every block of every n of a sweep, equals the
+        # eigh route: the GT basis of (N, 0) is the Dicke basis with the same
+        # signs, so the phase per column that the two might differ by is 1
+        rng = np.random.default_rng(9)
+        states = [random_density_matrix(2, rng) for _ in range(3)]
+        eigenvalues, _, vectors = base_spectra(states)
+        logs = unitary_log(vectors)
+        ns = list(range(1, 13))
+        seen = set()
+        for i, slot, block in _sweep_blocks(ns, eigenvalues, vectors):
+            lam = partitions(ns[i], 2)[slot]
+            expected = block_unitary(gt_tables(lam), logs)
+            assert np.abs(block.unitaries - expected).max() < 1e-13
+            seen.add((ns[i], lam))
+        assert seen == {(n, lam) for n in ns for lam in partitions(n, 2)}
+
+    def test_qubit_rows_take_no_logarithm_and_no_block_eigensolve(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a qubit block took a unitary log or an eigh")
+
+        monkeypatch.setattr(schurweyl, "unitary_log", forbidden)
+        monkeypatch.setattr(schurweyl, "block_unitary", forbidden)
+        rng = np.random.default_rng(10)
+        for r in (2, 3):
+            states = [random_density_matrix(2, rng, rank=2 if s else 1) for s in range(r)]
+            assert _aligned_rows(states) is None and _pure_tops(states) is None
+            kinds = ("gs", "epsilon", "helstrom")[: 5 - r]
+            report = run_power_experiment(states, range(1, 9), *kinds)
+            assert len(report.rows) == 8 * len(kinds)
+        pair = [random_pure_state(2, rng) for _ in range(2)]
+        assert len(gram_convergence_check(pair, range(1, 9))) == 8
+
     def test_unitary_and_multiplicative(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -314,6 +414,9 @@ class TestSymmetricPowers:
         dicke = dicke_basis(big_n)[:, big_n - tables.weights[:, 0]]
         dense = dicke.T @ functools.reduce(np.kron, [u] * big_n) @ dicke
         assert np.abs(dense - block_unitary(tables, unitary_log(u))).max() < 1e-14
+        # and the recursion, in the Dicke order, which GT order reverses
+        *_, power = symmetric_powers(u, big_n)
+        assert np.abs(dense - power[::-1, ::-1]).max() < 1e-14
 
     def test_qubit_blocks_are_det_times_symmetric_power(self):
         # pi_(N+h, h)(U) = det(U)^h Sym^N(U)
@@ -359,8 +462,8 @@ class TestGelfandTsetlinBlocks:
         rho = random_density_matrix(d, rng)
         purity = float(np.vdot(rho.mat, rho.mat).real)
         for n in range(1, 9):
-            eigenvalues, _, logs = base_spectra([rho])
-            blocks = list(_blocks(n, eigenvalues, logs))
+            eigenvalues, _, vectors = base_spectra([rho])
+            blocks = blocks_of(n, eigenvalues, vectors)
             assert sum(block.mult * block.dim for block in blocks) == d**n
             total = 0.0
             for block in blocks:
@@ -381,11 +484,12 @@ class TestGelfandTsetlinBlocks:
                         continue
                     tables = gt_tables(lam)
                     reduced = gt_tables(tuple(part - low for part in lam))
-                    own = schurweyl._reduced_tables.__wrapped__(lam)
+                    own_weights = schurweyl._reduced_weights.__wrapped__(lam)
+                    own_raising = schurweyl._reduced_raising.__wrapped__(lam)
                     assert np.array_equal(tables.weights, reduced.weights + low)
-                    assert tables.weights.tobytes() == own.weights.tobytes()
+                    assert tables.weights.tobytes() == own_weights.tobytes()
                     for (a, b, shared), (c, e, generator), (f, g, kept) in zip(
-                        tables.raising, own.raising, reduced.raising
+                        tables.raising, own_raising, reduced.raising, strict=True
                     ):
                         assert (a, b) == (c, e) == (f, g)
                         assert shared is kept
@@ -498,15 +602,15 @@ class TestClassStream:
         # pi_lam(U) in every block, with the class value as eigenvalue
         rng = np.random.default_rng(5)
         rho = random_density_matrix(3, rng)
-        eigenvalues, cut, logs = base_spectra([rho])
+        eigenvalues, cut, vectors = base_spectra([rho])
         stream = popped_stream(4, cut)
         counts = np.array([k for _, k in stream])
-        for block in _blocks(4, eigenvalues, logs):
+        for block in blocks_of(4, eigenvalues, vectors):
             pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
             # each pop's index as its owner names the pop of every column
             pops, columns = block.columns(np.arange(len(stream)), counts)
             for j, c in zip(pops.tolist(), columns.tolist()):
-                assert np.array_equal(block.tables.weights[c], counts[j])
+                assert np.array_equal(block.weights[c], counts[j])
                 column = block.unitaries[0][:, c]
                 assert np.abs(pi @ column - stream[j][0] * column).max() < 1e-15
             # every column of a popped class, in pop order
@@ -603,8 +707,8 @@ class TestSpinBlocks:
         rng = np.random.default_rng(10 + n)
         for rho in (random_density_matrix(2, rng), random_pure_state(2, rng)):
             blocks = []
-            eigenvalues, _, logs = base_spectra([rho])
-            for block in _blocks(n, eigenvalues, logs):
+            eigenvalues, _, vectors = base_spectra([rho])
+            for block in blocks_of(n, eigenvalues, vectors):
                 pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
                 blocks.append(np.repeat(np.linalg.eigvalsh(pi), block.mult))
             block_spectrum = np.sort(np.concatenate(blocks))
@@ -616,9 +720,11 @@ class TestQubitGs:
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_defect_ensemble_matches_high_precision_reference(self, n):
         # the Gram-coordinate engine was 3.2e-4 off at n = 6 and returned
-        # err = -7624.6 at n = 8
+        # err = -7624.6 at n = 8; block lines built by an eigh read 8.0e-15,
+        # 4.1e-14 and 6.8e-14 off at n = 5-7, and the recursion's 7.2e-16,
+        # 8.8e-15 and 8.0e-15
         row = run_power_experiment(defect_ensemble(), [n], "gs").rows[0]
-        tolerance = N8_ATOL if n == 8 else 1e-12
+        tolerance = N8_ATOL if n == 8 else 2e-14
         assert abs(row.err - DEFECT_GS_REFERENCE[n]) < tolerance
 
     @pytest.mark.parametrize("n", [6, 8])
@@ -710,6 +816,21 @@ class TestQubitHelstrom:
                 powered = [kron_power(rho, n) for rho in states]
                 dense = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
                 assert abs(row.err - dense) < 1e-11
+
+    def test_tiny_error_matches_reference(self):
+        # err 3e-13, from block entries down to 1e-13 in size: an eigh-built
+        # pi_lam(U), whose entries are fixed only to absolute ~1e-16, read
+        # 2.1e-10 relative off. The reference is the summed misses of the
+        # two states' Helstrom projectors in 50 digits
+        tail = math.sqrt(1.0 - 1e-12)
+        states = [
+            diagonal([1.0 - 1e-13, 1e-13]),
+            DensityMatrix(np.outer([1e-6, tail], [1e-6, tail]).astype(complex)),
+        ]
+        assert _aligned_rows(states) is None and _pure_tops(states) is None
+        (row,) = run_power_experiment(states, [1], "helstrom").rows
+        reference = 3.0000000000003747969e-13
+        assert abs(row.err - reference) <= 1e-13 * reference
 
     def test_pure_pair_closed_form(self):
         rng = np.random.default_rng(21)

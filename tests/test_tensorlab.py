@@ -691,10 +691,13 @@ class TestRunPowerExperimentOtherKinds:
                 alone = run_power_experiment(states, [row.n], kind, **options)
                 assert dataclasses.asdict(row) == dataclasses.asdict(alone.rows[0])
 
-        aligned = 0
+        aligned = qubit_blocks = 0
         for states in sweep_families(24, seed=60):
             if _aligned_rows(states) is None:
-                ns = range(1, 4)
+                # qubit blocks come by N = n - 2h across the sweep, so a
+                # row's blocks arrive in another order than alone
+                ns = range(1, 17 if states[0].dim == 2 else 4)
+                qubit_blocks += states[0].dim == 2
             else:
                 ns = range(1, {2: 24, 3: 12, 4: 8}[states[0].dim] + 1)
                 aligned += 1
@@ -703,7 +706,7 @@ class TestRunPowerExperimentOtherKinds:
             check(states, ns, "epsilon", epsilon_override=0.2)
             if len(states) == 2:
                 check(states, ns, "helstrom")
-        assert aligned == 16
+        assert aligned == 16 and qubit_blocks == 3
         for states in pure_families(6, seed=61):
             assert _aligned_rows(states) is None and _pure_tops(states) is not None
             for kind in ("gs", "epsilon"):
@@ -931,7 +934,7 @@ class TestManyKindsInOnePass:
 
         for name in ("_type_class_scores", "_pure_scores", "block_scores"):
             monkeypatch.setattr(tensorlab, name, no_scores)
-        monkeypatch.setattr(schurweyl, "_blocks", no_scores)
+        monkeypatch.setattr(schurweyl, "_sweep_blocks", no_scores)
         states = [zero_state, plus_state] + ([one_state] if family == "triple" else [])
         with pytest.raises(ValueError, match=message):
             run_power_experiment(states, range(1, 4), *kinds)
@@ -1242,7 +1245,7 @@ class TestGramConvergence:
         def no_blocks(*args):
             raise AssertionError("no block may be built for a sweep over the cap")
 
-        monkeypatch.setattr(schurweyl, "_blocks", no_blocks)
+        monkeypatch.setattr(schurweyl, "_sweep_blocks", no_blocks)
         monkeypatch.setenv(DENSE_LIMIT_ENV, "16")
         with pytest.raises(DimensionLimitError, match=r"2\*\*5 exceeds the dense limit 16"):
             gram_convergence_check([zero_state, plus_state], range(1, 7))
@@ -1316,6 +1319,22 @@ class TestGramConvergence:
             assert pairwise_li_check(states).all_pass
             sweep = gram_convergence_check(states, ns)
             assert sweep == [gram_convergence_check(states, [n])[0] for n in ns]
+
+    def test_pure_qubit_pairs_match_the_closed_form(self):
+        # the Gram of two unit vectors with overlap g has floor 1 - |g|; at
+        # copy number n, 1 - |g|^n. A sweep walks the qubit blocks by
+        # N = n - 2h, and its floors equal those of each n alone, bit for bit
+        rng = np.random.default_rng(64)
+        ns = range(1, 15)
+        for _ in range(10):
+            pair = [random_pure_state(2, rng) for _ in range(2)]
+            first, second = (rho.spectrum().vectors[:, 0] for rho in pair)
+            overlap = abs(np.vdot(first, second))
+            sweep = gram_convergence_check(pair, ns)
+            assert sweep == [gram_convergence_check(pair, [n])[0] for n in ns]
+            for n, floor in sweep:
+                expected = 1.0 - overlap**n
+                assert abs(floor - expected) <= 5e-14 * expected
 
     def test_one_unitary_log_per_sweep(self, monkeypatch):
         calls = count_unitary_logs(monkeypatch)
