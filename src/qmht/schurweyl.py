@@ -1,7 +1,7 @@
 """Schur-Weyl block route for tensor powers of every dimension.
 
 (C^d)^(x n) splits into blocks V_lam (x) C^(f_lam) over the partitions lam of
-n with at most d rows, f_lam from the hook-length formula, and a state
+n with at most d rows, f_lam exact (``multiplicity``), and a state
 rho = U diag(p) U^H acts there as pi_lam(rho) (x) 1_(f_lam) with
 
     pi_lam(rho) = pi_lam(U) diag(prod_j p[j]^(w_j)) pi_lam(U)^H
@@ -9,28 +9,29 @@ rho = U diag(p) U^H acts there as pi_lam(rho) (x) 1_(f_lam) with
 (Bacon, Chuang and Harrow, quant-ph/0407082). V_lam carries the
 Gelfand-Tsetlin basis, whose patterns are weight vectors with weights w, and
 the generators E_ab of gl_d act on it by Molev's closed-form matrix elements
-(math/0211289), shared by every lam with one reduced shape (``gt_tables``).
-For qubits, pi_(n-h,h)(U) = det(U)^h Sym^N(U) with N = n - 2h, and one
-recursion per call builds Sym^N for N = 0..max(n), one at a time
-(``symmetric_powers``), with no logarithm and no eigensolve. For d >= 3,
-with U = exp(iH), pi_lam(U) = exp(i sum_ab H_ab E_ab), one stacked ``eigh``
-per block. ``_sweep_blocks`` yields the blocks of a whole sweep, by N for
-qubits and by (n, lam) otherwise. The product eigenvectors of state s in type
-class k (label counts) span the weight-k columns of pi_lam(U_s) (x)
-C^(f_lam) in every block; ``cut_spectrum`` and ``class_pick_cut``, the cut
-rule of every route, decide which classes are picked, and gs and epsilon pop
-them through ``detectors.pop_order``, the one pick-order engine, from one
-array of every state's class values per n (``_class_pops``). ``block_scores``
-scores a whole sweep of n from one ``base_spectra`` per call, and every kind
-as a labelled frame per block, each n's terms summed in ``partitions``
-order whatever order its blocks came in: the dense detectors' own frames for gs
-(``_gs_frame``, the windowed Householder selection, on the matrix of those
-columns) and helstrom (``_helstrom_frame``), and for epsilon the closed-form
-frame of the embedded detector (``_epsilon_frame``). Each error is
-(1/r) sum_lam f_lam times the block's ``frame_misses``, every state's mass
-on the frame columns of the other labels. ``pick_frame`` and
-``frame_misses`` take any states given as weighted columns, and
-``tensorlab``'s pure route calls the same ones on Dicke coordinates.
+(math/0211289). lam = lambar + lam_d (1, ..., 1) has the patterns and
+generators of its reduced shape lambar, so pi_lam(U) = det(U)^(lam_d)
+pi_lambar(U); that phase changes neither pi_lam(rho) nor the span of any
+column, so every block reads its reduced shape's unitaries. ``_sweep_blocks``
+walks the reduced shapes by size N and builds each one's once: Sym^N(U) for
+qubits (``symmetric_powers``), and for d >= 3, with U = exp(iH), one stacked
+``eigh`` of i sum_ab H_ab E_ab (``block_unitary``). The product eigenvectors
+of state s in type class k (label counts) span the weight-k columns of
+pi_lam(U_s) (x) C^(f_lam) in every block; ``cut_spectrum`` and
+``class_pick_cut``, the cut rule of every route, decide which classes are
+picked, and gs and epsilon pop them through ``detectors.pop_order``, the one
+pick-order engine, from one array of every state's class values per n
+(``_class_pops``). ``block_scores`` scores a whole sweep of n from one
+``base_spectra`` per call, and every kind as a labelled frame per block, each
+n's terms summed in ``partitions`` order whatever order its blocks came in:
+the dense detectors' own frames for gs (``_gs_frame``, the windowed
+Householder selection, on the matrix of those columns) and helstrom
+(``_helstrom_frame``), and for epsilon the closed-form frame of the embedded
+detector (``_epsilon_frame``). Each error is (1/r) sum_lam f_lam times the
+block's ``frame_misses``, every state's mass on the frame columns of the
+other labels. ``pick_frame`` and ``frame_misses`` take any states given as
+weighted columns, and ``tensorlab``'s pure route calls the same ones on Dicke
+coordinates.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +50,18 @@ from .detectors import (
     _labels,
     pop_order,
 )
+from .errors import DimensionLimitError
 from .linalg import EIGENVALUE_ZERO_RTOL, eigenvalue_zero_threshold, gram_floor, solve_lower
 
 
 @functools.cache
 def type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Label counts k of every type class of n draws from d labels, one class
-    per row, and the class sizes n!/prod_j k_j! (exact integers, as floats),
-    in the order of ``itertools.combinations_with_replacement(range(d), n)``."""
+    per row, and the class sizes n!/prod_j k_j! (exact integers, as floats;
+    DimensionLimitError past the float range), in the order of
+    ``itertools.combinations_with_replacement(range(d), n)``."""
     counts, sizes = _exact_classes(d, n)
-    sizes = np.array(sizes, dtype=float)
+    sizes = np.array([_float(size, n) for size in sizes])
     # cached and shared by every caller, so read-only
     counts.setflags(write=False)
     sizes.setflags(write=False)
@@ -116,29 +118,20 @@ def partitions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.cache
 def multiplicity(lam: tuple[int, ...]) -> int:
-    """f_lam, the dimension of the Specht module, by the hook-length formula."""
-    conjugate = [sum(1 for part in lam if part > j) for j in range(lam[0])]
-    hooks = math.prod(
-        part - j + conjugate[j] - i - 1 for i, part in enumerate(lam) for j in range(part)
-    )
-    return math.factorial(sum(lam)) // hooks
+    """f_lam, the dimension of the Specht module, by the determinant form
+    n! prod_(i<j) (l_i - l_j) / prod_i l_i!, l_i = lam_i + d - 1 - i."""
+    d = len(lam)
+    shifted = [part + d - 1 - i for i, part in enumerate(lam)]
+    spread = math.prod(a - b for a, b in itertools.combinations(shifted, 2))
+    return math.factorial(sum(lam)) * spread // math.prod(map(math.factorial, shifted))
 
 
-@dataclass(frozen=True)
-class GtTables:
-    """V_lam in its Gelfand-Tsetlin basis: the weight of every pattern (one row
-    each) and the real generators E_ab for a < b (E_ba is the transpose, E_aa
-    is diag(weights[:, a])). E_ab raises a pattern, which comes later in the
-    lexicographic order, so every E_ab with a < b is strictly lower
-    triangular. The generators are those of the reduced shape, built on
-    first use: the qubit blocks read only the weights."""
-
-    weights: np.ndarray
-    reduced: tuple[int, ...]
-
-    @property
-    def raising(self) -> tuple[tuple[int, int, np.ndarray], ...]:
-        return _reduced_raising(self.reduced)
+def _float(count: int, n: int) -> float:
+    """An exact count at copy number n as a float; DimensionLimitError past its range."""
+    try:
+        return float(count)
+    except OverflowError:
+        raise DimensionLimitError(f"a multiplicity at n = {n} exceeds the float range") from None
 
 
 def _gt_patterns(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -173,18 +166,6 @@ def _raising_entry(pattern, k: int, i: int) -> float:
 
 
 @functools.cache
-def gt_tables(lam: tuple[int, ...]) -> GtTables:
-    """The Gelfand-Tsetlin tables of V_lam (cached per lam): those of
-    lam - lam_d (1, ..., 1), whose patterns are lam's less lam_d in order, with
-    the same generators (Molev's formula reads entry differences only)."""
-    low = lam[-1]
-    reduced = tuple(part - low for part in lam)
-    weights = _reduced_weights(reduced) + low
-    weights.setflags(write=False)
-    return GtTables(weights=weights, reduced=reduced)
-
-
-@functools.cache
 def _reduced_weights(lam: tuple[int, ...]) -> np.ndarray:
     """The weights of the patterns of a reduced shape, one row each."""
     sums = np.array([[0] + [sum(row) for row in reversed(pattern)] for pattern in _gt_patterns(lam)])
@@ -195,9 +176,24 @@ def _reduced_weights(lam: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.cache
+def _column_classes(lam: tuple[int, ...]) -> np.ndarray:
+    """The ``type_classes`` index of the weight of every column of V_lam
+    (cached per lam): its reduced shape's weights plus lam_d."""
+    low = lam[-1]
+    counts, _ = type_classes(len(lam), sum(lam))
+    index = {k: c for c, k in enumerate(map(tuple, counts.tolist()))}
+    weights = _reduced_weights(tuple(part - low for part in lam)) + low
+    classes = np.array([index[w] for w in map(tuple, weights.tolist())])
+    # cached and shared by every caller, so read-only
+    classes.setflags(write=False)
+    return classes
+
+
+@functools.cache
 def _reduced_raising(lam: tuple[int, ...]) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """The generators E_ab (a < b) of a reduced shape, built from its
-    patterns."""
+    """The real generators E_ab (a < b) of a reduced shape, built from its
+    patterns: E_ab raises a pattern, which comes later in the lexicographic
+    order, so it is strictly lower triangular."""
     d = len(lam)
     patterns = _gt_patterns(lam)
     index = {pattern: c for c, pattern in enumerate(patterns)}
@@ -248,7 +244,7 @@ def unitary_log(u: np.ndarray) -> np.ndarray:
     return (vectors * theta[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
 
 
-def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
+def block_unitary(lam: tuple[int, ...], h: np.ndarray) -> np.ndarray:
     """pi_lam(exp(iH)) = exp(i sum_ab H_ab E_ab), by one ``eigh``, for one H
     or a stack of them (one result per H).
 
@@ -256,9 +252,11 @@ def block_unitary(tables: GtTables, h: np.ndarray) -> np.ndarray:
     real diagonal of H and its entries H_ab with a < b: ``eigh`` reads no
     more.
     """
-    diagonal = np.real(np.diagonal(h, axis1=-2, axis2=-1)) @ tables.weights.T
-    generator = diagonal[..., None] * np.eye(len(tables.weights), dtype=complex)
-    for a, b, raising in tables.raising:
+    reduced = tuple(part - lam[-1] for part in lam)
+    weights = _reduced_weights(reduced) + lam[-1]
+    diagonal = np.real(np.diagonal(h, axis1=-2, axis2=-1)) @ weights.T
+    generator = diagonal[..., None] * np.eye(len(weights), dtype=complex)
+    for a, b, raising in _reduced_raising(reduced):
         generator += h[..., a, b, None, None] * raising
     phases, vectors = np.linalg.eigh(generator)
     return (vectors * np.exp(1j * phases)[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
@@ -301,30 +299,28 @@ class _Block:
     """One block V_lam (x) C^(f_lam) of the n-fold powers of a family.
 
     ``values[s]`` holds the eigenvalue of pi_lam(rho_s), from the base
-    spectrum ``eigenvalues[s]``, on every column of ``unitaries[s]`` =
-    pi_lam(U_s); ``build`` makes the unitaries of all states at once, on
-    first use, so a block that no row needs costs none.
+    spectrum ``eigenvalues[s]`` and lam's weights, on every column of
+    ``unitaries[s]`` = pi_lambar(U_s) of the reduced shape, which ``build``
+    returns for all states at once.
     """
 
     def __init__(self, lam, eigenvalues, build) -> None:
-        self.mult = multiplicity(lam)
-        self.weights = gt_tables(lam).weights
-        self.dim = len(self.weights)
+        self.mult = _float(multiplicity(lam), sum(lam))
+        self.classes = _column_classes(lam)
+        self.weights = type_classes(len(lam), sum(lam))[0][self.classes]
         self.values = np.prod(eigenvalues[:, None, :] ** self.weights, axis=2)
         self._build = build
-        self._unitaries = None
 
     @property
     def unitaries(self) -> np.ndarray:
-        if self._unitaries is None:
-            self._unitaries = self._build()
-        return self._unitaries
+        return self._build()
 
-    def columns(self, owners, counts) -> tuple[np.ndarray, np.ndarray]:
+    def columns(self, owners, classes) -> tuple[np.ndarray, np.ndarray]:
         """The owner and column index arrays of this block's columns of the
-        popped classes, in pop order: pop j, label counts ``counts[j]``
-        popped by state ``owners[j]``, owns the columns of that weight."""
-        pop, column = np.nonzero((self.weights == counts[:, None, :]).all(axis=2))
+        popped classes, in pop order: pop j, class ``classes[j]`` of
+        ``type_classes`` popped by state ``owners[j]``, owns the columns of
+        that weight."""
+        pop, column = np.nonzero(self.classes == classes[:, None])
         return owners[pop], column
 
 
@@ -338,41 +334,41 @@ def base_spectra(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return eigenvalues, cut, np.array([dec.vectors for dec in spectra])
 
 
-def _qubit_unitaries(det: np.ndarray, h: int, power: np.ndarray) -> np.ndarray:
-    """pi_(N+h,h)(U) = det(U)^h Sym^N(U) in the GT basis, for every state,
-    from ``power``, Sym^N(U) in that basis."""
-    return power if h == 0 else (det**h)[:, None, None] * power
+def _reduced_unitaries(d: int, top: int, vectors: np.ndarray):
+    """(lambar, build) for every reduced shape lambar of size N = 0..top in
+    turn, build() returning pi_lambar(U_s) for every eigenbasis U_s of
+    ``vectors``: for d = 2 Sym^N(XUX), X the label swap (GT order is the
+    Dicke order reversed); for d >= 3 ``block_unitary`` on one stacked
+    ``unitary_log``, made on first use."""
+    if d == 2:
+        for size, power in enumerate(symmetric_powers(vectors[:, ::-1, ::-1], top)):
+            yield (size, 0), lambda power=power: power
+        return
+    logs = unitary_log(vectors)
+    for size in range(top + 1):
+        for head in partitions(size, d - 1):
+            lam = head + (0,)
+            yield lam, functools.cache(functools.partial(block_unitary, lam, logs))
 
 
 def _sweep_blocks(ns, eigenvalues: np.ndarray, vectors: np.ndarray):
     """Every block of the n-fold powers for every n of the ascending ``ns``,
-    as (i, slot, block): n = ns[i], and the block's lam the slot-th of
-    ``partitions(n, d)``. Each block builds its unitaries from the
-    eigenbases ``vectors`` on first use.
-
-    For d = 2 the blocks come by N = n - 2h, from one walk over
-    N = 0..max(ns) that holds one ``symmetric_powers`` at a time:
-    pi_(n-h,h)(U) is det(U)^h Sym^N(U), with det in closed form, so no
-    block takes a logarithm or an eigensolve. The GT weights of (n - h, h)
-    count the first label, so GT order is the Dicke order with the labels
-    swapped: Sym^N(XUX) for X the swap. Every other d comes n by n, from one
-    stacked ``unitary_log`` per call and one ``block_unitary`` per (n, lam).
-    """
+    as (i, lam, block), n = ns[i]: each lam = lambar + k (1, ..., 1) with
+    n = |lambar| + d k, for each reduced shape lambar of
+    ``_reduced_unitaries`` in turn, holding one reduced shape at a time."""
     d = eigenvalues.shape[1]
-    if d == 2:
-        det = vectors[:, 0, 0] * vectors[:, 1, 1] - vectors[:, 0, 1] * vectors[:, 1, 0]
-        for big_n, power in enumerate(symmetric_powers(vectors[:, ::-1, ::-1], ns[-1])):
-            for i in range(bisect.bisect_left(ns, big_n), len(ns)):
-                h, odd = divmod(ns[i] - big_n, 2)
-                if not odd:
-                    build = functools.partial(_qubit_unitaries, det, h, power)
-                    yield i, h, _Block((big_n + h, h), eigenvalues, build)
-        return
-    logs = unitary_log(vectors)
-    for i, n in enumerate(ns):
-        for slot, lam in enumerate(partitions(n, d)):
-            build = functools.partial(block_unitary, gt_tables(lam), logs)
-            yield i, slot, _Block(lam, eigenvalues, build)
+    # the f_lam and class sizes grow with n, so the largest n leaves the
+    # float range first: raise before any unitary is built
+    for lam in partitions(ns[-1], d):
+        _float(multiplicity(lam), ns[-1])
+    type_classes(d, ns[-1])
+    for reduced, build in _reduced_unitaries(d, ns[-1], vectors):
+        size = sum(reduced)
+        for i in range(bisect.bisect_left(ns, size), len(ns)):
+            low, rest = divmod(ns[i] - size, d)
+            if not rest:
+                lam = tuple(part + low for part in reduced)
+                yield i, lam, _Block(lam, eigenvalues, build)
 
 
 def _score_sweep(ns, eigenvalues: np.ndarray, vectors: np.ndarray, score) -> list[list]:
@@ -380,10 +376,10 @@ def _score_sweep(ns, eigenvalues: np.ndarray, vectors: np.ndarray, score) -> lis
     ``_sweep_blocks``, listed per n in ``partitions(n, d)`` order, whatever
     order the blocks came in."""
     d = eigenvalues.shape[1]
-    scores = [[None] * len(partitions(n, d)) for n in ns]
-    for i, slot, block in _sweep_blocks(ns, eigenvalues, vectors):
-        scores[i][slot] = score(i, block)
-    return scores
+    scores = [{} for _ in ns]
+    for i, lam, block in _sweep_blocks(ns, eigenvalues, vectors):
+        scores[i][lam] = score(i, block)
+    return [[by_shape[lam] for lam in partitions(n, d)] for n, by_shape in zip(ns, scores)]
 
 
 def _class_pops(n: int, cut: np.ndarray, floors):
@@ -486,13 +482,12 @@ def block_scores(states, ns, kinds, epsilons):
     eigenvalues, cut, vectors = base_spectra(states)
     picking = [kind for kind in kinds if kind != "helstrom"]
     floors = [class_pick_cut(cut, ns, kind) for kind in picking]
-    pops = {}  # per index of n, each picking kind's owners and label counts
+    pops = {}  # per index of n, each picking kind's owners and type_classes indices
 
     def score(i, block):
         if picking and i not in pops:
-            counts, _ = type_classes(cut.shape[1], ns[i])
             popped = _class_pops(ns[i], cut, [floor[i] for floor in floors])
-            pops[i] = {kind: (owners, counts[index]) for kind, (owners, index) in zip(picking, popped)}
+            pops[i] = dict(zip(picking, popped))
         terms = []
         for kind in kinds:
             floor = None

@@ -182,6 +182,15 @@ class TestRunCommand:
         scen = write_scenario(tmp_path / "s.json", n_max=5)
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 3
 
+    def test_multiplicity_past_the_float_range_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+        states = [{"kind": "diagonal", "probs": p} for p in ([0.9, 0.1], [0.3, 0.7])]
+        scen = write_scenario(
+            tmp_path / "s.json", states=states, n_min=1100, n_max=1100, detectors=["classical-ml"]
+        )
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "at n = 1100 exceeds the float range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_max", [100000, 1e300])
     def test_far_dense_limit_exit_3_at_once(self, tmp_path, capsys, monkeypatch, n_max):
         # the smallest n over the cap is found from the range's bounds, with

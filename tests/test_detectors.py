@@ -44,7 +44,7 @@ from qmht.linalg import (
 )
 from qmht.chernoff import q_overlap
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
-from qmht.schurweyl import _class_pops, _sweep_blocks, base_spectra, type_classes
+from qmht.schurweyl import _class_pops, _sweep_blocks, base_spectra
 from qmht.tensorlab import EPSILON_CLIP, run_power_experiment
 from conftest import diagonal, pure
 
@@ -750,8 +750,7 @@ class TestGsFrameOracle:
         ]
         for states, n in families:
             eigenvalues, cut, vectors = base_spectra(states)
-            [(owners, index)] = _class_pops(n, cut, [0.0])
-            pops = owners, type_classes(cut.shape[1], n)[0][index]
+            [pops] = _class_pops(n, cut, [0.0])
             counts = np.zeros(2, dtype=int)
             for _, _, block in _sweep_blocks([n], eigenvalues, vectors):
                 owners, columns = block.columns(*pops)

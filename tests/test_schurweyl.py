@@ -31,7 +31,6 @@ from qmht.schurweyl import (
     block_unitary,
     class_pick_cut,
     cut_spectrum,
-    gt_tables,
     multiplicity,
     partitions,
     symmetric_powers,
@@ -245,11 +244,16 @@ def blocks_of(n, eigenvalues, vectors):
     return [block for _, _, block in _sweep_blocks([n], eigenvalues, vectors)]
 
 
+def reduced_shape(lam):
+    """lam - lam_d (1, ..., 1)."""
+    return tuple(part - lam[-1] for part in lam)
+
+
 def block_generators(lam):
-    """Every E_ab of V_lam, from the cached raising tables."""
-    tables = gt_tables(lam)
-    generators = {(a, a): np.diag(tables.weights[:, a]).astype(float) for a in range(len(lam))}
-    for a, b, generator in tables.raising:
+    """Every E_ab of V_lam, from the cached tables of its reduced shape."""
+    weights = schurweyl._reduced_weights(reduced_shape(lam)) + lam[-1]
+    generators = {(a, a): np.diag(weights[:, a]).astype(float) for a in range(len(lam))}
+    for a, b, generator in schurweyl._reduced_raising(reduced_shape(lam)):
         generators[(a, b)] = generator
         generators[(b, a)] = generator.T
     return generators
@@ -357,19 +361,19 @@ class TestSymmetricPowers:
                 assert np.array_equal(stacked[s], power)
 
     def test_qubit_blocks_match_the_gelfand_tsetlin_route(self):
-        # pi_(N+h,h)(U) = det(U)^h Sym^N(U) with its Dicke order reversed
-        # into GT order, for every block of every n of a sweep, equals the
-        # eigh route: the GT basis of (N, 0) is the Dicke basis with the same
-        # signs, so the phase per column that the two might differ by is 1
+        # every block (N + h, h) of every n of a sweep reads Sym^N(U) with its
+        # Dicke order reversed into GT order, which equals the eigh route on
+        # its reduced shape (N, 0): the GT basis of (N, 0) is the Dicke basis
+        # with the same signs, so the phase per column that the two might
+        # differ by is 1
         rng = np.random.default_rng(9)
         states = [random_density_matrix(2, rng) for _ in range(3)]
         eigenvalues, _, vectors = base_spectra(states)
         logs = unitary_log(vectors)
         ns = list(range(1, 13))
         seen = set()
-        for i, slot, block in _sweep_blocks(ns, eigenvalues, vectors):
-            lam = partitions(ns[i], 2)[slot]
-            expected = block_unitary(gt_tables(lam), logs)
+        for i, lam, block in _sweep_blocks(ns, eigenvalues, vectors):
+            expected = block_unitary(reduced_shape(lam), logs)
             assert np.abs(block.unitaries - expected).max() < 1e-13
             seen.add((ns[i], lam))
         assert seen == {(n, lam) for n in ns for lam in partitions(n, 2)}
@@ -398,8 +402,7 @@ class TestSymmetricPowers:
             v = random_orthonormal(2, 2, rng)
             logs = [unitary_log(x) for x in (u, v, u @ v)]
             for big_n in range(15):
-                tables = gt_tables((big_n, 0))
-                sym_u, sym_v, sym_uv = (block_unitary(tables, h) for h in logs)
+                sym_u, sym_v, sym_uv = (block_unitary((big_n, 0), h) for h in logs)
                 eye = np.eye(big_n + 1)
                 assert np.abs(sym_u.conj().T @ sym_u - eye).max() < 1e-13
                 assert np.abs(sym_uv - sym_u @ sym_v).max() < 1e-13
@@ -410,10 +413,10 @@ class TestSymmetricPowers:
         rng = np.random.default_rng(1)
         u = random_orthonormal(2, 2, rng)
         big_n = 4
-        tables = gt_tables((big_n, 0))
-        dicke = dicke_basis(big_n)[:, big_n - tables.weights[:, 0]]
+        weights = schurweyl._reduced_weights((big_n, 0))
+        dicke = dicke_basis(big_n)[:, big_n - weights[:, 0]]
         dense = dicke.T @ functools.reduce(np.kron, [u] * big_n) @ dicke
-        assert np.abs(dense - block_unitary(tables, unitary_log(u))).max() < 1e-14
+        assert np.abs(dense - block_unitary((big_n, 0), unitary_log(u))).max() < 1e-14
         # and the recursion, in the Dicke order, which GT order reverses
         *_, power = symmetric_powers(u, big_n)
         assert np.abs(dense - power[::-1, ::-1]).max() < 1e-14
@@ -425,9 +428,9 @@ class TestSymmetricPowers:
             u = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * random_orthonormal(2, 2, rng)
             h = unitary_log(u)
             for big_n in range(6):
-                sym = block_unitary(gt_tables((big_n, 0)), h)
+                sym = block_unitary((big_n, 0), h)
                 for extra in range(1, 4):
-                    block = block_unitary(gt_tables((big_n + extra, extra)), h)
+                    block = block_unitary((big_n + extra, extra), h)
                     expected = np.linalg.det(u) ** extra * sym
                     assert np.abs(block - expected).max() < 1e-13
 
@@ -449,10 +452,9 @@ class TestGelfandTsetlinBlocks:
     def test_block_unitary_is_a_homomorphism(self, lam):
         rng = np.random.default_rng(sum(lam))
         d = len(lam)
-        tables = gt_tables(lam)
         for _ in range(3):
             u, v = (random_orthonormal(d, d, rng) for _ in range(2))
-            pi_u, pi_v, pi_uv = (block_unitary(tables, unitary_log(x)) for x in (u, v, u @ v))
+            pi_u, pi_v, pi_uv = (block_unitary(lam, unitary_log(x)) for x in (u, v, u @ v))
             assert np.abs(pi_u @ pi_v - pi_uv).max() < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -464,7 +466,7 @@ class TestGelfandTsetlinBlocks:
         for n in range(1, 9):
             eigenvalues, _, vectors = base_spectra([rho])
             blocks = blocks_of(n, eigenvalues, vectors)
-            assert sum(block.mult * block.dim for block in blocks) == d**n
+            assert sum(block.mult * len(block.classes) for block in blocks) == d**n
             total = 0.0
             for block in blocks:
                 pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
@@ -472,9 +474,8 @@ class TestGelfandTsetlinBlocks:
             assert abs(total - purity**n) < 1e-13
 
     def test_shapes_share_the_generators_of_their_reduced_shape(self):
-        # lam and lam - lam_d (1, ..., 1) hold the same generator arrays, bit
-        # for bit those built from lam's own patterns, and weights that
-        # differ by lam_d
+        # lam's own patterns give its reduced shape's weights plus lam_d and,
+        # bit for bit, its reduced shape's generator arrays
         built = 0
         for d, top in ((2, 12), (3, 12), (4, 8)):
             for n in range(1, top + 1):
@@ -482,20 +483,47 @@ class TestGelfandTsetlinBlocks:
                     low = lam[-1]
                     if not low:
                         continue
-                    tables = gt_tables(lam)
-                    reduced = gt_tables(tuple(part - low for part in lam))
+                    weights = schurweyl._reduced_weights(reduced_shape(lam))
                     own_weights = schurweyl._reduced_weights.__wrapped__(lam)
                     own_raising = schurweyl._reduced_raising.__wrapped__(lam)
-                    assert np.array_equal(tables.weights, reduced.weights + low)
-                    assert tables.weights.tobytes() == own_weights.tobytes()
-                    for (a, b, shared), (c, e, generator), (f, g, kept) in zip(
-                        tables.raising, own_raising, reduced.raising, strict=True
+                    assert np.array_equal(own_weights, weights + low)
+                    for (a, b, shared), (c, e, generator) in zip(
+                        schurweyl._reduced_raising(reduced_shape(lam)), own_raising, strict=True
                     ):
-                        assert (a, b) == (c, e) == (f, g)
-                        assert shared is kept
+                        assert (a, b) == (c, e)
                         assert shared.tobytes() == generator.tobytes()
                     built += 1
         assert built > 100
+
+    def test_multiplicity_equals_the_hook_length_product(self):
+        # the determinant form against n! / prod of hook lengths, box by box
+        for n in range(41):
+            for lam in partitions(n, 4):
+                conjugate = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+                hooks = math.prod(
+                    part - j + conjugate[j] - i - 1
+                    for i, part in enumerate(lam)
+                    for j in range(part)
+                )
+                assert multiplicity(lam) == math.factorial(n) // hooks
+
+    def test_qutrit_blocks_are_det_phases_of_their_reduced_shapes(self):
+        # every block lam of a d >= 3 sweep reads pi_lambar(U) of its reduced
+        # shape, which is pi_lam(U) up to the phase det(U)^(lam_d) per state
+        rng = np.random.default_rng(12)
+        states = [random_density_matrix(3, rng) for _ in range(2)]
+        eigenvalues, _, vectors = base_spectra(states)
+        logs = unitary_log(vectors)
+        phases = np.linalg.det(vectors)
+        ns = list(range(1, 9))
+        seen = set()
+        for i, lam, block in _sweep_blocks(ns, eigenvalues, vectors):
+            expected = block_unitary(lam, logs)
+            got = (phases ** lam[-1])[:, None, None] * block.unitaries
+            assert np.abs(got - expected).max() < 1e-13
+            seen.add((ns[i], lam))
+        assert seen == {(n, lam) for n in ns for lam in partitions(n, 3)}
+        assert any(lam[-1] >= 2 for _, lam in seen)
 
 
 def popped_stream(n, cut, kind="gs"):
@@ -605,17 +633,48 @@ class TestClassStream:
         eigenvalues, cut, vectors = base_spectra([rho])
         stream = popped_stream(4, cut)
         counts = np.array([k for _, k in stream])
+        [(_, classes)] = _class_pops(4, cut, class_pick_cut(cut, [4], "gs"))
         for block in blocks_of(4, eigenvalues, vectors):
             pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
             # each pop's index as its owner names the pop of every column
-            pops, columns = block.columns(np.arange(len(stream)), counts)
+            pops, columns = block.columns(np.arange(len(stream)), classes)
             for j, c in zip(pops.tolist(), columns.tolist()):
                 assert np.array_equal(block.weights[c], counts[j])
                 column = block.unitaries[0][:, c]
                 assert np.abs(pi @ column - stream[j][0] * column).max() < 1e-15
             # every column of a popped class, in pop order
-            assert np.array_equal(np.sort(columns), np.arange(block.dim))
+            assert np.array_equal(np.sort(columns), np.arange(len(block.classes)))
             assert (np.diff(pops) >= 0).all()
+
+    def test_column_lookup_matches_the_weight_comparison(self):
+        # on every block of a qubit sweep to n = 120 and a qutrit sweep to
+        # n = 12 (one state of rank 2, so that gs and epsilon pop fewer
+        # classes than there are), the columns' type classes give the owner
+        # and column arrays of the direct comparison of every pop's label
+        # counts with every column weight, which the block's own patterns
+        # give
+        rng = np.random.default_rng(14)
+        families = [
+            ([random_density_matrix(2, rng) for _ in range(2)], 120),
+            ([random_density_matrix(3, rng, rank=3 - s) for s in range(2)], 12),
+        ]
+        for states, top in families:
+            eigenvalues, cut, vectors = base_spectra(states)
+            ns = list(range(1, top + 1))
+            pops = {}
+            for i, lam, block in _sweep_blocks(ns, eigenvalues, vectors):
+                if i not in pops:
+                    floors = [class_pick_cut(cut, [ns[i]], kind)[0] for kind in ("gs", "epsilon")]
+                    pops[i] = _class_pops(ns[i], cut, floors)
+                weights = schurweyl._reduced_weights.__wrapped__(lam)
+                assert np.array_equal(block.weights, weights)
+                counts, _ = type_classes(cut.shape[1], ns[i])
+                for owners, index in pops[i]:
+                    pop, column = np.nonzero((weights == counts[index][:, None, :]).all(axis=2))
+                    got_owners, got_columns = block.columns(owners, index)
+                    assert np.array_equal(got_owners, owners[pop])
+                    assert np.array_equal(got_columns, column)
+            assert len(pops) == top
 
     def test_epsilon_pops_stop_at_the_pick_cut(self):
         # epsilon leaves out the classes at or below 1e-12 times the largest
@@ -698,7 +757,10 @@ class TestClassStream:
 class TestSpinBlocks:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_dimensions_add_up(self, n):
-        blocks = [(multiplicity(lam), len(gt_tables(lam).weights)) for lam in partitions(n, 2)]
+        blocks = [
+            (multiplicity(lam), len(schurweyl._reduced_weights(reduced_shape(lam))))
+            for lam in partitions(n, 2)
+        ]
         assert len(blocks) == n // 2 + 1
         assert sum(mult * dim for mult, dim in blocks) == 2**n
 
@@ -710,7 +772,7 @@ class TestSpinBlocks:
             eigenvalues, _, vectors = base_spectra([rho])
             for block in blocks_of(n, eigenvalues, vectors):
                 pi = (block.unitaries[0] * block.values[0]) @ block.unitaries[0].conj().T
-                blocks.append(np.repeat(np.linalg.eigvalsh(pi), block.mult))
+                blocks.append(np.repeat(np.linalg.eigvalsh(pi), int(block.mult)))
             block_spectrum = np.sort(np.concatenate(blocks))
             dense_spectrum = np.linalg.eigvalsh(kron_power(rho, n).mat)
             assert np.abs(block_spectrum - dense_spectrum).max() < 1e-14

@@ -738,6 +738,25 @@ class TestRunPowerExperimentOtherKinds:
             with pytest.raises(DimensionLimitError, match=r"2\*\*5 exceeds the dense limit 16"):
                 run_power_experiment(states, range(1, 7), kind)
 
+    def test_multiplicities_past_the_float_range_raise(self, monkeypatch):
+        # with the cap lifted, a class size (aligned route) and a block's
+        # f_lam (block route, helstrom alone pops no class) leave the float
+        # range at n = 1100; both name n, and the block route raises before
+        # it builds any unitary
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+
+        def unbuilt(*args):
+            raise AssertionError("a unitary was built")
+
+        monkeypatch.setattr(schurweyl, "symmetric_powers", unbuilt)
+        aligned = [diagonal([0.9, 0.1]), diagonal([0.3, 0.7])]
+        rng = np.random.default_rng(15)
+        mixed = [random_density_matrix(2, rng) for _ in range(2)]
+        assert _aligned_rows(mixed) is None and _pure_tops(mixed) is None
+        for states, kind in ((aligned, "classical-ml"), (mixed, "helstrom")):
+            with pytest.raises(DimensionLimitError, match=r"at n = 1100 exceeds the float range"):
+                run_power_experiment(states, [1100], kind)
+
     def test_dense_limit_names_the_smallest_n_over_the_cap(self, monkeypatch):
         # a range of either step direction is read from its bounds, any
         # other iterable walked; all name the same n as a walk over dim**n
@@ -940,13 +959,14 @@ class TestManyKindsInOnePass:
             run_power_experiment(states, range(1, 4), *kinds)
 
     def test_block_run_builds_each_unitary_once(self, monkeypatch):
-        # gs, epsilon and helstrom share every pi_lam(U); helstrom needs all
+        # gs, epsilon and helstrom share every pi_lam(U), and every lam reads
+        # its reduced shape's; helstrom needs all
         built = collections.Counter()
         plain = schurweyl.block_unitary
 
-        def counting(tables, h):
-            built[id(tables)] += 1
-            return plain(tables, h)
+        def counting(lam, h):
+            built[lam] += 1
+            return plain(lam, h)
 
         monkeypatch.setattr(schurweyl, "block_unitary", counting)
         rng = np.random.default_rng(93)
@@ -954,9 +974,10 @@ class TestManyKindsInOnePass:
         assert _aligned_rows(states) is None and _pure_tops(states) is None
         ns = range(1, 6)
         run_power_experiment(states, ns, "gs", "epsilon", "helstrom")
-        blocks = {id(schurweyl.gt_tables(lam)) for n in ns for lam in schurweyl.partitions(n, 3)}
-        assert len(blocks) == 1 + 2 + 3 + 4 + 5
-        assert built == collections.Counter(blocks)
+        shapes = {lam for n in ns for lam in schurweyl.partitions(n, 3)}
+        reduced = {tuple(part - lam[-1] for part in lam) for lam in shapes}
+        assert (len(shapes), len(reduced)) == (1 + 2 + 3 + 4 + 5, 12)
+        assert built == collections.Counter(reduced)
 
 
 class TestNearTies:
