@@ -6,9 +6,12 @@ Every route pops its pick candidates through one engine, ``pop_order``: a
 stable sort of the stacked candidate streams wherever that is sure to equal
 the ``greedy_order`` merge (``_near_ties`` states that guard), and that merge
 elsewhere. ``greedy_ranks`` sorts one value per column and flags the columns
-the guard fails on. The Bayes certificate is proved by a Cholesky factor
-and a Frobenius norm, and decided by ``eigvalsh`` and the 2-norm only where
-those fail (``verify_bayes_conditions``).
+the guard fails on. The labelled frames of the greedy kinds are built here
+for every route (``pick_frame``): gs by ``greedy_span``, and epsilon, the
+embedded detector, in closed form from two Cholesky factors. The Bayes
+certificate is proved by a Cholesky factor and a Frobenius norm, and
+decided by ``eigvalsh`` and the 2-norm only where those fail
+(``verify_bayes_conditions``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .linalg import (
     factor_floor,
     gram_floor,
     greedy_span,
+    solve_lower,
 )
 
 POVM_ATOL = 1e-9
@@ -228,9 +232,9 @@ class GsDiagnostics:
     earlier picks is above ``SPAN_RESIDUAL_TOL``), whose orthonormalized
     directions come first in the detector's frame, labelled by their states.
     ``lambda_min_gram`` is the smallest eigenvalue of the picked Gram matrix,
-    sigma_min(R)^2 of a Householder R: for gs, the R of the complete QR of
-    the picked eigenvectors V that builds the frame (their ``gram_floor``);
-    for epsilon, of the embedded delta^2 V^H V + epsilon^2 I,
+    from sigma_min(R)^2 of a Householder R of the picked eigenvectors V
+    (their ``gram_floor``): for gs, the R of the complete QR that builds the
+    frame; for epsilon, the embedded Gram delta^2 V^H V + epsilon^2 I gives
     epsilon^2 + delta^2 gram_floor(V).
     """
 
@@ -353,31 +357,67 @@ def _gs_frame(owners, vectors):
     """The greedy PVM's labelled frame on C^D, by ``greedy_span`` of the
     D x K unit candidates ``vectors`` in pick order, column k owned by state
     ``owners[k]``. Returns the picked column indices, the D x D basis of the
-    picks' complete QR with its labels (as ``_complete_basis``), and
-    sigma_min(R)^2 of its R, the ``gram_floor`` of the picks."""
+    picks' complete QR, its labels (the picks' owners, then 0 for the
+    Householder completion), and sigma_min(R)^2 of its R, the
+    ``gram_floor`` of the picks."""
     picked, basis, factor = greedy_span(vectors)
     return picked, basis, _labels(owners[picked], len(basis)), factor_floor(factor)
-
-
-def _complete_basis(owners, columns):
-    # One complete QR of the D x m ``columns`` orthonormalizes them in pick
-    # order and appends their Householder complement, D x D in all, with the
-    # picks labelled by their ``owners`` and the D - m completion columns
-    # labelled 0: only the complement's projector enters the elements,
-    # whichever basis QR picks. The factor is not checked here: epsilon
-    # checks it before it keeps the top rows (gs hands its basis whole to a
-    # PVM frame, whose check is the same condition).
-    full_basis, _ = np.linalg.qr(columns, mode="complete")
-    return full_basis, _labels(owners, len(columns))
 
 
 def _labels(owners, dim):
     return np.concatenate([owners, np.zeros(dim - len(owners), dtype=int)])
 
 
-def _embedded_gram_floor(vectors, epsilon):
-    """Smallest eigenvalue of the embedded Gram delta^2 V^H V + epsilon^2 I."""
-    return epsilon * epsilon + (1.0 - epsilon * epsilon) * gram_floor(vectors)
+def _epsilon_frame(owners, picks, epsilon: float):
+    """The embedded detector's labelled frame on C^D, in closed form, and its
+    Gram floor.
+
+    The D x m unit ``picks`` V, column c owned by state ``owners[c]``,
+    embed as X = [delta V; epsilon I_m]. Their Gram matrix
+    delta^2 V^H V + epsilon^2 I is R^H R, one Cholesky decomposition, and
+    the top D rows of the orthonormalized picks X R^-1 are P = delta V R^-1,
+    each column labelled with its state. The complement of the picks in
+    C^(D+m) is spanned by [I; -(delta/epsilon) V^H], whose Gram matrix is
+    L L^H = I + (delta/epsilon)^2 V V^H, so its orthonormalized top rows
+    are C = L^-H, labelled 0. Together they are the top D rows of a unitary
+    completion of X R^-1, so every state's misses are masses, none a
+    difference. The floor is the smallest eigenvalue of that Gram matrix,
+    epsilon^2 + delta^2 gram_floor(V): exactly epsilon^2 with more picks
+    than dimensions.
+    """
+    delta_sq = 1.0 - epsilon * epsilon
+    gram = delta_sq * (picks.conj().T @ picks)
+    # distinct picks share no private direction; each embedded vector is a
+    # unit vector, delta^2 + epsilon^2 = 1
+    np.fill_diagonal(gram, 1.0)
+    # V R^-1 = (R^-H V^H)^H, with R^H the lower Cholesky factor
+    lower = np.linalg.cholesky(gram)
+    physical = math.sqrt(delta_sq) * solve_lower(lower, picks.conj().T).conj().T
+    spread = (delta_sq / (epsilon * epsilon)) * (picks @ picks.conj().T)
+    spread[np.diag_indices_from(spread)] += 1.0
+    completion = solve_lower(np.linalg.cholesky(spread), np.eye(len(picks))).conj().T
+    # (delta/epsilon)^2 V V^H is rounded relative to its size, so on the
+    # directions that V misses, where C is ~I, P P^H + C C^H misses I by up
+    # to (delta/epsilon)^2 eps (7e-11 at EPSILON_FLOOR); one Newton-Schulz
+    # step on C takes it back to rounding
+    gap = np.eye(len(picks)) - physical @ physical.conj().T - completion @ completion.conj().T
+    completion += 0.5 * (gap @ completion)
+    frame = np.hstack([physical, completion])
+    floor = epsilon * epsilon + delta_sq * gram_floor(picks)
+    return frame, _labels(owners, frame.shape[1]), floor
+
+
+def pick_frame(kind: str, owners, picks, epsilon: float):
+    """The labelled frame of a gs or epsilon detector on C^D, from the D x m
+    unit ``picks`` in pick order, owned by the states ``owners``, and its
+    Gram floor: gs is ``_gs_frame`` (windowed Householder selection,
+    ``SPAN_RESIDUAL_TOL``, the Householder complement labelled 0, floor
+    sigma_min(R)^2), epsilon ``_epsilon_frame``: the frames of the dense
+    detectors, for the Schur-Weyl blocks and the pure route."""
+    if kind == "gs":
+        _, basis, labels, floor = _gs_frame(owners, picks)
+        return basis, labels, floor
+    return _epsilon_frame(owners, picks, epsilon)
 
 
 def gs_detector(sigma_set: Sequence[DensityMatrix]) -> tuple[Detector, GsDiagnostics]:
@@ -649,27 +689,20 @@ def epsilon_detector(
     eigenvector above the zero cut is picked. Only the m picked eigenvectors
     ever use a private direction, so the embedding keeps just those: the
     (d + m) x m matrix X = [delta V; epsilon I_m] holds the picks' eigenvectors
-    V in pick order over one private row per pick. One complete QR of X,
-    checked unitary, orthonormalizes the picks and completes the basis.
-    Element i is T_i T_i^H, where T_i holds the top d rows of the basis columns
-    labelled i: the upper block of the embedded PVM, which is itself never
-    built. This is the paper's POVM: the other rd - m embedded rows are zero
-    in X, so they are zero in its orthonormalized picks X R^-1 too, and the
-    completion's top block projects onto the complement of the picks' top
-    block, I - T_p T_p^H, in either space. The result is a POVM that is
-    generally not projective.
+    V in pick order over one private row per pick. Element i is T_i T_i^H,
+    where T_i holds the top d rows of the orthonormalized embedding's columns
+    labelled i, in closed form (``_epsilon_frame``): the upper block of the
+    embedded PVM, which is itself never built. This is the paper's POVM: the
+    other rd - m embedded rows are zero in X, so they are zero in its
+    orthonormalized picks X R^-1 too, and the completion's top block
+    projects onto the complement of the picks' top block, I - T_p T_p^H, in
+    either space. The result is a POVM that is generally not projective,
+    and its frame check is the one check on it. A bad epsilon raises before
+    any eigensolve.
     """
-    states, selection, vectors = _greedy_pops(sigma_set)
     embedding_guard(epsilon)
-    dim = states[0].dim
-    delta = math.sqrt(1.0 - epsilon * epsilon)
-    picks = len(selection)
-    columns = np.zeros((dim + picks, picks), dtype=complex)
-    columns[:dim] = delta * vectors
-    columns[dim:] = epsilon * np.eye(picks)
-    basis, labels = _complete_basis(np.array([state for state, _ in selection]), columns)
-    # the frame check sees only the top d rows, so it does not imply this
-    if float(np.abs(basis.conj().T @ basis - np.eye(dim + picks)).max()) > POVM_ATOL:
-        raise NumericalConsistencyError("complete QR factor is not unitary")
-    det = Detector(kind="POVM", frame=basis[:dim], labels=labels, outcomes=len(states))
-    return det, GsDiagnostics(selection, _embedded_gram_floor(vectors, epsilon))
+    states, selection, vectors = _greedy_pops(sigma_set)
+    owners = np.array([state for state, _ in selection])
+    frame, labels, floor = pick_frame("epsilon", owners, vectors, epsilon)
+    det = Detector(kind="POVM", frame=frame, labels=labels, outcomes=len(states))
+    return det, GsDiagnostics(selection, floor)

@@ -24,14 +24,12 @@ pick-order engine, from one array of every state's class values per n
 (``_class_pops``). ``block_scores`` scores a whole sweep of n from one
 ``base_spectra`` per call, and every kind as a labelled frame per block, each
 n's terms summed in ``partitions`` order whatever order its blocks came in:
-the dense detectors' own frames for gs (``_gs_frame``, the windowed
-Householder selection, on the matrix of those columns) and helstrom
-(``_helstrom_frame``), and for epsilon the closed-form frame of the embedded
-detector (``_epsilon_frame``). Each error is (1/r) sum_lam f_lam times the
-block's ``frame_misses``, every state's mass on the frame columns of the
-other labels. ``pick_frame`` and ``frame_misses`` take any states given as
-weighted columns, and ``tensorlab``'s pure route calls the same ones on Dicke
-coordinates.
+the dense detectors' own frames, ``detectors.pick_frame`` for gs and epsilon
+on the matrix of those columns and ``detectors._helstrom_frame`` for
+helstrom. Each error is (1/r) sum_lam f_lam times the block's
+``frame_misses``, every state's mass on the frame columns of the other
+labels. ``frame_misses`` takes any states given as weighted columns, and
+``tensorlab``'s pure route calls it and ``pick_frame`` on Dicke coordinates.
 """
 
 from __future__ import annotations
@@ -43,15 +41,9 @@ import math
 
 import numpy as np
 
-from .detectors import (
-    _embedded_gram_floor,
-    _gs_frame,
-    _helstrom_frame,
-    _labels,
-    pop_order,
-)
+from .detectors import _helstrom_frame, pick_frame, pop_order
 from .errors import DimensionLimitError
-from .linalg import EIGENVALUE_ZERO_RTOL, eigenvalue_zero_threshold, gram_floor, solve_lower
+from .linalg import EIGENVALUE_ZERO_RTOL, eigenvalue_zero_threshold, gram_floor
 
 
 @functools.cache
@@ -405,56 +397,6 @@ def frame_misses(frame, labels, columns, values) -> float:
     masses = (np.abs(frame.conj().T @ columns) ** 2) @ values[:, :, None]
     own = labels == np.arange(len(values))[:, None]
     return float(np.where(own, 0.0, masses[:, :, 0]).sum())
-
-
-def _epsilon_frame(owners, picks, epsilon: float):
-    """The embedded detector's labelled frame on C^D, in closed form, and its
-    Gram floor.
-
-    The D x m unit ``picks`` V, column c owned by state ``owners[c]``,
-    embed as X = [delta V; epsilon I_m]. Their Gram matrix
-    delta^2 V^H V + epsilon^2 I is R^H R, one Cholesky decomposition, and
-    the top D rows of the orthonormalized picks X R^-1 are P = delta V R^-1,
-    each column labelled with its state. The complement of the picks in
-    C^(D+m) is spanned by [I; -(delta/epsilon) V^H], whose Gram matrix is
-    L L^H = I + (delta/epsilon)^2 V V^H, so its orthonormalized top rows
-    are C = L^-H, labelled 0. Together they are the top rows of the dense
-    ``epsilon_detector``'s complete QR, up to a unitary within each label,
-    so every state's misses are masses, none a difference. The floor is the
-    dense detector's epsilon^2 + delta^2 gram_floor(V): exactly epsilon^2
-    with more picks than dimensions.
-    """
-    delta_sq = 1.0 - epsilon * epsilon
-    gram = delta_sq * (picks.conj().T @ picks)
-    # distinct picks share no private direction; each embedded vector is a
-    # unit vector, delta^2 + epsilon^2 = 1
-    np.fill_diagonal(gram, 1.0)
-    # V R^-1 = (R^-H V^H)^H, with R^H the lower Cholesky factor
-    lower = np.linalg.cholesky(gram)
-    physical = math.sqrt(delta_sq) * solve_lower(lower, picks.conj().T).conj().T
-    spread = (delta_sq / (epsilon * epsilon)) * (picks @ picks.conj().T)
-    spread[np.diag_indices_from(spread)] += 1.0
-    completion = solve_lower(np.linalg.cholesky(spread), np.eye(len(picks))).conj().T
-    # (delta/epsilon)^2 V V^H is rounded relative to its size, so on the
-    # directions that V misses, where C is ~I, P P^H + C C^H misses I by up
-    # to (delta/epsilon)^2 eps (7e-11 at EPSILON_FLOOR); one Newton-Schulz
-    # step on C takes it back to rounding
-    gap = np.eye(len(picks)) - physical @ physical.conj().T - completion @ completion.conj().T
-    completion += 0.5 * (gap @ completion)
-    frame = np.hstack([physical, completion])
-    return frame, _labels(owners, frame.shape[1]), _embedded_gram_floor(picks, epsilon)
-
-
-def pick_frame(kind: str, owners, picks, epsilon: float):
-    """The labelled frame of a gs or epsilon detector on C^D, from the D x m
-    unit ``picks`` in pick order, owned by the states ``owners``, and its
-    Gram floor: gs is ``_gs_frame`` (windowed Householder selection,
-    ``SPAN_RESIDUAL_TOL``, the Householder complement labelled 0, floor
-    sigma_min(R)^2), epsilon ``_epsilon_frame``."""
-    if kind == "gs":
-        _, basis, labels, floor = _gs_frame(owners, picks)
-        return basis, labels, floor
-    return _epsilon_frame(owners, picks, epsilon)
 
 
 def block_scores(states, ns, kinds, epsilons):

@@ -37,9 +37,10 @@ psi_s, which drops at most n times its tail mass from each row. All of that
 mass lies on r vectors of the symmetric power of span{psi_s}, so gs and
 epsilon pop the states in ``pop_order`` of lambda_top^n and are scored on
 their Dicke coordinates (``_pure_scores``) by the blocks' own frame and
-scorer (``schurweyl.pick_frame``: the span rule of ``greedy_span`` and its
+scorer (``detectors.pick_frame``, the frame of the dense ``gs_detector``
+or ``epsilon_detector``: the span rule of ``greedy_span`` and its
 Householder Gram floor, or the embedded detector's closed-form frame;
-``frame_misses``), and helstrom by its two-state closed form.
+``schurweyl.frame_misses``), and helstrom by its two-state closed form.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl.block_scores``:
@@ -64,6 +65,7 @@ from .detectors import (
     embedding_guard,
     greedy_ranks,
     lemma3_bound,
+    pick_frame,
     pop_order,
 )
 from .errors import DimensionLimitError
@@ -80,7 +82,6 @@ from .schurweyl import (
     cut_spectrum,
     frame_misses,
     joint_gram_floors,
-    pick_frame,
     type_classes,
 )
 

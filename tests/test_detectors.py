@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,74 @@ def defect_ensemble_powers(n):
             mat = np.kron(mat, rho.mat)
         powers.append(DensityMatrix(mat))
     return powers
+
+
+def embedding_panel(seed, dim, epsilons):
+    """Random families of r = 2 and then 3 states of dimension ``dim`` and
+    random ranks, each yielded with every epsilon of ``epsilons``."""
+    rng = np.random.default_rng(seed)
+    for r in (2, 3):
+        states = [
+            random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+            for _ in range(r)
+        ]
+        for epsilon in epsilons:
+            yield states, epsilon
+
+
+def exact_embedded_povm(states, selection, epsilon, dps=34):
+    """The embedded POVM on the picks ``selection`` of the double
+    eigenvectors, in ``dps``-digit mpmath: the elements, as lists of rows,
+    and the per-hypothesis errors against the double states.
+
+    With V the picks in order, L L^H = delta^2 V^H V + epsilon^2 I and
+    P = delta V L^-H, element i is the sum of p_c p_c^H over the picks c of
+    state i, and element 0 also holds the completion I - P P^H.
+    """
+    with mpmath.workdps(dps):
+        epsilon = mpmath.mpf(epsilon)
+        delta_sq = 1 - epsilon * epsilon
+        delta = mpmath.sqrt(delta_sq)
+        columns = [
+            [mpmath.mpc(z) for z in states[s].spectrum().vectors[:, i].tolist()]
+            for s, i in selection
+        ]
+        dim, r = len(columns[0]), len(states)
+        gram = mpmath.matrix(len(columns))
+        for a, left in enumerate(columns):
+            for b, right in enumerate(columns[: a + 1]):
+                gram[a, b] = delta_sq * mpmath.fdot(right, left, conjugate=True)
+                gram[b, a] = mpmath.conj(gram[a, b])
+            gram[a, a] += epsilon * epsilon
+        lower = mpmath.cholesky(gram)
+        # P L^H = delta V, solved column by column
+        picks = []
+        for c, column in enumerate(columns):
+            row = [mpmath.conj(lower[c, a]) for a in range(c)]
+            picks.append(
+                [(delta * column[k] - mpmath.fdot(row, (p[k] for p in picks))) / lower[c, c]
+                 for k in range(dim)]
+            )
+        elements = [None] * r
+        for i in range(1, r):
+            own = [p for p, (s, _) in zip(picks, selection) if s == i]
+            elements[i] = [
+                [mpmath.fdot([p[k] for p in own], [p[l] for p in own], conjugate=True)
+                 for l in range(dim)]
+                for k in range(dim)
+            ]
+        elements[0] = [
+            [int(k == l) - mpmath.fsum(e[k][l] for e in elements[1:]) for l in range(dim)]
+            for k in range(dim)
+        ]
+        errors = []
+        for i, rho in enumerate(states):
+            mat = [[mpmath.mpc(z) for z in row] for row in rho.mat.tolist()]
+            errors.append(mpmath.fsum(
+                mpmath.re(mpmath.fdot(mat[k], (e[l][k] for l in range(dim))))
+                for j, e in enumerate(elements) if j != i for k in range(dim)
+            ))
+        return elements, errors
 
 
 def projector(vec) -> HermitianMatrix:
@@ -1200,65 +1269,82 @@ class TestEpsilonDetector:
 
     @pytest.mark.parametrize("dim", [2, 3, 16, 32])
     def test_elements_are_upper_blocks_of_embedded_pvm(self, dim):
-        # rebuild the embedded PVM from the reported picks and labels, check
-        # it as a PVM, and cut it back to its upper block
-        rng = np.random.default_rng(100 + dim)
-        for r in (2, 3):
-            states = [
-                random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
-                for _ in range(r)
-            ]
-            for epsilon in (0.1, 0.3, 0.7):
-                det, diag = epsilon_detector(states, epsilon)
-                selection = diag.selection_order
-                columns = np.zeros((dim + len(selection), len(selection)), dtype=complex)
-                for k, (state, index) in enumerate(selection):
-                    vector = states[state].spectrum().vectors[:, index]
-                    columns[:dim, k] = math.sqrt(1.0 - epsilon * epsilon) * vector
-                    columns[dim + k, k] = epsilon
-                basis, _ = np.linalg.qr(columns, mode="complete")
-                blocks = [basis[:, det.labels == i] for i in range(r)]
-                big = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
-                upper = [HermitianMatrix(e.mat[:dim, :dim]) for e in big.elements]
-                for new, old in zip(det.elements, upper):
-                    assert np.abs(new.mat - old.mat).max() <= 1e-15
-                old_report = evaluate_errors(states, Detector(upper, kind="POVM"))
-                new_report = evaluate_errors(states, det)
-                assert np.abs(
-                    np.subtract(new_report.per_hypothesis, old_report.per_hypothesis)
-                ).max() <= 1e-15
-                assert abs(new_report.averaged - old_report.averaged) <= 1e-15
+        # rebuild the embedded PVM from the reported picks and labels by a
+        # complete QR of the embedded picks, check it as a PVM, and cut it
+        # back to its upper block. The closed form's elements are within
+        # 2.08e-15 of the exact ones and this QR's within 5.99e-16, so the
+        # two are within their sum of each other
+        for states, epsilon in embedding_panel(100 + dim, dim, (0.1, 0.3, 0.7)):
+            r = len(states)
+            det, diag = epsilon_detector(states, epsilon)
+            selection = diag.selection_order
+            columns = np.zeros((dim + len(selection), len(selection)), dtype=complex)
+            for k, (state, index) in enumerate(selection):
+                vector = states[state].spectrum().vectors[:, index]
+                columns[:dim, k] = math.sqrt(1.0 - epsilon * epsilon) * vector
+                columns[dim + k, k] = epsilon
+            basis, _ = np.linalg.qr(columns, mode="complete")
+            blocks = [basis[:, det.labels == i] for i in range(r)]
+            big = Detector([HermitianMatrix(b @ b.conj().T) for b in blocks], kind="PVM")
+            upper = [HermitianMatrix(e.mat[:dim, :dim]) for e in big.elements]
+            for new, old in zip(det.elements, upper):
+                assert np.abs(new.mat - old.mat).max() <= 2.7e-15
+            old_report = evaluate_errors(states, Detector(upper, kind="POVM"))
+            new_report = evaluate_errors(states, det)
+            assert np.abs(
+                np.subtract(new_report.per_hypothesis, old_report.per_hypothesis)
+            ).max() <= 1e-15
+            assert abs(new_report.averaged - old_report.averaged) <= 1e-15
 
     @pytest.mark.parametrize("dim", [2, 3, 16, 32])
     def test_matches_the_full_embedding(self, dim):
         # the paper's (r+1)d embedding, each pick's private direction at row
-        # (state + 1) d + index, gives the same POVM as the d + m one
-        rng = np.random.default_rng(200 + dim)
-        for r in (2, 3):
-            states = [
-                random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
-                for _ in range(r)
-            ]
-            for epsilon in (1e-3, 0.1, 0.3, 0.7):
+        # (state + 1) d + index, gives the same POVM as the d + m one. Its
+        # complete QR is within 6.50e-16 of the exact elements and 3.11e-16
+        # of the exact errors, the closed form within 1.42e-14 and 2.82e-15
+        # (at epsilon = 1e-3), so the two are within the sums
+        for states, epsilon in embedding_panel(200 + dim, dim, (1e-3, 0.1, 0.3, 0.7)):
+            r = len(states)
+            det, diag = epsilon_detector(states, epsilon)
+            selection = diag.selection_order
+            columns = np.zeros(((r + 1) * dim, len(selection)), dtype=complex)
+            for k, (state, index) in enumerate(selection):
+                vector = states[state].spectrum().vectors[:, index]
+                columns[:dim, k] = math.sqrt(1.0 - epsilon**2) * vector
+                columns[(state + 1) * dim + index, k] = epsilon
+            full_basis, _ = np.linalg.qr(columns, mode="complete")
+            labels = [state for state, _ in selection]
+            labels += [0] * ((r + 1) * dim - len(selection))
+            full = Detector(kind="POVM", frame=full_basis[:dim], labels=labels, outcomes=r)
+            for new, old in zip(det.elements, full.elements):
+                assert np.abs(new.mat - old.mat).max() <= 1.5e-14
+            assert np.abs(
+                np.subtract(
+                    evaluate_errors(states, det).per_hypothesis,
+                    evaluate_errors(states, full).per_hypothesis,
+                )
+            ).max() <= 3.2e-15
+
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_matches_the_exact_embedded_povm(self, dim):
+        # the panels of the two tests above against ``exact_embedded_povm``
+        # at 34 digits, on the same double eigenvectors: the closed form is
+        # within 7.16e-15 on elements (d = 16, epsilon = 1e-3) and 2.82e-15
+        # on err (d = 2), the complete QR of the d + m embedding within
+        # 5.06e-16 and 3.08e-16
+        panels = ((100 + dim, (0.1, 0.3, 0.7)), (200 + dim, (1e-3, 0.1, 0.3, 0.7)))
+        for seed, epsilons in panels:
+            for states, epsilon in embedding_panel(seed, dim, epsilons):
                 det, diag = epsilon_detector(states, epsilon)
-                selection = diag.selection_order
-                columns = np.zeros(((r + 1) * dim, len(selection)), dtype=complex)
-                for k, (state, index) in enumerate(selection):
-                    vector = states[state].spectrum().vectors[:, index]
-                    columns[:dim, k] = math.sqrt(1.0 - epsilon**2) * vector
-                    columns[(state + 1) * dim + index, k] = epsilon
-                full_basis, _ = np.linalg.qr(columns, mode="complete")
-                labels = [state for state, _ in selection]
-                labels += [0] * ((r + 1) * dim - len(selection))
-                full = Detector(kind="POVM", frame=full_basis[:dim], labels=labels, outcomes=r)
-                for new, old in zip(det.elements, full.elements):
-                    assert np.abs(new.mat - old.mat).max() <= 1e-14
-                assert np.abs(
-                    np.subtract(
-                        evaluate_errors(states, det).per_hypothesis,
-                        evaluate_errors(states, full).per_hypothesis,
-                    )
-                ).max() <= 1e-15
+                elements, errors = exact_embedded_povm(states, diag.selection_order, epsilon)
+                for ours, exact in zip(det.elements, elements, strict=True):
+                    assert max(
+                        abs(mpmath.mpc(complex(x)) - y)
+                        for row, exact_row in zip(ours.mat.tolist(), exact)
+                        for x, y in zip(row, exact_row)
+                    ) <= 1e-14
+                per_hypothesis = evaluate_errors(states, det).per_hypothesis
+                assert max(abs(x - y) for x, y in zip(per_hypothesis, errors)) <= 4e-15
 
     def test_floor_matches_high_precision_reference(self):
         # the defect ensemble's n = 4 powers at the epsilon floor, where the
@@ -1274,25 +1360,23 @@ class TestEpsilonDetector:
         ).rows
         assert abs(row.err - reference) <= 1e-13
 
-    @pytest.mark.parametrize("rows", ["all", "extra"])
-    def test_non_unitary_basis_raises(self, monkeypatch, rows):
-        # scaling only the extra-block rows leaves the upper block a valid
-        # POVM, so only the unitarity check on the QR factor can see it
+    def test_skewed_completion_fails_the_frame_check(self, monkeypatch):
+        # the completion is the one solve against the identity; scaled by
+        # 1 + 1e-6, it keeps its span, and the Newton-Schulz step pulls it
+        # back only along directions that the picks miss, so the frame
+        # check T T^H = I, the one check on the POVM, sees the rest
         rng = np.random.default_rng(17)
         states = [random_density_matrix(4, rng, rank=2) for _ in range(3)]
-        real_qr = np.linalg.qr
+        real_solve = qmht.detectors.solve_lower
 
-        def skewed_qr(a, mode="reduced"):
-            out = real_qr(a, mode=mode)
-            if mode != "complete":
-                return out
-            q, r = out
-            q = q.copy()
-            q[slice(None) if rows == "all" else slice(4, None)] *= 1.0 + 1e-6
-            return q, r
+        def skewed_solve(lower, rhs):
+            out = real_solve(lower, rhs)
+            if np.array_equal(rhs, np.eye(len(rhs))):
+                out *= 1.0 + 1e-6
+            return out
 
-        monkeypatch.setattr("qmht.detectors.np.linalg.qr", skewed_qr)
-        with pytest.raises(NumericalConsistencyError, match="not unitary"):
+        monkeypatch.setattr(qmht.detectors, "solve_lower", skewed_solve)
+        with pytest.raises(NumericalConsistencyError, match="orthonormal"):
             epsilon_detector(states, 0.3)
 
     def test_epsilon_out_of_range(self, zero_state, plus_state):

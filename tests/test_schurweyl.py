@@ -12,7 +12,7 @@ from qmht.detectors import (
     POVM_ATOL,
     SPAN_RESIDUAL_TOL,
     Detector,
-    epsilon_detector,
+    _epsilon_frame,
     evaluate_errors,
     greedy_order,
     gs_detector,
@@ -24,7 +24,6 @@ from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix, eigenvalue_zero_threshol
 from qmht.sampling import random_density_matrix, random_orthonormal, random_pure_state
 from qmht.schurweyl import (
     _class_pops,
-    _epsilon_frame,
     _sweep_blocks,
     base_spectra,
     block_scores,
@@ -824,10 +823,11 @@ class TestQutritGs:
 
 
 class TestEpsilonFrame:
-    def test_elements_match_the_dense_detector(self):
-        # [delta V R^-1, L^-H] is the top of the dense detector's complete QR
-        # up to a unitary within each label, so the elements agree; the
-        # Detector checks T T^H = I to POVM_ATOL
+    def test_elements_match_the_embedded_qr(self):
+        # [delta V R^-1, L^-H] is the top of the complete QR of the embedded
+        # picks [delta V; epsilon I] up to a unitary within each label, so
+        # the elements agree; the Detector checks T T^H = I to POVM_ATOL, and
+        # the floor is sigma_min^2 of the QR's R
         rng = np.random.default_rng(70)
         for _ in range(24):
             d, r = int(rng.integers(2, 17)), int(rng.integers(2, 4))
@@ -835,15 +835,19 @@ class TestEpsilonFrame:
                 random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))) for _ in range(r)
             ]
             _, pops, vectors = _greedy_pops(states)
+            owners = np.array(pops)[:, 0]
             for eps in (EPSILON_FLOOR, 0.3, 0.7):
-                dense, diagnostics = epsilon_detector(states, eps)
-                frame, labels, floor = _epsilon_frame(np.array(pops)[:, 0], vectors, eps)
+                frame, labels, floor = _epsilon_frame(owners, vectors, eps)
                 det = Detector(kind="POVM", frame=frame, labels=labels, outcomes=r)
                 gap = np.abs(frame @ frame.conj().T - np.eye(d)).max()
                 assert gap <= POVM_ATOL
-                for ours, theirs in zip(det.elements, dense.elements, strict=True):
+                embedded = np.vstack([math.sqrt(1.0 - eps * eps) * vectors, eps * np.eye(len(pops))])
+                basis, factor = np.linalg.qr(embedded, mode="complete")
+                qr = Detector(kind="POVM", frame=basis[:d], labels=labels, outcomes=r)
+                for ours, theirs in zip(det.elements, qr.elements, strict=True):
                     assert np.abs(ours.mat - theirs.mat).max() < 1e-13
-                assert floor == diagnostics.lambda_min_gram
+                sigma_min = np.linalg.svd(factor[: len(pops)], compute_uv=False)[-1]
+                assert floor == pytest.approx(sigma_min**2, rel=1e-12)
 
 
 class TestBlockEpsilon:

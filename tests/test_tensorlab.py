@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmht import schurweyl, tensorlab
+from qmht import detectors, schurweyl, tensorlab
 from qmht.detectors import (
     classical_ml,
     epsilon_detector,
@@ -1070,7 +1070,7 @@ class TestPureRoute:
         # dropped mass on 140 families, seed 80)
         monkeypatch.setenv(DENSE_LIMIT_ENV, str(4**8))
         picks = []
-        gs_frame, epsilon_frame = schurweyl._gs_frame, schurweyl._epsilon_frame
+        gs_frame, epsilon_frame = detectors._gs_frame, detectors._epsilon_frame
 
         def recording_gs(owners, vectors):
             picked, *rest = gs_frame(owners, vectors)
@@ -1081,8 +1081,8 @@ class TestPureRoute:
             picks.append(owners.tolist())
             return epsilon_frame(owners, vectors, epsilon)
 
-        monkeypatch.setattr(schurweyl, "_gs_frame", recording_gs)
-        monkeypatch.setattr(schurweyl, "_epsilon_frame", recording_epsilon)
+        monkeypatch.setattr(detectors, "_gs_frame", recording_gs)
+        monkeypatch.setattr(detectors, "_epsilon_frame", recording_epsilon)
         ns = range(1, 9)
         for states in pure_families(16, seed=80):
             assert _aligned_rows(states) is None and _pure_tops(states) is not None
