@@ -11,7 +11,14 @@ for every route (``pick_frame``): gs by ``greedy_span``, and epsilon, the
 embedded detector, in closed form from two Cholesky factors. The Bayes
 certificate is proved by a Cholesky factor and a Frobenius norm, and
 decided by ``eigvalsh`` and the 2-norm only where those fail
-(``verify_bayes_conditions``).
+(``verify_bayes_conditions``). Work whose result a structure fixes is
+skipped: ``evaluate_errors`` scores a frame by one product of the
+row-stacked states with it and one of their masses with its one-hot
+labels, ``pgm`` gives a state columns for its positive eigenvalues only,
+``common_eigenbasis`` takes no product for a pair of exactly diagonal
+states and reads a block off by indexing while its basis permutes the
+identity's columns, and ``gs_error_bound`` builds each state's Chernoff
+``StateSupport`` once for all its pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chernoff import binary_qcb
+from .chernoff import StateSupport, binary_qcb
 from .errors import NumericalConsistencyError
 # SPAN_RESIDUAL_TOL, gs's span rule, is read by ``greedy_span`` and named here
 from .linalg import (
@@ -160,25 +167,30 @@ class ErrorReport:
 def evaluate_errors(sigma_set: Sequence[DensityMatrix], det: Detector) -> ErrorReport:
     """Success and error probability of each hypothesis, errors averaged uniformly.
 
-    Every detector is scored column by column of its frame: with
-    q_ic = <t_c|rho_i|t_c>, Succ_i = tr[rho_i E_i] sums q_ic over the columns
-    labelled i and err_i over all the others, its summed misses, from one
-    stacked product of the states with the frame. A small err is then fixed
-    relative to itself, not only to rounding of 1.
+    Every detector is scored column by column of its frame: the masses
+    q_ic = <t_c|rho_i|t_c> come from one product of the row-stacked states
+    with the frame, and one product of q with the one-hot labels gives the
+    r x r sums S_ij = tr[rho_i E_j]. Succ_i is S_ii, and err_i sums the
+    off-diagonal S_ij of row i, its misses, not 1 - Succ_i: a small err is
+    then fixed relative to itself, not only to rounding of 1.
     """
     states = list(sigma_set)
-    if len(states) != det.outcomes:
-        raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
-    if any(rho.dim != det.dim for rho in states):
+    r, dim = len(states), det.dim
+    if r != det.outcomes:
+        raise ValueError(f"{r} states vs {det.outcomes} detector elements")
+    if any(rho.dim != dim for rho in states):
         raise ValueError("state dimension does not match the detector")
     frame = det.frame
-    stack = np.stack([rho.mat for rho in states])
-    overlaps = (frame.conj() * (stack @ frame)).sum(axis=1).real
-    hits = det.labels == np.arange(len(states))[:, None]
-    successes = tuple(np.where(hits, overlaps, 0.0).sum(axis=1).tolist())
-    errors = tuple(np.where(hits, 0.0, overlaps).sum(axis=1).tolist())
+    rows = np.concatenate([rho.mat for rho in states]) @ frame
+    masses = (frame.conj() * rows.reshape(r, dim, -1)).sum(axis=1).real
+    sums = masses @ (det.labels[:, None] == np.arange(r)).astype(float)
+    successes = tuple(sums.diagonal().tolist())
+    np.fill_diagonal(sums, 0.0)
+    errors = sums.sum(axis=1)
     return ErrorReport(
-        successes=successes, per_hypothesis=errors, averaged=float(np.mean(errors))
+        successes=successes,
+        per_hypothesis=tuple(errors.tolist()),
+        averaged=float(errors.sum()) / r,
     )
 
 
@@ -441,13 +453,14 @@ def lemma3_bound(overlap_sum: float, lambda_min: float, r: int) -> float:
 
 
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
-    """``lemma3_bound`` of a single-copy greedy PVM."""
-    states = list(sigma_set)
+    """``lemma3_bound`` of a single-copy greedy PVM, each state's
+    ``StateSupport`` built once for its pairs."""
+    supports = [StateSupport(rho) for rho in sigma_set]
     total = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            total += 2.0 * binary_qcb(states[i], states[j]).q_star
-    return lemma3_bound(total, diagnostics.lambda_min_gram, len(states))
+    for i in range(len(supports)):
+        for j in range(i + 1, len(supports)):
+            total += 2.0 * binary_qcb(supports[i], supports[j]).q_star
+    return lemma3_bound(total, diagnostics.lambda_min_gram, len(supports))
 
 
 def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector:
@@ -456,7 +469,8 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
     Element i is A^(-1/2) p_i rho_i A^(-1/2) with A = sum_i p_i rho_i, built
     as its frame: with rho_i = V_i diag(lambda_i) V_i^H from the cached
     ``spectrum()``, outcome i owns the columns
-    A^(-1/2) sqrt(p_i) V_i diag(sqrt(lambda_i)). The inverse square root is
+    A^(-1/2) sqrt(p_i) V_i diag(sqrt(lambda_i)) of its ``positive_indices()``
+    only, and a state with prior 0 owns none. The inverse square root is
     taken on the support of A only, and the kernel of A is labelled 0: the
     off-support deficit goes to the first element, so the tuple is a POVM on
     the full space. Priors a rounding below 0 count as 0.
@@ -477,17 +491,19 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
     keep = values > eigenvalue_zero_threshold(values)
     kept = vectors[:, keep]
     inv_sqrt = (kept * values[keep] ** -0.5) @ kept.conj().T
-    blocks = [
-        inv_sqrt @ (dec.vectors * np.sqrt(p * dec.eigenvalues))
-        for p, dec in zip(weights, (rho.spectrum() for rho in states))
-    ]
-    blocks.append(vectors[:, ~keep])
-    frame = np.hstack(blocks)
+    blocks = []
+    for p, rho in zip(weights, states):
+        dec = rho.spectrum()
+        support = dec.positive_indices() if p > 0.0 else []
+        blocks.append(dec.vectors[:, support] * np.sqrt(p * dec.eigenvalues[support]))
+    kernel = vectors[:, ~keep]
+    widths = [b.shape[1] for b in blocks] + [kernel.shape[1]]
+    frame = np.hstack([inv_sqrt @ np.hstack(blocks), kernel])
     # A^(-1/2) is rounded relative to the largest eigenvalue of A, so T T^H
     # misses I by up to cond(A) times that; one Newton-Schulz step takes T
     # back to a co-isometry to rounding
     frame += 0.5 * ((np.eye(len(frame)) - frame @ frame.conj().T) @ frame)
-    labels = np.repeat([*range(len(states)), 0], [b.shape[1] for b in blocks])
+    labels = np.repeat([*range(len(states)), 0], widths)
     return Detector(kind="POVM", frame=frame, labels=labels, outcomes=len(states))
 
 
@@ -506,10 +522,12 @@ def _common_diagonals(sigma_set):
     diagonals of its states in that basis, read off the one rotation of each
     state that checks it is diagonal there.
 
-    Each pair's commutator is C - C^H with C = rho_i rho_j, one product. A
-    block whose state is already exactly diagonal is sorted, not
-    eigensolved (``_diagonal_order``), and only runs of tied values in a
-    block are refined by the next states.
+    Each pair's commutator is C - C^H with C = rho_i rho_j, one product,
+    except for a pair of exactly diagonal states, which commute. A block
+    whose state is already exactly diagonal is sorted, not eigensolved
+    (``_diagonal_order``), and only runs of tied values in a block are
+    refined by the next states. While the basis is a permutation of the
+    identity's columns, a state's block is read off by indexing.
     """
     states = list(sigma_set)
     if not states:
@@ -517,8 +535,11 @@ def _common_diagonals(sigma_set):
     dim = states[0].dim
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
+    diagonal = [_exactly_diagonal(rho.mat) for rho in states]
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
+            if diagonal[i] and diagonal[j]:
+                continue
             product = states[i].mat @ states[j].mat
             if float(np.abs(product - product.conj().T).max()) > COMMUTATOR_ATOL:
                 raise ValueError(f"states {i} and {j} do not commute")
@@ -530,7 +551,10 @@ def _common_diagonals(sigma_set):
     for rho in states:
         refined: list[np.ndarray] = []
         for block in blocks:
-            sub = basis[:, block].conj().T @ rho.mat @ basis[:, block]
+            if columns is not None:  # the products' entries, up to the sign of a zero
+                sub = rho.mat[np.ix_(columns[block], columns[block])]
+            else:
+                sub = basis[:, block].conj().T @ rho.mat @ basis[:, block]
             order = _diagonal_order(sub)
             if order is not None:
                 values = sub.diagonal().real[order]
@@ -561,16 +585,19 @@ def _common_diagonals(sigma_set):
     return basis, diagonals
 
 
+def _exactly_diagonal(mat):
+    return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
+
+
 def _diagonal_order(sub):
     """The column order ``eigh`` gives an exactly diagonal ``sub``, whose
     eigenvectors are then unit vectors, or None. LAPACK sorts the values by
     a selection sort, which moves tied values past each other, so the order
     is taken only where a stable sort is sure to match it: values already in
     ascending order, or distinct ones."""
-    diagonal = sub.diagonal()
-    if np.count_nonzero(sub) != np.count_nonzero(diagonal):
+    if not _exactly_diagonal(sub):
         return None
-    values = diagonal.real
+    values = sub.diagonal().real
     order = np.argsort(values, kind="stable")
     if (np.diff(values) >= 0.0).all() or (np.diff(values[order]) > 0.0).all():
         return order

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -8,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from qmht.chernoff import OverlapCurve, binary_qcb, multiple_qcb, q_overlap
+from qmht.chernoff import (
+    GRID,
+    OverlapCurve,
+    StateSupport,
+    binary_qcb,
+    multiple_qcb,
+    q_overlap,
+)
 from qmht.cli import load_scenario
+from qmht.detectors import gs_detector, gs_error_bound, lemma3_bound
 from qmht.linalg import DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_state_vector
 from conftest import diagonal
@@ -282,6 +291,62 @@ class TestMultipleQcb:
         res = multiple_qcb([rho, sigma])
         assert res.pairwise[(0, 1)] == binary_qcb(rho, sigma)
         assert res.argmin_pair == (0, 1)
+
+    @staticmethod
+    def families(dim):
+        """Eight random-rank families for each r = 2, 3, 4."""
+        rng = np.random.default_rng(dim)
+        for r in (2, 3, 4):
+            for _ in range(8):
+                yield [
+                    random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                    for _ in range(r)
+                ]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 32])
+    def test_shared_supports_equal_fresh_pairs(self, dim):
+        # one StateSupport per state serves all its pairs: every pairwise
+        # (q*, s*, xi), and the gs bound's overlap sum, equal bitwise those
+        # of binary_qcb on fresh copies, whose spectra are computed anew
+        for states in self.families(dim):
+            r = len(states)
+            res = multiple_qcb(states)
+            _, diagnostics = gs_detector(states)
+            bound = gs_error_bound(states, diagnostics)
+            fresh = {
+                (i, j): binary_qcb(DensityMatrix(states[i].mat), DensityMatrix(states[j].mat))
+                for i in range(r)
+                for j in range(i + 1, r)
+            }
+            assert res.pairwise == fresh
+            total = 0.0
+            for pair in fresh.values():
+                total += 2.0 * pair.q_star
+            assert bound == lemma3_bound(total, diagnostics.lambda_min_gram, r)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 32])
+    def test_supports_evaluate_the_closed_form(self, dim):
+        # the curve and its derivatives on shared supports equal bitwise the
+        # closed forms on freshly stacked C-contiguous arrays: a transposed
+        # view of a log stack as a matmul operand moved q* on about one
+        # d = 32 family in four
+        for states in self.families(dim):
+            supports = [StateSupport(rho) for rho in states]
+            for i, j in itertools.combinations(range(len(states)), 2):
+                a, b = states[i].spectrum(), states[j].spectrum()
+                ia, ib = a.positive_indices(), b.positive_indices()
+                lam, mu = a.eigenvalues[ia], b.eigenvalues[ib]
+                weights = np.abs(a.vectors[:, ia].conj().T @ b.vectors[:, ib]) ** 2
+                grid = GRID[:, None, None]
+                values = (lam ** (1.0 - grid) @ weights @ mu[:, None] ** grid)[:, 0, 0]
+                lam_logs = np.stack([np.ones_like(lam), np.log(lam), np.log(lam) ** 2])
+                mu_logs = np.stack([np.ones_like(mu), np.log(mu), np.log(mu) ** 2], axis=1)
+                curve = OverlapCurve(supports[i], supports[j])
+                assert np.array_equal(curve.on_grid(GRID), values)
+                for s in (0.0, 0.3, 0.5, 1.0):
+                    m = (lam_logs * lam ** (1.0 - s)) @ weights @ (mu_logs * mu[:, None] ** s)
+                    expected = (m[0, 1] - m[1, 0], m[0, 2] - 2.0 * m[1, 1] + m[2, 0])
+                    assert curve.slope_and_curvature(s) == expected
 
     def test_commuting_diagonal_triple(self):
         res = multiple_qcb([diagonal([0.5, 0.5]), diagonal([1.0, 0.0]), diagonal([0.0, 1.0])])

@@ -324,6 +324,49 @@ class TestEvaluateErrors:
         with pytest.raises(ValueError):
             evaluate_errors([zero_state, zero_state], det)
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_misses_equal_the_element_form(self, r):
+        # err_i against sum_{j != i} tr[rho_i E_j], read off the elements,
+        # and Succ_i against tr[rho_i E_i], on labelled PVMs with random
+        # labels (some outcomes own no column) and on the pgm and embedded
+        # POVMs
+        rng = np.random.default_rng(70 + r)
+        for dim in (2, 5, 16):
+            states = [
+                random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                for _ in range(r)
+            ]
+            detectors = [
+                Detector(
+                    kind="PVM", frame=random_orthonormal(dim, dim, rng),
+                    labels=rng.integers(0, r, size=dim), outcomes=r,
+                )
+                for _ in range(3)
+            ]
+            detectors.append(pgm(states, rng.dirichlet(np.ones(r))))
+            detectors.append(epsilon_detector(states, 0.3)[0])
+            for det in detectors:
+                report = evaluate_errors(states, det)
+                # both factors are Hermitian, so tr[rho E] = vdot(E, rho)
+                masses = np.array(
+                    [[np.vdot(e.mat, rho.mat).real for e in det.elements] for rho in states]
+                )
+                for i, (err, succ) in enumerate(zip(report.per_hypothesis, report.successes)):
+                    assert abs(err - (masses[i].sum() - masses[i, i])) <= 1e-14
+                    assert abs(succ - masses[i, i]) <= 1e-14
+                assert report.averaged == np.mean(report.per_hypothesis)
+
+    def test_a_tiny_error_is_fixed_relative_to_itself(self):
+        # |psi> = (sin t, cos t) is read as |0> with probability sin^2 t,
+        # 1e-20, far below the rounding of 1 - Succ
+        theta = 1e-10
+        states = [pure([1.0, 0.0]), pure([math.sin(theta), math.cos(theta)])]
+        det = Detector(kind="PVM", frame=np.eye(2), labels=[0, 1], outcomes=2)
+        report = evaluate_errors(states, det)
+        expected = math.sin(theta) ** 2 / 2.0
+        assert abs(report.averaged - expected) <= 1e-12 * expected
+        assert report.per_hypothesis[0] == 0.0
+
 
 class TestHolevoHelstrom:
     def test_orthogonal_pair(self, zero_state, one_state):
@@ -955,6 +998,47 @@ class TestPgm:
         with pytest.raises(ValueError, match="finite"):
             pgm([zero_state, plus_state], [bad, 1.0])
 
+    @staticmethod
+    def direct_elements(states, priors):
+        """A^(-1/2) p_i rho_i A^(-1/2) from the matrices, the kernel of A
+        added to element 0, and dim ker A."""
+        average = sum(p * rho.mat for p, rho in zip(priors, states))
+        values, vectors = np.linalg.eigh(average)
+        keep = values > eigenvalue_zero_threshold(values)
+        inv_sqrt = (vectors[:, keep] * values[keep] ** -0.5) @ vectors[:, keep].conj().T
+        elements = [inv_sqrt @ (p * rho.mat) @ inv_sqrt for p, rho in zip(priors, states)]
+        elements[0] = elements[0] + vectors[:, ~keep] @ vectors[:, ~keep].conj().T
+        return elements, int(np.count_nonzero(~keep))
+
+    @pytest.mark.parametrize(
+        "dim, ranks, priors",
+        [
+            (8, (2, 3, 1), (0.5, 0.3, 0.2)),
+            (8, (3, 8, 2), (0.4, 0.0, 0.6)),
+            (32, (8, 12, 6), (1 / 3, 1 / 3, 1 / 3)),
+            (32, (20, 5, 32, 9), (0.1, 0.4, 0.3, 0.2)),
+            (32, (10, 7, 12), (0.0, 0.5, 0.5)),
+        ],
+    )
+    def test_frames_hold_the_positive_support_only(self, dim, ranks, priors):
+        # each state with a positive prior owns one column per positive
+        # eigenvalue, a zero-prior state none, and outcome 0 also one column
+        # per dimension of the kernel of A; the elements are the
+        # square-root measurement's
+        rng = np.random.default_rng(dim + sum(ranks))
+        states = [random_density_matrix(dim, rng, rank=rank) for rank in ranks]
+        det = pgm(states, priors)
+        expected, kernel = self.direct_elements(states, priors)
+        owned = [
+            len(rho.spectrum().positive_indices()) if p > 0.0 else 0
+            for rho, p in zip(states, priors)
+        ]
+        assert det.frame.shape == (dim, sum(owned) + kernel)
+        owned[0] += kernel
+        assert np.bincount(det.labels, minlength=len(states)).tolist() == owned
+        for element, direct in zip(det.elements, expected):
+            assert np.abs(element.mat - direct).max() <= 1e-13
+
     def test_rank_deficient_average_still_povm(self):
         states = [pure([1, 0, 0]), pure([0, 1, 0])]
         det = pgm(states, [0.5, 0.5])  # average has a kernel; completion goes to element 0
@@ -1395,6 +1479,21 @@ class TestCommonEigenbasis:
     def test_rejects_an_empty_family(self):
         with pytest.raises(ValueError, match="at least one state"):
             common_eigenbasis([])
+
+    def test_a_skipped_diagonal_pair_still_names_the_first_failing_pair(self):
+        # two exactly diagonal states commute without a product; a third,
+        # non-diagonal state that commutes with neither is still caught, in
+        # the order of the pairs
+        rng = np.random.default_rng(44)
+        first, second = diagonal([0.5, 0.3, 0.2]), diagonal([0.1, 0.2, 0.7])
+        other = random_density_matrix(3, rng)
+        for family, pair in (
+            ([first, second, other], "0 and 2"),
+            ([first, other, second], "0 and 1"),
+            ([other, first, second], "0 and 1"),
+        ):
+            with pytest.raises(ValueError, match=f"^states {pair} do not commute$"):
+                common_eigenbasis(family)
 
     def test_refines_degenerate_blocks(self):
         a = diagonal([0.5, 0.5])
