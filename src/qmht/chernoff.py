@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,76 +38,39 @@ class MultipleChernoffResult:
     pairwise: dict[tuple[int, int], ChernoffResult]
 
 
-class StateSupport:
-    """One state's side of every overlap curve it enters: its positive
-    eigenvalues and their eigenvectors, the log stacks [1, log, log^2] both
-    ways round (3 x p and p x 3, each C-contiguous: a transposed view as a
-    matmul operand changes the rounding), and its powers at the ``GRID``
-    points, made on first use. ``multiple_qcb`` and ``gs_error_bound`` build
-    one per state for all its pairs; ``binary_qcb`` builds one for a
-    ``DensityMatrix``.
-    """
-
-    def __init__(self, rho: DensityMatrix) -> None:
-        dec = rho.spectrum()
-        keep = dec.positive_indices()
-        self.dim = rho.dim
-        self.values = dec.eigenvalues[keep]
-        self.vectors = dec.vectors[:, keep]
-        logs = np.log(self.values)
-        self.row_logs = np.stack([np.ones_like(logs), logs, logs**2])
-        self.col_logs = np.stack([np.ones_like(logs), logs, logs**2], axis=1)
-
-    @functools.cached_property
-    def grid_rows(self) -> np.ndarray:
-        """values^(1 - s) at every ``GRID`` point, g x 1 x p: the state as rho."""
-        return self.values ** (1.0 - GRID[:, None, None])
-
-    @functools.cached_property
-    def grid_columns(self) -> np.ndarray:
-        """values^s at every ``GRID`` point, g x p x 1: the state as sigma."""
-        return self.values[:, None] ** GRID[:, None, None]
-
-
-def _support(state: DensityMatrix | StateSupport) -> StateSupport:
-    return state if isinstance(state, StateSupport) else StateSupport(state)
-
-
 class OverlapCurve:
     """tr[rho^(1-s) sigma^s] as a function of s, on the joint support.
 
     Terms with a zero eigenvalue on either side are dropped, which realizes
     the 0**0 == 0 convention at the endpoints. The curve is
     f(s) = sum_jk W_jk lam_j^(1-s) mu_k^s with W_jk = |<v_j|w_k>|^2 >= 0, a
-    positive sum of exponentials in s, hence convex. Either state may be
-    given as its ``StateSupport``.
+    positive sum of exponentials in s, hence convex.
     """
 
-    def __init__(
-        self, rho: DensityMatrix | StateSupport, sigma: DensityMatrix | StateSupport
-    ) -> None:
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
         if rho.dim != sigma.dim:
             raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        self._rho, self._sigma = _support(rho), _support(sigma)
-        cross = self._rho.vectors.conj().T @ self._sigma.vectors
+        a, b = rho.spectrum(), sigma.spectrum()
+        ia, ib = a.positive_indices(), b.positive_indices()
+        self._lam = a.eigenvalues[ia]
+        self._mu = b.eigenvalues[ib]
+        cross = a.vectors[:, ia].conj().T @ b.vectors[:, ib]
         self._weights = np.abs(cross) ** 2
+        log_lam, log_mu = np.log(self._lam), np.log(self._mu)
+        self._lam_logs = np.stack([np.ones_like(log_lam), log_lam, log_lam**2])
+        self._mu_logs = np.stack([np.ones_like(log_mu), log_mu, log_mu**2], axis=1)
 
     def __call__(self, s: float) -> float:
         return float(self.on_grid(np.array([s]))[0])
 
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
-        """The curve at every point of ``grid`` in one stacked matmul; at
-        ``GRID`` itself, from the two supports' power tables.
+        """The curve at every point of ``grid`` in one stacked matmul.
 
         An empty support gives empty sums, hence 0.
         """
-        if grid is GRID:
-            rows, columns = self._rho.grid_rows, self._sigma.grid_columns
-        else:
-            s = grid[:, None, None]
-            rows, columns = self._rho.values ** (1.0 - s), self._sigma.values[:, None] ** s
+        s = grid[:, None, None]
         # (g, 1, p) @ (p, q) @ (g, q, 1): one vector-matrix-vector product per point
-        return (rows @ self._weights @ columns)[:, 0, 0]
+        return (self._lam ** (1.0 - s) @ self._weights @ self._mu[:, None] ** s)[:, 0, 0]
 
     def slope_and_curvature(self, s: float) -> tuple[float, float]:
         """(f'(s), f''(s)) from one (3 x p) W (q x 3) product.
@@ -117,9 +79,8 @@ class OverlapCurve:
         mu_k^s (log mu_k)^b; each term of f' carries log mu_k - log lam_j, and
         each term of f'' its square.
         """
-        rho, sigma = self._rho, self._sigma
-        m = (rho.row_logs * rho.values ** (1.0 - s)) @ self._weights @ (
-            sigma.col_logs * sigma.values[:, None] ** s
+        m = (self._lam_logs * self._lam ** (1.0 - s)) @ self._weights @ (
+            self._mu_logs * self._mu[:, None] ** s
         )
         return float(m[0, 1] - m[1, 0]), float(m[0, 2] - 2.0 * m[1, 1] + m[2, 0])
 
@@ -157,16 +118,13 @@ def _newton_minimum(curve: OverlapCurve, lo: float, hi: float, start: float) -> 
     return s
 
 
-def binary_qcb(
-    rho: DensityMatrix | StateSupport, sigma: DensityMatrix | StateSupport
-) -> ChernoffResult:
+def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
     """Minimize the overlap curve on [0, 1].
 
     A 64-point uniform grid brackets the minimum, a safeguarded Newton
     iteration on f' refines it to 1e-12, and the closed-interval endpoints
     stay in the candidate set. A curve that is constant over the grid reports
-    s_star = 0.5. Either state may be given as its ``StateSupport``, with
-    the same result.
+    s_star = 0.5.
     """
     curve = OverlapCurve(rho, sigma)
     values = curve.on_grid(GRID)
@@ -194,8 +152,7 @@ def check_distinct(states: Sequence[DensityMatrix]) -> None:
 
 
 def multiple_qcb(sigma_set: Sequence[DensityMatrix]) -> MultipleChernoffResult:
-    """All pairwise bounds, their minimum, and the (lexicographically first)
-    argmin pair; each state's ``StateSupport`` is built once for its pairs."""
+    """All pairwise bounds, their minimum, and the (lexicographically first) argmin pair."""
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
@@ -203,11 +160,10 @@ def multiple_qcb(sigma_set: Sequence[DensityMatrix]) -> MultipleChernoffResult:
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
     check_distinct(states)
-    supports = [StateSupport(rho) for rho in states]
     pairwise: dict[tuple[int, int], ChernoffResult] = {}
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            pairwise[(i, j)] = binary_qcb(supports[i], supports[j])
+            pairwise[(i, j)] = binary_qcb(states[i], states[j])
     best_pair = min(pairwise, key=lambda pair: (pairwise[pair].xi, pair))
     return MultipleChernoffResult(
         xi=pairwise[best_pair].xi, argmin_pair=best_pair, pairwise=pairwise

@@ -11,14 +11,7 @@ for every route (``pick_frame``): gs by ``greedy_span``, and epsilon, the
 embedded detector, in closed form from two Cholesky factors. The Bayes
 certificate is proved by a Cholesky factor and a Frobenius norm, and
 decided by ``eigvalsh`` and the 2-norm only where those fail
-(``verify_bayes_conditions``). Work whose result a structure fixes is
-skipped: ``evaluate_errors`` scores a frame by one product of the
-row-stacked states with it and one of their masses with its one-hot
-labels, ``pgm`` gives a state columns for its positive eigenvalues only,
-``common_eigenbasis`` takes no product for a pair of exactly diagonal
-states and reads a block off by indexing while its basis permutes the
-identity's columns, and ``gs_error_bound`` builds each state's Chernoff
-``StateSupport`` once for all its pairs.
+(``verify_bayes_conditions``).
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chernoff import StateSupport, binary_qcb
+from .chernoff import binary_qcb
 from .errors import NumericalConsistencyError
 # SPAN_RESIDUAL_TOL, gs's span rule, is read by ``greedy_span`` and named here
 from .linalg import (
@@ -453,14 +446,13 @@ def lemma3_bound(overlap_sum: float, lambda_min: float, r: int) -> float:
 
 
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
-    """``lemma3_bound`` of a single-copy greedy PVM, each state's
-    ``StateSupport`` built once for its pairs."""
-    supports = [StateSupport(rho) for rho in sigma_set]
+    """``lemma3_bound`` of a single-copy greedy PVM."""
+    states = list(sigma_set)
     total = 0.0
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            total += 2.0 * binary_qcb(supports[i], supports[j]).q_star
-    return lemma3_bound(total, diagnostics.lambda_min_gram, len(supports))
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            total += 2.0 * binary_qcb(states[i], states[j]).q_star
+    return lemma3_bound(total, diagnostics.lambda_min_gram, len(states))
 
 
 def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector:
@@ -470,10 +462,12 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
     as its frame: with rho_i = V_i diag(lambda_i) V_i^H from the cached
     ``spectrum()``, outcome i owns the columns
     A^(-1/2) sqrt(p_i) V_i diag(sqrt(lambda_i)) of its ``positive_indices()``
-    only, and a state with prior 0 owns none. The inverse square root is
-    taken on the support of A only, and the kernel of A is labelled 0: the
-    off-support deficit goes to the first element, so the tuple is a POVM on
-    the full space. Priors a rounding below 0 count as 0.
+    only, and a state with prior 0 owns none. A is taken as B B^H, B the
+    stack of those unrotated columns, so it holds exactly what the frame
+    holds. The inverse square root is taken on the support of A only, and
+    the kernel of A is labelled 0: the off-support deficit goes to the first
+    element, so the tuple is a POVM on the full space. Priors a rounding
+    below 0 count as 0.
     """
     states = list(sigma_set)
     weights = np.asarray(priors, dtype=float)
@@ -486,19 +480,21 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
     if abs(float(weights.sum()) - 1.0) > PRIOR_ATOL:
         raise ValueError("priors must sum to 1")
     weights = np.maximum(weights, 0.0)
-    average = sum(p * rho.mat for p, rho in zip(weights, states))
-    values, vectors = np.linalg.eigh(average)
-    keep = values > eigenvalue_zero_threshold(values)
-    kept = vectors[:, keep]
-    inv_sqrt = (kept * values[keep] ** -0.5) @ kept.conj().T
     blocks = []
     for p, rho in zip(weights, states):
         dec = rho.spectrum()
         support = dec.positive_indices() if p > 0.0 else []
         blocks.append(dec.vectors[:, support] * np.sqrt(p * dec.eigenvalues[support]))
+    columns = np.hstack(blocks)
+    # an eigenvalue below its state's zero threshold is dropped from A too:
+    # left in A, it could keep a direction there that the frame misses
+    values, vectors = np.linalg.eigh(columns @ columns.conj().T)
+    keep = values > eigenvalue_zero_threshold(values)
+    kept = vectors[:, keep]
+    inv_sqrt = (kept * values[keep] ** -0.5) @ kept.conj().T
     kernel = vectors[:, ~keep]
     widths = [b.shape[1] for b in blocks] + [kernel.shape[1]]
-    frame = np.hstack([inv_sqrt @ np.hstack(blocks), kernel])
+    frame = np.hstack([inv_sqrt @ columns, kernel])
     # A^(-1/2) is rounded relative to the largest eigenvalue of A, so T T^H
     # misses I by up to cond(A) times that; one Newton-Schulz step takes T
     # back to a co-isometry to rounding

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from qmht.chernoff import (
-    GRID,
-    OverlapCurve,
-    StateSupport,
-    binary_qcb,
-    multiple_qcb,
-    q_overlap,
-)
+from qmht.chernoff import GRID, OverlapCurve, binary_qcb, multiple_qcb, q_overlap
 from qmht.cli import load_scenario
 from qmht.detectors import gs_detector, gs_error_bound, lemma3_bound
 from qmht.linalg import DensityMatrix
@@ -304,10 +297,10 @@ class TestMultipleQcb:
                 ]
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 32])
-    def test_shared_supports_equal_fresh_pairs(self, dim):
-        # one StateSupport per state serves all its pairs: every pairwise
-        # (q*, s*, xi), and the gs bound's overlap sum, equal bitwise those
-        # of binary_qcb on fresh copies, whose spectra are computed anew
+    def test_pairs_equal_fresh_binary_bounds(self, dim):
+        # every pairwise (q*, s*, xi) of multiple_qcb, and the gs bound's
+        # overlap sum, equal bitwise those of binary_qcb on fresh copies,
+        # whose spectra are computed anew
         for states in self.families(dim):
             r = len(states)
             res = multiple_qcb(states)
@@ -325,13 +318,12 @@ class TestMultipleQcb:
             assert bound == lemma3_bound(total, diagnostics.lambda_min_gram, r)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 32])
-    def test_supports_evaluate_the_closed_form(self, dim):
-        # the curve and its derivatives on shared supports equal bitwise the
-        # closed forms on freshly stacked C-contiguous arrays: a transposed
-        # view of a log stack as a matmul operand moved q* on about one
-        # d = 32 family in four
+    def test_curve_equals_the_closed_form(self, dim):
+        # the curve and its derivatives equal bitwise the closed forms on
+        # freshly stacked C-contiguous arrays: a transposed view of a log
+        # stack as a matmul operand moved q* on about one d = 32 family in
+        # four
         for states in self.families(dim):
-            supports = [StateSupport(rho) for rho in states]
             for i, j in itertools.combinations(range(len(states)), 2):
                 a, b = states[i].spectrum(), states[j].spectrum()
                 ia, ib = a.positive_indices(), b.positive_indices()
@@ -341,7 +333,7 @@ class TestMultipleQcb:
                 values = (lam ** (1.0 - grid) @ weights @ mu[:, None] ** grid)[:, 0, 0]
                 lam_logs = np.stack([np.ones_like(lam), np.log(lam), np.log(lam) ** 2])
                 mu_logs = np.stack([np.ones_like(mu), np.log(mu), np.log(mu) ** 2], axis=1)
-                curve = OverlapCurve(supports[i], supports[j])
+                curve = OverlapCurve(states[i], states[j])
                 assert np.array_equal(curve.on_grid(GRID), values)
                 for s in (0.0, 0.3, 0.5, 1.0):
                     m = (lam_logs * lam ** (1.0 - s)) @ weights @ (mu_logs * mu[:, None] ** s)

@@ -1039,6 +1039,16 @@ class TestPgm:
         for element, direct in zip(det.elements, expected):
             assert np.abs(element.mat - direct).max() <= 1e-13
 
+    def test_an_eigenvalue_dropped_as_zero_leaves_a_povm(self):
+        # 5e-13 is below the first state's zero threshold and 2e-12 above the
+        # second's: A, if summed from the matrices, keeps a 1.25e-12
+        # direction in which the frame misses the first state's share, and
+        # T T^H falls short of I by a fifth there
+        states = [diagonal([1 - 5e-13, 5e-13]), diagonal([1 - 2e-12, 2e-12])]
+        det = pgm(states, [0.5, 0.5])
+        assert np.abs(det.frame @ det.frame.conj().T - np.eye(2)).max() <= 1e-15
+        assert det.labels.tolist() == [0, 1, 1]
+
     def test_rank_deficient_average_still_povm(self):
         states = [pure([1, 0, 0]), pure([0, 1, 0])]
         det = pgm(states, [0.5, 0.5])  # average has a kernel; completion goes to element 0
