@@ -22,7 +22,8 @@ DISTINCT_STATES_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class ChernoffResult:
-    """Binary bound: xi is -log(q_star), or +inf when the overlap infimum is zero."""
+    """Binary bound: xi is -log(q_star), +0.0 when q_star rounds to 1, or
+    +inf when the overlap infimum is zero."""
 
     xi: float
     s_star: float
@@ -138,7 +139,8 @@ def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
         refined = _newton_minimum(curve, lo, hi, float(GRID[k]))
         candidates = sorted({0.0, float(GRID[k]), refined, 1.0})
         q_star, s_star = min(zip(curve.on_grid(np.array(candidates)).tolist(), candidates))
-    xi = math.inf if q_star <= 0.0 else -math.log(q_star)
+    # q* <= 1 for any two states; max keeps a q* that rounds to 1 from giving -0.0
+    xi = math.inf if q_star <= 0.0 else max(0.0, -math.log(q_star))
     return ChernoffResult(xi=xi, s_star=float(s_star), q_star=float(q_star))
 
 

@@ -1,8 +1,9 @@
 """Scenario-driven command line front end.
 
 Scenarios are JSON files describing the hypothesis states and the sweep;
-reports come back as CSV or JSON with a fixed column set. Hypothesis indices
-are printed one-based.
+reports come back as CSV or JSON with a fixed column set. The CSV report is
+written row by row, the JSON report as one ``json.dumps`` of its payload.
+Hypothesis indices are printed one-based.
 """
 
 from __future__ import annotations
@@ -264,117 +265,54 @@ def render_csv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The schema-2 JSON report, laid out as ``json.dumps(..., indent=2)`` lays it
-# out; ``render_json`` fills in the scalars as the json module writes them.
-_JSON_REPORT = """{
-  "schema_version": %d,
-  "qcb": {
-    "xi": %s,
-    "argmin_pair": [
-      %d,
-      %d
-    ],
-    "pairwise": %s
-  },
-  "rows": %s
-}
-"""
-_JSON_PAIR = """{
-        "pair": [
-          %d,
-          %d
-        ],
-        "xi": %s,
-        "s_star": %s,
-        "q_star": %s
-      }"""
-_JSON_ROW = """{
-      "n": %d,
-      "detector": %s,
-      "err": %s,
-      "exponent": %s,
-      "lemma3_bound": %s,
-      "lambda_min_gram": %s,
-      "epsilon": %s,
-      "qcb_xi": %s,
-      "qcb_pair": [
-        %d,
-        %d
-      ]
-    }"""
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON list of the written ``items`` whose brackets open and close at
-    ``indent``, one item a line, as ``json.dumps(..., indent=2)`` writes it."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
-
-
-def _json_float(value: float) -> str:
-    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes a
-    float: its ``float.__repr__``, or, for a NaN or an infinity, the
-    ValueError that call raises, message and all."""
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value, indent=2, allow_nan=False)  # raises ValueError
-
-
-def _json_field(value) -> str:
-    """A float field that may be unset or infinite: null for None, "inf" for
-    either infinity, and ``_json_float`` of the float otherwise."""
+def _json_field(value) -> float | str | None:
+    """A float field that may be unset or infinite, as the report holds it:
+    None (null) for None, "inf" for either infinity, the float otherwise."""
     if value is None:
-        return "null"
+        return None
     if math.isinf(value):
-        return '"inf"'
-    return _json_float(float(value))
+        return "inf"
+    return float(value)
 
 
 def render_json(report: ExperimentReport) -> str:
-    """The schema-2 report, written from the ``_JSON_REPORT`` template byte
-    for byte as ``json.dumps(payload, indent=2, allow_nan=False)`` and a
-    newline write it. A NaN anywhere, or an infinity in a field with no
-    "inf" string (err, s_star, q_star), raises ValueError as json.dumps does."""
+    """The schema-2 report: ``json.dumps(payload, indent=2, allow_nan=False)``
+    and a newline. err, s_star and q_star are written as raw floats, so a NaN
+    anywhere, or an infinity in one of them, raises json's ValueError."""
     qcb = report.qcb
     qcb_xi = _json_field(qcb.xi)
-    first, second = qcb.argmin_pair[0] + 1, qcb.argmin_pair[1] + 1
-    pairwise = [
-        _JSON_PAIR
-        % (
-            i + 1,
-            j + 1,
-            _json_field(res.xi),
-            _json_float(res.s_star),
-            _json_float(res.q_star),
-        )
-        for (i, j), res in sorted(qcb.pairwise.items())
-    ]
-    rows = [
-        _JSON_ROW
-        % (
-            row.n,
-            json.dumps(row.detector),
-            _json_float(row.err),
-            _json_field(row.exponent),
-            _json_field(row.error_bound),
-            _json_field(row.lambda_min_gram),
-            _json_field(row.epsilon),
-            qcb_xi,
-            first,
-            second,
-        )
-        for row in report.rows
-    ]
-    return _JSON_REPORT % (
-        REPORT_SCHEMA_VERSION,
-        qcb_xi,
-        first,
-        second,
-        _json_list(pairwise, "    "),
-        _json_list(rows, "  "),
-    )
+    pair = [qcb.argmin_pair[0] + 1, qcb.argmin_pair[1] + 1]
+    payload = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "qcb": {
+            "xi": qcb_xi,
+            "argmin_pair": pair,
+            "pairwise": [
+                {
+                    "pair": [i + 1, j + 1],
+                    "xi": _json_field(res.xi),
+                    "s_star": res.s_star,
+                    "q_star": res.q_star,
+                }
+                for (i, j), res in sorted(qcb.pairwise.items())
+            ],
+        },
+        "rows": [
+            {
+                "n": row.n,
+                "detector": row.detector,
+                "err": row.err,
+                "exponent": _json_field(row.exponent),
+                "lemma3_bound": _json_field(row.error_bound),
+                "lambda_min_gram": _json_field(row.lambda_min_gram),
+                "epsilon": _json_field(row.epsilon),
+                "qcb_xi": qcb_xi,
+                "qcb_pair": pair,
+            }
+            for row in report.rows
+        ],
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _load_states_to_compare(args) -> Scenario:

@@ -326,7 +326,9 @@ def _pure_scores(
     state, in ``pop_order`` of the r x 1 array of the a_s, and score the
     blocks' ``pick_frame`` by its ``frame_misses``. helstrom is half the summed misses of the pair,
     a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
-    g = |<psi_0|psi_1>|^(2n), which has no cancellation.
+    g = |<psi_0|psi_1>|^(2n), which has no cancellation. 1 - g is taken as
+    -expm1(n log1p(-t)) from t = 1 - |<psi_0|psi_1>|^2 = |C_11|^2 (1 exactly
+    when t = 1), so nearly parallel states keep its digits too.
     """
     vectors = np.column_stack([rho.spectrum().vectors[:, 0] for rho in states])
     vectors /= np.linalg.norm(vectors, axis=0)
@@ -343,7 +345,9 @@ def _pure_scores(
                 a, b = weights
                 # rounding can put the overlap of nearly parallel vectors above 1
                 g = min(abs(np.vdot(vectors[:, 0], vectors[:, 1])) ** 2, 1.0) ** n
-                root = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - g))
+                t = min(abs(coefficients[1, 1]) ** 2, 1.0)
+                one_minus_g = 1.0 if t == 1.0 else -math.expm1(n * math.log1p(-t))
+                root = math.sqrt((a - b) ** 2 + 4.0 * a * b * one_minus_g)
                 scores.append((a * b * g / (a + b + root), None))
                 continue
             frame, labels, floor = pick_frame(kind, order, unit[order].T, epsilons[kind][i])

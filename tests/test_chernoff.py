@@ -14,7 +14,7 @@ from qmht.cli import load_scenario
 from qmht.detectors import gs_detector, gs_error_bound, lemma3_bound
 from qmht.linalg import DensityMatrix
 from qmht.sampling import random_density_matrix, random_orthonormal, random_state_vector
-from conftest import diagonal
+from conftest import diagonal, pure
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
@@ -76,6 +76,12 @@ class TestBinaryQcb:
         rho = random_density_matrix(3, rng)
         res = binary_qcb(rho, rho)
         assert abs(res.xi) < 1e-9 and abs(res.q_star - 1.0) < 1e-10
+
+    def test_q_star_rounding_to_one_gives_positive_zero_xi(self):
+        # -log(1.0) is -0.0, which printed "-0"; q* <= 1 for any two states
+        res = binary_qcb(pure([1.0, 1e-9]), pure([1.0, -1e-9]))
+        assert res.q_star == 1.0
+        assert res.xi == 0.0 and math.copysign(1.0, res.xi) == 1.0
 
     def test_pure_pair_constant_curve(self, zero_state, plus_state):
         res = binary_qcb(zero_state, plus_state)

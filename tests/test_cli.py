@@ -645,6 +645,26 @@ class TestChernoffCommand:
         assert "xi=0.69314718056" in out
         assert "s*=0" in out
 
+    def test_q_star_rounding_to_one_prints_zero_xi(self, tmp_path, capsys):
+        # a nearly parallel pure pair: q* rounds to 1, and xi once printed -0
+        scen = write_scenario(
+            tmp_path / "s.json",
+            states=[
+                {"kind": "pure", "vector": [[1.0, 0.0], [1e-9, 0.0]]},
+                {"kind": "pure", "vector": [[1.0, 0.0], [-1e-9, 0.0]]},
+            ],
+        )
+        assert main(["chernoff", "--scenario", str(scen)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "minimum: xi=0 at pair (1,2)"
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"report.{fmt}"
+            assert main(["run", "--scenario", str(scen), "--out", str(out), "--format", fmt]) == 0
+        row = out.with_suffix(".csv").read_text().splitlines()[1].split(",")
+        assert row[CSV_COLUMNS.index("qcb_xi")] == "0"
+        report = json.loads(out.read_text())
+        assert math.copysign(1.0, report["qcb"]["xi"]) == 1.0
+        assert math.copysign(1.0, report["rows"][0]["qcb_xi"]) == 1.0
+
 
 class TestCheckLiCommand:
     def test_reports_witnesses(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from qmht.detectors import (
     greedy_order,
     greedy_ranks,
     gs_detector,
+    gs_error_bound,
     holevo_helstrom,
 )
 from qmht.errors import DimensionLimitError
@@ -805,6 +806,18 @@ class TestRunPowerExperimentOtherKinds:
             assert 0.0 <= row.err <= 1.0 - 1.0 / len(states)
             assert row.err <= row.error_bound
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="OverlapCurve drops eigenvalues under the 1e-12 relative cut, so q* = 0 "
+        "and the Lemma-3 bound prints 0.0, while the detectors score the uncut masses",
+    )
+    def test_bound_covers_masses_under_the_eigenvalue_cut(self):
+        states = [diagonal([1e-13, 1.0 - 1e-13]), diagonal([1.0 - 1e-13, 1e-13])]
+        for row in run_power_experiment(states, [1, 2, 3], "gs", "classical-ml").rows:
+            assert 0.0 < row.err <= row.error_bound, (row.detector, row.n)
+        det, diagnostics = gs_detector(states)
+        assert evaluate_errors(states, det).averaged <= gs_error_bound(states, diagnostics)
+
     def test_unknown_kind(self, zero_state, plus_state):
         with pytest.raises(ValueError, match="kind"):
             run_power_experiment([zero_state, plus_state], [1], "bogus")
@@ -1141,6 +1154,37 @@ class TestPureRoute:
             assert _aligned_rows(states) is None and _pure_tops(states) is not None
             for row in run_power_experiment(states, [1, 2], "helstrom").rows:
                 assert abs(row.err - 0.5) < 1e-7
+
+    def test_helstrom_keeps_the_digits_of_a_nearly_parallel_pair(self):
+        # 1 - g ~ 4e-18 comes from the QR's C_11, not from 1 - g, which
+        # rounds to 0 and printed err 0.5. References: (1/2)(1 - sqrt(1 - F^n))
+        # in 50 digits, F = ((1 - x^2) / (1 + x^2))^2 for x the double 1e-9
+        states = [pure([1.0, 1e-9]), pure([1.0, -1e-9])]
+        x = mpmath.mpf(1e-9)
+        with mpmath.workdps(50):
+            overlap = ((1 - x * x) / (1 + x * x)) ** 2
+            closed = [float((1 - mpmath.sqrt(1 - overlap**n)) / 2) for n in (1, 2, 3)]
+        rows = run_power_experiment(states, [1, 2, 3], "helstrom").rows
+        for row, expected in zip(rows, closed, strict=True):
+            powered = [kron_power(rho, row.n) for rho in states]
+            dense = evaluate_errors(powered, holevo_helstrom(*powered)).averaged
+            assert abs(row.err - expected) <= 1e-15 * expected, row.n
+            assert abs(row.err - dense) <= 1e-15 * expected, row.n
+
+    def test_helstrom_keeps_the_digits_of_a_nearly_orthogonal_pair(self):
+        # g = |<psi_0|psi_1>|^(2n) ~ 1e-20n stays the overlap's power, where
+        # 1 - (1 - g) would round it to 0. References: the same closed form
+        # as g / (2 (1 + sqrt(1 - g))) in 50 digits, x the double 1e-10
+        states = [pure([1.0, 0.0]), pure([1e-10, 1.0])]
+        x = mpmath.mpf(1e-10)
+        with mpmath.workdps(50):
+            overlap = x * x / (1 + x * x)
+            closed = [
+                float(overlap**n / (2 * (1 + mpmath.sqrt(1 - overlap**n)))) for n in (1, 2, 3)
+            ]
+        rows = run_power_experiment(states, [1, 2, 3], "helstrom").rows
+        for row, expected in zip(rows, closed, strict=True):
+            assert abs(row.err - expected) <= 1e-15 * expected, row.n
 
     def test_dependent_vectors_are_rejected(self):
         # the triple.json states |0>, |1>, |+> in a random 2-plane of C^3: at
