@@ -11,7 +11,11 @@ for every route (``pick_frame``): gs by ``greedy_span``, and epsilon, the
 embedded detector, in closed form from two Cholesky factors. The Bayes
 certificate is proved by a Cholesky factor and a Frobenius norm, and
 decided by ``eigvalsh`` and the 2-norm only where those fail
-(``verify_bayes_conditions``).
+(``verify_bayes_conditions``). An exactly diagonal family stays on its
+r x d diagonal rows instead (the row path of ``_common_diagonals``): its
+basis order, certificate and conditions are read off the rows, which give
+the dense bits and verdicts because every entry of the dense products has
+at most one nonzero term in its permutation basis.
 """
 
 from __future__ import annotations
@@ -514,16 +518,22 @@ def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
 
 
 def _common_diagonals(sigma_set):
-    """``common_eigenbasis`` of a commuting family and the r x d real
-    diagonals of its states in that basis, read off the one rotation of each
-    state that checks it is diagonal there.
+    """``common_eigenbasis`` of a commuting family, the r x d real diagonals
+    of its states in that basis, and that basis as the identity's column
+    order ``columns`` where the family takes the row path, else None.
 
-    Each pair's commutator is C - C^H with C = rho_i rho_j, one product,
-    except for a pair of exactly diagonal states, which commute. A block
-    whose state is already exactly diagonal is sorted, not eigensolved
-    (``_diagonal_order``), and only runs of tied values in a block are
-    refined by the next states. While the basis is a permutation of the
-    identity's columns, a state's block is read off by indexing.
+    An exactly diagonal family takes the row path while every block sorts
+    (``_diagonal_columns``): the basis order comes from the r x d diagonal
+    rows alone, with no d x d product, commutator or check, and is exact,
+    since each entry of those products has at most one nonzero term. Any
+    other family is refined by rotations. Each pair's commutator is C - C^H
+    with C = rho_i rho_j, one product, except for a pair of exactly diagonal
+    states, which commute. A block whose state is already exactly diagonal
+    is sorted, not eigensolved (``_diagonal_order``), and only runs of tied
+    values in a block are refined by the next states. While the basis is a
+    permutation of the identity's columns, a state's block is read off by
+    indexing, and the diagonals off the one rotation of each state that
+    checks it is diagonal there.
     """
     states = list(sigma_set)
     if not states:
@@ -532,6 +542,11 @@ def _common_diagonals(sigma_set):
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
     diagonal = [_exactly_diagonal(rho.mat) for rho in states]
+    if all(diagonal):
+        rows = np.stack([rho.mat.diagonal().real for rho in states])
+        columns = _diagonal_columns(rows)
+        if columns is not None:
+            return np.eye(dim, dtype=complex)[:, columns], rows[:, columns], columns
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             if diagonal[i] and diagonal[j]:
@@ -561,10 +576,7 @@ def _common_diagonals(sigma_set):
                 columns = None
                 values, rotation = np.linalg.eigh((sub + sub.conj().T) / 2.0)
                 basis[:, block] = basis[:, block] @ rotation
-            ties = np.diff(values) <= COMMUTATOR_ATOL
-            if ties.any():  # only runs of tied values are left to refine
-                runs = np.split(block, np.flatnonzero(~ties) + 1)
-                refined.extend(run for run in runs if run.size > 1)
+            refined.extend(_tied_runs(block, values))
         blocks = refined
     diagonals = np.empty((len(states), dim))
     for k, rho in enumerate(states):
@@ -578,7 +590,37 @@ def _common_diagonals(sigma_set):
             raise NumericalConsistencyError(
                 f"state {k} is not diagonal in the refined common basis"
             )
-    return basis, diagonals
+    return basis, diagonals, None
+
+
+def _diagonal_columns(rows):
+    """The identity's column order that the refinement gives the exactly
+    diagonal family with r x d diagonals ``rows``, or None where a block's
+    sort is not sure to match ``eigh`` (``_ascending_order``): the rotation
+    loop's sort and tie refinement, on the rows."""
+    columns = np.arange(rows.shape[1])
+    blocks = [np.arange(rows.shape[1])]
+    for row in rows:
+        refined: list[np.ndarray] = []
+        for block in blocks:
+            values = row[columns[block]]
+            order = _ascending_order(values)
+            if order is None:
+                return None
+            columns[block] = columns[block[order]]
+            refined.extend(_tied_runs(block, values[order]))
+        blocks = refined
+    return columns
+
+
+def _tied_runs(block, values):
+    """The runs of two or more columns of ``block`` whose ascending
+    ``values`` tie within ``COMMUTATOR_ATOL``: the blocks the next state
+    refines."""
+    ties = np.diff(values) <= COMMUTATOR_ATOL
+    if not ties.any():
+        return []
+    return [run for run in np.split(block, np.flatnonzero(~ties) + 1) if run.size > 1]
 
 
 def _exactly_diagonal(mat):
@@ -587,13 +629,18 @@ def _exactly_diagonal(mat):
 
 def _diagonal_order(sub):
     """The column order ``eigh`` gives an exactly diagonal ``sub``, whose
-    eigenvectors are then unit vectors, or None. LAPACK sorts the values by
-    a selection sort, which moves tied values past each other, so the order
-    is taken only where a stable sort is sure to match it: values already in
-    ascending order, or distinct ones."""
+    eigenvectors are then unit vectors, or None (``_ascending_order`` of its
+    diagonal)."""
     if not _exactly_diagonal(sub):
         return None
-    values = sub.diagonal().real
+    return _ascending_order(sub.diagonal().real)
+
+
+def _ascending_order(values):
+    """The order ``eigh`` puts the diagonal ``values`` in, or None. LAPACK
+    sorts the values by a selection sort, which moves tied values past each
+    other, so the order is taken only where a stable sort is sure to match
+    it: values already in ascending order, or distinct ones."""
     order = np.argsort(values, kind="stable")
     if (np.diff(values) >= 0.0).all() or (np.diff(values[order]) > 0.0).all():
         return order
@@ -656,6 +703,29 @@ def verify_bayes_conditions(
     )
 
 
+def _diagonal_bayes_conditions(probs, winners) -> BayesConditionReport:
+    """``verify_bayes_conditions`` of the PVM that gives slot k of an exactly
+    diagonal family to hypothesis ``winners[k]``, read off the family's r x d
+    diagonals ``probs`` in its permutation basis, at tol = ``POVM_ATOL``.
+
+    Each entry of every product in the dense check has at most one nonzero
+    term there, so every verdict is the dense one: M is the real diagonal of
+    the winners' slot values, so M - M^H is 0; M - rho_i is diagonal, and
+    its smallest entry is its smallest eigenvalue (its Cholesky proof holds
+    only where that is above -tol); (M - rho_i) E_i keeps the entries of
+    that gap on the slots that i owns, so its 2-norm is their largest
+    magnitude, which the Frobenius proof never passes where it is above tol.
+    """
+    slots = np.arange(probs.shape[1])
+    gaps = probs[winners, slots] - probs
+    owned = winners == np.arange(len(probs))[:, None]
+    return BayesConditionReport(
+        m_hermitian=True,
+        dominates=tuple((gaps.min(axis=1) >= -POVM_ATOL).tolist()),
+        annihilates=tuple((np.abs(np.where(owned, gaps, 0.0)).max(axis=1) <= POVM_ATOL).tolist()),
+    )
+
+
 def bayes_commuting(
     sigma_set: Sequence[DensityMatrix],
 ) -> tuple[Detector, float, HermitianMatrix]:
@@ -664,19 +734,30 @@ def bayes_commuting(
     In the common eigenbasis the certificate operator is the slotwise maximum
     of the diagonal probabilities; every slot goes to the smallest maximizing
     hypothesis. Returns (detector, mu, M) where mu = tr[M] is r times the
-    optimal averaged success probability.
+    optimal averaged success probability. A family on the row path of
+    ``_common_diagonals`` places M as the diagonal of the slot maxima by its
+    permutation and checks the certificate on its rows
+    (``_diagonal_bayes_conditions``), with no d x d product; any other
+    family rotates M out of its basis and checks it by
+    ``verify_bayes_conditions``.
     """
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
-    basis, probs = _common_diagonals(states)
+    basis, probs, columns = _common_diagonals(states)
     winners = np.argmax(probs, axis=0)
     slot_max = probs.max(axis=0)
     mu = float(slot_max.sum())
-    certificate = HermitianMatrix((basis * slot_max) @ basis.conj().T)
     # the Detector's frame check is the one check that the basis is unitary
     det = Detector(kind="PVM", frame=basis, labels=winners, outcomes=len(states))
-    report = verify_bayes_conditions(states, det, tol=POVM_ATOL)
+    if columns is None:
+        certificate = HermitianMatrix((basis * slot_max) @ basis.conj().T)
+        report = verify_bayes_conditions(states, det, tol=POVM_ATOL)
+    else:  # the same entries: each is the one nonzero term of its sum
+        placed = np.zeros(len(slot_max))
+        placed[columns] = slot_max
+        certificate = HermitianMatrix(np.diag(placed))
+        report = _diagonal_bayes_conditions(probs, winners)
     if not report.passed:
         raise NumericalConsistencyError(
             "commuting Bayes candidate fails its optimality certificate"

@@ -172,20 +172,30 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
 
 def _tie_break_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Reorder equal-eigenvalue runs by ascending lexicographic key of the
-    vectors, (re, im) of the first component, then of the second, and so on."""
+    vectors, (re, im) of the first component, then of the second, and so on.
+
+    The runs are found on Python floats, whose comparisons are the same IEEE
+    ones. A run whose first real keys are all distinct is ordered by those
+    alone; others, such as kernel vectors with exact-zero leading
+    components, take the full ``lexsort``."""
+    scan = values.tolist()
     tol = EIGENVALUE_ZERO_RTOL * max(1.0, float(np.abs(values).max()))
-    order = np.arange(len(values))
+    order = np.arange(len(scan))
     start = 0
-    while start < len(values):
+    while start < len(scan):
         stop = start
-        while stop + 1 < len(values) and values[start] - values[stop + 1] <= tol:
+        while stop + 1 < len(scan) and scan[start] - scan[stop + 1] <= tol:
             stop += 1
         if stop > start:
             run = vectors[:, start : stop + 1]
-            keys = np.empty((2 * run.shape[0], run.shape[1]))
-            keys[0::2], keys[1::2] = run.real, run.imag
-            # np.lexsort sorts by its last key first, and stably
-            order[start : stop + 1] = start + np.lexsort(keys[::-1])
+            lead = run[0].real
+            local = np.argsort(lead, kind="stable")
+            if not (np.diff(lead[local]) > 0.0).all():
+                keys = np.empty((2 * run.shape[0], run.shape[1]))
+                keys[0::2], keys[1::2] = run.real, run.imag
+                # np.lexsort sorts by its last key first, and stably
+                local = np.lexsort(keys[::-1])
+            order[start : stop + 1] = start + local
         start = stop + 1
     return order
 

@@ -326,13 +326,15 @@ def _pure_scores(
     state, in ``pop_order`` of the r x 1 array of the a_s, and score the
     blocks' ``pick_frame`` by its ``frame_misses``. helstrom is half the summed misses of the pair,
     a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
-    g = |<psi_0|psi_1>|^(2n), which has no cancellation. 1 - g is taken as
-    -expm1(n log1p(-t)) from t = 1 - |<psi_0|psi_1>|^2 = |C_11|^2 (1 exactly
-    when t = 1), so nearly parallel states keep its digits too.
+    g = |<psi_0|psi_1>|^(2n), which has no cancellation, and g and 1 - g
+    come from the pair's overlap and t = 1 - overlap (``_pure_overlap``,
+    ``_overlap_powers``), so nearly parallel states keep their digits too.
     """
     vectors = np.column_stack([rho.spectrum().vectors[:, 0] for rho in states])
     vectors /= np.linalg.norm(vectors, axis=0)
     coefficients = np.linalg.qr(vectors, mode="r").T
+    if "helstrom" in kinds:
+        overlap, t = _pure_overlap(vectors)
     for i, n in enumerate(ns):
         weights = tops**n
         counts, sizes = type_classes(coefficients.shape[1], n)
@@ -343,10 +345,7 @@ def _pure_scores(
         for kind in kinds:
             if kind == "helstrom":
                 a, b = weights
-                # rounding can put the overlap of nearly parallel vectors above 1
-                g = min(abs(np.vdot(vectors[:, 0], vectors[:, 1])) ** 2, 1.0) ** n
-                t = min(abs(coefficients[1, 1]) ** 2, 1.0)
-                one_minus_g = 1.0 if t == 1.0 else -math.expm1(n * math.log1p(-t))
+                g, one_minus_g = _overlap_powers(overlap, t, n)
                 root = math.sqrt((a - b) ** 2 + 4.0 * a * b * one_minus_g)
                 scores.append((a * b * g / (a + b + root), None))
                 continue
@@ -354,6 +353,42 @@ def _pure_scores(
             misses = frame_misses(frame, labels, unit[:, :, None], weights[:, None])
             scores.append((misses / len(states), floor))
         yield scores
+
+
+def _pure_overlap(vectors):
+    """The overlap |<psi_0|psi_1>|^2 / (|psi_0|^2 |psi_1|^2) of the two
+    columns of ``vectors`` and t = 1 - overlap, each rounded once from the
+    exact value of those double columns: in integer arithmetic, whose
+    true division rounds correctly, on parts scaled by one power of two per
+    column, which cancels. A rounded inner product misses the overlap by a
+    few eps, which is all of t for nearly parallel columns and all of the
+    overlap for nearly orthogonal ones."""
+    first, second = (_integer_parts(column) for column in vectors.T)
+    real = sum(p * r + q * s for (p, q), (r, s) in zip(first, second))
+    imag = sum(p * s - q * r for (p, q), (r, s) in zip(first, second))
+    norms = sum(p * p + q * q for p, q in first) * sum(r * r + s * s for r, s in second)
+    inner = real * real + imag * imag
+    return inner / norms, (norms - inner) / norms
+
+
+def _integer_parts(column):
+    """The (real, imaginary) parts of a complex column as integers over one
+    common power of two."""
+    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in column.tolist()]
+    scale = max(q for pair in ratios for _, q in pair)
+    return [tuple(p * (scale // q) for p, q in pair) for pair in ratios]
+
+
+def _overlap_powers(overlap: float, t: float, n: int) -> tuple[float, float]:
+    """g = ``overlap``^n and 1 - g, with t = 1 - overlap. Where n t < 1/2, g
+    is exp(n log1p(-t)), whose error is t's own rounding times n t plus
+    under an ulp, where the power of the rounded overlap carries its
+    rounding n times; elsewhere g is that power. 1 - g is
+    -expm1(n log1p(-t)), 1 exactly when t = 1."""
+    if t == 1.0:
+        return overlap**n, 1.0
+    log_g = n * math.log1p(-t)
+    return (math.exp(log_g) if n * t < 0.5 else overlap**n), -math.expm1(log_g)
 
 
 def _schedule_from_overlap_sum(total: float) -> float:

@@ -33,6 +33,7 @@ from qmht.detectors import (
     pgm,
     verify_bayes_conditions,
     _common_diagonals,
+    _diagonal_bayes_conditions,
     _greedy_pops,
     _gs_frame,
 )
@@ -1556,10 +1557,98 @@ class TestCommonEigenbasis:
                     DensityMatrix(rotation @ rho.mat @ rotation.conj().T) for rho in states[1:]
                 ]
                 states[0] = diagonal(np.r_[0.5, 0.5, np.zeros(dim - 2)] if dim > 2 else [0.5, 0.5])
-            basis, diagonals = _common_diagonals(states)
+            basis, diagonals, _ = _common_diagonals(states)
             expected = self.eigh_refined_basis(states)
             assert np.array_equal(basis, expected)
             assert np.array_equal(common_eigenbasis(states), expected)
             # the diagonals equal the products' also where the basis rotates by indexing
             rotated = [(expected.conj().T @ rho.mat @ expected).diagonal().real for rho in states]
             assert np.array_equal(diagonals, rotated)
+
+
+class TestDiagonalRowPath:
+    @staticmethod
+    def families(seed, count):
+        """Exactly diagonal families, d 1-40 and r 2-4, with zeros and ties
+        within and across states. A third have rows from three levels, each
+        sorted, so that every tie is in order; a third permute one row of
+        distinct values and a zero; a third draw unsorted rows from three
+        levels, whose ties out of order keep most of them on the dense path."""
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            dim, r = int(rng.integers(1, 41)), int(rng.integers(2, 5))
+            levels = np.r_[0.0, rng.integers(1, 4, size=2)].astype(float)
+            if k % 3 == 0:
+                rows = np.sort(levels[rng.integers(3, size=(r, dim))], axis=1)
+            elif k % 3 == 1:
+                base = np.r_[0.0, rng.random(dim - 1)]
+                rows = np.array([rng.permutation(base) for _ in range(r)])
+            else:
+                rows = levels[rng.integers(3, size=(r, dim))]
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            yield rng, [diagonal(row / row.sum()) for row in rows]
+
+    def test_row_path_equals_the_dense_forms(self, monkeypatch):
+        # the detector, mu and certificate bytes are the dense forms on the
+        # eigh-refined basis, and the row conditions are the dense verdicts,
+        # also for mislabelled slots, which fail them; no dense check runs
+        dense_checks = []
+
+        def counted(*args, **kwargs):
+            dense_checks.append(1)
+            return verify_bayes_conditions(*args, **kwargs)
+
+        monkeypatch.setattr(qmht.detectors, "verify_bayes_conditions", counted)
+        on_rows = mislabelled = 0
+        for rng, states in self.families(seed=51, count=180):
+            r, dim = len(states), states[0].dim
+            basis, probs, columns = _common_diagonals(states)
+            before = len(dense_checks)
+            det, mu, certificate = bayes_commuting(states)
+            expected = TestCommonEigenbasis.eigh_refined_basis(states)
+            assert np.array_equal(det.frame, expected)
+            assert np.array_equal(det.labels, np.argmax(probs, axis=0))
+            slot_max = probs.max(axis=0)
+            dense = HermitianMatrix((expected * slot_max) @ expected.conj().T)
+            assert certificate.mat.tobytes() == dense.mat.tobytes()
+            assert mu == float(slot_max.sum())
+            if columns is None:
+                assert len(dense_checks) == before + 1
+                continue
+            on_rows += 1
+            assert len(dense_checks) == before
+            assert np.array_equal(basis, np.eye(dim)[:, columns])
+            report = _diagonal_bayes_conditions(probs, det.labels)
+            assert report.passed
+            assert report == verify_bayes_conditions(states, det, POVM_ATOL)
+            below = np.argwhere(probs < slot_max)
+            relabels = [rng.integers(r, size=dim)]
+            if below.size:
+                state, slot = below[rng.integers(len(below))]
+                wrong = det.labels.copy()
+                wrong[slot] = state
+                relabels.append(wrong)
+            for labels in relabels:
+                report = _diagonal_bayes_conditions(probs, labels)
+                other = Detector(kind="PVM", frame=det.frame, labels=labels, outcomes=r)
+                assert report == verify_bayes_conditions(states, other, POVM_ATOL)
+                if not report.passed:
+                    mislabelled += 1
+        assert on_rows >= 100 and mislabelled >= 50, (on_rows, mislabelled)
+
+    def test_a_non_diagonal_commuting_family_stays_dense(self):
+        rng = np.random.default_rng(52)
+        rotation = random_orthonormal(5, 5, rng)
+        states = [
+            DensityMatrix((rotation * p) @ rotation.conj().T)
+            for p in ([0.4, 0.3, 0.2, 0.1, 0.0], [0.1, 0.1, 0.2, 0.2, 0.4])
+        ]
+        basis, probs, columns = _common_diagonals(states)
+        assert columns is None
+        det, mu, certificate = bayes_commuting(states)
+        assert verify_bayes_conditions(states, det, POVM_ATOL).passed
+        slot_max = probs.max(axis=0)
+        dense = HermitianMatrix((basis * slot_max) @ basis.conj().T)
+        assert certificate.mat.tobytes() == dense.mat.tobytes()
+        assert abs(mu - 1.5) < 1e-12
+

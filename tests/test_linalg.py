@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmht.linalg import (
+    EIGENVALUE_ZERO_RTOL,
     DensityMatrix,
     HermitianMatrix,
     gram_floor,
@@ -144,6 +145,50 @@ def loop_spectral_decompose(h):
         order.extend(group)
         start = stop + 1
     return values[order], vectors[:, order]
+
+
+def lexicographic_key(vector):
+    return tuple(float(part) for z in vector for part in (z.real, z.imag))
+
+
+class TestTieBreakOrder:
+    @staticmethod
+    def runs(values):
+        """The documented runs: from each start, the later eigenvalues within
+        1e-12 times max(1, the largest magnitude) of the start's."""
+        tol = EIGENVALUE_ZERO_RTOL * max(1.0, float(np.abs(values).max()))
+        start = 0
+        while start < len(values):
+            stop = start
+            while stop + 1 < len(values) and values[start] - values[stop + 1] <= tol:
+                stop += 1
+            yield range(start, stop + 1)
+            start = stop + 1
+
+    def test_ties_ascend_by_lexicographic_key(self):
+        # planted degeneracies: repeated diagonal values (unit eigenvectors,
+        # whose leading components tie at 0, so the full key decides), a
+        # rotated degenerate state (distinct leading components) and
+        # rank-deficient Wishart states (their kernels)
+        rng = np.random.default_rng(64)
+        inputs = []
+        for dim in (2, 5, 16, 32):
+            inputs.append(np.diag(rng.integers(0, 3, dim) / dim).astype(complex))
+            basis = random_orthonormal(dim, dim, rng)
+            spectrum = np.repeat([0.5, 0.25, 0.0], [1, dim // 2, dim - 1 - dim // 2])
+            inputs.append((basis * spectrum) @ basis.conj().T)
+            inputs.append(random_density_matrix(dim, rng, rank=max(1, dim // 3)).mat)
+        leads = {"tied": 0, "distinct": 0}
+        for mat in inputs:
+            dec = spectral_decompose(HermitianMatrix(mat))
+            for run in self.runs(dec.eigenvalues):
+                if len(run) < 2:
+                    continue
+                keys = [lexicographic_key(dec.vectors[:, k]) for k in run]
+                assert keys == sorted(keys)
+                first = [key[0] for key in keys]
+                leads["distinct" if len(set(first)) == len(first) else "tied"] += 1
+        assert leads["tied"] >= 4 and leads["distinct"] >= 4, leads
 
 
 class TestVectorizedSpectralDecompose:
