@@ -519,8 +519,9 @@ def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
 
 def _common_diagonals(sigma_set):
     """``common_eigenbasis`` of a commuting family, the r x d real diagonals
-    of its states in that basis, and that basis as the identity's column
-    order ``columns`` where the family takes the row path, else None.
+    of its states in that basis, that basis as the identity's column order
+    ``columns`` where the family takes the row path, else None, and the
+    largest commutator entry of any pair, 0 where no product was taken.
 
     An exactly diagonal family takes the row path while every block sorts
     (``_diagonal_columns``): the basis order comes from the r x d diagonal
@@ -546,14 +547,17 @@ def _common_diagonals(sigma_set):
         rows = np.stack([rho.mat.diagonal().real for rho in states])
         columns = _diagonal_columns(rows)
         if columns is not None:
-            return np.eye(dim, dtype=complex)[:, columns], rows[:, columns], columns
+            return np.eye(dim, dtype=complex)[:, columns], rows[:, columns], columns, 0.0
+    commutator = 0.0
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             if diagonal[i] and diagonal[j]:
                 continue
             product = states[i].mat @ states[j].mat
-            if float(np.abs(product - product.conj().T).max()) > COMMUTATOR_ATOL:
+            entry = float(np.abs(product - product.conj().T).max())
+            if entry > COMMUTATOR_ATOL:
                 raise ValueError(f"states {i} and {j} do not commute")
+            commutator = max(commutator, entry)
     basis = np.eye(dim, dtype=complex)
     # while every block has been sorted, basis is the identity's columns
     # ``columns``, and a state rotates into it by indexing
@@ -590,7 +594,7 @@ def _common_diagonals(sigma_set):
             raise NumericalConsistencyError(
                 f"state {k} is not diagonal in the refined common basis"
             )
-    return basis, diagonals, None
+    return basis, diagonals, None, commutator
 
 
 def _diagonal_columns(rows):
@@ -744,7 +748,7 @@ def bayes_commuting(
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
-    basis, probs, columns = _common_diagonals(states)
+    basis, probs, columns, _ = _common_diagonals(states)
     winners = np.argmax(probs, axis=0)
     slot_max = probs.max(axis=0)
     mu = float(slot_max.sum())

@@ -8,39 +8,44 @@ with the support; it keeps the dense detectors' cut on the explicit powers,
 1e-12 times the largest n-fold eigenvalue (``class_pick_cut``). The cut only
 decides the picks: every mass and Helstrom minimum uses the uncut values.
 
-Aligned families come first. When every base overlap table V_0^H V_a has
-exactly one nonzero per column (decided once per call), the base eigenbases
-agree up to permutation and phase, and every row kind runs on probability
-rows p_a[j], state a's eigenvalue on its eigenvector parallel to column j of
-V_0. Each product outcome of a type class then has the likelihood
-P_a = prod_j p_a[j]^(k_j), so every error is a sum over the C(n+d-1, d-1)
-classes weighted by their sizes n!/prod_j k_j!. State i claims each class
-with a weight w_i: classical-ml and helstrom give the class to its argmax
-label, and gs and epsilon to the states whose cut P_a is above the pick
-cut, in ``pop_order``, the one pick-order engine (``_pick_ranks``: a sort
-of every class column, and on an n with near ties the blocks' per-n pass,
-``schurweyl._class_pops``), the c-th claimant with the weight
+Commuting families come first. One ``_common_diagonals`` call per
+``run_power_experiment`` decides every route. Where it succeeds, state a's
+diagonal in the common eigenbasis is a probability row p_a[j]. classical-ml,
+which measures in that basis, always reads those rows. gs, epsilon and
+helstrom read them where the largest commutator entry the call saw is at
+most d ``COMMUTATOR_ROUNDING`` (0 for an exactly diagonal family, which
+forms no product): such a family commutes to rounding in any basis, and its
+rows are exact. A larger commutator, up to ``COMMUTATOR_ATOL``, means
+off-diagonal entries the rows drop, which can carry a small error (half of
+Helstrom's on |0>, (1e-10, 1)), so those kinds keep the routes below, as
+they do where the call raises. Each product outcome of a type class has the
+likelihood P_a = prod_j p_a[j]^(k_j), so every error is a sum over the
+C(n+d-1, d-1) classes weighted by their sizes n!/prod_j k_j!. State i claims
+each class with a weight w_i: classical-ml and helstrom give the class to
+its argmax label, and gs and epsilon to the states whose cut P_a is above
+the pick cut, in ``pop_order``, the one pick-order engine (``_pick_ranks``:
+a sort of every class column, and on an n with near ties the blocks' per-n
+pass, ``schurweyl._class_pops``), the c-th claimant with the weight
 |1^T R^-1 e_c|^2 of the class Gram matrix delta^2 J + epsilon^2 I (gs is
-epsilon = 0). Every kind then scores its
-summed misses by one rule; classical-ml reads a commuting family that is
-not aligned from ``common_eigenbasis``. A sweep is scored in groups of
-consecutive n, up to ``CLASS_GROUP_LIMIT`` (kind, class) terms each, every
-kind of a group in one stacked kinds x r x classes pass; each kind's misses
-of each state at each n are summed on their own, so a row does not depend
-on the sweep or the other kinds it came with.
+epsilon = 0). Every kind then scores its summed misses by one rule. A sweep
+is scored in groups of consecutive n, up to ``CLASS_GROUP_LIMIT`` (kind, class)
+terms each, every kind of a group in one stacked kinds x r x classes pass;
+each kind's misses of each state at each n are summed on their own, so a row
+does not depend on the sweep or the other kinds it came with.
 
-Pure families come next (decided once per call, after alignment): every
-state whose eigenvalues below the largest sum to at most d eps lambda_top
-(``linalg.is_rank_one``, eigh's rounding of an exactly rank-1 matrix). State
-s then counts as lambda_top^n times the n-fold power of its top eigenvector
-psi_s, which drops at most n times its tail mass from each row. All of that
-mass lies on r vectors of the symmetric power of span{psi_s}, so gs and
-epsilon pop the states in ``pop_order`` of lambda_top^n and are scored on
-their Dicke coordinates (``_pure_scores``) by the blocks' own frame and
-scorer (``detectors.pick_frame``, the frame of the dense ``gs_detector``
-or ``epsilon_detector``: the span rule of ``greedy_span`` and its
-Householder Gram floor, or the embedded detector's closed-form frame;
-``schurweyl.frame_misses``), and helstrom by its two-state closed form.
+Pure families come next, for the kinds the type classes do not take (decided
+once per call): every state whose eigenvalues below the largest sum to at
+most d eps lambda_top (``linalg.is_rank_one``, eigh's rounding of an exactly
+rank-1 matrix). State s then counts as lambda_top^n times the n-fold power
+of its top eigenvector psi_s, which drops at most n times its tail mass from
+each row. All of that mass lies on r vectors of the symmetric power of
+span{psi_s}, so gs and epsilon pop the states in ``pop_order`` of
+lambda_top^n and are scored on their Dicke coordinates (``_pure_scores``) by
+the blocks' own frame and scorer (``detectors.pick_frame``, the frame of the
+dense ``gs_detector`` or ``epsilon_detector``: the span rule of
+``greedy_span`` and its Householder Gram floor, or the embedded detector's
+closed-form frame; ``schurweyl.frame_misses``), and helstrom by its
+two-state closed form.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl.block_scores``:
@@ -68,7 +73,7 @@ from .detectors import (
     pick_frame,
     pop_order,
 )
-from .errors import DimensionLimitError
+from .errors import DimensionLimitError, NumericalConsistencyError
 from .linalg import (
     DensityMatrix,
     dense_limit,
@@ -88,7 +93,11 @@ from .schurweyl import (
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 EPSILON_CLIP = 1.0 / math.sqrt(2.0) - 1e-6
 LI_WITNESS_TOL = 1e-9
-# An aligned sweep scores its consecutive n in groups of at most this many
+# A family whose largest commutator entry is at most d times this commutes
+# to rounding (its states' entries are at most 1), and every kind reads its
+# rows in the common eigenbasis.
+COMMUTATOR_ROUNDING = float(np.finfo(float).eps)
+# A type-class sweep scores its consecutive n in groups of at most this many
 # terms, one per requested kind and type class (one n alone may exceed it),
 # so a far-out sweep never holds the arrays of all its classes at once.
 CLASS_GROUP_LIMIT = 1 << 14
@@ -135,31 +144,6 @@ def _pairwise_overlap_power_sum(qcb: MultipleChernoffResult, n: int) -> float:
     return 2.0 * sum(res.q_star**n for res in qcb.pairwise.values())
 
 
-def _aligned_rows(states: Sequence[DensityMatrix]) -> np.ndarray | None:
-    """Probability rows of a family whose eigenbases agree up to permutation
-    and phase, or None.
-
-    Row a holds state a's eigenvalues, each at the column of V_0 that its
-    eigenvector is parallel to. The family is aligned when every base
-    overlap table V_0^H V_a has exactly one nonzero per column.
-    """
-    spectra = [rho.spectrum() for rho in states]
-    rows = np.empty((len(spectra), spectra[0].dim))
-    rows[0] = spectra[0].eigenvalues
-    for a, dec in enumerate(spectra[1:], start=1):
-        nonzero = spectra[0].vectors.conj().T @ dec.vectors != 0
-        if np.any(nonzero.sum(axis=0) != 1):
-            return None
-        rows[a, nonzero.argmax(axis=0)] = dec.eigenvalues
-    return rows
-
-
-def _commuting_rows(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Diagonals of a commuting family in ``common_eigenbasis``, clipped at 0;
-    raises ValueError when the family does not commute."""
-    return np.maximum(_common_diagonals(states)[1], 0.0)
-
-
 def _claim_weights(claims: int, epsilon: float | np.ndarray) -> np.ndarray:
     """|1^T R^-1 e_c|^2 for c = 1..claims, with R the Cholesky factor of the
     c x c embedded Gram matrix delta^2 J + epsilon^2 I of one type class:
@@ -190,9 +174,10 @@ def _class_groups(dim: int, ns: Sequence[int], kinds: int = 1):
 def _type_class_scores(rows: np.ndarray, ns: Sequence[int], kinds: Sequence[str], epsilons: dict):
     """For every n of ``ns`` in turn, the detector error and lambda_min_gram
     of each row of ``kinds`` (epsilons ``epsilons[kind]``) on the n-fold
-    powers of an aligned family: ``_class_group_scores`` of each of the
-    ``_class_groups``, whose arrays are freed before the next group's
-    classes are built, with each kind's pick cuts taken once."""
+    powers of the family with probability rows ``rows``:
+    ``_class_group_scores`` of each of the ``_class_groups``, whose arrays
+    are freed before the next group's classes are built, with each kind's
+    pick cuts taken once."""
     cut_rows = np.array([cut_spectrum(row) for row in rows])
     floors = {kind: class_pick_cut(cut_rows, ns, kind) for kind in kinds}
     for group in _class_groups(rows.shape[1], ns, len(kinds)):
@@ -456,12 +441,16 @@ def run_power_experiment(
     # no n over the cap, so a far range would be walked in full
     check_distinct(states)
     ns = _copy_numbers(n_range, states[0].dim)
-    # one alignment verdict per call; classical-ml reads the aligned rows, or
-    # else any commuting family's rows in ``common_eigenbasis``
-    aligned = _aligned_rows(states)
-    ml_rows = aligned
-    if aligned is None and "classical-ml" in kinds:
-        ml_rows = _commuting_rows(states)
+    # one commuting verdict per call: classical-ml reads the common basis
+    # rows wherever they exist, gs, epsilon and helstrom only where the
+    # family commutes to rounding
+    try:
+        _, rows, _, commutator = _common_diagonals(states)
+    except (ValueError, NumericalConsistencyError):
+        if "classical-ml" in kinds:
+            raise
+        rows, commutator = None, math.inf
+    commutes = commutator <= states[0].dim * COMMUTATOR_ROUNDING
 
     qcb = multiple_qcb(states)
     r = len(states)
@@ -476,11 +465,12 @@ def run_power_experiment(
             embedding_guard(eps)
 
     # each route yields, per n, a score for each of its kinds
-    class_kinds = kinds if aligned is not None else tuple(k for k in kinds if k == "classical-ml")
+    class_kinds = tuple(kind for kind in kinds if commutes or kind == "classical-ml")
     others = tuple(kind for kind in kinds if kind not in class_kinds)
     routes = []
     if class_kinds:
-        routes.append((class_kinds, _type_class_scores(ml_rows, ns, class_kinds, epsilons)))
+        rows = np.maximum(rows, 0.0)
+        routes.append((class_kinds, _type_class_scores(rows, ns, class_kinds, epsilons)))
     if others and (tops := _pure_tops(states)) is not None:
         routes.append((others, _pure_scores(states, tops, ns, others, epsilons)))
     elif others:

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from qmht import tensorlab
 from qmht.linalg import DensityMatrix
+
+ROUTES = {"_type_class_scores": "classes", "_pure_scores": "pure", "block_scores": "blocks"}
 
 
 def pure(vec) -> DensityMatrix:
@@ -12,6 +17,25 @@ def pure(vec) -> DensityMatrix:
 
 def diagonal(probs) -> DensityMatrix:
     return DensityMatrix(np.diag(np.asarray(probs, dtype=float)).astype(complex))
+
+
+def route(states, kind="gs"):
+    """The route that ``run_power_experiment`` scores ``kind`` on for
+    ``states`` at n = 1: "classes", "pure" or "blocks"."""
+    taken = {}
+
+    def spy(name):
+        scores = getattr(tensorlab, name)
+
+        def recorded(*args):
+            taken.update(dict.fromkeys(args[-2], ROUTES[name]))
+            return scores(*args)
+
+        return mock.patch.object(tensorlab, name, recorded)
+
+    with spy("_type_class_scores"), spy("_pure_scores"), spy("block_scores"):
+        tensorlab.run_power_experiment(states, [1], kind)
+    return taken[kind]
 
 
 @pytest.fixture

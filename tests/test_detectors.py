@@ -1557,7 +1557,7 @@ class TestCommonEigenbasis:
                     DensityMatrix(rotation @ rho.mat @ rotation.conj().T) for rho in states[1:]
                 ]
                 states[0] = diagonal(np.r_[0.5, 0.5, np.zeros(dim - 2)] if dim > 2 else [0.5, 0.5])
-            basis, diagonals, _ = _common_diagonals(states)
+            basis, diagonals, _, _ = _common_diagonals(states)
             expected = self.eigh_refined_basis(states)
             assert np.array_equal(basis, expected)
             assert np.array_equal(common_eigenbasis(states), expected)
@@ -1602,7 +1602,7 @@ class TestDiagonalRowPath:
         on_rows = mislabelled = 0
         for rng, states in self.families(seed=51, count=180):
             r, dim = len(states), states[0].dim
-            basis, probs, columns = _common_diagonals(states)
+            basis, probs, columns, commutator = _common_diagonals(states)
             before = len(dense_checks)
             det, mu, certificate = bayes_commuting(states)
             expected = TestCommonEigenbasis.eigh_refined_basis(states)
@@ -1616,7 +1616,7 @@ class TestDiagonalRowPath:
                 assert len(dense_checks) == before + 1
                 continue
             on_rows += 1
-            assert len(dense_checks) == before
+            assert len(dense_checks) == before and commutator == 0.0
             assert np.array_equal(basis, np.eye(dim)[:, columns])
             report = _diagonal_bayes_conditions(probs, det.labels)
             assert report.passed
@@ -1643,8 +1643,9 @@ class TestDiagonalRowPath:
             DensityMatrix((rotation * p) @ rotation.conj().T)
             for p in ([0.4, 0.3, 0.2, 0.1, 0.0], [0.1, 0.1, 0.2, 0.2, 0.4])
         ]
-        basis, probs, columns = _common_diagonals(states)
-        assert columns is None
+        basis, probs, columns, commutator = _common_diagonals(states)
+        # a common rotation leaves the commutator at rounding level, not 0
+        assert columns is None and 0.0 < commutator <= 5 * np.finfo(float).eps
         det, mu, certificate = bayes_commuting(states)
         assert verify_bayes_conditions(states, det, POVM_ATOL).passed
         slot_max = probs.max(axis=0)

@@ -36,8 +36,8 @@ from qmht.schurweyl import (
     type_classes,
     unitary_log,
 )
-from qmht.tensorlab import _aligned_rows, _pure_tops, gram_convergence_check, run_power_experiment
-from conftest import diagonal
+from qmht.tensorlab import gram_convergence_check, run_power_experiment
+from conftest import diagonal, route
 
 
 def roadmap_ensembles(count):
@@ -386,7 +386,7 @@ class TestSymmetricPowers:
         rng = np.random.default_rng(10)
         for r in (2, 3):
             states = [random_density_matrix(2, rng, rank=2 if s else 1) for s in range(r)]
-            assert _aligned_rows(states) is None and _pure_tops(states) is None
+            assert route(states) == "blocks"
             kinds = ("gs", "epsilon", "helstrom")[: 5 - r]
             report = run_power_experiment(states, range(1, 9), *kinds)
             assert len(report.rows) == 8 * len(kinds)
@@ -861,7 +861,7 @@ class TestBlockEpsilon:
         rng = np.random.default_rng(90)
         for d, r, n in ((2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 2, 2), (4, 3, 1)):
             states = [random_density_matrix(d, rng) for _ in range(r)]
-            assert _aligned_rows(states) is None and _pure_tops(states) is None
+            assert route(states) == "blocks"
             for eps in (0.3, EPSILON_FLOOR):
                 ((err, lam_min),) = next(block_scores(states, [n], ["epsilon"], {"epsilon": [eps]}))
                 reference = mp_epsilon_error(states, n, eps)
@@ -893,7 +893,7 @@ class TestQubitHelstrom:
             diagonal([1.0 - 1e-13, 1e-13]),
             DensityMatrix(np.outer([1e-6, tail], [1e-6, tail]).astype(complex)),
         ]
-        assert _aligned_rows(states) is None and _pure_tops(states) is None
+        assert route(states) == "blocks"
         (row,) = run_power_experiment(states, [1], "helstrom").rows
         reference = 3.0000000000003747969e-13
         assert abs(row.err - reference) <= 1e-13 * reference
