@@ -1021,8 +1021,9 @@ class TestCommutingVerdict:
     def test_rotated_commuting_families_match_their_diagonal_rows_far_out(self, monkeypatch):
         # a common unitary leaves every err as it is, so the diagonal
         # family's rows are exact references: the qubit pair to n = 200
-        # (on the blocks its Helstrom row was 1.4 relative off at n = 140),
-        # a qutrit pair to n = 14 and a cyclic qutrit triple to n = 12
+        # (the blocks' Helstrom row is 1.4 relative off at n = 140, see the
+        # strict xfail below), a qutrit pair to n = 14 and a cyclic qutrit
+        # triple to n = 12
         monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
         every = ("gs", "epsilon", "helstrom", "classical-ml")
         pair = ([0.9, 0.1], [0.3, 0.7])
@@ -1072,7 +1073,7 @@ class TestCommutingVerdict:
         # at rounding level, but eigh fixes the two eigenvectors only to
         # ~eps / 1e-9, so state 1 is not diagonal in the refined basis to
         # COMMON_BASIS_ATOL. gs and helstrom keep the blocks, and
-        # classical-ml raises, as it did before the verdict was shared
+        # classical-ml, which needs that basis, raises
         rotation = random_orthonormal(3, 3, np.random.default_rng(0))
         states = self.turned(([0.3, 0.3 + 1e-9, 0.4 - 1e-9], [0.2, 0.5, 0.3]), rotation)
         product = states[0].mat @ states[1].mat
@@ -1085,8 +1086,8 @@ class TestCommutingVerdict:
     def test_a_degenerate_commuting_family_reads_its_common_basis(self):
         # state 0 is degenerate on modes 2 and 3, where state 1 is turned by
         # 0.4: on the blocks each state keeps its own eigh basis there, so gs
-        # picks overlapping product vectors, and lambda_min_gram fell to
-        # 3.3e-7 at n = 8. The common basis is an eigenbasis of every
+        # picks overlapping product vectors, and lambda_min_gram is 3.3e-7
+        # at n = 8. The common basis is an eigenbasis of every
         # power, as the paper's gs detector allows, and its picks are
         # orthonormal: lambda_min_gram 1.0, with every err unchanged
         turn = np.eye(3)
