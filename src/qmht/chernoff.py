@@ -1,4 +1,17 @@
-"""Overlap curves and the binary / multiple quantum Chernoff bounds."""
+"""Overlap curves and the binary / multiple quantum Chernoff bounds.
+
+Every bound comes from one pass over a family (``pairwise_qcb``):
+``multiple_qcb``, ``binary_qcb`` (the pass on two states),
+``detectors.gs_error_bound`` and ``tensorlab.run_power_experiment`` all run
+it. The pass builds each state's support once: its kept eigenvalues (the
+1e-12 relative cut) and their vectors, with the grid power table and the
+log-moment stack of each side of a pair that the state takes. Each pair
+then costs one weight product, one stacked grid product and a few Newton
+steps; its grid minimum is read off the grid, and only the Newton point is
+evaluated anew. A family in which every state's matrix is exactly diagonal
+takes its clamped diagonals as eigenvalues with identity weights, so it
+needs no eigensolve: its curve is the classical sum_k p_k^(1-s) q_k^s.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +21,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import (
+    DensityMatrix,
+    _near_tie_runs,
+    eigenvalue_zero_threshold,
+    is_exactly_diagonal,
+)
 
 GRID_POINTS = 64
 GRID = np.linspace(0.0, 1.0, GRID_POINTS)
 GRID.setflags(write=False)
+# the grid as Python floats, and as (g, 1, 1) stacks of the exponents s and 1 - s
+_GRID_S = GRID.tolist()
+_GRID_STACK = GRID[:, None, None]
+_ONE_MINUS_GRID_STACK = 1.0 - _GRID_STACK
 NEWTON_STEP_TOL = 1e-12
 # bisection alone shrinks a two-cell bracket below NEWTON_STEP_TOL in 35 steps
 NEWTON_MAX_STEPS = 60
@@ -39,27 +61,106 @@ class MultipleChernoffResult:
     pairwise: dict[tuple[int, int], ChernoffResult]
 
 
+class _Support:
+    """One state's kept eigenvalues ``values`` (above the 1e-12 relative
+    cut) and their eigenvectors ``vectors``, with the tables of the pair
+    sides it takes. The unit eigenvectors of an exactly diagonal family are
+    held as a 1-D array of their basis indices.
+
+    As the left side (rho in tr[rho^(1-s) sigma^s]) it holds the adjoint of
+    its vectors, the grid powers values^(1-s) as (g, 1, p) and the log
+    moments as (3, p); as the right side the powers values^s as (g, p, 1)
+    and the log moments as (p, 3).
+    """
+
+    __slots__ = ("values", "vectors", "adjoint", "left_grid", "left_logs", "right_grid",
+                 "right_logs")
+
+    def __init__(self, values, vectors, left: bool, right: bool) -> None:
+        self.values, self.vectors = values, vectors
+        logs = np.log(values)
+        moments = np.empty((3, len(values)))
+        moments[0] = 1.0
+        moments[1] = logs
+        np.multiply(logs, logs, out=moments[2])
+        if left:
+            self.adjoint = vectors.conj().T
+            self.left_grid = values ** _ONE_MINUS_GRID_STACK
+            self.left_logs = moments
+        if right:
+            self.right_grid = values[:, None] ** _GRID_STACK
+            # C-contiguous, as a transposed view would move the products' rounding
+            self.right_logs = moments.T.copy()
+
+
+def _diagonal_support(diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept eigenvalues that ``DensityMatrix.spectrum`` gives a state
+    whose matrix is exactly diagonal, read off its real ``diagonal`` in the
+    same order, and the basis index of each one's unit eigenvector.
+
+    ``spectral_decompose`` sorts the values in descending order and each run
+    of near ties by the lexicographic keys of its vectors, which for unit
+    vectors descend with the basis index; the values are clamped at zero.
+    """
+    entries = diagonal.tolist()
+    order = sorted(range(len(entries)), key=entries.__getitem__, reverse=True)
+    for start, stop in _near_tie_runs([entries[k] for k in order]):
+        order[start:stop] = sorted(order[start:stop], reverse=True)
+    values = [max(entries[k], 0.0) for k in order]
+    cut = eigenvalue_zero_threshold(values)
+    kept = [position for position, value in enumerate(values) if value > cut]
+    return np.array([values[k] for k in kept]), np.array([order[k] for k in kept])
+
+
+def _supports(states: Sequence[DensityMatrix]) -> list[_Support]:
+    """The support of each state, built once: state i is the left side of
+    the pairs (i, j > i) and the right side of the pairs (j < i, i). An
+    exactly diagonal family reads its spectra off its diagonals, any other
+    family takes the cached spectra."""
+    last = len(states) - 1
+    if all(is_exactly_diagonal(rho.mat) for rho in states):
+        kept = [_diagonal_support(rho.mat.diagonal().real) for rho in states]
+    else:
+        kept = []
+        for spectrum in (rho.spectrum() for rho in states):
+            keep = spectrum.positive_indices()
+            kept.append((spectrum.eigenvalues[keep], spectrum.vectors[:, keep]))
+    return [
+        _Support(values, vectors, left=k < last, right=k > 0)
+        for k, (values, vectors) in enumerate(kept)
+    ]
+
+
 class OverlapCurve:
     """tr[rho^(1-s) sigma^s] as a function of s, on the joint support.
 
     Terms with a zero eigenvalue on either side are dropped, which realizes
     the 0**0 == 0 convention at the endpoints. The curve is
     f(s) = sum_jk W_jk lam_j^(1-s) mu_k^s with W_jk = |<v_j|w_k>|^2 >= 0, a
-    positive sum of exponentials in s, hence convex.
+    positive sum of exponentials in s, hence convex. When both states are
+    exactly diagonal, W is 1 where j and k are one basis index and 0
+    elsewhere.
     """
+
+    __slots__ = ("_left", "_right", "_weights")
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
         if rho.dim != sigma.dim:
             raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        a, b = rho.spectrum(), sigma.spectrum()
-        ia, ib = a.positive_indices(), b.positive_indices()
-        self._lam = a.eigenvalues[ia]
-        self._mu = b.eigenvalues[ib]
-        cross = a.vectors[:, ia].conj().T @ b.vectors[:, ib]
-        self._weights = np.abs(cross) ** 2
-        log_lam, log_mu = np.log(self._lam), np.log(self._mu)
-        self._lam_logs = np.stack([np.ones_like(log_lam), log_lam, log_lam**2])
-        self._mu_logs = np.stack([np.ones_like(log_mu), log_mu, log_mu**2], axis=1)
+        self._join(*_supports([rho, sigma]))
+
+    @classmethod
+    def _between(cls, left: _Support, right: _Support) -> "OverlapCurve":
+        curve = cls.__new__(cls)
+        curve._join(left, right)
+        return curve
+
+    def _join(self, left: _Support, right: _Support) -> None:
+        self._left, self._right = left, right
+        if left.vectors.ndim == 1:  # basis indices of unit vectors
+            self._weights = (left.vectors[:, None] == right.vectors).astype(float)
+        else:
+            self._weights = np.abs(left.adjoint @ right.vectors) ** 2
 
     def __call__(self, s: float) -> float:
         return float(self.on_grid(np.array([s]))[0])
@@ -70,8 +171,13 @@ class OverlapCurve:
         An empty support gives empty sums, hence 0.
         """
         s = grid[:, None, None]
+        lam, mu = self._left.values, self._right.values
         # (g, 1, p) @ (p, q) @ (g, q, 1): one vector-matrix-vector product per point
-        return (self._lam ** (1.0 - s) @ self._weights @ self._mu[:, None] ** s)[:, 0, 0]
+        return (lam ** (1.0 - s) @ self._weights @ mu[:, None] ** s)[:, 0, 0]
+
+    def grid_values(self) -> list[float]:
+        """``on_grid(GRID)`` from the two sides' power tables, bitwise."""
+        return (self._left.left_grid @ self._weights @ self._right.right_grid)[:, 0, 0].tolist()
 
     def slope_and_curvature(self, s: float) -> tuple[float, float]:
         """(f'(s), f''(s)) from one (3 x p) W (q x 3) product.
@@ -80,10 +186,13 @@ class OverlapCurve:
         mu_k^s (log mu_k)^b; each term of f' carries log mu_k - log lam_j, and
         each term of f'' its square.
         """
-        m = (self._lam_logs * self._lam ** (1.0 - s)) @ self._weights @ (
-            self._mu_logs * self._mu[:, None] ** s
-        )
-        return float(m[0, 1] - m[1, 0]), float(m[0, 2] - 2.0 * m[1, 1] + m[2, 0])
+        left, right = self._left, self._right
+        m = (
+            (left.left_logs * left.values ** (1.0 - s))
+            @ self._weights
+            @ (right.right_logs * right.values[:, None] ** s)
+        ).tolist()
+        return m[0][1] - m[1][0], m[0][2] - 2.0 * m[1][1] + m[2][0]
 
 
 def q_overlap(rho: DensityMatrix, sigma: DensityMatrix, s: float) -> float:
@@ -119,29 +228,51 @@ def _newton_minimum(curve: OverlapCurve, lo: float, hi: float, start: float) -> 
     return s
 
 
-def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
+def _minimize(curve: OverlapCurve) -> ChernoffResult:
     """Minimize the overlap curve on [0, 1].
 
     A 64-point uniform grid brackets the minimum, a safeguarded Newton
-    iteration on f' refines it to 1e-12, and the closed-interval endpoints
-    stay in the candidate set. A curve that is constant over the grid reports
+    iteration on f' refines it to 1e-12, and the lower of the grid minimum
+    and the Newton point wins, the smaller s on a tie. The grid minimum (its
+    first occurrence) is read off the grid, which holds both endpoints of
+    [0, 1], so they need no candidate of their own; only the Newton point is
+    evaluated anew. A curve that is constant over the grid reports
     s_star = 0.5.
     """
-    curve = OverlapCurve(rho, sigma)
-    values = curve.on_grid(GRID)
-    if float(values.max() - values.min()) <= CONSTANT_CURVE_ATOL:
-        s_star = 0.5
-        q_star = curve(0.5)
+    values = curve.grid_values()
+    low = min(values)
+    if max(values) - low <= CONSTANT_CURVE_ATOL:
+        s_star, q_star = 0.5, curve(0.5)
     else:
-        k = int(np.argmin(values))
-        lo = float(GRID[max(k - 1, 0)])
-        hi = float(GRID[min(k + 1, GRID_POINTS - 1)])
-        refined = _newton_minimum(curve, lo, hi, float(GRID[k]))
-        candidates = sorted({0.0, float(GRID[k]), refined, 1.0})
-        q_star, s_star = min(zip(curve.on_grid(np.array(candidates)).tolist(), candidates))
+        k = values.index(low)
+        lo, hi = _GRID_S[max(k - 1, 0)], _GRID_S[min(k + 1, GRID_POINTS - 1)]
+        refined = _newton_minimum(curve, lo, hi, _GRID_S[k])
+        q_star, s_star = min((low, _GRID_S[k]), (curve(refined), refined))
     # q* <= 1 for any two states; max keeps a q* that rounds to 1 from giving -0.0
     xi = math.inf if q_star <= 0.0 else max(0.0, -math.log(q_star))
-    return ChernoffResult(xi=xi, s_star=float(s_star), q_star=float(q_star))
+    return ChernoffResult(xi=xi, s_star=s_star, q_star=q_star)
+
+
+def pairwise_qcb(states: Sequence[DensityMatrix]) -> MultipleChernoffResult:
+    """Every pairwise bound of two or more states of one dimension in one
+    pass, their minimum and the (lexicographically first) argmin pair. The
+    states are not checked: ``multiple_qcb`` is the checked form."""
+    supports = _supports(states)
+    pairwise: dict[tuple[int, int], ChernoffResult] = {}
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            pairwise[(i, j)] = _minimize(OverlapCurve._between(supports[i], supports[j]))
+    best_pair = min(pairwise, key=lambda pair: (pairwise[pair].xi, pair))
+    return MultipleChernoffResult(
+        xi=pairwise[best_pair].xi, argmin_pair=best_pair, pairwise=pairwise
+    )
+
+
+def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
+    """The Chernoff bound of one pair: ``pairwise_qcb`` on the two states."""
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    return pairwise_qcb([rho, sigma]).pairwise[(0, 1)]
 
 
 def check_distinct(states: Sequence[DensityMatrix]) -> None:
@@ -154,7 +285,9 @@ def check_distinct(states: Sequence[DensityMatrix]) -> None:
 
 
 def multiple_qcb(sigma_set: Sequence[DensityMatrix]) -> MultipleChernoffResult:
-    """All pairwise bounds, their minimum, and the (lexicographically first) argmin pair."""
+    """All pairwise bounds, their minimum, and the (lexicographically first)
+    argmin pair, after checking that there are two or more distinct states
+    of one dimension."""
     states = list(sigma_set)
     if len(states) < 2:
         raise ValueError("need at least two hypotheses")
@@ -162,11 +295,4 @@ def multiple_qcb(sigma_set: Sequence[DensityMatrix]) -> MultipleChernoffResult:
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
     check_distinct(states)
-    pairwise: dict[tuple[int, int], ChernoffResult] = {}
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            pairwise[(i, j)] = binary_qcb(states[i], states[j])
-    best_pair = min(pairwise, key=lambda pair: (pairwise[pair].xi, pair))
-    return MultipleChernoffResult(
-        xi=pairwise[best_pair].xi, argmin_pair=best_pair, pairwise=pairwise
-    )
+    return pairwise_qcb(states)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chernoff import binary_qcb
+from .chernoff import pairwise_qcb
 from .errors import NumericalConsistencyError
 # SPAN_RESIDUAL_TOL, gs's span rule, is read by ``greedy_span`` and named here
 from .linalg import (
@@ -40,6 +40,7 @@ from .linalg import (
     factor_floor,
     gram_floor,
     greedy_span,
+    is_exactly_diagonal,
     solve_lower,
 )
 
@@ -453,9 +454,8 @@ def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostic
     """``lemma3_bound`` of a single-copy greedy PVM."""
     states = list(sigma_set)
     total = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            total += 2.0 * binary_qcb(states[i], states[j]).q_star
+    for res in pairwise_qcb(states).pairwise.values():
+        total += 2.0 * res.q_star
     return lemma3_bound(total, diagnostics.lambda_min_gram, len(states))
 
 
@@ -530,11 +530,12 @@ def _common_diagonals(sigma_set):
     other family is refined by rotations. Each pair's commutator is C - C^H
     with C = rho_i rho_j, one product, except for a pair of exactly diagonal
     states, which commute. A block whose state is already exactly diagonal
-    is sorted, not eigensolved (``_diagonal_order``), and only runs of tied
-    values in a block are refined by the next states. While the basis is a
-    permutation of the identity's columns, a state's block is read off by
-    indexing, and the diagonals off the one rotation of each state that
-    checks it is diagonal there.
+    is sorted, not eigensolved (``_ascending_order``), and only runs of tied
+    values in a block are refined by the next states (``_tied_runs``); both
+    rules scan Python floats, on the rows and in the rotation loop alike.
+    While the basis is a permutation of the identity's columns, a state's
+    block is read off by indexing, and the diagonals off the one rotation of
+    each state that checks it is diagonal there.
     """
     states = list(sigma_set)
     if not states:
@@ -542,7 +543,7 @@ def _common_diagonals(sigma_set):
     dim = states[0].dim
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
-    diagonal = [_exactly_diagonal(rho.mat) for rho in states]
+    diagonal = [is_exactly_diagonal(rho.mat) for rho in states]
     if all(diagonal):
         rows = np.stack([rho.mat.diagonal().real for rho in states])
         columns = _diagonal_columns(rows)
@@ -562,23 +563,26 @@ def _common_diagonals(sigma_set):
     # while every block has been sorted, basis is the identity's columns
     # ``columns``, and a state rotates into it by indexing
     columns = np.arange(dim)
-    blocks = [np.arange(dim)]
+    blocks = [list(range(dim))]
     for rho in states:
-        refined: list[np.ndarray] = []
+        refined: list[list[int]] = []
         for block in blocks:
             if columns is not None:  # the products' entries, up to the sign of a zero
                 sub = rho.mat[np.ix_(columns[block], columns[block])]
             else:
                 sub = basis[:, block].conj().T @ rho.mat @ basis[:, block]
-            order = _diagonal_order(sub)
+            entries = sub.diagonal().real.tolist()
+            order = _ascending_order(entries) if is_exactly_diagonal(sub) else None
             if order is not None:
-                values = sub.diagonal().real[order]
-                basis[:, block] = basis[:, block[order]]
+                values = [entries[k] for k in order]
+                moved = [block[k] for k in order]
+                basis[:, block] = basis[:, moved]
                 if columns is not None:
-                    columns[block] = columns[block[order]]
+                    columns[block] = columns[moved]
             else:
                 columns = None
                 values, rotation = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+                values = values.tolist()
                 basis[:, block] = basis[:, block] @ rotation
             refined.extend(_tied_runs(block, values))
         blocks = refined
@@ -601,52 +605,47 @@ def _diagonal_columns(rows):
     """The identity's column order that the refinement gives the exactly
     diagonal family with r x d diagonals ``rows``, or None where a block's
     sort is not sure to match ``eigh`` (``_ascending_order``): the rotation
-    loop's sort and tie refinement, on the rows."""
-    columns = np.arange(rows.shape[1])
-    blocks = [np.arange(rows.shape[1])]
-    for row in rows:
-        refined: list[np.ndarray] = []
+    loop's sort and tie refinement, on the rows as Python floats."""
+    columns = list(range(rows.shape[1]))
+    blocks = [columns[:]]
+    for row in rows.tolist():
+        refined: list[list[int]] = []
         for block in blocks:
-            values = row[columns[block]]
+            values = [row[columns[k]] for k in block]
             order = _ascending_order(values)
             if order is None:
                 return None
-            columns[block] = columns[block[order]]
-            refined.extend(_tied_runs(block, values[order]))
+            moved = [columns[block[k]] for k in order]
+            for position, column in zip(block, moved):
+                columns[position] = column
+            refined.extend(_tied_runs(block, [values[k] for k in order]))
         blocks = refined
-    return columns
+    return np.array(columns)
 
 
 def _tied_runs(block, values):
-    """The runs of two or more columns of ``block`` whose ascending
-    ``values`` tie within ``COMMUTATOR_ATOL``: the blocks the next state
-    refines."""
-    ties = np.diff(values) <= COMMUTATOR_ATOL
-    if not ties.any():
-        return []
-    return [run for run in np.split(block, np.flatnonzero(~ties) + 1) if run.size > 1]
-
-
-def _exactly_diagonal(mat):
-    return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
-
-
-def _diagonal_order(sub):
-    """The column order ``eigh`` gives an exactly diagonal ``sub``, whose
-    eigenvectors are then unit vectors, or None (``_ascending_order`` of its
-    diagonal)."""
-    if not _exactly_diagonal(sub):
-        return None
-    return _ascending_order(sub.diagonal().real)
+    """The runs of two or more positions of the list ``block`` whose
+    ascending ``values`` (Python floats) tie within ``COMMUTATOR_ATOL``: the
+    blocks the next state refines."""
+    runs, start = [], 0
+    for k in range(1, len(values) + 1):
+        if k == len(values) or values[k] - values[k - 1] > COMMUTATOR_ATOL:
+            if k - start > 1:
+                runs.append(block[start:k])
+            start = k
+    return runs
 
 
 def _ascending_order(values):
-    """The order ``eigh`` puts the diagonal ``values`` in, or None. LAPACK
-    sorts the values by a selection sort, which moves tied values past each
-    other, so the order is taken only where a stable sort is sure to match
-    it: values already in ascending order, or distinct ones."""
-    order = np.argsort(values, kind="stable")
-    if (np.diff(values) >= 0.0).all() or (np.diff(values[order]) > 0.0).all():
+    """The order ``eigh`` puts the diagonal ``values`` (Python floats) in,
+    as a list of positions, or None. LAPACK sorts the values by a selection
+    sort, which moves tied values past each other, so the order is taken
+    only where a stable sort is sure to match it: values already in
+    ascending order, or distinct ones."""
+    if all(a <= b for a, b in zip(values, values[1:])):
+        return list(range(len(values)))
+    order = sorted(range(len(values)), key=values.__getitem__)
+    if all(values[a] < values[b] for a, b in zip(order, order[1:])):
         return order
     return None
 

@@ -160,6 +160,11 @@ def is_rank_one(eigenvalues: np.ndarray) -> bool:
     return tail <= RANK_ONE_TAIL_RTOL * len(eigenvalues) * float(eigenvalues[0])
 
 
+def is_exactly_diagonal(mat: np.ndarray) -> bool:
+    """Whether every nonzero entry of the square ``mat`` is on its diagonal."""
+    return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
+
+
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate every column so its first component above ``PHASE_PIVOT_ATOL``
     in magnitude is real and positive."""
@@ -174,30 +179,38 @@ def _tie_break_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Reorder equal-eigenvalue runs by ascending lexicographic key of the
     vectors, (re, im) of the first component, then of the second, and so on.
 
-    The runs are found on Python floats, whose comparisons are the same IEEE
-    ones. A run whose first real keys are all distinct is ordered by those
-    alone; others, such as kernel vectors with exact-zero leading
-    components, take the full ``lexsort``."""
-    scan = values.tolist()
-    tol = EIGENVALUE_ZERO_RTOL * max(1.0, float(np.abs(values).max()))
-    order = np.arange(len(scan))
-    start = 0
-    while start < len(scan):
-        stop = start
-        while stop + 1 < len(scan) and scan[start] - scan[stop + 1] <= tol:
-            stop += 1
-        if stop > start:
-            run = vectors[:, start : stop + 1]
-            lead = run[0].real
-            local = np.argsort(lead, kind="stable")
-            if not (np.diff(lead[local]) > 0.0).all():
-                keys = np.empty((2 * run.shape[0], run.shape[1]))
-                keys[0::2], keys[1::2] = run.real, run.imag
-                # np.lexsort sorts by its last key first, and stably
-                local = np.lexsort(keys[::-1])
-            order[start : stop + 1] = start + local
-        start = stop + 1
+    The runs are found on Python floats (``_near_tie_runs``), whose
+    comparisons are the same IEEE ones. A run whose first real keys are all
+    distinct is ordered by those alone; others, such as kernel vectors with
+    exact-zero leading components, take the full ``lexsort``."""
+    order = np.arange(len(values))
+    for start, stop in _near_tie_runs(values.tolist()):
+        run = vectors[:, start:stop]
+        lead = run[0].real
+        local = np.argsort(lead, kind="stable")
+        if not (np.diff(lead[local]) > 0.0).all():
+            keys = np.empty((2 * run.shape[0], run.shape[1]))
+            keys[0::2], keys[1::2] = run.real, run.imag
+            # np.lexsort sorts by its last key first, and stably
+            local = np.lexsort(keys[::-1])
+        order[start:stop] = start + local
     return order
+
+
+def _near_tie_runs(scan: list[float]) -> list[tuple[int, int]]:
+    """The runs scan[start:stop] of two or more descending eigenvalues, each
+    value within EIGENVALUE_ZERO_RTOL max(1, largest magnitude) of its run's
+    first: the runs ``spectral_decompose`` orders by eigenvector."""
+    tol = EIGENVALUE_ZERO_RTOL * max(1.0, max(map(abs, scan)))
+    runs, start = [], 0
+    while start < len(scan):
+        stop = start + 1
+        while stop < len(scan) and scan[start] - scan[stop] <= tol:
+            stop += 1
+        if stop - start > 1:
+            runs.append((start, stop))
+        start = stop
+    return runs
 
 
 def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:

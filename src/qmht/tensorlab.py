@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chernoff import MultipleChernoffResult, check_distinct, multiple_qcb
+from .chernoff import MultipleChernoffResult, check_distinct, pairwise_qcb
 from .detectors import (
     EPSILON_FLOOR,
     _common_diagonals,
@@ -452,7 +452,7 @@ def run_power_experiment(
         rows, commutator = None, math.inf
     commutes = commutator <= states[0].dim * COMMUTATOR_ROUNDING
 
-    qcb = multiple_qcb(states)
+    qcb = pairwise_qcb(states)
     r = len(states)
     overlap_sums = [_pairwise_overlap_power_sum(qcb, n) for n in ns]
     epsilons = {kind: [0.0] * len(ns) for kind in kinds}

@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from qmht.chernoff import GRID, OverlapCurve, binary_qcb, multiple_qcb, q_overlap
+import qmht.chernoff
+import qmht.linalg
+from qmht.chernoff import (
+    GRID,
+    OverlapCurve,
+    _diagonal_support,
+    binary_qcb,
+    multiple_qcb,
+    pairwise_qcb,
+    q_overlap,
+)
 from qmht.cli import load_scenario
 from qmht.detectors import gs_detector, gs_error_bound, lemma3_bound
 from qmht.linalg import DensityMatrix
@@ -132,22 +142,29 @@ class TestMinimizerPanel:
             d = int(rng.integers(2, 6))
             yield rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
 
-    def test_matches_bounded_brent(self, monkeypatch):
-        # every evaluation of the curve or its derivatives is counted; a
-        # single-point call runs through on_grid and counts twice
+    @staticmethod
+    def counted_evaluations(monkeypatch):
+        """Every evaluation of a curve or its derivatives, by method name; a
+        single-point call runs through on_grid and counts twice."""
         calls = []
-        for name in ("__call__", "on_grid", "slope_and_curvature"):
+        for name in ("grid_values", "__call__", "on_grid", "slope_and_curvature"):
             plain = getattr(OverlapCurve, name)
 
-            def counting(curve, s, plain=plain, name=name):
+            def counting(curve, *args, plain=plain, name=name):
                 calls.append(name)
-                return plain(curve, s)
+                return plain(curve, *args)
 
             monkeypatch.setattr(OverlapCurve, name, counting)
+        return calls
+
+    def test_matches_bounded_brent(self, monkeypatch):
+        # the pass on each pair reads its grid once and evaluates at most
+        # eight times in all
+        calls = self.counted_evaluations(monkeypatch)
         for p, q in self.pairs():
             calls.clear()
             res = binary_qcb(diagonal(p), diagonal(q))
-            assert len(calls) <= 8, calls
+            assert calls.count("grid_values") == 1 and len(calls) <= 8, calls
             ref = minimize_scalar(
                 lambda s: float(np.sum(p ** (1.0 - s) * q**s)),
                 bounds=(0.0, 1.0),
@@ -166,6 +183,30 @@ class TestMinimizerPanel:
                 xtol=1e-15,
             )
             assert abs(res.s_star - root) <= 1e-12
+
+    def test_one_pass_evaluates_each_pair_as_often(self, monkeypatch):
+        # the pass over a whole family spends on each pair what it spends on
+        # that pair alone, and builds each state's support once
+        calls = self.counted_evaluations(monkeypatch)
+        supports = []
+        plain = qmht.chernoff._Support
+
+        def counting(*args, **kwargs):
+            supports.append(1)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(qmht.chernoff, "_Support", counting)
+        rows = [p for pair in self.pairs() for p in pair if len(p) == 4][:4]
+        family = [diagonal(p) for p in rows]
+        res = multiple_qcb(family)
+        assert len(res.pairwise) == 6 and len(supports) == 4
+        assert calls.count("grid_values") == 6 and len(calls) <= 8 * 6, calls
+        together, alone = len(calls), 0
+        for i, j in res.pairwise:
+            calls.clear()
+            assert binary_qcb(family[i], family[j]) == res.pairwise[(i, j)]
+            alone += len(calls)
+        assert together == alone
 
 
 def mp_reference(rho, sigma):
@@ -358,3 +399,87 @@ class TestMultipleQcb:
     def test_rejects_single_state(self):
         with pytest.raises(ValueError):
             multiple_qcb([diagonal([1.0, 0.0])])
+
+
+class TestDiagonalFamilies:
+    """An exactly diagonal family reads its spectra off its diagonals."""
+
+    @staticmethod
+    def families():
+        """Exactly diagonal families, d 2-5 and r 2-4, whose rows have zeros;
+        a quarter tie their levels exactly, a quarter hold near ties (a pair
+        1e-13 apart, or a chain 0.6e-12 apart that ``spectral_decompose``
+        cuts into two runs), and a quarter turn a zero entry into -1e-11,
+        which the spectrum clamps to zero, or into 1e-14 or 1e-13, under
+        the 1e-12 relative cut."""
+        rng = np.random.default_rng(97)
+        for k in range(240):
+            dim, r = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            rows = rng.random((r, dim)) * (rng.random((r, dim)) < 0.7)
+            if k % 4 == 1:
+                rows = rng.choice([0.0, 1.0, 2.0], size=(r, dim))
+            elif k % 4 == 2:
+                rows[:, 0] += 0.5
+                rows[:, -1] = rows[:, 0] * (1.0 + 1e-13 * rng.choice([-1.0, 1.0], size=r))
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            if k % 8 == 6 and dim >= 3:
+                level = 1.0 / 3.0 if dim == 3 else rng.uniform(0.1, 1.0 / dim)
+                chain = level + np.array([0.0, 0.6e-12, 1.2e-12])
+                row = np.r_[chain, np.full(dim - 3, (1.0 - 3.0 * level) / max(dim - 3, 1))]
+                rows = np.array([rng.permutation(row) for _ in range(r)])
+            zeros = np.argwhere(rows == 0.0)
+            if k % 4 == 3 and zeros.size:
+                planted = rng.choice([-1e-11, 1e-14, 1e-13])
+                rows[tuple(zeros[rng.integers(len(zeros))])] = planted
+            yield [diagonal(row) for row in rows]
+
+    @staticmethod
+    def counted_decompositions(monkeypatch):
+        calls = []
+        plain = qmht.linalg.spectral_decompose
+
+        def counting(h):
+            calls.append(h.dim)
+            return plain(h)
+
+        monkeypatch.setattr(qmht.linalg, "spectral_decompose", counting)
+        return calls
+
+    def test_supports_equal_the_decompositions(self):
+        # the kept eigenvalues and unit vectors that spectral_decompose gives
+        # an exactly diagonal state, ties, near ties and negative entries too
+        for states in self.families():
+            for rho in states:
+                values, index = _diagonal_support(rho.mat.diagonal().real)
+                spectrum = rho.spectrum()
+                keep = spectrum.positive_indices()
+                assert np.array_equal(values, spectrum.eigenvalues[keep])
+                assert np.array_equal(np.eye(rho.dim)[:, index], spectrum.vectors[:, keep])
+
+    def test_pass_equals_the_spectra_route(self, monkeypatch):
+        # bitwise: the same family, with the diagonal rule switched off,
+        # takes the spectra; with it on, no state is decomposed
+        decompositions = self.counted_decompositions(monkeypatch)
+        on_spectra = 0
+        for states in self.families():
+            res = pairwise_qcb(states)
+            assert decompositions == []
+            with monkeypatch.context() as patch:
+                patch.setattr(qmht.chernoff, "is_exactly_diagonal", lambda mat: False)
+                spectra = pairwise_qcb([DensityMatrix(rho.mat) for rho in states])
+            on_spectra += len(decompositions)
+            decompositions.clear()
+            assert res == spectra
+            for (i, j), pair in res.pairwise.items():
+                assert binary_qcb(states[i], states[j]) == pair
+        assert on_spectra == sum(len(states) for states in self.families())
+
+    def test_one_non_diagonal_state_sends_the_family_to_the_spectra(self, monkeypatch):
+        # the rule is "every state exactly diagonal", not "commutes to
+        # rounding": an off-diagonal entry of 1e-17 keeps the spectra
+        decompositions = self.counted_decompositions(monkeypatch)
+        near = np.array([[0.6, 1e-17], [1e-17, 0.4]], dtype=complex)
+        res = multiple_qcb([diagonal([0.9, 0.1]), DensityMatrix(near), diagonal([0.3, 0.7])])
+        assert decompositions == [2, 2, 2]
+        assert res.pairwise[(0, 2)] == binary_qcb(diagonal([0.9, 0.1]), diagonal([0.3, 0.7]))

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import qmht
+from qmht.chernoff import multiple_qcb
 from qmht.cli import CSV_COLUMNS, load_scenario, main, render_json
 from qmht.detectors import epsilon_detector, evaluate_errors, gs_detector, holevo_helstrom
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from qmht.sampling import random_density_matrix, random_pure_state
 from qmht.tensorlab import run_power_experiment
-from conftest import diagonal
+from conftest import diagonal, pure
 
 SQ = 1.0 / math.sqrt(2.0)
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -544,23 +545,25 @@ class TestOneBoundPerRun:
     ]
 
     @staticmethod
-    def counted_multiple_qcb(monkeypatch):
-        import qmht.tensorlab
+    def counted_bounds(monkeypatch):
+        # every Chernoff bound, whichever function asks for it, builds the
+        # supports of its family once: one call per bound, with its size
+        import qmht.chernoff
 
         calls = []
-        plain = qmht.tensorlab.multiple_qcb
+        plain = qmht.chernoff._supports
 
         def counting(states):
             calls.append(len(states))
             return plain(states)
 
-        monkeypatch.setattr(qmht.tensorlab, "multiple_qcb", counting)
+        monkeypatch.setattr(qmht.chernoff, "_supports", counting)
         return calls
 
     def test_run_computes_one_bound(self, tmp_path, monkeypatch):
         from qmht.tensorlab import run_power_experiment
 
-        calls = self.counted_multiple_qcb(monkeypatch)
+        calls = self.counted_bounds(monkeypatch)
         scen = write_scenario(
             tmp_path / "s.json", states=self.STATES, detectors=self.KINDS, n_max=4
         )
@@ -593,7 +596,7 @@ class TestOneBoundPerRun:
     def test_classical_ml_bound_is_the_overlap_sum(self, monkeypatch):
         from qmht.tensorlab import run_power_experiment
 
-        calls = self.counted_multiple_qcb(monkeypatch)
+        calls = self.counted_bounds(monkeypatch)
         states = [diagonal(spec["probs"]) for spec in self.STATES]
         report = run_power_experiment(states, range(1, 5), "classical-ml")
         assert calls == [2]
@@ -603,6 +606,54 @@ class TestOneBoundPerRun:
         assert [row.error_bound for row in report.rows] == [
             2.0 * q_star**n / 2 for n in range(1, 5)
         ]
+
+
+class TestOneChernoffRule:
+    """``qmht run``, ``qmht chernoff`` and the API read a family's bound by
+    one rule: exactly diagonal families off their diagonals, any other
+    family, however nearly diagonal, off its spectra."""
+
+    @staticmethod
+    def counted_decompositions(monkeypatch):
+        import qmht.linalg
+
+        calls = []
+        plain = qmht.linalg.spectral_decompose
+
+        def counting(h):
+            calls.append(h.dim)
+            return plain(h)
+
+        monkeypatch.setattr(qmht.linalg, "spectral_decompose", counting)
+        return calls
+
+    def test_a_diagonal_scenario_takes_no_eigensolve(self, tmp_path, monkeypatch):
+        calls = self.counted_decompositions(monkeypatch)
+        for name, decomposed in (("commuting_pair", False), ("mixed_qubit_pair", True)):
+            calls.clear()
+            path = os.path.join(SCENARIOS, f"{name}.json")
+            assert main(["run", "--scenario", path, "--out", str(tmp_path / "r.csv")]) == 0
+            assert bool(calls) == decomposed, (name, calls)
+
+    def test_a_pure_pair_with_a_rounding_level_coherence_keeps_its_bound(
+        self, tmp_path, capsys
+    ):
+        # |0> and (1e-17, 1): the off-diagonal entry 1e-17 commutes to
+        # rounding but keeps the spectra, where q* = 1e-34
+        states = [pure([1.0, 0.0]), pure([1e-17, 1.0])]
+        xi = 78.28789316179756
+        assert multiple_qcb(states).xi == xi
+        assert run_power_experiment(states, [1, 2], "helstrom").qcb.xi == xi
+        scen = write_scenario(
+            tmp_path / "s.json",
+            states=[
+                {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0]]},
+                {"kind": "pure", "vector": [[1e-17, 0.0], [1.0, 0.0]]},
+            ],
+        )
+        assert main(["chernoff", "--scenario", str(scen)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == "minimum: xi=78.2878931618 at pair (1,2)"
 
 
 class TestChernoffCommand:

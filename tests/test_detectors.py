@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qmht.detectors
 from qmht.cli import load_scenario
 from qmht.detectors import (
+    COMMUTATOR_ATOL,
     EPSILON_FLOOR,
     POVM_ATOL,
     SELECTION_TIE_RTOL,
@@ -34,6 +35,7 @@ from qmht.detectors import (
     verify_bayes_conditions,
     _common_diagonals,
     _diagonal_bayes_conditions,
+    _diagonal_columns,
     _greedy_pops,
     _gs_frame,
 )
@@ -1635,6 +1637,48 @@ class TestDiagonalRowPath:
                 if not report.passed:
                     mislabelled += 1
         assert on_rows >= 100 and mislabelled >= 50, (on_rows, mislabelled)
+
+    @staticmethod
+    def sorted_columns(rows):
+        """The row path's column order stated with numpy sorts: a stable
+        argsort of each block, refused where the block neither ascends nor
+        holds distinct values, whose runs are cut where neighbours differ
+        by more than ``COMMUTATOR_ATOL``."""
+        columns = np.arange(rows.shape[1])
+        blocks = [np.arange(rows.shape[1])]
+        for row in rows:
+            refined = []
+            for block in blocks:
+                values = row[columns[block]]
+                order = np.argsort(values, kind="stable")
+                if not ((np.diff(values) >= 0.0).all() or (np.diff(values[order]) > 0.0).all()):
+                    return None
+                columns[block] = columns[block[order]]
+                cuts = np.flatnonzero(np.diff(values[order]) > COMMUTATOR_ATOL) + 1
+                refined.extend(run for run in np.split(block, cuts) if run.size > 1)
+            blocks = refined
+        return columns
+
+    def test_row_scan_gives_the_sorted_order(self):
+        # the scan on Python floats orders the columns as numpy's sorts do,
+        # and refuses the same blocks, with ties exact, within the tolerance
+        # and just past it; where it takes the rows, the basis is eigh's
+        taken = refused = 0
+        for k, (rng, states) in enumerate(self.families(seed=98, count=300)):
+            rows = np.stack([rho.mat.diagonal().real for rho in states])
+            if k % 2:
+                rows = rows + COMMUTATOR_ATOL * rng.choice([0.0, 0.3, 1.5], size=rows.shape)
+            columns, expected = _diagonal_columns(rows), self.sorted_columns(rows)
+            if expected is None:
+                assert columns is None
+                refused += 1
+                continue
+            assert columns.tolist() == expected.tolist()
+            taken += 1
+            if k % 2 == 0:
+                refined = TestCommonEigenbasis.eigh_refined_basis(states)
+                assert np.array_equal(np.eye(len(columns))[:, columns], refined)
+        assert taken >= 100 and refused >= 50, (taken, refused)
 
     def test_a_non_diagonal_commuting_family_stays_dense(self):
         rng = np.random.default_rng(52)

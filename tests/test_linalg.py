@@ -190,6 +190,15 @@ class TestTieBreakOrder:
                 leads["distinct" if len(set(first)) == len(first) else "tied"] += 1
         assert leads["tied"] >= 4 and leads["distinct"] >= 4, leads
 
+    def test_runs_are_anchored_at_their_first_value(self):
+        # a chain of near ties 0.7e-12 apart: the first two values form a run
+        # (their unit vectors by descending index), the third is 1.4e-12 from
+        # the run's first and starts its own
+        values = [0.3 + 1.4e-12, 0.3 + 0.7e-12, 0.3, 0.1 - 2.1e-12]
+        dec = spectral_decompose(HermitianMatrix(np.diag(values).astype(complex)))
+        assert np.argmax(np.abs(dec.vectors), axis=0).tolist() == [1, 0, 2, 3]
+        assert dec.eigenvalues.tolist() == [values[1], values[0], values[2], values[3]]
+
 
 class TestVectorizedSpectralDecompose:
     @pytest.mark.parametrize("seed", range(6))
