@@ -8,9 +8,11 @@ it. The pass builds each state's support once: its kept eigenvalues (the
 log-moment stack of each side of a pair that the state takes. Each pair
 then costs one weight product, one stacked grid product and a few Newton
 steps; its grid minimum is read off the grid, and only the Newton point is
-evaluated anew. A family in which every state's matrix is exactly diagonal
-takes its clamped diagonals as eigenvalues with identity weights, so it
-needs no eigensolve: its curve is the classical sum_k p_k^(1-s) q_k^s.
+evaluated anew. The supports come from each state's cached ``spectrum()``,
+which takes no eigensolve for an exactly diagonal state
+(``linalg.spectral_decompose``): a family of such states, the paper's
+classical special case, has the 0/1 weights of the identity's columns, and
+its curve is the classical sum_k p_k^(1-s) q_k^s.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    _near_tie_runs,
-    eigenvalue_zero_threshold,
-    is_exactly_diagonal,
-)
+from .linalg import DensityMatrix
 
 GRID_POINTS = 64
 GRID = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -64,8 +61,7 @@ class MultipleChernoffResult:
 class _Support:
     """One state's kept eigenvalues ``values`` (above the 1e-12 relative
     cut) and their eigenvectors ``vectors``, with the tables of the pair
-    sides it takes. The unit eigenvectors of an exactly diagonal family are
-    held as a 1-D array of their basis indices.
+    sides it takes.
 
     As the left side (rho in tr[rho^(1-s) sigma^s]) it holds the adjoint of
     its vectors, the grid powers values^(1-s) as (g, 1, p) and the log
@@ -93,42 +89,18 @@ class _Support:
             self.right_logs = moments.T.copy()
 
 
-def _diagonal_support(diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kept eigenvalues that ``DensityMatrix.spectrum`` gives a state
-    whose matrix is exactly diagonal, read off its real ``diagonal`` in the
-    same order, and the basis index of each one's unit eigenvector.
-
-    ``spectral_decompose`` sorts the values in descending order and each run
-    of near ties by the lexicographic keys of its vectors, which for unit
-    vectors descend with the basis index; the values are clamped at zero.
-    """
-    entries = diagonal.tolist()
-    order = sorted(range(len(entries)), key=entries.__getitem__, reverse=True)
-    for start, stop in _near_tie_runs([entries[k] for k in order]):
-        order[start:stop] = sorted(order[start:stop], reverse=True)
-    values = [max(entries[k], 0.0) for k in order]
-    cut = eigenvalue_zero_threshold(values)
-    kept = [position for position, value in enumerate(values) if value > cut]
-    return np.array([values[k] for k in kept]), np.array([order[k] for k in kept])
-
-
 def _supports(states: Sequence[DensityMatrix]) -> list[_Support]:
     """The support of each state, built once: state i is the left side of
-    the pairs (i, j > i) and the right side of the pairs (j < i, i). An
-    exactly diagonal family reads its spectra off its diagonals, any other
-    family takes the cached spectra."""
+    the pairs (i, j > i) and the right side of the pairs (j < i, i), from
+    its cached spectrum."""
     last = len(states) - 1
-    if all(is_exactly_diagonal(rho.mat) for rho in states):
-        kept = [_diagonal_support(rho.mat.diagonal().real) for rho in states]
-    else:
-        kept = []
-        for spectrum in (rho.spectrum() for rho in states):
-            keep = spectrum.positive_indices()
-            kept.append((spectrum.eigenvalues[keep], spectrum.vectors[:, keep]))
-    return [
-        _Support(values, vectors, left=k < last, right=k > 0)
-        for k, (values, vectors) in enumerate(kept)
-    ]
+    supports = []
+    for k, spectrum in enumerate(rho.spectrum() for rho in states):
+        keep = spectrum.positive_indices()
+        supports.append(
+            _Support(spectrum.eigenvalues[keep], spectrum.vectors[:, keep], k < last, k > 0)
+        )
+    return supports
 
 
 class OverlapCurve:
@@ -138,8 +110,8 @@ class OverlapCurve:
     the 0**0 == 0 convention at the endpoints. The curve is
     f(s) = sum_jk W_jk lam_j^(1-s) mu_k^s with W_jk = |<v_j|w_k>|^2 >= 0, a
     positive sum of exponentials in s, hence convex. When both states are
-    exactly diagonal, W is 1 where j and k are one basis index and 0
-    elsewhere.
+    exactly diagonal, their vectors are the identity's columns, so W is 1
+    where j and k are one basis index and 0 elsewhere.
     """
 
     __slots__ = ("_left", "_right", "_weights")
@@ -157,10 +129,7 @@ class OverlapCurve:
 
     def _join(self, left: _Support, right: _Support) -> None:
         self._left, self._right = left, right
-        if left.vectors.ndim == 1:  # basis indices of unit vectors
-            self._weights = (left.vectors[:, None] == right.vectors).astype(float)
-        else:
-            self._weights = np.abs(left.adjoint @ right.vectors) ** 2
+        self._weights = np.abs(left.adjoint @ right.vectors) ** 2
 
     def __call__(self, s: float) -> float:
         return float(self.on_grid(np.array([s]))[0])
@@ -273,6 +242,12 @@ def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     return pairwise_qcb([rho, sigma]).pairwise[(0, 1)]
+
+
+def overlap_power_sum(result: MultipleChernoffResult, n: int) -> float:
+    """sum_(i != j) q*_ij^n over the ordered pairs of distinct states: twice
+    the sum over the pairs i < j."""
+    return 2.0 * sum(res.q_star**n for res in result.pairwise.values())
 
 
 def check_distinct(states: Sequence[DensityMatrix]) -> None:

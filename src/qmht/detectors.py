@@ -11,11 +11,13 @@ for every route (``pick_frame``): gs by ``greedy_span``, and epsilon, the
 embedded detector, in closed form from two Cholesky factors. The Bayes
 certificate is proved by a Cholesky factor and a Frobenius norm, and
 decided by ``eigvalsh`` and the 2-norm only where those fail
-(``verify_bayes_conditions``). An exactly diagonal family stays on its
-r x d diagonal rows instead (the row path of ``_common_diagonals``): its
-basis order, certificate and conditions are read off the rows, which give
-the dense bits and verdicts because every entry of the dense products has
-at most one nonzero term in its permutation basis.
+(``verify_bayes_conditions``). Exactly diagonal states are read off
+their diagonals: their spectra by ``linalg.spectral_decompose``, their
+blocks of the common basis by ``_common_diagonals`` while that basis is a
+permutation. A family of such states stays on its r x d diagonal rows (the
+row path): its basis order, certificate and conditions are read off the
+rows, which give the dense bits and verdicts because every entry of the
+dense products has at most one nonzero term in its permutation basis.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chernoff import pairwise_qcb
+from .chernoff import overlap_power_sum, pairwise_qcb
 from .errors import NumericalConsistencyError
 # SPAN_RESIDUAL_TOL, gs's span rule, is read by ``greedy_span`` and named here
 from .linalg import (
@@ -453,9 +455,7 @@ def lemma3_bound(overlap_sum: float, lambda_min: float, r: int) -> float:
 def gs_error_bound(sigma_set: Sequence[DensityMatrix], diagnostics: GsDiagnostics) -> float:
     """``lemma3_bound`` of a single-copy greedy PVM."""
     states = list(sigma_set)
-    total = 0.0
-    for res in pairwise_qcb(states).pairwise.values():
-        total += 2.0 * res.q_star
+    total = overlap_power_sum(pairwise_qcb(states), 1)
     return lemma3_bound(total, diagnostics.lambda_min_gram, len(states))
 
 
@@ -520,22 +520,23 @@ def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
 def _common_diagonals(sigma_set):
     """``common_eigenbasis`` of a commuting family, the r x d real diagonals
     of its states in that basis, that basis as the identity's column order
-    ``columns`` where the family takes the row path, else None, and the
-    largest commutator entry of any pair, 0 where no product was taken.
+    ``columns`` where every state is exactly diagonal and every block sorts,
+    else None, and the largest commutator entry of any pair, 0 where no
+    product was taken.
 
-    An exactly diagonal family takes the row path while every block sorts
-    (``_diagonal_columns``): the basis order comes from the r x d diagonal
-    rows alone, with no d x d product, commutator or check, and is exact,
-    since each entry of those products has at most one nonzero term. Any
-    other family is refined by rotations. Each pair's commutator is C - C^H
-    with C = rho_i rho_j, one product, except for a pair of exactly diagonal
-    states, which commute. A block whose state is already exactly diagonal
-    is sorted, not eigensolved (``_ascending_order``), and only runs of tied
-    values in a block are refined by the next states (``_tied_runs``); both
-    rules scan Python floats, on the rows and in the rotation loop alike.
-    While the basis is a permutation of the identity's columns, a state's
-    block is read off by indexing, and the diagonals off the one rotation of
-    each state that checks it is diagonal there.
+    Each pair's commutator is C - C^H with C = rho_i rho_j, one product,
+    except for a pair of exactly diagonal states, which commute. Each state
+    then refines the blocks of the basis in turn. A block whose state is
+    exactly diagonal there is sorted, not eigensolved (``_ascending_order``),
+    and only runs of tied values in a block are refined by the next states
+    (``_tied_runs``); both rules scan Python floats. While the basis is a
+    permutation of the identity's columns, a state's block is read off by
+    indexing: an exactly diagonal state's off its diagonal row, with no
+    check, since each entry of its rotation has at most one nonzero term;
+    the diagonals likewise, off the rows of the exactly diagonal states and
+    off the one rotation of each other state that checks it is diagonal
+    there. So an exactly diagonal family whose blocks all sort takes no
+    d x d product, commutator or check.
     """
     states = list(sigma_set)
     if not states:
@@ -543,16 +544,11 @@ def _common_diagonals(sigma_set):
     dim = states[0].dim
     if any(rho.dim != dim for rho in states):
         raise ValueError("states must share one dimension")
-    diagonal = [is_exactly_diagonal(rho.mat) for rho in states]
-    if all(diagonal):
-        rows = np.stack([rho.mat.diagonal().real for rho in states])
-        columns = _diagonal_columns(rows)
-        if columns is not None:
-            return np.eye(dim, dtype=complex)[:, columns], rows[:, columns], columns, 0.0
+    rows = [rho.mat.diagonal().real if is_exactly_diagonal(rho.mat) else None for rho in states]
     commutator = 0.0
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            if diagonal[i] and diagonal[j]:
+            if rows[i] is not None and rows[j] is not None:
                 continue
             product = states[i].mat @ states[j].mat
             entry = float(np.abs(product - product.conj().T).max())
@@ -564,15 +560,20 @@ def _common_diagonals(sigma_set):
     # ``columns``, and a state rotates into it by indexing
     columns = np.arange(dim)
     blocks = [list(range(dim))]
-    for rho in states:
+    for rho, row in zip(states, rows):
         refined: list[list[int]] = []
         for block in blocks:
-            if columns is not None:  # the products' entries, up to the sign of a zero
-                sub = rho.mat[np.ix_(columns[block], columns[block])]
+            if columns is not None and row is not None:
+                sub = None
+                entries = row[columns[block]].tolist()
+                order = _ascending_order(entries)
             else:
-                sub = basis[:, block].conj().T @ rho.mat @ basis[:, block]
-            entries = sub.diagonal().real.tolist()
-            order = _ascending_order(entries) if is_exactly_diagonal(sub) else None
+                if columns is None:
+                    sub = basis[:, block].conj().T @ rho.mat @ basis[:, block]
+                else:  # the products' entries, up to the sign of a zero
+                    sub = rho.mat[np.ix_(columns[block], columns[block])]
+                entries = sub.diagonal().real.tolist()
+                order = _ascending_order(entries) if is_exactly_diagonal(sub) else None
             if order is not None:
                 values = [entries[k] for k in order]
                 moved = [block[k] for k in order]
@@ -580,6 +581,8 @@ def _common_diagonals(sigma_set):
                 if columns is not None:
                     columns[block] = columns[moved]
             else:
+                if sub is None:
+                    sub = rho.mat[np.ix_(columns[block], columns[block])]
                 columns = None
                 values, rotation = np.linalg.eigh((sub + sub.conj().T) / 2.0)
                 values = values.tolist()
@@ -587,7 +590,10 @@ def _common_diagonals(sigma_set):
             refined.extend(_tied_runs(block, values))
         blocks = refined
     diagonals = np.empty((len(states), dim))
-    for k, rho in enumerate(states):
+    for k, (rho, row) in enumerate(zip(states, rows)):
+        if columns is not None and row is not None:
+            diagonals[k] = row[columns]
+            continue
         if columns is None:
             rotated = basis.conj().T @ rho.mat @ basis
         else:  # the products' entries, up to the sign of a zero
@@ -598,29 +604,9 @@ def _common_diagonals(sigma_set):
             raise NumericalConsistencyError(
                 f"state {k} is not diagonal in the refined common basis"
             )
-    return basis, diagonals, None, commutator
-
-
-def _diagonal_columns(rows):
-    """The identity's column order that the refinement gives the exactly
-    diagonal family with r x d diagonals ``rows``, or None where a block's
-    sort is not sure to match ``eigh`` (``_ascending_order``): the rotation
-    loop's sort and tie refinement, on the rows as Python floats."""
-    columns = list(range(rows.shape[1]))
-    blocks = [columns[:]]
-    for row in rows.tolist():
-        refined: list[list[int]] = []
-        for block in blocks:
-            values = [row[columns[k]] for k in block]
-            order = _ascending_order(values)
-            if order is None:
-                return None
-            moved = [columns[block[k]] for k in order]
-            for position, column in zip(block, moved):
-                columns[position] = column
-            refined.extend(_tied_runs(block, [values[k] for k in order]))
-        blocks = refined
-    return np.array(columns)
+    if any(row is None for row in rows):
+        columns = None
+    return basis, diagonals, columns, commutator
 
 
 def _tied_runs(block, values):

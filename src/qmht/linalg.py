@@ -1,7 +1,11 @@
 """Dense complex Hermitian linear algebra for finite-dimensional hypothesis states.
 
 Everything here is a pure function over immutable values; instances are safe
-to share across workers.
+to share across workers. ``spectral_decompose`` holds the one rule for
+exactly diagonal matrices, the paper's classical case of probability
+measures: it reads their spectrum off the diagonal, with no eigensolve, in
+the order and bits that ``eigh`` gives, and every consumer of
+``DensityMatrix.spectrum`` takes that spectrum.
 """
 
 from __future__ import annotations
@@ -182,7 +186,10 @@ def _tie_break_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     The runs are found on Python floats (``_near_tie_runs``), whose
     comparisons are the same IEEE ones. A run whose first real keys are all
     distinct is ordered by those alone; others, such as kernel vectors with
-    exact-zero leading components, take the full ``lexsort``."""
+    exact-zero leading components, take the full ``lexsort``. For the unit
+    vectors of an exactly diagonal matrix this key descends with the basis
+    index, which is how ``spectral_decompose`` orders their runs without
+    eigenvectors or keys."""
     order = np.arange(len(values))
     for start, stop in _near_tie_runs(values.tolist()):
         run = vectors[:, start:stop]
@@ -219,13 +226,28 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     Every eigenvector gets the positive-first-component phase; runs of equal
     eigenvalues are ordered by the ascending lexicographic key of the
     phase-normalized vectors, making repeated runs reproducible.
+
+    An exactly diagonal matrix takes no eigensolve: its eigenvalues are its
+    real diagonal, sorted descending, and its vectors the identity's
+    columns. The key of a unit vector descends with its basis index, so each
+    run holds its entries by descending index. These are the bits ``eigh``
+    gives such a matrix, ties, near ties, zeros and negative entries
+    included.
     """
-    values, vectors = np.linalg.eigh(h.mat)
-    values = values[::-1].copy()
-    vectors = _normalize_phases(vectors[:, ::-1])
-    order = _tie_break_order(values, vectors)
-    values = values[order]
-    vectors = vectors[:, order]
+    if is_exactly_diagonal(h.mat):
+        entries = h.mat.diagonal().real
+        order = np.argsort(-entries, kind="stable")
+        for start, stop in _near_tie_runs(entries[order].tolist()):
+            order[start:stop] = np.sort(order[start:stop])[::-1]
+        values = entries[order]
+        vectors = np.eye(h.dim, dtype=complex)[:, order]
+    else:
+        values, vectors = np.linalg.eigh(h.mat)
+        values = values[::-1].copy()
+        vectors = _normalize_phases(vectors[:, ::-1])
+        order = _tie_break_order(values, vectors)
+        values = values[order]
+        vectors = vectors[:, order]
     values.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralDecomposition(values, vectors)

@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chernoff import MultipleChernoffResult, check_distinct, pairwise_qcb
+from .chernoff import MultipleChernoffResult, check_distinct, overlap_power_sum, pairwise_qcb
 from .detectors import (
     EPSILON_FLOOR,
     _common_diagonals,
@@ -137,11 +137,6 @@ def _copy_numbers(n_range: Iterable[int], dim: int) -> list[int]:
         raise ValueError("need at least one copy number")
     check_dense_limit(dim, ns)
     return sorted(ns)
-
-
-def _pairwise_overlap_power_sum(qcb: MultipleChernoffResult, n: int) -> float:
-    """Sum over ordered distinct pairs of the n-th power of the overlap infimum."""
-    return 2.0 * sum(res.q_star**n for res in qcb.pairwise.values())
 
 
 def _claim_weights(claims: int, epsilon: float | np.ndarray) -> np.ndarray:
@@ -454,7 +449,7 @@ def run_power_experiment(
 
     qcb = pairwise_qcb(states)
     r = len(states)
-    overlap_sums = [_pairwise_overlap_power_sum(qcb, n) for n in ns]
+    overlap_sums = [overlap_power_sum(qcb, n) for n in ns]
     epsilons = {kind: [0.0] * len(ns) for kind in kinds}
     if "epsilon" in kinds:
         epsilons["epsilon"] = [

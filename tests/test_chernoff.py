@@ -14,7 +14,6 @@ import qmht.linalg
 from qmht.chernoff import (
     GRID,
     OverlapCurve,
-    _diagonal_support,
     binary_qcb,
     multiple_qcb,
     pairwise_qcb,
@@ -402,7 +401,8 @@ class TestMultipleQcb:
 
 
 class TestDiagonalFamilies:
-    """An exactly diagonal family reads its spectra off its diagonals."""
+    """An exactly diagonal family reads its spectra off its diagonals, with
+    no eigensolve (``spectral_decompose``'s diagonal rule)."""
 
     @staticmethod
     def families():
@@ -446,40 +446,43 @@ class TestDiagonalFamilies:
         monkeypatch.setattr(qmht.linalg, "spectral_decompose", counting)
         return calls
 
-    def test_supports_equal_the_decompositions(self):
-        # the kept eigenvalues and unit vectors that spectral_decompose gives
-        # an exactly diagonal state, ties, near ties and negative entries too
-        for states in self.families():
-            for rho in states:
-                values, index = _diagonal_support(rho.mat.diagonal().real)
-                spectrum = rho.spectrum()
-                keep = spectrum.positive_indices()
-                assert np.array_equal(values, spectrum.eigenvalues[keep])
-                assert np.array_equal(np.eye(rho.dim)[:, index], spectrum.vectors[:, keep])
+    @staticmethod
+    def counted_eigensolves(monkeypatch):
+        calls = []
+        plain = np.linalg.eigh
+
+        def counting(mat, *args, **kwargs):
+            calls.append(len(mat))
+            return plain(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
 
     def test_pass_equals_the_spectra_route(self, monkeypatch):
         # bitwise: the same family, with the diagonal rule switched off,
-        # takes the spectra; with it on, no state is decomposed
-        decompositions = self.counted_decompositions(monkeypatch)
+        # takes an eigensolve per state; with it on, no state is eigensolved
+        eigensolves = self.counted_eigensolves(monkeypatch)
         on_spectra = 0
         for states in self.families():
             res = pairwise_qcb(states)
-            assert decompositions == []
+            assert eigensolves == []
             with monkeypatch.context() as patch:
-                patch.setattr(qmht.chernoff, "is_exactly_diagonal", lambda mat: False)
+                patch.setattr(qmht.linalg, "is_exactly_diagonal", lambda mat: False)
                 spectra = pairwise_qcb([DensityMatrix(rho.mat) for rho in states])
-            on_spectra += len(decompositions)
-            decompositions.clear()
+            on_spectra += len(eigensolves)
+            eigensolves.clear()
             assert res == spectra
             for (i, j), pair in res.pairwise.items():
                 assert binary_qcb(states[i], states[j]) == pair
         assert on_spectra == sum(len(states) for states in self.families())
 
     def test_one_non_diagonal_state_sends_the_family_to_the_spectra(self, monkeypatch):
-        # the rule is "every state exactly diagonal", not "commutes to
-        # rounding": an off-diagonal entry of 1e-17 keeps the spectra
+        # the rule is "exactly diagonal", not "commutes to rounding": an
+        # off-diagonal entry of 1e-17 keeps that state's eigensolve
         decompositions = self.counted_decompositions(monkeypatch)
+        eigensolves = self.counted_eigensolves(monkeypatch)
         near = np.array([[0.6, 1e-17], [1e-17, 0.4]], dtype=complex)
         res = multiple_qcb([diagonal([0.9, 0.1]), DensityMatrix(near), diagonal([0.3, 0.7])])
         assert decompositions == [2, 2, 2]
+        assert eigensolves == [2]
         assert res.pairwise[(0, 2)] == binary_qcb(diagonal([0.9, 0.1]), diagonal([0.3, 0.7]))

@@ -610,25 +610,24 @@ class TestOneBoundPerRun:
 
 class TestOneChernoffRule:
     """``qmht run``, ``qmht chernoff`` and the API read a family's bound by
-    one rule: exactly diagonal families off their diagonals, any other
-    family, however nearly diagonal, off its spectra."""
+    one rule: exactly diagonal states off their diagonals, any other state,
+    however nearly diagonal, off an eigensolve."""
 
     @staticmethod
-    def counted_decompositions(monkeypatch):
-        import qmht.linalg
-
+    def counted_eigensolves(monkeypatch):
         calls = []
-        plain = qmht.linalg.spectral_decompose
+        for name in ("eigh", "eigvalsh"):
+            plain = getattr(np.linalg, name)
 
-        def counting(h):
-            calls.append(h.dim)
-            return plain(h)
+            def counting(mat, *args, plain=plain, **kwargs):
+                calls.append(np.shape(mat))
+                return plain(mat, *args, **kwargs)
 
-        monkeypatch.setattr(qmht.linalg, "spectral_decompose", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         return calls
 
     def test_a_diagonal_scenario_takes_no_eigensolve(self, tmp_path, monkeypatch):
-        calls = self.counted_decompositions(monkeypatch)
+        calls = self.counted_eigensolves(monkeypatch)
         for name, decomposed in (("commuting_pair", False), ("mixed_qubit_pair", True)):
             calls.clear()
             path = os.path.join(SCENARIOS, f"{name}.json")

@@ -35,7 +35,6 @@ from qmht.detectors import (
     verify_bayes_conditions,
     _common_diagonals,
     _diagonal_bayes_conditions,
-    _diagonal_columns,
     _greedy_pops,
     _gs_frame,
 )
@@ -1668,7 +1667,10 @@ class TestDiagonalRowPath:
             rows = np.stack([rho.mat.diagonal().real for rho in states])
             if k % 2:
                 rows = rows + COMMUTATOR_ATOL * rng.choice([0.0, 0.3, 1.5], size=rows.shape)
-            columns, expected = _diagonal_columns(rows), self.sorted_columns(rows)
+                states = [diagonal(row / row.sum()) for row in rows]
+                rows = np.stack([rho.mat.diagonal().real for rho in states])
+            _, _, columns, _ = _common_diagonals(states)
+            expected = self.sorted_columns(rows)
             if expected is None:
                 assert columns is None
                 refused += 1
@@ -1679,6 +1681,26 @@ class TestDiagonalRowPath:
                 refined = TestCommonEigenbasis.eigh_refined_basis(states)
                 assert np.array_equal(np.eye(len(columns))[:, columns], refined)
         assert taken >= 100 and refused >= 50, (taken, refused)
+
+    def test_one_non_diagonal_state_keeps_the_dense_check(self, monkeypatch):
+        # a 1e-17 coherence commutes to rounding and leaves the basis a
+        # permutation, but only a family of exactly diagonal states is
+        # read off its rows
+        dense_checks = []
+
+        def counted(*args, **kwargs):
+            dense_checks.append(1)
+            return verify_bayes_conditions(*args, **kwargs)
+
+        monkeypatch.setattr(qmht.detectors, "verify_bayes_conditions", counted)
+        near = np.diag([0.6, 0.3, 0.1]).astype(complex)
+        near[0, 1] = near[1, 0] = 1e-17
+        states = [diagonal([0.2, 0.5, 0.3]), DensityMatrix(near)]
+        basis, probs, columns, commutator = _common_diagonals(states)
+        assert columns is None and 0.0 < commutator <= COMMUTATOR_ATOL
+        assert np.array_equal(basis, np.eye(3)[:, [0, 2, 1]])
+        bayes_commuting(states)
+        assert dense_checks == [1]
 
     def test_a_non_diagonal_commuting_family_stays_dense(self):
         rng = np.random.default_rng(52)

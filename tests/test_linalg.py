@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmht.linalg
 from qmht.linalg import (
     EIGENVALUE_ZERO_RTOL,
     DensityMatrix,
@@ -220,6 +221,51 @@ class TestVectorizedSpectralDecompose:
             values, vectors = loop_spectral_decompose(h)
             assert np.array_equal(dec.eigenvalues, values)
             assert np.array_equal(dec.vectors, vectors)
+
+
+class TestDiagonalRule:
+    @staticmethod
+    def diagonals(count):
+        """Real diagonals, d 1-40: distinct values, exact ties of three
+        levels, near ties 4e-13 apart, chains 0.6e-12 apart (runs that
+        ``_near_tie_runs`` cuts), and zeros, -0.0, -1e-11 and 1e-14 planted
+        among them."""
+        rng = np.random.default_rng(44)
+        for k in range(count):
+            dim = int(rng.integers(1, 41))
+            if k % 4 == 0:
+                row = rng.random(dim)
+            elif k % 4 == 1:
+                row = rng.choice([0.0, 0.25, 0.5], size=dim)
+            elif k % 4 == 2:
+                row = rng.random() + 4e-13 * rng.integers(0, 3, size=dim)
+            else:
+                chain = rng.random() + 0.6e-12 * np.arange(min(dim, 5))
+                row = rng.permutation(np.r_[chain, rng.random(dim - len(chain))])
+            planted = rng.random(dim) < 0.3
+            row[planted] = rng.choice([0.0, -0.0, -1e-11, 1e-14], size=int(planted.sum()))
+            yield row
+
+    def test_equals_the_eigh_path_bitwise(self, monkeypatch):
+        # the diagonal rule gives eigh's bytes, values and vectors, with the
+        # rule switched off
+        for row in self.diagonals(600):
+            h = HermitianMatrix(np.diag(row).astype(complex))
+            dec = spectral_decompose(h)
+            with monkeypatch.context() as patch:
+                patch.setattr(qmht.linalg, "is_exactly_diagonal", lambda mat: False)
+                solved = spectral_decompose(h)
+            assert dec.eigenvalues.tobytes() == solved.eigenvalues.tobytes()
+            assert dec.vectors.tobytes() == solved.vectors.tobytes()
+
+    def test_takes_no_eigensolve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("eigensolve on an exactly diagonal matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        dec = spectral_decompose(HermitianMatrix(np.diag([0.2, 0.5, 0.0, 0.3]).astype(complex)))
+        assert dec.eigenvalues.tolist() == [0.5, 0.3, 0.2, 0.0]
+        assert np.argmax(np.abs(dec.vectors), axis=0).tolist() == [1, 3, 0, 2]
 
 
 class TestGram:
