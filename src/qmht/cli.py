@@ -1,9 +1,10 @@
 """Scenario-driven command line front end.
 
 Scenarios are JSON files describing the hypothesis states and the sweep;
-reports come back as CSV or JSON with a fixed column set. The CSV report is
-written row by row, the JSON report as one ``json.dumps`` of its payload.
-Hypothesis indices are printed one-based.
+reports come back as CSV or JSON with a fixed column set. Both formats print
+one list of row dicts keyed in ``CSV_COLUMNS`` order (``_report_rows``): the
+JSON report as one ``json.dumps`` of its payload, the CSV report as each
+row's fields printed by ``_fmt``. Hypothesis indices are printed one-based.
 """
 
 from __future__ import annotations
@@ -231,38 +232,16 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _fmt(value) -> str:
+    """A printed field the CSV way: a float to 12 significant digits, with
+    either infinity as inf; null as an empty cell; a pair as i-j; anything
+    else (n, the detector, "inf") as ``str`` gives it."""
     if value is None:
         return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return f"{value:.12g}"
-
-
-def _pair_label(pair: tuple[int, int]) -> str:
-    return f"{pair[0] + 1}-{pair[1] + 1}"
-
-
-def render_csv(report: ExperimentReport) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    qcb_xi = _fmt(report.qcb.xi)
-    qcb_pair = _pair_label(report.qcb.argmin_pair)
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.n),
-                    row.detector,
-                    _fmt(row.err),
-                    _fmt(row.exponent),
-                    _fmt(row.error_bound),
-                    _fmt(row.lambda_min_gram),
-                    _fmt(row.epsilon),
-                    qcb_xi,
-                    qcb_pair,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    if isinstance(value, list):
+        return "%d-%d" % tuple(value)
+    if isinstance(value, float):
+        return "inf" if math.isinf(value) else f"{value:.12g}"
+    return str(value)
 
 
 def _json_field(value) -> float | str | None:
@@ -275,18 +254,36 @@ def _json_field(value) -> float | str | None:
     return float(value)
 
 
+def _report_rows(report: ExperimentReport) -> list[dict]:
+    """The rows both formats print, keyed in ``CSV_COLUMNS`` order: err as
+    the row holds it, the other floats by ``_json_field``, the pair one-based."""
+    qcb_xi = _json_field(report.qcb.xi)
+    pair = [i + 1 for i in report.qcb.argmin_pair]
+    rows = []
+    for row in report.rows:
+        floats = (row.exponent, row.error_bound, row.lambda_min_gram, row.epsilon)
+        fields = (row.n, row.detector, row.err, *map(_json_field, floats), qcb_xi, pair)
+        rows.append(dict(zip(CSV_COLUMNS, fields)))
+    return rows
+
+
+def render_csv(report: ExperimentReport) -> str:
+    """The header and each report row's fields printed by ``_fmt``."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(",".join(map(_fmt, row.values())) for row in _report_rows(report))
+    return "\n".join(lines) + "\n"
+
+
 def render_json(report: ExperimentReport) -> str:
     """The schema-2 report: ``json.dumps(payload, indent=2, allow_nan=False)``
     and a newline. err, s_star and q_star are written as raw floats, so a NaN
     anywhere, or an infinity in one of them, raises json's ValueError."""
     qcb = report.qcb
-    qcb_xi = _json_field(qcb.xi)
-    pair = [qcb.argmin_pair[0] + 1, qcb.argmin_pair[1] + 1]
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "qcb": {
-            "xi": qcb_xi,
-            "argmin_pair": pair,
+            "xi": _json_field(qcb.xi),
+            "argmin_pair": [i + 1 for i in qcb.argmin_pair],
             "pairwise": [
                 {
                     "pair": [i + 1, j + 1],
@@ -297,20 +294,7 @@ def render_json(report: ExperimentReport) -> str:
                 for (i, j), res in sorted(qcb.pairwise.items())
             ],
         },
-        "rows": [
-            {
-                "n": row.n,
-                "detector": row.detector,
-                "err": row.err,
-                "exponent": _json_field(row.exponent),
-                "lemma3_bound": _json_field(row.error_bound),
-                "lambda_min_gram": _json_field(row.lambda_min_gram),
-                "epsilon": _json_field(row.epsilon),
-                "qcb_xi": qcb_xi,
-                "qcb_pair": pair,
-            }
-            for row in report.rows
-        ],
+        "rows": _report_rows(report),
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 

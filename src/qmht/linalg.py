@@ -4,8 +4,10 @@ Everything here is a pure function over immutable values; instances are safe
 to share across workers. ``spectral_decompose`` holds the one rule for
 exactly diagonal matrices, the paper's classical case of probability
 measures: it reads their spectrum off the diagonal, with no eigensolve, in
-the order and bits that ``eigh`` gives, and every consumer of
-``DensityMatrix.spectrum`` takes that spectrum.
+the order and bits that ``eigh`` gives. Each state keeps one spectrum,
+``DensityMatrix.spectrum``: the object ``spectral_decompose`` returns,
+copied only to clamp a value whose sign bit is set, and every consumer
+takes it.
 """
 
 from __future__ import annotations
@@ -114,12 +116,15 @@ class DensityMatrix:
         return self.base.dim
 
     def spectrum(self) -> "SpectralDecomposition":
-        """Cached spectral decomposition, tiny negative eigenvalues clamped to zero."""
+        """The cached ``spectral_decompose`` object; only if a value has its
+        sign bit set, a copy with those values clamped to +0.0."""
         if self._spectrum is None:
             dec = spectral_decompose(self.base)
-            vals = np.maximum(dec.eigenvalues, 0.0)
-            vals.setflags(write=False)
-            self._spectrum = SpectralDecomposition(vals, dec.vectors)
+            if np.signbit(dec.eigenvalues).any():
+                vals = np.maximum(dec.eigenvalues, 0.0)
+                vals.setflags(write=False)
+                dec = SpectralDecomposition(vals, dec.vectors)
+            self._spectrum = dec
         return self._spectrum
 
     def __repr__(self) -> str:
@@ -171,27 +176,28 @@ def is_exactly_diagonal(mat: np.ndarray) -> bool:
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate every column so its first component above ``PHASE_PIVOT_ATOL``
-    in magnitude is real and positive."""
+    in magnitude is real and positive. Every column has one: a unit column
+    of d entries has an entry of magnitude at least 1/sqrt(d)."""
     above = np.abs(vectors) > PHASE_PIVOT_ATOL
     pivots = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
-    pivots = np.where(above.any(axis=0), pivots, 1.0)
-    # hypot, not np.abs: it rounds as the scalar abs() of one pivot does
-    return vectors * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
+    # hypot, not np.abs: it rounds as the scalar abs() of one pivot does.
+    # Fortran order is the layout a reordering by run gives, so that every
+    # spectrum's vectors enter later products in one layout
+    return np.multiply(vectors, pivots.conj() / np.hypot(pivots.real, pivots.imag), order="F")
 
 
-def _tie_break_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Reorder equal-eigenvalue runs by ascending lexicographic key of the
-    vectors, (re, im) of the first component, then of the second, and so on.
+def _tie_break_order(runs: list[tuple[int, int]], vectors: np.ndarray) -> np.ndarray:
+    """Reorder the equal-eigenvalue ``runs`` (``_near_tie_runs``) by
+    ascending lexicographic key of the vectors, (re, im) of the first
+    component, then of the second, and so on.
 
-    The runs are found on Python floats (``_near_tie_runs``), whose
-    comparisons are the same IEEE ones. A run whose first real keys are all
-    distinct is ordered by those alone; others, such as kernel vectors with
-    exact-zero leading components, take the full ``lexsort``. For the unit
-    vectors of an exactly diagonal matrix this key descends with the basis
-    index, which is how ``spectral_decompose`` orders their runs without
-    eigenvectors or keys."""
-    order = np.arange(len(values))
-    for start, stop in _near_tie_runs(values.tolist()):
+    A run whose first real keys are all distinct is ordered by those alone;
+    others, such as kernel vectors with exact-zero leading components, take
+    the full ``lexsort``. For the unit vectors of an exactly diagonal matrix
+    this key descends with the basis index, which is how
+    ``spectral_decompose`` orders their runs without eigenvectors or keys."""
+    order = np.arange(vectors.shape[1])
+    for start, stop in runs:
         run = vectors[:, start:stop]
         lead = run[0].real
         local = np.argsort(lead, kind="stable")
@@ -207,7 +213,8 @@ def _tie_break_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _near_tie_runs(scan: list[float]) -> list[tuple[int, int]]:
     """The runs scan[start:stop] of two or more descending eigenvalues, each
     value within EIGENVALUE_ZERO_RTOL max(1, largest magnitude) of its run's
-    first: the runs ``spectral_decompose`` orders by eigenvector."""
+    first: the runs ``spectral_decompose`` orders by eigenvector. Python
+    floats compare as numpy's IEEE values do."""
     tol = EIGENVALUE_ZERO_RTOL * max(1.0, max(map(abs, scan)))
     runs, start = [], 0
     while start < len(scan):
@@ -245,9 +252,11 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
         values, vectors = np.linalg.eigh(h.mat)
         values = values[::-1].copy()
         vectors = _normalize_phases(vectors[:, ::-1])
-        order = _tie_break_order(values, vectors)
-        values = values[order]
-        vectors = vectors[:, order]
+        runs = _near_tie_runs(values.tolist())
+        if runs:
+            order = _tie_break_order(runs, vectors)
+            values = values[order]
+            vectors = vectors[:, order]
     values.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralDecomposition(values, vectors)

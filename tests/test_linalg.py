@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmht.linalg
+from qmht.cli import load_scenario
 from qmht.linalg import (
     EIGENVALUE_ZERO_RTOL,
     DensityMatrix,
     HermitianMatrix,
+    SpectralDecomposition,
     gram_floor,
     spectral_decompose,
 )
@@ -266,6 +269,87 @@ class TestDiagonalRule:
         dec = spectral_decompose(HermitianMatrix(np.diag([0.2, 0.5, 0.0, 0.3]).astype(complex)))
         assert dec.eigenvalues.tolist() == [0.5, 0.3, 0.2, 0.0]
         assert np.argmax(np.abs(dec.vectors), axis=0).tolist() == [1, 3, 0, 2]
+
+
+def roadmap_ensembles():
+    """The ROADMAP's named families: the defect ensemble (whose first two
+    states are the F7 pair), t2, the LI pair and triple, the rotated pair,
+    and the qutrit triple."""
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        defect = [random_density_matrix(2, rng) for _ in range(int(rng.integers(2, 4)))]
+    yield defect
+    rng = np.random.default_rng(11)
+    [random_density_matrix(2, rng) for _ in range(3)]
+    yield [random_density_matrix(3, rng) for _ in range(2)]
+    for dim, count in ((4, 2), (6, 3)):
+        rng = np.random.default_rng(3)
+        yield [random_density_matrix(dim, rng, rank=2) for _ in range(count)]
+    turn = random_orthonormal(2, 2, np.random.default_rng(123))
+    yield [DensityMatrix((turn * p) @ turn.conj().T) for p in ([0.9, 0.1], [0.3, 0.7])]
+    scenarios = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+    yield load_scenario(os.path.join(scenarios, "mixed_qutrit_triple.json")).states
+
+
+class TestSpectrum:
+    @staticmethod
+    def recorded(monkeypatch, signed_zeros=False):
+        """The objects ``spectral_decompose`` returns from now on, with each
+        exact zero eigenvalue made -0.0 if ``signed_zeros``."""
+        made = []
+
+        def recording(h):
+            dec = spectral_decompose(h)
+            if signed_zeros:
+                values = np.where(dec.eigenvalues == 0.0, -0.0, dec.eigenvalues)
+                values.setflags(write=False)
+                dec = SpectralDecomposition(values, dec.vectors)
+            made.append(dec)
+            return dec
+
+        monkeypatch.setattr(qmht.linalg, "spectral_decompose", recording)
+        return made
+
+    @pytest.mark.parametrize(
+        "entries, signed_zeros",
+        [
+            ([0.6, 0.0, 0.4], True),
+            ([1.0 + 5e-11, -5e-11], False),
+            ([0.5, 0.0, 0.5 + 1e-11, -1e-11], True),
+        ],
+    )
+    def test_a_sign_bit_gets_a_clamped_copy(self, monkeypatch, entries, signed_zeros):
+        # -0.0 does not survive HermitianMatrix's symmetrization, so it is
+        # planted in the decomposition; the negative values come from the input
+        made = self.recorded(monkeypatch, signed_zeros)
+        spec = DensityMatrix(np.diag(entries).astype(complex)).spectrum()
+        (dec,) = made
+        signed = np.signbit(dec.eigenvalues)
+        assert signed.any() and spec is not dec and spec.vectors is dec.vectors
+        assert not np.signbit(spec.eigenvalues).any()
+        assert spec.eigenvalues[signed].tolist() == [0.0] * int(signed.sum())
+        assert spec.eigenvalues[~signed].tobytes() == dec.eigenvalues[~signed].tobytes()
+        assert not spec.eigenvalues.flags.writeable
+
+    def test_no_sign_bit_keeps_the_decomposition(self, monkeypatch):
+        made = self.recorded(monkeypatch)
+        rng = np.random.default_rng(1)
+        states = [DensityMatrix(np.diag([0.7, 0.3, 0.0]).astype(complex))]
+        states += [random_density_matrix(dim, rng) for dim in (2, 5, 16)]
+        for rho in states:
+            spec = rho.spectrum()
+            assert not np.signbit(spec.eigenvalues).any()
+            assert spec is made[-1] and rho.spectrum() is spec
+
+    def test_equals_the_reference_bitwise_on_the_roadmap_ensembles(self):
+        # the per-column reference, every value clamped, in its layout
+        for family in roadmap_ensembles():
+            for rho in family:
+                dec = rho.spectrum()
+                values, vectors = loop_spectral_decompose(rho.base)
+                assert dec.eigenvalues.tobytes() == np.maximum(values, 0.0).tobytes()
+                assert dec.vectors.tobytes() == vectors.tobytes()
+                assert dec.vectors.strides == vectors.strides
 
 
 class TestGram:
