@@ -29,7 +29,7 @@ on the matrix of those columns and ``detectors._helstrom_frame`` for
 helstrom. Each error is (1/r) sum_lam f_lam times the block's
 ``frame_misses``, every state's mass on the frame columns of the other
 labels. ``frame_misses`` takes any states given as weighted columns, and
-``tensorlab``'s pure route calls it and ``pick_frame`` on Dicke coordinates.
+``tensorlab``'s pure route calls it and ``pick_frame`` on r-column factors.
 """
 
 from __future__ import annotations

@@ -8,44 +8,42 @@ with the support; it keeps the dense detectors' cut on the explicit powers,
 1e-12 times the largest n-fold eigenvalue (``class_pick_cut``). The cut only
 decides the picks: every mass and Helstrom minimum uses the uncut values.
 
-Commuting families come first. One ``_common_diagonals`` call per
-``run_power_experiment`` decides every route. Where it succeeds, state a's
-diagonal in the common eigenbasis is a probability row p_a[j]. classical-ml,
-which measures in that basis, always reads those rows. gs, epsilon and
-helstrom read them where the largest commutator entry the call saw is at
-most d ``COMMUTATOR_ROUNDING`` (0 for an exactly diagonal family, which
-forms no product): such a family commutes to rounding in any basis, and its
-rows are exact. A larger commutator, up to ``COMMUTATOR_ATOL``, means
-off-diagonal entries the rows drop, which can carry a small error (half of
-Helstrom's on |0>, (1e-10, 1)), so those kinds keep the routes below, as
-they do where the call raises. Each product outcome of a type class has the
-likelihood P_a = prod_j p_a[j]^(k_j), so every error is a sum over the
-C(n+d-1, d-1) classes weighted by their sizes n!/prod_j k_j!. State i claims
-each class with a weight w_i: classical-ml and helstrom give the class to
-its argmax label, and gs and epsilon to the states whose cut P_a is above
-the pick cut, in ``pop_order``, the one pick-order engine (``_pick_ranks``:
-a sort of every class column, and on an n with near ties the blocks' per-n
-pass, ``schurweyl._class_pops``), the c-th claimant with the weight
-|1^T R^-1 e_c|^2 of the class Gram matrix delta^2 J + epsilon^2 I (gs is
-epsilon = 0). Every kind then scores its summed misses by one rule. A sweep
-is scored in groups of consecutive n, up to ``CLASS_GROUP_LIMIT`` (kind, class)
-terms each, every kind of a group in one stacked kinds x r x classes pass;
-each kind's misses of each state at each n are summed on their own, so a row
-does not depend on the sweep or the other kinds it came with.
-
-Pure families come next, for the kinds the type classes do not take (decided
-once per call): every state whose eigenvalues below the largest sum to at
+Pure families come first, for gs, epsilon and helstrom, before any
+commuting verdict: every state whose eigenvalues below the largest sum to at
 most d eps lambda_top (``linalg.is_rank_one``, eigh's rounding of an exactly
-rank-1 matrix). State s then counts as lambda_top^n times the n-fold power
-of its top eigenvector psi_s, which drops at most n times its tail mass from
-each row. All of that mass lies on r vectors of the symmetric power of
-span{psi_s}, so gs and epsilon pop the states in ``pop_order`` of
-lambda_top^n and are scored on their Dicke coordinates (``_pure_scores``) by
-the blocks' own frame and scorer (``detectors.pick_frame``, the frame of the
-dense ``gs_detector`` or ``epsilon_detector``: the span rule of
-``greedy_span`` and its Householder Gram floor, or the embedded detector's
-closed-form frame; ``schurweyl.frame_misses``), and helstrom by its
-two-state closed form.
+rank-1 matrix). ``_pure_scores`` counts state s as lambda_top^n times the
+n-fold power of its top eigenvector, which drops at most n times its tail
+mass from each row, scores gs and epsilon on an r-column factor of those
+powers' Gram matrix by the blocks' own frame and scorer
+(``detectors.pick_frame``, ``schurweyl.frame_misses``), and helstrom by its
+two-state closed form. A pure family that commutes to rounding keeps this
+route: a common basis drops coherences that carry half of Helstrom's error
+on |0>, (1e-17, 1).
+
+Commuting families come next. One ``_common_diagonals`` call per
+``run_power_experiment`` decides every other route. Where it succeeds, state
+a's diagonal in the common eigenbasis is a probability row p_a[j].
+classical-ml, which measures in that basis, always reads those rows. gs,
+epsilon and helstrom read them where the largest commutator entry the call
+saw is at most d ``COMMUTATOR_ROUNDING`` (0 for an exactly diagonal family,
+which forms no product): such a family commutes to rounding in any basis,
+and its rows are exact. A larger commutator, up to ``COMMUTATOR_ATOL``,
+means off-diagonal entries the rows drop, which can carry a small error, so
+those kinds keep the blocks, as they do where the call raises. Each product
+outcome of a type class has the likelihood P_a = prod_j p_a[j]^(k_j), so
+every error is a sum over the C(n+d-1, d-1) classes weighted by their sizes
+n!/prod_j k_j!. State i claims each class with a weight w_i: classical-ml
+and helstrom give the class to its argmax label, and gs and epsilon to the
+states whose cut P_a is above the pick cut, in ``pop_order``, the one
+pick-order engine (``_pick_ranks``: a sort of every class column, and on an
+n with near ties the blocks' per-n pass, ``schurweyl._class_pops``), the
+c-th claimant with the weight |1^T R^-1 e_c|^2 of the class Gram matrix
+delta^2 J + epsilon^2 I (gs is epsilon = 0). Every kind then scores its
+summed misses by one rule. A sweep is scored in groups of consecutive n, up
+to ``CLASS_GROUP_LIMIT`` (kind, class) terms each, every kind of a group in
+one stacked kinds x r x classes pass; each kind's misses of each state at
+each n are summed on their own, so a row does not depend on the sweep or the
+other kinds it came with.
 
 Every other family, of every d, runs gs, epsilon and helstrom per
 Schur-Weyl block in the Gelfand-Tsetlin basis (``schurweyl.block_scores``:
@@ -295,31 +293,32 @@ def _pure_scores(
 ):
     """For every n of ``ns`` in turn, the detector error and lambda_min_gram
     (None for helstrom) of each row of ``kinds`` (epsilons ``epsilons[kind]``)
-    of a pure family, on the coordinates of r product vectors.
+    of a pure family, on an r-column factor of the Gram matrix of its powers.
 
     State s counts as a_s |psi_s><psi_s|^(x n), with a_s = ``tops[s]``^n and
     psi_s its unit top eigenvector: this drops at most n times the state's
-    tail mass. The reduced QR [psi_0 ... psi_(r-1)] = Q C, C k x r with
-    k = min(d, r), puts psi_s^(x n) on the Dicke basis of the classes kappa
-    of ``type_classes(k, n)``, at sqrt(n!/prod_j kappa_j!) prod_j C_js^kappa_j,
-    scaled back to unit norm. There gs and epsilon pick one candidate per
-    state, in ``pop_order`` of the r x 1 array of the a_s, and score the
-    blocks' ``pick_frame`` by its ``frame_misses``. helstrom is half the summed misses of the pair,
-    a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
+    tail mass. With C the k x r factor of the reduced QR
+    [psi_0 ... psi_(r-1)] = Q C, k = min(d, r), F_n = R of qr(F_(n-1) (.) C),
+    (.) the column-wise Kronecker product and F_0 a row of ones, has
+    F_n^H F_n = G^(o n), G = C^H C: one QR of at most r k x r per n from
+    n = 1, so a sweep's row is that n alone. gs and epsilon score the r
+    columns of F_n, popped in ``pop_order`` of the a_s, by the blocks'
+    ``pick_frame`` and ``frame_misses``. helstrom is half the summed misses
+    of the pair, a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
     g = |<psi_0|psi_1>|^(2n), which has no cancellation, and g and 1 - g
     come from the pair's overlap and t = 1 - overlap (``_pure_overlap``,
     ``_overlap_powers``), so nearly parallel states keep their digits too.
     """
     vectors = np.column_stack([rho.spectrum().vectors[:, 0] for rho in states])
     vectors /= np.linalg.norm(vectors, axis=0)
-    coefficients = np.linalg.qr(vectors, mode="r").T
+    base = np.linalg.qr(vectors, mode="r")
     if "helstrom" in kinds:
         overlap, t = _pure_overlap(vectors)
+    factor, copies = np.ones((1, len(states))), 0
     for i, n in enumerate(ns):
+        for copies in range(copies + 1, n + 1):
+            factor = np.linalg.qr((factor[:, None, :] * base).reshape(-1, len(states)), mode="r")
         weights = tops**n
-        counts, sizes = type_classes(coefficients.shape[1], n)
-        coordinates = np.sqrt(sizes) * np.prod(coefficients[:, None, :] ** counts, axis=2)
-        unit = coordinates / np.linalg.norm(coordinates, axis=1)[:, None]
         order = pop_order(weights[:, None], -math.inf)
         scores = []
         for kind in kinds:
@@ -329,8 +328,8 @@ def _pure_scores(
                 root = math.sqrt((a - b) ** 2 + 4.0 * a * b * one_minus_g)
                 scores.append((a * b * g / (a + b + root), None))
                 continue
-            frame, labels, floor = pick_frame(kind, order, unit[order].T, epsilons[kind][i])
-            misses = frame_misses(frame, labels, unit[:, :, None], weights[:, None])
+            frame, labels, floor = pick_frame(kind, order, factor[:, order], epsilons[kind][i])
+            misses = frame_misses(frame, labels, factor.T[:, :, None], weights[:, None])
             scores.append((misses / len(states), floor))
         yield scores
 
@@ -436,16 +435,17 @@ def run_power_experiment(
     # no n over the cap, so a far range would be walked in full
     check_distinct(states)
     ns = _copy_numbers(n_range, states[0].dim)
-    # one commuting verdict per call: classical-ml reads the common basis
-    # rows wherever they exist, gs, epsilon and helstrom only where the
-    # family commutes to rounding
+    # one route verdict per call: a rank-one family runs gs, epsilon and
+    # helstrom on the pure route, classical-ml on the common basis, and the
+    # other kinds of other families there only where they commute to rounding
+    tops = _pure_tops(states)
     try:
         _, rows, _, commutator = _common_diagonals(states)
     except (ValueError, NumericalConsistencyError):
         if "classical-ml" in kinds:
             raise
         rows, commutator = None, math.inf
-    commutes = commutator <= states[0].dim * COMMUTATOR_ROUNDING
+    commutes = tops is None and commutator <= states[0].dim * COMMUTATOR_ROUNDING
 
     qcb = pairwise_qcb(states)
     r = len(states)
@@ -466,7 +466,7 @@ def run_power_experiment(
     if class_kinds:
         rows = np.maximum(rows, 0.0)
         routes.append((class_kinds, _type_class_scores(rows, ns, class_kinds, epsilons)))
-    if others and (tops := _pure_tops(states)) is not None:
+    if others and tops is not None:
         routes.append((others, _pure_scores(states, tops, ns, others, epsilons)))
     elif others:
         routes.append((others, block_scores(states, ns, others, epsilons)))

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmht import detectors, schurweyl, tensorlab
+from qmht.cli import load_scenario
 from qmht.detectors import (
     classical_ml,
     epsilon_detector,
@@ -55,6 +57,7 @@ from qmht.schurweyl import (
 from conftest import diagonal, pure, route
 
 LOG2 = math.log(2.0)
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 EPS = sys.float_info.epsilon
 
 
@@ -698,8 +701,9 @@ class TestRunPowerExperimentOtherKinds:
                 assert dataclasses.asdict(row) == dataclasses.asdict(alone.rows[0])
 
         for states in sweep_families(24, seed=60):
-            # rotated or not, each commutes to rounding
-            assert route(states) == "classes"
+            # rotated or not, each commutes to rounding: a family of rank-one
+            # states takes the pure route, every other one the type classes
+            assert route(states) == ("classes" if tensorlab._pure_tops(states) is None else "pure")
             ns = range(1, {2: 24, 3: 12, 4: 8}[states[0].dim] + 1)
             for kind in ("gs", "epsilon", "classical-ml"):
                 check(states, ns, kind)
@@ -897,7 +901,8 @@ class TestManyKindsInOnePass:
         steep = [diagonal([0.4, 0.6]), diagonal([1.0 - 1e-7, 1e-7]), diagonal([0.7, 0.3])]
         self.check_all_orders(steep, range(1, 7), every[:2] + every[3:], rng)
         # commuting to rounding in a rotated basis: every kind on the type
-        # classes of the common eigenbasis, pure states too
+        # classes of the common eigenbasis, but gs, epsilon and helstrom of
+        # rank-one states on the pure route
         rows = ([0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5])
         rotation = random_orthonormal(3, 3, rng)
         rotated = [DensityMatrix(rotation @ np.diag(row) @ rotation.conj().T) for row in rows]
@@ -914,7 +919,7 @@ class TestManyKindsInOnePass:
             assert route(states, "classical-ml") == "classes"
             kinds = every if len(states) == 2 else every[:2] + every[3:]
             self.check_all_orders(states, range(1, 5), kinds, rng)
-        assert route(rotated) == route(orthogonal) == "classes"
+        assert (route(rotated), route(orthogonal)) == ("classes", "pure")
         # pure, not commuting
         for states in pure_families(4, seed=92):
             assert route(states) == "pure"
@@ -1068,16 +1073,12 @@ class TestCommutingVerdict:
         (row,) = run_power_experiment(states, [1], "classical-ml").rows
         assert abs(row.err - 5.0e-21) <= 1e-15 * 5.0e-21
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the common basis drops off-diagonal entries at rounding level, which carry "
-        "half of this Helstrom error",
-    )
     def test_helstrom_of_a_pure_pair_that_commutes_to_rounding(self):
-        # its commutator is under 2 eps, so it runs on type classes, which
-        # print 5.0e-35 against 1/2 (1 - sqrt(1 - F)) = 2.5e-35
+        # its commutator is under 2 eps, but a rank-one family takes the pure
+        # route first: type classes would drop the off-diagonal entries at
+        # rounding level and print 5.0e-35 against 1/2 (1 - sqrt(1 - F)) = 2.5e-35
         states = [pure([1.0, 0.0]), pure([1e-17, 1.0])]
-        assert route(states, "helstrom") == "classes"
+        assert route(states, "helstrom") == "pure"
         (row,) = run_power_experiment(states, [1], "helstrom").rows
         fidelity = 1e-17**2
         exact = fidelity / (2.0 * (1.0 + math.sqrt(1.0 - fidelity)))
@@ -1369,20 +1370,63 @@ class TestPureRoute:
             states = [diagonal([1.0 - tail if tail == 1e-13 else top, tail]), pure([1, 1])]
             assert route(states) == taken
 
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the frame is orthonormal only to eps, and that error squared, about 7e-34, "
-        "sits far above an error of 5e-41",
-    )
     def test_gs_of_a_nearly_orthogonal_pure_pair(self):
         # gs keeps |0>^2 and loses the part of the second power along it:
-        # err = 1/2 |<psi0|psi1>|^4 = 5e-41, printed as 6.9e-34
+        # err = 1/2 |<psi0|psi1>|^4 = 5e-41, where the blocks' frames,
+        # orthonormal only to eps in more dimensions, print 6.9e-34
         states = [pure([1.0, 0.0]), pure([1e-10, 1.0])]
         assert route(states) == "pure"
         (row,) = run_power_experiment(states, [2], "gs").rows
         exact = 0.5 * 1e-10**4
         assert abs(row.err - exact) <= 1e-12 * exact
+
+    def test_gs_of_turned_nearly_orthogonal_pairs(self):
+        # the same pair turned by a random unitary of C^3: err is
+        # 1/2 overlap^n on the route's double vectors up to the rounding of
+        # their 1e-10 inner product, 7.3e-6 relative at most here
+        for seed in range(20):
+            turn = random_orthonormal(3, 3, np.random.default_rng(seed))
+            states = [pure(turn @ np.array(v)) for v in ([1.0, 0.0, 0.0], [1e-10, 1.0, 0.0])]
+            assert route(states) == "pure"
+            with mpmath.workdps(60):
+                a, b = (mpmath.matrix(rho.spectrum().vectors[:, 0].tolist()) for rho in states)
+                overlap = abs((a.H * b)[0]) ** 2 / ((a.H * a)[0].real * (b.H * b)[0].real)
+                for row in run_power_experiment(states, [2, 3], "gs").rows:
+                    exact = float(overlap**row.n / 2)
+                    assert abs(row.err - exact) <= 1e-4 * exact, (seed, row.n)
+
+    def test_gs_of_a_pure_pair_that_commutes_to_rounding(self):
+        # its commutator is under 2 eps, but a rank-one family takes the pure
+        # route before the commuting verdict: 1/2 |<psi0|psi1>|^4 = 5e-69
+        # exactly, where type classes, which drop the 1e-17 coherence, give
+        # 1.0e-34
+        states = [pure([1.0, 0.0]), pure([1e-17, 1.0])]
+        assert route(states) == "pure"
+        (row,) = run_power_experiment(states, [2], "gs").rows
+        assert abs(row.err - 5e-69) <= 1e-12 * 5e-69
+
+    def test_bundled_pure_pair_far_out(self, monkeypatch):
+        # |0>, |+>: gs keeps |0>^n and misses half of |+>^n's overlap with
+        # it, err = 2^-(n+1), and helstrom is g / (2 (1 + sqrt(1 - g))) with
+        # g = 2^-n, to n = 1000
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+        states = load_scenario(os.path.join(SCENARIOS, "pure_pair.json")).states
+        rows = run_power_experiment(states, range(1, 1001), "gs", "helstrom").rows
+        for row in rows:
+            g = 2.0**-row.n
+            exact = g / 2 if row.detector == "gs" else g / (2 * (1 + math.sqrt(1 - g)))
+            assert abs(row.err - exact) <= row.n * 1e-15 * exact, (row.detector, row.n)
+
+    def test_complex_gaussian_triple_far_out(self, monkeypatch):
+        # d = 6, r = 3 at n = 40, against 50 digits on G^(o n)
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+        rng = np.random.default_rng(3)
+        states = [pure(rng.normal(size=6) + 1j * rng.normal(size=6)) for _ in range(3)]
+        assert route(states) == "pure"
+        for kind, options in (("gs", {}), ("epsilon", {"epsilon_override": 0.3})):
+            (row,) = run_power_experiment(states, [40], kind, **options).rows
+            reference = mp_pure_error(states, 40, kind, options.get("epsilon_override", 0.0))
+            assert abs(row.err - reference) <= 1e-13 * reference, kind
 
 
 class TestEpsilonSchedule:
