@@ -49,6 +49,11 @@ class TestQOverlap:
         with pytest.raises(ValueError):
             q_overlap(diagonal([1.0]), diagonal([0.5, 0.5]), 0.5)
 
+    @pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+    def test_s_outside_the_unit_interval(self, zero_state, plus_state, s):
+        with pytest.raises(ValueError, match=rf"^s must lie in \[0, 1\], got {s}$"):
+            q_overlap(zero_state, plus_state, s)
+
     @given(st.integers(0, 10_000), st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_range(self, seed, s):

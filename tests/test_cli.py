@@ -15,6 +15,7 @@ import qmht
 from qmht.chernoff import multiple_qcb
 from qmht.cli import CSV_COLUMNS, load_scenario, main, render_json
 from qmht.detectors import epsilon_detector, evaluate_errors, gs_detector, holevo_helstrom
+from qmht.errors import NumericalConsistencyError, ScenarioError
 from qmht.linalg import DENSE_LIMIT_ENV, DensityMatrix
 from qmht.sampling import random_density_matrix, random_pure_state
 from qmht.tensorlab import run_power_experiment
@@ -102,6 +103,7 @@ class TestRunCommand:
             ],
         )
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == "error: states must share one dimension\n"
 
     @pytest.mark.parametrize(
         "state",
@@ -282,9 +284,40 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
         assert "unsupported schema_version 2" in capsys.readouterr().err
 
-    def test_unknown_detector_kind_exit_2(self, tmp_path):
+    def test_unknown_detector_kind_exit_2(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "s.json", detectors=["magic"])
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == "error: unknown detector kind 'magic'\n"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("many", "QMHT_DENSE_LIMIT must be an integer, got 'many'"),
+            ("1e6", "QMHT_DENSE_LIMIT must be an integer, got '1e6'"),
+            ("0", "QMHT_DENSE_LIMIT must be positive, got 0"),
+            ("-16", "QMHT_DENSE_LIMIT must be positive, got -16"),
+        ],
+    )
+    def test_unreadable_dense_limit_exit_2(self, tmp_path, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv(DENSE_LIMIT_ENV, raw)
+        scen = write_scenario(tmp_path / "s.json")
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_numerical_consistency_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        import qmht.cli
+
+        def failing(*args, **options):
+            raise NumericalConsistencyError("frame rows are not orthonormal")
+
+        monkeypatch.setattr(qmht.cli, "run_power_experiment", failing)
+        scen = write_scenario(tmp_path / "s.json")
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: frame rows are not orthonormal\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -787,6 +820,77 @@ class TestStateLoading:
         assert np.array_equal(np.diag(states[0].mat).real, probs / probs.sum())
         assert states[1].mat[1, 1] == 0.5 + 1e-16
 
+    @pytest.mark.parametrize(
+        "state, tail",
+        [
+            ([0.5, 0.5], ": expected an object"),
+            ({"probs": [0.5, 0.5]}, ": unknown state kind None"),
+            ({"kind": "mixed", "probs": [0.5, 0.5]}, ": unknown state kind 'mixed'"),
+            ({"kind": "pure", "vector": []}, ": expected a nonempty list of [re, im] pairs"),
+            ({"kind": "pure", "vector": "1, 0"}, ": expected a nonempty list of [re, im] pairs"),
+            ({"kind": "pure", "vector": [[1.0, 0.0, 0.0], [0.0, 0.0]]},
+             ": entry 0 is not a [re, im] pair"),
+            ({"kind": "pure", "vector": [[1.0, 0.0], 0.0]}, ": entry 1 is not a [re, im] pair"),
+            ({"kind": "pure", "vector": [[0.0, 0.0], [0.0, 0.0]]}, ": zero vector"),
+            ({"kind": "diagonal", "probs": 0.5}, ": expected a nonempty list of numbers"),
+            ({"kind": "diagonal", "probs": []}, ": expected a nonempty list of numbers"),
+            ({"kind": "diagonal", "probs": [-0.1, 1.1]}, ": negative probability"),
+            ({"kind": "diagonal", "probs": [0.0, 0.0]}, ": probabilities sum to zero"),
+            # a rounding below 0 counts as 0, and the rest still sums to 0
+            ({"kind": "diagonal", "probs": [-1e-13, 0.0]}, ": probabilities sum to zero"),
+            ({"kind": "dense", "real": [[0.5, 0.0]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
+             " (real part): expected a nonempty square list of rows"),
+            ({"kind": "dense", "real": [[0.5, 0.0], [0.0, 0.5]], "imag": None},
+             " (imag part): expected a nonempty square list of rows"),
+            ({"kind": "dense", "real": [[0.5, 0.0], [0.0, 0.5]], "imag": [[0.0]]},
+             ": real and imag shapes differ"),
+            ({"kind": "dense", "real": [[0.5, 0.1], [0.0, 0.5]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
+             ": matrix is not Hermitian: max asymmetry 1.000e-01"),
+            ({"kind": "dense", "real": [[0.0, 0.0], [0.0, 0.0]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
+             ": nonpositive trace"),
+            ({"kind": "dense", "real": [[-0.5, 0.0], [0.0, -0.5]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
+             ": nonpositive trace"),
+            ({"kind": "dense", "real": [[1.5, 0.0], [0.0, -0.5]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
+             ": matrix has negative eigenvalue -5.000e-01"),
+        ],
+    )
+    def test_malformed_state_exit_2_naming_it(self, tmp_path, capsys, state, tail):
+        scen = write_scenario(
+            tmp_path / "s.json", states=[{"kind": "diagonal", "probs": [0.5, 0.5]}, state]
+        )
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: state 2{tail}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"states": []}, "scenario needs a nonempty states list"),
+            ({"states": {"kind": "diagonal", "probs": [1.0]}}, "scenario needs a nonempty states list"),
+            ({"n_min": 3, "n_max": 2}, "need 1 <= n_min <= n_max, got 3..2"),
+            ({"n_min": 0}, "need 1 <= n_min <= n_max, got 0..1"),
+            ({"detectors": []}, "scenario needs a nonempty detectors list"),
+            ({"detectors": "gs"}, "scenario needs a nonempty detectors list"),
+        ],
+    )
+    def test_malformed_scenario_exit_2(self, tmp_path, capsys, overrides, message):
+        scen = write_scenario(tmp_path / "s.json", **overrides)
+        assert load_scenario_error(scen) == message
+        out = tmp_path / "r.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unreadable_scenario_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["chernoff", "--scenario", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        assert main(["chernoff", "--scenario", str(listed)]) == 2
+        assert capsys.readouterr().err == "error: scenario root must be an object\n"
+
     @pytest.mark.parametrize("command", ["run", "chernoff", "check-li"])
     def test_one_state_exit_2(self, tmp_path, capsys, command):
         one = [{"kind": "diagonal", "probs": [0.5, 0.5]}]
@@ -796,6 +900,13 @@ class TestStateLoading:
             argv += ["--out", str(tmp_path / "r.csv")]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {command} needs at least two states\n"
+
+
+def load_scenario_error(path) -> str:
+    """The message of the ScenarioError that ``load_scenario`` raises."""
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(str(path))
+    return str(raised.value)
 
 
 def _same_field(mine: str, pinned: str) -> bool:

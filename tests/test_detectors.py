@@ -19,6 +19,7 @@ from qmht.detectors import (
     POVM_ATOL,
     SELECTION_TIE_RTOL,
     SPAN_RESIDUAL_TOL,
+    BayesConditionReport,
     Detector,
     bayes_commuting,
     classical_ml,
@@ -264,6 +265,12 @@ class TestFrameDetectors:
         for frame in (np.float64(1.0), np.ones(2)):
             with pytest.raises(ValueError, match="nonempty d x m frame"):
                 Detector(kind="POVM", frame=frame, labels=[], outcomes=1)
+        with pytest.raises(ValueError, match="^kind must be PVM or POVM, got 'PGM'$"):
+            Detector(kind="PGM", frame=np.eye(2), labels=[0, 1], outcomes=2)
+        with pytest.raises(ValueError, match="^detector needs at least one element$"):
+            Detector([], kind="POVM")
+        with pytest.raises(ValueError, match="^a detector needs at least one outcome, got 0$"):
+            Detector(kind="POVM", frame=np.eye(2), labels=[], outcomes=0)
 
     def test_elements_of_a_frame_are_its_labelled_projectors(self):
         det = Detector(kind="PVM", frame=np.eye(3)[:, [2, 0, 1]], labels=[1, 0, 1], outcomes=3)
@@ -323,7 +330,13 @@ class TestEvaluateErrors:
 
     def test_size_mismatch(self, zero_state):
         det = Detector([HermitianMatrix(np.eye(2))], kind="PVM")
-        with pytest.raises(ValueError):
+        for check in (evaluate_errors, functools.partial(verify_bayes_conditions, tol=1e-9)):
+            with pytest.raises(ValueError, match="^2 states vs 1 detector elements$"):
+                check([zero_state, zero_state], det)
+
+    def test_dimension_mismatch(self, zero_state):
+        det = Detector(kind="PVM", frame=np.eye(3), labels=[0, 1, 1], outcomes=2)
+        with pytest.raises(ValueError, match="^state dimension does not match the detector$"):
             evaluate_errors([zero_state, zero_state], det)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -436,9 +449,23 @@ class TestClassicalMl:
         labels = classical_ml(probs)
         assert labels.tolist() == np.argmax(probs, axis=0).tolist()
 
-    def test_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            classical_ml(np.array([[0.5, 0.4], [0.5, 0.5]]))
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([[0.5, 0.4], [0.5, 0.5]], "every row must sum to 1"),
+            ([[1.5, -0.5], [0.5, 0.5]], "probabilities must be nonnegative"),
+            ([0.5, 0.5], r"expected a nonempty r x d matrix, got shape \(2,\)"),
+            (np.empty((2, 0)), r"expected a nonempty r x d matrix, got shape \(2, 0\)"),
+            ([[[1.0]]], r"expected a nonempty r x d matrix, got shape \(1, 1, 1\)"),
+        ],
+    )
+    def test_rejects_bad_rows(self, probs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classical_ml(probs)
+
+    def test_rounding_below_zero_is_a_probability(self):
+        # a row entry a rounding below 0 passes, as a prior does
+        assert classical_ml([[1.0 + 1e-13, -1e-13], [0.5, 0.5]]).tolist() == [0, 1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_probabilities(self, bad):
@@ -1000,6 +1027,20 @@ class TestPgm:
         with pytest.raises(ValueError, match="finite"):
             pgm([zero_state, plus_state], [bad, 1.0])
 
+    @pytest.mark.parametrize(
+        "priors, message",
+        [
+            ([1.0], "one prior per state required"),
+            ([0.25, 0.25, 0.5], "one prior per state required"),
+            ([1.5, -0.5], "priors must be nonnegative"),
+            ([0.5, 0.4], "priors must sum to 1"),
+            ([0.5, 0.5 + 1e-9], "priors must sum to 1"),
+        ],
+    )
+    def test_rejects_bad_priors(self, zero_state, plus_state, priors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pgm([zero_state, plus_state], priors)
+
     @staticmethod
     def direct_elements(states, priors):
         """A^(-1/2) p_i rho_i A^(-1/2) from the matrices, the kernel of A
@@ -1098,6 +1139,18 @@ class TestBayesCommuting:
         # before any product of the states is taken
         with pytest.raises(ValueError, match="^states must share one dimension$"):
             bayes_commuting([diagonal([0.6, 0.4]), diagonal([0.2, 0.3, 0.5])])
+
+    def test_rejects_a_single_state(self):
+        with pytest.raises(ValueError, match="^need at least two hypotheses$"):
+            bayes_commuting([diagonal([0.6, 0.4])])
+
+    def test_a_failed_certificate_is_a_numerical_error(self, monkeypatch):
+        failed = BayesConditionReport(
+            m_hermitian=True, dominates=(True, False), annihilates=(True, True)
+        )
+        monkeypatch.setattr(qmht.detectors, "_diagonal_bayes_conditions", lambda *args: failed)
+        with pytest.raises(NumericalConsistencyError, match="fails its optimality certificate"):
+            bayes_commuting([diagonal([0.6, 0.4]), diagonal([0.2, 0.8])])
 
 
 class TestVerifyBayesConditions:

@@ -976,6 +976,7 @@ class TestManyKindsInOnePass:
             ("pure pair", ("gs", "epsilon", "gs"), "'gs' is listed twice"),
             ("pure pair", ("helstrom", "bogus"), "unknown detector kind 'bogus'"),
             ("pure pair", (), "at least one detector kind"),
+            ("one state", ("gs",), "need at least two hypotheses"),
         ],
     )
     def test_every_kind_is_checked_before_any_row(
@@ -987,7 +988,11 @@ class TestManyKindsInOnePass:
         for name in ("_type_class_scores", "_pure_scores", "block_scores"):
             monkeypatch.setattr(tensorlab, name, no_scores)
         monkeypatch.setattr(schurweyl, "_sweep_blocks", no_scores)
-        states = [zero_state, plus_state] + ([one_state] if family == "triple" else [])
+        states = {
+            "one state": [zero_state],
+            "pure pair": [zero_state, plus_state],
+            "triple": [zero_state, plus_state, one_state],
+        }[family]
         with pytest.raises(ValueError, match=message):
             run_power_experiment(states, range(1, 4), *kinds)
 
@@ -1011,6 +1016,11 @@ class TestManyKindsInOnePass:
         reduced = {tuple(part - lam[-1] for part in lam) for lam in shapes}
         assert (len(shapes), len(reduced)) == (1 + 2 + 3 + 4 + 5, 12)
         assert built == collections.Counter(reduced)
+
+    def test_a_report_keys_its_rows_uniquely(self):
+        report = run_power_experiment([diagonal([0.6, 0.4]), diagonal([0.3, 0.7])], [1, 2], "gs")
+        with pytest.raises(ValueError, match=r"^rows must be keyed uniquely by \(n, detector\)$"):
+            dataclasses.replace(report, rows=report.rows + report.rows[:1])
 
 
 class TestCommutingVerdict:
