@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, check_family
 
 GRID_POINTS = 64
 GRID = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -117,9 +117,7 @@ class OverlapCurve:
     __slots__ = ("_left", "_right", "_weights")
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
-        if rho.dim != sigma.dim:
-            raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        self._join(*_supports([rho, sigma]))
+        self._join(*_supports(check_family([rho, sigma])))
 
     @classmethod
     def _between(cls, left: _Support, right: _Support) -> "OverlapCurve":
@@ -239,9 +237,7 @@ def pairwise_qcb(states: Sequence[DensityMatrix]) -> MultipleChernoffResult:
 
 def binary_qcb(rho: DensityMatrix, sigma: DensityMatrix) -> ChernoffResult:
     """The Chernoff bound of one pair: ``pairwise_qcb`` on the two states."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return pairwise_qcb([rho, sigma]).pairwise[(0, 1)]
+    return pairwise_qcb(check_family([rho, sigma])).pairwise[(0, 1)]
 
 
 def overlap_power_sum(result: MultipleChernoffResult, n: int) -> float:
@@ -262,12 +258,7 @@ def check_distinct(states: Sequence[DensityMatrix]) -> None:
 def multiple_qcb(sigma_set: Sequence[DensityMatrix]) -> MultipleChernoffResult:
     """All pairwise bounds, their minimum, and the (lexicographically first)
     argmin pair, after checking that there are two or more distinct states
-    of one dimension."""
-    states = list(sigma_set)
-    if len(states) < 2:
-        raise ValueError("need at least two hypotheses")
-    dim = states[0].dim
-    if any(rho.dim != dim for rho in states):
-        raise ValueError("states must share one dimension")
+    of one dimension (``linalg.check_family``)."""
+    states = check_family(sigma_set)
     check_distinct(states)
     return pairwise_qcb(states)

@@ -10,6 +10,7 @@ row's fields printed by ``_fmt``. Hypothesis indices are printed one-based.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -21,13 +22,8 @@ import numpy as np
 from .chernoff import multiple_qcb
 from .detectors import NONNEGATIVE_FLOOR, embedding_guard
 from .errors import DimensionLimitError, NumericalConsistencyError, ScenarioError
-from .linalg import DensityMatrix, HermitianMatrix
-from .tensorlab import (
-    DETECTOR_KINDS,
-    ExperimentReport,
-    pairwise_li_check,
-    run_power_experiment,
-)
+from .linalg import DensityMatrix, HermitianMatrix, check_family
+from .tensorlab import ExperimentReport, check_kinds, pairwise_li_check, run_power_experiment
 
 # the scenario files read and the JSON reports written are versioned apart
 SCENARIO_SCHEMA_VERSION = 1
@@ -123,6 +119,15 @@ def _normalized(value, total: float, what: str, where: str):
     return value / total if abs(total - 1.0) > RENORMALIZE_ATOL else value
 
 
+@contextlib.contextmanager
+def _reraised(prefix: str = ""):
+    """A library check's ValueError as a ScenarioError, its message after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{prefix}{exc}") from exc
+
+
 def _load_state(spec, index: int) -> DensityMatrix:
     where = f"state {index + 1}"
     if not isinstance(spec, dict):
@@ -151,18 +156,14 @@ def _load_state(spec, index: int) -> DensityMatrix:
         if real.shape != imag.shape:
             raise ScenarioError(f"{where}: real and imag shapes differ")
         mat = real + 1j * imag
-        try:
+        with _reraised(f"{where}: "):
             herm = HermitianMatrix(mat)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
         trace = float(np.trace(herm.mat).real)
         if trace <= 0.0:
             raise ScenarioError(f"{where}: nonpositive trace")
         scaled = _normalized(herm.mat, trace, "matrix with trace", where)
-        try:
+        with _reraised(f"{where}: "):
             return DensityMatrix(scaled)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown state kind {kind!r}")
 
 
@@ -194,9 +195,8 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(specs, list) or len(specs) < 1:
         raise ScenarioError("scenario needs a nonempty states list")
     states = [_load_state(spec, k) for k, spec in enumerate(specs)]
-    dim = states[0].dim
-    if any(rho.dim != dim for rho in states):
-        raise ScenarioError("states must share one dimension")
+    with _reraised():
+        check_family(states, least=1)
     n_min = _integer(raw, "n_min", 1)
     n_max = _integer(raw, "n_max", n_min)
     if n_min < 1 or n_min > n_max:
@@ -204,11 +204,8 @@ def load_scenario(path: str) -> Scenario:
     detectors = raw.get("detectors", [])
     if not isinstance(detectors, list) or not detectors:
         raise ScenarioError("scenario needs a nonempty detectors list")
-    for k, kind in enumerate(detectors):
-        if kind not in DETECTOR_KINDS:
-            raise ScenarioError(f"unknown detector kind {kind!r}")
-        if kind in detectors[:k]:
-            raise ScenarioError(f"detector kind {kind!r} is listed twice")
+    with _reraised():
+        check_kinds(detectors)
     epsilon_override = raw.get("epsilon_override")
     if epsilon_override is not None:
         # a JSON number only: not a string, and not true or false
@@ -216,10 +213,8 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioError(f"epsilon_override must be a number, got {epsilon_override!r}")
         epsilon_override = _number(epsilon_override)
         if "epsilon" in detectors:
-            try:
+            with _reraised("epsilon_override: "):
                 embedding_guard(epsilon_override)
-            except ValueError as exc:
-                raise ScenarioError(f"epsilon_override: {exc}") from exc
     if raw.get("seed") is not None:
         _integer(raw, "seed", None)  # accepted and validated; no sweep is random
     return Scenario(

@@ -38,6 +38,7 @@ from .linalg import (
     SPAN_RESIDUAL_TOL,
     DensityMatrix,
     HermitianMatrix,
+    check_family,
     eigenvalue_zero_threshold,
     factor_floor,
     gram_floor,
@@ -164,6 +165,16 @@ class ErrorReport:
     averaged: float
 
 
+def _check_detector_family(sigma_set: Sequence[DensityMatrix], det: Detector) -> list:
+    """The states as a list: one per outcome of ``det``, each of its dimension."""
+    states = list(sigma_set)
+    if len(states) != det.outcomes:
+        raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
+    if any(rho.dim != det.dim for rho in states):
+        raise ValueError("state dimension does not match the detector")
+    return states
+
+
 def evaluate_errors(sigma_set: Sequence[DensityMatrix], det: Detector) -> ErrorReport:
     """Success and error probability of each hypothesis, errors averaged uniformly.
 
@@ -174,12 +185,8 @@ def evaluate_errors(sigma_set: Sequence[DensityMatrix], det: Detector) -> ErrorR
     off-diagonal S_ij of row i, its misses, not 1 - Succ_i: a small err is
     then fixed relative to itself, not only to rounding of 1.
     """
-    states = list(sigma_set)
+    states = _check_detector_family(sigma_set, det)
     r, dim = len(states), det.dim
-    if r != det.outcomes:
-        raise ValueError(f"{r} states vs {det.outcomes} detector elements")
-    if any(rho.dim != dim for rho in states):
-        raise ValueError("state dimension does not match the detector")
     frame = det.frame
     rows = np.concatenate([rho.mat for rho in states]) @ frame
     masses = (frame.conj() * rows.reshape(r, dim, -1)).sum(axis=1).real
@@ -201,8 +208,7 @@ def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
     largest eigenvalue; kernel directions of the difference are assigned to
     hypothesis 0.
     """
-    if rho1.dim != rho2.dim:
-        raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    check_family([rho1, rho2])
     frame, labels = _helstrom_frame(rho2.mat - rho1.mat)
     return Detector(kind="PVM", frame=frame, labels=labels, outcomes=2)
 
@@ -212,6 +218,19 @@ def _helstrom_frame(difference):
     each column labelled 1 iff its eigenvalue is > 0."""
     values, vectors = np.linalg.eigh((difference + difference.conj().T) / 2.0)
     return vectors, (values > 0.0).astype(int)
+
+
+def check_distribution(values: np.ndarray, what: str, whole: str | None = None) -> None:
+    """The one rule of a distribution, on each row (last axis) of ``values``:
+    every entry finite and at least ``NONNEGATIVE_FLOOR``, the row summing
+    to 1 within ``PRIOR_ATOL``. The ValueError names ``what`` (for the sum,
+    ``whole`` if given)."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    if float(values.min()) < NONNEGATIVE_FLOOR:
+        raise ValueError(f"{what} must be nonnegative")
+    if float(np.abs(values.sum(axis=-1) - 1.0).max()) > PRIOR_ATOL:
+        raise ValueError(f"{whole or what} must sum to 1")
 
 
 def classical_ml(prob_matrix) -> np.ndarray:
@@ -225,13 +244,7 @@ def classical_ml(prob_matrix) -> np.ndarray:
     probs = np.asarray(prob_matrix, dtype=float)
     if probs.ndim != 2 or probs.size == 0:
         raise ValueError(f"expected a nonempty r x d matrix, got shape {probs.shape}")
-    if not np.isfinite(probs).all():
-        raise ValueError("probabilities must be finite")
-    if float(probs.min()) < NONNEGATIVE_FLOOR:
-        raise ValueError("probabilities must be nonnegative")
-    row_sums = probs.sum(axis=1)
-    if float(np.abs(row_sums - 1.0).max()) > PRIOR_ATOL:
-        raise ValueError("every row must sum to 1")
+    check_distribution(probs, "probabilities", "every row")
     return np.argmax(probs, axis=0)
 
 
@@ -351,12 +364,8 @@ def _greedy_pops(sigma_set):
     """The states, the (state, eigenindex) pairs that ``pop_order`` pops from
     their stacked spectra down to the ``eigenvalue_zero_threshold`` of them
     all, and those eigenvectors as the columns of one d x m array, in that
-    order. Needs at least two states, of one dimension."""
-    states = list(sigma_set)
-    if len(states) < 2:
-        raise ValueError("need at least two hypotheses")
-    if any(rho.dim != states[0].dim for rho in states):
-        raise ValueError("states must share one dimension")
+    order. Needs at least two states, of one dimension (``check_family``)."""
+    states = check_family(sigma_set)
     decs = [rho.spectrum() for rho in states]
     values = np.stack([dec.eigenvalues for dec in decs])
     picks = pop_order(values, eigenvalue_zero_threshold(values))
@@ -473,16 +482,11 @@ def pgm(sigma_set: Sequence[DensityMatrix], priors: Sequence[float]) -> Detector
     element, so the tuple is a POVM on the full space. Priors a rounding
     below 0 count as 0.
     """
-    states = list(sigma_set)
+    states = check_family(sigma_set, least=1)
     weights = np.asarray(priors, dtype=float)
     if len(states) != len(weights):
         raise ValueError("one prior per state required")
-    if not np.isfinite(weights).all():
-        raise ValueError("priors must be finite")
-    if float(weights.min()) < NONNEGATIVE_FLOOR:
-        raise ValueError("priors must be nonnegative")
-    if abs(float(weights.sum()) - 1.0) > PRIOR_ATOL:
-        raise ValueError("priors must sum to 1")
+    check_distribution(weights, "priors")
     weights = np.maximum(weights, 0.0)
     blocks = []
     for p, rho in zip(weights, states):
@@ -512,12 +516,12 @@ def common_eigenbasis(sigma_set: Sequence[DensityMatrix]) -> np.ndarray:
 
     Diagonalizes the first state, then refines each degenerate block with the
     next states in turn. Raises ValueError when the family is empty, its
-    states differ in dimension, or they do not commute.
+    states differ in dimension (``check_family``), or they do not commute.
     """
-    return _common_diagonals(sigma_set)[0]
+    return _common_diagonals(check_family(sigma_set, least=1))[0]
 
 
-def _common_diagonals(sigma_set):
+def _common_diagonals(states):
     """``common_eigenbasis`` of a commuting family, the r x d real diagonals
     of its states in that basis, that basis as the identity's column order
     ``columns`` where every state is exactly diagonal and every block sorts,
@@ -536,14 +540,9 @@ def _common_diagonals(sigma_set):
     the diagonals likewise, off the rows of the exactly diagonal states and
     off the one rotation of each other state that checks it is diagonal
     there. So an exactly diagonal family whose blocks all sort takes no
-    d x d product, commutator or check.
+    d x d product, commutator or check. Callers run ``check_family``.
     """
-    states = list(sigma_set)
-    if not states:
-        raise ValueError("need at least one state")
     dim = states[0].dim
-    if any(rho.dim != dim for rho in states):
-        raise ValueError("states must share one dimension")
     rows = [rho.mat.diagonal().real if is_exactly_diagonal(rho.mat) else None for rho in states]
     commutator = 0.0
     for i in range(len(states)):
@@ -664,9 +663,7 @@ def verify_bayes_conditions(
     smallest eigenvalue; the residual by ||(M - rho_i) T_i||_F times the
     bound on ||T_i||_2, else by its 2-norm.
     """
-    states = list(sigma_set)
-    if len(states) != det.outcomes:
-        raise ValueError(f"{len(states)} states vs {det.outcomes} detector elements")
+    states = _check_detector_family(sigma_set, det)
     factors = [det.frame[:, det.labels == i] for i in range(det.outcomes)]
     m_raw = sum((rho.mat @ t) @ t.conj().T for rho, t in zip(states, factors))
     hermitian = float(np.abs(m_raw - m_raw.conj().T).max()) <= tol
@@ -730,9 +727,7 @@ def bayes_commuting(
     family rotates M out of its basis and checks it by
     ``verify_bayes_conditions``.
     """
-    states = list(sigma_set)
-    if len(states) < 2:
-        raise ValueError("need at least two hypotheses")
+    states = check_family(sigma_set)
     basis, probs, columns, _ = _common_diagonals(states)
     winners = np.argmax(probs, axis=0)
     slot_max = probs.max(axis=0)

@@ -154,6 +154,18 @@ class SpectralDecomposition:
         return np.flatnonzero(self.eigenvalues > eigenvalue_zero_threshold(self.eigenvalues))
 
 
+def check_family(states, least: int = 2) -> list:
+    """The ``states`` as a list, after the input rule of every family, raised
+    as ValueError: at least ``least`` (2 or 1) states, all of one dimension."""
+    family = list(states)
+    if len(family) < least:
+        need = "need at least two hypotheses" if least == 2 else "need at least one state"
+        raise ValueError(need)
+    if any(rho.dim != family[0].dim for rho in family):
+        raise ValueError("states must share one dimension")
+    return family
+
+
 def eigenvalue_zero_threshold(eigenvalues: np.ndarray) -> float:
     """An eigenvalue at or below this counts as zero (1e-12 times the largest magnitude)."""
     arr = np.asarray(eigenvalues, dtype=float)

@@ -78,6 +78,12 @@ def _exact_classes(d: int, n: int) -> tuple[np.ndarray, list[int]]:
     return np.vstack(parts), sizes
 
 
+def class_values(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """P_a = prod_j rows[a, j]^(k_j) of every row a on every type class k,
+    one row of ``counts`` each: the value of every route's product vectors."""
+    return np.prod(rows[:, None, :] ** counts, axis=2)
+
+
 def cut_spectrum(values: np.ndarray) -> np.ndarray:
     """Eigenvalues with every one at or below ``eigenvalue_zero_threshold`` set
     to exactly 0, so that a product of them (a type class) is > 0 iff no
@@ -300,7 +306,7 @@ class _Block:
         self.mult = _float(multiplicity(lam), sum(lam))
         self.classes = _column_classes(lam)
         self.weights = type_classes(len(lam), sum(lam))[0][self.classes]
-        self.values = np.prod(eigenvalues[:, None, :] ** self.weights, axis=2)
+        self.values = class_values(eigenvalues, self.weights)
         self._build = build
 
     @property
@@ -381,7 +387,7 @@ def _class_pops(n: int, cut: np.ndarray, floors):
     s's values on the cut spectra ``cut``, sorted descending (ties in
     ``type_classes`` order), popped down to the floor."""
     counts, _ = type_classes(cut.shape[1], n)
-    values = np.prod(cut[:, None, :] ** counts, axis=2)
+    values = class_values(cut, counts)
     order = np.argsort(-values, axis=1, kind="stable")
     ranked = np.take_along_axis(values, order, axis=1)
     flats = [pop_order(ranked, floor) for floor in floors]

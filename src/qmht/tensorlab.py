@@ -72,16 +72,13 @@ from .detectors import (
     pop_order,
 )
 from .errors import DimensionLimitError, NumericalConsistencyError
-from .linalg import (
-    DensityMatrix,
-    dense_limit,
-    is_rank_one,
-)
+from .linalg import DensityMatrix, check_family, dense_limit, is_rank_one
 from .schurweyl import (
     _class_pops,
     base_spectra,
     block_scores,
     class_pick_cut,
+    class_values,
     cut_spectrum,
     frame_misses,
     joint_gram_floors,
@@ -99,6 +96,18 @@ COMMUTATOR_ROUNDING = float(np.finfo(float).eps)
 # terms, one per requested kind and type class (one n alone may exceed it),
 # so a far-out sweep never holds the arrays of all its classes at once.
 CLASS_GROUP_LIMIT = 1 << 14
+
+
+def check_kinds(kinds: Sequence[str]) -> None:
+    """The one rule of a detector kind list, raised as ValueError: at least
+    one kind, each of ``DETECTOR_KINDS``, none listed twice."""
+    if not kinds:
+        raise ValueError("need at least one detector kind")
+    for k, kind in enumerate(kinds):
+        if kind not in DETECTOR_KINDS:
+            raise ValueError(f"unknown detector kind {kind!r}")
+        if kind in kinds[:k]:
+            raise ValueError(f"detector kind {kind!r} is listed twice")
 
 
 def check_dense_limit(dim: int, ns: Iterable[int]) -> None:
@@ -210,7 +219,8 @@ def _class_group_scores(
     starts = np.cumsum([0] + widths)
     slots = np.repeat(np.arange(len(ns)), widths)  # the position in ns of each class's n
     sizes = np.concatenate([sizes for _, sizes in classes])
-    values = _class_values(np.vstack([rows, cut_rows]), classes)
+    counts = np.vstack([counts for counts, _ in classes])
+    values = class_values(np.vstack([rows, cut_rows]), counts)
     values, cut_values = values[:r], values[r:]
     eps = np.array([epsilons[kind] for kind in kinds], dtype=float)
     weights = np.empty((len(kinds),) + values.shape)
@@ -268,13 +278,6 @@ def _pick_ranks(cut_rows, ns, floors, cut_values, present, starts) -> np.ndarray
     return ranks
 
 
-def _class_values(rows: np.ndarray, classes) -> np.ndarray:
-    """P_a = prod_j rows[a, j]^(k_j) of every state a on every class of the
-    ``type_classes`` results ``classes``, one column per class in turn."""
-    counts = np.vstack([counts for counts, _ in classes])
-    return np.prod(rows[:, None, :] ** counts, axis=2)
-
-
 def _pure_tops(states: Sequence[DensityMatrix]) -> np.ndarray | None:
     """The largest eigenvalue of every state of a family whose states are
     all rank 1 up to rounding (``is_rank_one``), or None."""
@@ -303,20 +306,23 @@ def _pure_scores(
     F_n^H F_n = G^(o n), G = C^H C: one QR of at most r k x r per n from
     n = 1, so a sweep's row is that n alone. gs and epsilon score the r
     columns of F_n, popped in ``pop_order`` of the a_s, by the blocks'
-    ``pick_frame`` and ``frame_misses``. helstrom is half the summed misses
-    of the pair, a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
+    ``pick_frame`` and ``frame_misses``; a call without them takes no QR.
+    helstrom is half the summed misses of the pair,
+    a b g / (a + b + sqrt((a - b)^2 + 4 a b (1 - g))) with
     g = |<psi_0|psi_1>|^(2n), which has no cancellation, and g and 1 - g
     come from the pair's overlap and t = 1 - overlap (``_pure_overlap``,
     ``_overlap_powers``), so nearly parallel states keep their digits too.
     """
     vectors = np.column_stack([rho.spectrum().vectors[:, 0] for rho in states])
     vectors /= np.linalg.norm(vectors, axis=0)
-    base = np.linalg.qr(vectors, mode="r")
+    framed = any(kind != "helstrom" for kind in kinds)  # only gs and epsilon read F_n
+    base = np.linalg.qr(vectors, mode="r") if framed else None
     if "helstrom" in kinds:
         overlap, t = _pure_overlap(vectors)
     factor, copies = np.ones((1, len(states))), 0
     for i, n in enumerate(ns):
-        for copies in range(copies + 1, n + 1):
+        while framed and copies < n:
+            copies += 1
             factor = np.linalg.qr((factor[:, None, :] * base).reshape(-1, len(states)), mode="r")
         weights = tops**n
         order = pop_order(weights[:, None], -math.inf)
@@ -413,24 +419,15 @@ def run_power_experiment(
 
     Each kind selects a family: "gs" (greedy PVM), "epsilon" (embedded POVM
     with the scheduled or overridden perturbation), "helstrom" (binary optimal
-    test, r = 2 only), or "classical-ml" (commuting families only). Every
-    kind is checked before any row is scored; the route, the Chernoff bound
-    and each route's per-family data are shared by all of them.
+    test, r = 2 only), or "classical-ml" (commuting families only). Kinds
+    and family are checked (``check_kinds``, ``check_family``) before any
+    row is scored; the route, the Chernoff bound and each route's
+    per-family data are shared by all of them.
     """
-    states = list(base)
-    if not kinds:
-        raise ValueError("need at least one detector kind")
-    for k, kind in enumerate(kinds):
-        if kind not in DETECTOR_KINDS:
-            raise ValueError(f"unknown detector kind {kind!r}")
-        if kind in kinds[:k]:
-            raise ValueError(f"detector kind {kind!r} is listed twice")
-    if len(states) < 2:
-        raise ValueError("need at least two hypotheses")
+    check_kinds(kinds)
+    states = check_family(base)
     if "helstrom" in kinds and len(states) != 2:
         raise ValueError("helstrom runs on exactly two hypotheses")
-    if any(rho.dim != states[0].dim for rho in states):
-        raise ValueError("states must share one dimension")
     # before the copy numbers: a family of 1 x 1 states, all duplicates, has
     # no n over the cap, so a far range would be walked in full
     check_distinct(states)
@@ -439,12 +436,13 @@ def run_power_experiment(
     # helstrom on the pure route, classical-ml on the common basis, and the
     # other kinds of other families there only where they commute to rounding
     tops = _pure_tops(states)
-    try:
-        _, rows, _, commutator = _common_diagonals(states)
-    except (ValueError, NumericalConsistencyError):
-        if "classical-ml" in kinds:
-            raise
-        rows, commutator = None, math.inf
+    rows, commutator = None, math.inf
+    if tops is None or "classical-ml" in kinds:
+        try:
+            _, rows, _, commutator = _common_diagonals(states)
+        except (ValueError, NumericalConsistencyError):
+            if "classical-ml" in kinds:
+                raise
     commutes = tops is None and commutator <= states[0].dim * COMMUTATOR_ROUNDING
 
     qcb = pairwise_qcb(states)
@@ -512,14 +510,13 @@ class LiReport:
 
 
 def pairwise_li_check(sigma_set: Sequence[DensityMatrix]) -> LiReport:
-    """Test every pair of states for trivially intersecting supports.
+    """Test every pair of two or more states of one dimension
+    (``check_family``) for trivially intersecting supports.
 
     The witness is the top eigenvalue of P_i P_j P_i for the support
     projectors; it reaches 1 exactly when the supports share a direction.
     """
-    states = list(sigma_set)
-    if any(rho.dim != states[0].dim for rho in states):
-        raise ValueError("states must share one dimension")
+    states = check_family(sigma_set)
     projectors = []
     for rho in states:
         dec = rho.spectrum()
@@ -547,13 +544,11 @@ def gram_convergence_check(
     climbs toward 1 as the cross-state overlaps decay. The whole sweep is
     checked against the d^n cap before any n is scored, and the base
     spectra are taken once for all of it (``schurweyl.joint_gram_floors``).
-    A family of fewer than two states raises ValueError before the copy
-    numbers are read: one 1 x 1 state has no n over the cap and no pair to
-    reject, so a far range would be walked in full.
+    ``pairwise_li_check`` rejects a bad family before the copy numbers are
+    read: one 1 x 1 state has no n over the cap and no pair to reject, so a
+    far range would be walked in full.
     """
     states = list(base)
-    if len(states) < 2:
-        raise ValueError("need at least two hypotheses")
     if not pairwise_li_check(states).all_pass:
         raise ValueError("supports must intersect trivially for every pair")
     ns = _copy_numbers(n_range, states[0].dim)

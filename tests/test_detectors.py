@@ -335,9 +335,12 @@ class TestEvaluateErrors:
                 check([zero_state, zero_state], det)
 
     def test_dimension_mismatch(self, zero_state):
+        # one rule for both: verify_bayes_conditions once raised numpy's
+        # matmul error here
         det = Detector(kind="PVM", frame=np.eye(3), labels=[0, 1, 1], outcomes=2)
-        with pytest.raises(ValueError, match="^state dimension does not match the detector$"):
-            evaluate_errors([zero_state, zero_state], det)
+        for check in (evaluate_errors, functools.partial(verify_bayes_conditions, tol=1e-9)):
+            with pytest.raises(ValueError, match="^state dimension does not match the detector$"):
+                check([zero_state, zero_state], det)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_misses_equal_the_element_form(self, r):

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmht.linalg
+from qmht import chernoff, detectors, tensorlab
 from qmht.cli import load_scenario
 from qmht.linalg import (
     EIGENVALUE_ZERO_RTOL,
     DensityMatrix,
     HermitianMatrix,
     SpectralDecomposition,
+    check_family,
     gram_floor,
     spectral_decompose,
 )
@@ -22,6 +24,68 @@ from qmht.sampling import complex_gaussian, random_density_matrix, random_orthon
 def random_hermitian(dim, rng, scale=1.0):
     g = complex_gaussian(rng, (dim, dim)) * scale
     return HermitianMatrix((g + g.conj().T) / 2)
+
+
+# every public entry point that takes a family, as (family -> call, the
+# fewest states it takes, None for a pair given by position)
+FAMILY_ENTRY_POINTS = {
+    "OverlapCurve": (lambda states: chernoff.OverlapCurve(*states), None),
+    "q_overlap": (lambda states: chernoff.q_overlap(*states, 0.5), None),
+    "binary_qcb": (lambda states: chernoff.binary_qcb(*states), None),
+    "holevo_helstrom": (lambda states: detectors.holevo_helstrom(*states), None),
+    "multiple_qcb": (chernoff.multiple_qcb, 2),
+    "gs_detector": (detectors.gs_detector, 2),
+    "epsilon_detector": (lambda states: detectors.epsilon_detector(states, 0.3), 2),
+    "pgm": (lambda states: detectors.pgm(states, [1.0 / max(1, len(states))] * len(states)), 1),
+    "bayes_commuting": (detectors.bayes_commuting, 2),
+    "common_eigenbasis": (detectors.common_eigenbasis, 1),
+    "pairwise_li_check": (tensorlab.pairwise_li_check, 2),
+    "gram_convergence_check": (lambda states: tensorlab.gram_convergence_check(states, [1]), 2),
+    **{
+        f"run_power_experiment {kind}": (
+            lambda states, kind=kind: tensorlab.run_power_experiment(states, [1], kind), 2
+        )
+        for kind in tensorlab.DETECTOR_KINDS
+    },
+}
+
+
+class TestFamilyRule:
+    """One rule, ``check_family``, for every family: at least two
+    hypotheses (one state for ``pgm`` and ``common_eigenbasis``), all of one
+    dimension, with one message each."""
+
+    QUBIT = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
+    QUTRIT = DensityMatrix(np.diag([0.2, 0.3, 0.5]).astype(complex))
+
+    def test_the_rule(self):
+        assert check_family((self.QUBIT, self.QUBIT)) == [self.QUBIT, self.QUBIT]
+        assert check_family(iter([self.QUTRIT]), least=1) == [self.QUTRIT]
+        for states, least, message in (
+            ([], 1, "need at least one state"),
+            ([self.QUBIT], 2, "need at least two hypotheses"),
+            ([self.QUBIT, self.QUTRIT], 1, "states must share one dimension"),
+            ([self.QUTRIT, self.QUTRIT, self.QUBIT], 2, "states must share one dimension"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check_family(states, least)
+
+    @pytest.mark.parametrize("name", FAMILY_ENTRY_POINTS)
+    def test_every_entry_point_rejects_mixed_dimensions(self, name):
+        call, _ = FAMILY_ENTRY_POINTS[name]
+        for states in ([self.QUBIT, self.QUTRIT], [self.QUTRIT, self.QUBIT]):
+            with pytest.raises(ValueError, match="^states must share one dimension$"):
+                call(states)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, (_, least) in FAMILY_ENTRY_POINTS.items() if least]
+    )
+    def test_every_entry_point_rejects_too_few_states(self, name):
+        call, least = FAMILY_ENTRY_POINTS[name]
+        message = "need at least two hypotheses" if least == 2 else "need at least one state"
+        for states in ([], [self.QUBIT])[:least]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(states)
 
 
 class TestHermitianMatrix:

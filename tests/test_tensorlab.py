@@ -39,7 +39,6 @@ from qmht.tensorlab import (
     EPSILON_CLIP,
     _claim_weights,
     _class_groups,
-    _class_values,
     _pick_ranks,
     check_dense_limit,
     gram_convergence_check,
@@ -51,6 +50,7 @@ from qmht.schurweyl import (
     base_spectra,
     block_scores,
     class_pick_cut,
+    class_values,
     cut_spectrum,
     type_classes,
 )
@@ -1189,7 +1189,7 @@ class TestNearTies:
             classes = [type_classes(d, n) for n in ns]
             starts = np.cumsum([0] + [len(sizes) for _, sizes in classes])
             slots = np.repeat(np.arange(len(ns)), np.diff(starts))
-            cut_values = _class_values(cut_rows, classes)
+            cut_values = class_values(cut_rows, np.vstack([counts for counts, _ in classes]))
             for kind in ("gs", "epsilon"):
                 floors = class_pick_cut(cut_rows, ns, kind)
                 present = cut_values > floors[slots]
@@ -1437,6 +1437,53 @@ class TestPureRoute:
             (row,) = run_power_experiment(states, [40], kind, **options).rows
             reference = mp_pure_error(states, 40, kind, options.get("epsilon_override", 0.0))
             assert abs(row.err - reference) <= 1e-13 * reference, kind
+
+    def test_helstrom_alone_takes_no_qr(self, monkeypatch):
+        # only gs and epsilon read the factor F_n: a helstrom-only sweep
+        # builds none, and its rows are those of a sweep that does
+        calls = []
+        plain = np.linalg.qr
+
+        def counting(mat, *args, **kwargs):
+            calls.append(np.shape(mat))
+            return plain(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        monkeypatch.setenv(DENSE_LIMIT_ENV, str(10**400))
+        rng = np.random.default_rng(84)
+        ns = range(1, 41)
+        for d in (2, 3, 5):
+            states = [random_pure_state(d, rng) for _ in range(2)]
+            calls.clear()
+            alone = run_power_experiment(states, ns, "helstrom").rows
+            assert calls == []
+            both = run_power_experiment(states, ns, "gs", "helstrom").rows
+            assert len(calls) > len(ns)
+            assert alone == [row for row in both if row.detector == "helstrom"]
+
+    def test_pure_family_reads_the_common_basis_for_classical_ml_only(self, monkeypatch):
+        # gs, epsilon and helstrom of a rank-one family never read the
+        # common basis; classical-ml does, and the other rows keep their bits
+        calls = []
+        plain = tensorlab._common_diagonals
+
+        def counting(states):
+            calls.append(len(states))
+            return plain(states)
+
+        monkeypatch.setattr(tensorlab, "_common_diagonals", counting)
+        rng = np.random.default_rng(85)
+        turned = [random_pure_state(3, rng) for _ in range(2)]
+        basis = [pure(row) for row in np.eye(3)]
+        for states, kinds in ((turned, ("gs", "epsilon", "helstrom")), (basis, ("gs", "epsilon"))):
+            assert route(states) == "pure"
+            calls.clear()
+            rows = run_power_experiment(states, range(1, 6), *kinds).rows
+            assert calls == []
+            if states is basis:
+                with_ml = run_power_experiment(states, range(1, 6), *kinds, "classical-ml").rows
+                assert calls == [3]
+                assert rows == [row for row in with_ml if row.detector != "classical-ml"]
 
 
 class TestEpsilonSchedule:
