@@ -111,12 +111,27 @@ def _real_matrix(entries, where: str) -> np.ndarray:
     return np.array([_real_list(row, f"{where} row {i}", "entry") for i, row in enumerate(entries)])
 
 
-def _normalized(value, total: float, what: str, where: str):
-    """``value`` over its norm, sum or trace ``total``: warned beyond
+def _normalized(value: np.ndarray, total_of, what: str, where: str, zero: str):
+    """``value`` over ``total_of(value)``, its norm, sum or trace, which
+    must be positive, else ``zero`` is raised. Both are taken on ``value``
+    times 2^-e, e the ``frexp`` exponent of its largest magnitude: that
+    scaling is exact, so the total neither overflows nor underflows, and an
+    input in range divides to the bits it has unscaled. Warned beyond
     ``NORM_WARN_ATOL`` and used as given within ``RENORMALIZE_ATOL`` of 1."""
-    if abs(total - 1.0) > NORM_WARN_ATOL:
-        _warn(f"{where}: renormalizing {what} {total:.12g}")
-    return value / total if abs(total - 1.0) > RENORMALIZE_ATOL else value
+    parts = value.view(float)  # a complex entry as its two parts
+    _, exp = math.frexp(float(np.abs(parts).max()))
+    scaled = np.ldexp(parts, -exp).view(value.dtype)
+    total = float(total_of(scaled))
+    if not total > 0.0:
+        raise ScenarioError(f"{where}: {zero}")
+    try:
+        unscaled = math.ldexp(total, exp)
+        shown = f"{unscaled:.12g}"
+    except OverflowError:  # past the float range
+        unscaled, shown = math.inf, f"{total:.12g} * 2^{exp}"
+    if abs(unscaled - 1.0) > NORM_WARN_ATOL:
+        _warn(f"{where}: renormalizing {what} {shown}")
+    return scaled / total if abs(unscaled - 1.0) > RENORMALIZE_ATOL else value
 
 
 @contextlib.contextmanager
@@ -135,36 +150,31 @@ def _load_state(spec, index: int) -> DensityMatrix:
     kind = spec.get("kind")
     if kind == "pure":
         vec = _complex_vector(spec.get("vector"), where)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ScenarioError(f"{where}: zero vector")
-        vec = _normalized(vec, norm, "vector with norm", where)
-        return DensityMatrix(np.outer(vec, vec.conj()))
-    if kind == "diagonal":
+        vec = _normalized(vec, np.linalg.norm, "vector with norm", where, "zero vector")
+        mat = np.outer(vec, vec.conj())
+    elif kind == "diagonal":
         probs = _real_list(spec.get("probs"), where, "probability")
         if float(probs.min()) < NONNEGATIVE_FLOOR:
             raise ScenarioError(f"{where}: negative probability")
-        probs = np.maximum(probs, 0.0)
-        total = float(probs.sum())
-        if total <= 0.0:
-            raise ScenarioError(f"{where}: probabilities sum to zero")
-        probs = _normalized(probs, total, "probabilities with sum", where)
-        return DensityMatrix(np.diag(probs).astype(complex))
-    if kind == "dense":
+        probs = _normalized(
+            np.maximum(probs, 0.0), np.sum, "probabilities with sum", where,
+            "probabilities sum to zero",
+        )
+        mat = np.diag(probs).astype(complex)
+    elif kind == "dense":
         real = _real_matrix(spec.get("real"), f"{where} (real part)")
         imag = _real_matrix(spec.get("imag"), f"{where} (imag part)")
         if real.shape != imag.shape:
             raise ScenarioError(f"{where}: real and imag shapes differ")
-        mat = real + 1j * imag
         with _reraised(f"{where}: "):
-            herm = HermitianMatrix(mat)
-        trace = float(np.trace(herm.mat).real)
-        if trace <= 0.0:
-            raise ScenarioError(f"{where}: nonpositive trace")
-        scaled = _normalized(herm.mat, trace, "matrix with trace", where)
-        with _reraised(f"{where}: "):
-            return DensityMatrix(scaled)
-    raise ScenarioError(f"{where}: unknown state kind {kind!r}")
+            herm = HermitianMatrix(real + 1j * imag)
+        mat = _normalized(
+            herm.mat, lambda m: np.trace(m).real, "matrix with trace", where, "nonpositive trace"
+        )
+    else:
+        raise ScenarioError(f"{where}: unknown state kind {kind!r}")
+    with _reraised(f"{where}: "):
+        return DensityMatrix(mat)
 
 
 def _integer(raw: dict, key: str, default) -> int:
@@ -374,16 +384,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except DimensionLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except NumericalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

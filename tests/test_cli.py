@@ -821,6 +821,43 @@ class TestStateLoading:
         assert states[1].mat[1, 1] == 0.5 + 1e-16
 
     @pytest.mark.parametrize(
+        "state, unit, message",
+        [
+            # unscaled, the norm's squares overflow, and underflow
+            (
+                {"kind": "pure", "vector": [[1e200, 0.0], [0.0, 1e200]]},
+                {"kind": "pure", "vector": [[SQ, 0.0], [0.0, SQ]]},
+                "vector with norm 1.41421356237e+200",
+            ),
+            (
+                {"kind": "pure", "vector": [[1e-200, 0.0], [0.0, -1e-200]]},
+                {"kind": "pure", "vector": [[SQ, 0.0], [0.0, -SQ]]},
+                "vector with norm 1.41421356237e-200",
+            ),
+            # a sum past the float range is printed at its power-of-two scale
+            (
+                {"kind": "diagonal", "probs": [6e307, 1.4e308]},
+                {"kind": "diagonal", "probs": [0.3, 0.7]},
+                "probabilities with sum 1.11253692925 * 2^1024",
+            ),
+            (
+                {
+                    "kind": "dense",
+                    "real": [[6e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]],
+                    "imag": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                },
+                {"kind": "diagonal", "probs": [3 / 11, 4 / 11, 4 / 11]},
+                "matrix with trace 2.44758124436 * 2^1023",
+            ),
+        ],
+    )
+    def test_far_scales_load_as_the_unit_scale(self, tmp_path, capsys, state, unit, message):
+        scen = write_scenario(tmp_path / "s.json", states=[state, unit])
+        far, near = load_scenario(str(scen)).states
+        assert capsys.readouterr().err == f"warning: state 1: renormalizing {message}\n"
+        assert np.abs(far.mat - near.mat).max() <= 1e-15
+
+    @pytest.mark.parametrize(
         "state, tail",
         [
             ([0.5, 0.5], ": expected an object"),

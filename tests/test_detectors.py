@@ -35,7 +35,6 @@ from qmht.detectors import (
     pgm,
     verify_bayes_conditions,
     _common_diagonals,
-    _diagonal_bayes_conditions,
     _greedy_pops,
     _gs_frame,
 )
@@ -1035,6 +1034,9 @@ class TestPgm:
         [
             ([1.0], "one prior per state required"),
             ([0.25, 0.25, 0.5], "one prior per state required"),
+            # a scalar, and a row of priors per state, are not one flat list
+            (1.0, r"priors must be one flat list, got shape \(\)"),
+            ([[0.5, 0.5], [0.5, 0.5]], r"priors must be one flat list, got shape \(2, 2\)"),
             ([1.5, -0.5], "priors must be nonnegative"),
             ([0.5, 0.4], "priors must sum to 1"),
             ([0.5, 0.5 + 1e-9], "priors must sum to 1"),
@@ -1148,12 +1150,17 @@ class TestBayesCommuting:
             bayes_commuting([diagonal([0.6, 0.4])])
 
     def test_a_failed_certificate_is_a_numerical_error(self, monkeypatch):
+        # only a rotated family is checked: the row path's conditions hold as built
         failed = BayesConditionReport(
             m_hermitian=True, dominates=(True, False), annihilates=(True, True)
         )
-        monkeypatch.setattr(qmht.detectors, "_diagonal_bayes_conditions", lambda *args: failed)
+        monkeypatch.setattr(qmht.detectors, "verify_bayes_conditions", lambda *args, **kw: failed)
+        rotation = random_orthonormal(2, 2, np.random.default_rng(123))
+        states = [
+            DensityMatrix((rotation * p) @ rotation.conj().T) for p in ([0.6, 0.4], [0.2, 0.8])
+        ]
         with pytest.raises(NumericalConsistencyError, match="fails its optimality certificate"):
-            bayes_commuting([diagonal([0.6, 0.4]), diagonal([0.2, 0.8])])
+            bayes_commuting(states)
 
 
 class TestVerifyBayesConditions:
@@ -1267,8 +1274,8 @@ class TestVerifyBayesConditions:
         return report
 
     def test_factorization_verdicts_equal_the_exact_ones(self):
-        # the Cholesky and Frobenius tests decide only where they prove the
-        # condition; every other verdict comes from eigvalsh or the 2-norm
+        # every verdict is the one eigvalsh or 2-norm verdict of the
+        # conditions as written, on detectors that pass and ones that fail
         rng = np.random.default_rng(41)
         tol = 1e-9
         outcomes = collections.Counter()
@@ -1313,7 +1320,7 @@ class TestVerifyBayesConditions:
         # a coupling between slots of different labels leaves M a little off
         # Hermitian; state 0's residual over its three columns has a
         # Frobenius norm above its 2-norm, and tolerances below, between and
-        # above the two decide as the 2-norm does
+        # above the two decide as the 2-norm does, not as a Frobenius bound
         rng = np.random.default_rng(42)
         dim = 6
         for _ in range(10):
@@ -1647,8 +1654,9 @@ class TestDiagonalRowPath:
 
     def test_row_path_equals_the_dense_forms(self, monkeypatch):
         # the detector, mu and certificate bytes are the dense forms on the
-        # eigh-refined basis, and the row conditions are the dense verdicts,
-        # also for mislabelled slots, which fail them; no dense check runs
+        # eigh-refined basis, and the detector passes the dense check that
+        # the row path never runs; mislabelled slots get the exact verdicts,
+        # and fail them
         dense_checks = []
 
         def counted(*args, **kwargs):
@@ -1675,9 +1683,7 @@ class TestDiagonalRowPath:
             on_rows += 1
             assert len(dense_checks) == before and commutator == 0.0
             assert np.array_equal(basis, np.eye(dim)[:, columns])
-            report = _diagonal_bayes_conditions(probs, det.labels)
-            assert report.passed
-            assert report == verify_bayes_conditions(states, det, POVM_ATOL)
+            assert verify_bayes_conditions(states, det, POVM_ATOL).passed
             below = np.argwhere(probs < slot_max)
             relabels = [rng.integers(r, size=dim)]
             if below.size:
@@ -1686,9 +1692,8 @@ class TestDiagonalRowPath:
                 wrong[slot] = state
                 relabels.append(wrong)
             for labels in relabels:
-                report = _diagonal_bayes_conditions(probs, labels)
                 other = Detector(kind="PVM", frame=det.frame, labels=labels, outcomes=r)
-                assert report == verify_bayes_conditions(states, other, POVM_ATOL)
+                report = TestVerifyBayesConditions().assert_exact(states, other, POVM_ATOL)
                 if not report.passed:
                     mislabelled += 1
         assert on_rows >= 100 and mislabelled >= 50, (on_rows, mislabelled)
