@@ -1,6 +1,7 @@
 """Construction and evaluation of multiple-hypothesis quantum detectors.
 
-All detectors are built from spectral data of the hypothesis states; every
+All detectors are built from spectral data of the hypothesis states, each
+as its labelled frame (``Detector``), the one form a detector takes; every
 function is pure and a detector owns read-only copies of its arrays.
 Every route pops its pick candidates through one engine, ``pop_order``: a
 stable sort of the stacked candidate streams wherever that is sure to equal
@@ -35,6 +36,7 @@ from .chernoff import overlap_power_sum, pairwise_qcb
 from .errors import NumericalConsistencyError
 # SPAN_RESIDUAL_TOL, gs's span rule, is read by ``greedy_span`` and named here
 from .linalg import (
+    DENSITY_TRACE_ATOL,
     SPAN_RESIDUAL_TOL,
     DensityMatrix,
     HermitianMatrix,
@@ -51,7 +53,6 @@ POVM_ATOL = 1e-9
 SELECTION_TIE_RTOL = 1e-12
 COMMUTATOR_ATOL = 1e-10
 COMMON_BASIS_ATOL = 1e-9
-PRIOR_ATOL = 1e-10
 # A probability, a prior or an eigenvalue that must be nonnegative may fall
 # this far below 0 by rounding.
 NONNEGATIVE_FLOOR = -1e-12
@@ -67,93 +68,46 @@ class Detector:
     outcome ``labels[c]``: element i is T_i T_i^H over the columns labelled i,
     built on first read of ``elements``. The one check, T T^H = I (m = d for
     a PVM), makes every element PSD, the elements sum to the identity and,
-    for a square T, projective and mutually orthogonal. A detector is given
-    as ``Detector(kind=..., frame=T, labels=labels, outcomes=r)`` or by its
-    elements, ``Detector(elements, kind=...)``: one stacked ``eigh`` factors
-    element i = W diag(w) W^H into the columns W sqrt(w), labelled i, where
-    every w must be >= -POVM_ATOL, and for a PVM within POVM_ATOL of 0 or 1,
-    keeping only its eigenvalue-1 columns. ``elements`` returns a given list.
-    The detector keeps read-only copies of the frame and labels, so a later
-    write to the caller's arrays does not change it.
+    for a square T, projective and mutually orthogonal. The detector keeps
+    read-only copies of the frame and labels, so a later write to the
+    caller's arrays does not change it.
     """
 
     def __init__(
-        self,
-        elements: Sequence[HermitianMatrix] | None = None,
-        kind: str = "POVM",
-        *,
-        frame: np.ndarray | None = None,
-        labels: Sequence[int] | None = None,
-        outcomes: int | None = None,
+        self, *, kind: str, frame: np.ndarray, labels: Sequence[int], outcomes: int | None = None
     ) -> None:
         if kind not in ("PVM", "POVM"):
             raise ValueError(f"kind must be PVM or POVM, got {kind!r}")
-        self.kind = kind
-        if frame is None:
-            if not elements:
-                raise ValueError("detector needs at least one element")
-            self.elements = list(elements)
-            frame, labels = _element_frame(self.elements, kind)
-            outcomes = len(self.elements)
-        elif elements is not None:
-            raise ValueError("give a detector its elements or its frame, not both")
-        self.frame, self.labels = np.array(frame), np.array(labels)
-        self.frame.setflags(write=False)
-        self.labels.setflags(write=False)
+        frame, labels = np.array(frame), np.array(labels)
         if outcomes is None:
             raise ValueError("a frame detector needs its number of outcomes")
-        self.outcomes = operator.index(outcomes)
-        self._check_frame()
-        self.dim = self.frame.shape[0]
-
-    def _check_frame(self) -> None:
-        frame, labels = self.frame, self.labels
+        outcomes = operator.index(outcomes)
         if frame.ndim != 2 or frame.shape[0] < 1:
             raise ValueError(f"expected a nonempty d x m frame, got shape {frame.shape}")
         dim = frame.shape[0]
-        if self.outcomes < 1:
-            raise ValueError(f"a detector needs at least one outcome, got {self.outcomes}")
+        if outcomes < 1:
+            raise ValueError(f"a detector needs at least one outcome, got {outcomes}")
         if labels.shape != frame.shape[1:] or labels.dtype.kind not in "iu":
             raise ValueError("a frame needs one integer label per column")
-        if labels.size and not 0 <= labels.min() <= labels.max() < self.outcomes:
-            raise ValueError(f"frame labels must lie in [0, {self.outcomes})")
+        if labels.size and not 0 <= labels.min() <= labels.max() < outcomes:
+            raise ValueError(f"frame labels must lie in [0, {outcomes})")
         gap = float(np.abs(frame @ frame.conj().T - np.eye(dim)).max())
         if not gap <= POVM_ATOL:  # also catches a NaN
             raise NumericalConsistencyError(
                 "frame rows are not orthonormal, so the elements do not sum to the "
                 f"identity (max deviation {gap:.3e})"
             )
-        if self.kind == "PVM" and frame.shape[1] != dim:
-            raise NumericalConsistencyError(
-                f"a PVM frame must be square, got shape {frame.shape}"
-            )
+        if kind == "PVM" and frame.shape[1] != dim:
+            raise NumericalConsistencyError(f"a PVM frame must be square, got shape {frame.shape}")
+        frame.setflags(write=False)
+        labels.setflags(write=False)
+        self.kind, self.frame, self.labels = kind, frame, labels
+        self.outcomes, self.dim = outcomes, dim
 
     @functools.cached_property
     def elements(self) -> list[HermitianMatrix]:
-        # only reached for a detector given by its frame: a given element list
-        # is stored on the instance, which shadows this property
         blocks = (self.frame[:, self.labels == i] for i in range(self.outcomes))
         return [HermitianMatrix(b @ b.conj().T) for b in blocks]
-
-
-def _element_frame(elements, kind):
-    """The labelled frame of an element list: the columns W sqrt(w) of each
-    element W diag(w) W^H in turn, those with w > 0 (w ~ 1 for a PVM)."""
-    if any(e.dim != elements[0].dim for e in elements):
-        raise ValueError("detector elements must share one dimension")
-    values, vectors = np.linalg.eigh(np.stack([e.mat for e in elements]))
-    if kind == "PVM":  # how far each spectrum strays from {0, 1}
-        off, what = np.minimum(np.abs(values), np.abs(values - 1.0)).max(axis=1), "idempotent"
-    else:
-        off, what = -values[:, 0], "positive semidefinite"
-    bad = np.flatnonzero(off > POVM_ATOL)
-    if bad.size:
-        raise NumericalConsistencyError(
-            f"element {bad[0]} is not {what} (an eigenvalue is off by {off[bad[0]]:.3e})"
-        )
-    keep = values > (0.5 if kind == "PVM" else 0.0)
-    # (element, row, column) -> row x (element, column), element-major
-    return vectors.transpose(1, 0, 2)[:, keep] * np.sqrt(values[keep]), np.nonzero(keep)[0]
 
 
 @dataclass(frozen=True)
@@ -223,13 +177,13 @@ def _helstrom_frame(difference):
 def check_distribution(values: np.ndarray, what: str, whole: str | None = None) -> None:
     """The one rule of a distribution, on each row (last axis) of ``values``:
     every entry finite and at least ``NONNEGATIVE_FLOOR``, the row summing
-    to 1 within ``PRIOR_ATOL``. The ValueError names ``what`` (for the sum,
-    ``whole`` if given)."""
+    to 1 within ``DENSITY_TRACE_ATOL``, the one sum rule of a state's trace
+    too. The ValueError names ``what`` (for the sum, ``whole`` if given)."""
     if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite")
     if float(values.min()) < NONNEGATIVE_FLOOR:
         raise ValueError(f"{what} must be nonnegative")
-    if float(np.abs(values.sum(axis=-1) - 1.0).max()) > PRIOR_ATOL:
+    if float(np.abs(values.sum(axis=-1) - 1.0).max()) > DENSITY_TRACE_ATOL:
         raise ValueError(f"{whole or what} must sum to 1")
 
 

@@ -20,12 +20,14 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 EIGENVALUE_ZERO_RTOL = 1e-12
+# The one "sums to 1" tolerance: of a state's trace, priors, probability rows.
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 PHASE_PIVOT_ATOL = 1e-12
 SPAN_RESIDUAL_TOL = 1e-9
-# A d x d state is rank 1 up to rounding when its eigenvalues below the
-# largest sum to at most d times this times the largest (``is_rank_one``).
+# d times this bounds the rounding of d terms of at most 1: of a rank-1
+# spectrum's tail relative to its top (``is_rank_one``), and of a commuting
+# family's commutator entries (``tensorlab.run_power_experiment``).
 RANK_ONE_TAIL_RTOL = float(np.finfo(float).eps)
 # Rows per diagonal block of ``solve_lower``'s forward substitution.
 SOLVE_BLOCK = 64
@@ -58,7 +60,7 @@ class HermitianMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat) -> None:
-        arr = np.array(mat, dtype=complex)
+        arr = np.asarray(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
         # the largest magnitude is NaN or inf iff some entry is
@@ -66,10 +68,12 @@ class HermitianMatrix:
         if not math.isfinite(top):
             raise ValueError("matrix has a non-finite entry")
         scale = max(1.0, top)
-        asym = float(np.abs(arr - arr.conj().T).max())
+        # on the halves H = A/2 nothing overflows; in range H + H^H is (A + A^H)/2
+        half = arr / 2.0
+        asym = 2.0 * float(np.abs(half - half.conj().T).max())
         if asym > HERMITICITY_ATOL * scale:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-        out = (arr + arr.conj().T) / 2.0
+        out = half + half.conj().T
         out.setflags(write=False)
         self.mat = out
 
@@ -94,7 +98,7 @@ class DensityMatrix:
     __slots__ = ("base", "_spectrum")
 
     def __init__(self, mat) -> None:
-        base = mat if isinstance(mat, HermitianMatrix) else HermitianMatrix(mat)
+        base = HermitianMatrix(mat)
         trace = float(np.trace(base.mat).real)
         if abs(trace - 1.0) > DENSITY_TRACE_ATOL:
             raise ValueError(f"trace must equal 1 within {DENSITY_TRACE_ATOL}, got {trace!r}")

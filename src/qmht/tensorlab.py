@@ -25,11 +25,12 @@ Commuting families come next. One ``_common_diagonals`` call per
 a's diagonal in the common eigenbasis is a probability row p_a[j].
 classical-ml, which measures in that basis, always reads those rows. gs,
 epsilon and helstrom read them where the largest commutator entry the call
-saw is at most d ``COMMUTATOR_ROUNDING`` (0 for an exactly diagonal family,
-which forms no product): such a family commutes to rounding in any basis,
-and its rows are exact. A larger commutator, up to ``COMMUTATOR_ATOL``,
-means off-diagonal entries the rows drop, which can carry a small error, so
-those kinds keep the blocks, as they do where the call raises. Each product
+saw is at most d ``RANK_ONE_TAIL_RTOL``, d eps, the rounding of d terms of
+at most 1 (0 for an exactly diagonal family, which forms no product): such
+a family commutes to rounding in any basis, and its rows are exact. A
+larger commutator, up to ``COMMUTATOR_ATOL``, means off-diagonal entries
+the rows drop, which can carry a small error, so those kinds keep the
+blocks, as they do where the call raises. Each product
 outcome of a type class has the likelihood P_a = prod_j p_a[j]^(k_j), so
 every error is a sum over the C(n+d-1, d-1) classes weighted by their sizes
 n!/prod_j k_j!. State i claims each class with a weight w_i: classical-ml
@@ -72,7 +73,7 @@ from .detectors import (
     pop_order,
 )
 from .errors import DimensionLimitError, NumericalConsistencyError
-from .linalg import DensityMatrix, check_family, dense_limit, is_rank_one
+from .linalg import RANK_ONE_TAIL_RTOL, DensityMatrix, check_family, dense_limit, is_rank_one
 from .schurweyl import (
     _class_pops,
     base_spectra,
@@ -88,10 +89,6 @@ from .schurweyl import (
 DETECTOR_KINDS = ("gs", "epsilon", "helstrom", "classical-ml")
 EPSILON_CLIP = 1.0 / math.sqrt(2.0) - 1e-6
 LI_WITNESS_TOL = 1e-9
-# A family whose largest commutator entry is at most d times this commutes
-# to rounding (its states' entries are at most 1), and every kind reads its
-# rows in the common eigenbasis.
-COMMUTATOR_ROUNDING = float(np.finfo(float).eps)
 # A type-class sweep scores its consecutive n in groups of at most this many
 # terms, one per requested kind and type class (one n alone may exceed it),
 # so a far-out sweep never holds the arrays of all its classes at once.
@@ -443,7 +440,7 @@ def run_power_experiment(
         except (ValueError, NumericalConsistencyError):
             if "classical-ml" in kinds:
                 raise
-    commutes = tops is None and commutator <= states[0].dim * COMMUTATOR_ROUNDING
+    commutes = tops is None and commutator <= states[0].dim * RANK_ONE_TAIL_RTOL
 
     qcb = pairwise_qcb(states)
     r = len(states)

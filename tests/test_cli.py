@@ -849,6 +849,16 @@ class TestStateLoading:
                 {"kind": "diagonal", "probs": [3 / 11, 4 / 11, 4 / 11]},
                 "matrix with trace 2.44758124436 * 2^1023",
             ),
+            # entries past half the float range: A + A^H would overflow
+            (
+                {
+                    "kind": "dense",
+                    "real": [[1.2e308, 0.0], [0.0, 6e307]],
+                    "imag": [[0.0, 0.0], [0.0, 0.0]],
+                },
+                {"kind": "diagonal", "probs": [2 / 3, 1 / 3]},
+                "matrix with trace 1.00128323633 * 2^1024",
+            ),
         ],
     )
     def test_far_scales_load_as_the_unit_scale(self, tmp_path, capsys, state, unit, message):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qmht import chernoff, detectors, tensorlab
 from qmht.cli import load_scenario
 from qmht.linalg import (
     EIGENVALUE_ZERO_RTOL,
+    HERMITICITY_ATOL,
     DensityMatrix,
     HermitianMatrix,
     SpectralDecomposition,
@@ -101,6 +103,34 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.zeros((2, 3)))
+
+    def test_entries_past_half_the_float_range(self):
+        # A + A^H overflows here; the halves' sum and difference do not
+        for mat in (np.diag([1.2e308, 6e307]), np.array([[1e308, 1.5e308], [1.5e308, 1e308]])):
+            assert np.array_equal(HermitianMatrix(mat).mat, mat)
+        with pytest.raises(ValueError, match="^matrix is not Hermitian: max asymmetry 1.000e\\+307$"):
+            HermitianMatrix(np.array([[1e308, 1e308], [9e307, 1e308]]))
+
+    def test_halves_give_the_bits_of_the_halved_sum(self):
+        # A/2 + A^H/2 is (A + A^H)/2 bitwise, and the asymmetry verdict and
+        # message are those of A - A^H, wherever no entry is subnormal when
+        # halved: at scales 1e-280 to 1e300, just inside and outside the
+        # tolerance
+        rng = np.random.default_rng(41)
+        for scale in 10.0 ** np.arange(-280, 301, 20):
+            for dim in (1, 2, 5, 32):
+                raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                for rel in (1e-13, 1e-11):
+                    noise = rel * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                    mat = scale * (raw + raw.conj().T + noise)
+                    assert np.abs(mat.view(float)[mat.view(float) != 0.0]).min() >= 2.0**-1021
+                    asym = float(np.abs(mat - mat.conj().T).max())
+                    if asym > HERMITICITY_ATOL * max(1.0, float(np.abs(mat).max())):
+                        with pytest.raises(ValueError, match=re.escape(f"max asymmetry {asym:.3e}") + "$"):
+                            HermitianMatrix(mat)
+                        continue
+                    out = HermitianMatrix(mat).mat
+                    assert out.tobytes() == ((mat + mat.conj().T) / 2.0).tobytes()
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
