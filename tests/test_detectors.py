@@ -163,6 +163,68 @@ def eigen_pvm(elements):
     return Detector(kind="PVM", frame=frame, labels=np.nonzero(keep)[0], outcomes=len(elements))
 
 
+class TestDetectorInvariants:
+    def test_rejects_bad_sum(self):
+        # |0><0| twice sums to diag(2, 0), not the identity
+        for kind in ("PVM", "POVM"):
+            with pytest.raises(NumericalConsistencyError, match="identity"):
+                Detector(kind=kind, frame=[[1.0, 1.0], [0.0, 0.0]], labels=[0, 1], outcomes=2)
+
+    def test_rejects_non_projective_pvm(self):
+        # the elements I/2, I/2 sum to the identity but are not projectors
+        half = np.eye(2) / math.sqrt(2.0)
+        frame, labels = np.hstack([half, half]), [0, 0, 1, 1]
+        det = Detector(kind="POVM", frame=frame, labels=labels, outcomes=2)
+        for element in det.elements:
+            assert np.abs(element.mat - np.eye(2) / 2.0).max() <= 1e-15
+        with pytest.raises(NumericalConsistencyError, match="square"):
+            Detector(kind="PVM", frame=frame, labels=labels, outcomes=2)
+
+    def test_element_eigenvalue_boundaries(self):
+        # element 0 has eigenvalue 1 + off, so the elements sum to the
+        # identity within ``off``: accepted within POVM_ATOL, else rejected
+        def scaled(off):
+            return np.diag([math.sqrt(1.0 + off), 1.0])
+
+        det = Detector(kind="PVM", frame=scaled(0.5 * POVM_ATOL), labels=[0, 1], outcomes=2)
+        assert det.frame.shape == (2, 2) and det.labels.tolist() == [0, 1]
+        for off in (2.0 * POVM_ATOL, -2.0 * POVM_ATOL, -1.0):
+            for kind in ("PVM", "POVM"):
+                with pytest.raises(NumericalConsistencyError, match="identity"):
+                    Detector(kind=kind, frame=scaled(off), labels=[0, 1], outcomes=2)
+        # an extra POVM column of mass c^2 adds c^2 to the sum
+        for mass, passes in ((0.5 * POVM_ATOL, True), (2.0 * POVM_ATOL, False)):
+            frame = np.hstack([np.eye(2), [[math.sqrt(mass)], [0.0]]])
+            if passes:
+                Detector(kind="POVM", frame=frame, labels=[0, 1, 1], outcomes=2)
+                continue
+            with pytest.raises(NumericalConsistencyError, match="identity"):
+                Detector(kind="POVM", frame=frame, labels=[0, 1, 1], outcomes=2)
+        # |0>, |+>: unit columns that are not orthogonal
+        plus = [[1.0, 1.0 / math.sqrt(2.0)], [0.0, 1.0 / math.sqrt(2.0)]]
+        for kind in ("PVM", "POVM"):
+            with pytest.raises(NumericalConsistencyError, match="identity"):
+                Detector(kind=kind, frame=plus, labels=[0, 1], outcomes=2)
+        with pytest.raises(NumericalConsistencyError, match="identity"):
+            Detector(kind="PVM", frame=np.diag([1.0, 0.0]), labels=[0, 1], outcomes=2)
+
+    def test_projector_elements_give_a_square_frame(self):
+        # a rank-1 and a rank-2 projector in d = 3, in a rotated basis
+        basis = random_orthonormal(3, 3, np.random.default_rng(3))
+        one = basis[:, :1] @ basis[:, :1].conj().T
+        two = basis[:, 1:] @ basis[:, 1:].conj().T
+        det = Detector(kind="PVM", frame=basis, labels=[0, 1, 1], outcomes=2)
+        assert det.frame.shape == (3, 3)
+        assert det.labels.tolist() == [0, 1, 1]
+        assert np.abs(det.elements[0].mat - one).max() < 1e-15
+        assert np.abs(det.elements[1].mat - two).max() < 1e-15
+        assert np.abs(det.frame.conj().T @ det.frame - np.eye(3)).max() < 1e-14
+        first, second = (e.mat for e in det.elements)
+        for element in (first, second):
+            assert np.abs(element @ element - element).max() < 1e-14
+        assert np.abs(first @ second).max() < 1e-14
+
+
 class TestFrameDetectors:
     @given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
